@@ -17,10 +17,9 @@ vector alike.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from busweaver.ir import HwModule, ValueRef
+from busweaver.ir import HwModule, ValueRef, route_bit
 from busweaver.permutation import PassCounters
 from busweaver.rewrite import ModuleRewriter
 
@@ -64,78 +63,35 @@ class LogicCone:
     slot_at: dict[tuple, int] = field(default_factory=dict)
 
 
-def _route(
-    module: HwModule,
-    value: ValueRef,
-    bit: int,
-    counters: PassCounters | None,
-    cache: dict | None = None,
-) -> tuple:
-    """Resolve (value, bit) through routing ops to a terminal.
-
-    ``cache`` (shared across the bits of one analysis) memoizes concat
-    bit offsets so wide sinks route in O(log k) per concat instead of
-    scanning every operand.
-    """
-    ops = module.operations
-    while True:
-        op = ops[value.op]
-        kind = op.kind
-        if kind in ("input", "const"):
-            return (_LEAF, value.op, bit)
-        if kind == "extract":
-            if counters is not None:
-                counters.cone_visits += 1
-            bit += op.low
-            value = op.operands[0]
-        elif kind == "concat":
-            if counters is not None:
-                counters.cone_visits += 1
-            entry = cache.get(value.op) if cache is not None else None
-            if entry is None:
-                parts = list(reversed(op.operands))
-                offsets = [0] * len(parts)
-                total = 0
-                for i, ref in enumerate(parts):
-                    offsets[i] = total
-                    total += ref.width
-                entry = (offsets, parts)
-                if cache is not None:
-                    cache[value.op] = entry
-            offsets, parts = entry
-            idx = bisect_right(offsets, bit) - 1
-            value = parts[idx]
-            bit -= offsets[idx]
-        elif kind == "reverse":
-            if counters is not None:
-                counters.cone_visits += 1
-            bit = op.width - 1 - bit
-            value = op.operands[0]
-        elif kind == "replicate":
-            if counters is not None:
-                counters.cone_visits += 1
-            bit %= op.operands[0].width
-            value = op.operands[0]
-        else:
-            return (_OP, value.op)
-
-
 def backward_cone(
     module: HwModule,
     target: ValueRef,
     bit: int,
     counters: PassCounters | None = None,
-    route_cache: dict | None = None,
+    routes: dict | None = None,
 ) -> LogicCone:
     """Collect the cone of ``target[bit]`` with a worklist that visits
     each computing operation once.
 
     Cones through anything that is not 1-bit combinational logic
     (instances, reductions, operations already at vector width) come
-    back with ``analyzable`` False and a reason.
+    back with ``analyzable`` False and a reason.  ``routes`` is the
+    concat-offset index of :func:`busweaver.ir.route_bit`; share one
+    across the bits of a sink.
     """
+    ops = module.operations
+    routes = {} if routes is None else routes
+
+    def route(value: ValueRef, bit: int) -> tuple:
+        value, bit, hops = route_bit(ops, value, bit, routes)
+        if counters is not None:
+            counters.cone_visits += hops
+        if ops[value.op].kind in ("input", "const"):
+            return (_LEAF, value.op, bit)
+        return (_OP, value.op)
+
     cone = LogicCone(target, bit, analyzable=True)
-    root = _route(module, target, bit, counters, route_cache)
+    root = route(target, bit)
     cone.root_term = root
     ops_set: set[int] = set()
     leaves: set[tuple[int, int]] = set()
@@ -150,7 +106,7 @@ def backward_cone(
 
     while worklist:
         op_id = worklist.pop()
-        op = module.operations[op_id]
+        op = ops[op_id]
         if op.kind not in _CONE_KINDS:
             cone.analyzable = False
             cone.reason = f"%{op_id} is {op.kind}, not 1-bit logic"
@@ -163,7 +119,7 @@ def backward_cone(
             counters.cone_visits += 1
         terms: list[tuple] = []
         for ref in op.operands:
-            term = _route(module, ref, 0, counters, route_cache)
+            term = route(ref, 0)
             terms.append(term)
             if term[0] == _LEAF:
                 leaves.add((term[1], term[2]))
@@ -288,55 +244,44 @@ class ConeShape:
     lanes: int
 
 
+def lane_steps(lower: LogicCone, upper: LogicCone) -> list[int] | None:
+    """How far each slot's bit moves from one lane, ``lower``, to the
+    next lane up, ``upper``, for cones of one skeleton: 0 or +-1 per
+    slot.  ``None`` when a slot changes source, moves further, or
+    moves in mux-select position (a select may not vary across lanes).
+    """
+    steps = []
+    for k, (low, up) in enumerate(zip(lower.slots, upper.slots)):
+        step = up[1] - low[1]
+        if up[0] != low[0] or step not in (-1, 0, 1) \
+                or (step and k in lower.scalar_slots):
+            return None
+        steps.append(step)
+    return steps
+
+
 def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
     """Check the family shares a skeleton and classify every slot.
 
-    Fails (returns ``None``) on the first skeleton mismatch, on a slot
-    mixing sources, on a bit progression that is neither constant nor
-    exactly +1/-1 per lane, and on a strided slot in mux-select
-    position.
+    Fails (returns ``None``) on the first skeleton mismatch, and when
+    some slot's bit does not move by the same :func:`lane_steps` step
+    from every lane to the next.
     """
     assert cones
     rep = cones[0]
-    if not rep.analyzable:
+    if any(not c.analyzable or c.skeleton != rep.skeleton for c in cones):
         return None
-    for cone in cones[1:]:
-        if not cone.analyzable or cone.skeleton != rep.skeleton:
+    steps = [0] * len(rep.slots)
+    for k in range(1, len(cones)):
+        lane = lane_steps(cones[k - 1], cones[k])
+        if lane is None or (k > 1 and lane != steps):
             return None
-    n = len(cones)
-    slots: list[Slot] = []
-    for idx in range(len(rep.slots)):
-        source = rep.slots[idx][0]
-        if any(c.slots[idx][0] != source for c in cones[1:]):
-            return None
-        bits = [c.slots[idx][1] for c in cones]
-        base = bits[0]
-        if all(b == base for b in bits):
-            slots.append(Slot("invariant", source, base, 0))
-            continue
-        if all(b == base + k for k, b in enumerate(bits)):
-            step = 1
-        elif all(b == base - k for k, b in enumerate(bits)):
-            step = -1
-        else:
-            return None
-        if idx in rep.scalar_slots:
-            return None  # a mux select may not vary across lanes
-        slots.append(Slot("strided", source, base, step))
-    return ConeShape(rep.skeleton, slots, n)
-
-
-def extract_permutation(cones: list[LogicCone]) -> list[int]:
-    """Index map of the first strided slot: which source bit feeds each
-    lane.  All-invariant families get the trivial ascending map, and a
-    single cone the singleton map."""
-    shape = is_isomorphic(cones)
-    if shape is None:
-        raise ValueError("cones are not isomorphic")
-    for slot in shape.slots:
-        if slot.kind == "strided":
-            return [slot.base + slot.step * k for k in range(shape.lanes)]
-    return list(range(shape.lanes))
+        steps = lane
+    slots = [
+        Slot("strided" if step else "invariant", source, base, step)
+        for (source, base), step in zip(rep.slots, steps)
+    ]
+    return ConeShape(rep.skeleton, slots, len(cones))
 
 
 def plan_vector_expr(
@@ -404,19 +349,3 @@ def plan_vector_expr(
 
     return build(rep.root_term[1], False)
 
-
-def build_vector_expr(
-    module: HwModule,
-    target: ValueRef,
-    cones: list[LogicCone],
-    shape: ConeShape | None = None,
-) -> HwModule:
-    """Replace a whole sink with the vector form of its cone family."""
-    if shape is None:
-        shape = is_isomorphic(cones)
-        if shape is None:
-            raise ValueError("cones are not isomorphic")
-    rw = ModuleRewriter(module)
-    value = plan_vector_expr(rw, cones[0], shape)
-    rw.replace_uses(target, value)
-    return rw.finish()

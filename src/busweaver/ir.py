@@ -30,7 +30,9 @@ metrics skip them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,6 @@ COUNTED_KINDS = frozenset(
         "redxor",
     }
 )
-
-#: Kinds that only route bits around without computing new ones.
-ROUTING_KINDS = frozenset({"extract", "concat", "reverse", "replicate"})
 
 #: Two-operand bitwise/arithmetic kinds.
 BINARY_KINDS = frozenset({"and", "or", "xor", "add", "sub"})
@@ -272,6 +271,50 @@ class ModuleBuilder:
         return HwModule(
             self.name, self.ports, self.operations, dict(outputs), dict(wires)
         )
+
+
+def route_bit(
+    ops: list[Operation],
+    value: ValueRef,
+    bit: int,
+    index: dict[int, tuple[list[int], list[ValueRef]]] | None = None,
+) -> tuple[ValueRef, int, int]:
+    """Follow bit ``bit`` of ``value`` backwards through routing
+    operations (extract, concat, reverse, replicate).
+
+    Returns the first value that is not routing, the bit of it, and the
+    number of routing operations stepped through.  ``index`` memoizes
+    concat offsets by op id; keep one per analysis, not on the module,
+    because a rewriter redirects operands.
+    """
+    if index is None:
+        index = {}
+    hops = 0
+    while True:
+        op = ops[value.op]
+        kind = op.kind
+        if kind == "extract":
+            bit += op.low
+            value = op.operands[0]
+        elif kind == "concat":
+            entry = index.get(value.op)
+            if entry is None:
+                parts = op.operands[::-1]  # LSB first
+                offsets = list(accumulate((p.width for p in parts), initial=0))
+                entry = index[value.op] = (offsets, parts)
+            offsets, parts = entry
+            k = bisect_right(offsets, bit) - 1
+            value = parts[k]
+            bit -= offsets[k]
+        elif kind == "reverse":
+            bit = op.width - 1 - bit
+            value = op.operands[0]
+        elif kind == "replicate":
+            bit %= op.operands[0].width
+            value = op.operands[0]
+        else:
+            return value, bit, hops
+        hops += 1
 
 
 def count_instructions(module: HwModule) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from busweaver.ir import HwModule, ValueRef
+from busweaver.ir import HwModule, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
 
@@ -27,11 +27,16 @@ class PassCounters:
     """Work counters shared by the analysis passes, for complexity
     assertions and reporting.
 
-    ``trace_visits`` counts operations stepped through while tracing
-    bit origins (bounded by output bits times graph depth),
-    ``cone_visits`` counts operations resolved during cone collection,
-    ``partial_candidates`` counts chunk candidates tried by the partial
-    strategy (bounded by N*(N-1)/2 for an N-bit sink).
+    ``trace_visits`` counts routing operations stepped through while
+    tracing bit origins.  A sink traces each bit at most twice (the
+    whole-sink permutation test, then the partial planner), so this is
+    bounded by twice its bits times the graph depth.  ``cone_visits``
+    counts routing operations stepped through plus computing operations
+    collected while building cones; a sink builds each bit's cone at
+    most once.  ``partial_candidates`` counts the chunk windows that
+    the partial strategy's widest-first order rules on: ``j + 1`` for a
+    chunk ``[i:j]`` and ``i`` for a scalar bit ``i``, so at most
+    N*(N-1)/2 for an N-bit sink.
     """
 
     trace_visits: int = 0
@@ -87,42 +92,20 @@ def trace_bit_origin(
     value: ValueRef,
     bit: int,
     counters: PassCounters | None = None,
+    routes: dict | None = None,
 ) -> BitOrigin | None:
     """Follow one bit backwards through routing operations.
 
-    Returns the originating input/const bit, or ``None`` as soon as the
-    bit enters a computing operation or an instance.  Each step visits
-    one operation, so a single trace is bounded by the dependence depth.
+    Returns the originating input/const bit, or ``None`` when the bit
+    enters a computing operation or an instance.  ``routes`` is the
+    concat-offset index of :func:`busweaver.ir.route_bit`.
     """
-    ops = module.operations
-    while True:
-        op = ops[value.op]
-        kind = op.kind
-        if kind in ("input", "const"):
-            return BitOrigin(value, bit)
-        if kind == "instance":
-            return None
-        if counters is not None:
-            counters.trace_visits += 1
-        if kind == "extract":
-            bit += op.low
-            value = op.operands[0]
-        elif kind == "concat":
-            offset = 0
-            for ref in reversed(op.operands):
-                if bit < offset + ref.width:
-                    value = ref
-                    bit -= offset
-                    break
-                offset += ref.width
-        elif kind == "reverse":
-            bit = op.width - 1 - bit
-            value = op.operands[0]
-        elif kind == "replicate":
-            bit %= op.operands[0].width
-            value = op.operands[0]
-        else:
-            return None  # a computing operation; not pure routing
+    value, bit, hops = route_bit(module.operations, value, bit, routes)
+    if counters is not None:
+        counters.trace_visits += hops
+    if module.operations[value.op].kind in ("input", "const"):
+        return BitOrigin(value, bit)
+    return None
 
 
 def detect_permutation(
@@ -137,15 +120,16 @@ def detect_permutation(
 
     All bits must trace to distinct bits of one input, covering a
     contiguous window.  With ``anchored`` (the whole-sink case) the
-    window must start at bit 0; chunk detection passes ``anchored=False``
-    and accepts any window.
+    window must start at bit 0; ``anchored=False`` accepts any window,
+    the test the partial planner applies to its chunks incrementally.
     """
     n = target.width if width is None else width
     if n < 2:
         return None
     origins: list[BitOrigin] = []
+    routes: dict = {}
     for k in range(n):
-        origin = trace_bit_origin(module, target, lo + k, counters)
+        origin = trace_bit_origin(module, target, lo + k, counters, routes)
         if origin is None:
             return None
         origins.append(origin)

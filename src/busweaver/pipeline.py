@@ -4,12 +4,16 @@ chunking, applied to every multi-bit sink of every module.
 Per sink the order is fixed: try a whole-width bit permutation, then a
 whole-width replicated cone family, then fall back to partial
 vectorization.  Partial chunking scans from the MSB down; at bit ``i``
-it tries the widest chunk ``[i:j]`` first (j ascending from 0), for
-each candidate checking the bit-permutation test before the structural
-test, and on success resumes below the chunk at ``j - 1``.  Remaining
-single bits are emitted scalar.  A rewrite is applied only when some
-chunk of width >= 2 vectorized; all-scalar plans leave the module
-untouched.
+it takes the widest chunk ``[i:j]`` (the smallest ``j < i``) that is a
+bit permutation or a cone family, the permutation winning a tie, and
+resumes below the chunk at ``j - 1``.  That is the order of trying
+every window widest first, the permutation test before the structural
+one.  Remaining single bits are emitted scalar.  A rewrite is applied
+only when some chunk of width >= 2 vectorized; all-scalar plans leave
+the module untouched.
+
+Analysis is per sink, not per window: each bit's origin is traced and
+its cone built once, and one downward scan per ``i`` finds the chunk.
 
 A rewrite that reconstructs exactly the existing operations yields a
 module equal to its input (the rewriter value-numbers routing ops), so
@@ -27,6 +31,7 @@ from busweaver.cones import (
     backward_cone,
     is_independent,
     is_isomorphic,
+    lane_steps,
     plan_vector_expr,
 )
 from busweaver.inliner import InlineDecision, InlinePolicy, selective_inline
@@ -38,12 +43,14 @@ from busweaver.ir import (
     verify,
 )
 from busweaver.permutation import (
+    BitOrigin,
     PassCounters,
     PermutationMap,
     detect_permutation,
     greedy_group,
     plan_segments,
     rewrite_permutation,
+    trace_bit_origin,
 )
 from busweaver.rewrite import ModuleRewriter, compact_design
 
@@ -103,73 +110,131 @@ class PipelineReport:
         return 100.0 * delta / self.instructions_before
 
 
-def _structural_family(
-    module: HwModule,
-    target: ValueRef,
-    lo: int,
-    hi: int,
-    counters: PassCounters | None,
+@dataclass
+class _SinkAnalysis:
+    """Analysis state of one sink: one concat-offset index shared by
+    every route, and each bit's cone built at most once."""
+
+    module: HwModule
+    target: ValueRef
+    counters: PassCounters | None
+    routes: dict = field(default_factory=dict)
+    cones: dict[int, LogicCone] = field(default_factory=dict)
+
+    def cone(self, bit: int) -> LogicCone:
+        if bit not in self.cones:
+            self.cones[bit] = backward_cone(
+                self.module, self.target, bit, self.counters, self.routes
+            )
+        return self.cones[bit]
+
+
+def _whole_family(
+    sink: _SinkAnalysis,
 ) -> tuple[list[LogicCone], ConeShape] | None:
-    """Cones for bits lo..hi if they form a vectorizable family."""
+    """Cones for every bit of the sink if they form a vectorizable
+    family."""
     cones = []
-    route_cache: dict = {}
-    for bit in range(lo, hi + 1):
-        cone = backward_cone(module, target, bit, counters, route_cache)
+    for bit in range(sink.target.width):
+        cone = sink.cone(bit)
         if not cone.analyzable:
             return None
         cones.append(cone)
     if not is_independent(cones):
         return None
     shape = is_isomorphic(cones)
-    if shape is None:
+    return None if shape is None else (cones, shape)
+
+
+def _permutation_low(
+    module: HwModule, origins: list[BitOrigin | None], i: int
+) -> int | None:
+    """Smallest ``j < i`` whose window ``[i:j]`` traces to distinct bits
+    of one input covering a contiguous range, or ``None``.
+
+    Such windows are not downward-closed (source bits ``[0,2,1]`` form
+    one, ``[0,2]`` do not), so every ``j`` is checked, each in O(1); a
+    foreign source or a repeated bit rules out every wider window.
+    """
+    top = origins[i]
+    if top is None or module.operations[top.source.op].kind != "input":
         return None
-    return cones, shape
+    seen = {top.bit}
+    low = high = top.bit
+    best = None
+    for j in range(i - 1, -1, -1):
+        origin = origins[j]
+        if origin is None or origin.source != top.source \
+                or origin.bit in seen:
+            break
+        seen.add(origin.bit)
+        low = min(low, origin.bit)
+        high = max(high, origin.bit)
+        if high - low == i - j:
+            best = j
+    return best
 
 
-def partial_vectorize(
-    module: HwModule,
-    target: ValueRef,
-    counters: PassCounters | None = None,
-) -> list[Chunk]:
-    """Greedy MSB-to-LSB chunking of a sink that did not vectorize
-    whole.  Returns the chunk tiling only; ``vectorize_output`` applies
-    it."""
-    return [
-        Chunk(hi, lo, method)
-        for hi, lo, method, _ in _plan_chunks(module, target, counters)
+def _structural_low(sink: _SinkAnalysis, i: int) -> int | None:
+    """Smallest ``j < i`` whose bits ``[i:j]`` form a vectorizable cone
+    family, or ``None``.
+
+    Every sub-window of such a family is one too, so one downward scan
+    adds a lane at a time and stops at the first that fails: it must
+    be analyzable, share no operation with the lanes above, have their
+    skeleton, and move every slot by the same step.
+    """
+    top = sink.cone(i)
+    if not top.analyzable:
+        return None
+    ops = set(top.ops)
+    steps = best = None
+    for j in range(i - 1, -1, -1):
+        cone = sink.cone(j)
+        if not cone.analyzable or cone.skeleton != top.skeleton \
+                or not ops.isdisjoint(cone.ops):
+            break
+        lane = lane_steps(cone, sink.cone(j + 1))
+        if lane is None or (steps is not None and lane != steps):
+            break
+        steps = lane
+        ops |= cone.ops
+        best = j
+    return best
+
+
+def _plan_chunks(sink: _SinkAnalysis) -> list[tuple[int, int, str, object]]:
+    """Greedy MSB-to-LSB tiling of a sink that did not vectorize whole,
+    as ``(high, low, method, payload)`` tuples."""
+    module, target, counters = sink.module, sink.target, sink.counters
+    origins = [
+        trace_bit_origin(module, target, k, counters, sink.routes)
+        for k in range(target.width)
     ]
-
-
-def _plan_chunks(
-    module: HwModule,
-    target: ValueRef,
-    counters: PassCounters | None,
-) -> list[tuple[int, int, str, object]]:
     plans: list[tuple[int, int, str, object]] = []
     i = target.width - 1
     while i >= 0:
-        found = False
-        for j in range(i):  # widest candidate [i:0] first
+        # Widest window first, the permutation test first: a
+        # permutation window makes bit i an input leaf, and leaf cones
+        # stepping by +-1 through one input are a permutation too, so
+        # no structural window from i is wider.
+        j = _permutation_low(module, origins, i)
+        if j is not None:
+            bits = [o.bit for o in origins[j:i + 1]]
+            pi = PermutationMap(origins[i].source, bits, min(bits))
+            plans.append((i, j, "bit-permutation", pi))
+        elif (j := _structural_low(sink, i)) is not None:
+            cones = [sink.cone(bit) for bit in range(j, i + 1)]
+            plans.append((i, j, "structural", (cones, is_isomorphic(cones))))
+        else:
             if counters is not None:
-                counters.partial_candidates += 1
-            pi = detect_permutation(
-                module, target, lo=j, width=i - j + 1,
-                counters=counters, anchored=False,
-            )
-            if pi is not None:
-                plans.append((i, j, "bit-permutation", pi))
-                found = True
-            else:
-                family = _structural_family(module, target, j, i, counters)
-                if family is not None:
-                    plans.append((i, j, "structural", family))
-                    found = True
-            if found:
-                i = j - 1
-                break
-        if not found:
+                counters.partial_candidates += i
             plans.append((i, i, "scalar", None))
             i -= 1
+            continue
+        if counters is not None:
+            counters.partial_candidates += j + 1
+        i = j - 1
     return plans
 
 
@@ -191,17 +256,12 @@ def vectorize_output(
         return rewritten, [Chunk(n - 1, 0, "bit-permutation")], \
             rewritten != module
 
-    family = _structural_family(module, target, 0, n - 1, counters)
+    sink = _SinkAnalysis(module, target, counters)
+    family = _whole_family(sink)
     if family is not None:
-        cones, shape = family
-        rw = ModuleRewriter(module)
-        value = plan_vector_expr(rw, cones[0], shape)
-        rw.replace_uses(target, value)
-        rewritten = rw.finish()
-        return rewritten, [Chunk(n - 1, 0, "structural")], \
-            rewritten != module
-
-    plans = _plan_chunks(module, target, counters)
+        plans = [(n - 1, 0, "structural", family)]
+    else:
+        plans = _plan_chunks(sink)
     chunks = [Chunk(hi, lo, method) for hi, lo, method, _ in plans]
     if all(method == "scalar" for _, _, method, _ in plans):
         return module, chunks, False

@@ -329,8 +329,9 @@ def scaling_probe(
     ys = [math.log10(max(p.seconds, 1e-9)) for p in points]
     slope, _ = statistics.linear_regression(xs, ys)
     r = statistics.correlation(xs, ys)
+    # an exact fit (two points) can round r * r to just above 1
     return ScalingResult(
-        points, slope, r * r, time.perf_counter() - total_started
+        points, slope, min(r * r, 1.0), time.perf_counter() - total_started
     )
 
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Operation, ValueRef
-
-#: CSE keys for these kinds mirror ModuleBuilder's emit keys.
-_CSE_KINDS = frozenset(
-    {"const", "input", "extract", "concat", "reverse", "replicate"}
+from busweaver.ir import (
+    HwDesign,
+    HwModule,
+    ModuleBuilder,
+    Operation,
+    ValueRef,
+    route_bit,
 )
 
 
@@ -128,6 +130,7 @@ class ModuleRewriter:
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
+        self._routes: dict = {}  # route_bit's concat-offset index
 
     # -- emission (delegates to the builder) -----------------------------
     def const(self, value: int, width: int) -> ValueRef:
@@ -167,31 +170,8 @@ class ModuleRewriter:
     def resolve_bit(self, v: ValueRef, bit: int) -> ValueRef:
         """A 1-bit value equal to bit ``bit`` of ``v``, reusing existing
         operations where the bit routes straight through them."""
-        ops = self.builder.operations
-        while True:
-            op = ops[v.op]
-            kind = op.kind
-            if kind == "extract":
-                bit += op.low
-                v = op.operands[0]
-            elif kind == "concat":
-                off = 0
-                for ref in reversed(op.operands):
-                    if bit < off + ref.width:
-                        v = ref
-                        bit -= off
-                        break
-                    off += ref.width
-            elif kind == "reverse":
-                bit = op.width - 1 - bit
-                v = op.operands[0]
-            elif kind == "replicate":
-                bit %= op.operands[0].width
-                v = op.operands[0]
-            elif v.width == 1:
-                return v
-            else:
-                return self.extract(v, bit, 1)
+        v, bit, _ = route_bit(self.builder.operations, v, bit, self._routes)
+        return v if v.width == 1 else self.extract(v, bit, 1)
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
@@ -199,10 +179,12 @@ class ModuleRewriter:
     def replace_uses(self, old: ValueRef, new: ValueRef) -> None:
         """Redirect every use of ``old`` (operands, outputs, wires) to
         ``new``.  Invalidates the value-numbering cache, so emission
-        after this point no longer shares pre-existing operations."""
+        after this point no longer shares pre-existing operations, and
+        the concat-offset index, whose operands may now be stale."""
         if old == new:
             return
         self.builder._cse.clear()
+        self._routes.clear()
         for op in self.builder.operations:
             if any(r == old for r in op.operands):
                 op.operands = [new if r == old else r for r in op.operands]

@@ -1,16 +1,9 @@
-import pytest
-
-from busweaver.cones import (
-    backward_cone,
-    build_vector_expr,
-    extract_permutation,
-    is_independent,
-    is_isomorphic,
-)
+from busweaver.cones import backward_cone, is_independent, is_isomorphic
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
 from busweaver.oracle import check_equivalence
+from busweaver.pipeline import vectorize_output
 
 
 def _module(src):
@@ -94,8 +87,6 @@ def test_skeleton_mismatch_is_not_isomorphic():
     )
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(2)]
     assert is_isomorphic(cones) is None
-    with pytest.raises(ValueError, match="isomorphic"):
-        extract_permutation(cones)
 
 
 def test_shape_classifies_slots():
@@ -113,7 +104,6 @@ def test_shape_classifies_slots():
     assert kinds == ["invariant", "strided"]
     strided = next(s for s in shape.slots if s.kind == "strided")
     assert (strided.base, strided.step) == (0, 1)
-    assert extract_permutation(cones) == [0, 1, 2]
 
 
 def test_descending_stride_is_recognized():
@@ -164,9 +154,9 @@ def test_invariant_mux_select_stays_scalar():
         "endmodule"
     )
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(2)]
-    shape = is_isomorphic(cones)
-    assert shape is not None
-    out = build_vector_expr(m, m.outputs["out"], cones, shape)
+    assert is_isomorphic(cones) is not None
+    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    assert [c.method for c in chunks] == ["structural"]
     assert emit_module(out) == (
         "module m(\n"
         "  input s,\n"
@@ -188,8 +178,8 @@ def test_vector_rebuild_replicates_invariant_leaf():
         "  assign out[2] = a[2] ^ s;\n"
         "endmodule"
     )
-    cones = [backward_cone(m, m.outputs["out"], b) for b in range(3)]
-    out = build_vector_expr(m, m.outputs["out"], cones)
+    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    assert [c.method for c in chunks] == ["structural"]
     assert "{3{s}}" in emit_module(out)
     assert check_equivalence(m, out).status == "equivalent-exhaustive"
 
@@ -204,7 +194,8 @@ def test_one_bit_add_canonicalises_to_xor():
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(2)]
     shape = is_isomorphic(cones)
     assert shape is not None  # + and ^ agree at width 1
-    out = build_vector_expr(m, m.outputs["out"], cones, shape)
+    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    assert [c.method for c in chunks] == ["structural"]
     assert check_equivalence(m, out).status == "equivalent-exhaustive"
 
 
@@ -217,6 +208,8 @@ def test_reversed_family_maps_descending():
         "endmodule"
     )
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(3)]
-    assert extract_permutation(cones) == [2, 1, 0]
-    out = build_vector_expr(m, m.outputs["out"], cones)
+    (slot,) = is_isomorphic(cones).slots
+    assert (slot.kind, slot.base, slot.step) == ("strided", 2, -1)
+    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    assert [c.method for c in chunks] == ["structural"]
     assert check_equivalence(m, out).status == "equivalent-exhaustive"

@@ -1,6 +1,8 @@
 """End-to-end pipeline behaviour: chunk tiling, categories, report
 fields, counter bounds, and byte-level idempotence."""
 
+import random
+
 import pytest
 
 from busweaver import (
@@ -9,10 +11,11 @@ from busweaver import (
     parse_design,
     run_pipeline,
 )
+from busweaver.cones import backward_cone, is_independent, is_isomorphic
 from busweaver.generators import ripple_carry_design
 from busweaver.ir import HwModule, Operation, Port, ValueRef, metrics
-from busweaver.permutation import PassCounters
-from busweaver.pipeline import VectorizationError, partial_vectorize
+from busweaver.permutation import PassCounters, detect_permutation
+from busweaver.pipeline import VectorizationError, vectorize_output
 
 
 def _pipeline(src, **kwargs):
@@ -25,7 +28,10 @@ def test_partial_chunking_tiles_mixed_sink(golden_dir):
     design = parse_design((golden_dir / "partial_mix.v").read_text())
     module = design.top_module
     counters = PassCounters()
-    chunks = partial_vectorize(module, module.outputs["out"], counters)
+    _, chunks, changed = vectorize_output(
+        module, module.outputs["out"], counters
+    )
+    assert changed
     assert [(c.high, c.low, c.method) for c in chunks] == [
         (3, 1, "bit-permutation"),
         (0, 0, "scalar"),
@@ -48,8 +54,10 @@ def test_partial_takes_widest_window_first():
     """
     design = parse_design(src)
     module = design.top_module
-    chunks = partial_vectorize(module, module.outputs["out"])
+    counters = PassCounters()
+    _, chunks, _ = vectorize_output(module, module.outputs["out"], counters)
     assert [(c.high, c.low) for c in chunks] == [(3, 1), (0, 0)]
+    assert counters.partial_candidates == 2
 
 
 def test_disjoint_windows_get_separate_methods():
@@ -160,6 +168,174 @@ def test_partial_candidates_hit_quadratic_bound_exactly():
     counters = PassCounters()
     run_pipeline(parse_design(ripple_carry_design(4)), counters=counters)
     assert counters.partial_candidates == 6
+
+
+def _reference_plan(module, target):
+    """The planner's specification: every ``(i, j)`` window analysed
+    from scratch, widest first, the permutation test before the
+    structural one, after the whole-sink attempts.  Returns the tiling
+    and the partial candidates charged."""
+
+    def structural(lo, hi):
+        cones = [backward_cone(module, target, b) for b in range(lo, hi + 1)]
+        return all(c.analyzable for c in cones) and is_independent(cones) \
+            and is_isomorphic(cones) is not None
+
+    n = target.width
+    if detect_permutation(module, target) is not None:
+        return [(n - 1, 0, "bit-permutation")], 0
+    if structural(0, n - 1):
+        return [(n - 1, 0, "structural")], 0
+    plans, candidates = [], 0
+    i = n - 1
+    while i >= 0:
+        for j in range(i):
+            candidates += 1
+            if detect_permutation(
+                module, target, lo=j, width=i - j + 1, anchored=False
+            ) is not None:
+                plans.append((i, j, "bit-permutation"))
+                break
+            if structural(j, i):
+                plans.append((i, j, "structural"))
+                break
+        else:
+            plans.append((i, i, "scalar"))
+            i -= 1
+            continue
+        i = j - 1
+    return plans, candidates
+
+
+def _random_sink(rng, width):
+    """A module whose ``out`` is built from runs of permuted input bits,
+    repeated input bits, per-bit muxes, ripple-carry bits, lanes sharing
+    one gate, constant bits and per-bit xors, each run up to four bits
+    wide."""
+    wires, exprs = [], []
+    while len(exprs) < width:
+        run = min(width - len(exprs), rng.randint(1, 4))
+        base = rng.randint(0, 8 - run)  # runs overlap in their sources
+        lanes = list(range(base, base + run))
+        if rng.random() < 0.5:
+            lanes.reverse()
+        kind = rng.choice(
+            ["perm", "repeat", "mux", "carry", "shared", "const", "xor"]
+        )
+        tag = f"w{len(wires)}"
+        if kind == "perm":
+            rng.shuffle(lanes)
+            exprs += [f"a[{k}]" for k in lanes]
+        elif kind == "repeat":
+            exprs += [f"a[{base}]"] * run
+        elif kind == "mux":
+            # a select that varies across lanes rules the family out
+            varied = rng.random() < 0.3
+            for k in lanes:
+                sel = f"a[{k}]" if varied else "s[0]"
+                exprs.append(f"{sel} ? b[{k}] : c[{k}]")
+        elif kind == "carry":
+            carry = "s[1]"
+            for m, k in enumerate(lanes):
+                wires.append(f"wire {tag}_{m}; assign {tag}_{m} = {carry};")
+                exprs.append(f"a[{k}] ^ b[{k}] ^ {tag}_{m}")
+                carry = f"(a[{k}] & {tag}_{m})"
+        elif kind == "shared":
+            wires.append(f"wire {tag}; assign {tag} = s[1] ^ s[2];")
+            exprs += [f"{tag} & b[{k}]" for k in lanes]
+        elif kind == "const" and rng.random() < 0.5:
+            exprs += [f"1'b{rng.randint(0, 1)}"] * run
+        elif kind == "const":  # bits of a constant bus
+            wires.append(
+                f"wire [7:0] {tag}; assign {tag} = 8'd{rng.randint(0, 255)};"
+            )
+            exprs += [f"{tag}[{k}]" for k in lanes]
+        else:
+            exprs += [f"a[{k}] ^ c[{k}]" for k in lanes]
+    body = [f"  assign out[{k}] = {e};" for k, e in enumerate(exprs)]
+    return "\n".join(
+        [
+            "module r(input [15:0] a, input [15:0] b, input [15:0] c,",
+            f"         input [3:0] s, output [{width - 1}:0] out);",
+            *("  " + w for w in wires),
+            *body,
+            "endmodule",
+        ]
+    )
+
+
+_PLANNER_CASES = [
+    # out[3:1] takes source bits [0,2,1]: a window although [3:2],
+    # source bits [0,2], is not, so the scan must look past it
+    """
+    module gap(input [3:0] a, input s, output [3:0] out);
+      assign out[3] = a[1];
+      assign out[2] = a[2];
+      assign out[1] = a[0];
+      assign out[0] = s & a[3];
+    endmodule
+    """,
+    # out[2:0] = a[2:0] is both a permutation and a (leaf) cone family;
+    # the permutation wins the tie
+    """
+    module tie(input [3:0] a, input s, output [3:0] out);
+      assign out[3] = s & a[3];
+      assign out[2] = a[2];
+      assign out[1] = a[1];
+      assign out[0] = a[0];
+    endmodule
+    """,
+    # constant bits trace like input bits but never form a permutation
+    """
+    module cbits(input [3:0] a, input s, output [3:0] out);
+      assign out[3:1] = 3'b101;
+      assign out[0] = s & a[0];
+    endmodule
+    """,
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PLANNER_CASES)))
+def test_planner_matches_window_loop_on_edge_cases(case):
+    module = parse_design(_PLANNER_CASES[case]).top_module
+    target = module.outputs["out"]
+    counters = PassCounters()
+    _, chunks, _ = vectorize_output(module, target, counters)
+    plans, candidates = _reference_plan(module, target)
+    assert [(c.high, c.low, c.method) for c in chunks] == plans
+    assert counters.partial_candidates == candidates
+    assert plans == [
+        [(3, 1, "bit-permutation"), (0, 0, "scalar")],
+        [(3, 3, "scalar"), (2, 0, "bit-permutation")],
+        [(3, 1, "structural"), (0, 0, "scalar")],
+    ][case]
+
+
+def test_planner_matches_window_loop_on_random_sinks():
+    rng = random.Random(2603)
+    methods = set()
+    for _ in range(150):
+        module = parse_design(_random_sink(rng, rng.randint(2, 12))).top_module
+        target = module.outputs["out"]
+        counters = PassCounters()
+        _, chunks, _ = vectorize_output(module, target, counters)
+        plans, candidates = _reference_plan(module, target)
+        assert [(c.high, c.low, c.method) for c in chunks] == plans
+        assert counters.partial_candidates == candidates
+        methods.update(method for _, _, method in plans)
+    assert methods == {"bit-permutation", "structural", "scalar"}
+
+
+def test_partial_cone_visits_grow_quadratically():
+    # each bit's cone is built once per sink; a window-by-window
+    # planner grows ~16x from 32 to 64 bits
+    visits = {}
+    for n in (32, 64):
+        counters = PassCounters()
+        run_pipeline(parse_design(ripple_carry_design(n)), counters=counters)
+        assert counters.partial_candidates == n * (n - 1) // 2
+        visits[n] = counters.cone_visits
+    assert visits[64] <= 5 * visits[32]
 
 
 def test_trace_visits_bounded_by_bits_times_depth(golden_dir):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from busweaver import reporting
 from busweaver.cli import main
 from busweaver.generators import (
     nested_instance_design,
@@ -124,6 +125,16 @@ def test_scaling_probe_smoke():
     assert all(p.seconds > 0 for p in result.points)
     assert 0.0 < result.slope < 2.0
     assert 0.0 <= result.r_squared <= 1.0
+
+
+def test_scaling_probe_r_squared_never_exceeds_one(monkeypatch):
+    # an exact two-point fit can give a correlation a rounding step
+    # above 1
+    monkeypatch.setattr(
+        reporting.statistics, "correlation", lambda xs, ys: 1 + 2**-52
+    )
+    result = scaling_probe(op_targets=(100, 200), min_seconds=0.0)
+    assert result.r_squared == 1.0
 
 
 def test_json_report_schema(tmp_path, golden_dir):
