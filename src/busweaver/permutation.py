@@ -16,6 +16,7 @@ the detected segments one-for-one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from busweaver.ir import HwModule, ValueRef, route_bit
@@ -28,9 +29,8 @@ class PassCounters:
     assertions and reporting.
 
     ``trace_visits`` counts routing operations stepped through while
-    tracing bit origins.  A sink traces each bit at most twice (the
-    whole-sink permutation test, then the partial planner), so this is
-    bounded by twice its bits times the graph depth.  ``cone_visits``
+    tracing bit origins.  A sink traces each bit once, so this is
+    bounded by its bits times the graph depth.  ``cone_visits``
     counts routing operations stepped through plus computing operations
     collected while building cones; a sink builds each bit's cone at
     most once.  ``partial_candidates`` counts the chunk windows that
@@ -61,6 +61,12 @@ class PermutationMap:
     source: ValueRef
     bits: list[int]
     base: int
+
+    @classmethod
+    def from_origins(cls, origins: Sequence[BitOrigin]) -> PermutationMap:
+        """The map of a window :func:`permutation_low` accepted."""
+        bits = [o.bit for o in origins]
+        return cls(origins[0].source, bits, min(bits))
 
     @property
     def width(self) -> int:
@@ -108,6 +114,35 @@ def trace_bit_origin(
     return None
 
 
+def permutation_low(
+    module: HwModule, origins: Sequence[BitOrigin | None], i: int
+) -> int | None:
+    """Smallest ``j < i`` whose window ``origins[j:i + 1]`` traces to
+    distinct bits of one input covering a contiguous range, or ``None``.
+
+    Such windows are not downward-closed (source bits ``[0,2,1]`` form
+    one, ``[0,2]`` do not), so every ``j`` is checked, each in O(1); a
+    foreign source or a repeated bit rules out every wider window.
+    """
+    top = origins[i]
+    if top is None or module.operations[top.source.op].kind != "input":
+        return None  # constant bits cannot form a permutation
+    seen = {top.bit}
+    low = high = top.bit
+    best = None
+    for j in range(i - 1, -1, -1):
+        origin = origins[j]
+        if origin is None or origin.source != top.source \
+                or origin.bit in seen:
+            break
+        seen.add(origin.bit)
+        low = min(low, origin.bit)
+        high = max(high, origin.bit)
+        if high - low == i - j:
+            best = j
+    return best
+
+
 def detect_permutation(
     module: HwModule,
     target: ValueRef,
@@ -115,36 +150,34 @@ def detect_permutation(
     width: int | None = None,
     counters: PassCounters | None = None,
     anchored: bool = True,
+    origins: Sequence[BitOrigin | None] | None = None,
 ) -> PermutationMap | None:
     """Detect a bit permutation on ``target[lo + width - 1 : lo]``.
 
     All bits must trace to distinct bits of one input, covering a
     contiguous window.  With ``anchored`` (the whole-sink case) the
-    window must start at bit 0; ``anchored=False`` accepts any window,
-    the test the partial planner applies to its chunks incrementally.
+    window must start at bit 0; ``anchored=False`` accepts any window.
+    ``origins``, when given, are the traced origins of every bit of
+    ``target`` (LSB first), so a caller that holds them traces nothing
+    again.
     """
     n = target.width if width is None else width
     if n < 2:
         return None
-    origins: list[BitOrigin] = []
-    routes: dict = {}
-    for k in range(n):
-        origin = trace_bit_origin(module, target, lo + k, counters, routes)
-        if origin is None:
-            return None
-        origins.append(origin)
-    source = origins[0].source
-    if module.operations[source.op].kind != "input":
-        return None  # constant bits cannot form a permutation
-    if any(o.source != source for o in origins[1:]):
+    if origins is None:
+        routes: dict = {}
+        window = [
+            trace_bit_origin(module, target, lo + k, counters, routes)
+            for k in range(n)
+        ]
+    else:
+        window = origins[lo:lo + n]
+    if permutation_low(module, window, n - 1) != 0:
         return None
-    bits = [o.bit for o in origins]
-    base = min(bits)
-    if len(set(bits)) != n or max(bits) - base + 1 != n:
+    pi = PermutationMap.from_origins(window)
+    if anchored and pi.base != 0:
         return None
-    if anchored and base != 0:
-        return None
-    return PermutationMap(source, bits, base)
+    return pi
 
 
 def greedy_group(pi: PermutationMap) -> list[Segment]:

@@ -29,7 +29,6 @@ from busweaver.cones import (
     ConeShape,
     LogicCone,
     backward_cone,
-    is_independent,
     is_isomorphic,
     lane_steps,
     plan_vector_expr,
@@ -48,6 +47,7 @@ from busweaver.permutation import (
     PermutationMap,
     detect_permutation,
     greedy_group,
+    permutation_low,
     plan_segments,
     rewrite_permutation,
     trace_bit_origin,
@@ -112,14 +112,24 @@ class PipelineReport:
 
 @dataclass
 class _SinkAnalysis:
-    """Analysis state of one sink: one concat-offset index shared by
-    every route, and each bit's cone built at most once."""
+    """Analysis state of one sink: every bit's origin traced once, one
+    concat-offset index shared by every route, and each bit's cone
+    built at most once."""
 
     module: HwModule
     target: ValueRef
     counters: PassCounters | None
     routes: dict = field(default_factory=dict)
+    origins: list[BitOrigin | None] = field(init=False)
     cones: dict[int, LogicCone] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.origins = [
+            trace_bit_origin(
+                self.module, self.target, bit, self.counters, self.routes
+            )
+            for bit in range(self.target.width)
+        ]
 
     def cone(self, bit: int) -> LogicCone:
         if bit not in self.cones:
@@ -128,104 +138,57 @@ class _SinkAnalysis:
             )
         return self.cones[bit]
 
+    def family(self, hi: int, lo: int) -> tuple[list[LogicCone], ConeShape]:
+        """The cones of bits ``[hi:lo]``, a window
+        :meth:`structural_low` accepted, and their common shape."""
+        cones = [self.cone(bit) for bit in range(lo, hi + 1)]
+        return cones, is_isomorphic(cones)
 
-def _whole_family(
-    sink: _SinkAnalysis,
-) -> tuple[list[LogicCone], ConeShape] | None:
-    """Cones for every bit of the sink if they form a vectorizable
-    family."""
-    cones = []
-    for bit in range(sink.target.width):
-        cone = sink.cone(bit)
-        if not cone.analyzable:
+    def structural_low(self, i: int) -> int | None:
+        """Smallest ``j < i`` whose bits ``[i:j]`` form a vectorizable
+        cone family, or ``None``.
+
+        Every sub-window of such a family is one too, so one downward
+        scan adds a lane at a time and stops at the first that fails:
+        it must be analyzable, share no operation with the lanes above,
+        have their skeleton, and move every slot by the same step.
+        """
+        top = self.cone(i)
+        if not top.analyzable:
             return None
-        cones.append(cone)
-    if not is_independent(cones):
-        return None
-    shape = is_isomorphic(cones)
-    return None if shape is None else (cones, shape)
-
-
-def _permutation_low(
-    module: HwModule, origins: list[BitOrigin | None], i: int
-) -> int | None:
-    """Smallest ``j < i`` whose window ``[i:j]`` traces to distinct bits
-    of one input covering a contiguous range, or ``None``.
-
-    Such windows are not downward-closed (source bits ``[0,2,1]`` form
-    one, ``[0,2]`` do not), so every ``j`` is checked, each in O(1); a
-    foreign source or a repeated bit rules out every wider window.
-    """
-    top = origins[i]
-    if top is None or module.operations[top.source.op].kind != "input":
-        return None
-    seen = {top.bit}
-    low = high = top.bit
-    best = None
-    for j in range(i - 1, -1, -1):
-        origin = origins[j]
-        if origin is None or origin.source != top.source \
-                or origin.bit in seen:
-            break
-        seen.add(origin.bit)
-        low = min(low, origin.bit)
-        high = max(high, origin.bit)
-        if high - low == i - j:
+        ops = set(top.ops)
+        steps = best = None
+        for j in range(i - 1, -1, -1):
+            cone = self.cone(j)
+            if not cone.analyzable or cone.skeleton != top.skeleton \
+                    or not ops.isdisjoint(cone.ops):
+                break
+            lane = lane_steps(cone, self.cone(j + 1))
+            if lane is None or (steps is not None and lane != steps):
+                break
+            steps = lane
+            ops |= cone.ops
             best = j
-    return best
-
-
-def _structural_low(sink: _SinkAnalysis, i: int) -> int | None:
-    """Smallest ``j < i`` whose bits ``[i:j]`` form a vectorizable cone
-    family, or ``None``.
-
-    Every sub-window of such a family is one too, so one downward scan
-    adds a lane at a time and stops at the first that fails: it must
-    be analyzable, share no operation with the lanes above, have their
-    skeleton, and move every slot by the same step.
-    """
-    top = sink.cone(i)
-    if not top.analyzable:
-        return None
-    ops = set(top.ops)
-    steps = best = None
-    for j in range(i - 1, -1, -1):
-        cone = sink.cone(j)
-        if not cone.analyzable or cone.skeleton != top.skeleton \
-                or not ops.isdisjoint(cone.ops):
-            break
-        lane = lane_steps(cone, sink.cone(j + 1))
-        if lane is None or (steps is not None and lane != steps):
-            break
-        steps = lane
-        ops |= cone.ops
-        best = j
-    return best
+        return best
 
 
 def _plan_chunks(sink: _SinkAnalysis) -> list[tuple[int, int, str, object]]:
     """Greedy MSB-to-LSB tiling of a sink that did not vectorize whole,
     as ``(high, low, method, payload)`` tuples."""
-    module, target, counters = sink.module, sink.target, sink.counters
-    origins = [
-        trace_bit_origin(module, target, k, counters, sink.routes)
-        for k in range(target.width)
-    ]
+    origins, counters = sink.origins, sink.counters
     plans: list[tuple[int, int, str, object]] = []
-    i = target.width - 1
+    i = sink.target.width - 1
     while i >= 0:
         # Widest window first, the permutation test first: a
         # permutation window makes bit i an input leaf, and leaf cones
         # stepping by +-1 through one input are a permutation too, so
         # no structural window from i is wider.
-        j = _permutation_low(module, origins, i)
+        j = permutation_low(sink.module, origins, i)
         if j is not None:
-            bits = [o.bit for o in origins[j:i + 1]]
-            pi = PermutationMap(origins[i].source, bits, min(bits))
+            pi = PermutationMap.from_origins(origins[j:i + 1])
             plans.append((i, j, "bit-permutation", pi))
-        elif (j := _structural_low(sink, i)) is not None:
-            cones = [sink.cone(bit) for bit in range(j, i + 1)]
-            plans.append((i, j, "structural", (cones, is_isomorphic(cones))))
+        elif (j := sink.structural_low(i)) is not None:
+            plans.append((i, j, "structural", sink.family(i, j)))
         else:
             if counters is not None:
                 counters.partial_candidates += i
@@ -248,7 +211,8 @@ def vectorize_output(
     n = target.width
     assert n >= 2, "vectorization needs a multi-bit sink"
 
-    pi = detect_permutation(module, target, counters=counters)
+    sink = _SinkAnalysis(module, target, counters)
+    pi = detect_permutation(module, target, origins=sink.origins)
     if pi is not None:
         rewritten = rewrite_permutation(
             module, target, pi.source, greedy_group(pi)
@@ -256,10 +220,8 @@ def vectorize_output(
         return rewritten, [Chunk(n - 1, 0, "bit-permutation")], \
             rewritten != module
 
-    sink = _SinkAnalysis(module, target, counters)
-    family = _whole_family(sink)
-    if family is not None:
-        plans = [(n - 1, 0, "structural", family)]
+    if sink.structural_low(n - 1) == 0:
+        plans = [(n - 1, 0, "structural", sink.family(n - 1, 0))]
     else:
         plans = _plan_chunks(sink)
     chunks = [Chunk(hi, lo, method) for hi, lo, method, _ in plans]

@@ -70,6 +70,13 @@ def test_detect_rejects_duplicate_bits():
         "endmodule"
     )
     assert detect_permutation(m, m.outputs["out"]) is None
+    # the repeated bit leaves a gap that the span alone does not show
+    m = _module(
+        "module m(input [2:0] in, output [2:0] out);\n"
+        "  assign out = {in[2], in[0], in[0]};\n"
+        "endmodule"
+    )
+    assert detect_permutation(m, m.outputs["out"]) is None
 
 
 def test_detect_rejects_two_sources():
