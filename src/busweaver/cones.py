@@ -64,7 +64,7 @@ class LogicCone:
 
 
 def backward_cone(
-    module: HwModule,
+    module: HwModule | ModuleRewriter,
     target: ValueRef,
     bit: int,
     counters: PassCounters | None = None,
@@ -135,7 +135,7 @@ def backward_cone(
     return cone
 
 
-def _serialize(module: HwModule, cone: LogicCone) -> None:
+def _serialize(module: HwModule | ModuleRewriter, cone: LogicCone) -> None:
     """Fill skeleton/slots/slot_at/scalar_slots from the resolved DAG.
 
     The skeleton is a preorder walk; shared operations are emitted once
@@ -293,7 +293,7 @@ def plan_vector_expr(
     context covers mux selects, which are built 1-bit wide.
     """
     n = shape.lanes
-    ops = rw.builder.operations
+    ops = rw.operations
 
     def slot_value(idx: int, scalar: bool) -> ValueRef:
         slot = shape.slots[idx]
@@ -318,7 +318,7 @@ def plan_vector_expr(
             oid, ctx, expanded = stack.pop()
             if (oid, ctx) in memo:
                 continue
-            op = rw.source.operations[oid]
+            op = ops[oid]
             is_mux = op.kind == "mux"
             if not expanded:
                 stack.append((oid, ctx, True))

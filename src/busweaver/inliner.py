@@ -125,17 +125,17 @@ def _instantiation_postorder(design: HwDesign) -> list[str]:
 
 
 def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
-            taken_names: set[str]) -> None:
-    """Copy the callee body into the caller in place of instance
-    ``op_id``, substituting connected values for the callee's inputs."""
-    inst = rw.builder.operations[op_id]
-    inst_ref = ValueRef(op_id, inst.width)
+            taken_names: set[str], spliced: dict[ValueRef, ValueRef]) -> None:
+    """Copy the callee body into the caller for instance ``op_id`` and
+    record the value packing its outputs in ``spliced``, from which a
+    site connected to an instance spliced before reads that value."""
+    inst = rw.operations[op_id]
     mapping: dict[int, ValueRef] = {}
     for cid, cop in enumerate(callee.operations):
         kind = cop.kind
         if kind == "input":
-            idx = inst.in_ports.index(cop.port)
-            mapping[cid] = inst.operands[idx]
+            ref = inst.operands[inst.in_ports.index(cop.port)]
+            mapping[cid] = spliced.get(ref, ref)
         elif kind == "const":
             mapping[cid] = rw.const(cop.value, cop.width)
         elif kind == "extract":
@@ -164,7 +164,7 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
             while name in taken_names:
                 name += "_"
             taken_names.add(name)
-            mapping[cid] = rw.builder.instance(
+            mapping[cid] = rw.instance(
                 cop.module, name,
                 [mapping[r.op] for r in cop.operands],
                 cop.in_ports, cop.out_ports,
@@ -177,8 +177,7 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
     outs = [
         mapping[callee.outputs[pname].op] for pname, _ in inst.out_ports
     ]
-    packed = rw.concat(list(reversed(outs)))
-    rw.replace_uses(inst_ref, packed)
+    spliced[ValueRef(op_id, inst.width)] = rw.concat(list(reversed(outs)))
     rw.drop_instance(op_id)
 
 
@@ -208,7 +207,7 @@ def selective_inline(
         taken = {
             op.name for op in module.operations if op.kind == "instance"
         }
-        changed = False
+        spliced: dict[ValueRef, ValueRef] = {}
         for op_id in instances:
             op = module.operations[op_id]
             callee = new_modules.get(op.module)
@@ -227,13 +226,14 @@ def selective_inline(
                     f"size {size} >= threshold {policy.threshold}",
                 ))
                 continue
-            _splice(rw, op_id, callee, taken)
-            changed = True
+            _splice(rw, op_id, callee, taken, spliced)
             log.append(InlineDecision(
                 name, op.name, op.module, True, size,
                 f"size {size} < threshold {policy.threshold}",
             ))
-        new_modules[name] = rw.finish() if changed else module
+        if spliced:
+            rw.replace_uses(spliced)
+        new_modules[name] = rw.finish() if spliced else module
 
     ordered = {name: new_modules[name] for name in design.modules}
     return HwDesign(ordered, design.top), log

@@ -146,6 +146,25 @@ class HwDesign:
         return self.modules[self.top]
 
 
+def cse_key(op: Operation) -> tuple | None:
+    """Value-numbering key of a leaf or routing operation; operations
+    of any other kind are never shared."""
+    kind = op.kind
+    if kind == "const":
+        return ("const", op.value, op.width)
+    if kind == "input":
+        return ("input", op.port)
+    if kind == "extract":
+        return ("extract", op.operands[0].op, op.low, op.width)
+    if kind == "concat":
+        return ("concat",) + tuple(r.op for r in op.operands)
+    if kind == "reverse":
+        return ("reverse", op.operands[0].op)
+    if kind == "replicate":
+        return ("replicate", op.operands[0].op, op.count)
+    return None
+
+
 class ModuleBuilder:
     """Incremental construction of a module's operation list.
 
@@ -164,7 +183,8 @@ class ModuleBuilder:
         self.operations: list[Operation] = []
         self._cse: dict[tuple, ValueRef] = {}
 
-    def _emit(self, op: Operation, key: tuple | None = None) -> ValueRef:
+    def _emit(self, op: Operation) -> ValueRef:
+        key = cse_key(op)
         if key is not None:
             hit = self._cse.get(key)
             if hit is not None:
@@ -177,14 +197,10 @@ class ModuleBuilder:
 
     def const(self, value: int, width: int) -> ValueRef:
         value &= (1 << width) - 1
-        return self._emit(
-            Operation("const", width, value=value), ("const", value, width)
-        )
+        return self._emit(Operation("const", width, value=value))
 
     def input_ref(self, port: str, width: int) -> ValueRef:
-        return self._emit(
-            Operation("input", width, port=port), ("input", port)
-        )
+        return self._emit(Operation("input", width, port=port))
 
     def extract(self, v: ValueRef, low: int, width: int) -> ValueRef:
         assert 0 <= low and low + width <= v.width
@@ -195,20 +211,14 @@ class ModuleBuilder:
             return self.extract(inner.operands[0], inner.low + low, width)
         if inner.kind == "const":
             return self.const(inner.value >> low, width)
-        return self._emit(
-            Operation("extract", width, [v], low=low),
-            ("extract", v.op, low, width),
-        )
+        return self._emit(Operation("extract", width, [v], low=low))
 
     def concat(self, parts: list[ValueRef]) -> ValueRef:
         assert parts
         if len(parts) == 1:
             return parts[0]
         width = sum(p.width for p in parts)
-        return self._emit(
-            Operation("concat", width, list(parts)),
-            ("concat",) + tuple(p.op for p in parts),
-        )
+        return self._emit(Operation("concat", width, list(parts)))
 
     def reverse(self, v: ValueRef) -> ValueRef:
         if v.width == 1:
@@ -216,15 +226,14 @@ class ModuleBuilder:
         inner = self.operations[v.op]
         if inner.kind == "reverse":
             return inner.operands[0]
-        return self._emit(Operation("reverse", v.width, [v]), ("reverse", v.op))
+        return self._emit(Operation("reverse", v.width, [v]))
 
     def replicate(self, v: ValueRef, count: int) -> ValueRef:
         assert count >= 1
         if count == 1:
             return v
         return self._emit(
-            Operation("replicate", v.width * count, [v], count=count),
-            ("replicate", v.op, count),
+            Operation("replicate", v.width * count, [v], count=count)
         )
 
     def binary(self, kind: str, a: ValueRef, b: ValueRef) -> ValueRef:

@@ -94,7 +94,7 @@ class Segment:
 
 
 def trace_bit_origin(
-    module: HwModule,
+    module: HwModule | ModuleRewriter,
     value: ValueRef,
     bit: int,
     counters: PassCounters | None = None,
@@ -115,7 +115,9 @@ def trace_bit_origin(
 
 
 def permutation_low(
-    module: HwModule, origins: Sequence[BitOrigin | None], i: int
+    module: HwModule | ModuleRewriter,
+    origins: Sequence[BitOrigin | None],
+    i: int,
 ) -> int | None:
     """Smallest ``j < i`` whose window ``origins[j:i + 1]`` traces to
     distinct bits of one input covering a contiguous range, or ``None``.
@@ -144,7 +146,7 @@ def permutation_low(
 
 
 def detect_permutation(
-    module: HwModule,
+    module: HwModule | ModuleRewriter,
     target: ValueRef,
     lo: int = 0,
     width: int | None = None,
@@ -204,29 +206,3 @@ def plan_segments(
         rw.extract(source, seg.low, seg.width) for seg in reversed(segments)
     ]
     return rw.concat(parts)
-
-
-def rewrite_permutation(
-    module: HwModule,
-    target: ValueRef,
-    source: ValueRef,
-    segments: list[Segment],
-) -> HwModule:
-    """Replace ``target`` with the vector form of a detected whole-sink
-    permutation.  An identity becomes the input itself (via select
-    folding), a full reversal becomes a single reverse operation, and
-    everything else a concatenation of part selects."""
-    rw = ModuleRewriter(module)
-    n = sum(seg.width for seg in segments)
-    full_reversal = (
-        n == source.width
-        and n >= 2
-        and all(seg.width == 1 for seg in segments)
-        and all(seg.low == n - 1 - k for k, seg in enumerate(segments))
-    )
-    if full_reversal:
-        new = rw.reverse(source)
-    else:
-        new = plan_segments(rw, source, segments)
-    rw.replace_uses(target, new)
-    return rw.finish()

@@ -8,22 +8,27 @@ it takes the widest chunk ``[i:j]`` (the smallest ``j < i``) that is a
 bit permutation or a cone family, the permutation winning a tie, and
 resumes below the chunk at ``j - 1``.  That is the order of trying
 every window widest first, the permutation test before the structural
-one.  Remaining single bits are emitted scalar.  A rewrite is applied
-only when some chunk of width >= 2 vectorized; all-scalar plans leave
-the module untouched.
+one.  Remaining single bits are emitted scalar, adjacent ones that read
+consecutive bits of one value as one slice of it.  A rewrite is
+applied only when some chunk of width >= 2 vectorized; all-scalar
+plans leave the module untouched.
 
 Analysis is per sink, not per window: each bit's origin is traced and
 its cone built once, and one downward scan per ``i`` finds the chunk.
 
-A rewrite that reconstructs exactly the existing operations yields a
-module equal to its input (the rewriter value-numbers routing ops), so
-re-running the pipeline on its own output changes nothing and reports
-zero rewrites.
+Every sink of a module is planned and rewritten in one
+:class:`~busweaver.rewrite.ModuleRewriter` session, so a later sink
+sees the earlier sinks' redirections, and the module is compacted once
+at the end.  The rewriter value-numbers routing operations, so a plan
+that reconstructs exactly the existing operations returns the sink's
+own value: the sink is unchanged, and re-running the pipeline on its
+own output reports zero rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from busweaver.cones import (
     ConeShape,
@@ -39,6 +44,7 @@ from busweaver.ir import (
     HwModule,
     ValueRef,
     count_instructions,
+    route_bit,
     verify,
 )
 from busweaver.permutation import (
@@ -49,7 +55,6 @@ from busweaver.permutation import (
     greedy_group,
     permutation_low,
     plan_segments,
-    rewrite_permutation,
     trace_bit_origin,
 )
 from busweaver.rewrite import ModuleRewriter, compact_design
@@ -116,7 +121,7 @@ class _SinkAnalysis:
     concat-offset index shared by every route, and each bit's cone
     built at most once."""
 
-    module: HwModule
+    rw: ModuleRewriter
     target: ValueRef
     counters: PassCounters | None
     routes: dict = field(default_factory=dict)
@@ -126,7 +131,7 @@ class _SinkAnalysis:
     def __post_init__(self) -> None:
         self.origins = [
             trace_bit_origin(
-                self.module, self.target, bit, self.counters, self.routes
+                self.rw, self.target, bit, self.counters, self.routes
             )
             for bit in range(self.target.width)
         ]
@@ -134,7 +139,7 @@ class _SinkAnalysis:
     def cone(self, bit: int) -> LogicCone:
         if bit not in self.cones:
             self.cones[bit] = backward_cone(
-                self.module, self.target, bit, self.counters, self.routes
+                self.rw, self.target, bit, self.counters, self.routes
             )
         return self.cones[bit]
 
@@ -183,7 +188,7 @@ def _plan_chunks(sink: _SinkAnalysis) -> list[tuple[int, int, str, object]]:
         # permutation window makes bit i an input leaf, and leaf cones
         # stepping by +-1 through one input are a permutation too, so
         # no structural window from i is wider.
-        j = permutation_low(sink.module, origins, i)
+        j = permutation_low(sink.rw, origins, i)
         if j is not None:
             pi = PermutationMap.from_origins(origins[j:i + 1])
             plans.append((i, j, "bit-permutation", pi))
@@ -201,50 +206,68 @@ def _plan_chunks(sink: _SinkAnalysis) -> list[tuple[int, int, str, object]]:
     return plans
 
 
+def _scalar_parts(sink: _SinkAnalysis, bits: list[int]) -> list[ValueRef]:
+    """Adjacent scalar bits ``bits`` of the sink, MSB first, as values:
+    a run of bits routed to consecutive bits of one value becomes one
+    extract of it, which folds to the value when it covers all of it."""
+    runs: list[list] = []  # [value, low bit, width]
+    for bit in bits:
+        value, low, _ = route_bit(
+            sink.rw.operations, sink.target, bit, sink.routes
+        )
+        if runs and runs[-1][0] == value and runs[-1][1] == low + 1:
+            runs[-1][1] = low
+            runs[-1][2] += 1
+        else:
+            runs.append([value, low, 1])
+    return [sink.rw.extract(*run) for run in runs]
+
+
 def vectorize_output(
-    module: HwModule,
+    rw: ModuleRewriter,
     target: ValueRef,
     counters: PassCounters | None = None,
-) -> tuple[HwModule, list[Chunk], bool]:
-    """Vectorize one sink value.  Returns the (possibly unchanged)
-    module, the chunk tiling, and whether anything changed."""
+) -> tuple[list[Chunk], bool]:
+    """Vectorize one sink value inside the session ``rw``.  Returns the
+    chunk tiling and whether the sink changed: it did not when the
+    planned value is ``target`` itself."""
     n = target.width
     assert n >= 2, "vectorization needs a multi-bit sink"
 
-    sink = _SinkAnalysis(module, target, counters)
-    pi = detect_permutation(module, target, origins=sink.origins)
+    sink = _SinkAnalysis(rw, target, counters)
+    pi = detect_permutation(rw, target, origins=sink.origins)
     if pi is not None:
-        rewritten = rewrite_permutation(
-            module, target, pi.source, greedy_group(pi)
-        )
-        return rewritten, [Chunk(n - 1, 0, "bit-permutation")], \
-            rewritten != module
-
-    if sink.structural_low(n - 1) == 0:
+        plans = [(n - 1, 0, "bit-permutation", pi)]
+    elif sink.structural_low(n - 1) == 0:
         plans = [(n - 1, 0, "structural", sink.family(n - 1, 0))]
     else:
         plans = _plan_chunks(sink)
     chunks = [Chunk(hi, lo, method) for hi, lo, method, _ in plans]
     if all(method == "scalar" for _, _, method, _ in plans):
-        return module, chunks, False
+        return chunks, False
 
-    rw = ModuleRewriter(module)
+    # A whole-sink full reversal is one reverse operation.
+    reversal = pi is not None and pi.is_reversal and n == pi.source.width
     parts: list[ValueRef] = []  # MSB first, matching plan order
-    for hi, lo, method, payload in plans:
-        if method == "bit-permutation":
-            chunk_pi: PermutationMap = payload
-            parts.append(
-                plan_segments(rw, chunk_pi.source, greedy_group(chunk_pi))
-            )
-        elif method == "structural":
-            cones, shape = payload
-            parts.append(plan_vector_expr(rw, cones[0], shape))
-        else:
-            parts.append(rw.resolve_bit(target, hi))
+    for scalar, group in groupby(plans, key=lambda p: p[2] == "scalar"):
+        if scalar:
+            parts += _scalar_parts(sink, [hi for hi, *_ in group])
+            continue
+        for _, _, method, payload in group:
+            if method == "structural":
+                cones, shape = payload
+                parts.append(plan_vector_expr(rw, cones[0], shape))
+            elif reversal:
+                parts.append(rw.reverse(payload.source))
+            else:
+                parts.append(
+                    plan_segments(rw, payload.source, greedy_group(payload))
+                )
     value = rw.concat(parts)
-    rw.replace_uses(target, value)
-    rewritten = rw.finish()
-    return rewritten, chunks, rewritten != module
+    if value == target:
+        return chunks, False
+    rw.replace_uses({target: value})
+    return chunks, True
 
 
 def _sink_refs(module: HwModule) -> list[str]:
@@ -294,21 +317,21 @@ def run_pipeline(
 
     result: dict[str, HwModule] = {}
     for name, module in inlined.modules.items():
-        current = module
+        rw = ModuleRewriter(module)
+        edited = False
         for sink in _sink_refs(module):
-            ref = current.outputs.get(sink)
-            if ref is None:
-                ref = current.wires.get(sink)
+            ref = rw.outputs.get(sink)
+            if ref is None and rw.is_live(rw.wires[sink]):
+                ref = rw.wires[sink]  # else orphaned by an earlier sink
             if ref is None or ref.width < 2:
                 continue
-            current, chunks, changed = vectorize_output(
-                current, ref, report.counters
-            )
+            chunks, changed = vectorize_output(rw, ref, report.counters)
+            edited |= changed
             category = _categorize(chunks) if changed else None
             report.sinks.append(
                 SinkResult(name, sink, ref.width, chunks, changed, category)
             )
-        result[name] = current
+        result[name] = rw.finish() if edited else module
 
     out = HwDesign(result, design.top)
     report.instructions_after = sum(

@@ -1,15 +1,17 @@
-"""In-place rewriting support: builder over an existing module, use
-replacement, and dead-code compaction.
+"""Rewrite sessions: a builder over an existing module, use replacement
+through a use index, and dead-code compaction.
 
-All vectorization passes follow the same shape: wrap the module in a
-:class:`ModuleRewriter`, build the replacement expression (new
-operations are appended and value-numbered against the existing ones),
-redirect the rewritten sink with :meth:`ModuleRewriter.replace_uses`,
-and call :meth:`ModuleRewriter.finish` to drop whatever became
-unreachable.  Because the builder value-numbers routing operations, a
-rewrite that reconstructs exactly what is already there produces a
-module equal to the input, which is how the pipeline tells a real
-rewrite from a no-op.
+A pass opens one :class:`ModuleRewriter` per module and makes all of
+its edits there: it builds replacement expressions (new operations are
+appended and value-numbered against the existing ones), redirects old
+values to new ones with :meth:`ModuleRewriter.replace_uses`, and calls
+:meth:`ModuleRewriter.finish` once to drop whatever became
+unreachable.  The session never mutates an input operation: an
+operation whose operands are redirected is replaced, in its slot, by a
+new one.  Because the builder value-numbers routing operations, a
+rewrite that reconstructs exactly what is already there returns the old
+value itself, which is how the pipeline tells a real rewrite from a
+no-op.
 """
 
 from __future__ import annotations
@@ -20,44 +22,19 @@ from busweaver.ir import (
     HwDesign,
     HwModule,
     ModuleBuilder,
-    Operation,
     ValueRef,
-    route_bit,
+    cse_key,
 )
 
 
-def _cse_key(op_id: int, op: Operation) -> tuple | None:
-    kind = op.kind
-    if kind == "const":
-        return ("const", op.value, op.width)
-    if kind == "input":
-        return ("input", op.port)
-    if kind == "extract":
-        return ("extract", op.operands[0].op, op.low, op.width)
-    if kind == "concat":
-        return ("concat",) + tuple(r.op for r in op.operands)
-    if kind == "reverse":
-        return ("reverse", op.operands[0].op)
-    if kind == "replicate":
-        return ("replicate", op.operands[0].op, op.count)
-    return None
-
-
-def _copy_op(op: Operation) -> Operation:
-    return replace(op, operands=list(op.operands))
-
-
-def compact_module(
+def live_order(
     module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset()
-) -> HwModule:
-    """Rebuild the module keeping only operations reachable from output
-    bindings and instance statements, renumbered in a deterministic
-    dependency-first order.
+) -> list[int]:
+    """Ids of the operations reachable from output bindings and
+    instance statements, dependency first, in a deterministic order.
 
-    Named wires are kept only while their value stays reachable; a wire
-    orphaned by a rewrite disappears together with its cone.  Instance
-    operations are roots (they are visible structure even when no one
-    reads their outputs) unless listed in ``drop_ops``.
+    Instance operations are roots (they are visible structure even when
+    no one reads their outputs) unless listed in ``drop_ops``.
     """
     ops = module.operations
     seen = [False] * len(ops)
@@ -84,13 +61,27 @@ def compact_module(
     for oid, op in enumerate(ops):
         if op.kind == "instance" and oid not in drop_ops:
             visit(oid)
+    return order
 
+
+def compact_module(
+    module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset()
+) -> HwModule:
+    """Rebuild the module keeping only the operations of
+    :func:`live_order`, renumbered in that order.
+
+    Named wires are kept only while their value stays reachable; a wire
+    orphaned by a rewrite disappears together with its cone.
+    """
+    ops = module.operations
+    order = live_order(module, drop_ops)
     remap = {old: new for new, old in enumerate(order)}
-    new_ops = []
-    for old in order:
-        op = _copy_op(ops[old])
-        op.operands = [ValueRef(remap[r.op], r.width) for r in op.operands]
-        new_ops.append(op)
+    new_ops = [
+        replace(ops[old], operands=[
+            ValueRef(remap[r.op], r.width) for r in ops[old].operands
+        ])
+        for old in order
+    ]
     outputs = {
         name: ValueRef(remap[ref.op], ref.width)
         for name, ref in module.outputs.items()
@@ -110,91 +101,85 @@ def compact_design(design: HwDesign) -> HwDesign:
     return HwDesign(modules, design.top)
 
 
-class ModuleRewriter:
-    """Mutable working copy of a module with builder-style emission.
+class ModuleRewriter(ModuleBuilder):
+    """One editing session over a module.
 
-    New operations share the value numbering of the existing ones, so
-    re-emitting a slice or concatenation that already exists returns the
-    existing value instead of growing the module.
+    It starts from a shallow copy of the module's operation list, so new
+    operations share the value numbering of the existing ones:
+    re-emitting a slice or concatenation that already exists returns
+    the existing value instead of growing the module.
     """
 
     def __init__(self, module: HwModule):
-        self.source = module
-        b = ModuleBuilder(module.name, module.ports)
-        b.operations = [_copy_op(op) for op in module.operations]
-        for oid, op in enumerate(b.operations):
-            key = _cse_key(oid, op)
-            if key is not None and key not in b._cse:
-                b._cse[key] = ValueRef(oid, op.width)
-        self.builder = b
+        super().__init__(module.name, module.ports)
+        self.operations = list(module.operations)
+        for oid, op in enumerate(self.operations):
+            key = cse_key(op)
+            if key is not None and key not in self._cse:
+                self._cse[key] = ValueRef(oid, op.width)
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
-        self._routes: dict = {}  # route_bit's concat-offset index
-
-    # -- emission (delegates to the builder) -----------------------------
-    def const(self, value: int, width: int) -> ValueRef:
-        return self.builder.const(value, width)
-
-    def input_ref(self, port: str, width: int) -> ValueRef:
-        return self.builder.input_ref(port, width)
-
-    def extract(self, v: ValueRef, low: int, width: int) -> ValueRef:
-        return self.builder.extract(v, low, width)
-
-    def concat(self, parts: list[ValueRef]) -> ValueRef:
-        return self.builder.concat(parts)
-
-    def reverse(self, v: ValueRef) -> ValueRef:
-        return self.builder.reverse(v)
-
-    def replicate(self, v: ValueRef, count: int) -> ValueRef:
-        return self.builder.replicate(v, count)
-
-    def binary(self, kind: str, a: ValueRef, b: ValueRef) -> ValueRef:
-        return self.builder.binary(kind, a, b)
-
-    def not_(self, v: ValueRef) -> ValueRef:
-        return self.builder.not_(v)
-
-    def mux(self, cond: ValueRef, then: ValueRef, other: ValueRef) -> ValueRef:
-        return self.builder.mux(cond, then, other)
-
-    def reduce(self, kind: str, v: ValueRef) -> ValueRef:
-        return self.builder.reduce(kind, v)
-
-    def op(self, ref: ValueRef) -> Operation:
-        return self.builder.operations[ref.op]
-
-    # -- structural edits -------------------------------------------------
-    def resolve_bit(self, v: ValueRef, bit: int) -> ValueRef:
-        """A 1-bit value equal to bit ``bit`` of ``v``, reusing existing
-        operations where the bit routes straight through them."""
-        v, bit, _ = route_bit(self.builder.operations, v, bit, self._routes)
-        return v if v.width == 1 else self.extract(v, bit, 1)
+        # The use index, built by replace_uses: op id -> the operations
+        # reading it (the first ``_indexed`` ones, extended on demand)
+        # and -> the output and wire bindings naming it.
+        self._users: dict[int, set[int]] = {}
+        self._indexed = 0
+        self._bound: dict[int, list[tuple[dict, str]]] | None = None
+        self._live: set[int] | None = None
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
+        self._live = None
 
-    def replace_uses(self, old: ValueRef, new: ValueRef) -> None:
-        """Redirect every use of ``old`` (operands, outputs, wires) to
-        ``new``.  Invalidates the value-numbering cache, so emission
-        after this point no longer shares pre-existing operations, and
-        the concat-offset index, whose operands may now be stale."""
-        if old == new:
-            return
-        self.builder._cse.clear()
-        self._routes.clear()
-        for op in self.builder.operations:
-            if any(r == old for r in op.operands):
-                op.operands = [new if r == old else r for r in op.operands]
-        for name, ref in self.outputs.items():
-            if ref == old:
-                self.outputs[name] = new
-        for name, ref in self.wires.items():
-            if ref == old:
-                self.wires[name] = new
+    def is_live(self, ref: ValueRef) -> bool:
+        """Whether :meth:`finish` would keep ``ref``'s operation.  The
+        reachability walk reruns only after an edit."""
+        if self._live is None:
+            module = super().finish(self.outputs, self.wires)
+            self._live = set(live_order(module, self._dropped))
+        return ref.op in self._live
+
+    def replace_uses(self, subst: dict[ValueRef, ValueRef]) -> None:
+        """Redirect every use (operands, outputs, wires) of each key of
+        ``subst`` to its value.
+
+        Only the readers of the old values are touched, found through
+        the use index.  Each is replaced by a new operation in its
+        slot and re-keyed in the value-numbering table, so emission
+        afterwards shares it like any other operation.
+        """
+        ops, users, cse = self.operations, self._users, self._cse
+        for oid in range(self._indexed, len(ops)):
+            for ref in ops[oid].operands:
+                users.setdefault(ref.op, set()).add(oid)
+        self._indexed = len(ops)
+        if self._bound is None:
+            self._bound = {}
+            for binding in (self.outputs, self.wires):
+                for name, ref in binding.items():
+                    self._bound.setdefault(ref.op, []).append((binding, name))
+        readers = set()
+        for old in subst:
+            readers |= users.pop(old.op, set())
+            for binding, name in self._bound.pop(old.op, ()):
+                ref = binding[name] = subst[old]
+                self._bound.setdefault(ref.op, []).append((binding, name))
+        for uid in sorted(readers):
+            op = ops[uid]
+            key = cse_key(op)
+            if key is not None and cse.get(key) == ValueRef(uid, op.width):
+                del cse[key]
+            op = ops[uid] = replace(
+                op, operands=[subst.get(r, r) for r in op.operands]
+            )
+            key = cse_key(op)
+            if key is not None:
+                cse[key] = ValueRef(uid, op.width)
+            for ref in op.operands:
+                users.setdefault(ref.op, set()).add(uid)
+        self._live = None
 
     def finish(self) -> HwModule:
-        m = self.builder.finish(self.outputs, self.wires)
-        return compact_module(m, self._dropped)
+        module = super().finish(self.outputs, self.wires)
+        return compact_module(module, self._dropped)

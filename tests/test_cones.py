@@ -4,10 +4,17 @@ from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
+from busweaver.rewrite import ModuleRewriter
 
 
 def _module(src):
     return parse_design(src).top_module
+
+
+def _vectorize(m):
+    rw = ModuleRewriter(m)
+    chunks, _ = vectorize_output(rw, m.outputs["out"])
+    return rw.finish(), chunks
 
 
 def test_cone_collects_ops_and_leaves():
@@ -155,7 +162,7 @@ def test_invariant_mux_select_stays_scalar():
     )
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(2)]
     assert is_isomorphic(cones) is not None
-    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    out, chunks = _vectorize(m)
     assert [c.method for c in chunks] == ["structural"]
     assert emit_module(out) == (
         "module m(\n"
@@ -178,7 +185,7 @@ def test_vector_rebuild_replicates_invariant_leaf():
         "  assign out[2] = a[2] ^ s;\n"
         "endmodule"
     )
-    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    out, chunks = _vectorize(m)
     assert [c.method for c in chunks] == ["structural"]
     assert "{3{s}}" in emit_module(out)
     assert check_equivalence(m, out).status == "equivalent-exhaustive"
@@ -194,7 +201,7 @@ def test_one_bit_add_canonicalises_to_xor():
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(2)]
     shape = is_isomorphic(cones)
     assert shape is not None  # + and ^ agree at width 1
-    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    out, chunks = _vectorize(m)
     assert [c.method for c in chunks] == ["structural"]
     assert check_equivalence(m, out).status == "equivalent-exhaustive"
 
@@ -210,6 +217,6 @@ def test_reversed_family_maps_descending():
     cones = [backward_cone(m, m.outputs["out"], b) for b in range(3)]
     (slot,) = is_isomorphic(cones).slots
     assert (slot.kind, slot.base, slot.step) == ("strided", 2, -1)
-    out, chunks, _ = vectorize_output(m, m.outputs["out"])
+    out, chunks = _vectorize(m)
     assert [c.method for c in chunks] == ["structural"]
     assert check_equivalence(m, out).status == "equivalent-exhaustive"

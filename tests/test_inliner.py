@@ -162,3 +162,34 @@ def test_inlined_buffers_preserve_behavior():
         original_design=d, transformed_design=out,
     )
     assert v.status == "equivalent-exhaustive"
+
+
+def test_site_fed_by_an_inlined_site_reads_its_body():
+    # u1 reads u0's output; every site is spliced before any use is
+    # redirected, so u1's body must already see u0's constant and fold
+    # its selects of it
+    d = parse_design(
+        "module k(input [1:0] x, output [1:0] y);\n"
+        "  assign y = 2'b10;\n"
+        "endmodule\n"
+        "module j(input [1:0] x, output z);\n"
+        "  assign z = x[0] ^ x[1];\n"
+        "endmodule\n"
+        "module top(input [1:0] a, output z);\n"
+        "  wire [1:0] n;\n"
+        "  k u0(.x(a), .y(n));\n"
+        "  j u1(.x(n), .z(z));\n"
+        "endmodule"
+    )
+    out, log = selective_inline(d)
+    assert [e.inlined for e in log] == [True, True]
+    assert emit_design(out).endswith(
+        "module top(input [1:0] a, output z);\n"
+        "  assign z = 1'b0 ^ 1'b1;\n"
+        "endmodule\n"
+    )
+    result = check_equivalence(
+        d.top_module, out.top_module,
+        original_design=d, transformed_design=out,
+    )
+    assert result.status == "equivalent-exhaustive"

@@ -6,9 +6,10 @@ from busweaver.permutation import (
     Segment,
     detect_permutation,
     greedy_group,
-    rewrite_permutation,
     trace_bit_origin,
 )
+from busweaver.pipeline import vectorize_output
+from busweaver.rewrite import ModuleRewriter
 
 
 def _module(src):
@@ -149,9 +150,10 @@ def test_rewrite_identity_collapses_to_source():
         "  assign out[1] = in[1];\n"
         "endmodule"
     )
-    pm = detect_permutation(m, m.outputs["out"])
-    out = rewrite_permutation(m, m.outputs["out"], pm.source,
-                              greedy_group(pm))
+    assert detect_permutation(m, m.outputs["out"]).is_identity
+    rw = ModuleRewriter(m)
+    vectorize_output(rw, m.outputs["out"])
+    out = rw.finish()
     assert emit_module(out) == (
         "module m(input [1:0] in, output [1:0] out);\n"
         "  assign out = in;\n"
@@ -169,8 +171,9 @@ def test_rewrite_reversal_is_one_operation():
     )
     pm = detect_permutation(m, m.outputs["out"])
     assert pm.is_reversal
-    out = rewrite_permutation(m, m.outputs["out"], pm.source,
-                              greedy_group(pm))
+    rw = ModuleRewriter(m)
+    vectorize_output(rw, m.outputs["out"])
+    out = rw.finish()
     assert [op.kind for op in out.operations] == ["input", "reverse"]
 
 

@@ -16,6 +16,7 @@ from busweaver.generators import ripple_carry_design
 from busweaver.ir import HwModule, Operation, Port, ValueRef, metrics
 from busweaver.permutation import PassCounters, detect_permutation
 from busweaver.pipeline import VectorizationError, vectorize_output
+from busweaver.rewrite import ModuleRewriter
 
 
 def _pipeline(src, **kwargs):
@@ -24,13 +25,16 @@ def _pipeline(src, **kwargs):
     return design, out, report
 
 
+def _vectorize(module, target, counters=None):
+    """One sink through a fresh session: the chunks and the flag."""
+    return vectorize_output(ModuleRewriter(module), target, counters)
+
+
 def test_partial_chunking_tiles_mixed_sink(golden_dir):
     design = parse_design((golden_dir / "partial_mix.v").read_text())
     module = design.top_module
     counters = PassCounters()
-    _, chunks, changed = vectorize_output(
-        module, module.outputs["out"], counters
-    )
+    chunks, changed = _vectorize(module, module.outputs["out"], counters)
     assert changed
     assert [(c.high, c.low, c.method) for c in chunks] == [
         (3, 1, "bit-permutation"),
@@ -55,7 +59,7 @@ def test_partial_takes_widest_window_first():
     design = parse_design(src)
     module = design.top_module
     counters = PassCounters()
-    _, chunks, _ = vectorize_output(module, module.outputs["out"], counters)
+    chunks, _ = _vectorize(module, module.outputs["out"], counters)
     assert [(c.high, c.low) for c in chunks] == [(3, 1), (0, 0)]
     assert counters.partial_candidates == 2
 
@@ -300,7 +304,7 @@ def test_planner_matches_window_loop_on_edge_cases(case):
     module = parse_design(_PLANNER_CASES[case]).top_module
     target = module.outputs["out"]
     counters = PassCounters()
-    _, chunks, _ = vectorize_output(module, target, counters)
+    chunks, _ = _vectorize(module, target, counters)
     plans, candidates = _reference_plan(module, target)
     assert [(c.high, c.low, c.method) for c in chunks] == plans
     assert counters.partial_candidates == candidates
@@ -318,7 +322,7 @@ def test_planner_matches_window_loop_on_random_sinks():
         module = parse_design(_random_sink(rng, rng.randint(2, 12))).top_module
         target = module.outputs["out"]
         counters = PassCounters()
-        _, chunks, _ = vectorize_output(module, target, counters)
+        chunks, _ = _vectorize(module, target, counters)
         plans, candidates = _reference_plan(module, target)
         assert [(c.high, c.low, c.method) for c in chunks] == plans
         assert counters.partial_candidates == candidates
@@ -381,3 +385,39 @@ def test_structural_rewrite_reaches_fixpoint(golden_dir):
     out2, report = run_pipeline(parse_design(emit_design(out1)))
     assert report.rewrites == []
     assert emit_design(out2) == emit_design(out1)
+
+
+_PARTIAL_MIX = """
+module pmix(input [3:0] x, input [3:0] a, input [3:0] b, input sel,
+            input [2:0] c, output [9:0] out);
+  wire t;
+  assign t = c[0] & c[2];
+  assign out[7] = x[3];
+  assign out[6] = x[2];
+  assign out[9] = x[0];
+  assign out[5] = sel ? a[3] : b[3];
+  assign out[0] = c[0] ^ t;
+  assign out[2] = sel ? a[0] : b[0];
+  assign out[1] = c[1] ^ t;
+  assign out[8] = x[1];
+  assign out[3] = sel ? a[1] : b[1];
+  assign out[4] = sel ? a[2] : b[2];
+endmodule
+"""
+
+
+def test_mixed_sink_reaches_fixpoint():
+    # on the second run the structural chunk sel ? a : b is one 4-bit
+    # value read as scalar bits; they must stay one slice of it
+    out1, report1 = run_pipeline(parse_design(_PARTIAL_MIX))
+    first = emit_design(out1)
+    assert "assign out = {{x[0], x[1], x[3:2]}, sel ? a : b," in first
+    assert [(c.high, c.low, c.method) for c in report1.sinks[0].chunks] == [
+        (9, 6, "bit-permutation"),
+        (5, 2, "structural"),
+        (1, 1, "scalar"),
+        (0, 0, "scalar"),
+    ]
+    out2, report2 = run_pipeline(parse_design(first))
+    assert emit_design(out2) == first
+    assert report2.rewrites == []

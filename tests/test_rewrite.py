@@ -1,0 +1,216 @@
+"""The rewrite session: one ModuleRewriter per module gives the same
+result as a fresh session per sink, compacts once, leaves its inputs
+alone and shares value numbering across inlined sites."""
+
+import copy
+import random
+
+import pytest
+
+from busweaver import emit_design, parse_design, run_pipeline
+from busweaver.emitter import emit_module
+from busweaver.inliner import InlinePolicy, selective_inline
+from busweaver.ir import HwDesign
+from busweaver.pipeline import vectorize_output
+from busweaver import rewrite
+from busweaver.rewrite import ModuleRewriter, compact_design
+
+_CELL = (
+    "module cell(input x, input y, output z);\n"
+    "  assign z = (x & y) ^ 1'b1;\n"
+    "endmodule\n\n"
+)
+
+
+def _per_sink_pipeline(design):
+    """The flow before sessions spanned a module: a fresh session per
+    sink, finished at once, and the next sink read from the compacted
+    result (a wire orphaned by an earlier sink is gone from it)."""
+    inlined, _ = selective_inline(compact_design(design), InlinePolicy())
+    modules, sinks = {}, []
+    for name, module in inlined.modules.items():
+        current = module
+        names = [p.name for p in module.ports if p.direction == "output"]
+        for sink in names + list(module.wires):
+            ref = current.outputs.get(sink, current.wires.get(sink))
+            if ref is None or ref.width < 2:
+                continue
+            rw = ModuleRewriter(current)
+            chunks, changed = vectorize_output(rw, ref)
+            current = rw.finish()
+            sinks.append((name, sink, ref.width, chunks, changed))
+        modules[name] = current
+    return HwDesign(modules, design.top), sinks
+
+
+def _random_design(rng):
+    """A module of several sinks over shared inputs: rotated buses, a
+    copy of a whole input, per-bit muxes, buses of inlined per-bit
+    cells (some fed by other cells), wires read by several sinks (and
+    kept alive by scalar readers), wires orphaned by the output or the
+    wire that reads them, outputs read or copied bit-reversed by later
+    outputs, outputs that are a slice next to bits of an earlier
+    output, and mixed sinks."""
+    ports = ["input [7:0] a", "input [7:0] b", "input [3:0] c",
+             "input [3:0] s"]
+    decls, body, shared, outs = [], [], [], []
+    for k in range(rng.randint(2, 7)):
+        w = rng.randint(2, 5)
+        o = f"o{k}"
+        ports.append(f"output [{w - 1}:0] {o}")
+        kind = rng.choice(["rot", "whole", "mux", "cell", "shared",
+                           "orphan", "chain", "reads", "copy", "slices",
+                           "mixed"])
+        if kind == "shared" and not shared:
+            t = f"t{k}"
+            decls.append(f"  wire [7:0] {t};")
+            body += [f"  assign {t}[{j}] = a[{j}] ^ b[{7 - j}];"
+                     for j in range(8)]
+            shared.append(t)
+        if kind in ("reads", "copy") and not outs:
+            kind = "mux"
+        src, sw = rng.choice(outs or [(None, 0)])
+        if kind == "slices" and w >= 4 and sw >= 2:
+            # a slice beside bits of an earlier output, already in
+            # the form a rewrite would build
+            body.append(
+                f"  assign {o} = {{a[{w - 3}:0], {src}[0], {src}[1]}};"
+            )
+            outs.append((o, w))
+            continue
+        if kind == "chain":
+            # wire p reads wire q; p's rewrite orphans q
+            decls += [f"  wire [{w - 1}:0] p{k};", f"  wire [{w - 1}:0] q{k};"]
+            body += [f"  assign q{k}[{j}] = a[{j}] | c[{j % 4}];"
+                     for j in range(w)]
+            body += [f"  assign p{k}[{j}] = q{k}[{j}] & b[{j}];"
+                     for j in range(w)]
+        for j in range(w):
+            if kind == "rot":
+                e = f"a[{(j + k) % w}]"
+            elif kind == "whole":
+                e = f"c[{j % 4}]"
+            elif kind == "mux":
+                e = f"s[{k % 4}] ? a[{j}] : b[{j}]"
+            elif kind == "cell":
+                x = f"{src}[{j % sw}]" if src and k % 2 else f"a[{j}]"
+                body.append(
+                    f"  cell u{k}_{j}(.x({x}), .y(b[{j}]), .z({o}[{j}]));"
+                )
+                continue
+            elif kind == "shared":
+                t = rng.choice(shared)
+                # lanes that share a bit of t stay scalar and keep t alive
+                e = (f"{t}[{j}] & s[0]" if rng.random() < 0.5
+                     else f"{t}[{j}] ^ {t}[{(j + 1) % 8}]")
+            elif kind == "orphan":
+                if j == 0:
+                    decls.append(f"  wire [{w - 1}:0] q{k};")
+                body.append(f"  assign q{k}[{j}] = a[{j}] | b[{j}];")
+                e = f"q{k}[{j}]"
+            elif kind == "reads":
+                e = f"{src}[{j % sw}] ^ b[{j}]"
+            elif kind == "copy":
+                e = f"{src}[{(sw - 1 - j) % sw}]"
+            elif kind == "chain":
+                # lanes sharing p's bits stay scalar and keep p alive
+                e = f"p{k}[{j}] ^ p{k}[{(j + 1) % w}]"
+            else:
+                e = rng.choice([f"b[{j}]", f"a[{j}] & b[{(j + 3) % 8}]"])
+            body.append(f"  assign {o}[{j}] = {e};")
+        outs.append((o, w))
+    return _CELL + "\n".join(
+        [f"module m({', '.join(ports)});", *decls, *body, "endmodule"]
+    ) + "\n"
+
+
+def test_session_matches_per_sink_flow():
+    rng = random.Random(4041)
+    changed = 0
+    for _ in range(120):
+        design = parse_design(_random_design(rng))
+        out, report = run_pipeline(design)
+        ref_out, ref_sinks = _per_sink_pipeline(design)
+        assert emit_design(out) == emit_design(ref_out)
+        assert [
+            (s.module, s.sink, s.width, s.chunks, s.changed)
+            for s in report.sinks
+        ] == ref_sinks
+        changed += len(report.rewrites)
+    assert changed >= 200
+
+
+def _buses(count):
+    ports = [f"input [3:0] a{k}" for k in range(count)]
+    ports += [f"output [3:0] o{k}" for k in range(count)]
+    body = [
+        f"  assign o{k}[{j}] = a{k}[{(j + 1) % 4}];"
+        for k in range(count) for j in range(4)
+    ]
+    return "\n".join(
+        [f"module b({', '.join(ports)});", *body, "endmodule"]
+    ) + "\n"
+
+
+def test_module_is_compacted_once(monkeypatch):
+    calls = []
+    compact = rewrite.compact_module
+
+    def counting(module, *args):
+        calls.append(module.name)
+        return compact(module, *args)
+
+    monkeypatch.setattr(rewrite, "compact_module", counting)
+    _, report = run_pipeline(parse_design(_buses(64)))
+    assert len(report.rewrites) == 64
+    # the input normalisation and the session's finish
+    assert calls == ["b", "b"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inputs_are_never_mutated(seed):
+    design = parse_design(_random_design(random.Random(seed)))
+    before = copy.deepcopy(design)
+    selective_inline(design)
+    assert design == before
+    run_pipeline(design)
+    assert design == before
+
+
+def test_constants_are_shared_across_inlined_sites():
+    src = _CELL + (
+        "module m(input [3:0] a, input [3:0] b, output [3:0] y);\n"
+        + "".join(
+            f"  cell u{j}(.x(a[{j}]), .y(b[{j}]), .z(y[{j}]));\n"
+            for j in range(4)
+        )
+        + "endmodule\n"
+    )
+    out, report = run_pipeline(parse_design(src))
+    (sink,) = report.sinks
+    assert [(c.high, c.low, c.method) for c in sink.chunks] == [
+        (3, 0, "structural")
+    ]
+    first = emit_design(out)
+    out2, report2 = run_pipeline(parse_design(first))
+    assert emit_design(out2) == first
+    assert report2.rewrites == []
+
+
+def test_replace_uses_reaches_operations_emitted_after_an_earlier_call():
+    m = parse_design(
+        "module m(input [1:0] a, input [1:0] b, output [1:0] y,"
+        " output [1:0] z);\n"
+        "  assign y = a & b;\n"
+        "  assign z = a | b;\n"
+        "endmodule\n"
+    ).top_module
+    rw = ModuleRewriter(m)
+    a, b = rw.input_ref("a", 2), rw.input_ref("b", 2)
+    rw.replace_uses({rw.outputs["z"]: a})  # builds the use index
+    rw.replace_uses({rw.outputs["y"]: rw.binary("xor", a, b)})
+    rw.replace_uses({b: a})
+    text = emit_module(rw.finish())
+    assert "assign y = a ^ a;" in text
+    assert "assign z = a;" in text
+    assert emit_module(m).count("b;") == 2  # the input is untouched
