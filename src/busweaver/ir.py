@@ -112,12 +112,6 @@ class HwModule:
     outputs: dict[str, ValueRef] = field(default_factory=dict)
     wires: dict[str, ValueRef] = field(default_factory=dict)
 
-    def port(self, name: str) -> Port | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
-
     @property
     def input_ports(self) -> list[Port]:
         return [p for p in self.ports if p.direction == "input"]
@@ -386,11 +380,11 @@ def verify_module(
     """Structural well-formedness check; returns violations, not raises."""
     errs: list[str] = []
     mod = module.name
-    seen_ports: set[str] = set()
+    ports: dict[str, Port] = {}
     for p in module.ports:
-        if p.name in seen_ports:
+        if p.name in ports:
             errs.append(f"{mod}: duplicate port {p.name}")
-        seen_ports.add(p.name)
+        ports.setdefault(p.name, p)
         if p.direction not in ("input", "output"):
             errs.append(f"{mod}: port {p.name}: bad direction {p.direction}")
         if p.width < 1:
@@ -420,7 +414,7 @@ def verify_module(
             if not 0 <= op.value < (1 << op.width):
                 errs.append(f"{loc}: const value {op.value} out of range")
         elif kind == "input":
-            p = module.port(op.port)
+            p = ports.get(op.port)
             if p is None or p.direction != "input":
                 errs.append(f"{loc}: no input port named {op.port!r}")
             elif p.width != op.width:
@@ -492,7 +486,7 @@ def verify_module(
                     )
 
     for name, ref in module.outputs.items():
-        p = module.port(name)
+        p = ports.get(name)
         if p is None or p.direction != "output":
             errs.append(f"{mod}: binding for unknown output {name!r}")
             continue

@@ -1,10 +1,14 @@
 """Simulation-based equivalence checking between module versions.
 
-Small input spaces are enumerated exhaustively; larger ones get a
-deterministic seeded sample plus the structured corner vectors
-(all-zeros, all-ones, and every one-hot).  Both sides run through the
-bit-parallel packed interpreter, so even the exhaustive check at the
-16-bit default is a handful of big-integer operations per gate.
+Small input spaces are enumerated exhaustively; larger ones get the
+structured corner vectors first (all-zeros, all-ones, then every
+one-hot) and a deterministic seeded sample after them.  Either way the
+test vectors are built as lanes, one integer per input bit whose bit k
+is that input bit's value in vector k (a sampled lane takes one
+``getrandbits`` call), and a counterexample is read back from bit k of
+the lanes.  Both sides run through the bit-parallel packed interpreter,
+so even the exhaustive check at the 16-bit default is a handful of
+big-integer operations per gate.
 """
 
 from __future__ import annotations
@@ -43,11 +47,20 @@ def _signature(module: HwModule) -> list[tuple[str, str, int]]:
     return [(p.name, p.direction, p.width) for p in module.ports]
 
 
+def _per_port(lanes: list[int], widths: list[int]) -> list[list[int]]:
+    out: list[list[int]] = []
+    pos = 0
+    for w in widths:
+        out.append(lanes[pos:pos + w])
+        pos += w
+    return out
+
+
 def _exhaustive_lanes(widths: list[int]) -> tuple[list[list[int]], int]:
     """Truth-table lane masks for every input bit, all 2**W vectors."""
     total = sum(widths)
     n_vectors = 1 << total
-    lanes_flat: list[int] = []
+    lanes: list[int] = []
     for g in range(total):
         span = 1 << g
         mask = ((1 << span) - 1) << span
@@ -55,52 +68,21 @@ def _exhaustive_lanes(widths: list[int]) -> tuple[list[list[int]], int]:
         while stride < n_vectors:
             mask |= mask << stride
             stride *= 2
-        lanes_flat.append(mask)
-    out: list[list[int]] = []
-    pos = 0
-    for w in widths:
-        out.append(lanes_flat[pos:pos + w])
-        pos += w
-    return out, n_vectors
+        lanes.append(mask)
+    return _per_port(lanes, widths), n_vectors
 
 
-def _sampled_vectors(widths: list[int], samples: int,
-                     seed: int) -> list[list[int]]:
-    """Corner vectors plus a seeded uniform sample; one entry per test
-    vector, each a list of per-port values."""
+def _sampled_lanes(widths: list[int], samples: int,
+                   seed: int) -> tuple[list[list[int]], int]:
+    """Corner vectors then a seeded uniform sample, one lane per input
+    bit: vector 0 is all-zeros, vector 1 all-ones, vector 2+g one-hot
+    on input bit g, and the ``samples`` random vectors follow."""
     total = sum(widths)
-    vectors: list[list[int]] = []
-
-    def split(bits: int) -> list[int]:
-        vals = []
-        pos = 0
-        for w in widths:
-            vals.append((bits >> pos) & ((1 << w) - 1))
-            pos += w
-        return vals
-
-    vectors.append(split(0))
-    vectors.append(split((1 << total) - 1))
-    for g in range(total):
-        vectors.append(split(1 << g))
     rng = random.Random(seed)
-    for _ in range(samples):
-        vectors.append(split(rng.getrandbits(total)))
-    return vectors
-
-
-def _lanes_from_vectors(vectors: list[list[int]],
-                        widths: list[int]) -> list[list[int]]:
-    lanes = [[0] * w for w in widths]
-    for k, vals in enumerate(vectors):
-        bit = 1 << k
-        for p, w in enumerate(widths):
-            v = vals[p]
-            lane = lanes[p]
-            for i in range(w):
-                if (v >> i) & 1:
-                    lane[i] |= bit
-    return lanes
+    shift = 2 + total
+    lanes = [2 | (1 << (2 + g)) | (rng.getrandbits(samples) << shift)
+             for g in range(total)]
+    return _per_port(lanes, widths), shift + samples
 
 
 def _first_mismatch(
@@ -152,11 +134,8 @@ def check_equivalence(
         lanes, n_vectors = _exhaustive_lanes(widths)
         status = "equivalent-exhaustive"
         used_seed = None
-        vectors = None
     else:
-        vectors = _sampled_vectors(widths, samples, seed)
-        lanes = _lanes_from_vectors(vectors, widths)
-        n_vectors = len(vectors)
+        lanes, n_vectors = _sampled_lanes(widths, samples, seed)
         status = "equivalent-sampled"
         used_seed = seed
 
@@ -169,14 +148,10 @@ def check_equivalence(
         return EquivalenceVerdict(status, n_vectors, used_seed)
 
     port, k = hit
-    if vectors is None:
-        assignment = {}
-        pos = 0
-        for name, w in zip(names, widths):
-            assignment[name] = (k >> pos) & ((1 << w) - 1)
-            pos += w
-    else:
-        assignment = dict(zip(names, vectors[k]))
+    assignment = {
+        name: sum(((lane >> k) & 1) << i for i, lane in enumerate(bits))
+        for name, bits in inputs.items()
+    }
     return EquivalenceVerdict(
         "counterexample", n_vectors, used_seed,
         counterexample=assignment, mismatch_output=port,

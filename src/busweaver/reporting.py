@@ -301,14 +301,15 @@ def scaling_probe(
     min_seconds: float = 0.05,
 ) -> ScalingResult:
     """Measure pipeline runtime against design size and fit a log-log
-    line.  Parsing is excluded; short runs are repeated until the
-    measurement window passes ``min_seconds``."""
+    line.  Parsing and one warm-up run per size are excluded; short runs
+    are repeated until the measurement window passes ``min_seconds``."""
     points: list[ScalingPoint] = []
     total_started = time.perf_counter()
     for target in op_targets:
         design = parse_design(scaling_design(target))
-        started = time.perf_counter()
         _, report = run_pipeline(design)
+        started = time.perf_counter()
+        run_pipeline(design)
         elapsed = time.perf_counter() - started
         runs = 1
         while elapsed < min_seconds and runs < 1000:

@@ -231,3 +231,26 @@ def test_packed_simulation_matches_reference():
                 ((packed[port][i] >> k) & 1) << i for i in range(3)
             )
             assert got == plain[port]
+
+
+def test_verify_duplicate_port_name_checks_against_the_first():
+    # the later "a" (an input of width 2) and "y" (an output of width 2)
+    # are shadowed: reads and bindings are checked against the first
+    ops = [
+        Operation("input", 2, port="a"),
+        Operation("input", 1, port="b"),
+    ]
+    m = HwModule(
+        "m",
+        _ports(("a", "output", 1), ("b", "input", 1), ("a", "input", 2),
+               ("y", "output", 1), ("y", "output", 2)),
+        ops,
+        {"a": ValueRef(1, 1), "y": ValueRef(0, 2)},
+        {},
+    )
+    assert verify_module(m) == [
+        "m: duplicate port a",
+        "m: duplicate port y",
+        "m: %0: no input port named 'a'",
+        "m: output y: width mismatch",
+    ]

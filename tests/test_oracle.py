@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from busweaver.frontend import parse_design
 from busweaver.oracle import (
+    _sampled_lanes,
     check_design_equivalence,
     check_equivalence,
     mutation_audit,
@@ -139,3 +142,115 @@ def test_mutation_audit_needs_candidates():
     )
     with pytest.raises(ValueError, match="mutation"):
         mutation_audit(d)
+
+
+def _top(text):
+    return parse_design(text).top_module
+
+
+WIDE = "module m(input [16:0] x, input [4:0] z, output y);\n"
+
+
+@pytest.mark.parametrize("samples", [0, 1, 64, 500])
+def test_sampled_vector_count_is_corners_plus_samples(samples):
+    src = WIDE + "  assign y = ^{x, z};\nendmodule"
+    v = check_equivalence(_top(src), _top(src), samples=samples, seed=3)
+    assert v.status == "equivalent-sampled"
+    # all-zeros, all-ones, one one-hot per input bit, then the sample
+    assert v.vectors_tested == 2 + 22 + samples
+
+
+def test_corner_vectors_catch_all_ones_difference_without_samples():
+    a = _top(
+        "module m(input [16:0] x, output y);\n"
+        "  assign y = &x;\nendmodule"
+    )
+    b = _top(
+        "module m(input [16:0] x, output y);\n"
+        "  assign y = 1'b0;\nendmodule"
+    )
+    v = check_equivalence(a, b, samples=0)
+    assert v.status == "counterexample"
+    assert v.vectors_tested == 2 + 17
+    assert v.counterexample == {"x": (1 << 17) - 1}
+    assert simulate(a, v.counterexample) != simulate(b, v.counterexample)
+
+
+def test_corner_vectors_catch_one_hot_difference_without_samples():
+    # 1 only when x is exactly one-hot on bit 5
+    a = _top(
+        "module m(input [16:0] x, output y);\n"
+        "  assign y = x[5] & ~(|{x[16:6], x[4:0]});\nendmodule"
+    )
+    b = _top(
+        "module m(input [16:0] x, output y);\n"
+        "  assign y = 1'b0;\nendmodule"
+    )
+    v = check_equivalence(a, b, samples=0)
+    assert v.status == "counterexample"
+    assert v.counterexample == {"x": 1 << 5}
+    assert simulate(a, v.counterexample) != simulate(b, v.counterexample)
+
+
+THREE_PORTS = (
+    "module m(input [5:0] a, input [6:0] b, input [8:0] c, output y);\n"
+)
+
+
+def test_sampled_counterexample_replays_port_by_port():
+    # no corner vector sets two bits and clears a third, so only a
+    # random vector can tell these apart
+    a = _top(THREE_PORTS + "  assign y = a[5] & b[0] & ~c[8];\nendmodule")
+    b = _top(THREE_PORTS + "  assign y = 1'b0;\nendmodule")
+    v = check_equivalence(a, b, samples=200, seed=9)
+    assert v.status == "counterexample"
+    cex = v.counterexample
+    assert set(cex) == {"a", "b", "c"}
+    assert 0 <= cex["a"] < 1 << 6
+    assert 0 <= cex["b"] < 1 << 7
+    assert 0 <= cex["c"] < 1 << 9
+    assert (cex["a"] >> 5) & 1 and cex["b"] & 1 and not (cex["c"] >> 8) & 1
+    assert simulate(a, cex) == {"y": 1}
+    assert simulate(b, cex) == {"y": 0}
+
+
+def test_sampled_check_is_deterministic_per_seed():
+    a = _top(THREE_PORTS + "  assign y = a[5] & b[0] & ~c[8];\nendmodule")
+    b = _top(THREE_PORTS + "  assign y = 1'b0;\nendmodule")
+    first = check_equivalence(a, b, samples=200, seed=4)
+    again = check_equivalence(a, b, samples=200, seed=4)
+    assert first == again
+    assert first.seed == 4
+    widths = [6, 7, 9]
+    assert _sampled_lanes(widths, 200, 4) == _sampled_lanes(widths, 200, 4)
+    assert _sampled_lanes(widths, 200, 4) != _sampled_lanes(widths, 200, 5)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 10000])
+def test_sampled_lanes_take_one_getrandbits_per_input_bit(
+    monkeypatch, samples
+):
+    calls = []
+    getrandbits = random.Random.getrandbits
+
+    def counting(self, k):
+        calls.append(k)
+        return getrandbits(self, k)
+
+    monkeypatch.setattr(random.Random, "getrandbits", counting)
+    src = WIDE + "  assign y = ^{x, z};\nendmodule"
+    v = check_equivalence(_top(src), _top(src), samples=samples, seed=1)
+    assert v.status == "equivalent-sampled"
+    assert calls == [samples] * 22
+
+
+def test_sampled_lanes_put_corner_vectors_first():
+    lanes, n_vectors = _sampled_lanes([3, 2], 40, seed=6)
+    assert n_vectors == 2 + 5 + 40
+    flat = lanes[0] + lanes[1]
+    assert [len(port) for port in lanes] == [3, 2]
+    for g, lane in enumerate(flat):
+        assert lane < 1 << n_vectors
+        # vector 0 all-zeros, vector 1 all-ones, vector 2+g one-hot on g
+        assert lane & 0b11 == 0b10
+        assert (lane >> 2) & 0b11111 == 1 << g
