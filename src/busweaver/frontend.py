@@ -13,6 +13,13 @@ generate blocks, expressions with side effects, four-state literals
 containing ``x`` or ``z``, and unsized literals outside index or
 replication-count positions.
 
+The lexer is one ``finditer`` pass: a run of blanks, newlines and
+comments is one ``skip`` match, and ``line:col`` counts from the offset
+of the last line start, which only ``skip`` matches and sized literals
+split across lines can move.  The parser is recursive descent; binary
+operators go by precedence climbing (``|`` < ``^`` < ``&`` < ``+ -``,
+all left-associative), so its depth follows the nesting of parentheses,
+unary operators and conditionals, not the length of an operator chain.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
 """
@@ -23,7 +30,9 @@ import re
 from dataclasses import dataclass, field
 
 from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Port, ValueRef
-from busweaver.ir import verify as ir_verify
+from busweaver.ir import instantiation_cycles
+# Unused here; kept importable because perfbench/layers.py wraps it.
+from busweaver.ir import verify as ir_verify  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,7 @@ UNSUPPORTED_KEYWORDS = frozenset({
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<space>[ \t\r]+)
-    | (?P<newline>\n)
-    | (?P<linecomment>//[^\n]*)
-    | (?P<blockcomment>/\*.*?\*/)
+      (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
     | (?P<sized>[0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+)
     | (?P<number>[0-9][0-9_]*)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
@@ -81,14 +87,21 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: str  # "ident", "keyword", "number", "sized", punct text, "eof"
-    text: str
-    line: int
-    col: int
-    value: int = 0
-    width: int = 0
+    """``kind`` is "ident", "keyword", "number", "sized", the
+    punctuation text itself, or "eof"."""
+
+    __slots__ = ("kind", "text", "line", "col", "value", "width")
+
+    def __init__(self, kind: str, text: str, line: int, col: int,
+                 value: int = 0, width: int = 0):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value
+        self.width = width
 
 
 class _Lexer:
@@ -104,41 +117,36 @@ class _Lexer:
 
     def tokens(self) -> list[Token]:
         out: list[Token] = []
-        line, col = 1, 1
-        pos = 0
-        src = self.src
-        while pos < len(src):
-            m = _TOKEN_RE.match(src, pos)
-            assert m is not None
-            text = m.group(0)
-            kind = m.lastgroup
-            tline, tcol = line, col
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-            pos = m.end()
-            if kind in ("space", "newline", "linecomment", "blockcomment"):
+        append = out.append
+        line, line_start = 1, 0  # line_start: offset of the line's start
+        for m in _TOKEN_RE.finditer(self.src):
+            kind, text, start = m.lastgroup, m.group(), m.start()
+            if kind == "skip":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rfind("\n") + 1
                 continue
+            col = start - line_start + 1
             if kind == "ident":
-                k = "keyword" if text in KEYWORDS else "ident"
-                out.append(Token(k, text, tline, tcol))
-            elif kind == "number":
-                out.append(Token("number", text, tline, tcol,
-                                 value=int(text.replace("_", ""))))
-            elif kind == "sized":
-                tok = self._sized(text, tline, tcol)
-                if tok is not None:
-                    out.append(tok)
+                append(Token("keyword" if text in KEYWORDS else "ident",
+                             text, line, col))
             elif kind == "punct":
-                out.append(Token(text, text, tline, tcol))
+                append(Token(text, text, line, col))
+            elif kind == "number":
+                append(Token("number", text, line, col,
+                             int(text.replace("_", ""))))
+            elif kind == "sized":
+                tok = self._sized(text, line, col)
+                if tok is not None:
+                    append(tok)
+                if "\n" in text:  # "4\n'b1" is one literal
+                    line += text.count("\n")
+                    line_start = start + text.rfind("\n") + 1
             elif kind == "unsupported_op":
-                self.error(tline, tcol, f"unsupported operator '{text}'")
+                self.error(line, col, f"unsupported operator '{text}'")
             else:
-                self.error(tline, tcol, f"unexpected character {text!r}")
-        out.append(Token("eof", "", line, col))
+                self.error(line, col, f"unexpected character {text!r}")
+        append(Token("eof", "", line, len(self.src) - line_start + 1))
         return out
 
     def _sized(self, text: str, line: int, col: int) -> Token | None:
@@ -295,6 +303,10 @@ class AstModule:
 # ---------------------------------------------------------------------------
 
 
+#: Binary operator precedence, loosest first.
+_BINARY_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
+
+
 class _SyntaxAbort(Exception):
     pass
 
@@ -308,7 +320,9 @@ class _Parser:
         self.diags = diags
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # The list ends in "eof" and next() never steps past it; the
+        # only look ahead (ahead=1) is past a number, never past "eof".
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -322,6 +336,13 @@ class _Parser:
                             message)
         )
         return _SyntaxAbort()
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is a ``kind``."""
+        if self.tokens[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.next()
@@ -359,18 +380,17 @@ class _Parser:
         head = self.expect("keyword")
         name = self.expect("ident", "module name")
         mod = AstModule(name.text, [], [], [], [], head.line, head.col)
-        if self.peek().kind == "(":
-            self.next()
+        if self.accept("("):
             last: list[tuple[str, int] | None] = [None]
             if self.peek().kind != ")":
                 while True:
                     self.port_decl(mod, last)
-                    if self.peek().kind == ",":
-                        self.next()
-                        continue
-                    break
+                    if not self.accept(","):
+                        break
             self.expect(")")
         self.expect(";")
+        # Body declarations look ports up here; the first name wins.
+        decls = {p.name: p for p in reversed(mod.ports)}
         while True:
             tok = self.peek()
             if tok.kind == "keyword" and tok.text == "endmodule":
@@ -378,7 +398,7 @@ class _Parser:
                 break
             if tok.kind == "eof":
                 raise self.error(tok, "missing 'endmodule'")
-            self.statement(mod)
+            self.statement(mod, decls)
         return mod
 
     def port_decl(self, mod: AstModule,
@@ -412,9 +432,8 @@ class _Parser:
 
     def opt_range(self) -> int | None:
         """``[N:0]`` in a declaration; returns the width."""
-        if self.peek().kind != "[":
+        if not self.accept("["):
             return None
-        self.next()
         high = self.expect("number", "bit index")
         self.expect(":")
         low = self.expect("number", "bit index")
@@ -426,7 +445,8 @@ class _Parser:
             )
         return high.value + 1
 
-    def statement(self, mod: AstModule) -> None:
+    def statement(self, mod: AstModule,
+                  decls: dict[str, AstPortDecl]) -> None:
         tok = self.peek()
         self.check_supported(tok)
         if tok.kind == "keyword" and tok.text in ("input", "output"):
@@ -434,9 +454,7 @@ class _Parser:
             width = self.opt_range()
             while True:
                 name = self.expect("ident", "port name")
-                decl = next(
-                    (p for p in mod.ports if p.name == name.text), None
-                )
+                decl = decls.get(name.text)
                 if decl is None:
                     raise self.error(
                         name, f"'{name.text}' is not in the port list"
@@ -447,10 +465,8 @@ class _Parser:
                     )
                 decl.direction = tok.text
                 decl.width = width or 1
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
             self.expect(";")
         elif tok.kind == "keyword" and tok.text == "wire":
             self.next()
@@ -460,10 +476,8 @@ class _Parser:
                 mod.wires.append(
                     AstWire(name.text, width, name.line, name.col)
                 )
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
             self.expect(";")
         elif tok.kind == "keyword" and tok.text == "assign":
             self.next()
@@ -482,11 +496,9 @@ class _Parser:
     def lvalue(self) -> AstLval:
         name = self.expect("ident", "net name")
         high = low = None
-        if self.peek().kind == "[":
-            self.next()
+        if self.accept("["):
             first = self.expect("number", "bit index")
-            if self.peek().kind == ":":
-                self.next()
+            if self.accept(":"):
                 second = self.expect("number", "bit index")
                 high, low = first.value, second.value
                 if high < low:
@@ -507,8 +519,7 @@ class _Parser:
         if self.peek().kind != ")":
             while True:
                 tok = self.peek()
-                if tok.kind == ".":
-                    self.next()
+                if self.accept("."):
                     port = self.expect("ident", "port name")
                     self.expect("(")
                     expr = None
@@ -523,18 +534,16 @@ class _Parser:
                     conns.append(
                         AstConn(None, expr, tok.line, tok.col)
                     )
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
         self.expect(")")
         self.expect(";")
         return AstInstance(mtok.text, itok.text, conns, mtok.line, mtok.col)
 
-    # -- expressions, lowest precedence first ------------------------------
+    # -- expressions ---------------------------------------------------------
 
     def expr(self) -> Expr:
-        cond = self.or_expr()
+        cond = self.binary(1)
         if self.peek().kind != "?":
             return cond
         tok = self.next()
@@ -543,25 +552,19 @@ class _Parser:
         other = self.expr()
         return ETernary(tok.line, tok.col, cond=cond, then=then, other=other)
 
-    def _binchain(self, sub, ops: tuple[str, ...]) -> Expr:
-        left = sub()
-        while self.peek().kind in ops:
-            tok = self.next()
-            right = sub()
+    def binary(self, min_prec: int) -> Expr:
+        """Precedence climbing over :data:`_BINARY_PREC`: the operators
+        of at least ``min_prec``, left-associative.  Recursion goes one
+        level deeper per precedence level, not per operator."""
+        left = self.unary()
+        while True:
+            tok = self.peek()
+            prec = _BINARY_PREC.get(tok.kind, 0)
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            right = self.binary(prec + 1)
             left = EBinary(tok.line, tok.col, op=tok.kind, a=left, b=right)
-        return left
-
-    def or_expr(self) -> Expr:
-        return self._binchain(self.xor_expr, ("|",))
-
-    def xor_expr(self) -> Expr:
-        return self._binchain(self.and_expr, ("^",))
-
-    def and_expr(self) -> Expr:
-        return self._binchain(self.add_expr, ("&",))
-
-    def add_expr(self) -> Expr:
-        return self._binchain(self.unary, ("+", "-"))
 
     def unary(self) -> Expr:
         tok = self.peek()
@@ -588,12 +591,10 @@ class _Parser:
         if tok.kind == "ident":
             self.check_supported(tok)
             self.next()
-            if self.peek().kind == "[":
-                self.next()
+            if self.accept("["):
                 first = self.expect("number", "bit index")
                 high = low = first.value
-                if self.peek().kind == ":":
-                    self.next()
+                if self.accept(":"):
                     second = self.expect("number", "bit index")
                     low = second.value
                     if high < low:
@@ -618,8 +619,7 @@ class _Parser:
                     raise self.error(count, "replication count must be >= 1")
                 return ERepl(tok.line, tok.col, count=count.value, item=item)
             items = [self.expr()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 items.append(self.expr())
             self.expect("}")
             return EConcat(tok.line, tok.col, items=items)
@@ -1180,7 +1180,7 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
     roots = [name for name in modules if name not in instantiated]
     top = roots[0] if len(roots) == 1 else list(modules)[-1]
     design = HwDesign(modules, top)
-    cycles = [p for p in ir_verify(design) if "instantiation cycle" in p]
+    cycles = instantiation_cycles(design)
     if cycles:
         raise ParseError([
             ParseDiagnostic(filename, 1, 1, "error", p) for p in cycles

@@ -515,8 +515,15 @@ def verify(design: HwDesign) -> list[str]:
         if module.name != name:
             errs.append(f"module key {name!r} != module name {module.name!r}")
         errs.extend(verify_module(module, design))
+    errs.extend(instantiation_cycles(design))
+    return errs
 
-    # Instantiation graph must be acyclic.
+
+def instantiation_cycles(design: HwDesign) -> list[str]:
+    """One ``instantiation cycle: a -> b -> a`` message per cycle the
+    depth-first walk of the instantiation graph closes; empty when the
+    graph is acyclic."""
+    errs: list[str] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
 
     def visit(name: str, trail: list[str]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import statistics
 import time
@@ -84,9 +85,25 @@ def _worst_equivalence(statuses: list[str]) -> str | None:
 
 def process_design(path: str, options: BatchOptions) -> DesignResult:
     """Run the pipeline on one file.  Never raises: failures come back
-    as a result with ``ok`` False and the diagnostics in ``error``."""
-    result = DesignResult(path=path, ok=False)
+    as a result with ``ok`` False and the diagnostics in ``error``.  An
+    exception nothing else anticipates reads ``internal error: <type>``;
+    the type only, because a message such as a RecursionError's depends
+    on which frame hit the limit.  The traceback goes to this module's
+    logger at debug level."""
     started = time.perf_counter()
+    try:
+        result = _process(path, options)
+    except Exception as exc:  # the last resort: the batch goes on
+        logging.getLogger(__name__).debug("internal error in %s", path,
+                                          exc_info=True)
+        result = DesignResult(path=path, ok=False,
+                              error=f"internal error: {type(exc).__name__}")
+    result.seconds = time.perf_counter() - started
+    return result
+
+
+def _process(path: str, options: BatchOptions) -> DesignResult:
+    result = DesignResult(path=path, ok=False)
     try:
         src = Path(path).read_text()
     except OSError as exc:
@@ -96,7 +113,6 @@ def process_design(path: str, options: BatchOptions) -> DesignResult:
         design = parse_design(src, filename=path)
     except ParseError as exc:
         result.error = "\n".join(str(d) for d in exc.diagnostics)
-        result.seconds = time.perf_counter() - started
         return result
 
     counters = PassCounters()
@@ -107,7 +123,6 @@ def process_design(path: str, options: BatchOptions) -> DesignResult:
         out, report = run_pipeline(design, policy, counters)
     except VectorizationError as exc:
         result.error = "\n".join(exc.violations)
-        result.seconds = time.perf_counter() - started
         return result
 
     result.instructions_before = report.instructions_before
@@ -155,7 +170,6 @@ def process_design(path: str, options: BatchOptions) -> DesignResult:
         result.output_path = str(out_path)
 
     result.ok = result.equivalence != "counterexample"
-    result.seconds = time.perf_counter() - started
     return result
 
 

@@ -68,7 +68,8 @@ def compact_module(
     module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset()
 ) -> HwModule:
     """Rebuild the module keeping only the operations of
-    :func:`live_order`, renumbered in that order.
+    :func:`live_order`, renumbered in that order.  An operation whose
+    operands are not renumbered is kept as the same object.
 
     Named wires are kept only while their value stays reachable; a wire
     orphaned by a rewrite disappears together with its cone.
@@ -76,12 +77,16 @@ def compact_module(
     ops = module.operations
     order = live_order(module, drop_ops)
     remap = {old: new for new, old in enumerate(order)}
-    new_ops = [
-        replace(ops[old], operands=[
-            ValueRef(remap[r.op], r.width) for r in ops[old].operands
-        ])
-        for old in order
-    ]
+    new_ops = []
+    for old in order:
+        op = ops[old]
+        # Operations are never mutated in place, so one whose operands
+        # keep their ids is shared with the input module.
+        if any(remap[r.op] != r.op for r in op.operands):
+            op = replace(op, operands=[
+                ValueRef(remap[r.op], r.width) for r in op.operands
+            ])
+        new_ops.append(op)
     outputs = {
         name: ValueRef(remap[ref.op], ref.width)
         for name, ref in module.outputs.items()

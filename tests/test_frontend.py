@@ -1,6 +1,17 @@
+import random
+
 import pytest
 
-from busweaver.frontend import ParseError, parse_design
+from busweaver.frontend import (
+    EBinary,
+    ERef,
+    ETernary,
+    EUnary,
+    ParseError,
+    _Lexer,
+    _Parser,
+    parse_design,
+)
 from busweaver.ir import count_instructions, simulate, verify
 
 
@@ -226,6 +237,32 @@ def test_instance_cycle_is_reported():
     assert any("cycle" in m for m in msgs)
 
 
+def test_instance_cycle_diagnostic_is_exact():
+    assert _errors(
+        "module p(input a, output y);\n"
+        "  q u(.a(a), .y(y));\n"
+        "endmodule\n"
+        "module q(input a, output y);\n"
+        "  p u(.a(a), .y(y));\n"
+        "endmodule"
+    ) == ["<input>:1:1: error: instantiation cycle: p -> q -> p"]
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("module m(a, a, y);\n  input a;\n  output y;\n",
+         "<input>:1:13: error: port 'a' has no direction declaration"),
+        ("module m(a, y);\n  input a, a;\n  output y;\n",
+         "<input>:2:12: error: port 'a' declared twice"),
+        ("module m(a, y);\n  input a;\n  output y, z;\n",
+         "<input>:3:13: error: 'z' is not in the port list"),
+    ],
+)
+def test_non_ansi_declaration_diagnostics(body, expected):
+    assert _errors(body + "  assign y = a;\nendmodule") == [expected]
+
+
 def test_comments_are_ignored():
     d = parse_design(
         "// leading\n"
@@ -234,3 +271,185 @@ def test_comments_are_ignored():
         "endmodule\n"
     )
     assert simulate(d.top_module, {"a": 0}) == {"y": 1}
+
+
+# -- lexer positions and parser shape -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # a block comment spanning lines
+        ("module m(input a, output y);\n/* a\n  b */ assign y = ;\n"
+         "endmodule",
+         ["<input>:3:19: error: expected expression, found ';'"]),
+        # a line comment at end of file with no newline
+        ("module m(input a, output y); assign y = a;\n// end",
+         ["<input>:2:7: error: missing 'endmodule'"]),
+        # CRLF line ends and tabs: one column per character
+        ("module m(input a,\r\n\toutput y);\r\n\t\tassign y = 1'd5 == a;"
+         "\r\nendmodule\r\n",
+         ["<input>:3:14: error: literal value 5 does not fit in 1 bit",
+          "<input>:3:19: error: unsupported operator '=='"]),
+        # a sized literal split across a newline
+        ("module m(input a, output [3:0] y);\n  assign y = 4\n'd99 & @;\n"
+         "endmodule",
+         ["<input>:2:14: error: literal value 99 does not fit in 4 bits",
+          "<input>:3:8: error: unexpected character '@'",
+          "<input>:3:9: error: expected expression, found ';'"]),
+        ("module m(input [3:0] a, output [3:0] y);\n  assign y = 4\n"
+         "  'b1 & a; assign z = a;\nendmodule",
+         ["<input>:3:19: error: unknown identifier 'z'"]),
+        # an unterminated block comment
+        ("module m(input a, output y);\n  assign y = a; /* never\n closed\n"
+         "endmodule",
+         ["<input>:2:17: error: unexpected character '/'",
+          "<input>:2:18: error: unexpected character '*'",
+          "<input>:4:1: error: expected '(', found 'endmodule'"]),
+        ("module m(input a, output y);\n  assign y = a && a;\nendmodule",
+         ["<input>:2:16: error: unsupported operator '&&'",
+          "<input>:2:19: error: expected ';', found 'a'"]),
+        ("module m(input [1:0] a, output y);\n  assign y = ~&a;\nendmodule",
+         ["<input>:2:14: error: unsupported operator '~&'"]),
+        # end of input after trailing blanks
+        ("module m(input a, output y);\n  assign y = a;\n  \n\t  ",
+         ["<input>:4:4: error: missing 'endmodule'"]),
+    ],
+)
+def test_exact_diagnostic_positions(src, expected):
+    assert _errors(src) == expected
+
+
+def _expr_ast(text):
+    diags = []
+    tokens = _Lexer(text, "<input>", diags).tokens()
+    parser = _Parser(tokens, "<input>", diags)
+    tree = parser.expr()
+    assert diags == [] and parser.peek().kind == "eof"
+    return tree
+
+
+def _shape(e):
+    """An s-expression with each operator's column."""
+    if isinstance(e, ERef):
+        return e.name
+    if isinstance(e, EUnary):
+        return f"({e.op}@{e.col} {_shape(e.arg)})"
+    if isinstance(e, EBinary):
+        return f"({e.op}@{e.col} {_shape(e.a)} {_shape(e.b)})"
+    if isinstance(e, ETernary):
+        return (f"(?@{e.col} {_shape(e.cond)} {_shape(e.then)}"
+                f" {_shape(e.other)})")
+    raise AssertionError(e)
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("a - b - c", "(-@7 (-@3 a b) c)"),
+        ("a + b - c + d", "(+@11 (-@7 (+@3 a b) c) d)"),
+        ("a | b ^ c & d + e",
+         "(|@3 a (^@7 b (&@11 c (+@15 d e))))"),
+        ("a + b & c ^ d | e",
+         "(|@15 (^@11 (&@7 (+@3 a b) c) d) e)"),
+        ("a & b | c & d ^ e", "(|@7 (&@3 a b) (^@15 (&@11 c d) e))"),
+        ("~ &a", "(~@1 (&@3 a))"),
+        ("~a + b", "(+@4 (~@1 a) b)"),
+        ("a ? b : c ? d : e", "(?@3 a b (?@11 c d e))"),
+        ("a ? b ? c : d : e", "(?@3 a (?@7 b c d) e)"),
+        ("a | b ? c ^ d : e", "(?@7 (|@3 a b) (^@11 c d) e)"),
+        ("(a | b) & c", "(&@9 (|@4 a b) c)"),
+        ("a - (b - c)", "(-@3 a (-@8 b c))"),
+        ("~(a ^ b) & (c ? d : e)", "(&@10 (~@1 (^@5 a b)) (?@15 c d e))"),
+    ],
+)
+def test_expression_shape(text, shape):
+    assert _shape(_expr_ast(text)) == shape
+
+
+_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
+
+
+def _random_expr(rng, depth):
+    """A random 3-bit expression tree over inputs a, b and c and the
+    1-bit input s."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        leaf = rng.randrange(3)
+        if leaf == 0:
+            return ("ref", rng.choice("abc"))
+        if leaf == 1:
+            return ("lit", rng.randrange(8))
+        return ("red", rng.choice("&|^"), rng.choice("abc"))
+    if roll < 0.3:
+        return ("not", _random_expr(rng, depth - 1))
+    if roll < 0.4:
+        return ("mux", _random_expr(rng, depth - 1),
+                _random_expr(rng, depth - 1))
+    return ("bin", rng.choice("|^&+-"), _random_expr(rng, depth - 1),
+            _random_expr(rng, depth - 1))
+
+
+def _render(e, rng):
+    """Verilog text with only the parentheses the precedence table needs,
+    plus a few redundant ones."""
+    kind = e[0]
+    if kind == "ref":
+        text = e[1]
+    elif kind == "lit":
+        text = f"3'd{e[1]}"
+    elif kind == "red":
+        text = f"{{3{{{e[1]}{e[2]}}}}}"
+    elif kind == "not":
+        arg = _render(e[1], rng)
+        text = f"~{arg}" if e[1][0] in ("ref", "lit", "red", "not") \
+            else f"~({arg})"
+    elif kind == "mux":
+        return f"s ? {_render(e[1], rng)} : {_render(e[2], rng)}"
+    else:
+        prec = _PREC[e[1]]
+        parts = []
+        for side, sub in (("a", e[2]), ("b", e[3])):
+            part = _render(sub, rng)
+            if sub[0] == "mux" or sub[0] == "bin" and (
+                    _PREC[sub[1]] < prec
+                    or _PREC[sub[1]] == prec and side == "b"):
+                part = f"({part})"
+            parts.append(part)
+        text = f"{parts[0]} {e[1]} {parts[1]}"
+    return f"({text})" if rng.random() < 0.05 else text
+
+
+def _evaluate(e, env):
+    kind = e[0]
+    if kind == "ref":
+        return env[e[1]]
+    if kind == "lit":
+        return e[1]
+    if kind == "red":
+        v = env[e[2]]
+        bit = {"&": v == 7, "|": v != 0, "^": bin(v).count("1") % 2}[e[1]]
+        return 7 if bit else 0
+    if kind == "not":
+        return ~_evaluate(e[1], env) & 7
+    if kind == "mux":
+        return _evaluate(e[1] if env["s"] else e[2], env)
+    a, b = _evaluate(e[2], env), _evaluate(e[3], env)
+    return {"|": a | b, "^": a ^ b, "&": a & b,
+            "+": (a + b) & 7, "-": (a - b) & 7}[e[1]]
+
+
+def test_random_expressions_follow_the_precedence_table():
+    rng = random.Random(2026)
+    for _ in range(150):
+        tree = _random_expr(rng, 4)
+        text = _render(tree, rng)
+        d = parse_design(
+            "module m(input [2:0] a, input [2:0] b, input [2:0] c,"
+            f" input s, output [2:0] y);\n  assign y = {text};\nendmodule"
+        )
+        for _ in range(12):
+            env = {"a": rng.randrange(8), "b": rng.randrange(8),
+                   "c": rng.randrange(8), "s": rng.randrange(2)}
+            want = {"y": _evaluate(tree, env)}
+            assert simulate(d.top_module, env) == want, text

@@ -8,6 +8,7 @@ from busweaver.ir import (
     Port,
     ValueRef,
     count_instructions,
+    instantiation_cycles,
     metrics,
     simulate,
     simulate_packed,
@@ -115,18 +116,28 @@ def test_verify_rejects_undriven_output():
     assert any("y" in p for p in problems)
 
 
-def test_verify_design_rejects_instantiation_cycle():
-    def one(name, callee):
-        b = ModuleBuilder(
-            name, _ports(("a", "input", 1), ("y", "output", 1))
-        )
-        v = b.input_ref("a", 1)
-        inst = b.instance(callee, "u0", [v], ("a",), (("y", 1),))
-        return b.finish({"y": inst}, {})
+def _calls(name, callee):
+    """A module whose one output is an instance of ``callee``."""
+    b = ModuleBuilder(name, _ports(("a", "input", 1), ("y", "output", 1)))
+    v = b.input_ref("a", 1)
+    inst = b.instance(callee, "u0", [v], ("a",), (("y", 1),))
+    return b.finish({"y": inst}, {})
 
-    d = HwDesign({"p": one("p", "q"), "q": one("q", "p")}, top="p")
+
+def test_verify_design_rejects_instantiation_cycle():
+    d = HwDesign({"p": _calls("p", "q"), "q": _calls("q", "p")}, top="p")
     problems = verify(d)
     assert any("instantiation cycle" in p for p in problems)
+
+
+def test_instantiation_cycles_are_the_cycle_messages_of_verify():
+    d = HwDesign({"r": _calls("r", "p"), "p": _calls("p", "q"),
+                  "q": _calls("q", "p")}, top="r")
+    assert instantiation_cycles(d) == ["instantiation cycle: p -> q -> p"]
+    assert [p for p in verify(d) if "cycle" in p] == instantiation_cycles(d)
+    leaf = ModuleBuilder("q", _ports(("a", "input", 1), ("y", "output", 1)))
+    d.modules["q"] = leaf.finish({"y": leaf.input_ref("a", 1)}, {})
+    assert instantiation_cycles(d) == []
 
 
 def test_simulate_routing_and_logic():

@@ -228,3 +228,41 @@ def test_cli_sweep_and_reports(tmp_path, capsys):
     doc = json.loads(report_file.read_text())
     assert doc["sweep"]["thresholds"] == [30, 150]
     assert csv_file.read_text().startswith("path,ok,")
+
+
+def test_process_design_turns_an_unexpected_exception_into_a_result(
+        tmp_path, golden_dir, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("a message that depends on the run")
+
+    monkeypatch.setattr(reporting, "run_pipeline", boom)
+    result = process_design(str(golden_dir / "partial_mix.v"),
+                            BatchOptions(check=True))
+    assert not result.ok
+    assert result.error == "internal error: ValueError"
+    assert result.instructions_before == 0
+    assert result.seconds > 0
+
+
+def test_cli_finishes_the_batch_after_an_internal_error(
+        tmp_path, golden_dir, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    terms = " ^ ".join(f"a[{i}]" for i in range(2000))
+    (corpus / "chain.v").write_text(
+        "module chain(input [1999:0] a, output y);\n"
+        f"  assign y = {terms};\nendmodule\n"
+    )
+    (corpus / "partial_mix.v").write_text(
+        (golden_dir / "partial_mix.v").read_text())
+    report_file = tmp_path / "r.json"
+    code = main([str(corpus), "--out", str(tmp_path / "vec"),
+                 "--report", str(report_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (tmp_path / "vec" / "partial_mix.vec.v").read_text() \
+        == (golden_dir / "partial_mix.vec.v").read_text()
+    assert json.loads(report_file.read_text())["summary"]["failed"] == 1
+    assert "chain.v: error\n  internal error: RecursionError\n" \
+        in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -214,3 +214,15 @@ def test_replace_uses_reaches_operations_emitted_after_an_earlier_call():
     assert "assign y = a ^ a;" in text
     assert "assign z = a;" in text
     assert emit_module(m).count("b;") == 2  # the input is untouched
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compacting_a_compact_module_keeps_its_operations(seed):
+    design = parse_design(_random_design(random.Random(seed)))
+    out, _ = run_pipeline(design)
+    for module in [*design.modules.values(), *out.modules.values()]:
+        compact = rewrite.compact_module(module)
+        again = rewrite.compact_module(compact)
+        assert again == compact
+        assert all(a is b for a, b in
+                   zip(again.operations, compact.operations, strict=True))
