@@ -9,8 +9,9 @@ canonical skeleton whose leaf slots are each either invariant (same bit
 in every cone) or strided (advancing by exactly +1 or -1 per lane).
 
 The vector form rebuilds the representative cone once at full width:
-strided slots become part selects (reversed for -1 strides), invariant
-slots are replicated across lanes, and a mux select stays scalar.
+strided slots become part selects (for -1 strides, a concatenation of
+one-bit selects, as Verilog writes a reversed run), invariant slots are
+replicated across lanes, and a mux select stays scalar.
 1-bit add/sub canonicalise to xor, in the skeleton and in the rebuilt
 vector alike.
 """
@@ -304,8 +305,8 @@ def plan_vector_expr(
         assert not scalar
         if slot.step == 1:
             return rw.extract(source, slot.base, n)
-        window = rw.extract(source, slot.base - n + 1, n)
-        return rw.reverse(window)
+        low = slot.base - n + 1  # a descending run, one select per bit
+        return rw.concat([rw.extract(source, low + k, 1) for k in range(n)])
 
     if rep.root_term[0] == _LEAF:
         return slot_value(rep.slot_at[("root",)], scalar=False)

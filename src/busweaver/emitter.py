@@ -162,15 +162,15 @@ class _ModuleEmitter:
                     and ref.op not in self.names:
                 self.names[ref.op] = p.name
 
-        # Forced temporaries: select/reverse bases must be identifiers,
-        # anything non-trivial used twice is shared, and very deep
-        # inline chains are cut.
+        # Forced temporaries: select bases must be identifiers, anything
+        # non-trivial used twice is shared, and very deep inline chains
+        # are cut.
         depth = [0] * len(self.ops)
         for op_id, op in enumerate(self.ops):
             kind = op.kind
             for ref in op.operands:
                 base = self.ops[ref.op]
-                if kind in ("extract", "reverse") \
+                if kind == "extract" \
                         and base.kind not in ("input", "instance") \
                         and ref.op not in self.names:
                     self.names[ref.op] = self._unique(f"t{ref.op}")
@@ -254,12 +254,6 @@ class _ModuleEmitter:
                 "{%d{%s}}" % (op.count, self._render(op.operands[0], 0)),
                 _PREC_PRIMARY,
             )
-        if kind == "reverse":
-            src = op.operands[0]
-            bits = [
-                self._slice_text(src, i, 1) for i in range(src.width)
-            ]
-            return "{" + ", ".join(bits) + "}", _PREC_PRIMARY
         if kind == "not":
             return "~" + self._render(op.operands[0], _PREC_UNARY), \
                 _PREC_UNARY

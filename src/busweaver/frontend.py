@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Port, ValueRef
-from busweaver.ir import instantiation_cycles
+from busweaver.ir import instantiation_order
 # Unused here; kept importable because perfbench/layers.py wraps it.
 from busweaver.ir import verify as ir_verify  # noqa: F401
 
@@ -1180,7 +1180,7 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
     roots = [name for name in modules if name not in instantiated]
     top = roots[0] if len(roots) == 1 else list(modules)[-1]
     design = HwDesign(modules, top)
-    cycles = instantiation_cycles(design)
+    _, cycles = instantiation_order(design)
     if cycles:
         raise ParseError([
             ParseDiagnostic(filename, 1, 1, "error", p) for p in cycles

@@ -8,8 +8,10 @@ could conceivably profit: nothing but bitwise/arithmetic/mux/routing
 ops and instances of regular modules) and *small* (recursive
 instruction count strictly below the policy threshold).
 
-Decisions are made bottom-up: a callee is itself inlined first, so its
-size is measured after its own inlining settled.
+Decisions are made bottom-up, in the callee-first order of
+:func:`busweaver.ir.instantiation_order`: a callee is itself inlined
+first, so its size is measured after its own inlining settled, and each
+module's size and regularity are computed once, from its callees'.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from busweaver.ir import (
     HwModule,
     ValueRef,
     count_instructions,
+    instantiation_order,
 )
 from busweaver.rewrite import ModuleRewriter
 
@@ -43,85 +46,32 @@ class InlineDecision:
 
 
 def regularity_analysis(
-    module: HwModule, design: HwDesign | None = None
+    module: HwModule, regular: dict[str, bool] | None = None
 ) -> bool:
     """A module is regular when every operation is something the
     vectorizer can analyze: routing, bitwise logic, add/sub, mux, or an
-    instance of a regular module.  Reductions make it irregular."""
-    return _regular(module, design, set())
+    instance of a module that ``regular`` marks regular (callees are
+    judged first; an unknown callee is not regular).  Reductions make
+    it irregular."""
+    regular = regular or {}
+    return all(
+        op.kind not in REDUCE_KINDS
+        and (op.kind != "instance" or regular.get(op.module, False))
+        for op in module.operations
+    )
 
 
-def _regular(
-    module: HwModule, design: HwDesign | None, visiting: set[str]
-) -> bool:
-    if module.name in visiting:
-        return False  # recursive instantiation is never regular
-    visiting.add(module.name)
-    try:
-        for op in module.operations:
-            if op.kind in REDUCE_KINDS:
-                return False
-            if op.kind == "instance":
-                if design is None:
-                    return False
-                callee = design.modules.get(op.module)
-                if callee is None or not _regular(callee, design, visiting):
-                    return False
-        return True
-    finally:
-        visiting.discard(module.name)
-
-
-def size_analysis(module: HwModule, design: HwDesign | None = None) -> int:
-    """Recursive instruction count: the module's own computing ops plus
-    the full size of every instantiated callee."""
-    return _size(module, design, {}, set())
-
-
-def _size(
-    module: HwModule,
-    design: HwDesign | None,
-    memo: dict[str, int],
-    visiting: set[str],
+def size_analysis(
+    module: HwModule, sizes: dict[str, int] | None = None
 ) -> int:
-    if module.name in memo:
-        return memo[module.name]
-    if module.name in visiting:
-        raise ValueError(
-            f"instantiation cycle through module {module.name!r}"
-        )
-    visiting.add(module.name)
-    total = count_instructions(module)
-    for op in module.operations:
-        if op.kind != "instance":
-            continue
-        callee = design.modules.get(op.module) if design else None
-        if callee is not None:
-            total += _size(callee, design, memo, visiting)
-    visiting.discard(module.name)
-    memo[module.name] = total
-    return total
-
-
-def _instantiation_postorder(design: HwDesign) -> list[str]:
-    """Module names, callees before callers."""
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(name: str) -> None:
-        if state.get(name):
-            return
-        state[name] = 1
-        module = design.modules.get(name)
-        if module is not None:
-            for op in module.operations:
-                if op.kind == "instance" and op.module in design.modules:
-                    visit(op.module)
-        order.append(name)
-
-    for name in design.modules:
-        visit(name)
-    return order
+    """Recursive instruction count: the module's own computing ops plus
+    the full size of every instantiated callee, read from ``sizes``
+    (callees are measured first; an unknown callee counts 0)."""
+    sizes = sizes or {}
+    return count_instructions(module) + sum(
+        sizes.get(op.module, 0)
+        for op in module.operations if op.kind == "instance"
+    )
 
 
 def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
@@ -146,8 +96,6 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
             mapping[cid] = rw.concat(
                 [mapping[r.op] for r in cop.operands]
             )
-        elif kind == "reverse":
-            mapping[cid] = rw.reverse(mapping[cop.operands[0].op])
         elif kind == "replicate":
             mapping[cid] = rw.replicate(
                 mapping[cop.operands[0].op], cop.count
@@ -193,20 +141,17 @@ def selective_inline(
         return design, log
 
     new_modules: dict[str, HwModule] = {}
-    for name in _instantiation_postorder(design):
+    # size and regularity of each module after its own inlining
+    sizes: dict[str, int] = {}
+    regular: dict[str, bool] = {}
+    for name in instantiation_order(design)[0]:
         module = design.modules[name]
         instances = [
             op_id for op_id, op in enumerate(module.operations)
             if op.kind == "instance"
         ]
-        if not instances:
-            new_modules[name] = module
-            continue
-        env = HwDesign({**design.modules, **new_modules}, design.top)
-        rw = ModuleRewriter(module)
-        taken = {
-            op.name for op in module.operations if op.kind == "instance"
-        }
+        rw = ModuleRewriter(module) if instances else None
+        taken = {module.operations[op_id].name for op_id in instances}
         spliced: dict[ValueRef, ValueRef] = {}
         for op_id in instances:
             op = module.operations[op_id]
@@ -215,8 +160,8 @@ def selective_inline(
                 log.append(InlineDecision(name, op.name, op.module,
                                           False, -1, "unresolved callee"))
                 continue
-            size = size_analysis(callee, env)
-            if not regularity_analysis(callee, env):
+            size = sizes[op.module]
+            if not regular[op.module]:
                 log.append(InlineDecision(name, op.name, op.module,
                                           False, size, "not regular"))
                 continue
@@ -233,7 +178,10 @@ def selective_inline(
             ))
         if spliced:
             rw.replace_uses(spliced)
-        new_modules[name] = rw.finish() if spliced else module
+            module = rw.finish()
+        new_modules[name] = module
+        sizes[name] = size_analysis(module, sizes)
+        regular[name] = regularity_analysis(module, regular)
 
     ordered = {name: new_modules[name] for name in design.modules}
     return HwDesign(ordered, design.top), log

@@ -11,7 +11,6 @@ Operation kinds:
     input       reference to an input port (``port`` attribute)
     extract     contiguous slice ``[low + width - 1 : low]`` of one operand
     concat      operands most-significant first, width is the sum
-    reverse     bit reversal of one operand
     replicate   operand repeated ``count`` times
     and or xor  bitwise, two operands of equal width
     not         bitwise complement
@@ -74,7 +73,6 @@ COUNTED_KINDS = frozenset(
         "const",
         "extract",
         "concat",
-        "reverse",
         "replicate",
         "and",
         "or",
@@ -120,9 +118,6 @@ class HwModule:
     def output_ports(self) -> list[Port]:
         return [p for p in self.ports if p.direction == "output"]
 
-    def op(self, ref: ValueRef) -> Operation:
-        return self.operations[ref.op]
-
     def value_of(self, op_id: int) -> ValueRef:
         return ValueRef(op_id, self.operations[op_id].width)
 
@@ -152,8 +147,6 @@ def cse_key(op: Operation) -> tuple | None:
         return ("extract", op.operands[0].op, op.low, op.width)
     if kind == "concat":
         return ("concat",) + tuple(r.op for r in op.operands)
-    if kind == "reverse":
-        return ("reverse", op.operands[0].op)
     if kind == "replicate":
         return ("replicate", op.operands[0].op, op.count)
     return None
@@ -163,12 +156,13 @@ class ModuleBuilder:
     """Incremental construction of a module's operation list.
 
     The builder value-numbers ``const``, ``input``, ``extract``,
-    ``concat``, ``reverse`` and ``replicate`` operations, and folds the
-    routing identities (full-width extract, extract of extract, extract
-    of const, single-operand concat, width-1 reverse, reverse of
-    reverse, count-1 replicate).  Keeping routing operations canonical
-    this way is what lets a re-run of the vectorizer recognise its own
-    output and leave it untouched.
+    ``concat`` and ``replicate`` operations, and folds the routing
+    identities (full-width extract, extract of extract, extract of
+    const, single-operand concat, count-1 replicate).  Keeping routing
+    operations canonical this way is what lets a re-run of the
+    vectorizer recognise its own output and leave it untouched: a bit
+    reversal, say, is a concat of one-bit extracts, which is also what
+    the frontend builds when it reads the emitted text back.
     """
 
     def __init__(self, name: str, ports: list[Port]):
@@ -213,14 +207,6 @@ class ModuleBuilder:
             return parts[0]
         width = sum(p.width for p in parts)
         return self._emit(Operation("concat", width, list(parts)))
-
-    def reverse(self, v: ValueRef) -> ValueRef:
-        if v.width == 1:
-            return v
-        inner = self.operations[v.op]
-        if inner.kind == "reverse":
-            return inner.operands[0]
-        return self._emit(Operation("reverse", v.width, [v]))
 
     def replicate(self, v: ValueRef, count: int) -> ValueRef:
         assert count >= 1
@@ -283,7 +269,7 @@ def route_bit(
     index: dict[int, tuple[list[int], list[ValueRef]]] | None = None,
 ) -> tuple[ValueRef, int, int]:
     """Follow bit ``bit`` of ``value`` backwards through routing
-    operations (extract, concat, reverse, replicate).
+    operations (extract, concat, replicate).
 
     Returns the first value that is not routing, the bit of it, and the
     number of routing operations stepped through.  ``index`` memoizes
@@ -309,9 +295,6 @@ def route_bit(
             k = bisect_right(offsets, bit) - 1
             value = parts[k]
             bit -= offsets[k]
-        elif kind == "reverse":
-            bit = op.width - 1 - bit
-            value = op.operands[0]
         elif kind == "replicate":
             bit %= op.operands[0].width
             value = op.operands[0]
@@ -436,9 +419,6 @@ def verify_module(
                 errs.append(
                     f"{loc}: concat width {op.width} != sum {sum(widths)}"
                 )
-        elif kind == "reverse":
-            if len(widths) != 1 or widths[0] != op.width:
-                errs.append(f"{loc}: reverse operand width mismatch")
         elif kind == "replicate":
             if len(widths) != 1 or op.count < 1:
                 errs.append(f"{loc}: bad replicate")
@@ -515,38 +495,50 @@ def verify(design: HwDesign) -> list[str]:
         if module.name != name:
             errs.append(f"module key {name!r} != module name {module.name!r}")
         errs.extend(verify_module(module, design))
-    errs.extend(instantiation_cycles(design))
+    errs.extend(instantiation_order(design)[1])
     return errs
 
 
-def instantiation_cycles(design: HwDesign) -> list[str]:
-    """One ``instantiation cycle: a -> b -> a`` message per cycle the
-    depth-first walk of the instantiation graph closes; empty when the
-    graph is acyclic."""
+def instantiation_order(design: HwDesign) -> tuple[list[str], list[str]]:
+    """Walk the instantiation graph depth first, callees before
+    callers, with an explicit stack (a hierarchy may be deeper than
+    Python's recursion limit).
+
+    Returns every module name in post-order, callees first, and one
+    ``instantiation cycle: a -> b -> a`` message per cycle the walk
+    closes; the messages are empty when the graph is acyclic.
+    """
+    modules = design.modules
+
+    def callees(name: str):
+        return (
+            op.module for op in modules[name].operations
+            if op.kind == "instance" and op.module in modules
+        )
+
+    order: list[str] = []
     errs: list[str] = []
-    state: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(name: str, trail: list[str]) -> None:
-        mark = state.get(name)
-        if mark == 2:
-            return
-        if mark == 1:
-            cyc = trail[trail.index(name):] + [name]
-            errs.append("instantiation cycle: " + " -> ".join(cyc))
-            return
-        state[name] = 1
-        trail.append(name)
-        module = design.modules.get(name)
-        if module is not None:
-            for op in module.operations:
-                if op.kind == "instance" and op.module in design.modules:
-                    visit(op.module, trail)
-        trail.pop()
-        state[name] = 2
-
-    for name in design.modules:
-        visit(name, [])
-    return errs
+    done: set[str] = set()
+    for root in modules:
+        if root in done:
+            continue
+        trail = {root: None}  # the modules being visited, root first
+        stack = [callees(root)]
+        while stack:
+            name = next(stack[-1], None)
+            if name is None:
+                stack.pop()
+                name, _ = trail.popitem()
+                done.add(name)
+                order.append(name)
+            elif name in trail:
+                path = list(trail)
+                cyc = path[path.index(name):] + [name]
+                errs.append("instantiation cycle: " + " -> ".join(cyc))
+            elif name not in done:
+                trail[name] = None
+                stack.append(callees(name))
+    return order, errs
 
 
 def _mask(width: int) -> int:
@@ -587,11 +579,6 @@ def simulate(
             r = 0
             for ref in op.operands:
                 r = (r << ref.width) | vals[ref.op]
-        elif kind == "reverse":
-            a = vals[op.operands[0].op]
-            r = 0
-            for i in range(op.width):
-                r |= ((a >> i) & 1) << (op.width - 1 - i)
         elif kind == "replicate":
             a = vals[op.operands[0].op]
             w = op.operands[0].width
@@ -674,8 +661,6 @@ def simulate_packed(
             for ref in reversed(op.operands):
                 r.extend(vals[ref.op])
             # operands are MSB first, so build LSB up from the last one
-        elif kind == "reverse":
-            r = list(reversed(vals[op.operands[0].op]))
         elif kind == "replicate":
             r = vals[op.operands[0].op] * op.count
         elif kind == "and":

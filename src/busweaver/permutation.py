@@ -1,17 +1,17 @@
 """Bit-permutation detection and rewriting.
 
 A sink is a pure bit permutation when every output bit traces back
-through routing operations (extract, concat, reverse, replicate) to a
-distinct bit of one input, and the traced bits form a contiguous
-window.  The rewrite packs maximal ascending runs of the permutation
-into part selects, so ``out[0]=in[1] ... out[2]=in[3], out[3]=in[0]``
-becomes ``{in[0], in[3:1]}``; a full identity collapses to the input
-itself and a full reversal to one reverse operation.
+through routing operations (extract, concat, replicate) to a distinct
+bit of one input, and the traced bits form a contiguous window.  The
+rewrite packs maximal ascending runs of the permutation into part
+selects, so ``out[0]=in[1] ... out[2]=in[3], out[3]=in[0]`` becomes
+``{in[0], in[3:1]}``, and a full identity collapses to the input
+itself.
 
-Ascending runs are the only runs grouped.  Descending runs other than a
-whole-output reversal stay as single-bit selects; merging them was
-considered and rejected because the emitted form would no longer mirror
-the detected segments one-for-one.
+Ascending runs are the only runs grouped.  Descending runs, a full
+reversal included, stay as single-bit selects: Verilog has no reversed
+part select, so that is both how they are written and how they are
+counted.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ class PermutationMap:
     @property
     def width(self) -> int:
         return len(self.bits)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(b == self.base + k for k, b in enumerate(self.bits))
-
-    @property
-    def is_reversal(self) -> bool:
-        n = len(self.bits)
-        return n >= 2 and all(
-            b == self.base + n - 1 - k for k, b in enumerate(self.bits)
-        )
 
 
 @dataclass(frozen=True)

@@ -246,8 +246,6 @@ def vectorize_output(
     if all(method == "scalar" for _, _, method, _ in plans):
         return chunks, False
 
-    # A whole-sink full reversal is one reverse operation.
-    reversal = pi is not None and pi.is_reversal and n == pi.source.width
     parts: list[ValueRef] = []  # MSB first, matching plan order
     for scalar, group in groupby(plans, key=lambda p: p[2] == "scalar"):
         if scalar:
@@ -257,8 +255,6 @@ def vectorize_output(
             if method == "structural":
                 cones, shape = payload
                 parts.append(plan_vector_expr(rw, cones[0], shape))
-            elif reversal:
-                parts.append(rw.reverse(payload.source))
             else:
                 parts.append(
                     plan_segments(rw, payload.source, greedy_group(payload))

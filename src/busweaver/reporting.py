@@ -315,30 +315,27 @@ def scaling_probe(
     min_seconds: float = 0.05,
 ) -> ScalingResult:
     """Measure pipeline runtime against design size and fit a log-log
-    line.  Parsing and one warm-up run per size are excluded; short runs
-    are repeated until the measurement window passes ``min_seconds``."""
+    line.  Parsing and one warm-up run per size are excluded.  Each
+    size is then run until the runs add up to ``min_seconds`` (at most
+    1000 runs), each run timed on its own, and the fastest is kept: a
+    slow run is the host's noise, not the program's cost."""
     points: list[ScalingPoint] = []
     total_started = time.perf_counter()
     for target in op_targets:
         design = parse_design(scaling_design(target))
         _, report = run_pipeline(design)
-        started = time.perf_counter()
-        run_pipeline(design)
-        elapsed = time.perf_counter() - started
-        runs = 1
-        while elapsed < min_seconds and runs < 1000:
-            extra = min(
-                1000 - runs,
-                max(1, math.ceil((min_seconds - elapsed) / max(
-                    elapsed / runs, 1e-6))),
-            )
+        best = math.inf
+        spent = 0.0
+        for _ in range(1000):
             started = time.perf_counter()
-            for _ in range(extra):
-                run_pipeline(design)
-            elapsed += time.perf_counter() - started
-            runs += extra
+            run_pipeline(design)
+            elapsed = time.perf_counter() - started
+            best = min(best, elapsed)
+            spent += elapsed
+            if spent >= min_seconds:
+                break
         points.append(ScalingPoint(
-            target, report.instructions_before, elapsed / runs
+            target, report.instructions_before, best
         ))
     xs = [math.log10(p.instructions) for p in points]
     ys = [math.log10(max(p.seconds, 1e-9)) for p in points]

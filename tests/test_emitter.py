@@ -1,6 +1,7 @@
 from busweaver.emitter import dump_module, emit_design, emit_module
 from busweaver.frontend import parse_design
 from busweaver.ir import ModuleBuilder, Port
+from busweaver.pipeline import run_pipeline
 
 
 def _roundtrip_stable(src: str) -> str:
@@ -81,16 +82,20 @@ def test_shared_anonymous_value_gets_a_temp():
 
 
 def test_reverse_prints_as_bit_concat():
-    b = ModuleBuilder(
-        "m", [Port("a", "input", 4), Port("y", "output", 4)]
-    )
-    v = b.input_ref("a", 4)
-    m = b.finish({"y": b.reverse(v)}, {})
-    assert emit_module(m) == (
-        "module m(input [3:0] a, output [3:0] y);\n"
-        "  assign y = {a[0], a[1], a[2], a[3]};\n"
-        "endmodule\n"
-    )
+    # a lane-reversed slot is a concat of one-bit selects, inline, and
+    # that is the text a re-run reads back
+    out, report = run_pipeline(parse_design(
+        "module m(input [3:0] a, input [2:0] b, output [2:0] out);\n"
+        "  assign out[0] = a[3] ^ b[0];\n"
+        "  assign out[1] = a[2] ^ b[1];\n"
+        "  assign out[2] = a[1] ^ b[2];\n"
+        "endmodule"
+    ))
+    text = emit_design(out)
+    assert "  assign out = {a[1], a[2], a[3]} ^ b;\n" in text
+    assert "wire" not in text
+    assert (report.instructions_before, report.instructions_after) == (10, 5)
+    assert _roundtrip_stable(text) == text
 
 
 def test_constant_literals():
@@ -160,11 +165,11 @@ def test_dump_format():
         "m", [Port("a", "input", 4), Port("y", "output", 4)]
     )
     v = b.input_ref("a", 4)
-    m = b.finish({"y": b.reverse(v)}, {})
+    m = b.finish({"y": b.not_(v)}, {})
     assert dump_module(m) == (
         "module m(input a:4, output y:4)\n"
         "  %0 = input(a) : i4\n"
-        "  %1 = reverse(%0) : i4\n"
+        "  %1 = not(%0) : i4\n"
         "  output y = %1\n"
         "endmodule\n"
     )

@@ -27,7 +27,7 @@ def test_regularity_accepts_logic_and_arithmetic():
         "  assign y = (a + b) - (a & b);\n"
         "endmodule"
     )
-    assert regularity_analysis(d.top_module, d)
+    assert regularity_analysis(d.top_module)
 
 
 def test_regularity_rejects_reductions():
@@ -36,7 +36,7 @@ def test_regularity_rejects_reductions():
         "  assign y = ^a;\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.top_module, d)
+    assert not regularity_analysis(d.top_module)
 
 
 def test_regularity_descends_into_callees():
@@ -48,15 +48,22 @@ def test_regularity_descends_into_callees():
         "  bad u(.x(a), .z(y));\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.modules["m"], d)
-    assert regularity_analysis(d.modules["bad"], d) is False
+    regular = {"bad": regularity_analysis(d.modules["bad"])}
+    assert regular == {"bad": False}
+    assert not regularity_analysis(d.modules["m"], regular)
+    _, log = selective_inline(d)
+    assert [(dec.callee, dec.reason) for dec in log] == [
+        ("bad", "not regular")
+    ]
 
 
 def test_size_includes_instantiated_bodies():
     d = parse_design(BUF_TOP)
     assert size_analysis(d.modules["my_buf"]) == 0
     # top4 itself: four selects and one repack
-    assert size_analysis(d.modules["top4"], d) == 5
+    assert size_analysis(d.modules["top4"], {"my_buf": 0}) == 5
+    _, log = selective_inline(d)
+    assert [dec.callee_size for dec in log] == [0, 0, 0, 0]
 
 
 def test_size_counts_nested_chains():
@@ -71,7 +78,9 @@ def test_size_counts_nested_chains():
     )
     assert size_analysis(d.modules["chain"]) == 3
     # two chain bodies plus m's own two selects and repack
-    assert size_analysis(d.modules["m"], d) == 2 * 3 + 3
+    assert size_analysis(d.modules["m"], {"chain": 3}) == 2 * 3 + 3
+    _, log = selective_inline(d)
+    assert [dec.callee_size for dec in log] == [3, 3]
 
 
 def test_inlining_is_applied_bottom_up():
@@ -91,6 +100,10 @@ def test_inlining_is_applied_bottom_up():
     )
     out, log = selective_inline(d)
     assert all(dec.inlined for dec in log)
+    # mid is measured after leaf's body replaced its instance
+    assert [(dec.callee, dec.callee_size) for dec in log] == [
+        ("leaf", 1), ("mid", 2), ("mid", 2)
+    ]
     assert all(
         op.kind != "instance"
         for op in out.modules["top"].operations

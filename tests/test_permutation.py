@@ -8,7 +8,7 @@ from busweaver.permutation import (
     greedy_group,
     trace_bit_origin,
 )
-from busweaver.pipeline import vectorize_output
+from busweaver.pipeline import run_pipeline, vectorize_output
 from busweaver.rewrite import ModuleRewriter
 
 
@@ -60,7 +60,6 @@ def test_detect_permutation_recovers_bijection():
     assert pm is not None
     assert pm.bits == [1, 2, 3, 0]
     assert pm.base == 0
-    assert not pm.is_identity and not pm.is_reversal
 
 
 def test_detect_rejects_duplicate_bits():
@@ -110,7 +109,6 @@ def test_anchoring_controls_window_base():
     assert pm is not None
     assert pm.base == 2
     assert pm.bits == [3, 2]
-    assert pm.is_reversal
 
 
 def test_greedy_grouping_merges_ascending_runs():
@@ -139,7 +137,7 @@ def test_greedy_grouping_identity_is_one_segment():
         "endmodule"
     )
     pm = detect_permutation(m, m.outputs["out"])
-    assert pm.is_identity
+    assert pm.bits == [0, 1, 2, 3]
     assert greedy_group(pm) == [Segment(0, 4)]
 
 
@@ -150,7 +148,7 @@ def test_rewrite_identity_collapses_to_source():
         "  assign out[1] = in[1];\n"
         "endmodule"
     )
-    assert detect_permutation(m, m.outputs["out"]).is_identity
+    assert detect_permutation(m, m.outputs["out"]).bits == [0, 1]
     rw = ModuleRewriter(m)
     vectorize_output(rw, m.outputs["out"])
     out = rw.finish()
@@ -161,20 +159,24 @@ def test_rewrite_identity_collapses_to_source():
     )
 
 
-def test_rewrite_reversal_is_one_operation():
-    m = _module(
+def test_rewrite_whole_sink_reversal_stays_as_written():
+    # Verilog has no reversed part select: the planned concat of
+    # one-bit selects is the sink's own value, so nothing is rewritten
+    src = (
         "module m(input [2:0] in, output [2:0] out);\n"
-        "  assign out[0] = in[2];\n"
-        "  assign out[1] = in[1];\n"
-        "  assign out[2] = in[0];\n"
-        "endmodule"
+        "  assign out = {in[0], in[1], in[2]};\n"
+        "endmodule\n"
     )
+    m = _module(src)
     pm = detect_permutation(m, m.outputs["out"])
-    assert pm.is_reversal
+    assert pm.bits == [2, 1, 0]
     rw = ModuleRewriter(m)
-    vectorize_output(rw, m.outputs["out"])
-    out = rw.finish()
-    assert [op.kind for op in out.operations] == ["input", "reverse"]
+    chunks, changed = vectorize_output(rw, m.outputs["out"])
+    assert [c.method for c in chunks] == ["bit-permutation"]
+    assert not changed
+    out, report = run_pipeline(parse_design(src))
+    assert report.rewrites == []
+    assert emit_module(out.top_module) == src
 
 
 def test_trace_visit_counter_within_depth_bound():

@@ -12,8 +12,21 @@ from busweaver import (
     run_pipeline,
 )
 from busweaver.cones import backward_cone, is_independent, is_isomorphic
-from busweaver.generators import ripple_carry_design
-from busweaver.ir import HwModule, Operation, Port, ValueRef, metrics
+from busweaver.generators import (
+    nested_instance_design,
+    permutation_design,
+    replicated_cone_design,
+    ripple_carry_design,
+)
+from busweaver.inliner import InlinePolicy
+from busweaver.ir import (
+    HwModule,
+    Operation,
+    Port,
+    ValueRef,
+    count_instructions,
+    metrics,
+)
 from busweaver.permutation import PassCounters, detect_permutation
 from busweaver.pipeline import VectorizationError, vectorize_output
 from busweaver.rewrite import ModuleRewriter
@@ -421,3 +434,83 @@ def test_mixed_sink_reaches_fixpoint():
     out2, report2 = run_pipeline(parse_design(first))
     assert emit_design(out2) == first
     assert report2.rewrites == []
+
+
+_REVERSED_SLOT = """
+module m(input [3:0] a, input [2:0] b, output [2:0] out);
+  assign out[0] = a[3] ^ b[0];
+  assign out[1] = a[2] ^ b[1];
+  assign out[2] = a[1] ^ b[2];
+endmodule
+"""
+
+
+def _generator_corpus(golden_dir):
+    corpus = [
+        (path.name, path.read_text())
+        for path in sorted(golden_dir.glob("*.v"))
+        if not path.name.endswith(".vec.v")
+    ]
+    # seeds 15, 31 and 46, and width 2 at seeds 1-4 and 6, are full
+    # reversals
+    corpus += [
+        (f"perm{case}", permutation_design(2 + case % 15, seed=case))
+        for case in range(64)
+    ]
+    corpus += [(f"perm2-{s}", permutation_design(2, seed=s)) for s in range(8)]
+    corpus += [
+        (f"cone{s}", replicated_cone_design(
+            2 + s % 6, 1 + s % 4, seed=s, invariant_slots=s % 2 == 0))
+        for s in range(8)
+    ]
+    corpus += [(f"rca{w}", ripple_carry_design(w)) for w in (2, 4, 8)]
+    corpus += [
+        (f"nested{w}-{k}", nested_instance_design(w, k))
+        for w, k in ((2, 1), (4, 20), (4, 200))
+    ]
+    corpus.append(("reversed-slot", _REVERSED_SLOT))
+    return corpus
+
+
+def test_counts_match_the_emitted_text(golden_dir):
+    # the reported count is what a tool reading the output elaborates,
+    # and the output is a fixpoint: a re-run changes no byte and
+    # rewrites nothing
+    for name, src in _generator_corpus(golden_dir):
+        out, report = run_pipeline(parse_design(src))
+        text = emit_design(out)
+        reparsed = parse_design(text)
+        assert sum(
+            count_instructions(m) for m in reparsed.modules.values()
+        ) == report.instructions_after, name
+        out2, report2 = run_pipeline(reparsed)
+        assert emit_design(out2) == text, name
+        assert report2.rewrites == [], name
+
+
+def _instance_chain(depth):
+    """``depth`` one-port modules, the top first: each instantiates the
+    next, and the last inverts."""
+    mods = [
+        f"module m{k}(input a, output y);\n"
+        f"  m{k + 1} u(.a(a), .y(y));\nendmodule\n"
+        for k in range(depth - 1)
+    ]
+    mods.append(
+        f"module m{depth - 1}(input a, output y);\n"
+        "  assign y = ~a;\nendmodule\n"
+    )
+    return "".join(mods)
+
+
+def test_deep_instance_chain_runs_without_recursion():
+    design = parse_design(_instance_chain(2000))
+    assert design.top == "m0"
+    out, report = run_pipeline(design)
+    assert sum(d.inlined for d in report.inline_log) == 1999
+    assert "  assign y = ~a;\n" in emit_design(out).split("endmodule")[0]
+    out, report = run_pipeline(design, InlinePolicy(enabled=False))
+    assert report.inline_log == []
+    text = emit_design(out)
+    assert text == emit_design(design)
+    assert emit_design(parse_design(text)) == text
