@@ -56,6 +56,8 @@ class _ModuleEmitter:
         # (instance op, port) -> user wire that is exactly that port.
         self.preferred: dict[tuple[int, str], str] = {}
         self.uses = [0] * len(self.ops)
+        self.read_whole: set[int] = set()  # instance ops read whole
+        self.read_spans: dict[int, list[tuple[int, int]]] = {}
         self._plan()
 
     # -- planning ----------------------------------------------------------
@@ -90,21 +92,10 @@ class _ModuleEmitter:
     def _used_out_ports(self, op_id: int) -> list[str]:
         """Output ports of an instance whose bits are read somewhere."""
         op = self.ops[op_id]
-        used: set[str] = set()
-        whole = any(
-            ref.op == op_id for ref in self.m.outputs.values()
-        ) or any(ref.op == op_id for ref in self.m.wires.values())
-        spans = []
-        for other in self.ops:
-            for ref in other.operands:
-                if ref.op != op_id:
-                    continue
-                if other.kind == "extract":
-                    spans.append((other.low, other.width))
-                else:
-                    whole = True
-        if whole:
+        if op_id in self.read_whole:
             return [p for p, _ in op.out_ports]
+        spans = self.read_spans.get(op_id, ())
+        used: set[str] = set()
         offset = 0
         for pname, pwidth in op.out_ports:
             for low, width in spans:
@@ -117,15 +108,28 @@ class _ModuleEmitter:
         m = self.m
         self.taken.update(p.name for p in m.ports)
         self.taken.update(m.wires)
-        for op in self.ops:
+        instances: set[int] = set()
+        for op_id, op in enumerate(self.ops):
             if op.kind == "instance":
                 self.taken.add(op.name)
+                instances.add(op_id)
 
+        # Reads of instance results: whole (a binding or a reader that
+        # is not an extract) or the (low, width) spans of extracts.
         for ref in list(m.outputs.values()) + list(m.wires.values()):
             self.uses[ref.op] += 1
+            if ref.op in instances:
+                self.read_whole.add(ref.op)
         for op in self.ops:
             for ref in op.operands:
                 self.uses[ref.op] += 1
+                if ref.op not in instances:
+                    continue
+                if op.kind == "extract":
+                    self.read_spans.setdefault(ref.op, []).append(
+                        (op.low, op.width))
+                else:
+                    self.read_whole.add(ref.op)
 
         # User wire names: first one on a nameable op is canonical.  A
         # wire that is exactly one instance output port becomes that

@@ -25,13 +25,20 @@ Operation kinds:
 ``input`` and ``instance`` operations are pure references to values that
 live outside the module body, so instruction counts and depth/size
 metrics skip them.
+
+Two evaluators run a module.  ``simulate`` is the scalar reference: one
+input vector, word-level operations, a recursive descent into callees.
+The equivalence oracle instead compiles each module once, callees
+first, into a ``PackedProgram`` of one-bit ``and``/``or``/``xor``/
+``not``/``mux`` gates (``compile_packed``) and evaluates that with
+``simulate_packed``, all test vectors at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 
 @dataclass(frozen=True)
@@ -632,95 +639,253 @@ def simulate(
     return {name: vals[ref.op] for name, ref in module.outputs.items()}
 
 
-def simulate_packed(
-    module: HwModule,
-    inputs: dict[str, list[int]],
-    n_vectors: int,
-    design: HwDesign | None = None,
-) -> dict[str, list[int]]:
-    """Bit-parallel interpreter over a batch of input vectors.
+_BITWISE = frozenset({"and", "or", "xor"})
+#: Reduction kind -> (gate, the value of an empty reduction).
+_REDUCE = {"redand": ("and", 1), "redor": ("or", 0), "redxor": ("xor", 0)}
 
-    Each wire bit is represented as one integer whose bit ``k`` is the
-    wire's value in test vector ``k``; ``inputs`` maps each input port
-    to a list of such lane masks, one per port bit, LSB first.  This
-    evaluates all ``n_vectors`` vectors in a single pass and is the
-    workhorse behind the equivalence oracle.
+
+@dataclass
+class PackedProgram:
+    """A module compiled to a flat list of one-bit gates over slots.
+
+    Slot 0 holds constant 0 and slot 1 constant 1.  The input bits
+    follow, port by port in ``inputs`` order and LSB first, and each
+    gate defines the next slot after them.  A gate is
+    ``(op, a, b, c)`` with ``op`` one of ``and or xor not mux``; a
+    ``mux`` reads ``(select, then, else)`` and unused operands are 0.
+    Every operand names an earlier slot.  ``outputs`` maps each output
+    port to its slots, LSB first.
     """
-    full = _mask(n_vectors)
+
+    inputs: list[tuple[str, int]]
+    gates: list[tuple[str, int, int, int]]
+    outputs: dict[str, list[int]]
+
+
+def compile_module(
+    module: HwModule, programs: dict[str, PackedProgram]
+) -> PackedProgram:
+    """Compile ``module`` to one-bit gates.
+
+    Routing operations (``const``, ``input``, ``extract``, ``concat``,
+    ``replicate``) only rearrange slot lists, ``add``/``sub`` become
+    ripple-carry gates and reductions gate chains.  ``programs`` holds
+    the finished program of every callee: an instance re-emits its
+    callee's gates with the slots remapped and never walks the callee's
+    operations.
+
+    Gates are hash-consed on ``(op, operands)``, commutative operands
+    sorted, after a fixed set of sound folds: constant operands,
+    ``x op x``, ``x op ~x``, ``~~x``, and a mux whose select is
+    constant, whose arms are equal or both constant, or whose else arm
+    is 0 or then arm 1.
+    """
+    inputs = [(p.name, p.width) for p in module.input_ports]
+    ports: dict[str, list[int]] = {}
+    first = 2
+    for name, width in inputs:
+        ports.setdefault(name, list(range(first, first + width)))
+        first += width
+    gates: list[tuple[str, int, int, int]] = []
+    table: dict[tuple[str, int, int, int], int] = {}
+    inv: dict[int, int] = {}  # slot -> slot of its complement
+
+    def emit(gate: tuple[str, int, int, int]) -> int:
+        slot = table.get(gate)
+        if slot is None:
+            slot = table[gate] = first + len(gates)
+            gates.append(gate)
+        return slot
+
+    def not_(a: int) -> int:
+        if a < 2:
+            return 1 - a
+        slot = inv.get(a)
+        if slot is None:
+            slot = inv[a] = emit(("not", a, 0, 0))
+            inv[slot] = a
+        return slot
+
+    def binary(op: str, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a < 2:
+            if op == "and":
+                return b if a else 0
+            if op == "or":
+                return 1 if a else b
+            return not_(b) if a else b
+        if a == b:
+            return 0 if op == "xor" else a
+        if inv.get(a) == b:
+            return 0 if op == "and" else 1
+        gate = (op, a, b, 0)  # emit(), inlined: most gates come here
+        slot = table.get(gate)
+        if slot is None:
+            slot = table[gate] = first + len(gates)
+            gates.append(gate)
+        return slot
+
+    def mux(c: int, x: int, y: int) -> int:
+        if c < 2:
+            return x if c else y
+        if x == y:
+            return x
+        if x < 2 and y < 2:
+            return c if x else not_(c)
+        if y == 0:
+            return binary("and", c, x)
+        if x == 1:
+            return binary("or", c, y)
+        return emit(("mux", c, x, y))
+
     vals: list[list[int]] = []
     for op in module.operations:
         kind = op.kind
-        if kind == "const":
-            r = [full if (op.value >> i) & 1 else 0 for i in range(op.width)]
-        elif kind == "input":
-            r = inputs[op.port]
-        elif kind == "extract":
-            r = vals[op.operands[0].op][op.low:op.low + op.width]
+        refs = op.operands
+        if kind == "extract":
+            r = vals[refs[0].op][op.low:op.low + op.width]
+        elif kind in _BITWISE:
+            a, b = vals[refs[0].op], vals[refs[1].op]
+            if op.width == 1:
+                r = [binary(kind, a[0], b[0])]
+            else:
+                r = [binary(kind, x, y) for x, y in zip(a, b)]
+        elif kind == "not":
+            r = [not_(x) for x in vals[refs[0].op]]
         elif kind == "concat":
             r = []
-            for ref in reversed(op.operands):
+            for ref in reversed(refs):  # operands are MSB first
                 r.extend(vals[ref.op])
-            # operands are MSB first, so build LSB up from the last one
+        elif kind == "mux":
+            c = vals[refs[0].op][0]
+            r = [mux(c, x, y)
+                 for x, y in zip(vals[refs[1].op], vals[refs[2].op])]
+        elif kind == "const":
+            r = [(op.value >> i) & 1 for i in range(op.width)]
+        elif kind == "input":
+            r = ports[op.port]
         elif kind == "replicate":
-            r = vals[op.operands[0].op] * op.count
-        elif kind == "and":
-            a, b = vals[op.operands[0].op], vals[op.operands[1].op]
-            r = [x & y for x, y in zip(a, b)]
-        elif kind == "or":
-            a, b = vals[op.operands[0].op], vals[op.operands[1].op]
-            r = [x | y for x, y in zip(a, b)]
-        elif kind == "xor":
-            a, b = vals[op.operands[0].op], vals[op.operands[1].op]
-            r = [x ^ y for x, y in zip(a, b)]
-        elif kind == "not":
-            r = [full ^ x for x in vals[op.operands[0].op]]
+            r = vals[refs[0].op] * op.count
+        elif kind in _REDUCE:
+            gate, acc = _REDUCE[kind]
+            for x in vals[refs[0].op]:
+                acc = binary(gate, acc, x)
+            r = [acc]
         elif kind in ("add", "sub"):
-            a, b = vals[op.operands[0].op], vals[op.operands[1].op]
+            a, b = vals[refs[0].op], vals[refs[1].op]
+            carry = 0
             if kind == "sub":  # a - b == a + ~b + 1
-                b = [full ^ x for x in b]
-                carry = full
-            else:
-                carry = 0
+                b = [not_(y) for y in b]
+                carry = 1
             r = []
             for x, y in zip(a, b):
-                r.append(x ^ y ^ carry)
-                carry = (x & y) | (x & carry) | (y & carry)
-        elif kind == "mux":
-            c = vals[op.operands[0].op][0]
-            a, b = vals[op.operands[1].op], vals[op.operands[2].op]
-            r = [(c & x) | (~c & full & y) for x, y in zip(a, b)]
-        elif kind == "redand":
-            acc = full
-            for x in vals[op.operands[0].op]:
-                acc &= x
-            r = [acc]
-        elif kind == "redor":
-            acc = 0
-            for x in vals[op.operands[0].op]:
-                acc |= x
-            r = [acc]
-        elif kind == "redxor":
-            acc = 0
-            for x in vals[op.operands[0].op]:
-                acc ^= x
-            r = [acc]
+                r.append(binary("xor", binary("xor", x, y), carry))
+                if len(r) < op.width:
+                    carry = binary(
+                        "or",
+                        binary("or", binary("and", x, y),
+                               binary("and", x, carry)),
+                        binary("and", y, carry),
+                    )
         elif kind == "instance":
-            if design is None:
+            callee = programs.get(op.module)
+            if callee is None:
                 raise ValueError(
-                    f"{module.name}: instance {op.name} needs a design"
-                    " context to simulate"
+                    f"{module.name}: instance {op.name} of {op.module!r}"
+                    " has no compiled program"
                 )
-            callee = design.modules[op.module]
-            sub_in = {
-                p: vals[ref.op]
-                for p, ref in zip(op.in_ports, op.operands)
-            }
-            sub_out = simulate_packed(callee, sub_in, n_vectors, design)
+            args = {p: vals[ref.op] for p, ref in zip(op.in_ports, refs)}
+            slots = [0, 1]
+            for name, _ in callee.inputs:
+                slots.extend(args[name])
+            for gate, a, b, c in callee.gates:
+                if gate == "not":
+                    slots.append(not_(slots[a]))
+                elif gate == "mux":
+                    slots.append(mux(slots[a], slots[b], slots[c]))
+                else:
+                    slots.append(binary(gate, slots[a], slots[b]))
             r = []
-            for pname, _ in op.out_ports:
-                r.extend(sub_out[pname])
+            for name, _ in op.out_ports:
+                r.extend([slots[s] for s in callee.outputs[name]])
         else:  # pragma: no cover - guarded by verify
             raise ValueError(f"unknown op kind {kind!r}")
         vals.append(r)
+    outputs = {name: vals[ref.op] for name, ref in module.outputs.items()}
+    return _live(PackedProgram(inputs, gates, outputs), first)
 
-    return {name: vals[ref.op] for name, ref in module.outputs.items()}
+
+def _live(program: PackedProgram, first: int) -> PackedProgram:
+    """``program`` without the gates its outputs do not read (gate 0
+    defines slot ``first``).  The last dead gate is read by nothing, so
+    a program in which every gate is read has none; one C-level pass
+    over the operands settles the usual case."""
+    gates, outputs = program.gates, program.outputs
+    read = set(chain.from_iterable(gates))
+    read.update(chain.from_iterable(outputs.values()))
+    if read.issuperset(range(first, first + len(gates))):
+        return program
+    live = [False] * len(gates)
+    for s in chain.from_iterable(outputs.values()):
+        if s >= first:
+            live[s - first] = True
+    for k in range(len(gates) - 1, -1, -1):
+        if live[k]:
+            for s in gates[k][1:]:
+                if s >= first:
+                    live[s - first] = True
+    remap = list(range(first)) + [0] * len(gates)
+    kept: list[tuple[str, int, int, int]] = []
+    for k, (op, a, b, c) in enumerate(gates):
+        if live[k]:
+            remap[first + k] = first + len(kept)
+            kept.append((op, remap[a], remap[b], remap[c]))
+    return PackedProgram(
+        program.inputs, kept,
+        {name: [remap[s] for s in slots] for name, slots in outputs.items()},
+    )
+
+
+def compile_packed(design: HwDesign) -> dict[str, PackedProgram]:
+    """Compile every module of an acyclic design, callees first (an
+    iterative walk, so the hierarchy may be of any depth); each callee
+    is compiled once however many sites it has."""
+    programs: dict[str, PackedProgram] = {}
+    for name in instantiation_order(design)[0]:
+        programs[name] = compile_module(design.modules[name], programs)
+    return programs
+
+
+def simulate_packed(
+    program: PackedProgram,
+    inputs: dict[str, list[int]],
+    n_vectors: int,
+) -> dict[str, list[int]]:
+    """Bit-parallel evaluation of a compiled program over a batch of
+    input vectors, in one pass over its gates.
+
+    Each bit is one integer whose bit ``k`` is its value in test vector
+    ``k``; ``inputs`` maps each input port to a list of such lane masks,
+    one per port bit, LSB first, and so does the result for each output
+    port.  This is the workhorse behind the equivalence oracle.
+    """
+    full = _mask(n_vectors)
+    vals = [0, full]
+    for name, _ in program.inputs:
+        vals.extend(inputs[name])
+    push = vals.append
+    for op, a, b, c in program.gates:
+        if op == "xor":
+            push(vals[a] ^ vals[b])
+        elif op == "and":
+            push(vals[a] & vals[b])
+        elif op == "or":
+            push(vals[a] | vals[b])
+        elif op == "not":
+            push(full ^ vals[a])
+        else:
+            y = vals[c]
+            push(y ^ (vals[a] & (vals[b] ^ y)))
+    return {name: [vals[s] for s in slots]
+            for name, slots in program.outputs.items()}

@@ -6,9 +6,14 @@ one-hot) and a deterministic seeded sample after them.  Either way the
 test vectors are built as lanes, one integer per input bit whose bit k
 is that input bit's value in vector k (a sampled lane takes one
 ``getrandbits`` call), and a counterexample is read back from bit k of
-the lanes.  Both sides run through the bit-parallel packed interpreter,
-so even the exhaustive check at the 16-bit default is a handful of
-big-integer operations per gate.
+the lanes.
+
+Each side is compiled once into a folded one-bit gate program
+(``ir.compile_packed``: wiring costs nothing, a callee is substituted
+instead of re-simulated at every site) and the programs are evaluated
+bit-parallel by ``ir.simulate_packed``, so even the exhaustive check at
+the 16-bit default is a handful of big-integer operations per gate.
+``ir.simulate`` stays the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from busweaver.ir import HwDesign, HwModule, simulate_packed
+from busweaver.ir import (
+    HwDesign,
+    HwModule,
+    PackedProgram,
+    compile_module,
+    compile_packed,
+    simulate_packed,
+)
 
 DEFAULT_MAX_EXHAUSTIVE_BITS = 16
 DEFAULT_SAMPLES = 10000
@@ -85,6 +97,17 @@ def _sampled_lanes(widths: list[int], samples: int,
     return _per_port(lanes, widths), shift + samples
 
 
+def _compile(module: HwModule, design: HwDesign | None) -> PackedProgram:
+    """``module``'s program, against the compiled modules of ``design``
+    (its own when ``module`` is one of them)."""
+    if design is None:
+        return compile_module(module, {})
+    programs = compile_packed(design)
+    if design.modules.get(module.name) is module:
+        return programs[module.name]
+    return compile_module(module, programs)
+
+
 def _first_mismatch(
     a: dict[str, list[int]], b: dict[str, list[int]], order: list[str]
 ) -> tuple[str, int] | None:
@@ -111,9 +134,13 @@ def check_equivalence(
     seed: int = 0,
     original_design: HwDesign | None = None,
     transformed_design: HwDesign | None = None,
+    compiled: tuple[PackedProgram, PackedProgram] | None = None,
 ) -> EquivalenceVerdict:
     """Check that two modules with identical port signatures compute the
     same outputs.
+
+    The modules are compiled against the designs given for their
+    callees, unless ``compiled`` already holds both programs.
 
     Raises ``ValueError`` on a port signature mismatch; that is an
     ill-posed comparison, not a counterexample.
@@ -139,10 +166,12 @@ def check_equivalence(
         status = "equivalent-sampled"
         used_seed = seed
 
+    if compiled is None:
+        compiled = (_compile(original, original_design),
+                    _compile(transformed, transformed_design))
     inputs = dict(zip(names, lanes))
-    out_a = simulate_packed(original, inputs, n_vectors, original_design)
-    out_b = simulate_packed(transformed, inputs, n_vectors,
-                            transformed_design)
+    out_a = simulate_packed(compiled[0], inputs, n_vectors)
+    out_b = simulate_packed(compiled[1], inputs, n_vectors)
     hit = _first_mismatch(out_a, out_b, out_order)
     if hit is None:
         return EquivalenceVerdict(status, n_vectors, used_seed)
@@ -167,7 +196,10 @@ def check_design_equivalence(
     seed: int = 0,
 ) -> dict[str, EquivalenceVerdict]:
     """Check every module the two designs have in common (after a
-    rewrite that is all of them), keyed by module name."""
+    rewrite that is all of them), keyed by module name.  Each design is
+    compiled once."""
+    programs_a = compile_packed(original)
+    programs_b = compile_packed(transformed)
     verdicts = {}
     for name, mod_a in original.modules.items():
         mod_b = transformed.modules.get(name)
@@ -177,7 +209,7 @@ def check_design_equivalence(
             mod_a, mod_b,
             max_exhaustive_bits=max_exhaustive_bits,
             samples=samples, seed=seed,
-            original_design=original, transformed_design=transformed,
+            compiled=(programs_a[name], programs_b[name]),
         )
     return verdicts
 
@@ -248,6 +280,7 @@ def mutation_audit(
         raise ValueError(
             f"module {top.name!r} has no mutation candidates"
         )
+    programs = compile_packed(design)
     rng = random.Random(seed)
     result = MutationAuditResult(0, 0, seed)
     for _ in range(mutations):
@@ -272,7 +305,7 @@ def mutation_audit(
             top, mutant,
             max_exhaustive_bits=max_exhaustive_bits,
             samples=samples, seed=seed,
-            original_design=design, transformed_design=design,
+            compiled=(programs[top.name], compile_module(mutant, programs)),
         )
         result.total += 1
         if verdict.status == "counterexample":

@@ -1,5 +1,7 @@
 from busweaver.emitter import dump_module, emit_design, emit_module
 from busweaver.frontend import parse_design
+from busweaver.generators import nested_instance_design
+from busweaver.inliner import InlinePolicy
 from busweaver.ir import ModuleBuilder, Port
 from busweaver.pipeline import run_pipeline
 
@@ -173,3 +175,18 @@ def test_dump_format():
         "  output y = %1\n"
         "endmodule\n"
     )
+
+
+def test_many_uninlined_instance_sites_round_trip():
+    # 2,000 sites left as instances: the emitter finds each site's read
+    # ports from one pass over the operands
+    design = parse_design(nested_instance_design(2000, 200))
+    text = emit_design(design)
+    assert text.count("  wire u") == text.count("  chain u") == 2000
+    assert emit_design(parse_design(text)) == text
+    policy = InlinePolicy(enabled=False)
+    out, _ = run_pipeline(design, policy)
+    text = emit_design(out)
+    assert text.count("  wire u") == text.count("  chain u") == 2000
+    again, _ = run_pipeline(parse_design(text), policy)
+    assert emit_design(again) == text

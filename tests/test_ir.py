@@ -1,5 +1,15 @@
+import random
+
 import pytest
 
+from busweaver.frontend import parse_design
+from busweaver.generators import (
+    nested_instance_design,
+    permutation_design,
+    replicated_cone_design,
+    ripple_carry_design,
+)
+from busweaver.inliner import InlinePolicy
 from busweaver.ir import (
     HwDesign,
     HwModule,
@@ -7,6 +17,8 @@ from busweaver.ir import (
     Operation,
     Port,
     ValueRef,
+    compile_module,
+    compile_packed,
     count_instructions,
     instantiation_order,
     metrics,
@@ -15,6 +27,7 @@ from busweaver.ir import (
     verify,
     verify_module,
 )
+from busweaver.pipeline import run_pipeline
 
 
 def _ports(*specs):
@@ -232,7 +245,7 @@ def test_packed_simulation_matches_reference():
         for i in range(3)
     ]
     packed = simulate_packed(
-        m, {"a": lanes_a, "b": lanes_b}, len(vectors)
+        compile_module(m, {}), {"a": lanes_a, "b": lanes_b}, len(vectors)
     )
     for k, (a, bb) in enumerate(vectors):
         plain = simulate(m, {"a": a, "b": bb})
@@ -264,3 +277,130 @@ def test_verify_duplicate_port_name_checks_against_the_first():
         "m: %0: no input port named 'a'",
         "m: output y: width mismatch",
     ]
+
+
+def _assert_packed_matches_reference(design, n_vectors=48, seed=0):
+    """Every module's compiled program, evaluated on seeded random
+    vectors in one batch, equals ``simulate`` vector by vector."""
+    rng = random.Random(seed)
+    programs = compile_packed(design)
+    for name, module in design.modules.items():
+        ins = module.input_ports
+        vectors = [{p.name: rng.getrandbits(p.width) for p in ins}
+                   for _ in range(n_vectors)]
+        lanes = {
+            p.name: [
+                sum(((v[p.name] >> i) & 1) << k for k, v in enumerate(vectors))
+                for i in range(p.width)
+            ]
+            for p in ins
+        }
+        packed = simulate_packed(programs[name], lanes, n_vectors)
+        for k, v in enumerate(vectors):
+            got = {
+                port: sum(((lane >> k) & 1) << i for i, lane in enumerate(bits))
+                for port, bits in packed.items()
+            }
+            assert got == simulate(module, v, design), (name, v)
+
+
+_HAND_DESIGN = """
+module cell(input [3:0] a, input [3:0] b, input s,
+            output [3:0] sum, output [3:0] diff, output [2:0] r);
+  assign sum = a + b;
+  assign diff = a - b;
+  assign r = {^a, &b, |(a & b)};
+endmodule
+
+module mid(input [3:0] a, input s, output [3:0] y, output [3:0] z);
+  wire [3:0] k_sum;
+  wire [3:0] k_diff;
+  wire [2:0] k_r;
+  cell k(.a(a), .b(4'd5), .s(s), .sum(k_sum), .diff(k_diff), .r(k_r));
+  assign y = s ? k_sum : k_diff;
+  assign z = {k_r[1:0], k_diff[3:2]};
+endmodule
+
+module top(input [3:0] x, input [3:0] w, input s, input t,
+           output [3:0] o1, output [3:0] o2, output [7:0] o3,
+           output [3:0] o4, output [3:0] o5, output [3:0] o6,
+           output o7);
+  wire [3:0] c_sum;
+  wire [3:0] c_diff;
+  wire [2:0] c_r;
+  wire [3:0] m_y;
+  wire [3:0] m_z;
+  cell c(.a(x), .b(w), .s(s), .sum(c_sum), .diff(c_diff), .r(c_r));
+  mid m(.a(w), .s(t), .y(m_y), .z(m_z));
+  assign o1 = s ? c_sum : c_diff;
+  assign o2 = (x & ~x) | (w ^ w) | (s ? x : x) | (1'b1 ? w : x);
+  assign o3 = {{2{c_r[1:0]}}, ~~x};
+  assign o4 = (s ? 4'd15 : 4'd0) ^ (t ? x : 4'd0) ^ (s ? 4'd15 : w);
+  assign o5 = (x | ~x) ^ (x - x) ^ (w + 4'd0) ^ m_y;
+  assign o6 = (t ? 4'd0 : 4'd15) & m_z & {4{^w}};
+  assign o7 = &{x, 1'b1} ^ |{w, 1'b0} ^ ^{c_r, 2'd3};
+endmodule
+"""
+
+
+def test_compiled_programs_match_reference_on_hand_modules():
+    # add, sub, mux, the three reductions, replicate, constants and
+    # every fold, through two levels of instances with constant inputs
+    design = parse_design(_HAND_DESIGN)
+    assert design.top == "top"
+    for seed in range(3):
+        _assert_packed_matches_reference(design, seed=seed)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_compiled_programs_match_reference_on_generators(case):
+    rng = random.Random(case)
+    sources = [
+        permutation_design(rng.randrange(2, 40), case),
+        replicated_cone_design(rng.randrange(2, 9), rng.randrange(1, 5),
+                               case),
+        replicated_cone_design(rng.randrange(2, 9), 3, case,
+                               invariant_slots=False),
+        ripple_carry_design(rng.randrange(1, 12)),
+        nested_instance_design(rng.randrange(1, 9), rng.randrange(1, 6)),
+    ]
+    for src in sources:
+        design = parse_design(src)
+        _assert_packed_matches_reference(design, seed=case)
+        out, _ = run_pipeline(design, InlinePolicy(enabled=False))
+        _assert_packed_matches_reference(out, seed=case)
+
+
+def test_callee_is_substituted_and_folded():
+    # 64 sites of a 151-not chain: the callee is one gate, and the top
+    # one gate per site
+    programs = compile_packed(parse_design(nested_instance_design(64, 151)))
+    assert programs["chain"].gates == [("not", 2, 0, 0)]
+    assert len(programs["wrapped"].gates) <= 64
+    # sites on the same input bit merge; an even chain folds away
+    src = nested_instance_design(4, 150).replace("in[1]", "in[0]") \
+        .replace("in[2]", "in[0]").replace("in[3]", "in[0]")
+    programs = compile_packed(parse_design(src))
+    assert programs["chain"].gates == []
+    assert programs["wrapped"].outputs["out"] == [2, 2, 2, 2]
+    src = nested_instance_design(4, 151).replace("in[3]", "in[0]")
+    assert len(compile_packed(parse_design(src))["wrapped"].gates) == 3
+
+
+def test_compiled_program_drops_gates_no_output_reads():
+    b = ModuleBuilder("m", _ports(("a", "input", 2), ("b", "input", 2),
+                                  ("y", "output", 1)))
+    va, vb = b.input_ref("a", 2), b.input_ref("b", 2)
+    total = b.binary("add", va, vb)
+    b.binary("and", va, b.not_(vb))  # never read
+    m = b.finish({"y": b.extract(total, 1, 1)}, {})
+    program = compile_module(m, {})
+    # bit 1 of a + b: a1 ^ b1 ^ (a0 & b0), with no final carry
+    assert sorted(g[0] for g in program.gates) == ["and", "xor", "xor"]
+    assert all(max(g[1:]) < 2 + 4 + k for k, g in enumerate(program.gates))
+
+
+def test_compiling_an_instance_needs_its_callee_program():
+    d = parse_design(nested_instance_design(2, 1))
+    with pytest.raises(ValueError, match="no compiled program"):
+        compile_module(d.top_module, {})

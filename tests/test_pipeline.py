@@ -29,6 +29,7 @@ from busweaver.ir import (
 )
 from busweaver.permutation import PassCounters, detect_permutation
 from busweaver.pipeline import VectorizationError, vectorize_output
+from busweaver.reporting import BatchOptions, process_design
 from busweaver.rewrite import ModuleRewriter
 
 
@@ -514,3 +515,16 @@ def test_deep_instance_chain_runs_without_recursion():
     text = emit_design(out)
     assert text == emit_design(design)
     assert emit_design(parse_design(text)) == text
+
+
+@pytest.mark.parametrize("no_inline", [False, True])
+def test_deep_instance_chain_checks_without_recursion(tmp_path, no_inline):
+    # the original design keeps its 1,200-deep hierarchy under either
+    # policy, and the oracle compiles it callee first
+    path = tmp_path / "chain.v"
+    path.write_text(_instance_chain(1200))
+    result = process_design(
+        str(path), BatchOptions(check=True, no_inline=no_inline))
+    assert result.error is None
+    assert result.ok
+    assert result.equivalence == "equivalent-exhaustive"
