@@ -1,10 +1,12 @@
 """Deterministic Verilog emission and a stable IR dump format.
 
-The emitter is the inverse of the frontend on its own output: parsing
-emitted text and emitting again reproduces the bytes.  That fixpoint is
-what the pipeline's idempotence guarantee is measured against, so every
-choice here (port layout, naming, operator parenthesisation, statement
-order) is a function of the IR alone.
+Every choice here (port layout, naming, operator parenthesisation,
+statement order) is a function of the IR alone, and statements follow
+the operation order that the pipeline's compaction sets, so re-running
+the pipeline on emitted text reproduces the bytes: the fixpoint the
+idempotence guarantee is measured against.  Parsing and emitting again
+without the pipeline need not, since the frontend orders operations as
+the text does: named wires and instance lines can come back reordered.
 
 Naming: user wire names win, instance outputs get ``<inst>_<port>``,
 values that must be materialised but have no user name get ``t<k>``.

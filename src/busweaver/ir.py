@@ -561,7 +561,8 @@ def simulate(
 
     ``inputs`` maps every input port to a non-negative integer that fits
     the port width.  Returns the output port values.  Instances require
-    ``design`` for the callee bodies.
+    ``design`` for the callee bodies; a callee runs in a frame of its
+    own on an explicit stack, so hierarchies of any depth evaluate.
     """
     for p in module.input_ports:
         if p.name not in inputs:
@@ -573,70 +574,84 @@ def simulate(
                 f" width {p.width}"
             )
 
-    vals: list[int] = []
-    for op in module.operations:
-        kind = op.kind
-        if kind == "const":
-            r = op.value
-        elif kind == "input":
-            r = inputs[op.port]
-        elif kind == "extract":
-            r = (vals[op.operands[0].op] >> op.low) & _mask(op.width)
-        elif kind == "concat":
-            r = 0
-            for ref in op.operands:
-                r = (r << ref.width) | vals[ref.op]
-        elif kind == "replicate":
-            a = vals[op.operands[0].op]
-            w = op.operands[0].width
-            r = 0
-            for _ in range(op.count):
-                r = (r << w) | a
-        elif kind == "and":
-            r = vals[op.operands[0].op] & vals[op.operands[1].op]
-        elif kind == "or":
-            r = vals[op.operands[0].op] | vals[op.operands[1].op]
-        elif kind == "xor":
-            r = vals[op.operands[0].op] ^ vals[op.operands[1].op]
-        elif kind == "not":
-            r = vals[op.operands[0].op] ^ _mask(op.width)
-        elif kind == "add":
-            r = (vals[op.operands[0].op] + vals[op.operands[1].op]) \
-                & _mask(op.width)
-        elif kind == "sub":
-            r = (vals[op.operands[0].op] - vals[op.operands[1].op]) \
-                & _mask(op.width)
-        elif kind == "mux":
-            c, a, b = (vals[ref.op] for ref in op.operands)
-            r = a if c else b
-        elif kind == "redand":
-            r = int(vals[op.operands[0].op] == _mask(op.operands[0].width))
-        elif kind == "redor":
-            r = int(vals[op.operands[0].op] != 0)
-        elif kind == "redxor":
-            r = bin(vals[op.operands[0].op]).count("1") & 1
-        elif kind == "instance":
-            if design is None:
+    # (module, inputs, values): a frame that waits on a callee waits at
+    # operation len(values), and ``returned`` brings the outputs back.
+    stack = [(module, inputs, [])]
+    returned: dict[str, int] | None = None
+    while stack:
+        module, inputs, vals = stack[-1]
+        ops = module.operations
+        while len(vals) < len(ops):
+            op = ops[len(vals)]
+            if op.kind != "instance":
+                vals.append(_evaluate(op, inputs, vals))
+            elif returned is not None:
+                shifts = accumulate((w for _, w in op.out_ports), initial=0)
+                vals.append(sum(returned[name] << shift for (name, _), shift
+                                in zip(op.out_ports, shifts)))
+                returned = None
+            elif design is None:
                 raise ValueError(
                     f"{module.name}: instance {op.name} needs a design"
                     " context to simulate"
                 )
-            callee = design.modules[op.module]
-            sub_in = {
-                p: vals[ref.op]
-                for p, ref in zip(op.in_ports, op.operands)
-            }
-            sub_out = simulate(callee, sub_in, design)
-            r = 0
-            shift = 0
-            for pname, pwidth in op.out_ports:
-                r |= sub_out[pname] << shift
-                shift += pwidth
-        else:  # pragma: no cover - guarded by verify
-            raise ValueError(f"unknown op kind {kind!r}")
-        vals.append(r)
+            else:
+                stack.append((design.modules[op.module], dict(
+                    zip(op.in_ports, (vals[ref.op] for ref in op.operands))
+                ), []))
+                break
+        else:
+            stack.pop()
+            returned = {name: vals[ref.op]
+                        for name, ref in module.outputs.items()}
+    return returned
 
-    return {name: vals[ref.op] for name, ref in module.outputs.items()}
+
+def _evaluate(op: Operation, inputs: dict[str, int], vals: list[int]) -> int:
+    """The value of an operation other than an instance."""
+    kind = op.kind
+    if kind == "const":
+        return op.value
+    if kind == "input":
+        return inputs[op.port]
+    if kind == "extract":
+        return (vals[op.operands[0].op] >> op.low) & _mask(op.width)
+    if kind == "concat":
+        r = 0
+        for ref in op.operands:
+            r = (r << ref.width) | vals[ref.op]
+        return r
+    if kind == "replicate":
+        a = vals[op.operands[0].op]
+        w = op.operands[0].width
+        r = 0
+        for _ in range(op.count):
+            r = (r << w) | a
+        return r
+    if kind == "and":
+        return vals[op.operands[0].op] & vals[op.operands[1].op]
+    if kind == "or":
+        return vals[op.operands[0].op] | vals[op.operands[1].op]
+    if kind == "xor":
+        return vals[op.operands[0].op] ^ vals[op.operands[1].op]
+    if kind == "not":
+        return vals[op.operands[0].op] ^ _mask(op.width)
+    if kind == "add":
+        return (vals[op.operands[0].op] + vals[op.operands[1].op]) \
+            & _mask(op.width)
+    if kind == "sub":
+        return (vals[op.operands[0].op] - vals[op.operands[1].op]) \
+            & _mask(op.width)
+    if kind == "mux":
+        c, a, b = (vals[ref.op] for ref in op.operands)
+        return a if c else b
+    if kind == "redand":
+        return int(vals[op.operands[0].op] == _mask(op.operands[0].width))
+    if kind == "redor":
+        return int(vals[op.operands[0].op] != 0)
+    if kind == "redxor":
+        return bin(vals[op.operands[0].op]).count("1") & 1
+    raise ValueError(f"unknown op kind {kind!r}")  # pragma: no cover
 
 
 _BITWISE = frozenset({"and", "or", "xor"})

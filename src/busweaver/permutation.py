@@ -1,10 +1,10 @@
-"""Bit-permutation detection and rewriting.
+"""Bit-permutation detection.
 
 A sink is a pure bit permutation when every output bit traces back
 through routing operations (extract, concat, replicate) to a distinct
 bit of one input, and the traced bits form a contiguous window.  The
-rewrite packs maximal ascending runs of the permutation into part
-selects, so ``out[0]=in[1] ... out[2]=in[3], out[3]=in[0]`` becomes
+pipeline's rewrite packs maximal ascending runs of the permutation into
+part selects, so ``out[0]=in[1] ... out[2]=in[3], out[3]=in[0]`` becomes
 ``{in[0], in[3:1]}``, and a full identity collapses to the input
 itself.
 
@@ -12,6 +12,10 @@ Ascending runs are the only runs grouped.  Descending runs, a full
 reversal included, stay as single-bit selects: Verilog has no reversed
 part select, so that is both how they are written and how they are
 counted.
+
+The pipeline plans with :func:`permutation_low`; :func:`detect_permutation`
+and :func:`greedy_group` remain as the references that the
+permutation-recovery criterion and the planner's specification test.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ class PassCounters:
     counts routing operations stepped through plus computing operations
     collected while building cones; a sink builds each bit's cone at
     most once.  ``partial_candidates`` counts the chunk windows that
-    the partial strategy's widest-first order rules on: ``j + 1`` for a
+    a plan of several chunks rules on, widest first: ``j + 1`` for a
     chunk ``[i:j]`` and ``i`` for a scalar bit ``i``, so at most
-    N*(N-1)/2 for an N-bit sink.
+    N*(N-1)/2 for an N-bit sink; a one-chunk plan counts none.
     """
 
     trace_visits: int = 0
@@ -61,16 +65,6 @@ class PermutationMap:
     source: ValueRef
     bits: list[int]
     base: int
-
-    @classmethod
-    def from_origins(cls, origins: Sequence[BitOrigin]) -> PermutationMap:
-        """The map of a window :func:`permutation_low` accepted."""
-        bits = [o.bit for o in origins]
-        return cls(origins[0].source, bits, min(bits))
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -141,34 +135,27 @@ def detect_permutation(
     width: int | None = None,
     counters: PassCounters | None = None,
     anchored: bool = True,
-    origins: Sequence[BitOrigin | None] | None = None,
 ) -> PermutationMap | None:
     """Detect a bit permutation on ``target[lo + width - 1 : lo]``.
 
     All bits must trace to distinct bits of one input, covering a
-    contiguous window.  With ``anchored`` (the whole-sink case) the
-    window must start at bit 0; ``anchored=False`` accepts any window.
-    ``origins``, when given, are the traced origins of every bit of
-    ``target`` (LSB first), so a caller that holds them traces nothing
-    again.
+    contiguous window.  With ``anchored`` the window must start at bit
+    0; ``anchored=False`` accepts any window.
     """
     n = target.width if width is None else width
     if n < 2:
         return None
-    if origins is None:
-        routes: dict = {}
-        window = [
-            trace_bit_origin(module, target, lo + k, counters, routes)
-            for k in range(n)
-        ]
-    else:
-        window = origins[lo:lo + n]
+    routes: dict = {}
+    window = [
+        trace_bit_origin(module, target, lo + k, counters, routes)
+        for k in range(n)
+    ]
     if permutation_low(module, window, n - 1) != 0:
         return None
-    pi = PermutationMap.from_origins(window)
-    if anchored and pi.base != 0:
+    bits = [o.bit for o in window]
+    if anchored and min(bits) != 0:
         return None
-    return pi
+    return PermutationMap(window[0].source, bits, min(bits))
 
 
 def greedy_group(pi: PermutationMap) -> list[Segment]:
@@ -184,14 +171,3 @@ def greedy_group(pi: PermutationMap) -> list[Segment]:
         segments.append(Segment(bits[start], k - start + 1))
         k += 1
     return segments
-
-
-def plan_segments(
-    rw: ModuleRewriter, source: ValueRef, segments: list[Segment]
-) -> ValueRef:
-    """Build the concatenation of part selects for grouped segments.
-    Segments come target-LSB first; concat operands are MSB first."""
-    parts = [
-        rw.extract(source, seg.low, seg.width) for seg in reversed(segments)
-    ]
-    return rw.concat(parts)

@@ -1,28 +1,27 @@
-"""Vectorization pipeline: whole-sink strategies plus greedy partial
-chunking, applied to every multi-bit sink of every module.
+"""Vectorization pipeline: one greedy chunk planner for every
+multi-bit sink of every module.
 
-Per sink the order is fixed: try a whole-width bit permutation, then a
-whole-width replicated cone family, then fall back to partial
-vectorization.  Partial chunking scans from the MSB down; at bit ``i``
-it takes the widest chunk ``[i:j]`` (the smallest ``j < i``) that is a
-bit permutation or a cone family, the permutation winning a tie, and
+The planner scans a sink from the MSB down; at bit ``i`` it takes the
+widest chunk ``[i:j]`` (the smallest ``j < i``) that is a bit
+permutation or a cone family, the permutation winning a tie, and
 resumes below the chunk at ``j - 1``.  That is the order of trying
 every window widest first, the permutation test before the structural
-one.  Remaining single bits are emitted scalar, adjacent ones that read
-consecutive bits of one value as one slice of it.  A rewrite is
-applied only when some chunk of width >= 2 vectorized; all-scalar
-plans leave the module untouched.
+one: a sink vectorizes whole when its plan is one full-width chunk.
+Remaining single bits stay scalar.  Scalar bits and a permutation
+chunk are built alike, from their bits' routes: adjacent bits that read
+consecutive bits of one value become one slice of it.  A rewrite is
+applied only when some chunk of width >= 2 vectorized.
 
 Analysis is per sink, not per window: each bit's origin is traced and
 its cone built once, and one downward scan per ``i`` finds the chunk.
 
 Every sink of a module is planned and rewritten in one
 :class:`~busweaver.rewrite.ModuleRewriter` session, so a later sink
-sees the earlier sinks' redirections, and the module is compacted once
-at the end.  The rewriter value-numbers routing operations, so a plan
-that reconstructs exactly the existing operations returns the sink's
-own value: the sink is unchanged, and re-running the pipeline on its
-own output reports zero rewrites.
+sees the earlier sinks' redirections; the session's finish is the
+module's one compaction.  The rewriter value-numbers routing
+operations, so a plan that reconstructs exactly the existing operations
+returns the sink's own value: the sink is unchanged, and re-running the
+pipeline on its own output reports zero rewrites.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from itertools import groupby
 from busweaver.cones import (
     ConeShape,
     LogicCone,
+    Slot,
     backward_cone,
-    is_isomorphic,
     lane_steps,
     plan_vector_expr,
 )
@@ -50,14 +49,10 @@ from busweaver.ir import (
 from busweaver.permutation import (
     BitOrigin,
     PassCounters,
-    PermutationMap,
-    detect_permutation,
-    greedy_group,
     permutation_low,
-    plan_segments,
     trace_bit_origin,
 )
-from busweaver.rewrite import ModuleRewriter, compact_design
+from busweaver.rewrite import ModuleRewriter
 
 
 class VectorizationError(Exception):
@@ -143,15 +138,9 @@ class _SinkAnalysis:
             )
         return self.cones[bit]
 
-    def family(self, hi: int, lo: int) -> tuple[list[LogicCone], ConeShape]:
-        """The cones of bits ``[hi:lo]``, a window
-        :meth:`structural_low` accepted, and their common shape."""
-        cones = [self.cone(bit) for bit in range(lo, hi + 1)]
-        return cones, is_isomorphic(cones)
-
-    def structural_low(self, i: int) -> int | None:
+    def structural_low(self, i: int) -> tuple[int, ConeShape] | None:
         """Smallest ``j < i`` whose bits ``[i:j]`` form a vectorizable
-        cone family, or ``None``.
+        cone family, with the family's shape, or ``None``.
 
         Every sub-window of such a family is one too, so one downward
         scan adds a lane at a time and stops at the first that fails:
@@ -174,53 +163,61 @@ class _SinkAnalysis:
             steps = lane
             ops |= cone.ops
             best = j
-        return best
+        if best is None:
+            return None
+        slots = [
+            Slot("strided" if step else "invariant", source, base, step)
+            for (source, base), step in zip(self.cone(best).slots, steps)
+        ]
+        return best, ConeShape(top.skeleton, slots, i - best + 1)
+
+    def runs(self, hi: int, lo: int) -> list[ValueRef]:
+        """Bits ``[hi:lo]`` of the sink, MSB first, as values: a run of
+        bits routed to consecutive bits of one value becomes one
+        extract of it, which folds to the value when it covers all of
+        it."""
+        runs: list[list] = []  # [value, low bit, width]
+        for bit in range(hi, lo - 1, -1):
+            value, low, _ = route_bit(
+                self.rw.operations, self.target, bit, self.routes
+            )
+            if runs and runs[-1][0] == value and runs[-1][1] == low + 1:
+                runs[-1][1] = low
+                runs[-1][2] += 1
+            else:
+                runs.append([value, low, 1])
+        return [self.rw.extract(*run) for run in runs]
 
 
-def _plan_chunks(sink: _SinkAnalysis) -> list[tuple[int, int, str, object]]:
-    """Greedy MSB-to-LSB tiling of a sink that did not vectorize whole,
-    as ``(high, low, method, payload)`` tuples."""
-    origins, counters = sink.origins, sink.counters
-    plans: list[tuple[int, int, str, object]] = []
+def _plan_chunks(
+    sink: _SinkAnalysis,
+) -> list[tuple[int, int, str, ConeShape | None]]:
+    """Greedy MSB-to-LSB tiling of a sink, as ``(high, low, method,
+    shape)`` tuples; ``shape`` is a structural chunk's cone shape."""
+    plans: list[tuple[int, int, str, ConeShape | None]] = []
     i = sink.target.width - 1
     while i >= 0:
         # Widest window first, the permutation test first: a
         # permutation window makes bit i an input leaf, and leaf cones
         # stepping by +-1 through one input are a permutation too, so
         # no structural window from i is wider.
-        j = permutation_low(sink.rw, origins, i)
+        shape = None
+        j = permutation_low(sink.rw, sink.origins, i)
         if j is not None:
-            pi = PermutationMap.from_origins(origins[j:i + 1])
-            plans.append((i, j, "bit-permutation", pi))
-        elif (j := sink.structural_low(i)) is not None:
-            plans.append((i, j, "structural", sink.family(i, j)))
+            method = "bit-permutation"
+        elif (found := sink.structural_low(i)) is not None:
+            (j, shape), method = found, "structural"
         else:
-            if counters is not None:
-                counters.partial_candidates += i
-            plans.append((i, i, "scalar", None))
-            i -= 1
-            continue
-        if counters is not None:
-            counters.partial_candidates += j + 1
+            j, method = i, "scalar"
+        plans.append((i, j, method, shape))
         i = j - 1
-    return plans
-
-
-def _scalar_parts(sink: _SinkAnalysis, bits: list[int]) -> list[ValueRef]:
-    """Adjacent scalar bits ``bits`` of the sink, MSB first, as values:
-    a run of bits routed to consecutive bits of one value becomes one
-    extract of it, which folds to the value when it covers all of it."""
-    runs: list[list] = []  # [value, low bit, width]
-    for bit in bits:
-        value, low, _ = route_bit(
-            sink.rw.operations, sink.target, bit, sink.routes
+    if sink.counters is not None and len(plans) > 1:
+        # a chunk [i:j] rules on j + 1 windows, a scalar bit i on i
+        sink.counters.partial_candidates += sum(
+            hi if method == "scalar" else lo + 1
+            for hi, lo, method, _ in plans
         )
-        if runs and runs[-1][0] == value and runs[-1][1] == low + 1:
-            runs[-1][1] = low
-            runs[-1][2] += 1
-        else:
-            runs.append([value, low, 1])
-    return [sink.rw.extract(*run) for run in runs]
+    return plans
 
 
 def vectorize_output(
@@ -231,34 +228,25 @@ def vectorize_output(
     """Vectorize one sink value inside the session ``rw``.  Returns the
     chunk tiling and whether the sink changed: it did not when the
     planned value is ``target`` itself."""
-    n = target.width
-    assert n >= 2, "vectorization needs a multi-bit sink"
+    assert target.width >= 2, "vectorization needs a multi-bit sink"
 
     sink = _SinkAnalysis(rw, target, counters)
-    pi = detect_permutation(rw, target, origins=sink.origins)
-    if pi is not None:
-        plans = [(n - 1, 0, "bit-permutation", pi)]
-    elif sink.structural_low(n - 1) == 0:
-        plans = [(n - 1, 0, "structural", sink.family(n - 1, 0))]
-    else:
-        plans = _plan_chunks(sink)
+    plans = _plan_chunks(sink)
     chunks = [Chunk(hi, lo, method) for hi, lo, method, _ in plans]
     if all(method == "scalar" for _, _, method, _ in plans):
         return chunks, False
 
     parts: list[ValueRef] = []  # MSB first, matching plan order
     for scalar, group in groupby(plans, key=lambda p: p[2] == "scalar"):
+        group = list(group)
         if scalar:
-            parts += _scalar_parts(sink, [hi for hi, *_ in group])
+            parts += sink.runs(group[0][0], group[-1][1])
             continue
-        for _, _, method, payload in group:
-            if method == "structural":
-                cones, shape = payload
-                parts.append(plan_vector_expr(rw, cones[0], shape))
-            else:
-                parts.append(
-                    plan_segments(rw, payload.source, greedy_group(payload))
-                )
+        parts += [
+            rw.concat(sink.runs(hi, lo)) if shape is None
+            else plan_vector_expr(rw, sink.cone(lo), shape)
+            for hi, lo, _, shape in group
+        ]
     value = rw.concat(parts)
     if value == target:
         return chunks, False
@@ -300,7 +288,6 @@ def run_pipeline(
     report = PipelineReport(
         counters=counters if counters is not None else PassCounters()
     )
-    design = compact_design(design)
     report.instructions_before = sum(
         count_instructions(m) for m in design.modules.values()
     )
@@ -314,7 +301,6 @@ def run_pipeline(
     result: dict[str, HwModule] = {}
     for name, module in inlined.modules.items():
         rw = ModuleRewriter(module)
-        edited = False
         for sink in _sink_refs(module):
             ref = rw.outputs.get(sink)
             if ref is None and rw.is_live(rw.wires[sink]):
@@ -322,12 +308,11 @@ def run_pipeline(
             if ref is None or ref.width < 2:
                 continue
             chunks, changed = vectorize_output(rw, ref, report.counters)
-            edited |= changed
             category = _categorize(chunks) if changed else None
             report.sinks.append(
                 SinkResult(name, sink, ref.width, chunks, changed, category)
             )
-        result[name] = rw.finish() if edited else module
+        result[name] = rw.finish()
 
     out = HwDesign(result, design.top)
     report.instructions_after = sum(

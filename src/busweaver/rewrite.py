@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from busweaver.ir import (
-    HwDesign,
     HwModule,
     ModuleBuilder,
     ValueRef,
@@ -97,13 +96,6 @@ def compact_module(
         if ref.op in remap
     }
     return HwModule(module.name, list(module.ports), new_ops, outputs, wires)
-
-
-def compact_design(design: HwDesign) -> HwDesign:
-    modules = {
-        name: compact_module(m) for name, m in design.modules.items()
-    }
-    return HwDesign(modules, design.top)
 
 
 class ModuleRewriter(ModuleBuilder):

@@ -9,6 +9,7 @@ from busweaver import (
     check_equivalence,
     emit_design,
     parse_design,
+    rewrite,
     run_pipeline,
 )
 from busweaver.cones import backward_cone, is_independent, is_isomorphic
@@ -20,12 +21,15 @@ from busweaver.generators import (
 )
 from busweaver.inliner import InlinePolicy
 from busweaver.ir import (
+    HwDesign,
     HwModule,
+    ModuleBuilder,
     Operation,
     Port,
     ValueRef,
     count_instructions,
     metrics,
+    simulate,
 )
 from busweaver.permutation import PassCounters, detect_permutation
 from busweaver.pipeline import VectorizationError, vectorize_output
@@ -124,6 +128,68 @@ def test_category_labels():
     assert "assign q = a ^ b;" in emitted
 
 
+# A full window of distinct, contiguous bits of one input that does not
+# start at source bit 0, written as a nested concat so that the rewrite
+# changes the sink: (the expression read, the expression emitted).
+_OFF_ZERO_WINDOWS = {
+    "ascending": ("{{a[5], a[4]}, {a[3], a[2]}}", "a[5:2]"),
+    "descending": ("{{a[2], a[3]}, {a[4], a[5]}}", "{a[2], a[3], a[4], a[5]}"),
+    "shuffled": ("{{a[3], a[5]}, {a[2], a[4]}}", "{a[3], a[5], a[2], a[4]}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_ZERO_WINDOWS))
+def test_off_zero_window_is_one_permutation_chunk(case):
+    # stepping by +-1 or shuffled, the window gets one label
+    expr, want = _OFF_ZERO_WINDOWS[case]
+    src = (f"module m(input [7:0] a, output [3:0] out);\n"
+           f"  assign out = {expr};\nendmodule\n")
+    counters = PassCounters()
+    _, out, report = _pipeline(src, counters=counters)
+    (sink,) = report.sinks
+    assert [(c.high, c.low, c.method) for c in sink.chunks] == [
+        (3, 0, "bit-permutation")
+    ]
+    assert sink.changed and sink.category == "bit-level"
+    assert counters.partial_candidates == 0
+    text = emit_design(out)
+    assert text == (f"module m(input [7:0] a, output [3:0] out);\n"
+                    f"  assign out = {want};\nendmodule\n")
+    out2, report2 = run_pipeline(parse_design(text))
+    assert report2.rewrites == []
+    assert emit_design(out2) == text
+
+
+def test_dead_operations_count_as_written():
+    # parse_design makes no dead operations, but a design built through
+    # the API may: they count before, the inliner sizes the callee as
+    # given, and the module's one compaction drops them
+    cell = ModuleBuilder("cell", [Port("x", "input", 1),
+                                  Port("z", "output", 1)])
+    x = cell.input_ref("x", 1)
+    cell.binary("and", x, x)  # read by nothing
+    cell_module = cell.finish({"z": cell.not_(x)}, {})
+    top = ModuleBuilder("top", [Port("a", "input", 2),
+                                Port("y", "output", 2)])
+    a = top.input_ref("a", 2)
+    bits = [
+        top.instance("cell", f"u{k}", [top.extract(a, k, 1)], ("x",),
+                     (("z", 1),))
+        for k in range(2)
+    ]
+    top_module = top.finish({"y": top.concat(bits[::-1])}, {})
+    design = HwDesign({"cell": cell_module, "top": top_module}, "top")
+    out, report = run_pipeline(design)
+    assert count_instructions(cell_module) == 2
+    assert report.instructions_before == sum(
+        count_instructions(m) for m in design.modules.values())
+    assert [d.callee_size for d in report.inline_log] == [2, 2]
+    assert count_instructions(out.modules["cell"]) == 1
+    assert emit_design(out).split("endmodule")[1].strip() == (
+        "module top(input [1:0] a, output [1:0] y);\n  assign y = ~a;"
+    )
+
+
 def test_carry_chain_stays_scalar():
     design, out, report = _pipeline(ripple_carry_design(4))
     assert report.rewrites == []
@@ -191,8 +257,8 @@ def test_partial_candidates_hit_quadratic_bound_exactly():
 def _reference_plan(module, target):
     """The planner's specification: every ``(i, j)`` window analysed
     from scratch, widest first, the permutation test before the
-    structural one, after the whole-sink attempts.  Returns the tiling
-    and the partial candidates charged."""
+    structural one.  Returns the tiling and the partial candidates
+    charged; a one-chunk plan charges none."""
 
     def structural(lo, hi):
         cones = [backward_cone(module, target, b) for b in range(lo, hi + 1)]
@@ -200,10 +266,6 @@ def _reference_plan(module, target):
             and is_isomorphic(cones) is not None
 
     n = target.width
-    if detect_permutation(module, target) is not None:
-        return [(n - 1, 0, "bit-permutation")], 0
-    if structural(0, n - 1):
-        return [(n - 1, 0, "structural")], 0
     plans, candidates = [], 0
     i = n - 1
     while i >= 0:
@@ -222,7 +284,7 @@ def _reference_plan(module, target):
             i -= 1
             continue
         i = j - 1
-    return plans, candidates
+    return plans, candidates if len(plans) > 1 else 0
 
 
 def _random_sink(rng, width):
@@ -376,8 +438,6 @@ def test_invalid_design_is_rejected():
         {"y": ValueRef(1, 1)},
         {},
     )
-    from busweaver.ir import HwDesign
-
     with pytest.raises(VectorizationError, match="cycle"):
         run_pipeline(HwDesign({"bad": module}, "bad"))
 
@@ -489,6 +549,27 @@ def test_counts_match_the_emitted_text(golden_dir):
         assert report2.rewrites == [], name
 
 
+@pytest.mark.parametrize("no_inline", [False, True])
+def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
+    # one compaction per module's session, plus the inliner's own for
+    # each caller that received inlined sites
+    calls = []
+    compact = rewrite.compact_module
+
+    def counting(module, *args):
+        calls.append(module.name)
+        return compact(module, *args)
+
+    monkeypatch.setattr(rewrite, "compact_module", counting)
+    policy = InlinePolicy(enabled=not no_inline)
+    for name, src in _generator_corpus(golden_dir):
+        design = parse_design(src)
+        calls.clear()
+        _, report = run_pipeline(design, policy)
+        callers = {d.caller for d in report.inline_log if d.inlined}
+        assert sorted(calls) == sorted([*design.modules, *callers]), name
+
+
 def _instance_chain(depth):
     """``depth`` one-port modules, the top first: each instantiates the
     next, and the last inverts."""
@@ -515,6 +596,12 @@ def test_deep_instance_chain_runs_without_recursion():
     text = emit_design(out)
     assert text == emit_design(design)
     assert emit_design(parse_design(text)) == text
+
+
+def test_reference_simulator_runs_a_deep_instance_chain():
+    design = parse_design(_instance_chain(1200))
+    for a in (0, 1):
+        assert simulate(design.top_module, {"a": a}, design) == {"y": 1 - a}
 
 
 @pytest.mark.parametrize("no_inline", [False, True])

@@ -13,7 +13,7 @@ from busweaver.inliner import InlinePolicy, selective_inline
 from busweaver.ir import HwDesign
 from busweaver.pipeline import vectorize_output
 from busweaver import rewrite
-from busweaver.rewrite import ModuleRewriter, compact_design
+from busweaver.rewrite import ModuleRewriter
 
 _CELL = (
     "module cell(input x, input y, output z);\n"
@@ -26,7 +26,7 @@ def _per_sink_pipeline(design):
     """The flow before sessions spanned a module: a fresh session per
     sink, finished at once, and the next sink read from the compacted
     result (a wire orphaned by an earlier sink is gone from it)."""
-    inlined, _ = selective_inline(compact_design(design), InlinePolicy())
+    inlined, _ = selective_inline(design, InlinePolicy())
     modules, sinks = {}, []
     for name, module in inlined.modules.items():
         current = module
@@ -163,8 +163,8 @@ def test_module_is_compacted_once(monkeypatch):
     monkeypatch.setattr(rewrite, "compact_module", counting)
     _, report = run_pipeline(parse_design(_buses(64)))
     assert len(report.rewrites) == 64
-    # the input normalisation and the session's finish
-    assert calls == ["b", "b"]
+    # the session's finish, and nothing before it
+    assert calls == ["b"]
 
 
 @pytest.mark.parametrize("seed", range(8))
