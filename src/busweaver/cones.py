@@ -278,11 +278,18 @@ def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
         if lane is None or (k > 1 and lane != steps):
             return None
         steps = lane
+    return family_shape(rep, steps, len(cones))
+
+
+def family_shape(rep: LogicCone, steps: list[int], lanes: int) -> ConeShape:
+    """The shape of a ``lanes``-lane family whose lane ``rep`` names
+    each slot's base bit and whose slots move by ``steps`` per lane: a
+    slot that does not move is invariant."""
     slots = [
         Slot("strided" if step else "invariant", source, base, step)
         for (source, base), step in zip(rep.slots, steps)
     ]
-    return ConeShape(rep.skeleton, slots, len(cones))
+    return ConeShape(rep.skeleton, slots, lanes)
 
 
 def plan_vector_expr(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Port, ValueRef
 from busweaver.ir import instantiation_order
+from busweaver.rewrite import compact_module, live_order
 # Unused here; kept importable because perfbench/layers.py wraps it.
 from busweaver.ir import verify as ir_verify  # noqa: F401
 
@@ -1117,7 +1118,12 @@ class _Elaborator:
             for w in self.ast.wires
             if self.net_state.get(w.name) == 2
         }
-        return self.builder.finish(outputs, wires)
+        module = self.builder.finish(outputs, wires)
+        # a slice of a wire folds into a slice of its driver, which can
+        # leave the wire's own extract or constant unread
+        if len(live_order(module)) < len(module.operations):
+            module = compact_module(module)
+        return module
 
 
 def parse_design(src: str, filename: str = "<input>") -> HwDesign:

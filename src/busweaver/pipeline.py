@@ -32,8 +32,8 @@ from itertools import groupby
 from busweaver.cones import (
     ConeShape,
     LogicCone,
-    Slot,
     backward_cone,
+    family_shape,
     lane_steps,
     plan_vector_expr,
 )
@@ -165,11 +165,7 @@ class _SinkAnalysis:
             best = j
         if best is None:
             return None
-        slots = [
-            Slot("strided" if step else "invariant", source, base, step)
-            for (source, base), step in zip(self.cone(best).slots, steps)
-        ]
-        return best, ConeShape(top.skeleton, slots, i - best + 1)
+        return best, family_shape(self.cone(best), steps, i - best + 1)
 
     def runs(self, hi: int, lo: int) -> list[ValueRef]:
         """Bits ``[hi:lo]`` of the sink, MSB first, as values: a run of

@@ -34,7 +34,7 @@ from busweaver.ir import (
 from busweaver.permutation import PassCounters, detect_permutation
 from busweaver.pipeline import VectorizationError, vectorize_output
 from busweaver.reporting import BatchOptions, process_design
-from busweaver.rewrite import ModuleRewriter
+from busweaver.rewrite import ModuleRewriter, live_order
 
 
 def _pipeline(src, **kwargs):
@@ -161,7 +161,7 @@ def test_off_zero_window_is_one_permutation_chunk(case):
 
 
 def test_dead_operations_count_as_written():
-    # parse_design makes no dead operations, but a design built through
+    # parse_design leaves no dead operations, but a design built through
     # the API may: they count before, the inliner sizes the callee as
     # given, and the module's one compaction drops them
     cell = ModuleBuilder("cell", [Port("x", "input", 1),
@@ -188,6 +188,47 @@ def test_dead_operations_count_as_written():
     assert emit_design(out).split("endmodule")[1].strip() == (
         "module top(input [1:0] a, output [1:0] y);\n  assign y = ~a;"
     )
+
+
+_SLICED_WIRES = {
+    # each slice of w folds into a slice of w's driver, leaving w's own
+    # operation unread
+    "extract": "wire [3:0] w;\n  assign w = x[5:2];\n  assign y = w[1:0];",
+    "const": "wire [3:0] w;\n  assign w = 4'b1001;\n"
+             "  assign y = w[1:0] ^ x[1:0];",
+    "chained": "wire [5:0] v;\n  wire [3:0] w;\n  assign v = x[7:2];\n"
+               "  assign w = v[4:1];\n  assign y = w[1:0];",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SLICED_WIRES))
+def test_parsed_sliced_wire_leaves_no_dead_operation(shape):
+    body = _SLICED_WIRES[shape]
+    design = parse_design(f"module m(input [7:0] x, output [1:0] y);\n"
+                          f"  {body}\nendmodule\n")
+    module = design.top_module
+    assert len(live_order(module)) == len(module.operations)
+    for policy in (InlinePolicy(), InlinePolicy(enabled=False)):
+        _, report = run_pipeline(design, policy)
+        assert report.rewrites == []
+        assert report.instructions_before == count_instructions(module)
+        assert report.instructions_before == report.instructions_after
+        assert report.reduction_percent == 0.0
+
+
+def test_parsed_sliced_wire_callee_is_sized_live():
+    # the callee's one live operation is the slice x[3:2]; counting the
+    # wire's unread x[5:2] as well would put it at the threshold
+    design = parse_design(
+        "module cell(input [7:0] x, output [1:0] y);\n"
+        f"  {_SLICED_WIRES['extract']}\nendmodule\n"
+        "module top(input [7:0] a, output [1:0] b);\n"
+        "  cell u(.x(a), .y(b));\nendmodule\n"
+    )
+    out, report = run_pipeline(design, InlinePolicy(threshold=2))
+    assert [(d.callee_size, d.inlined) for d in report.inline_log] == [
+        (1, True)]
+    assert "  assign b = a[3:2];\n" in emit_design(out)
 
 
 def test_carry_chain_stays_scalar():
