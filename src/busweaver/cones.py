@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from busweaver.ir import HwModule, ValueRef, route_bit
-from busweaver.permutation import PassCounters
 from busweaver.rewrite import ModuleRewriter
 
 #: Computing kinds a cone may contain (only at width 1).
@@ -46,11 +45,11 @@ class LogicCone:
     preorder serialization with sharing backreferences, identical
     skeletons being the definition of isomorphism.  ``slots`` lists the
     leaves in serialization order; ``scalar_slots`` are the slot indices
-    that sit in mux-select position and must stay scalar.
+    that sit in mux-select position and must stay scalar.  ``visits``
+    counts the routing operations stepped through plus the computing
+    operations collected while building the cone.
     """
 
-    root_value: ValueRef
-    root_bit: int
     analyzable: bool
     reason: str = ""
     ops: frozenset[int] = frozenset()
@@ -58,6 +57,7 @@ class LogicCone:
     skeleton: str = ""
     slots: list[tuple[int, int]] = field(default_factory=list)
     scalar_slots: frozenset[int] = frozenset()
+    visits: int = 0
     # Internal structure for the vector rebuild:
     root_term: tuple = ()
     children: dict[int, list[tuple]] = field(default_factory=dict)
@@ -68,7 +68,6 @@ def backward_cone(
     module: HwModule | ModuleRewriter,
     target: ValueRef,
     bit: int,
-    counters: PassCounters | None = None,
     routes: dict | None = None,
 ) -> LogicCone:
     """Collect the cone of ``target[bit]`` with a worklist that visits
@@ -82,16 +81,15 @@ def backward_cone(
     """
     ops = module.operations
     routes = {} if routes is None else routes
+    cone = LogicCone(analyzable=True)
 
     def route(value: ValueRef, bit: int) -> tuple:
         value, bit, hops = route_bit(ops, value, bit, routes)
-        if counters is not None:
-            counters.cone_visits += hops
+        cone.visits += hops
         if ops[value.op].kind in ("input", "const"):
             return (_LEAF, value.op, bit)
         return (_OP, value.op)
 
-    cone = LogicCone(target, bit, analyzable=True)
     root = route(target, bit)
     cone.root_term = root
     ops_set: set[int] = set()
@@ -116,8 +114,7 @@ def backward_cone(
             cone.analyzable = False
             cone.reason = f"%{op_id} computes {op.width} bits at once"
             return cone
-        if counters is not None:
-            counters.cone_visits += 1
+        cone.visits += 1
         terms: list[tuple] = []
         for ref in op.operands:
             term = route(ref, 0)
@@ -214,18 +211,6 @@ def _serialize(module: HwModule | ModuleRewriter, cone: LogicCone) -> None:
     cone.scalar_slots = frozenset(scalar)
 
 
-def is_independent(cones: list[LogicCone]) -> bool:
-    """True when no computing operation belongs to two cones.  Shared
-    leaves (an invariant select bit, say) do not break independence;
-    shared logic (a ripple carry chain) does."""
-    total = 0
-    union: set[int] = set()
-    for cone in cones:
-        total += len(cone.ops)
-        union |= cone.ops
-    return len(union) == total
-
-
 @dataclass(frozen=True)
 class Slot:
     """Cross-cone classification of one leaf slot."""
@@ -259,26 +244,6 @@ def lane_steps(lower: LogicCone, upper: LogicCone) -> list[int] | None:
             return None
         steps.append(step)
     return steps
-
-
-def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
-    """Check the family shares a skeleton and classify every slot.
-
-    Fails (returns ``None``) on the first skeleton mismatch, and when
-    some slot's bit does not move by the same :func:`lane_steps` step
-    from every lane to the next.
-    """
-    assert cones
-    rep = cones[0]
-    if any(not c.analyzable or c.skeleton != rep.skeleton for c in cones):
-        return None
-    steps = [0] * len(rep.slots)
-    for k in range(1, len(cones)):
-        lane = lane_steps(cones[k - 1], cones[k])
-        if lane is None or (k > 1 and lane != steps):
-            return None
-        steps = lane
-    return family_shape(rep, steps, len(cones))
 
 
 def family_shape(rep: LogicCone, steps: list[int], lanes: int) -> ConeShape:

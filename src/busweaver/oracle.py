@@ -97,17 +97,6 @@ def _sampled_lanes(widths: list[int], samples: int,
     return _per_port(lanes, widths), shift + samples
 
 
-def _compile(module: HwModule, design: HwDesign | None) -> PackedProgram:
-    """``module``'s program, against the compiled modules of ``design``
-    (its own when ``module`` is one of them)."""
-    if design is None:
-        return compile_module(module, {})
-    programs = compile_packed(design)
-    if design.modules.get(module.name) is module:
-        return programs[module.name]
-    return compile_module(module, programs)
-
-
 def _first_mismatch(
     a: dict[str, list[int]], b: dict[str, list[int]], order: list[str]
 ) -> tuple[str, int] | None:
@@ -132,15 +121,15 @@ def check_equivalence(
     max_exhaustive_bits: int = DEFAULT_MAX_EXHAUSTIVE_BITS,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    original_design: HwDesign | None = None,
-    transformed_design: HwDesign | None = None,
     compiled: tuple[PackedProgram, PackedProgram] | None = None,
 ) -> EquivalenceVerdict:
     """Check that two modules with identical port signatures compute the
     same outputs.
 
-    The modules are compiled against the designs given for their
-    callees, unless ``compiled`` already holds both programs.
+    ``compiled`` holds both modules' programs; without it each module
+    is compiled on its own, so a module with instances raises
+    ``ValueError`` (:func:`check_design_equivalence` compiles whole
+    designs).
 
     Raises ``ValueError`` on a port signature mismatch; that is an
     ill-posed comparison, not a counterexample.
@@ -167,8 +156,8 @@ def check_equivalence(
         used_seed = seed
 
     if compiled is None:
-        compiled = (_compile(original, original_design),
-                    _compile(transformed, transformed_design))
+        compiled = (compile_module(original, {}),
+                    compile_module(transformed, {}))
     inputs = dict(zip(names, lanes))
     out_a = simulate_packed(compiled[0], inputs, n_vectors)
     out_b = simulate_packed(compiled[1], inputs, n_vectors)

@@ -7,13 +7,21 @@ permutation or a cone family, the permutation winning a tie, and
 resumes below the chunk at ``j - 1``.  That is the order of trying
 every window widest first, the permutation test before the structural
 one: a sink vectorizes whole when its plan is one full-width chunk.
-Remaining single bits stay scalar.  Scalar bits and a permutation
-chunk are built alike, from their bits' routes: adjacent bits that read
-consecutive bits of one value become one slice of it.  A rewrite is
-applied only when some chunk of width >= 2 vectorized.
+Remaining single bits stay scalar.  A window is a bit permutation when
+its bits route to distinct bits of one input covering a contiguous
+range.  Scalar bits and a permutation chunk are built alike, from
+their bits' routes: a maximal run of bits that read ascending
+consecutive bits of one value becomes one part select of it, so
+``out[0]=in[1] ... out[2]=in[3], out[3]=in[0]`` becomes
+``{in[0], in[3:1]}`` and a full identity collapses to the input.
+Descending runs, a full reversal included, stay one-bit selects:
+Verilog has no reversed part select, so that is both how they are
+written and how they are counted.  A rewrite is applied only when some
+chunk of width >= 2 vectorized.
 
-Analysis is per sink, not per window: each bit's origin is traced and
-its cone built once, and one downward scan per ``i`` finds the chunk.
+Analysis is per sink, not per window: each bit is routed once to its
+root and its cone built once from that root, and one downward scan per
+``i`` finds the chunk.
 
 Every sink of a module is planned and rewritten in one
 :class:`~busweaver.rewrite.ModuleRewriter` session, so a later sink
@@ -41,16 +49,11 @@ from busweaver.inliner import InlineDecision, InlinePolicy, selective_inline
 from busweaver.ir import (
     HwDesign,
     HwModule,
+    Operation,
     ValueRef,
     count_instructions,
     route_bit,
     verify,
-)
-from busweaver.permutation import (
-    BitOrigin,
-    PassCounters,
-    permutation_low,
-    trace_bit_origin,
 )
 from busweaver.rewrite import ModuleRewriter
 
@@ -61,6 +64,29 @@ class VectorizationError(Exception):
     def __init__(self, violations: list[str]):
         self.violations = violations
         super().__init__("; ".join(violations))
+
+
+@dataclass
+class PassCounters:
+    """Work counters shared by the analysis passes, for complexity
+    assertions and reporting.
+
+    ``trace_visits`` counts routing operations stepped through while
+    routing each bit of a sink to its root.  A sink routes each bit
+    once, so this is bounded by its bits times the graph depth.
+    ``cone_visits`` counts, for each cone built, the computing
+    operations collected plus the routing operations stepped through
+    below its root (the root's own route counts in ``trace_visits``
+    only); a sink builds each bit's cone at most once.
+    ``partial_candidates`` counts the chunk windows that a plan of
+    several chunks rules on, widest first: ``j + 1`` for a chunk
+    ``[i:j]`` and ``i`` for a scalar bit ``i``, so at most N*(N-1)/2
+    for an N-bit sink; a one-chunk plan counts none.
+    """
+
+    trace_visits: int = 0
+    cone_visits: int = 0
+    partial_candidates: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,32 +136,67 @@ class PipelineReport:
         return 100.0 * delta / self.instructions_before
 
 
+def permutation_low(
+    ops: list[Operation], roots: list[tuple[ValueRef, int]], i: int
+) -> int | None:
+    """Smallest ``j < i`` whose window ``roots[j:i + 1]`` routes to
+    distinct bits of one input covering a contiguous range, or ``None``.
+
+    Such windows are not downward-closed (source bits ``[0,2,1]`` form
+    one, ``[0,2]`` do not), so every ``j`` is checked, each in O(1); a
+    foreign root or a repeated bit rules out every wider window.
+    """
+    source, top = roots[i]
+    if ops[source.op].kind != "input":
+        return None  # constant and computed bits form no permutation
+    seen = {top}
+    low = high = top
+    best = None
+    for j in range(i - 1, -1, -1):
+        value, bit = roots[j]
+        if value != source or bit in seen:
+            break
+        seen.add(bit)
+        low = min(low, bit)
+        high = max(high, bit)
+        if high - low == i - j:
+            best = j
+    return best
+
+
 @dataclass
 class _SinkAnalysis:
-    """Analysis state of one sink: every bit's origin traced once, one
-    concat-offset index shared by every route, and each bit's cone
-    built at most once."""
+    """Analysis state of one sink: every bit routed once, through one
+    concat-offset index, to its root ``(value, low)``, the first value
+    that is not routing and the bit of it; each bit's cone built at
+    most once, from its root."""
 
     rw: ModuleRewriter
     target: ValueRef
     counters: PassCounters | None
     routes: dict = field(default_factory=dict)
-    origins: list[BitOrigin | None] = field(init=False)
+    roots: list[tuple[ValueRef, int]] = field(init=False)
     cones: dict[int, LogicCone] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.origins = [
-            trace_bit_origin(
-                self.rw, self.target, bit, self.counters, self.routes
+        self.roots = []
+        hops = 0
+        for bit in range(self.target.width):
+            value, low, n = route_bit(
+                self.rw.operations, self.target, bit, self.routes
             )
-            for bit in range(self.target.width)
-        ]
+            self.roots.append((value, low))
+            hops += n
+        if self.counters is not None:
+            self.counters.trace_visits += hops
 
     def cone(self, bit: int) -> LogicCone:
         if bit not in self.cones:
-            self.cones[bit] = backward_cone(
-                self.rw, self.target, bit, self.counters, self.routes
+            cone = self.cones[bit] = backward_cone(
+                self.rw, *self.roots[bit], routes=self.routes
             )
+            if self.counters is not None:
+                self.counters.cone_visits += cone.visits
         return self.cones[bit]
 
     def structural_low(self, i: int) -> tuple[int, ConeShape] | None:
@@ -174,9 +235,7 @@ class _SinkAnalysis:
         it."""
         runs: list[list] = []  # [value, low bit, width]
         for bit in range(hi, lo - 1, -1):
-            value, low, _ = route_bit(
-                self.rw.operations, self.target, bit, self.routes
-            )
+            value, low = self.roots[bit]
             if runs and runs[-1][0] == value and runs[-1][1] == low + 1:
                 runs[-1][1] = low
                 runs[-1][2] += 1
@@ -198,7 +257,7 @@ def _plan_chunks(
         # stepping by +-1 through one input are a permutation too, so
         # no structural window from i is wider.
         shape = None
-        j = permutation_low(sink.rw, sink.origins, i)
+        j = permutation_low(sink.rw.operations, sink.roots, i)
         if j is not None:
             method = "bit-permutation"
         elif (found := sink.structural_low(i)) is not None:

@@ -23,8 +23,7 @@ from busweaver.frontend import ParseError, parse_design
 from busweaver.generators import scaling_design
 from busweaver.inliner import InlinePolicy
 from busweaver.oracle import check_design_equivalence
-from busweaver.permutation import PassCounters
-from busweaver.pipeline import VectorizationError, run_pipeline
+from busweaver.pipeline import PassCounters, VectorizationError, run_pipeline
 
 SCHEMA_VERSION = 1
 

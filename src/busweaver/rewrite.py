@@ -117,25 +117,49 @@ class ModuleRewriter(ModuleBuilder):
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
-        # The use index, built by replace_uses: op id -> the operations
-        # reading it (the first ``_indexed`` ones, extended on demand)
-        # and -> the output and wire bindings naming it.
+        # The use index, brought up to date by _index: op id -> the
+        # operations reading it (the first ``_indexed`` ones) and -> the
+        # output and wire bindings naming it.
         self._users: dict[int, set[int]] = {}
         self._indexed = 0
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
-        self._live: set[int] | None = None
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
-        self._live = None
+
+    def _index(self) -> None:
+        """Index the readers of the operations appended since the last
+        call, and the bindings on the first call."""
+        ops, users = self.operations, self._users
+        for oid in range(self._indexed, len(ops)):
+            for ref in ops[oid].operands:
+                users.setdefault(ref.op, set()).add(oid)
+        self._indexed = len(ops)
+        if self._bound is None:
+            self._bound = {}
+            for binding in (self.outputs, self.wires):
+                for name, ref in binding.items():
+                    self._bound.setdefault(ref.op, []).append((binding, name))
 
     def is_live(self, ref: ValueRef) -> bool:
-        """Whether :meth:`finish` would keep ``ref``'s operation.  The
-        reachability walk reruns only after an edit."""
-        if self._live is None:
-            module = super().finish(self.outputs, self.wires)
-            self._live = set(live_order(module, self._dropped))
-        return ref.op in self._live
+        """Whether :meth:`finish` would keep ``ref``'s operation: some
+        chain of readers, walked upward through the use index, reaches
+        an operation bound to an output or a kept instance."""
+        self._index()
+        ops, users, bound = self.operations, self._users, self._bound
+        seen = {ref.op}
+        stack = [ref.op]
+        while stack:
+            oid = stack.pop()
+            if ops[oid].kind == "instance" and oid not in self._dropped:
+                return True
+            if any(b is self.outputs for b, _ in bound.get(oid, ())):
+                return True
+            for uid in users.get(oid, ()):
+                if uid not in seen:
+                    seen.add(uid)
+                    stack.append(uid)
+        return False
 
     def replace_uses(self, subst: dict[ValueRef, ValueRef]) -> None:
         """Redirect every use (operands, outputs, wires) of each key of
@@ -146,16 +170,8 @@ class ModuleRewriter(ModuleBuilder):
         slot and re-keyed in the value-numbering table, so emission
         afterwards shares it like any other operation.
         """
+        self._index()
         ops, users, cse = self.operations, self._users, self._cse
-        for oid in range(self._indexed, len(ops)):
-            for ref in ops[oid].operands:
-                users.setdefault(ref.op, set()).add(oid)
-        self._indexed = len(ops)
-        if self._bound is None:
-            self._bound = {}
-            for binding in (self.outputs, self.wires):
-                for name, ref in binding.items():
-                    self._bound.setdefault(ref.op, []).append((binding, name))
         readers = set()
         for old in subst:
             readers |= users.pop(old.op, set())
@@ -175,7 +191,6 @@ class ModuleRewriter(ModuleBuilder):
                 cse[key] = ValueRef(uid, op.width)
             for ref in op.operands:
                 users.setdefault(ref.op, set()).add(uid)
-        self._live = None
 
     def finish(self) -> HwModule:
         module = super().finish(self.outputs, self.wires)

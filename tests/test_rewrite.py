@@ -10,7 +10,7 @@ import pytest
 from busweaver import emit_design, parse_design, run_pipeline
 from busweaver.emitter import emit_module
 from busweaver.inliner import InlinePolicy, selective_inline
-from busweaver.ir import HwDesign
+from busweaver.ir import HwDesign, HwModule, ValueRef
 from busweaver.pipeline import vectorize_output
 from busweaver import rewrite
 from busweaver.rewrite import ModuleRewriter
@@ -165,6 +165,65 @@ def test_module_is_compacted_once(monkeypatch):
     assert len(report.rewrites) == 64
     # the session's finish, and nothing before it
     assert calls == ["b"]
+
+
+def _rotated_wires(count):
+    """``count`` wires, each a rotation of its own input nibble, XORed
+    into one output."""
+    lines = [f"module w(input [{4 * count - 1}:0] a, output [3:0] y);"]
+    for k in range(count):
+        lines.append(f"  wire [3:0] w{k};")
+        lines += [f"  assign w{k}[{j}] = a[{4 * k + (j + 1) % 4}];"
+                  for j in range(4)]
+    lines.append(
+        "  assign y = " + " ^ ".join(f"w{k}" for k in range(count)) + ";"
+    )
+    return "\n".join([*lines, "endmodule"]) + "\n"
+
+
+def test_liveness_of_wire_sinks_walks_no_whole_module(monkeypatch):
+    calls = []
+    order = rewrite.live_order
+
+    def counting(module, *args):
+        calls.append(module.name)
+        return order(module, *args)
+
+    design = parse_design(_rotated_wires(60))
+    monkeypatch.setattr(rewrite, "live_order", counting)
+    _, report = run_pipeline(design)
+    assert len(report.rewrites) == 60
+    # the session's finish only, not one walk per edited wire sink
+    assert calls == ["w"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_is_live_agrees_with_live_order_after_every_edit(seed):
+    design = parse_design(_random_design(random.Random(seed)))
+    for module in design.modules.values():
+        rw = ModuleRewriter(module)
+        dropped = set()
+
+        def check():
+            current = HwModule(rw.name, rw.ports, rw.operations,
+                               rw.outputs, rw.wires)
+            live = set(rewrite.live_order(current, dropped))
+            assert {
+                oid for oid, op in enumerate(rw.operations)
+                if rw.is_live(ValueRef(oid, op.width))
+            } == live
+
+        check()
+        for sink in [*rw.outputs, *rw.wires]:
+            ref = rw.outputs.get(sink, rw.wires.get(sink))
+            if ref.width >= 2:
+                vectorize_output(rw, ref)
+                check()
+        for oid, op in enumerate(rw.operations):
+            if op.kind == "instance":
+                rw.drop_instance(oid)
+                dropped.add(oid)
+        check()
 
 
 @pytest.mark.parametrize("seed", range(8))
