@@ -13,13 +13,16 @@ generate blocks, expressions with side effects, four-state literals
 containing ``x`` or ``z``, and unsized literals outside index or
 replication-count positions.
 
-The lexer is one ``finditer`` pass: a run of blanks, newlines and
-comments is one ``skip`` match, and ``line:col`` counts from the offset
-of the last line start, which only ``skip`` matches and sized literals
-split across lines can move.  The parser is recursive descent; binary
-operators go by precedence climbing (``|`` < ``^`` < ``&`` < ``+ -``,
-all left-associative), so its depth follows the nesting of parentheses,
-unary operators and conditionals, not the length of an operator chain.
+The lexer is one ``findall``: each match swallows the blanks and
+comments before a token, and a token is just its text, "" at the end.
+Lexical errors are looked for among the distinct texts, which is also
+where sized literals are decoded.  Nodes keep their token's index; only
+a diagnostic turns it into ``line:col``, through a table built by one
+more pass over the source on first use.  The parser is recursive
+descent; binary operators go by precedence climbing (``|`` < ``^`` <
+``&`` < ``+ -``, all left-associative), so its depth follows the
+nesting of parentheses, unary operators and conditionals, not the
+length of an operator chain.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
 """
@@ -27,6 +30,7 @@ Diagnostics carry ``file:line:col: severity: message`` positions;
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Port, ValueRef
@@ -75,115 +79,125 @@ UNSUPPORTED_KEYWORDS = frozenset({
     "signed",
 })
 
+_UNSUPPORTED_OPS = ("&&", "||", "===", "!==", "==", "!=", "<<<", ">>>", "<<",
+                    ">>", "<=", ">=", "**", "~^", "^~", "~&", "~|")
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_PUNCT = frozenset("()[]{},;:.?=~&|^+-")
+
+#: One match per token: blanks and comments, then the token as group 1.
+#: Group 1 is a sized literal, a number, an identifier, an unsupported
+#: operator, punctuation, a stray character, or "" at the end of input.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
-    | (?P<sized>[0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+)
-    | (?P<number>[0-9][0-9_]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<unsupported_op>&&|\|\||===|!==|==|!=|<<<|>>>|<<|>>|<=|>=|\*\*|~\^|\^~|~&|~\|)
-    | (?P<punct>[()\[\]{},;:.?=~&|^+\-])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
+    r"|[0-9][0-9_]*"
+    r"|[A-Za-z_][A-Za-z0-9_$]*"
+    r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
+    r"|[()\[\]{},;:.?=~&|^+\-]"
+    r"|."
+    r"|\Z)",
+    re.DOTALL,
 )
 
 
-class Token:
-    """``kind`` is "ident", "keyword", "number", "sized", the
-    punctuation text itself, or "eof"."""
-
-    __slots__ = ("kind", "text", "line", "col", "value", "width")
-
-    def __init__(self, kind: str, text: str, line: int, col: int,
-                 value: int = 0, width: int = 0):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.value = value
-        self.width = width
-
-
 class _Lexer:
+    """Token texts of one source, and where they are.
+
+    A token is its text; the list from :meth:`tokens` ends in "" for
+    end of input.  Nodes and nets refer to a token by its index, which
+    :meth:`position` turns into ``(line, col)`` only when a diagnostic
+    needs one.
+    """
+
     def __init__(self, src: str, filename: str, diags: list[ParseDiagnostic]):
         self.src = src
         self.filename = filename
         self.diags = diags
+        #: sized literal text -> (value, width)
+        self.literals: dict[str, tuple[int, int]] = {}
+        self._positions: list[tuple[int, int]] | None = None
 
-    def error(self, line: int, col: int, message: str) -> None:
-        self.diags.append(
-            ParseDiagnostic(self.filename, line, col, "error", message)
-        )
+    def error(self, index: int, message: str) -> None:
+        self.diags.append(ParseDiagnostic(
+            self.filename, *self.position(index), "error", message))
 
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        append = out.append
-        line, line_start = 1, 0  # line_start: offset of the line's start
-        for m in _TOKEN_RE.finditer(self.src):
-            kind, text, start = m.lastgroup, m.group(), m.start()
-            if kind == "skip":
-                if "\n" in text:
-                    line += text.count("\n")
-                    line_start = start + text.rfind("\n") + 1
-                continue
-            col = start - line_start + 1
-            if kind == "ident":
-                append(Token("keyword" if text in KEYWORDS else "ident",
-                             text, line, col))
-            elif kind == "punct":
-                append(Token(text, text, line, col))
-            elif kind == "number":
-                append(Token("number", text, line, col,
-                             int(text.replace("_", ""))))
-            elif kind == "sized":
-                tok = self._sized(text, line, col)
-                if tok is not None:
-                    append(tok)
-                if "\n" in text:  # "4\n'b1" is one literal
-                    line += text.count("\n")
-                    line_start = start + text.rfind("\n") + 1
-            elif kind == "unsupported_op":
-                self.error(line, col, f"unsupported operator '{text}'")
+    def position(self, index: int) -> tuple[int, int]:
+        """``(line, col)`` of token ``index``: lines count newlines,
+        columns count characters from the line's start.  The first call
+        scans the whole source once."""
+        if self._positions is None:
+            src = self.src
+            self._positions = []
+            line, line_start, prev = 1, 0, 0
+            for m in _TOKEN_RE.finditer(src):
+                start = m.start(1)
+                newlines = src.count("\n", prev, start)
+                if newlines:
+                    line += newlines
+                    line_start = src.rfind("\n", prev, start) + 1
+                self._positions.append((line, start - line_start + 1))
+                prev = start
+        return self._positions[index]
+
+    def tokens(self) -> list[str]:
+        texts = _TOKEN_RE.findall(self.src)
+        if len(texts) > 1 and not texts[-2]:
+            texts.pop()  # trailing blanks: the end matches twice
+        bad = {text: message for text in set(texts)
+               if (message := self._check(text)) is not None}
+        if not bad:
+            return texts
+        keep = []
+        for i, text in enumerate(texts):
+            if text in bad:
+                self.error(i, bad[text])
             else:
-                self.error(line, col, f"unexpected character {text!r}")
-        append(Token("eof", "", line, len(self.src) - line_start + 1))
-        return out
+                keep.append(i)
+        self._positions = [self._positions[i] for i in keep]
+        return [texts[i] for i in keep]
 
-    def _sized(self, text: str, line: int, col: int) -> Token | None:
+    def _check(self, text: str) -> str | None:
+        """The diagnostic for a text the parser must not see, or None.
+        Decodes a sized literal into :attr:`literals`."""
+        if text in _UNSUPPORTED_OPS:
+            return f"unsupported operator '{text}'"
+        if text[:1] in _DIGITS:
+            return self._sized(text) if "'" in text else None
+        if not text or text[0] in _IDENT_START or text in _PUNCT:
+            return None
+        return f"unexpected character {text!r}"
+
+    def _sized(self, text: str) -> str | None:
         width_str, rest = text.split("'", 1)
         width = int(width_str.replace("_", "").strip())
         rest = rest.strip()
         base, digits = rest[0].lower(), rest[1:].replace("_", "")
         if width < 1:
-            self.error(line, col, f"literal width {width} < 1")
-            return None
+            return f"literal width {width} < 1"
         if any(c in "xXzZ?" for c in digits):
-            self.error(line, col,
-                       "four-state literals (x/z) are not supported")
-            return None
+            return "four-state literals (x/z) are not supported"
         try:
             value = int(digits, {"b": 2, "o": 8, "d": 10, "h": 16}[base])
         except ValueError:
-            self.error(line, col, f"malformed literal '{text}'")
-            return None
-        if value >= 1 << width:
-            self.error(line, col,
-                       f"literal value {value} does not fit in"
-                       f" {width} bit{'s' if width != 1 else ''}")
-            return None
-        return Token("sized", text, line, col, value=value, width=width)
+            return f"malformed literal '{text}'"
+        if value.bit_length() > width:
+            return (f"literal value {value} does not fit in"
+                    f" {width} bit{'s' if width != 1 else ''}")
+        self.literals[text] = (value, width)
+        return None
 
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
+# ``tok`` is the index of the token a node's diagnostics point at.
+
 
 @dataclass
 class Expr:
-    line: int
-    col: int
+    tok: int
     width: int = 0  # filled by width inference
 
 
@@ -242,24 +256,21 @@ class AstLval:
     name: str
     high: int | None  # None means the whole net
     low: int | None
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
 class AstAssign:
     lhs: AstLval
     rhs: Expr
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
 class AstConn:
     port: str | None  # None for positional
     expr: Expr | None  # None for an explicitly unconnected port
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
@@ -267,8 +278,7 @@ class AstInstance:
     module: str
     name: str
     conns: list[AstConn]
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
@@ -276,16 +286,14 @@ class AstPortDecl:
     name: str
     direction: str | None  # None until a body declaration fills it in
     width: int | None
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
 class AstWire:
     name: str
     width: int
-    line: int
-    col: int
+    tok: int
 
 
 @dataclass
@@ -295,8 +303,7 @@ class AstModule:
     wires: list[AstWire]
     assigns: list[AstAssign]
     instances: list[AstInstance]
-    line: int
-    col: int
+    tok: int
 
 
 # ---------------------------------------------------------------------------
@@ -312,52 +319,70 @@ class _SyntaxAbort(Exception):
     pass
 
 
+def _is_ident(text: str) -> bool:
+    return text[:1] in _IDENT_START and text not in KEYWORDS
+
+
+def _is_number(text: str) -> bool:
+    """An unsized number; sized literals hold a "'"."""
+    return text[:1] in _DIGITS and "'" not in text
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str,
-                 diags: list[ParseDiagnostic]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[str], lexer: _Lexer):
+        # The list ends in "" and nothing steps past it; the only look
+        # ahead is past a number, never past "".
+        self.toks = tokens
         self.pos = 0
-        self.filename = filename
-        self.diags = diags
+        self.lexer = lexer
 
-    def peek(self, ahead: int = 0) -> Token:
-        # The list ends in "eof" and next() never steps past it; the
-        # only look ahead (ahead=1) is past a number, never past "eof".
-        return self.tokens[self.pos + ahead]
+    def peek(self) -> str:
+        return self.toks[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, tok: Token, message: str) -> _SyntaxAbort:
-        self.diags.append(
-            ParseDiagnostic(self.filename, tok.line, tok.col, "error",
-                            message)
-        )
+    def error(self, index: int, message: str) -> _SyntaxAbort:
+        self.lexer.error(index, message)
         return _SyntaxAbort()
 
-    def accept(self, kind: str) -> bool:
-        """Consume the next token if it is a ``kind``."""
-        if self.tokens[self.pos].kind != kind:
+    def found(self, index: int) -> str:
+        return repr(self.toks[index] or "end of input")
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.toks[self.pos] != text:
             return False
         self.pos += 1
         return True
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise self.error(
-                tok, f"expected {what or kind!r}, found {tok.text or 'end of input'!r}"
-            )
-        return tok
+    def expect(self, text: str) -> None:
+        i = self.pos
+        if self.toks[i] != text:
+            raise self.error(i, f"expected {text!r}, found {self.found(i)}")
+        self.pos = i + 1
 
-    def check_supported(self, tok: Token) -> None:
-        if tok.kind == "ident" and tok.text in UNSUPPORTED_KEYWORDS:
+    def ident(self, what: str) -> str:
+        """Consume an identifier that is not a keyword."""
+        i = self.pos
+        text = self.toks[i]
+        if not _is_ident(text):
+            raise self.error(i, f"expected {what!r}, found {self.found(i)}")
+        self.pos = i + 1
+        return text
+
+    def bit_index(self) -> int:
+        """Consume an unsized number and return its value."""
+        i = self.pos
+        text = self.toks[i]
+        if not _is_number(text):
+            raise self.error(i, f"expected 'bit index', found {self.found(i)}")
+        self.pos = i + 1
+        return int(text.replace("_", ""))
+
+    def check_supported(self, index: int) -> None:
+        text = self.toks[index]
+        if text in UNSUPPORTED_KEYWORDS:
             raise self.error(
-                tok,
-                f"unsupported construct '{tok.text}' (only flat"
+                index,
+                f"unsupported construct '{text}' (only flat"
                 " combinational modules are supported)",
             )
 
@@ -366,24 +391,23 @@ class _Parser:
     def design(self) -> list[AstModule]:
         modules = []
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            i = self.pos
+            text = self.toks[i]
+            if not text:
                 return modules
-            self.check_supported(tok)
-            if tok.kind == "keyword" and tok.text == "module":
+            self.check_supported(i)
+            if text == "module":
                 modules.append(self.module())
             else:
-                raise self.error(
-                    tok, f"expected 'module', found {tok.text!r}"
-                )
+                raise self.error(i, f"expected 'module', found {text!r}")
 
     def module(self) -> AstModule:
-        head = self.expect("keyword")
-        name = self.expect("ident", "module name")
-        mod = AstModule(name.text, [], [], [], [], head.line, head.col)
+        head = self.pos
+        self.pos += 1  # "module"
+        mod = AstModule(self.ident("module name"), [], [], [], [], head)
         if self.accept("("):
             last: list[tuple[str, int] | None] = [None]
-            if self.peek().kind != ")":
+            if self.peek() != ")":
                 while True:
                     self.port_decl(mod, last)
                     if not self.accept(","):
@@ -393,165 +417,150 @@ class _Parser:
         # Body declarations look ports up here; the first name wins.
         decls = {p.name: p for p in reversed(mod.ports)}
         while True:
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.text == "endmodule":
-                self.next()
+            text = self.peek()
+            if text == "endmodule":
+                self.pos += 1
                 break
-            if tok.kind == "eof":
-                raise self.error(tok, "missing 'endmodule'")
+            if not text:
+                raise self.error(self.pos, "missing 'endmodule'")
             self.statement(mod, decls)
         return mod
 
     def port_decl(self, mod: AstModule,
                   last: list[tuple[str, int] | None]) -> None:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("input", "output"):
-            self.next()
+        i = self.pos
+        text = self.toks[i]
+        if text in ("input", "output"):
+            self.pos = i + 1
             width = self.opt_range() or 1
-            self.check_supported(self.peek())
-            name = self.expect("ident", "port name")
+            self.check_supported(self.pos)
+            at = self.pos
             mod.ports.append(
-                AstPortDecl(name.text, tok.text, width, name.line, name.col)
+                AstPortDecl(self.ident("port name"), text, width, at)
             )
-            last[0] = (tok.text, width)
-        elif tok.kind == "ident":
-            self.check_supported(tok)
-            self.next()
-            if last[0] is not None:
-                # ANSI style: later names inherit the previous direction
-                direction, width = last[0]
-                mod.ports.append(
-                    AstPortDecl(tok.text, direction, width,
-                                tok.line, tok.col)
-                )
-            else:
-                mod.ports.append(
-                    AstPortDecl(tok.text, None, None, tok.line, tok.col)
-                )
+            last[0] = (text, width)
+        elif _is_ident(text):
+            self.check_supported(i)
+            self.pos = i + 1
+            # ANSI style: later names inherit the previous direction
+            direction, width = last[0] or (None, None)
+            mod.ports.append(AstPortDecl(text, direction, width, i))
         else:
-            raise self.error(tok, f"expected port, found {tok.text!r}")
+            raise self.error(i, f"expected port, found {text!r}")
 
     def opt_range(self) -> int | None:
         """``[N:0]`` in a declaration; returns the width."""
         if not self.accept("["):
             return None
-        high = self.expect("number", "bit index")
+        high = self.bit_index()
         self.expect(":")
-        low = self.expect("number", "bit index")
+        at = self.pos
+        low = self.bit_index()
         self.expect("]")
-        if low.value != 0:
+        if low != 0:
             raise self.error(
-                low, f"declaration ranges must end at 0, found"
-                     f" [{high.value}:{low.value}]"
+                at, f"declaration ranges must end at 0, found"
+                    f" [{high}:{low}]"
             )
-        return high.value + 1
+        return high + 1
 
     def statement(self, mod: AstModule,
                   decls: dict[str, AstPortDecl]) -> None:
-        tok = self.peek()
-        self.check_supported(tok)
-        if tok.kind == "keyword" and tok.text in ("input", "output"):
-            self.next()
+        i = self.pos
+        text = self.toks[i]
+        self.check_supported(i)
+        if text in ("input", "output"):
+            self.pos = i + 1
             width = self.opt_range()
             while True:
-                name = self.expect("ident", "port name")
-                decl = decls.get(name.text)
+                at = self.pos
+                name = self.ident("port name")
+                decl = decls.get(name)
                 if decl is None:
-                    raise self.error(
-                        name, f"'{name.text}' is not in the port list"
-                    )
+                    raise self.error(at, f"'{name}' is not in the port list")
                 if decl.direction is not None:
-                    raise self.error(
-                        name, f"port '{name.text}' declared twice"
-                    )
-                decl.direction = tok.text
+                    raise self.error(at, f"port '{name}' declared twice")
+                decl.direction = text
                 decl.width = width or 1
                 if not self.accept(","):
                     break
             self.expect(";")
-        elif tok.kind == "keyword" and tok.text == "wire":
-            self.next()
+        elif text == "wire":
+            self.pos = i + 1
             width = self.opt_range() or 1
             while True:
-                name = self.expect("ident", "wire name")
-                mod.wires.append(
-                    AstWire(name.text, width, name.line, name.col)
-                )
+                at = self.pos
+                mod.wires.append(AstWire(self.ident("wire name"), width, at))
                 if not self.accept(","):
                     break
             self.expect(";")
-        elif tok.kind == "keyword" and tok.text == "assign":
-            self.next()
+        elif text == "assign":
+            self.pos = i + 1
             lhs = self.lvalue()
             self.expect("=")
             rhs = self.expr()
             self.expect(";")
-            mod.assigns.append(AstAssign(lhs, rhs, tok.line, tok.col))
-        elif tok.kind == "ident":
+            mod.assigns.append(AstAssign(lhs, rhs, i))
+        elif _is_ident(text):
             mod.instances.append(self.instance())
         else:
-            raise self.error(
-                tok, f"expected statement, found {tok.text or 'end of input'!r}"
-            )
+            raise self.error(i, f"expected statement, found {self.found(i)}")
 
     def lvalue(self) -> AstLval:
-        name = self.expect("ident", "net name")
+        i = self.pos
+        name = self.ident("net name")
         high = low = None
         if self.accept("["):
-            first = self.expect("number", "bit index")
+            at = self.pos
+            high = low = self.bit_index()
             if self.accept(":"):
-                second = self.expect("number", "bit index")
-                high, low = first.value, second.value
+                low = self.bit_index()
                 if high < low:
                     raise self.error(
-                        first, f"descending range [{high}:{low}] on"
-                               " assignment target"
+                        at, f"descending range [{high}:{low}] on"
+                            " assignment target"
                     )
-            else:
-                high = low = first.value
             self.expect("]")
-        return AstLval(name.text, high, low, name.line, name.col)
+        return AstLval(name, high, low, i)
 
     def instance(self) -> AstInstance:
-        mtok = self.expect("ident", "module name")
-        itok = self.expect("ident", "instance name")
+        i = self.pos
+        module = self.ident("module name")
+        name = self.ident("instance name")
         self.expect("(")
         conns: list[AstConn] = []
-        if self.peek().kind != ")":
+        if self.peek() != ")":
             while True:
-                tok = self.peek()
+                at = self.pos
                 if self.accept("."):
-                    port = self.expect("ident", "port name")
+                    at = self.pos
+                    port = self.ident("port name")
                     self.expect("(")
                     expr = None
-                    if self.peek().kind != ")":
+                    if self.peek() != ")":
                         expr = self.expr()
                     self.expect(")")
-                    conns.append(
-                        AstConn(port.text, expr, port.line, port.col)
-                    )
+                    conns.append(AstConn(port, expr, at))
                 else:
-                    expr = self.expr()
-                    conns.append(
-                        AstConn(None, expr, tok.line, tok.col)
-                    )
+                    conns.append(AstConn(None, self.expr(), at))
                 if not self.accept(","):
                     break
         self.expect(")")
         self.expect(";")
-        return AstInstance(mtok.text, itok.text, conns, mtok.line, mtok.col)
+        return AstInstance(module, name, conns, i)
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self) -> Expr:
         cond = self.binary(1)
-        if self.peek().kind != "?":
+        i = self.pos
+        if self.toks[i] != "?":
             return cond
-        tok = self.next()
+        self.pos = i + 1
         then = self.expr()
         self.expect(":")
         other = self.expr()
-        return ETernary(tok.line, tok.col, cond=cond, then=then, other=other)
+        return ETernary(i, cond=cond, then=then, other=other)
 
     def binary(self, min_prec: int) -> Expr:
         """Precedence climbing over :data:`_BINARY_PREC`: the operators
@@ -559,74 +568,72 @@ class _Parser:
         level deeper per precedence level, not per operator."""
         left = self.unary()
         while True:
-            tok = self.peek()
-            prec = _BINARY_PREC.get(tok.kind, 0)
+            i = self.pos
+            op = self.toks[i]
+            prec = _BINARY_PREC.get(op, 0)
             if prec < min_prec:
                 return left
-            self.pos += 1
+            self.pos = i + 1
             right = self.binary(prec + 1)
-            left = EBinary(tok.line, tok.col, op=tok.kind, a=left, b=right)
+            left = EBinary(i, op=op, a=left, b=right)
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind in ("~", "&", "|", "^"):
-            self.next()
+        i = self.pos
+        op = self.toks[i]
+        if op in ("~", "&", "|", "^"):
+            self.pos = i + 1
             arg = self.unary()
-            return EUnary(tok.line, tok.col, op=tok.kind, arg=arg)
+            return EUnary(i, op=op, arg=arg)
         return self.primary()
 
     def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        i = self.pos
+        text = self.toks[i]
+        if _is_ident(text):
+            self.check_supported(i)
+            self.pos = i + 1
+            if self.accept("["):
+                at = self.pos
+                high = low = self.bit_index()
+                if self.accept(":"):
+                    low = self.bit_index()
+                    if high < low:
+                        raise self.error(
+                            at, f"descending part select [{high}:{low}]"
+                        )
+                self.expect("]")
+                return ESelect(i, name=text, high=high, low=low)
+            return ERef(i, name=text)
+        if text[:1] in _DIGITS:
+            self.pos = i + 1
+            literal = self.lexer.literals.get(text)
+            if literal is None:
+                return ENum(i, value=int(text.replace("_", "")), sized=False)
+            value, width = literal
+            return ENum(i, width=width, value=value, sized=True)
+        if text == "(":
+            self.pos = i + 1
             inner = self.expr()
             self.expect(")")
             return inner
-        if tok.kind == "sized":
-            self.next()
-            return ENum(tok.line, tok.col, width=tok.width,
-                        value=tok.value, sized=True)
-        if tok.kind == "number":
-            self.next()
-            return ENum(tok.line, tok.col, value=tok.value, sized=False)
-        if tok.kind == "ident":
-            self.check_supported(tok)
-            self.next()
-            if self.accept("["):
-                first = self.expect("number", "bit index")
-                high = low = first.value
-                if self.accept(":"):
-                    second = self.expect("number", "bit index")
-                    low = second.value
-                    if high < low:
-                        raise self.error(
-                            first, f"descending part select"
-                                   f" [{high}:{low}]"
-                        )
-                self.expect("]")
-                return ESelect(tok.line, tok.col, name=tok.text,
-                               high=high, low=low)
-            return ERef(tok.line, tok.col, name=tok.text)
-        if tok.kind == "{":
-            self.next()
+        if text == "{":
+            self.pos = at = i + 1
             # Replication looks like {N{expr}}.
-            if self.peek().kind == "number" and self.peek(1).kind == "{":
-                count = self.next()
-                self.next()
+            if _is_number(self.toks[at]) and self.toks[at + 1] == "{":
+                self.pos = at + 2
                 item = self.expr()
                 self.expect("}")
                 self.expect("}")
-                if count.value < 1:
-                    raise self.error(count, "replication count must be >= 1")
-                return ERepl(tok.line, tok.col, count=count.value, item=item)
+                count = int(self.toks[at].replace("_", ""))
+                if count < 1:
+                    raise self.error(at, "replication count must be >= 1")
+                return ERepl(i, count=count, item=item)
             items = [self.expr()]
             while self.accept(","):
                 items.append(self.expr())
             self.expect("}")
-            return EConcat(tok.line, tok.col, items=items)
-        raise self.error(
-            tok, f"expected expression, found {tok.text or 'end of input'!r}"
-        )
+            return EConcat(i, items=items)
+        raise self.error(i, f"expected expression, found {self.found(i)}")
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +650,7 @@ class _Net:
     width: int
     is_wire: bool
     direction: str | None  # port direction, None for wires
-    line: int
-    col: int
+    tok: int
     # (high, low, tag, payload); tag is "assign" or "inst"
     drivers: list[tuple[int, int, str, object]] = field(default_factory=list)
     driven_by: list[object | None] = None  # per-bit driver site
@@ -657,11 +663,10 @@ class _Elaborator:
     """Builds one HwModule from an AstModule, given all module signatures."""
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
-                 filename: str, diags: list[ParseDiagnostic]):
+                 lexer: _Lexer):
         self.ast = ast
         self.signatures = signatures
-        self.filename = filename
-        self.diags = diags
+        self.lexer = lexer
         self.nets: dict[str, _Net] = {}
         self.builder: ModuleBuilder | None = None
         self.net_values: dict[str, ValueRef] = {}
@@ -670,10 +675,8 @@ class _Elaborator:
         self._conn_cache: dict[int, dict[str, AstConn]] = {}
         self.failed = False
 
-    def error(self, line: int, col: int, message: str) -> None:
-        self.diags.append(
-            ParseDiagnostic(self.filename, line, col, "error", message)
-        )
+    def error(self, tok: int, message: str) -> None:
+        self.lexer.error(tok, message)
         self.failed = True
 
     # -- symbol table ------------------------------------------------------
@@ -682,22 +685,21 @@ class _Elaborator:
         ports: list[Port] = []
         for p in self.ast.ports:
             if p.direction is None:
-                self.error(p.line, p.col,
+                self.error(p.tok,
                            f"port '{p.name}' has no direction declaration")
                 continue
             if p.name in self.nets:
-                self.error(p.line, p.col, f"duplicate port '{p.name}'")
+                self.error(p.tok, f"duplicate port '{p.name}'")
                 continue
             self.nets[p.name] = _Net(p.name, p.width, False, p.direction,
-                                     p.line, p.col)
+                                     p.tok)
             ports.append(Port(p.name, p.direction, p.width))
         for w in self.ast.wires:
             if w.name in self.nets:
-                self.error(w.line, w.col,
+                self.error(w.tok,
                            f"'{w.name}' is already declared")
                 continue
-            self.nets[w.name] = _Net(w.name, w.width, True, None,
-                                     w.line, w.col)
+            self.nets[w.name] = _Net(w.name, w.width, True, None, w.tok)
         return ports
 
     # -- width inference ----------------------------------------------------
@@ -705,7 +707,7 @@ class _Elaborator:
     def infer_width(self, e: Expr) -> int | None:
         if isinstance(e, ENum):
             if not e.sized:
-                self.error(e.line, e.col,
+                self.error(e.tok,
                            "unsized literal in expression position"
                            " (only valid as an index or replication count)")
                 return None
@@ -713,17 +715,17 @@ class _Elaborator:
         if isinstance(e, ERef):
             net = self.nets.get(e.name)
             if net is None:
-                self.error(e.line, e.col, f"unknown identifier '{e.name}'")
+                self.error(e.tok, f"unknown identifier '{e.name}'")
                 return None
             e.width = net.width
             return net.width
         if isinstance(e, ESelect):
             net = self.nets.get(e.name)
             if net is None:
-                self.error(e.line, e.col, f"unknown identifier '{e.name}'")
+                self.error(e.tok, f"unknown identifier '{e.name}'")
                 return None
             if e.high >= net.width:
-                self.error(e.line, e.col,
+                self.error(e.tok,
                            f"bit {e.high} out of range for '{e.name}'"
                            f" of width {net.width}")
                 return None
@@ -753,7 +755,7 @@ class _Elaborator:
             if wa is None or wb is None:
                 return None
             if wa != wb:
-                self.error(e.line, e.col,
+                self.error(e.tok,
                            f"operand width mismatch: {wa} vs {wb}")
                 return None
             e.width = wa
@@ -765,11 +767,11 @@ class _Elaborator:
             if wc is None or wa is None or wb is None:
                 return None
             if wc != 1:
-                self.error(e.cond.line, e.cond.col,
+                self.error(e.cond.tok,
                            f"condition must be 1 bit wide, got {wc}")
                 return None
             if wa != wb:
-                self.error(e.line, e.col,
+                self.error(e.tok,
                            f"arm width mismatch: {wa} vs {wb}")
                 return None
             e.width = wa
@@ -779,28 +781,28 @@ class _Elaborator:
     # -- driver collection ---------------------------------------------------
 
     def add_driver(self, name: str, high: int | None, low: int | None,
-                   tag: str, payload: object, line: int, col: int) -> None:
+                   tag: str, payload: object, tok: int) -> None:
         net = self.nets.get(name)
         if net is None:
-            self.error(line, col, f"unknown identifier '{name}'")
+            self.error(tok, f"unknown identifier '{name}'")
             return
         if net.direction == "input":
-            self.error(line, col, f"assignment to input port '{name}'")
+            self.error(tok, f"assignment to input port '{name}'")
             return
         if high is None:
             high, low = net.width - 1, 0
         if high >= net.width:
-            self.error(line, col,
+            self.error(tok,
                        f"bit {high} out of range for '{name}' of width"
                        f" {net.width}")
             return
         for bit in range(low, high + 1):
             if net.driven_by[bit] is not None:
-                self.error(line, col,
+                self.error(tok,
                            f"multiple drivers for '{name}[{bit}]'")
                 return
         for bit in range(low, high + 1):
-            net.driven_by[bit] = (line, col)
+            net.driven_by[bit] = tok
         net.drivers.append((high, low, tag, payload))
 
     def collect_drivers(self) -> None:
@@ -810,23 +812,23 @@ class _Elaborator:
                 continue
             net = self.nets.get(a.lhs.name)
             if net is None:
-                self.error(a.lhs.line, a.lhs.col,
+                self.error(a.lhs.tok,
                            f"unknown identifier '{a.lhs.name}'")
                 continue
             lw = net.width if a.lhs.high is None \
                 else a.lhs.high - a.lhs.low + 1
             if w != lw:
-                self.error(a.line, a.col,
+                self.error(a.tok,
                            f"assignment width mismatch: '{a.lhs.name}'"
                            f" expects {lw}, got {w}")
                 continue
             self.add_driver(a.lhs.name, a.lhs.high, a.lhs.low,
-                            "assign", a.rhs, a.lhs.line, a.lhs.col)
+                            "assign", a.rhs, a.lhs.tok)
 
         for idx, inst in enumerate(self.ast.instances):
             sig = self.signatures.get(inst.module)
             if sig is None:
-                self.error(inst.line, inst.col,
+                self.error(inst.tok,
                            f"unknown module '{inst.module}'")
                 continue
             conns = self.resolve_conns(inst, sig)
@@ -837,14 +839,14 @@ class _Elaborator:
                 conn = conns.get(port.name)
                 if conn is None or conn.expr is None:
                     if port.direction == "input":
-                        self.error(inst.line, inst.col,
+                        self.error(inst.tok,
                                    f"input port '{port.name}' of"
                                    f" '{inst.module}' is not connected")
                     continue
                 if port.direction == "input":
                     w = self.infer_width(conn.expr)
                     if w is not None and w != port.width:
-                        self.error(conn.line, conn.col,
+                        self.error(conn.tok,
                                    f"connection width mismatch on"
                                    f" '{port.name}': port is {port.width},"
                                    f" expression is {w}")
@@ -855,19 +857,19 @@ class _Elaborator:
                     w = self.nets[lv.name].width if lv.high is None \
                         else lv.high - lv.low + 1
                     if w != port.width:
-                        self.error(conn.line, conn.col,
+                        self.error(conn.tok,
                                    f"connection width mismatch on"
                                    f" '{port.name}': port is {port.width},"
                                    f" target is {w}")
                         continue
                     self.add_driver(lv.name, lv.high, lv.low, "inst",
-                                    (idx, port.name), conn.line, conn.col)
+                                    (idx, port.name), conn.tok)
 
     def resolve_conns(self, inst: AstInstance,
                       sig: list[Port]) -> dict[str, AstConn] | None:
         named = [c for c in inst.conns if c.port is not None]
         if named and len(named) != len(inst.conns):
-            self.error(inst.line, inst.col,
+            self.error(inst.tok,
                        "cannot mix named and positional connections")
             return None
         out: dict[str, AstConn] = {}
@@ -875,17 +877,17 @@ class _Elaborator:
             portnames = {p.name for p in sig}
             for c in inst.conns:
                 if c.port not in portnames:
-                    self.error(c.line, c.col,
+                    self.error(c.tok,
                                f"'{inst.module}' has no port '{c.port}'")
                     return None
                 if c.port in out:
-                    self.error(c.line, c.col,
+                    self.error(c.tok,
                                f"port '{c.port}' connected twice")
                     return None
                 out[c.port] = c
         else:
             if len(inst.conns) > len(sig):
-                self.error(inst.line, inst.col,
+                self.error(inst.tok,
                            f"too many connections for '{inst.module}'"
                            f" ({len(inst.conns)} for {len(sig)} ports)")
                 return None
@@ -898,29 +900,29 @@ class _Elaborator:
         if isinstance(e, ERef):
             net = self.nets.get(e.name)
             if net is None:
-                self.error(e.line, e.col, f"unknown identifier '{e.name}'")
+                self.error(e.tok, f"unknown identifier '{e.name}'")
                 return None
-            return AstLval(e.name, None, None, e.line, e.col)
+            return AstLval(e.name, None, None, e.tok)
         if isinstance(e, ESelect):
             net = self.nets.get(e.name)
             if net is None:
-                self.error(e.line, e.col, f"unknown identifier '{e.name}'")
+                self.error(e.tok, f"unknown identifier '{e.name}'")
                 return None
             if e.high >= net.width:
-                self.error(e.line, e.col,
+                self.error(e.tok,
                            f"bit {e.high} out of range for '{e.name}'"
                            f" of width {net.width}")
                 return None
-            return AstLval(e.name, e.high, e.low, e.line, e.col)
-        self.error(conn.line, conn.col,
+            return AstLval(e.name, e.high, e.low, e.tok)
+        self.error(conn.tok,
                    "output connection must be a net or a net slice")
         return None
 
     # -- demand-driven net elaboration ---------------------------------------
 
-    def expr_net_deps(self, e: Expr, out: list[tuple[str, int, int]]) -> None:
+    def expr_net_deps(self, e: Expr, out: list[tuple[str, int]]) -> None:
         if isinstance(e, (ERef, ESelect)):
-            out.append((e.name, e.line, e.col))
+            out.append((e.name, e.tok))
         elif isinstance(e, EConcat):
             for item in e.items:
                 self.expr_net_deps(item, out)
@@ -936,11 +938,11 @@ class _Elaborator:
             self.expr_net_deps(e.then, out)
             self.expr_net_deps(e.other, out)
 
-    def net_deps(self, net: _Net) -> list[tuple[str, int, int]]:
+    def net_deps(self, net: _Net) -> list[tuple[str, int]]:
         """Nets whose values are needed before this one can be built.
         For an instance driver that means the nets feeding its input
         ports; nets wired to its outputs are produced, not consumed."""
-        deps: list[tuple[str, int, int]] = []
+        deps: list[tuple[str, int]] = []
         for _, _, tag, payload in net.drivers:
             if tag == "assign":
                 self.expr_net_deps(payload, deps)
@@ -959,19 +961,19 @@ class _Elaborator:
     class _Abort(Exception):
         pass
 
-    def demand_net(self, name: str, line: int, col: int) -> ValueRef:
+    def demand_net(self, name: str, tok: int) -> ValueRef:
         """Iterative dependency-first elaboration, so arbitrarily long
         net chains do not recurse."""
-        stack: list[tuple[str, int, int]] = [(name, line, col)]
+        stack: list[tuple[str, int]] = [(name, tok)]
         while stack:
-            n, nline, ncol = stack[-1]
+            n, ntok = stack[-1]
             state = self.net_state.get(n)
             if state == 2:
                 stack.pop()
                 continue
             net = self.nets.get(n)
             if net is None:
-                self.error(nline, ncol, f"unknown identifier '{n}'")
+                self.error(ntok, f"unknown identifier '{n}'")
                 raise self._Abort()
             if net.direction == "input":
                 self.net_values[n] = self.builder.input_ref(n, net.width)
@@ -979,15 +981,15 @@ class _Elaborator:
                 stack.pop()
                 continue
             pending = []
-            for dep, dline, dcol in self.net_deps(net):
+            for dep, dtok in self.net_deps(net):
                 dstate = self.net_state.get(dep)
                 if dstate == 2:
                     continue
                 if dstate == 1:
-                    self.error(dline, dcol,
+                    self.error(dtok,
                                f"combinational cycle through net '{dep}'")
                     raise self._Abort()
-                pending.append((dep, dline, dcol))
+                pending.append((dep, dtok))
             if state != 1:
                 self.net_state[n] = 1
             if pending:
@@ -1002,7 +1004,7 @@ class _Elaborator:
         for bit, site in enumerate(net.driven_by):
             if site is None:
                 what = "output port" if not net.is_wire else "wire"
-                self.error(net.line, net.col,
+                self.error(net.tok,
                            f"{what} '{net.name}' bit {bit} is never driven")
                 raise self._Abort()
         segments = sorted(net.drivers, key=lambda d: d[1])
@@ -1093,7 +1095,7 @@ class _Elaborator:
             for p in ports:
                 if p.direction == "output":
                     outputs[p.name] = self.demand_net(
-                        p.name, self.nets[p.name].line, self.nets[p.name].col
+                        p.name, self.nets[p.name].tok
                     )
             for idx in range(len(self.ast.instances)):
                 if idx in self.inst_values:
@@ -1104,10 +1106,10 @@ class _Elaborator:
                 for conn in inst.conns:
                     if conn.expr is None:
                         continue
-                    deps: list[tuple[str, int, int]] = []
+                    deps: list[tuple[str, int]] = []
                     self.expr_net_deps(conn.expr, deps)
-                    for dep, dline, dcol in deps:
-                        self.demand_net(dep, dline, dcol)
+                    for dep, dtok in deps:
+                        self.demand_net(dep, dtok)
                 self.materialize_instance(idx)
         except self._Abort:
             return None
@@ -1135,11 +1137,11 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
     syntactic, or elaboration failure.
     """
     diags: list[ParseDiagnostic] = []
-    tokens = _Lexer(src, filename, diags).tokens()
+    lexer = _Lexer(src, filename, diags)
     # Parse even after lexical errors: unsupported constructs read
     # better as "unsupported construct 'always'" than as a complaint
     # about the first strange character.
-    parser = _Parser(tokens, filename, diags)
+    parser = _Parser(lexer.tokens(), lexer)
     try:
         ast_modules = parser.design()
     except _SyntaxAbort:
@@ -1151,10 +1153,7 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
     order: list[AstModule] = []
     for mod in ast_modules:
         if mod.name in signatures:
-            diags.append(
-                ParseDiagnostic(filename, mod.line, mod.col, "error",
-                                f"duplicate module '{mod.name}'")
-            )
+            lexer.error(mod.tok, f"duplicate module '{mod.name}'")
             continue
         ports = []
         for p in mod.ports:
@@ -1167,7 +1166,7 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
 
     modules: dict[str, HwModule] = {}
     for mod in order:
-        built = _Elaborator(mod, signatures, filename, diags).run()
+        built = _Elaborator(mod, signatures, lexer).run()
         if built is not None:
             modules[mod.name] = built
     if diags:

@@ -1,4 +1,8 @@
-"""From-scratch references for one window of a sink.
+"""From-scratch references that the program is tested against.
+
+The token-at-a-time lexer (``Token``, ``_Lexer``) is the specification
+of ``frontend._Lexer``: the same token texts, in order, and the same
+lexical diagnostics, each with its ``line:col``.
 
 The pipeline plans a sink with one downward scan per bit
 (``pipeline.permutation_low`` and ``_SinkAnalysis.structural_low``).
@@ -11,10 +15,112 @@ against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from busweaver.cones import ConeShape, LogicCone, family_shape, lane_steps
+from busweaver.frontend import KEYWORDS, ParseDiagnostic
 from busweaver.ir import HwModule, ValueRef, route_bit
+
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+    | (?P<sized>[0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+)
+    | (?P<number>[0-9][0-9_]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<unsupported_op>&&|\|\||===|!==|==|!=|<<<|>>>|<<|>>|<=|>=|\*\*|~\^|\^~|~&|~\|)
+    | (?P<punct>[()\[\]{},;:.?=~&|^+\-])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token:
+    """``kind`` is "ident", "keyword", "number", "sized", the
+    punctuation text itself, or "eof"."""
+
+    __slots__ = ("kind", "text", "line", "col", "value", "width")
+
+    def __init__(self, kind: str, text: str, line: int, col: int,
+                 value: int = 0, width: int = 0):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value
+        self.width = width
+
+
+class _Lexer:
+    def __init__(self, src: str, filename: str, diags: list[ParseDiagnostic]):
+        self.src = src
+        self.filename = filename
+        self.diags = diags
+
+    def error(self, line: int, col: int, message: str) -> None:
+        self.diags.append(
+            ParseDiagnostic(self.filename, line, col, "error", message)
+        )
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        append = out.append
+        line, line_start = 1, 0  # line_start: offset of the line's start
+        for m in _TOKEN_RE.finditer(self.src):
+            kind, text, start = m.lastgroup, m.group(), m.start()
+            if kind == "skip":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rfind("\n") + 1
+                continue
+            col = start - line_start + 1
+            if kind == "ident":
+                append(Token("keyword" if text in KEYWORDS else "ident",
+                             text, line, col))
+            elif kind == "punct":
+                append(Token(text, text, line, col))
+            elif kind == "number":
+                append(Token("number", text, line, col,
+                             int(text.replace("_", ""))))
+            elif kind == "sized":
+                tok = self._sized(text, line, col)
+                if tok is not None:
+                    append(tok)
+                if "\n" in text:  # "4\n'b1" is one literal
+                    line += text.count("\n")
+                    line_start = start + text.rfind("\n") + 1
+            elif kind == "unsupported_op":
+                self.error(line, col, f"unsupported operator '{text}'")
+            else:
+                self.error(line, col, f"unexpected character {text!r}")
+        append(Token("eof", "", line, len(self.src) - line_start + 1))
+        return out
+
+    def _sized(self, text: str, line: int, col: int) -> Token | None:
+        width_str, rest = text.split("'", 1)
+        width = int(width_str.replace("_", "").strip())
+        rest = rest.strip()
+        base, digits = rest[0].lower(), rest[1:].replace("_", "")
+        if width < 1:
+            self.error(line, col, f"literal width {width} < 1")
+            return None
+        if any(c in "xXzZ?" for c in digits):
+            self.error(line, col,
+                       "four-state literals (x/z) are not supported")
+            return None
+        try:
+            value = int(digits, {"b": 2, "o": 8, "d": 10, "h": 16}[base])
+        except ValueError:
+            self.error(line, col, f"malformed literal '{text}'")
+            return None
+        if value >= 1 << width:
+            self.error(line, col,
+                       f"literal value {value} does not fit in"
+                       f" {width} bit{'s' if width != 1 else ''}")
+            return None
+        return Token("sized", text, line, col, value=value, width=width)
 
 
 @dataclass

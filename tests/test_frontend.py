@@ -314,6 +314,160 @@ def test_comments_are_ignored():
         # end of input after trailing blanks
         ("module m(input a, output y);\n  assign y = a;\n  \n\t  ",
          ["<input>:4:4: error: missing 'endmodule'"]),
+        # elaboration: each message looks its position up by token index
+        ("module m(input a, output y);\n"
+         "  assign y = a &\n"
+         "    b;\n"
+         "endmodule",
+         ["<input>:3:5: error: unknown identifier 'b'"]),
+        ("module m(input a, output y);\n"
+         "  assign y = a;\n"
+         "  assign y = ~a;\n"
+         "endmodule",
+         ["<input>:3:10: error: multiple drivers for 'y[0]'"]),
+        ("module m(input a, output [1:0] y);\n"
+         "  assign y[0] = a;\n"
+         "endmodule",
+         ["<input>:1:32: error: output port 'y' bit 1 is never driven"]),
+        ("module m(input a, output y);\n"
+         "  assign a = 1'b0;\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:2:10: error: assignment to input port 'a'"]),
+        ("module m(input a, output y);\n"
+         "  wire w;\n"
+         "  assign w = ~w;\n"
+         "  assign y = w;\n"
+         "endmodule",
+         ["<input>:3:15: error: combinational cycle through net 'w'"]),
+        ("module m(input [1:0] a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:2:3: error: assignment width mismatch: 'y' expects 1,"
+          " got 2"]),
+        ("module m(input a, output y);\n"
+         "  assign y = 1'b1 &\n"
+         " 2'd3;\n"
+         "endmodule",
+         ["<input>:2:19: error: operand width mismatch: 1 vs 2"]),
+        ("module m(input a, output y);\n"
+         "  assign y = 2;\n"
+         "endmodule",
+         ["<input>:2:14: error: unsized literal in expression position"
+          " (only valid as an index or replication count)"]),
+        ("module m(input a,\n"
+         "  input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:2:9: error: duplicate port 'a'"]),
+        ("module m(input a, output y);\n"
+         "  foo u(.x(a), .z(y));\n"
+         "endmodule",
+         ["<input>:2:3: error: unknown module 'foo'"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.a(a), y);\n"
+         "endmodule",
+         ["<input>:5:3: error: cannot mix named and positional connections"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(a, y, a);\n"
+         "endmodule",
+         ["<input>:5:3: error: too many connections for 'n' (3 for 2 ports)"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.a(a),\n"
+         "    .q(y));\n"
+         "endmodule",
+         ["<input>:6:6: error: 'n' has no port 'q'"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.a(a), .y(y),\n"
+         "     .a(a));\n"
+         "endmodule",
+         ["<input>:6:7: error: port 'a' connected twice"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  wire w;\n"
+         "  assign y = w;\n"
+         "  n u(.a(a), .y(~w));\n"
+         "endmodule",
+         ["<input>:7:15: error: output connection must be a net or a net"
+          " slice"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "  module n(input a, output y);\n"
+         "  assign y = ~a;\n"
+         "endmodule",
+         ["<input>:4:3: error: duplicate module 'n'"]),
+        ("module m(input [1:0] c, input a, output y);\n"
+         "  assign y = c\n"
+         "    ? a : a;\n"
+         "endmodule",
+         ["<input>:2:14: error: condition must be 1 bit wide, got 2"]),
+        ("module m(input c, input a, input [1:0] b, output y);\n"
+         "  assign y = c ?\n"
+         " a : b;\n"
+         "endmodule",
+         ["<input>:2:16: error: arm width mismatch: 1 vs 2"]),
+        ("module n(input [1:0] a, output y);\n"
+         "  assign y = a[0];\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.a(a),\n"
+         "    .y(y));\n"
+         "endmodule",
+         ["<input>:5:8: error: connection width mismatch on 'a': port is 2,"
+          " expression is 1"]),
+        ("module n(input [1:0] a, output y);\n"
+         "  assign y = a[0];\n"
+         "endmodule\n"
+         "module m(input [1:0] a, output [1:0] y);\n"
+         "  assign y[1] = a[0];\n"
+         "  n u(.a(a), .y(y));\n"
+         "endmodule",
+         ["<input>:6:15: error: connection width mismatch on 'y': port is"
+          " 1, target is 2"]),
+        ("module m(input [1:0] a, output y);\n"
+         "  assign y = a[2];\n"
+         "endmodule",
+         ["<input>:2:14: error: bit 2 out of range for 'a' of width 2"]),
+        ("module m(input [1:0] a, output y);\n"
+         "  assign y[1] = a[0];\n"
+         "endmodule",
+         ["<input>:2:10: error: bit 1 out of range for 'y' of width 1"]),
+        ("module n(input [1:0] a, output y);\n"
+         "  assign y = a[0];\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.y(y));\n"
+         "endmodule",
+         ["<input>:5:3: error: input port 'a' of 'n' is not connected"]),
+        ("module m(input a, output y);\n"
+         "  wire a;\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:2:8: error: 'a' is already declared"]),
+        ("module m(input [1:0] a, output y);\n"
+         "  assign y = {0{a}};\n"
+         "endmodule",
+         ["<input>:2:15: error: replication count must be >= 1"]),
+        ("module m(input [3:1] a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:1:19: error: declaration ranges must end at 0, found"
+          " [3:1]"]),
     ],
 )
 def test_exact_diagnostic_positions(src, expected):
@@ -322,24 +476,25 @@ def test_exact_diagnostic_positions(src, expected):
 
 def _expr_ast(text):
     diags = []
-    tokens = _Lexer(text, "<input>", diags).tokens()
-    parser = _Parser(tokens, "<input>", diags)
+    lexer = _Lexer(text, "<input>", diags)
+    parser = _Parser(lexer.tokens(), lexer)
     tree = parser.expr()
-    assert diags == [] and parser.peek().kind == "eof"
-    return tree
+    assert diags == [] and parser.peek() == ""
+    return tree, lexer
 
 
-def _shape(e):
+def _shape(e, lexer):
     """An s-expression with each operator's column."""
     if isinstance(e, ERef):
         return e.name
+    col = lexer.position(e.tok)[1]
     if isinstance(e, EUnary):
-        return f"({e.op}@{e.col} {_shape(e.arg)})"
+        return f"({e.op}@{col} {_shape(e.arg, lexer)})"
     if isinstance(e, EBinary):
-        return f"({e.op}@{e.col} {_shape(e.a)} {_shape(e.b)})"
+        return f"({e.op}@{col} {_shape(e.a, lexer)} {_shape(e.b, lexer)})"
     if isinstance(e, ETernary):
-        return (f"(?@{e.col} {_shape(e.cond)} {_shape(e.then)}"
-                f" {_shape(e.other)})")
+        return (f"(?@{col} {_shape(e.cond, lexer)} {_shape(e.then, lexer)}"
+                f" {_shape(e.other, lexer)})")
     raise AssertionError(e)
 
 
@@ -364,7 +519,7 @@ def _shape(e):
     ],
 )
 def test_expression_shape(text, shape):
-    assert _shape(_expr_ast(text)) == shape
+    assert _shape(*_expr_ast(text)) == shape
 
 
 _PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}

@@ -1,0 +1,180 @@
+"""The ``findall`` lexer against the token-at-a-time reference lexer.
+
+Both must give the same token texts in order, the same ``line:col`` for
+every token, the same sized-literal values and widths, and the same
+lexical diagnostics.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reference
+from busweaver import generators
+from busweaver.frontend import (
+    KEYWORDS,
+    UNSUPPORTED_KEYWORDS,
+    _UNSUPPORTED_OPS,
+    _Lexer,
+    parse_design,
+)
+
+
+def _reference_lex(src):
+    diags = []
+    tokens = reference._Lexer(src, "f.v", diags).tokens()
+    texts = [t.text for t in tokens]
+    positions = [(t.line, t.col) for t in tokens]
+    literals = {t.text: (t.value, t.width)
+                for t in tokens if t.kind == "sized"}
+    return texts, positions, literals, [str(d) for d in diags]
+
+
+def _lex(src):
+    diags = []
+    lexer = _Lexer(src, "f.v", diags)
+    texts = lexer.tokens()
+    messages = [str(d) for d in diags]
+    positions = [lexer.position(i) for i in range(len(texts))]
+    literals = {t: lexer.literals[t] for t in texts if t in lexer.literals}
+    return texts, positions, literals, messages
+
+
+def _assert_same(src):
+    assert _lex(src) == _reference_lex(src), repr(src)
+
+
+def test_golden_sources(golden_dir):
+    paths = sorted(golden_dir.glob("*.v"))
+    assert paths
+    for path in paths:
+        _assert_same(path.read_text())
+
+
+@pytest.mark.parametrize("src", [
+    generators.permutation_design(24, 3),
+    generators.replicated_cone_design(8, 3, 5),
+    generators.replicated_cone_design(6, 4, 9, invariant_slots=False),
+    generators.ripple_carry_design(12),
+    generators.nested_instance_design(6, 3),
+    generators.scaling_design(300),
+])
+def test_generator_families(src):
+    _assert_same(src)
+
+
+_PUNCT = list("()[]{},;:.?=~&|^+-")
+_STRAY = ["@", "$", "#", "!", "<", ">", "*", "/", "\\", "`", '"', "%",
+          "\x00", "\f", "\v", "\u00a0", "é", "λ", "٣", "\u2028"]
+_BLANKS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n "]
+_IDENTS = sorted(KEYWORDS | UNSUPPORTED_KEYWORDS) + [
+    "a", "b_2", "_x", "net$1", "A9", "Zz_$"]
+
+
+def _sized(rng):
+    width = rng.choice(["0", "1", "4", "8", "1_6", "33", "00", "3"])
+    base = rng.choice("bodhBODH")
+    alphabet = {"b": "01", "o": "01234567", "d": "0123456789",
+                "h": "0123456789abcdefABCDEF"}[base.lower()]
+    digits = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+    roll = rng.random()
+    if roll < 0.15:
+        digits = digits[:-1] + rng.choice("xXzZ?")
+    elif roll < 0.25:
+        digits = "_" + digits + "_"
+    elif roll < 0.3:
+        digits = "_"
+    elif roll < 0.35:
+        digits += rng.choice("abcdef")  # malformed below base 16
+    before = rng.choice(["", "", " ", "\n", "\t", "\r\n "])
+    after = rng.choice(["", "", " ", "\n"])
+    return f"{width}{before}'{after}{base}{digits}"
+
+
+def _piece(rng):
+    roll = rng.random()
+    if roll < 0.25:
+        return rng.choice(_IDENTS)
+    if roll < 0.35:
+        return str(rng.randrange(1000)) + rng.choice(["", "_", "_0"])
+    if roll < 0.5:
+        return _sized(rng)
+    if roll < 0.65:
+        return rng.choice(_PUNCT)
+    if roll < 0.72:
+        return rng.choice(_UNSUPPORTED_OPS)
+    if roll < 0.8:
+        return rng.choice(_STRAY)
+    if roll < 0.87:
+        return "//" + rng.choice(["", " note */", " a\tb", " é"]) + \
+            rng.choice(["\n", "\r\n", ""])
+    if roll < 0.95:
+        return "/*" + rng.choice(["", " x ", "\n", " a\r\n b ", "*", "/*"]) \
+            + "*/"
+    if roll < 0.97:
+        return "/* never closed " + rng.choice(["", "\n", "* /"])
+    return rng.choice(_BLANKS)
+
+
+def test_random_token_soup():
+    rng = random.Random(10)
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(0, 40)):
+            parts.append(_piece(rng))
+            parts.append(rng.choice(_BLANKS + ["", "", ""]))
+        _assert_same("".join(parts))
+
+
+@pytest.mark.parametrize("src", [
+    "",
+    "   \n\t ",
+    "// only a comment",
+    "/* only a comment */\n",
+    "/*",
+    "4\n'b1 0'b1 2'd9 1'bx 8'hFF 8'h1FF 3'o7 16'd65536 4'b1_0_1_0 2'b__",
+    "a\r\n\tb\r\n\t\tc",
+    "@ $ é\n\u00a0λ",
+])
+def test_edge_cases(src):
+    _assert_same(src)
+
+
+def test_a_clean_parse_never_looks_up_a_position(golden_dir, monkeypatch):
+    def fail(self, index):
+        raise AssertionError("position looked up without a diagnostic")
+
+    monkeypatch.setattr(_Lexer, "position", fail)
+    parse_design((golden_dir / "partial_mix.v").read_text())
+    parse_design(generators.nested_instance_design(4, 2))
+
+
+def test_huge_literal_width_is_a_width_mismatch():
+    """A sized literal's range check must not build ``1 << width``.  The
+    child caps its own address space, so a regression fails quickly."""
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from busweaver.frontend import ParseError, parse_design\n"
+        "try:\n"
+        "    parse_design('module m(input a, output y);\\n'\n"
+        "                 \"  assign y = 40000000000'b1;\\nendmodule\")\n"
+        "except ParseError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "<input>:2:3: error: assignment width mismatch: 'y' expects 1,"
+        " got 40000000000"
+    )
