@@ -36,6 +36,8 @@ _MAX_INLINE_DEPTH = 120
 def _literal(value: int, width: int) -> str:
     if width == 1:
         return f"1'b{value}"
+    if value.bit_length() >= 10_000:  # str(int) stops at 4,300 digits
+        return f"{width}'h{value:x}"
     return f"{width}'d{value}"
 
 

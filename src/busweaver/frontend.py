@@ -22,7 +22,10 @@ more pass over the source on first use.  The parser is recursive
 descent; binary operators go by precedence climbing (``|`` < ``^`` <
 ``&`` < ``+ -``, all left-associative), so its depth follows the
 nesting of parentheses, unary operators and conditionals, not the
-length of an operator chain.
+length of an operator chain.  Elaboration walks each expression once,
+iteratively, and builds it by replaying that walk, so it has no depth
+limit at all.  Nets and operator widths are bounded by
+:data:`MAX_WIDTH`.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
 """
@@ -32,10 +35,18 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from busweaver.ir import HwDesign, HwModule, ModuleBuilder, Port, ValueRef
-from busweaver.ir import instantiation_order
-from busweaver.rewrite import compact_module, live_order
+from busweaver.ir import (
+    BINARY_KINDS,
+    HwDesign,
+    HwModule,
+    ModuleBuilder,
+    Port,
+    ValueRef,
+    instantiation_order,
+)
+from busweaver.rewrite import compact_module
 # Unused here; kept importable because perfbench/layers.py wraps it.
 from busweaver.ir import verify as ir_verify  # noqa: F401
 
@@ -82,6 +93,12 @@ UNSUPPORTED_KEYWORDS = frozenset({
 _UNSUPPORTED_OPS = ("&&", "||", "===", "!==", "==", "!=", "<<<", ">>>", "<<",
                     ">>", "<=", ">=", "**", "~^", "^~", "~&", "~|")
 _DIGITS = frozenset("0123456789")
+#: Widest net, and widest operand or result of an operator, that the
+#: elaborator accepts: a net keeps one driver slot per declared bit.
+MAX_WIDTH = 1 << 20
+#: A value this long or longer is described by its bit length in a
+#: diagnostic; ``str(int)`` refuses values past 4,300 decimal digits.
+_SHOWN_BITS = 10_000
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _PUNCT = frozenset("()[]{},;:.?=~&|^+-")
 
@@ -178,33 +195,48 @@ class _Lexer:
         if any(c in "xXzZ?" for c in digits):
             return "four-state literals (x/z) are not supported"
         try:
-            value = int(digits, {"b": 2, "o": 8, "d": 10, "h": 16}[base])
+            value = _decimal(digits) if base == "d" \
+                else int(digits, {"b": 2, "o": 8, "h": 16}[base])
         except ValueError:
             return f"malformed literal '{text}'"
         if value.bit_length() > width:
-            return (f"literal value {value} does not fit in"
+            shown = value if value.bit_length() < _SHOWN_BITS \
+                else f"of {value.bit_length()} bits"
+            return (f"literal value {shown} does not fit in"
                     f" {width} bit{'s' if width != 1 else ''}")
         self.literals[text] = (value, width)
         return None
+
+
+def _decimal(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits of any length:
+    halves are decoded apart, so that no piece reaches the interpreter's
+    4,300-digit limit on ``int(str)``, which is left as it is."""
+    if len(digits) <= 4000:
+        return int(digits)
+    half = len(digits) // 2
+    return _decimal(digits[:-half]) * 10 ** half + _decimal(digits[-half:])
 
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-# ``tok`` is the index of the token a node's diagnostics point at.
+# ``tok`` is the index of the token a node's diagnostics point at.  The
+# parser builds nodes with positional arguments: keywords cost a
+# dataclass about twice as much to construct.
 
 
 @dataclass
 class Expr:
     tok: int
-    width: int = 0  # filled by width inference
 
 
 @dataclass
 class ENum(Expr):
     value: int = 0
     sized: bool = False
+    width: int = 0  # of a sized literal
 
 
 @dataclass
@@ -313,6 +345,7 @@ class AstModule:
 
 #: Binary operator precedence, loosest first.
 _BINARY_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
+_UNARY_OPS = frozenset({"~", "&", "|", "^"})
 
 
 class _SyntaxAbort(Exception):
@@ -375,7 +408,7 @@ class _Parser:
         if not _is_number(text):
             raise self.error(i, f"expected 'bit index', found {self.found(i)}")
         self.pos = i + 1
-        return int(text.replace("_", ""))
+        return _decimal(text.replace("_", ""))
 
     def check_supported(self, index: int) -> None:
         text = self.toks[index]
@@ -452,6 +485,7 @@ class _Parser:
         """``[N:0]`` in a declaration; returns the width."""
         if not self.accept("["):
             return None
+        top = self.pos
         high = self.bit_index()
         self.expect(":")
         at = self.pos
@@ -461,6 +495,11 @@ class _Parser:
             raise self.error(
                 at, f"declaration ranges must end at 0, found"
                     f" [{high}:{low}]"
+            )
+        if high >= MAX_WIDTH:
+            raise self.error(
+                top, f"declared width {high + 1} exceeds the limit of"
+                        f" {MAX_WIDTH} bits"
             )
         return high + 1
 
@@ -560,55 +599,65 @@ class _Parser:
         then = self.expr()
         self.expect(":")
         other = self.expr()
-        return ETernary(i, cond=cond, then=then, other=other)
+        return ETernary(i, cond, then, other)
 
-    def binary(self, min_prec: int) -> Expr:
+    def binary(self, min_prec: int, left: Expr | None = None) -> Expr:
         """Precedence climbing over :data:`_BINARY_PREC`: the operators
-        of at least ``min_prec``, left-associative.  Recursion goes one
-        level deeper per precedence level, not per operator."""
-        left = self.unary()
+        of at least ``min_prec``, left-associative, after ``left`` if it
+        is given.  Recursion goes one level deeper per precedence level
+        that the next operator climbs, not per operator."""
+        if left is None:
+            left = self.unary()
+        toks = self.toks
         while True:
             i = self.pos
-            op = self.toks[i]
+            op = toks[i]
             prec = _BINARY_PREC.get(op, 0)
             if prec < min_prec:
                 return left
             self.pos = i + 1
-            right = self.binary(prec + 1)
-            left = EBinary(i, op=op, a=left, b=right)
+            right = self.unary() if toks[i + 1] in _UNARY_OPS \
+                else self.primary()
+            if _BINARY_PREC.get(toks[self.pos], 0) > prec:
+                right = self.binary(prec + 1, right)
+            left = EBinary(i, op, left, right)
 
     def unary(self) -> Expr:
         i = self.pos
         op = self.toks[i]
-        if op in ("~", "&", "|", "^"):
+        if op in _UNARY_OPS:
             self.pos = i + 1
             arg = self.unary()
-            return EUnary(i, op=op, arg=arg)
+            return EUnary(i, op, arg)
         return self.primary()
 
     def primary(self) -> Expr:
         i = self.pos
         text = self.toks[i]
-        if _is_ident(text):
-            self.check_supported(i)
-            self.pos = i + 1
-            if self.accept("["):
-                at = self.pos
-                high = low = self.bit_index()
-                if self.accept(":"):
-                    low = self.bit_index()
-                    if high < low:
-                        raise self.error(
-                            at, f"descending part select [{high}:{low}]"
-                        )
-                self.expect("]")
-                return ESelect(i, name=text, high=high, low=low)
-            return ERef(i, name=text)
+        # _is_ident and check_supported, inline: most operands are here
+        if text[:1] in _IDENT_START and text not in KEYWORDS:
+            if text in UNSUPPORTED_KEYWORDS:
+                self.check_supported(i)
+            toks = self.toks
+            if toks[i + 1] != "[":
+                self.pos = i + 1
+                return ERef(i, text)
+            self.pos = at = i + 2
+            high = low = self.bit_index()
+            if toks[self.pos] == ":":
+                self.pos += 1
+                low = self.bit_index()
+                if high < low:
+                    raise self.error(
+                        at, f"descending part select [{high}:{low}]"
+                    )
+            self.expect("]")
+            return ESelect(i, text, high, low)
         if text[:1] in _DIGITS:
             self.pos = i + 1
             literal = self.lexer.literals.get(text)
             if literal is None:
-                return ENum(i, value=int(text.replace("_", "")), sized=False)
+                return ENum(i, sized=False)
             value, width = literal
             return ENum(i, width=width, value=value, sized=True)
         if text == "(":
@@ -624,15 +673,15 @@ class _Parser:
                 item = self.expr()
                 self.expect("}")
                 self.expect("}")
-                count = int(self.toks[at].replace("_", ""))
+                count = _decimal(self.toks[at].replace("_", ""))
                 if count < 1:
                     raise self.error(at, "replication count must be >= 1")
-                return ERepl(i, count=count, item=item)
+                return ERepl(i, count, item)
             items = [self.expr()]
             while self.accept(","):
                 items.append(self.expr())
             self.expect("}")
-            return EConcat(i, items=items)
+            return EConcat(i, items)
         raise self.error(i, f"expected expression, found {self.found(i)}")
 
 
@@ -642,6 +691,21 @@ class _Parser:
 
 _BINARY_KIND = {"&": "and", "|": "or", "^": "xor", "+": "add", "-": "sub"}
 _REDUCE_KIND = {"&": "redand", "|": "redor", "^": "redxor"}
+_BINARY_NODE = {op: (kind,) for op, kind in _BINARY_KIND.items()}
+
+
+class _Code(NamedTuple):
+    """An expression after its one walk: its width, the nets it reads
+    as ``(name, token)`` in source order, and its nodes in post-order
+    for :meth:`_Elaborator.build`.  A node is ``("net", name)``,
+    ``("extract", name, low, width)``, ``("const", value, width)``,
+    ``("concat", n)``, ``("replicate", count)``, or an operation kind
+    (``not``, a binary, reduction or ``mux`` kind) that takes its
+    operands off the value stack."""
+
+    width: int
+    deps: list[tuple[str, int]]
+    nodes: list[tuple]
 
 
 @dataclass
@@ -651,16 +715,23 @@ class _Net:
     is_wire: bool
     direction: str | None  # port direction, None for wires
     tok: int
-    # (high, low, tag, payload); tag is "assign" or "inst"
+    # (high, low, tag, payload); tag is "assign" (payload: its _Code)
+    # or "inst" (payload: (instance index, port name))
     drivers: list[tuple[int, int, str, object]] = field(default_factory=list)
     driven_by: list[object | None] = None  # per-bit driver site
+    deps: tuple[dict[str, int], list[str]] | None = None  # see net_deps
 
     def __post_init__(self):
         self.driven_by = [None] * self.width
 
 
 class _Elaborator:
-    """Builds one HwModule from an AstModule, given all module signatures."""
+    """Builds one HwModule from an AstModule, given all module signatures.
+
+    Each expression is walked once, iteratively, when drivers are
+    collected (:meth:`walk`); building a net replays the walk's nodes
+    (:meth:`build`), so no expression depth reaches the stack.
+    """
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
                  lexer: _Lexer):
@@ -672,7 +743,11 @@ class _Elaborator:
         self.net_values: dict[str, ValueRef] = {}
         self.net_state: dict[str, int] = {}  # 1 = in progress, 2 = done
         self.inst_values: dict[int, ValueRef] = {}
-        self._conn_cache: dict[int, dict[str, AstConn]] = {}
+        # instance index -> input port name -> the connection's _Code
+        self._inputs: dict[int, dict[str, _Code | None]] = {}
+        # an extract node -> its value, once built; a net's value never
+        # changes, and a chain reads the same bits over and over
+        self._extracts: dict[tuple, ValueRef] = {}
         self.failed = False
 
     def error(self, tok: int, message: str) -> None:
@@ -702,81 +777,183 @@ class _Elaborator:
             self.nets[w.name] = _Net(w.name, w.width, True, None, w.tok)
         return ports
 
-    # -- width inference ----------------------------------------------------
+    # -- expressions -------------------------------------------------------
 
-    def infer_width(self, e: Expr) -> int | None:
-        if isinstance(e, ENum):
-            if not e.sized:
-                self.error(e.tok,
-                           "unsized literal in expression position"
-                           " (only valid as an index or replication count)")
-                return None
-            return e.width
-        if isinstance(e, ERef):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            e.width = net.width
-            return net.width
-        if isinstance(e, ESelect):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            if e.high >= net.width:
-                self.error(e.tok,
-                           f"bit {e.high} out of range for '{e.name}'"
-                           f" of width {net.width}")
-                return None
-            e.width = e.high - e.low + 1
-            return e.width
-        if isinstance(e, EConcat):
-            widths = [self.infer_width(item) for item in e.items]
-            if any(w is None for w in widths):
-                return None
-            e.width = sum(widths)
-            return e.width
-        if isinstance(e, ERepl):
-            w = self.infer_width(e.item)
-            if w is None:
-                return None
-            e.width = w * e.count
-            return e.width
-        if isinstance(e, EUnary):
-            w = self.infer_width(e.arg)
-            if w is None:
-                return None
-            e.width = w if e.op == "~" else 1
-            return e.width
-        if isinstance(e, EBinary):
-            wa = self.infer_width(e.a)
-            wb = self.infer_width(e.b)
-            if wa is None or wb is None:
-                return None
-            if wa != wb:
-                self.error(e.tok,
-                           f"operand width mismatch: {wa} vs {wb}")
-                return None
-            e.width = wa
-            return wa
-        if isinstance(e, ETernary):
-            wc = self.infer_width(e.cond)
-            wa = self.infer_width(e.then)
-            wb = self.infer_width(e.other)
-            if wc is None or wa is None or wb is None:
-                return None
-            if wc != 1:
-                self.error(e.cond.tok,
-                           f"condition must be 1 bit wide, got {wc}")
-                return None
-            if wa != wb:
-                self.error(e.tok,
-                           f"arm width mismatch: {wa} vs {wb}")
-                return None
-            e.width = wa
-            return wa
-        raise AssertionError(f"unhandled expression {e!r}")
+    def walk(self, root: Expr) -> _Code | None:
+        """Check the widths of ``root`` in one iterative post-order
+        walk, operands left to right, and record its nets and nodes.
+
+        Every operand is walked even after an error, and an operator
+        whose operand failed adds no error of its own, so the
+        diagnostics come in source order.  Returns None after an error.
+        """
+        nets = self.nets
+        nodes: list[tuple] = []
+        deps: list[tuple[str, int]] = []
+        widths: list[int | None] = []  # of the finished operands
+        todo: list = [root]
+        while todo:
+            e = todo.pop()
+            cls = type(e)
+            if cls is ESelect or cls is ERef:
+                deps.append((e.name, e.tok))
+                net = nets.get(e.name)
+                if net is None:
+                    self.error(e.tok, f"unknown identifier '{e.name}'")
+                    widths.append(None)
+                elif cls is ERef:
+                    widths.append(net.width)
+                    nodes.append(("net", e.name))
+                elif e.high >= net.width:
+                    self.error(e.tok,
+                               f"bit {e.high} out of range for '{e.name}'"
+                               f" of width {net.width}")
+                    widths.append(None)
+                else:
+                    w = e.high - e.low + 1
+                    widths.append(w)
+                    nodes.append(("extract", e.name, e.low, w))
+            elif cls is tuple:  # (operator,): its operands are done
+                e = e[0]
+                cls = type(e)
+                if cls is EBinary:
+                    wb = widths.pop()
+                    wa = widths[-1]
+                    if wa is None or wb is None:
+                        widths[-1] = None
+                    elif wa != wb:
+                        self.error(e.tok,
+                                   f"operand width mismatch: {wa} vs {wb}")
+                        widths[-1] = None
+                    elif wa > MAX_WIDTH and self.too_wide(e.tok, wa):
+                        widths[-1] = None
+                    else:
+                        nodes.append(_BINARY_NODE[e.op])
+                elif cls is EUnary:
+                    w = widths[-1]
+                    if w is None:
+                        pass
+                    elif self.too_wide(e.tok, w):
+                        widths[-1] = None
+                    elif e.op == "~":
+                        nodes.append(("not",))
+                    else:
+                        nodes.append((_REDUCE_KIND[e.op],))
+                        widths[-1] = 1
+                elif cls is ETernary:
+                    wb = widths.pop()
+                    wa = widths.pop()
+                    wc = widths[-1]
+                    widths[-1] = None
+                    if wc is None or wa is None or wb is None:
+                        pass
+                    elif wc != 1:
+                        self.error(e.cond.tok,
+                                   f"condition must be 1 bit wide, got {wc}")
+                    elif wa != wb:
+                        self.error(e.tok,
+                                   f"arm width mismatch: {wa} vs {wb}")
+                    elif not self.too_wide(e.tok, wa):
+                        widths[-1] = wa
+                        nodes.append(("mux",))
+                elif cls is EConcat:
+                    n = len(e.items)
+                    items = widths[-n:]
+                    del widths[-n:]
+                    w = None if None in items else sum(items)
+                    if w is not None and self.too_wide(e.tok, w):
+                        w = None
+                    widths.append(w)
+                    if w is not None:
+                        nodes.append(("concat", n))
+                else:  # ERepl
+                    w = widths[-1]
+                    if w is not None:
+                        w *= e.count
+                        if self.too_wide(e.tok, w):
+                            w = None
+                        else:
+                            nodes.append(("replicate", e.count))
+                        widths[-1] = w
+            elif cls is ENum:
+                if e.sized:
+                    widths.append(e.width)
+                    nodes.append(("const", e.value, e.width))
+                else:
+                    self.error(e.tok,
+                               "unsized literal in expression position"
+                               " (only valid as an index or replication"
+                               " count)")
+                    widths.append(None)
+            else:
+                todo.append((e,))
+                if cls is EBinary:
+                    # down the left spine at once: a chain parses
+                    # left-deep
+                    todo.append(e.b)
+                    e = e.a
+                    while type(e) is EBinary:
+                        todo.append((e,))
+                        todo.append(e.b)
+                        e = e.a
+                    todo.append(e)
+                elif cls is EUnary:
+                    todo.append(e.arg)
+                elif cls is ETernary:
+                    todo += (e.other, e.then, e.cond)
+                elif cls is EConcat:
+                    todo += reversed(e.items)
+                else:
+                    todo.append(e.item)
+        width = widths.pop()
+        return None if width is None else _Code(width, deps, nodes)
+
+    def too_wide(self, tok: int, width: int) -> bool:
+        """Report an operator whose operands or result exceed
+        :data:`MAX_WIDTH`.  A literal wider than that reaches no value
+        without one, or fails as a width mismatch."""
+        if width <= MAX_WIDTH:
+            return False
+        self.error(tok, f"expression width {width} exceeds the limit of"
+                        f" {MAX_WIDTH} bits")
+        return True
+
+    def build(self, code: _Code) -> ValueRef:
+        """Replay ``code``'s nodes on a value stack.  Every net it reads
+        has been built."""
+        b = self.builder
+        values, extracts = self.net_values, self._extracts
+        stack: list[ValueRef] = []
+        push, pop = stack.append, stack.pop
+        for node in code.nodes:
+            kind = node[0]
+            if kind == "extract":
+                value = extracts.get(node)
+                if value is None:
+                    value = extracts[node] = b.extract(
+                        values[node[1]], node[2], node[3])
+                push(value)
+            elif kind in BINARY_KINDS:
+                y = pop()
+                stack[-1] = b.binary(kind, stack[-1], y)
+            elif kind == "net":
+                push(values[node[1]])
+            elif kind == "const":
+                push(b.const(node[1], node[2]))
+            elif kind == "not":
+                stack[-1] = b.not_(stack[-1])
+            elif kind == "mux":
+                other, then = pop(), pop()
+                stack[-1] = b.mux(stack[-1], then, other)
+            elif kind == "concat":
+                parts = stack[-node[1]:]
+                del stack[-node[1]:]
+                push(b.concat(parts))
+            elif kind == "replicate":
+                stack[-1] = b.replicate(stack[-1], node[1])
+            else:
+                stack[-1] = b.reduce(kind, stack[-1])
+        return stack[0]
 
     # -- driver collection ---------------------------------------------------
 
@@ -807,8 +984,8 @@ class _Elaborator:
 
     def collect_drivers(self) -> None:
         for a in self.ast.assigns:
-            w = self.infer_width(a.rhs)
-            if w is None:
+            code = self.walk(a.rhs)
+            if code is None:
                 continue
             net = self.nets.get(a.lhs.name)
             if net is None:
@@ -817,13 +994,13 @@ class _Elaborator:
                 continue
             lw = net.width if a.lhs.high is None \
                 else a.lhs.high - a.lhs.low + 1
-            if w != lw:
+            if code.width != lw:
                 self.error(a.tok,
                            f"assignment width mismatch: '{a.lhs.name}'"
-                           f" expects {lw}, got {w}")
+                           f" expects {lw}, got {code.width}")
                 continue
             self.add_driver(a.lhs.name, a.lhs.high, a.lhs.low,
-                            "assign", a.rhs, a.lhs.tok)
+                            "assign", code, a.lhs.tok)
 
         for idx, inst in enumerate(self.ast.instances):
             sig = self.signatures.get(inst.module)
@@ -834,7 +1011,7 @@ class _Elaborator:
             conns = self.resolve_conns(inst, sig)
             if conns is None:
                 continue
-            self._conn_cache[idx] = conns
+            inputs = self._inputs[idx] = {}
             for port in sig:
                 conn = conns.get(port.name)
                 if conn is None or conn.expr is None:
@@ -844,12 +1021,12 @@ class _Elaborator:
                                    f" '{inst.module}' is not connected")
                     continue
                 if port.direction == "input":
-                    w = self.infer_width(conn.expr)
-                    if w is not None and w != port.width:
+                    code = inputs[port.name] = self.walk(conn.expr)
+                    if code is not None and code.width != port.width:
                         self.error(conn.tok,
                                    f"connection width mismatch on"
                                    f" '{port.name}': port is {port.width},"
-                                   f" expression is {w}")
+                                   f" expression is {code.width}")
                 else:
                     lv = self.conn_lvalue(conn)
                     if lv is None:
@@ -920,43 +1097,30 @@ class _Elaborator:
 
     # -- demand-driven net elaboration ---------------------------------------
 
-    def expr_net_deps(self, e: Expr, out: list[tuple[str, int]]) -> None:
-        if isinstance(e, (ERef, ESelect)):
-            out.append((e.name, e.tok))
-        elif isinstance(e, EConcat):
-            for item in e.items:
-                self.expr_net_deps(item, out)
-        elif isinstance(e, ERepl):
-            self.expr_net_deps(e.item, out)
-        elif isinstance(e, EUnary):
-            self.expr_net_deps(e.arg, out)
-        elif isinstance(e, EBinary):
-            self.expr_net_deps(e.a, out)
-            self.expr_net_deps(e.b, out)
-        elif isinstance(e, ETernary):
-            self.expr_net_deps(e.cond, out)
-            self.expr_net_deps(e.then, out)
-            self.expr_net_deps(e.other, out)
-
-    def net_deps(self, net: _Net) -> list[tuple[str, int]]:
+    def net_deps(self, net: _Net) -> tuple[dict[str, int], list[str]]:
         """Nets whose values are needed before this one can be built.
         For an instance driver that means the nets feeding its input
-        ports; nets wired to its outputs are produced, not consumed."""
-        deps: list[tuple[str, int]] = []
-        for _, _, tag, payload in net.drivers:
-            if tag == "assign":
-                self.expr_net_deps(payload, deps)
-            else:
-                idx, _ = payload
-                inst = self.ast.instances[idx]
-                conns = self._conn_cache[idx]
-                for port in self.signatures[inst.module]:
-                    if port.direction != "input":
-                        continue
-                    conn = conns.get(port.name)
-                    if conn is not None and conn.expr is not None:
-                        self.expr_net_deps(conn.expr, deps)
-        return deps
+        ports; nets wired to its outputs are produced, not consumed.
+
+        Each net comes once, in two orders: with the token of its first
+        read, in the order of first reads (a cycle is reported at the
+        first read of a net in progress), and in the order of last
+        reads, which is the order in which a stack holding every read
+        would have them built."""
+        if net.deps is None:
+            reads: list[tuple[str, int]] = []
+            for _, _, tag, payload in net.drivers:
+                if tag == "assign":
+                    reads += payload.deps
+                else:
+                    for code in self._inputs[payload[0]].values():
+                        reads += code.deps
+            first: dict[str, int] = {}
+            for name, tok in reads:
+                first.setdefault(name, tok)
+            last = list(dict.fromkeys(name for name, _ in reversed(reads)))
+            net.deps = first, last[::-1]
+        return net.deps
 
     class _Abort(Exception):
         pass
@@ -980,16 +1144,14 @@ class _Elaborator:
                 self.net_state[n] = 2
                 stack.pop()
                 continue
-            pending = []
-            for dep, dtok in self.net_deps(net):
-                dstate = self.net_state.get(dep)
-                if dstate == 2:
-                    continue
-                if dstate == 1:
+            first, last = self.net_deps(net)
+            for dep, dtok in first.items():
+                if self.net_state.get(dep) == 1:
                     self.error(dtok,
                                f"combinational cycle through net '{dep}'")
                     raise self._Abort()
-                pending.append((dep, dtok))
+            pending = [(dep, first[dep]) for dep in last
+                       if self.net_state.get(dep) != 2]
             if state != 1:
                 self.net_state[n] = 1
             if pending:
@@ -1011,7 +1173,7 @@ class _Elaborator:
         parts: list[ValueRef] = []
         for high, low, tag, payload in segments:
             if tag == "assign":
-                parts.append(self.elab_expr(payload))
+                parts.append(self.build(payload))
             else:
                 idx, portname = payload
                 value = self.materialize_instance(idx)
@@ -1030,57 +1192,17 @@ class _Elaborator:
         if idx in self.inst_values:
             return self.inst_values[idx]
         inst = self.ast.instances[idx]
-        sig = self.signatures[inst.module]
-        conns = self._conn_cache[idx]
-        operands = []
-        in_ports = []
-        for port in sig:
-            if port.direction != "input":
-                continue
-            conn = conns[port.name]
-            operands.append(self.elab_expr(conn.expr))
-            in_ports.append(port.name)
+        inputs = self._inputs[idx]
+        operands = [self.build(code) for code in inputs.values()]
         out_ports = tuple(
-            (p.name, p.width) for p in sig if p.direction == "output"
+            (p.name, p.width) for p in self.signatures[inst.module]
+            if p.direction == "output"
         )
         value = self.builder.instance(
-            inst.module, inst.name, operands, tuple(in_ports), out_ports
+            inst.module, inst.name, operands, tuple(inputs), out_ports
         )
         self.inst_values[idx] = value
         return value
-
-    def elab_expr(self, e: Expr) -> ValueRef:
-        b = self.builder
-        if isinstance(e, ENum):
-            return b.const(e.value, e.width)
-        if isinstance(e, ERef):
-            return self.net_value(e.name)
-        if isinstance(e, ESelect):
-            base = self.net_value(e.name)
-            return b.extract(base, e.low, e.high - e.low + 1)
-        if isinstance(e, EConcat):
-            return b.concat([self.elab_expr(item) for item in e.items])
-        if isinstance(e, ERepl):
-            return b.replicate(self.elab_expr(e.item), e.count)
-        if isinstance(e, EUnary):
-            arg = self.elab_expr(e.arg)
-            if e.op == "~":
-                return b.not_(arg)
-            return b.reduce(_REDUCE_KIND[e.op], arg)
-        if isinstance(e, EBinary):
-            return b.binary(_BINARY_KIND[e.op], self.elab_expr(e.a),
-                            self.elab_expr(e.b))
-        if isinstance(e, ETernary):
-            return b.mux(self.elab_expr(e.cond), self.elab_expr(e.then),
-                         self.elab_expr(e.other))
-        raise AssertionError(f"unhandled expression {e!r}")
-
-    def net_value(self, name: str) -> ValueRef:
-        # demand_net has already elaborated every dependency
-        net = self.nets[name]
-        if net.direction == "input":
-            return self.builder.input_ref(name, net.width)
-        return self.net_values[name]
 
     # -- top level -----------------------------------------------------------
 
@@ -1097,17 +1219,19 @@ class _Elaborator:
                     outputs[p.name] = self.demand_net(
                         p.name, self.nets[p.name].tok
                     )
-            for idx in range(len(self.ast.instances)):
+            for idx, inst in enumerate(self.ast.instances):
                 if idx in self.inst_values:
                     continue
-                inst = self.ast.instances[idx]
-                if inst.module not in self.signatures:
-                    continue
-                for conn in inst.conns:
-                    if conn.expr is None:
+                sig = self.signatures[inst.module]
+                inputs = self._inputs[idx]
+                for k, conn in enumerate(inst.conns):
+                    e = conn.expr
+                    if e is None:
                         continue
-                    deps: list[tuple[str, int]] = []
-                    self.expr_net_deps(conn.expr, deps)
+                    port = sig[k].name if conn.port is None else conn.port
+                    code = inputs.get(port)
+                    # an output connection is a net or a slice of one
+                    deps = [(e.name, e.tok)] if code is None else code.deps
                     for dep, dtok in deps:
                         self.demand_net(dep, dtok)
                 self.materialize_instance(idx)
@@ -1121,10 +1245,18 @@ class _Elaborator:
             if self.net_state.get(w.name) == 2
         }
         module = self.builder.finish(outputs, wires)
-        # a slice of a wire folds into a slice of its driver, which can
-        # leave the wire's own extract or constant unread
-        if len(live_order(module)) < len(module.operations):
-            module = compact_module(module)
+        # A slice of a wire folds into a slice of its driver, which can
+        # leave the wire's own extract or constant unread; nothing else
+        # leaves an operation dead.  Some operation is dead exactly when
+        # one that is not an instance is read by nothing: the last dead
+        # one has no reader.
+        ops = module.operations
+        if wires:
+            read = {ref.op for op in ops for ref in op.operands}
+            read.update(ref.op for ref in outputs.values())
+            if any(k not in read and op.kind != "instance"
+                   for k, op in enumerate(ops)):
+                module = compact_module(module)
         return module
 
 

@@ -41,9 +41,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueRef:
-    """Reference to the value defined by operation ``op`` of a module."""
+    """Reference to the value defined by operation ``op`` of a module.
+    Every operation builds one; slots make that about 40% cheaper."""
 
     op: int
     width: int
@@ -184,18 +185,32 @@ class ModuleBuilder:
             hit = self._cse.get(key)
             if hit is not None:
                 return hit
+        return self._add(op, key)
+
+    def lookup(self, key: tuple) -> ValueRef | None:
+        """The value-numbered operation with :func:`cse_key` ``key``."""
+        return self._cse.get(key)
+
+    def _add(self, op: Operation, key: tuple | None) -> ValueRef:
         ref = ValueRef(len(self.operations), op.width)
         self.operations.append(op)
         if key is not None:
             self._cse[key] = ref
         return ref
 
+    # The leaf kinds look their key up before building an Operation:
+    # most requests for them are hits.
+
     def const(self, value: int, width: int) -> ValueRef:
         value &= (1 << width) - 1
-        return self._emit(Operation("const", width, value=value))
+        key = ("const", value, width)
+        return self._cse.get(key) or self._add(
+            Operation("const", width, value=value), key)
 
     def input_ref(self, port: str, width: int) -> ValueRef:
-        return self._emit(Operation("input", width, port=port))
+        key = ("input", port)
+        return self._cse.get(key) or self._add(
+            Operation("input", width, port=port), key)
 
     def extract(self, v: ValueRef, low: int, width: int) -> ValueRef:
         assert 0 <= low and low + width <= v.width
@@ -206,7 +221,9 @@ class ModuleBuilder:
             return self.extract(inner.operands[0], inner.low + low, width)
         if inner.kind == "const":
             return self.const(inner.value >> low, width)
-        return self._emit(Operation("extract", width, [v], low=low))
+        key = ("extract", v.op, low, width)
+        return self._cse.get(key) or self._add(
+            Operation("extract", width, [v], low=low), key)
 
     def concat(self, parts: list[ValueRef]) -> ValueRef:
         assert parts
@@ -223,22 +240,25 @@ class ModuleBuilder:
             Operation("replicate", v.width * count, [v], count=count)
         )
 
+    # Computing kinds are never shared.
+
     def binary(self, kind: str, a: ValueRef, b: ValueRef) -> ValueRef:
         assert kind in BINARY_KINDS and a.width == b.width
-        return self._emit(Operation(kind, a.width, [a, b]))
+        return self._add(Operation(kind, a.width, [a, b]), None)
 
     def not_(self, v: ValueRef) -> ValueRef:
-        return self._emit(Operation("not", v.width, [v]))
+        return self._add(Operation("not", v.width, [v]), None)
 
     def mux(self, cond: ValueRef, then: ValueRef, other: ValueRef) -> ValueRef:
         assert cond.width == 1 and then.width == other.width
-        return self._emit(Operation("mux", then.width, [cond, then, other]))
+        return self._add(
+            Operation("mux", then.width, [cond, then, other]), None)
 
     def reduce(self, kind: str, v: ValueRef) -> ValueRef:
         assert kind in REDUCE_KINDS
         if v.width == 1:
             return v
-        return self._emit(Operation(kind, 1, [v]))
+        return self._add(Operation(kind, 1, [v]), None)
 
     def instance(
         self,
@@ -249,7 +269,7 @@ class ModuleBuilder:
         out_ports: tuple[tuple[str, int], ...],
     ) -> ValueRef:
         width = sum(w for _, w in out_ports)
-        return self._emit(
+        return self._add(
             Operation(
                 "instance",
                 width,
@@ -258,7 +278,8 @@ class ModuleBuilder:
                 name=name,
                 in_ports=in_ports,
                 out_ports=out_ports,
-            )
+            ),
+            None,
         )
 
     def finish(
@@ -347,23 +368,6 @@ def metrics(module: HwModule) -> IrMetrics:
     return IrMetrics(op_count, edge_count, max_depth)
 
 
-def _check_operand(
-    op_id: int, op: Operation, n_ops: int, errs: list[str], mod: str
-) -> bool:
-    ok = True
-    for ref in op.operands:
-        if not 0 <= ref.op < n_ops:
-            errs.append(f"{mod}: %{op_id}: operand %{ref.op} out of range")
-            ok = False
-        elif ref.op >= op_id:
-            errs.append(
-                f"{mod}: %{op_id}: operand %{ref.op} not defined before use"
-                " (cycle or forward reference)"
-            )
-            ok = False
-    return ok
-
-
 def verify_module(
     module: HwModule, design: HwDesign | None = None
 ) -> list[str]:
@@ -381,94 +385,110 @@ def verify_module(
             errs.append(f"{mod}: port {p.name}: width {p.width} < 1")
 
     ops = module.operations
+    n_ops = len(ops)
     for i, op in enumerate(ops):
-        loc = f"{mod}: %{i}"
-        if op.kind not in ALL_KINDS:
-            errs.append(f"{loc}: unknown kind {op.kind}")
+        kind = op.kind
+        if kind not in ALL_KINDS:
+            errs.append(f"{mod}: %{i}: unknown kind {kind}")
             continue
         if op.width < 1:
-            errs.append(f"{loc}: width {op.width} < 1")
-        if not _check_operand(i, op, len(ops), errs, mod):
+            errs.append(f"{mod}: %{i}: width {op.width} < 1")
+        refs = op.operands
+        defined = True
+        for ref in refs:
+            if not 0 <= ref.op < n_ops:
+                errs.append(f"{mod}: %{i}: operand %{ref.op} out of range")
+                defined = False
+            elif ref.op >= i:
+                errs.append(
+                    f"{mod}: %{i}: operand %{ref.op} not defined before use"
+                    " (cycle or forward reference)"
+                )
+                defined = False
+        if not defined:
             continue
-        widths = [ref.width for ref in op.operands]
-        for ref in op.operands:
+        widths = [ref.width for ref in refs]
+        for ref in refs:
             if ops[ref.op].width != ref.width:
                 errs.append(
-                    f"{loc}: operand %{ref.op} width annotation "
+                    f"{mod}: %{i}: operand %{ref.op} width annotation "
                     f"{ref.width} != defined width {ops[ref.op].width}"
                 )
-        kind = op.kind
-        if kind == "const":
+        if kind in BINARY_KINDS:
+            if len(widths) != 2 or widths != [op.width, op.width]:
+                errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
+        elif kind == "const":
             if op.operands:
-                errs.append(f"{loc}: const takes no operands")
+                errs.append(f"{mod}: %{i}: const takes no operands")
             if not 0 <= op.value < (1 << op.width):
-                errs.append(f"{loc}: const value {op.value} out of range")
+                errs.append(
+                    f"{mod}: %{i}: const value {op.value} out of range")
         elif kind == "input":
             p = ports.get(op.port)
             if p is None or p.direction != "input":
-                errs.append(f"{loc}: no input port named {op.port!r}")
+                errs.append(f"{mod}: %{i}: no input port named {op.port!r}")
             elif p.width != op.width:
                 errs.append(
-                    f"{loc}: input {op.port} width {op.width} != {p.width}"
+                    f"{mod}: %{i}: input {op.port} width {op.width}"
+                    f" != {p.width}"
                 )
         elif kind == "extract":
             if len(widths) != 1:
-                errs.append(f"{loc}: extract takes one operand")
+                errs.append(f"{mod}: %{i}: extract takes one operand")
             elif op.low < 0 or op.low + op.width > widths[0]:
                 errs.append(
-                    f"{loc}: extract [{op.low + op.width - 1}:{op.low}]"
+                    f"{mod}: %{i}: extract [{op.low + op.width - 1}:{op.low}]"
                     f" out of range for width {widths[0]}"
                 )
         elif kind == "concat":
             if not widths:
-                errs.append(f"{loc}: concat needs operands")
+                errs.append(f"{mod}: %{i}: concat needs operands")
             elif sum(widths) != op.width:
                 errs.append(
-                    f"{loc}: concat width {op.width} != sum {sum(widths)}"
+                    f"{mod}: %{i}: concat width {op.width}"
+                    f" != sum {sum(widths)}"
                 )
         elif kind == "replicate":
             if len(widths) != 1 or op.count < 1:
-                errs.append(f"{loc}: bad replicate")
+                errs.append(f"{mod}: %{i}: bad replicate")
             elif widths[0] * op.count != op.width:
                 errs.append(
-                    f"{loc}: replicate width {op.width} !="
+                    f"{mod}: %{i}: replicate width {op.width} !="
                     f" {op.count} * {widths[0]}"
                 )
-        elif kind in BINARY_KINDS:
-            if len(widths) != 2 or widths != [op.width, op.width]:
-                errs.append(f"{loc}: {kind} operand width mismatch")
         elif kind == "not":
             if len(widths) != 1 or widths[0] != op.width:
-                errs.append(f"{loc}: not operand width mismatch")
+                errs.append(f"{mod}: %{i}: not operand width mismatch")
         elif kind == "mux":
             if len(widths) != 3 or widths[0] != 1 or widths[1] != widths[2] \
                     or widths[1] != op.width:
-                errs.append(f"{loc}: mux operand width mismatch")
+                errs.append(f"{mod}: %{i}: mux operand width mismatch")
         elif kind in REDUCE_KINDS:
             if len(widths) != 1 or op.width != 1:
-                errs.append(f"{loc}: {kind} must produce one bit")
+                errs.append(f"{mod}: %{i}: {kind} must produce one bit")
         elif kind == "instance":
             if design is None or op.module not in design.modules:
-                errs.append(f"{loc}: unresolved module {op.module!r}")
+                errs.append(f"{mod}: %{i}: unresolved module {op.module!r}")
             else:
                 callee = design.modules[op.module]
                 cins = callee.input_ports
                 couts = callee.output_ports
                 if len(op.operands) != len(cins):
                     errs.append(
-                        f"{loc}: instance {op.name}: {len(op.operands)}"
+                        f"{mod}: %{i}: instance {op.name}: {len(op.operands)}"
                         f" operands for {len(cins)} input ports"
                     )
                 else:
                     for ref, p in zip(op.operands, cins):
                         if ref.width != p.width:
                             errs.append(
-                                f"{loc}: instance {op.name}: port {p.name}"
+                                f"{mod}: %{i}: instance {op.name}:"
+                                f" port {p.name}"
                                 f" width {p.width} gets {ref.width}"
                             )
                 if op.width != sum(p.width for p in couts):
                     errs.append(
-                        f"{loc}: instance {op.name}: result width"
+                        f"{mod}: %{i}: instance {op.name}: result width"
                         f" {op.width} != callee output width"
                     )
 
@@ -694,6 +714,11 @@ def compile_module(
     ``x op x``, ``x op ~x``, ``~~x``, and a mux whose select is
     constant, whose arms are equal or both constant, or whose else arm
     is 0 or then arm 1.
+
+    A tree of 1-bit ``xor`` operations (see :func:`_xor_inner`) folds
+    by parity: it becomes one chain of gates, in slot order, over the
+    slots it reads an odd number of times, so a T-term chain over L
+    distinct bits costs at most L - 1 gates instead of T - 1.
     """
     inputs = [(p.name, p.width) for p in module.input_ports]
     ports: dict[str, list[int]] = {}
@@ -754,15 +779,39 @@ def compile_module(
             return binary("or", c, y)
         return emit(("mux", c, x, y))
 
-    vals: list[list[int]] = []
-    for op in module.operations:
+    inner = _xor_inner(module)
+    # an operation's slots, LSB first; an inner xor's odd slots instead
+    vals: list = []
+    for k, op in enumerate(module.operations):
         kind = op.kind
         refs = op.operands
         if kind == "extract":
             r = vals[refs[0].op][op.low:op.low + op.width]
         elif kind in _BITWISE:
             a, b = vals[refs[0].op], vals[refs[1].op]
-            if op.width == 1:
+            if kind == "xor" and inner and (
+                    k in inner or refs[0].op in inner
+                    or refs[1].op in inner):
+                # an inner xor hands its set up to its one reader
+                if refs[0].op in inner:
+                    odd = a
+                    if refs[1].op in inner:
+                        odd ^= b
+                    else:
+                        odd ^= {b[0]}
+                elif refs[1].op in inner:
+                    odd = b
+                    odd ^= {a[0]}
+                else:
+                    odd = {a[0]} ^ {b[0]}
+                if k in inner:
+                    r = odd
+                else:
+                    r = 0
+                    for x in sorted(odd):
+                        r = binary("xor", r, x)
+                    r = [r]
+            elif op.width == 1:
                 r = [binary(kind, a[0], b[0])]
             else:
                 r = [binary(kind, x, y) for x, y in zip(a, b)]
@@ -829,6 +878,27 @@ def compile_module(
         vals.append(r)
     outputs = {name: vals[ref.op] for name, ref in module.outputs.items()}
     return _live(PackedProgram(inputs, gates, outputs), first)
+
+
+def _xor_inner(module: HwModule) -> set[int]:
+    """The inner operations of the 1-bit ``xor`` trees of ``module``:
+    1-bit xors read once, by a 1-bit xor, and by no output."""
+    ops = module.operations
+    xors = [op for op in ops if op.kind == "xor" and op.width == 1]
+    if len(xors) < 2:
+        return set()
+    once: set[int] = set()
+    twice: set[int] = set()
+    for op in xors:
+        for ref in op.operands:
+            (twice if ref.op in once else once).add(ref.op)
+    # read by anything else
+    twice.update(ref.op for op in ops
+                 if op.kind != "xor" or op.width != 1
+                 for ref in op.operands)
+    twice.update(ref.op for ref in module.outputs.values())
+    return {k for k in once - twice
+            if ops[k].kind == "xor" and ops[k].width == 1}
 
 
 def _live(program: PackedProgram, first: int) -> PackedProgram:

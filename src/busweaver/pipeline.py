@@ -25,7 +25,9 @@ root and its cone built once from that root, and one downward scan per
 
 Every sink of a module is planned and rewritten in one
 :class:`~busweaver.rewrite.ModuleRewriter` session, so a later sink
-sees the earlier sinks' redirections; the session's finish is the
+sees the earlier sinks' redirections.  The session then folds the
+module's hand-written reduction chains
+(:func:`~busweaver.reductions.fold_reductions`), and its finish is the
 module's one compaction.  The rewriter value-numbers routing
 operations, so a plan that reconstructs exactly the existing operations
 returns the sink's own value: the sink is unchanged, and re-running the
@@ -55,6 +57,7 @@ from busweaver.ir import (
     route_bit,
     verify,
 )
+from busweaver.reductions import fold_reductions
 from busweaver.rewrite import ModuleRewriter
 
 
@@ -92,7 +95,8 @@ class PassCounters:
 @dataclass(frozen=True)
 class Chunk:
     """One tile of a sink: bits ``[high:low]`` handled by ``method``
-    (``bit-permutation``, ``structural``, or ``scalar``)."""
+    (``bit-permutation``, ``structural``, or ``scalar``; a folded
+    reduction tree is one ``reduction`` chunk ``[0:0]``)."""
 
     high: int
     low: int
@@ -110,7 +114,8 @@ class SinkResult:
     width: int
     chunks: list[Chunk]
     changed: bool
-    #: "bit-level", "structural" or "mixed" for a changed sink
+    #: "bit-level", "structural", "mixed" or "reduction" for a changed
+    #: sink
     category: str | None
 
 
@@ -330,7 +335,7 @@ def run_pipeline(
     counters: PassCounters | None = None,
 ) -> tuple[HwDesign, PipelineReport]:
     """Verify, normalise, selectively inline, then vectorize every
-    multi-bit sink of every module.
+    multi-bit sink of every module and fold its reduction trees.
 
     Raises :class:`VectorizationError` when the input design does not
     verify; all other failures are per-sink analysis failures, which
@@ -367,6 +372,11 @@ def run_pipeline(
             report.sinks.append(
                 SinkResult(name, sink, ref.width, chunks, changed, category)
             )
+        report.sinks += [
+            SinkResult(name, sink, 1, [Chunk(0, 0, "reduction")], True,
+                       "reduction")
+            for sink in fold_reductions(rw)
+        ]
         result[name] = rw.finish()
 
     out = HwDesign(result, design.top)

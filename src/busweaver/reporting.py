@@ -66,11 +66,7 @@ def _design_category(sink_categories: list[str]) -> str | None:
     if not sink_categories:
         return None
     kinds = set(sink_categories)
-    if kinds == {"bit-level"}:
-        return "bit-level"
-    if kinds == {"structural"}:
-        return "structural"
-    return "mixed"
+    return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
 def _worst_equivalence(statuses: list[str]) -> str | None:

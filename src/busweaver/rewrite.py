@@ -124,6 +124,11 @@ class ModuleRewriter(ModuleBuilder):
         self._indexed = 0
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
 
+    def live(self) -> list[int]:
+        """The ids :meth:`finish` would keep, in :func:`live_order`."""
+        module = ModuleBuilder.finish(self, self.outputs, self.wires)
+        return live_order(module, self._dropped)
+
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
 
@@ -133,7 +138,11 @@ class ModuleRewriter(ModuleBuilder):
         ops, users = self.operations, self._users
         for oid in range(self._indexed, len(ops)):
             for ref in ops[oid].operands:
-                users.setdefault(ref.op, set()).add(oid)
+                readers = users.get(ref.op)
+                if readers is None:
+                    users[ref.op] = {oid}
+                else:
+                    readers.add(oid)
         self._indexed = len(ops)
         if self._bound is None:
             self._bound = {}

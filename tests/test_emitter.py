@@ -109,6 +109,11 @@ def test_constant_literals():
     text = emit_module(m)
     assert "assign y = 3'd5;" in text
     assert "assign f = 1'b0;" in text
+    # past 4,300 decimal digits str(int) refuses a value: hex instead
+    src = ("module m(input a, output [19999:0] y);\n"
+           f"  assign y = 20000'h{'F' * 5000} ^ {{20000{{a}}}};\nendmodule\n")
+    text = _roundtrip_stable(src)
+    assert f"20000'h{'f' * 5000} ^ {{20000{{a}}}}" in text
 
 
 def test_instance_wires_and_output_packing():

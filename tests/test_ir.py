@@ -404,3 +404,28 @@ def test_compiling_an_instance_needs_its_callee_program():
     d = parse_design(nested_instance_design(2, 1))
     with pytest.raises(ValueError, match="no compiled program"):
         compile_module(d.top_module, {})
+
+
+def test_xor_trees_fold_by_parity():
+    # 2,000 terms over 16 bits: each bit read an odd number of times
+    # stays, so at most 15 gates
+    rng = random.Random(3)
+    terms = [rng.randrange(16) for _ in range(2000)]
+    design = parse_design(
+        "module m(input [15:0] a, output y);\n  assign y = "
+        + " ^ ".join(f"a[{k}]" for k in terms) + ";\nendmodule\n")
+    program = compile_packed(design)["m"]
+    odd = sorted(k for k in set(terms) if terms.count(k) % 2)
+    assert [g[0] for g in program.gates] == ["xor"] * (len(odd) - 1)
+    _assert_packed_matches_reference(design, seed=3)
+    # an xor another operation or an output reads bounds its tree; a
+    # tree that cancels to nothing reads constant 0
+    design = parse_design(
+        "module m(input [3:0] a, output y, output z, output w);\n"
+        "  wire t;\n  assign t = a[0] ^ a[1] ^ a[0];\n"
+        "  assign y = t ^ a[2] ^ a[1];\n  assign z = t & a[3];\n"
+        "  assign w = a[3] ^ a[2] ^ a[3] ^ a[2];\nendmodule\n")
+    program = compile_packed(design)["m"]
+    assert program.outputs["w"] == [0]
+    assert program.outputs["y"] == [2 + 2]  # t ^ a[1] cancels: a[2]
+    _assert_packed_matches_reference(design, seed=4)

@@ -178,3 +178,37 @@ def test_huge_literal_width_is_a_width_mismatch():
         "<input>:2:3: error: assignment width mismatch: 'y' expects 1,"
         " got 40000000000"
     )
+
+
+def _literal_diagnostics(text):
+    diags = []
+    lexer = _Lexer(text, "f.v", diags)
+    lexer.tokens()
+    return lexer.literals, [str(d) for d in diags]
+
+
+def test_a_value_past_the_int_str_limit_is_described_by_its_length():
+    """``str(int)`` refuses values past 4,300 decimal digits; 4,000 hex
+    digits make about 4,800."""
+    literals, messages = _literal_diagnostics("x = 1'h" + "F" * 4000)
+    assert literals == {}
+    assert messages == [
+        "f.v:1:5: error: literal value of 16000 bits does not fit in 1 bit"]
+
+
+def test_decimal_literals_past_the_int_str_limit_decode():
+    """``int(str)`` refuses more than 4,300 decimal digits; a longer
+    literal is decoded, or does not fit."""
+    ones = "1" + "0" * 4999
+    nines = "9" * 5000
+    literals, messages = _literal_diagnostics(
+        f"16607'd{ones} 16610'd{nines} 16'd{nines}")
+    # compared as booleans: pytest would print the values with str()
+    assert set(literals) == {f"16607'd{ones}", f"16610'd{nines}"}
+    assert literals[f"16607'd{ones}"] == (10 ** 4999, 16607)
+    assert literals[f"16610'd{nines}"] == (10 ** 5000 - 1, 16610)
+    assert messages == [
+        "f.v:1:10017: error: literal value of 16610 bits does not fit in"
+        " 16 bits"]
+    _, messages = _literal_diagnostics(f"9'd{nines}a")
+    assert messages == [f"f.v:1:1: error: malformed literal '9'd{nines}a'"]

@@ -11,7 +11,8 @@ from busweaver import emit_design, parse_design, run_pipeline
 from busweaver.emitter import emit_module
 from busweaver.inliner import InlinePolicy, selective_inline
 from busweaver.ir import HwDesign, HwModule, ValueRef
-from busweaver.pipeline import vectorize_output
+from busweaver.pipeline import Chunk, vectorize_output
+from busweaver.reductions import fold_reductions
 from busweaver import rewrite
 from busweaver.rewrite import ModuleRewriter
 
@@ -25,7 +26,8 @@ _CELL = (
 def _per_sink_pipeline(design):
     """The flow before sessions spanned a module: a fresh session per
     sink, finished at once, and the next sink read from the compacted
-    result (a wire orphaned by an earlier sink is gone from it)."""
+    result (a wire orphaned by an earlier sink is gone from it); then
+    the reduction fold, in a session of its own."""
     inlined, _ = selective_inline(design, InlinePolicy())
     modules, sinks = {}, []
     for name, module in inlined.modules.items():
@@ -39,7 +41,10 @@ def _per_sink_pipeline(design):
             chunks, changed = vectorize_output(rw, ref)
             current = rw.finish()
             sinks.append((name, sink, ref.width, chunks, changed))
-        modules[name] = current
+        rw = ModuleRewriter(current)
+        sinks += [(name, sink, 1, [Chunk(0, 0, "reduction")], True)
+                  for sink in fold_reductions(rw)]
+        modules[name] = rw.finish()
     return HwDesign(modules, design.top), sinks
 
 
