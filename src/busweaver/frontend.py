@@ -14,17 +14,18 @@ containing ``x`` or ``z``, and unsized literals outside index or
 replication-count positions.
 
 The lexer is one ``findall``: each match swallows the blanks and
-comments before a token, and a token is just its text, "" at the end.
+comments before a token, and a token is just its text, "" at the end;
+a select written without blanks, ``a[3]`` or ``a[7:0]``, is one token.
 Lexical errors are looked for among the distinct texts, which is also
-where sized literals are decoded.  Nodes keep their token's index; only
-a diagnostic turns it into ``line:col``, through a table built by one
-more pass over the source on first use.  The parser is recursive
-descent; binary operators go by precedence climbing (``|`` < ``^`` <
-``&`` < ``+ -``, all left-associative), so its depth follows the
-nesting of parentheses, unary operators and conditionals, not the
-length of an operator chain.  Elaboration walks each expression once,
-iteratively, and builds it by replaying that walk, so it has no depth
-limit at all.  Nets and operator widths are bounded by
+where sized literals and selects are decoded.  Items keep their token's
+index; only a diagnostic turns it into ``line:col``, through a table
+built by one more pass over the source on first use.  Statements are
+parsed by recursive descent, one level per construct, and expressions
+by shunting-yard into a flat post-order list (``|`` < ``^`` < ``&`` <
+``+ -``, all left-associative, then the right-associative ``?:``).
+Elaboration checks that list in one pass and builds it by replaying
+the pass, so no expression of any length or nesting depth reaches the
+recursion limit.  Nets and operator widths are bounded by
 :data:`MAX_WIDTH`.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from busweaver.ir import (
@@ -103,28 +105,42 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _PUNCT = frozenset("()[]{},;:.?=~&|^+-")
 
 #: One match per token: blanks and comments, then the token as group 1.
-#: Group 1 is a sized literal, a number, an identifier, an unsupported
-#: operator, punctuation, a stray character, or "" at the end of input.
+#: Group 1 is a sized literal, a number, an identifier (with a select
+#: right after it, if it has one), an unsupported operator, punctuation,
+#: a stray character, or "" at the end of input.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
     r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
     r"|[0-9][0-9_]*"
-    r"|[A-Za-z_][A-Za-z0-9_$]*"
+    r"|[A-Za-z_][A-Za-z0-9_$]*+(?:\[[0-9]{1,9}(?::[0-9]{1,9})?\])?"
     r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
     r"|[()\[\]{},;:.?=~&|^+\-]"
     r"|."
     r"|\Z)",
     re.DOTALL,
 )
+#: The tokens a select token is spelled with: name, "[", digits, "]",
+#: and ":" and digits between for a part select.
+_PIECE_RE = re.compile(r"[^\[:\]]+|.")
+
+
+def _pieces(text: str, line: int, col: int) -> tuple[list, list]:
+    """The tokens the select token ``text`` at ``line:col`` is spelled
+    with, and their positions."""
+    pieces = _PIECE_RE.findall(text)
+    starts = accumulate(map(len, pieces), initial=col)
+    return pieces, [(line, start) for start in islice(starts, len(pieces))]
 
 
 class _Lexer:
     """Token texts of one source, and where they are.
 
-    A token is its text; the list from :meth:`tokens` ends in "" for
-    end of input.  Nodes and nets refer to a token by its index, which
-    :meth:`position` turns into ``(line, col)`` only when a diagnostic
-    needs one.
+    A token is its text; :attr:`toks`, which :meth:`tokens` returns,
+    ends in "" for end of input.  A select written without blanks,
+    ``name[h]`` or ``name[h:l]`` with at most 9 plain digits per index,
+    is one token, decoded into :attr:`selects`.  Nodes and nets refer to
+    a token by its index, which :meth:`position` turns into
+    ``(line, col)`` only when a diagnostic needs one.
     """
 
     def __init__(self, src: str, filename: str, diags: list[ParseDiagnostic]):
@@ -133,6 +149,9 @@ class _Lexer:
         self.diags = diags
         #: sized literal text -> (value, width)
         self.literals: dict[str, tuple[int, int]] = {}
+        #: select token text -> (name, high, low)
+        self.selects: dict[str, tuple[str, int, int]] = {}
+        self.toks: list[str] = []
         self._positions: list[tuple[int, int]] | None = None
 
     def error(self, index: int, message: str) -> None:
@@ -158,30 +177,59 @@ class _Lexer:
         return self._positions[index]
 
     def tokens(self) -> list[str]:
-        texts = _TOKEN_RE.findall(self.src)
+        texts = self.toks = _TOKEN_RE.findall(self.src)
         if len(texts) > 1 and not texts[-2]:
             texts.pop()  # trailing blanks: the end matches twice
         bad = {text: message for text in set(texts)
                if (message := self._check(text)) is not None}
         if not bad:
             return texts
-        keep = []
-        for i, text in enumerate(texts):
-            if text in bad:
-                self.error(i, bad[text])
+        self.position(0)
+        positions, self._positions = self._positions, []
+        keep = self.toks = []
+        for text, (line, col) in zip(texts, positions):
+            message = bad.get(text)
+            if message is None:
+                keep.append(text)
+                self._positions.append((line, col))
+            elif message:
+                self.diags.append(ParseDiagnostic(
+                    self.filename, line, col, "error", message))
             else:
-                keep.append(i)
-        self._positions = [self._positions[i] for i in keep]
-        return [texts[i] for i in keep]
+                pieces, places = _pieces(text, line, col)
+                keep += pieces
+                self._positions += places
+        return keep
+
+    def split(self, index: int) -> None:
+        """Replace the select token at ``index`` by the tokens it is
+        spelled with, for a diagnostic about what follows its name."""
+        line, col = self.position(index)
+        self.toks[index:index + 1], self._positions[index:index + 1] = \
+            _pieces(self.toks[index], line, col)
 
     def _check(self, text: str) -> str | None:
-        """The diagnostic for a text the parser must not see, or None.
-        Decodes a sized literal into :attr:`literals`."""
-        if text in _UNSUPPORTED_OPS:
-            return f"unsupported operator '{text}'"
+        """The diagnostic for a text the parser must not see, "" for a
+        select token that must lex as its pieces, or None.  Decodes a
+        sized literal into :attr:`literals` and a select into
+        :attr:`selects`."""
+        if text[:1] in _IDENT_START:
+            if text[-1] != "]":
+                return None
+            name, _, index = text[:-1].partition("[")
+            high, _, low = index.partition(":")
+            high, low = int(high), int(low or high)
+            if high < low or name in KEYWORDS or name in UNSUPPORTED_KEYWORDS:
+                # "input[7:0]" and "reg[3:0]" lex as they are spelled,
+                # and so does a descending range, for the parser to report
+                return ""
+            self.selects[text] = (name, high, low)
+            return None
         if text[:1] in _DIGITS:
             return self._sized(text) if "'" in text else None
-        if not text or text[0] in _IDENT_START or text in _PUNCT:
+        if text in _UNSUPPORTED_OPS:
+            return f"unsupported operator '{text}'"
+        if not text or text in _PUNCT:
             return None
         return f"unexpected character {text!r}"
 
@@ -222,65 +270,8 @@ def _decimal(digits: str) -> int:
 # AST
 # ---------------------------------------------------------------------------
 
-# ``tok`` is the index of the token a node's diagnostics point at.  The
-# parser builds nodes with positional arguments: keywords cost a
-# dataclass about twice as much to construct.
-
-
-@dataclass
-class Expr:
-    tok: int
-
-
-@dataclass
-class ENum(Expr):
-    value: int = 0
-    sized: bool = False
-    width: int = 0  # of a sized literal
-
-
-@dataclass
-class ERef(Expr):
-    name: str = ""
-
-
-@dataclass
-class ESelect(Expr):
-    # bit select: high == low; part select otherwise
-    name: str = ""
-    high: int = 0
-    low: int = 0
-
-
-@dataclass
-class EConcat(Expr):
-    items: list[Expr] = field(default_factory=list)
-
-
-@dataclass
-class ERepl(Expr):
-    count: int = 0
-    item: Expr | None = None
-
-
-@dataclass
-class EUnary(Expr):
-    op: str = ""  # "~", "&", "|", "^"
-    arg: Expr | None = None
-
-
-@dataclass
-class EBinary(Expr):
-    op: str = ""  # "&", "|", "^", "+", "-"
-    a: Expr | None = None
-    b: Expr | None = None
-
-
-@dataclass
-class ETernary(Expr):
-    cond: Expr | None = None
-    then: Expr | None = None
-    other: Expr | None = None
+# ``tok`` is the index of the token a node's diagnostics point at.  An
+# expression is no tree but its post-order items; see :meth:`_Parser.expr`.
 
 
 @dataclass
@@ -294,14 +285,14 @@ class AstLval:
 @dataclass
 class AstAssign:
     lhs: AstLval
-    rhs: Expr
+    rhs: list  # post-order items
     tok: int
 
 
 @dataclass
 class AstConn:
     port: str | None  # None for positional
-    expr: Expr | None  # None for an explicitly unconnected port
+    expr: list | None  # post-order items; None for an unconnected port
     tok: int
 
 
@@ -345,7 +336,10 @@ class AstModule:
 
 #: Binary operator precedence, loosest first.
 _BINARY_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
-_UNARY_OPS = frozenset({"~", "&", "|", "^"})
+#: Prefix operator -> the kind of its operation.
+_PREFIX_KIND = {"~": "not", "&": "redand", "|": "redor", "^": "redxor"}
+#: What may close each kind of open bracket or conditional.
+_CLOSER = {"(": ")", "{": "}", "{{": "}", "?": ":"}
 
 
 class _SyntaxAbort(Exception):
@@ -377,7 +371,11 @@ class _Parser:
         return _SyntaxAbort()
 
     def found(self, index: int) -> str:
-        return repr(self.toks[index] or "end of input")
+        """The token at ``index`` as a diagnostic shows it; a select
+        token shows its name, the first token it is spelled with."""
+        text = self.toks[index]
+        select = self.lexer.selects.get(text)
+        return repr(select[0] if select else text or "end of input")
 
     def accept(self, text: str) -> bool:
         """Consume the next token if it is ``text``."""
@@ -393,9 +391,14 @@ class _Parser:
         self.pos = i + 1
 
     def ident(self, what: str) -> str:
-        """Consume an identifier that is not a keyword."""
+        """Consume an identifier that is not a keyword.  A select token
+        is split, and its name consumed: where an identifier is wanted,
+        a "[" after it is always a syntax error."""
         i = self.pos
         text = self.toks[i]
+        if text in self.lexer.selects:
+            self.lexer.split(i)
+            text = self.toks[i]
         if not _is_ident(text):
             raise self.error(i, f"expected {what!r}, found {self.found(i)}")
         self.pos = i + 1
@@ -432,7 +435,8 @@ class _Parser:
             if text == "module":
                 modules.append(self.module())
             else:
-                raise self.error(i, f"expected 'module', found {text!r}")
+                raise self.error(i, f"expected 'module', found"
+                                    f" {self.found(i)}")
 
     def module(self) -> AstModule:
         head = self.pos
@@ -474,10 +478,10 @@ class _Parser:
             last[0] = (text, width)
         elif _is_ident(text):
             self.check_supported(i)
-            self.pos = i + 1
             # ANSI style: later names inherit the previous direction
             direction, width = last[0] or (None, None)
-            mod.ports.append(AstPortDecl(text, direction, width, i))
+            mod.ports.append(AstPortDecl(self.ident("port name"), direction,
+                                         width, i))
         else:
             raise self.error(i, f"expected port, found {text!r}")
 
@@ -547,20 +551,12 @@ class _Parser:
 
     def lvalue(self) -> AstLval:
         i = self.pos
-        name = self.ident("net name")
-        high = low = None
-        if self.accept("["):
-            at = self.pos
-            high = low = self.bit_index()
-            if self.accept(":"):
-                low = self.bit_index()
-                if high < low:
-                    raise self.error(
-                        at, f"descending range [{high}:{low}] on"
-                            " assignment target"
-                    )
-            self.expect("]")
-        return AstLval(name, high, low, i)
+        if self.toks[i] not in self.lexer.selects:
+            name = self.ident("net name")
+            if self.toks[i + 1] != "[":
+                return AstLval(name, None, None, i)
+        return AstLval(*self.select(i, "range [{}:{}] on assignment target"),
+                       i)
 
     def instance(self) -> AstInstance:
         i = self.pos
@@ -590,108 +586,146 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self) -> Expr:
-        cond = self.binary(1)
+    def expr(self) -> list:
+        """Parse one expression by shunting-yard (Dijkstra, 1961) into
+        its items in post-order, operands left to right.  An item is a
+        token index for a leaf (a name, select or number) or a binary
+        operator, or a tuple with the token index second: ``(kind,
+        tok)`` for a prefix operator, ``("mux", tok, cond_tok)``,
+        ``("concat", tok, n)`` or ``("replicate", tok, count)``.  Each
+        syntax error is the first one recursive descent would report.
+        """
+        toks, selects = self.toks, self.lexer.selects
+        out: list = []
+        emit = out.append
+        # Waiting: a binary operator's token index, a prefix operator's
+        # item, or [kind, token index, n / count token / cond_tok] for an
+        # open "(", "{", "{{" (replication), "?" or ":" (an else arm).
+        stack: list = []
+        push, pop = stack.append, stack.pop
         i = self.pos
-        if self.toks[i] != "?":
-            return cond
-        self.pos = i + 1
-        then = self.expr()
-        self.expect(":")
-        other = self.expr()
-        return ETernary(i, cond, then, other)
-
-    def binary(self, min_prec: int, left: Expr | None = None) -> Expr:
-        """Precedence climbing over :data:`_BINARY_PREC`: the operators
-        of at least ``min_prec``, left-associative, after ``left`` if it
-        is given.  Recursion goes one level deeper per precedence level
-        that the next operator climbs, not per operator."""
-        if left is None:
-            left = self.unary()
-        toks = self.toks
         while True:
-            i = self.pos
-            op = toks[i]
-            prec = _BINARY_PREC.get(op, 0)
-            if prec < min_prec:
-                return left
-            self.pos = i + 1
-            right = self.unary() if toks[i + 1] in _UNARY_OPS \
-                else self.primary()
-            if _BINARY_PREC.get(toks[self.pos], 0) > prec:
-                right = self.binary(prec + 1, right)
-            left = EBinary(i, op, left, right)
-
-    def unary(self) -> Expr:
-        i = self.pos
-        op = self.toks[i]
-        if op in _UNARY_OPS:
-            self.pos = i + 1
-            arg = self.unary()
-            return EUnary(i, op, arg)
-        return self.primary()
-
-    def primary(self) -> Expr:
-        i = self.pos
-        text = self.toks[i]
-        # _is_ident and check_supported, inline: most operands are here
-        if text[:1] in _IDENT_START and text not in KEYWORDS:
-            if text in UNSUPPORTED_KEYWORDS:
-                self.check_supported(i)
-            toks = self.toks
-            if toks[i + 1] != "[":
-                self.pos = i + 1
-                return ERef(i, text)
-            self.pos = at = i + 2
-            high = low = self.bit_index()
-            if toks[self.pos] == ":":
-                self.pos += 1
-                low = self.bit_index()
-                if high < low:
+            # An operand: prefix operators and open brackets, then a leaf.
+            while True:
+                text = toks[i]
+                if text in selects or text[:1] in _DIGITS:
+                    emit(i)
+                    i += 1
+                    break
+                if text[:1] in _IDENT_START and text not in KEYWORDS:
+                    if text in UNSUPPORTED_KEYWORDS:
+                        self.check_supported(i)
+                    emit(i)
+                    if toks[i + 1] == "[":
+                        self.select(i, "part select [{}:{}]")
+                        i = self.pos
+                    else:
+                        i += 1
+                    break
+                kind = _PREFIX_KIND.get(text)
+                if kind is not None:
+                    push((kind, i))
+                elif text == "(":
+                    push(["(", i, 0])
+                elif text == "{":
+                    if _is_number(toks[i + 1]) and toks[i + 2] == "{":
+                        push(["{{", i, i + 1])
+                        i += 2
+                    else:
+                        push(["{", i, 1])
+                else:
                     raise self.error(
-                        at, f"descending part select [{high}:{low}]"
-                    )
-            self.expect("]")
-            return ESelect(i, text, high, low)
-        if text[:1] in _DIGITS:
+                        i, f"expected expression, found {self.found(i)}")
+                i += 1
+            # After an operand: apply its prefix operators, then close
+            # brackets until a binary operator, "?", ":" or "," leads to
+            # the next operand, or the expression ends.
+            while True:
+                while stack and stack[-1].__class__ is tuple:
+                    emit(pop())
+                text = toks[i]
+                prec = _BINARY_PREC.get(text)
+                if prec is not None:
+                    while stack:
+                        top = stack[-1]
+                        if top.__class__ is not int \
+                                or _BINARY_PREC[toks[top]] < prec:
+                            break
+                        emit(pop())
+                    push(i)
+                    break
+                while stack and stack[-1].__class__ is int:
+                    emit(pop())
+                if text == "?":
+                    cond = out[-1]
+                    push(["?", i, cond if cond.__class__ is int
+                          else cond[1]])
+                    break
+                while stack and stack[-1][0] == ":":
+                    _, q, cond = pop()
+                    emit(("mux", q, cond))
+                if not stack:
+                    self.pos = i
+                    return out
+                top = stack[-1]
+                kind = top[0]
+                if kind == "?" and text == ":":
+                    top[0] = ":"
+                    break
+                if kind == "{" and text == ",":
+                    top[2] += 1
+                    break
+                if text != _CLOSER[kind]:
+                    raise self.error(i, f"expected {_CLOSER[kind]!r},"
+                                        f" found {self.found(i)}")
+                pop()
+                if kind == "{":
+                    emit(("concat", top[1], top[2]))
+                elif kind == "{{":
+                    i += 1
+                    if toks[i] != "}":
+                        raise self.error(
+                            i, f"expected '}}', found {self.found(i)}")
+                    at = top[2]
+                    count = _decimal(toks[at].replace("_", ""))
+                    if count < 1:
+                        raise self.error(at,
+                                         "replication count must be >= 1")
+                    emit(("replicate", top[1], count))
+                i += 1
+            i += 1
+
+    def select(self, i: int, what: str) -> tuple[str, int, int]:
+        """The select from the name at ``i`` on, and :attr:`pos` past
+        it.  One spelled with blanks, comments or long indices is
+        rewritten, at ``i``, to its one-token spelling.  A descending
+        range is an error, ``what`` with the range filled in."""
+        toks, selects = self.toks, self.lexer.selects
+        select = selects.get(toks[i])
+        if select is not None:
             self.pos = i + 1
-            literal = self.lexer.literals.get(text)
-            if literal is None:
-                return ENum(i, sized=False)
-            value, width = literal
-            return ENum(i, width=width, value=value, sized=True)
-        if text == "(":
-            self.pos = i + 1
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if text == "{":
-            self.pos = at = i + 1
-            # Replication looks like {N{expr}}.
-            if _is_number(self.toks[at]) and self.toks[at + 1] == "{":
-                self.pos = at + 2
-                item = self.expr()
-                self.expect("}")
-                self.expect("}")
-                count = _decimal(self.toks[at].replace("_", ""))
-                if count < 1:
-                    raise self.error(at, "replication count must be >= 1")
-                return ERepl(i, count, item)
-            items = [self.expr()]
-            while self.accept(","):
-                items.append(self.expr())
-            self.expect("}")
-            return EConcat(i, items)
-        raise self.error(i, f"expected expression, found {self.found(i)}")
+            return select
+        self.pos = i + 2
+        high = low = self.bit_index()
+        if self.accept(":"):
+            low = self.bit_index()
+            if high < low:
+                raise self.error(i + 2,
+                                 "descending " + what.format(high, low))
+        self.expect("]")
+        name = toks[i]
+        toks[i] = f"{name}[{high}:{low}]"
+        selects[toks[i]] = (name, high, low)
+        return name, high, low
 
 
 # ---------------------------------------------------------------------------
 # Elaboration
 # ---------------------------------------------------------------------------
 
-_BINARY_KIND = {"&": "and", "|": "or", "^": "xor", "+": "add", "-": "sub"}
-_REDUCE_KIND = {"&": "redand", "|": "redor", "^": "redxor"}
-_BINARY_NODE = {op: (kind,) for op, kind in _BINARY_KIND.items()}
+#: A binary operator's entry in :attr:`_Elaborator._known`.
+_BINARY_KNOWN = {op: (None, None, (kind,)) for op, kind in (
+    ("&", "and"), ("|", "or"), ("^", "xor"), ("+", "add"), ("-", "sub"))}
 
 
 class _Code(NamedTuple):
@@ -728,9 +762,10 @@ class _Net:
 class _Elaborator:
     """Builds one HwModule from an AstModule, given all module signatures.
 
-    Each expression is walked once, iteratively, when drivers are
-    collected (:meth:`walk`); building a net replays the walk's nodes
-    (:meth:`build`), so no expression depth reaches the stack.
+    Each expression is checked in one pass over its post-order items
+    when drivers are collected (:meth:`walk`); building a net replays
+    the pass's nodes (:meth:`build`), so no expression depth reaches
+    the stack.
     """
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
@@ -748,6 +783,9 @@ class _Elaborator:
         # an extract node -> its value, once built; a net's value never
         # changes, and a chain reads the same bits over and over
         self._extracts: dict[tuple, ValueRef] = {}
+        # token text -> (net name, width, node) of a checked leaf, or
+        # (None, None, node) of a binary operator; see walk
+        self._known: dict[str, tuple] = dict(_BINARY_KNOWN)
         self.failed = False
 
     def error(self, tok: int, message: str) -> None:
@@ -779,134 +817,112 @@ class _Elaborator:
 
     # -- expressions -------------------------------------------------------
 
-    def walk(self, root: Expr) -> _Code | None:
-        """Check the widths of ``root`` in one iterative post-order
-        walk, operands left to right, and record its nets and nodes.
+    def walk(self, code: list) -> _Code | None:
+        """Check the widths of an expression in one pass over its
+        post-order items (see :meth:`_Parser.expr`), and record its nets
+        and nodes.
 
-        Every operand is walked even after an error, and an operator
+        Every operand is checked even after an error, and an operator
         whose operand failed adds no error of its own, so the
         diagnostics come in source order.  Returns None after an error.
         """
-        nets = self.nets
+        toks, known = self.lexer.toks, self._known
         nodes: list[tuple] = []
         deps: list[tuple[str, int]] = []
         widths: list[int | None] = []  # of the finished operands
-        todo: list = [root]
-        while todo:
-            e = todo.pop()
-            cls = type(e)
-            if cls is ESelect or cls is ERef:
-                deps.append((e.name, e.tok))
-                net = nets.get(e.name)
-                if net is None:
-                    self.error(e.tok, f"unknown identifier '{e.name}'")
-                    widths.append(None)
-                elif cls is ERef:
-                    widths.append(net.width)
-                    nodes.append(("net", e.name))
-                elif e.high >= net.width:
-                    self.error(e.tok,
-                               f"bit {e.high} out of range for '{e.name}'"
-                               f" of width {net.width}")
-                    widths.append(None)
-                else:
-                    w = e.high - e.low + 1
+        for item in code:
+            if item.__class__ is int:
+                name, w, node = known.get(toks[item]) or self.operand(item)
+                if w is not None or node is None:  # a leaf
+                    if name is not None:
+                        deps.append((name, item))
                     widths.append(w)
-                    nodes.append(("extract", e.name, e.low, w))
-            elif cls is tuple:  # (operator,): its operands are done
-                e = e[0]
-                cls = type(e)
-                if cls is EBinary:
+                    if node is not None:
+                        nodes.append(node)
+                else:  # a binary operator
                     wb = widths.pop()
                     wa = widths[-1]
                     if wa is None or wb is None:
                         widths[-1] = None
                     elif wa != wb:
-                        self.error(e.tok,
+                        self.error(item,
                                    f"operand width mismatch: {wa} vs {wb}")
                         widths[-1] = None
-                    elif wa > MAX_WIDTH and self.too_wide(e.tok, wa):
+                    elif wa > MAX_WIDTH and self.too_wide(item, wa):
                         widths[-1] = None
                     else:
-                        nodes.append(_BINARY_NODE[e.op])
-                elif cls is EUnary:
-                    w = widths[-1]
-                    if w is None:
-                        pass
-                    elif self.too_wide(e.tok, w):
-                        widths[-1] = None
-                    elif e.op == "~":
-                        nodes.append(("not",))
-                    else:
-                        nodes.append((_REDUCE_KIND[e.op],))
-                        widths[-1] = 1
-                elif cls is ETernary:
-                    wb = widths.pop()
-                    wa = widths.pop()
-                    wc = widths[-1]
-                    widths[-1] = None
-                    if wc is None or wa is None or wb is None:
-                        pass
-                    elif wc != 1:
-                        self.error(e.cond.tok,
-                                   f"condition must be 1 bit wide, got {wc}")
-                    elif wa != wb:
-                        self.error(e.tok,
-                                   f"arm width mismatch: {wa} vs {wb}")
-                    elif not self.too_wide(e.tok, wa):
-                        widths[-1] = wa
-                        nodes.append(("mux",))
-                elif cls is EConcat:
-                    n = len(e.items)
-                    items = widths[-n:]
-                    del widths[-n:]
-                    w = None if None in items else sum(items)
-                    if w is not None and self.too_wide(e.tok, w):
-                        w = None
-                    widths.append(w)
-                    if w is not None:
-                        nodes.append(("concat", n))
-                else:  # ERepl
-                    w = widths[-1]
-                    if w is not None:
-                        w *= e.count
-                        if self.too_wide(e.tok, w):
-                            w = None
-                        else:
-                            nodes.append(("replicate", e.count))
-                        widths[-1] = w
-            elif cls is ENum:
-                if e.sized:
-                    widths.append(e.width)
-                    nodes.append(("const", e.value, e.width))
-                else:
-                    self.error(e.tok,
-                               "unsized literal in expression position"
-                               " (only valid as an index or replication"
-                               " count)")
-                    widths.append(None)
+                        nodes.append(node)
+                continue
+            kind, tok = item[0], item[1]
+            if kind == "mux":
+                wc, wa, wb = widths[-3:]
+                del widths[-2:]
+                widths[-1] = None
+                if None in (wc, wa, wb):
+                    pass
+                elif wc != 1:
+                    self.error(item[2],
+                               f"condition must be 1 bit wide, got {wc}")
+                elif wa != wb:
+                    self.error(tok, f"arm width mismatch: {wa} vs {wb}")
+                elif not self.too_wide(tok, wa):
+                    widths[-1] = wa
+                    nodes.append(("mux",))
+            elif kind == "concat":
+                n = item[2]
+                items = widths[-n:]
+                del widths[-n:]
+                w = None if None in items else sum(items)
+                if w is not None and self.too_wide(tok, w):
+                    w = None
+                widths.append(w)
+                if w is not None:
+                    nodes.append(("concat", n))
+            elif widths[-1] is None:
+                pass
+            elif kind == "replicate":
+                w = widths[-1] * item[2]
+                widths[-1] = None if self.too_wide(tok, w) else w
+                if widths[-1] is not None:
+                    nodes.append(("replicate", item[2]))
+            elif self.too_wide(tok, widths[-1]):  # a prefix operator
+                widths[-1] = None
             else:
-                todo.append((e,))
-                if cls is EBinary:
-                    # down the left spine at once: a chain parses
-                    # left-deep
-                    todo.append(e.b)
-                    e = e.a
-                    while type(e) is EBinary:
-                        todo.append((e,))
-                        todo.append(e.b)
-                        e = e.a
-                    todo.append(e)
-                elif cls is EUnary:
-                    todo.append(e.arg)
-                elif cls is ETernary:
-                    todo += (e.other, e.then, e.cond)
-                elif cls is EConcat:
-                    todo += reversed(e.items)
-                else:
-                    todo.append(e.item)
+                nodes.append((kind,))
+                if kind != "not":
+                    widths[-1] = 1
         width = widths.pop()
         return None if width is None else _Code(width, deps, nodes)
+
+    def operand(self, tok: int) -> tuple:
+        """``(net name, width, node)`` of the leaf at ``tok``: the name
+        is None for a literal, and the node None after an error, which
+        is reported.  Leaves without an error are kept in :attr:`_known`,
+        so each text is looked into once per module."""
+        text = self.lexer.toks[tok]
+        name, high, low = self.lexer.selects.get(text, (text, None, None))
+        if text[0] in _DIGITS:
+            literal = self.lexer.literals.get(text)
+            if literal is None:
+                self.error(tok, "unsized literal in expression position"
+                                " (only valid as an index or replication"
+                                " count)")
+                return None, None, None
+            known = (None, literal[1], ("const", *literal))
+        elif (net := self.nets.get(name)) is None:
+            self.error(tok, f"unknown identifier '{name}'")
+            return name, None, None
+        elif high is None:
+            known = (name, net.width, ("net", name))
+        elif high >= net.width:
+            self.error(tok, f"bit {high} out of range for '{name}' of"
+                            f" width {net.width}")
+            return name, None, None
+        else:
+            known = (name, high - low + 1,
+                     ("extract", name, low, high - low + 1))
+        self._known[text] = known
+        return known
 
     def too_wide(self, tok: int, width: int) -> bool:
         """Report an operator whose operands or result exceed
@@ -1073,27 +1089,17 @@ class _Elaborator:
         return out
 
     def conn_lvalue(self, conn: AstConn) -> AstLval | None:
-        e = conn.expr
-        if isinstance(e, ERef):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            return AstLval(e.name, None, None, e.tok)
-        if isinstance(e, ESelect):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            if e.high >= net.width:
-                self.error(e.tok,
-                           f"bit {e.high} out of range for '{e.name}'"
-                           f" of width {net.width}")
-                return None
-            return AstLval(e.name, e.high, e.low, e.tok)
-        self.error(conn.tok,
-                   "output connection must be a net or a net slice")
-        return None
+        tok = conn.expr[0]  # a leaf comes first
+        text = self.lexer.toks[tok]
+        if len(conn.expr) != 1 or text[0] in _DIGITS:
+            self.error(conn.tok,
+                       "output connection must be a net or a net slice")
+            return None
+        name, _, node = self.operand(tok)
+        if node is None:
+            return None
+        _, high, low = self.lexer.selects.get(text, (name, None, None))
+        return AstLval(name, high, low, tok)
 
     # -- demand-driven net elaboration ---------------------------------------
 
@@ -1216,9 +1222,8 @@ class _Elaborator:
         try:
             for p in ports:
                 if p.direction == "output":
-                    outputs[p.name] = self.demand_net(
-                        p.name, self.nets[p.name].tok
-                    )
+                    outputs[p.name] = self.demand_net(p.name,
+                                                      self.nets[p.name].tok)
             for idx, inst in enumerate(self.ast.instances):
                 if idx in self.inst_values:
                     continue
@@ -1230,8 +1235,10 @@ class _Elaborator:
                         continue
                     port = sig[k].name if conn.port is None else conn.port
                     code = inputs.get(port)
-                    # an output connection is a net or a slice of one
-                    deps = [(e.name, e.tok)] if code is None else code.deps
+                    # an output connection is a net or a slice of one,
+                    # known since conn_lvalue
+                    deps = code.deps if code is not None else \
+                        [(self._known[self.lexer.toks[e[0]]][0], e[0])]
                     for dep, dtok in deps:
                         self.demand_net(dep, dtok)
                 self.materialize_instance(idx)
@@ -1287,11 +1294,8 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
         if mod.name in signatures:
             lexer.error(mod.tok, f"duplicate module '{mod.name}'")
             continue
-        ports = []
-        for p in mod.ports:
-            if p.direction is not None:
-                ports.append(Port(p.name, p.direction, p.width))
-        signatures[mod.name] = ports
+        signatures[mod.name] = [Port(p.name, p.direction, p.width)
+                                for p in mod.ports if p.direction is not None]
         order.append(mod)
     if diags:
         raise ParseError(diags)
@@ -1308,12 +1312,8 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
             ParseDiagnostic(filename, 1, 1, "error", "no modules found")
         ])
 
-    instantiated = {
-        op.module
-        for m in modules.values()
-        for op in m.operations
-        if op.kind == "instance"
-    }
+    instantiated = {op.module for m in modules.values()
+                    for op in m.operations if op.kind == "instance"}
     roots = [name for name in modules if name not in instantiated]
     top = roots[0] if len(roots) == 1 else list(modules)[-1]
     design = HwDesign(modules, top)

@@ -73,6 +73,14 @@ class Operation:
     out_ports: tuple[tuple[str, int], ...] = ()  # instance: (name, width)
 
 
+def with_operands(op: Operation, operands: list[ValueRef]) -> Operation:
+    """A copy of ``op`` that reads ``operands``; operations are never
+    mutated in place.  Built positionally, which costs about a fifth of
+    :func:`dataclasses.replace`."""
+    return Operation(op.kind, op.width, operands, op.value, op.low, op.count,
+                     op.port, op.module, op.name, op.in_ports, op.out_ports)
+
+
 #: Kinds that compute a value from their operands.  ``input`` and
 #: ``instance`` are deliberately absent: they stand for values produced
 #: outside the module body.
@@ -825,8 +833,8 @@ def compile_module(
             c = vals[refs[0].op][0]
             r = [mux(c, x, y)
                  for x, y in zip(vals[refs[1].op], vals[refs[2].op])]
-        elif kind == "const":
-            r = [(op.value >> i) & 1 for i in range(op.width)]
+        elif kind == "const":  # one string, not a shift per bit
+            r = list(map(int, format(op.value, f"0{op.width}b")[::-1]))
         elif kind == "input":
             r = ports[op.port]
         elif kind == "replicate":

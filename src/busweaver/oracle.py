@@ -28,6 +28,7 @@ from busweaver.ir import (
     compile_module,
     compile_packed,
     simulate_packed,
+    with_operands,
 )
 
 DEFAULT_MAX_EXHAUSTIVE_BITS = 16
@@ -261,8 +262,6 @@ def mutation_audit(
     swaps two same-width concat operands.  Raises ``ValueError`` if the
     top module offers nothing to mutate.
     """
-    from dataclasses import replace
-
     top = design.top_module
     candidates = _mutation_candidates(top)
     if not candidates:
@@ -274,8 +273,7 @@ def mutation_audit(
     result = MutationAuditResult(0, 0, seed)
     for _ in range(mutations):
         kind, a, b = candidates[rng.randrange(len(candidates))]
-        ops = [replace(op, operands=list(op.operands))
-               for op in top.operations]
+        ops = [with_operands(op, list(op.operands)) for op in top.operations]
         if kind == "flip":
             ops[a].kind = _FLIP[ops[a].kind]
             label = f"flip %{a}"

@@ -16,13 +16,12 @@ no-op.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from busweaver.ir import (
     HwModule,
     ModuleBuilder,
     ValueRef,
     cse_key,
+    with_operands,
 )
 
 
@@ -82,9 +81,8 @@ def compact_module(
         # Operations are never mutated in place, so one whose operands
         # keep their ids is shared with the input module.
         if any(remap[r.op] != r.op for r in op.operands):
-            op = replace(op, operands=[
-                ValueRef(remap[r.op], r.width) for r in op.operands
-            ])
+            op = with_operands(op, [ValueRef(remap[r.op], r.width)
+                                    for r in op.operands])
         new_ops.append(op)
     outputs = {
         name: ValueRef(remap[ref.op], ref.width)
@@ -123,6 +121,11 @@ class ModuleRewriter(ModuleBuilder):
         self._users: dict[int, set[int]] = {}
         self._indexed = 0
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
+        # Operations is_live has found live, until an edit could make
+        # them dead (see _forget), and the operations its walks have
+        # visited, a counter that tests bound.
+        self._live: set[int] = set()
+        self.reader_steps = 0
 
     def live(self) -> list[int]:
         """The ids :meth:`finish` would keep, in :func:`live_order`."""
@@ -131,6 +134,7 @@ class ModuleRewriter(ModuleBuilder):
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
+        self._live.clear()
 
     def _index(self) -> None:
         """Index the readers of the operations appended since the last
@@ -153,20 +157,27 @@ class ModuleRewriter(ModuleBuilder):
     def is_live(self, ref: ValueRef) -> bool:
         """Whether :meth:`finish` would keep ``ref``'s operation: some
         chain of readers, walked upward through the use index, reaches
-        an operation bound to an output or a kept instance."""
+        an operation bound to an output, a kept instance, or one found
+        live before.  Every operation on the chain found is live, and
+        is remembered as such until an edit could make it dead."""
         self._index()
-        ops, users, bound = self.operations, self._users, self._bound
-        seen = {ref.op}
+        ops, users, bound, live = (self.operations, self._users,
+                                   self._bound, self._live)
+        below = {ref.op: None}  # a walked op -> the op it reads, if any
         stack = [ref.op]
         while stack:
             oid = stack.pop()
-            if ops[oid].kind == "instance" and oid not in self._dropped:
-                return True
-            if any(b is self.outputs for b, _ in bound.get(oid, ())):
+            self.reader_steps += 1
+            if oid in live or (ops[oid].kind == "instance"
+                               and oid not in self._dropped) \
+                    or any(b is self.outputs for b, _ in bound.get(oid, ())):
+                while oid is not None:
+                    live.add(oid)
+                    oid = below[oid]
                 return True
             for uid in users.get(oid, ()):
-                if uid not in seen:
-                    seen.add(uid)
+                if uid not in below:
+                    below[uid] = oid
                     stack.append(uid)
         return False
 
@@ -181,6 +192,7 @@ class ModuleRewriter(ModuleBuilder):
         """
         self._index()
         ops, users, cse = self.operations, self._users, self._cse
+        self._forget(old.op for old in subst)
         readers = set()
         for old in subst:
             readers |= users.pop(old.op, set())
@@ -192,14 +204,28 @@ class ModuleRewriter(ModuleBuilder):
             key = cse_key(op)
             if key is not None and cse.get(key) == ValueRef(uid, op.width):
                 del cse[key]
-            op = ops[uid] = replace(
-                op, operands=[subst.get(r, r) for r in op.operands]
-            )
+            op = ops[uid] = with_operands(
+                op, [subst.get(r, r) for r in op.operands])
             key = cse_key(op)
             if key is not None:
                 cse[key] = ValueRef(uid, op.width)
             for ref in op.operands:
                 users.setdefault(ref.op, set()).add(uid)
+
+    def _forget(self, roots) -> None:
+        """Forget that ``roots`` and the live operations below them are
+        live: an edit that takes the uses of ``roots`` away can make only
+        those dead.  Each remembered operation keeps a chain of
+        remembered readers up to a root, so walking down through
+        remembered operations reaches every one whose chain passed
+        through ``roots``."""
+        live, ops = self._live, self.operations
+        stack = [oid for oid in roots if oid in live]
+        while stack:
+            oid = stack.pop()
+            if oid in live:
+                live.discard(oid)
+                stack += [r.op for r in ops[oid].operands if r.op in live]
 
     def finish(self) -> HwModule:
         module = super().finish(self.outputs, self.wires)

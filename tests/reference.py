@@ -2,14 +2,18 @@
 
 The token-at-a-time lexer (``Token``, ``_Lexer``) is the specification
 of ``frontend._Lexer``: the same token texts, in order, and the same
-lexical diagnostics, each with its ``line:col``.
+lexical diagnostics, each with its ``line:col``, once each select token
+of ``frontend._Lexer`` is read as the tokens it is spelled with.
 
-The recursive elaborator (``_Elaborator``, with its ``_Net``) is the
-specification of ``frontend._Elaborator``: on any module it can
-elaborate without reaching the recursion limit, the same operation
-list, the same bindings and the same diagnostics.  It walks each
-expression three times, recursively: once for widths, once per demand
-for the nets it reads, and once to build it.
+The reference front half is the frontend before expressions were parsed
+without recursion: the findall lexer without select tokens
+(``_FindallLexer``), the recursive-descent parser (``_Parser``) that
+builds an expression tree (``Expr`` and its subclasses), and the
+elaborator that walks that tree (``_Elaborator``).  Put in place of
+``frontend._Lexer``, ``_Parser`` and ``_Elaborator``, it is the
+specification of ``frontend.parse_design``: on any source it can parse
+without reaching the recursion limit, the same operation list, the same
+bindings and the same diagnostics.
 
 The pipeline plans a sink with one downward scan per bit
 (``pipeline.permutation_low`` and ``_SinkAnalysis.structural_low``).
@@ -27,24 +31,142 @@ from dataclasses import dataclass, field
 
 from busweaver.cones import ConeShape, LogicCone, family_shape, lane_steps
 from busweaver.frontend import (
+    _DIGITS,
+    _IDENT_START,
+    _PUNCT,
+    _SHOWN_BITS,
+    _UNSUPPORTED_OPS,
     KEYWORDS,
+    MAX_WIDTH,
+    UNSUPPORTED_KEYWORDS,
+    AstAssign,
     AstConn,
     AstInstance,
     AstLval,
     AstModule,
-    EBinary,
-    EConcat,
-    ENum,
-    ERef,
-    ERepl,
-    ESelect,
-    ETernary,
-    EUnary,
-    Expr,
+    AstPortDecl,
+    AstWire,
     ParseDiagnostic,
+    _Code,
+    _decimal,
+    _Net,
+    _SyntaxAbort,
 )
-from busweaver.ir import HwModule, ModuleBuilder, Port, ValueRef, route_bit
-from busweaver.rewrite import compact_module, live_order
+from busweaver.ir import (
+    BINARY_KINDS,
+    HwModule,
+    ModuleBuilder,
+    Port,
+    ValueRef,
+    route_bit,
+)
+from busweaver.rewrite import compact_module
+
+
+#: One match per token: blanks and comments, then the token as group 1.
+#: Group 1 is a sized literal, a number, an identifier, an unsupported
+#: operator, punctuation, a stray character, or "" at the end of input.
+_FINDALL_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
+    r"|[0-9][0-9_]*"
+    r"|[A-Za-z_][A-Za-z0-9_$]*"
+    r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
+    r"|[()\[\]{},;:.?=~&|^+\-]"
+    r"|."
+    r"|\Z)",
+    re.DOTALL,
+)
+
+
+class _FindallLexer:
+    """Token texts of one source, and where they are.
+
+    A token is its text; the list from :meth:`tokens` ends in "" for
+    end of input.  Nodes and nets refer to a token by its index, which
+    :meth:`position` turns into ``(line, col)`` only when a diagnostic
+    needs one.
+    """
+
+    def __init__(self, src: str, filename: str, diags: list[ParseDiagnostic]):
+        self.src = src
+        self.filename = filename
+        self.diags = diags
+        #: sized literal text -> (value, width)
+        self.literals: dict[str, tuple[int, int]] = {}
+        self._positions: list[tuple[int, int]] | None = None
+
+    def error(self, index: int, message: str) -> None:
+        self.diags.append(ParseDiagnostic(
+            self.filename, *self.position(index), "error", message))
+
+    def position(self, index: int) -> tuple[int, int]:
+        """``(line, col)`` of token ``index``: lines count newlines,
+        columns count characters from the line's start.  The first call
+        scans the whole source once."""
+        if self._positions is None:
+            src = self.src
+            self._positions = []
+            line, line_start, prev = 1, 0, 0
+            for m in _FINDALL_RE.finditer(src):
+                start = m.start(1)
+                newlines = src.count("\n", prev, start)
+                if newlines:
+                    line += newlines
+                    line_start = src.rfind("\n", prev, start) + 1
+                self._positions.append((line, start - line_start + 1))
+                prev = start
+        return self._positions[index]
+
+    def tokens(self) -> list[str]:
+        texts = _FINDALL_RE.findall(self.src)
+        if len(texts) > 1 and not texts[-2]:
+            texts.pop()  # trailing blanks: the end matches twice
+        bad = {text: message for text in set(texts)
+               if (message := self._check(text)) is not None}
+        if not bad:
+            return texts
+        keep = []
+        for i, text in enumerate(texts):
+            if text in bad:
+                self.error(i, bad[text])
+            else:
+                keep.append(i)
+        self._positions = [self._positions[i] for i in keep]
+        return [texts[i] for i in keep]
+
+    def _check(self, text: str) -> str | None:
+        """The diagnostic for a text the parser must not see, or None.
+        Decodes a sized literal into :attr:`literals`."""
+        if text in _UNSUPPORTED_OPS:
+            return f"unsupported operator '{text}'"
+        if text[:1] in _DIGITS:
+            return self._sized(text) if "'" in text else None
+        if not text or text[0] in _IDENT_START or text in _PUNCT:
+            return None
+        return f"unexpected character {text!r}"
+
+    def _sized(self, text: str) -> str | None:
+        width_str, rest = text.split("'", 1)
+        width = int(width_str.replace("_", "").strip())
+        rest = rest.strip()
+        base, digits = rest[0].lower(), rest[1:].replace("_", "")
+        if width < 1:
+            return f"literal width {width} < 1"
+        if any(c in "xXzZ?" for c in digits):
+            return "four-state literals (x/z) are not supported"
+        try:
+            value = _decimal(digits) if base == "d" \
+                else int(digits, {"b": 2, "o": 8, "h": 16}[base])
+        except ValueError:
+            return f"malformed literal '{text}'"
+        if value.bit_length() > width:
+            shown = value if value.bit_length() < _SHOWN_BITS \
+                else f"of {value.bit_length()} bits"
+            return (f"literal value {shown} does not fit in"
+                    f" {width} bit{'s' if width != 1 else ''}")
+        self.literals[text] = (value, width)
+        return None
 
 
 _TOKEN_RE = re.compile(
@@ -147,30 +269,417 @@ class _Lexer:
         return Token("sized", text, line, col, value=value, width=width)
 
 
-_BINARY_KIND = {"&": "and", "|": "or", "^": "xor", "+": "add", "-": "sub"}
-_REDUCE_KIND = {"&": "redand", "|": "redor", "^": "redxor"}
+@dataclass
+class Expr:
+    tok: int
 
 
 @dataclass
-class _Net:
-    name: str
-    width: int
-    is_wire: bool
-    direction: str | None  # port direction, None for wires
-    tok: int
-    # (high, low, tag, payload); tag is "assign" or "inst"
-    drivers: list[tuple[int, int, str, object]] = field(default_factory=list)
-    driven_by: list[object | None] = None  # per-bit driver site
+class ENum(Expr):
+    value: int = 0
+    sized: bool = False
+    width: int = 0  # of a sized literal
 
-    def __post_init__(self):
-        self.driven_by = [None] * self.width
+
+@dataclass
+class ERef(Expr):
+    name: str = ""
+
+
+@dataclass
+class ESelect(Expr):
+    # bit select: high == low; part select otherwise
+    name: str = ""
+    high: int = 0
+    low: int = 0
+
+
+@dataclass
+class EConcat(Expr):
+    items: list[Expr] = field(default_factory=list)
+
+
+@dataclass
+class ERepl(Expr):
+    count: int = 0
+    item: Expr | None = None
+
+
+@dataclass
+class EUnary(Expr):
+    op: str = ""  # "~", "&", "|", "^"
+    arg: Expr | None = None
+
+
+@dataclass
+class EBinary(Expr):
+    op: str = ""  # "&", "|", "^", "+", "-"
+    a: Expr | None = None
+    b: Expr | None = None
+
+
+@dataclass
+class ETernary(Expr):
+    cond: Expr | None = None
+    then: Expr | None = None
+    other: Expr | None = None
+
+
+
+
+#: Binary operator precedence, loosest first.
+_BINARY_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
+_UNARY_OPS = frozenset({"~", "&", "|", "^"})
+
+
+def _is_ident(text: str) -> bool:
+    return text[:1] in _IDENT_START and text not in KEYWORDS
+
+
+def _is_number(text: str) -> bool:
+    """An unsized number; sized literals hold a "'"."""
+    return text[:1] in _DIGITS and "'" not in text
+
+
+class _Parser:
+    def __init__(self, tokens: list[str], lexer: _FindallLexer):
+        # The list ends in "" and nothing steps past it; the only look
+        # ahead is past a number, never past "".
+        self.toks = tokens
+        self.pos = 0
+        self.lexer = lexer
+
+    def peek(self) -> str:
+        return self.toks[self.pos]
+
+    def error(self, index: int, message: str) -> _SyntaxAbort:
+        self.lexer.error(index, message)
+        return _SyntaxAbort()
+
+    def found(self, index: int) -> str:
+        return repr(self.toks[index] or "end of input")
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.toks[self.pos] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str) -> None:
+        i = self.pos
+        if self.toks[i] != text:
+            raise self.error(i, f"expected {text!r}, found {self.found(i)}")
+        self.pos = i + 1
+
+    def ident(self, what: str) -> str:
+        """Consume an identifier that is not a keyword."""
+        i = self.pos
+        text = self.toks[i]
+        if not _is_ident(text):
+            raise self.error(i, f"expected {what!r}, found {self.found(i)}")
+        self.pos = i + 1
+        return text
+
+    def bit_index(self) -> int:
+        """Consume an unsized number and return its value."""
+        i = self.pos
+        text = self.toks[i]
+        if not _is_number(text):
+            raise self.error(i, f"expected 'bit index', found {self.found(i)}")
+        self.pos = i + 1
+        return _decimal(text.replace("_", ""))
+
+    def check_supported(self, index: int) -> None:
+        text = self.toks[index]
+        if text in UNSUPPORTED_KEYWORDS:
+            raise self.error(
+                index,
+                f"unsupported construct '{text}' (only flat"
+                " combinational modules are supported)",
+            )
+
+    # -- grammar ---------------------------------------------------------
+
+    def design(self) -> list[AstModule]:
+        modules = []
+        while True:
+            i = self.pos
+            text = self.toks[i]
+            if not text:
+                return modules
+            self.check_supported(i)
+            if text == "module":
+                modules.append(self.module())
+            else:
+                raise self.error(i, f"expected 'module', found {text!r}")
+
+    def module(self) -> AstModule:
+        head = self.pos
+        self.pos += 1  # "module"
+        mod = AstModule(self.ident("module name"), [], [], [], [], head)
+        if self.accept("("):
+            last: list[tuple[str, int] | None] = [None]
+            if self.peek() != ")":
+                while True:
+                    self.port_decl(mod, last)
+                    if not self.accept(","):
+                        break
+            self.expect(")")
+        self.expect(";")
+        # Body declarations look ports up here; the first name wins.
+        decls = {p.name: p for p in reversed(mod.ports)}
+        while True:
+            text = self.peek()
+            if text == "endmodule":
+                self.pos += 1
+                break
+            if not text:
+                raise self.error(self.pos, "missing 'endmodule'")
+            self.statement(mod, decls)
+        return mod
+
+    def port_decl(self, mod: AstModule,
+                  last: list[tuple[str, int] | None]) -> None:
+        i = self.pos
+        text = self.toks[i]
+        if text in ("input", "output"):
+            self.pos = i + 1
+            width = self.opt_range() or 1
+            self.check_supported(self.pos)
+            at = self.pos
+            mod.ports.append(
+                AstPortDecl(self.ident("port name"), text, width, at)
+            )
+            last[0] = (text, width)
+        elif _is_ident(text):
+            self.check_supported(i)
+            self.pos = i + 1
+            # ANSI style: later names inherit the previous direction
+            direction, width = last[0] or (None, None)
+            mod.ports.append(AstPortDecl(text, direction, width, i))
+        else:
+            raise self.error(i, f"expected port, found {text!r}")
+
+    def opt_range(self) -> int | None:
+        """``[N:0]`` in a declaration; returns the width."""
+        if not self.accept("["):
+            return None
+        top = self.pos
+        high = self.bit_index()
+        self.expect(":")
+        at = self.pos
+        low = self.bit_index()
+        self.expect("]")
+        if low != 0:
+            raise self.error(
+                at, f"declaration ranges must end at 0, found"
+                    f" [{high}:{low}]"
+            )
+        if high >= MAX_WIDTH:
+            raise self.error(
+                top, f"declared width {high + 1} exceeds the limit of"
+                        f" {MAX_WIDTH} bits"
+            )
+        return high + 1
+
+    def statement(self, mod: AstModule,
+                  decls: dict[str, AstPortDecl]) -> None:
+        i = self.pos
+        text = self.toks[i]
+        self.check_supported(i)
+        if text in ("input", "output"):
+            self.pos = i + 1
+            width = self.opt_range()
+            while True:
+                at = self.pos
+                name = self.ident("port name")
+                decl = decls.get(name)
+                if decl is None:
+                    raise self.error(at, f"'{name}' is not in the port list")
+                if decl.direction is not None:
+                    raise self.error(at, f"port '{name}' declared twice")
+                decl.direction = text
+                decl.width = width or 1
+                if not self.accept(","):
+                    break
+            self.expect(";")
+        elif text == "wire":
+            self.pos = i + 1
+            width = self.opt_range() or 1
+            while True:
+                at = self.pos
+                mod.wires.append(AstWire(self.ident("wire name"), width, at))
+                if not self.accept(","):
+                    break
+            self.expect(";")
+        elif text == "assign":
+            self.pos = i + 1
+            lhs = self.lvalue()
+            self.expect("=")
+            rhs = self.expr()
+            self.expect(";")
+            mod.assigns.append(AstAssign(lhs, rhs, i))
+        elif _is_ident(text):
+            mod.instances.append(self.instance())
+        else:
+            raise self.error(i, f"expected statement, found {self.found(i)}")
+
+    def lvalue(self) -> AstLval:
+        i = self.pos
+        name = self.ident("net name")
+        high = low = None
+        if self.accept("["):
+            at = self.pos
+            high = low = self.bit_index()
+            if self.accept(":"):
+                low = self.bit_index()
+                if high < low:
+                    raise self.error(
+                        at, f"descending range [{high}:{low}] on"
+                            " assignment target"
+                    )
+            self.expect("]")
+        return AstLval(name, high, low, i)
+
+    def instance(self) -> AstInstance:
+        i = self.pos
+        module = self.ident("module name")
+        name = self.ident("instance name")
+        self.expect("(")
+        conns: list[AstConn] = []
+        if self.peek() != ")":
+            while True:
+                at = self.pos
+                if self.accept("."):
+                    at = self.pos
+                    port = self.ident("port name")
+                    self.expect("(")
+                    expr = None
+                    if self.peek() != ")":
+                        expr = self.expr()
+                    self.expect(")")
+                    conns.append(AstConn(port, expr, at))
+                else:
+                    conns.append(AstConn(None, self.expr(), at))
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        self.expect(";")
+        return AstInstance(module, name, conns, i)
+
+    # -- expressions ---------------------------------------------------------
+
+    def expr(self) -> Expr:
+        cond = self.binary(1)
+        i = self.pos
+        if self.toks[i] != "?":
+            return cond
+        self.pos = i + 1
+        then = self.expr()
+        self.expect(":")
+        other = self.expr()
+        return ETernary(i, cond, then, other)
+
+    def binary(self, min_prec: int, left: Expr | None = None) -> Expr:
+        """Precedence climbing over :data:`_BINARY_PREC`: the operators
+        of at least ``min_prec``, left-associative, after ``left`` if it
+        is given.  Recursion goes one level deeper per precedence level
+        that the next operator climbs, not per operator."""
+        if left is None:
+            left = self.unary()
+        toks = self.toks
+        while True:
+            i = self.pos
+            op = toks[i]
+            prec = _BINARY_PREC.get(op, 0)
+            if prec < min_prec:
+                return left
+            self.pos = i + 1
+            right = self.unary() if toks[i + 1] in _UNARY_OPS \
+                else self.primary()
+            if _BINARY_PREC.get(toks[self.pos], 0) > prec:
+                right = self.binary(prec + 1, right)
+            left = EBinary(i, op, left, right)
+
+    def unary(self) -> Expr:
+        i = self.pos
+        op = self.toks[i]
+        if op in _UNARY_OPS:
+            self.pos = i + 1
+            arg = self.unary()
+            return EUnary(i, op, arg)
+        return self.primary()
+
+    def primary(self) -> Expr:
+        i = self.pos
+        text = self.toks[i]
+        # _is_ident and check_supported, inline: most operands are here
+        if text[:1] in _IDENT_START and text not in KEYWORDS:
+            if text in UNSUPPORTED_KEYWORDS:
+                self.check_supported(i)
+            toks = self.toks
+            if toks[i + 1] != "[":
+                self.pos = i + 1
+                return ERef(i, text)
+            self.pos = at = i + 2
+            high = low = self.bit_index()
+            if toks[self.pos] == ":":
+                self.pos += 1
+                low = self.bit_index()
+                if high < low:
+                    raise self.error(
+                        at, f"descending part select [{high}:{low}]"
+                    )
+            self.expect("]")
+            return ESelect(i, text, high, low)
+        if text[:1] in _DIGITS:
+            self.pos = i + 1
+            literal = self.lexer.literals.get(text)
+            if literal is None:
+                return ENum(i, sized=False)
+            value, width = literal
+            return ENum(i, width=width, value=value, sized=True)
+        if text == "(":
+            self.pos = i + 1
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if text == "{":
+            self.pos = at = i + 1
+            # Replication looks like {N{expr}}.
+            if _is_number(self.toks[at]) and self.toks[at + 1] == "{":
+                self.pos = at + 2
+                item = self.expr()
+                self.expect("}")
+                self.expect("}")
+                count = _decimal(self.toks[at].replace("_", ""))
+                if count < 1:
+                    raise self.error(at, "replication count must be >= 1")
+                return ERepl(i, count, item)
+            items = [self.expr()]
+            while self.accept(","):
+                items.append(self.expr())
+            self.expect("}")
+            return EConcat(i, items)
+        raise self.error(i, f"expected expression, found {self.found(i)}")
+
+
+_BINARY_KIND = {"&": "and", "|": "or", "^": "xor", "+": "add", "-": "sub"}
+_REDUCE_KIND = {"&": "redand", "|": "redor", "^": "redxor"}
+_BINARY_NODE = {op: (kind,) for op, kind in _BINARY_KIND.items()}
 
 
 class _Elaborator:
-    """Builds one HwModule from an AstModule, given all module signatures."""
+    """Builds one HwModule from an AstModule, given all module signatures.
+
+    Each expression is walked once, iteratively, when drivers are
+    collected (:meth:`walk`); building a net replays the walk's nodes
+    (:meth:`build`), so no expression depth reaches the stack.
+    """
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
-                 lexer: "busweaver.frontend._Lexer"):
+                 lexer: _FindallLexer):
         self.ast = ast
         self.signatures = signatures
         self.lexer = lexer
@@ -179,7 +688,11 @@ class _Elaborator:
         self.net_values: dict[str, ValueRef] = {}
         self.net_state: dict[str, int] = {}  # 1 = in progress, 2 = done
         self.inst_values: dict[int, ValueRef] = {}
-        self._conn_cache: dict[int, dict[str, AstConn]] = {}
+        # instance index -> input port name -> the connection's _Code
+        self._inputs: dict[int, dict[str, _Code | None]] = {}
+        # an extract node -> its value, once built; a net's value never
+        # changes, and a chain reads the same bits over and over
+        self._extracts: dict[tuple, ValueRef] = {}
         self.failed = False
 
     def error(self, tok: int, message: str) -> None:
@@ -209,81 +722,183 @@ class _Elaborator:
             self.nets[w.name] = _Net(w.name, w.width, True, None, w.tok)
         return ports
 
-    # -- width inference ----------------------------------------------------
+    # -- expressions -------------------------------------------------------
 
-    def infer_width(self, e: Expr) -> int | None:
-        if isinstance(e, ENum):
-            if not e.sized:
-                self.error(e.tok,
-                           "unsized literal in expression position"
-                           " (only valid as an index or replication count)")
-                return None
-            return e.width
-        if isinstance(e, ERef):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            e.width = net.width
-            return net.width
-        if isinstance(e, ESelect):
-            net = self.nets.get(e.name)
-            if net is None:
-                self.error(e.tok, f"unknown identifier '{e.name}'")
-                return None
-            if e.high >= net.width:
-                self.error(e.tok,
-                           f"bit {e.high} out of range for '{e.name}'"
-                           f" of width {net.width}")
-                return None
-            e.width = e.high - e.low + 1
-            return e.width
-        if isinstance(e, EConcat):
-            widths = [self.infer_width(item) for item in e.items]
-            if any(w is None for w in widths):
-                return None
-            e.width = sum(widths)
-            return e.width
-        if isinstance(e, ERepl):
-            w = self.infer_width(e.item)
-            if w is None:
-                return None
-            e.width = w * e.count
-            return e.width
-        if isinstance(e, EUnary):
-            w = self.infer_width(e.arg)
-            if w is None:
-                return None
-            e.width = w if e.op == "~" else 1
-            return e.width
-        if isinstance(e, EBinary):
-            wa = self.infer_width(e.a)
-            wb = self.infer_width(e.b)
-            if wa is None or wb is None:
-                return None
-            if wa != wb:
-                self.error(e.tok,
-                           f"operand width mismatch: {wa} vs {wb}")
-                return None
-            e.width = wa
-            return wa
-        if isinstance(e, ETernary):
-            wc = self.infer_width(e.cond)
-            wa = self.infer_width(e.then)
-            wb = self.infer_width(e.other)
-            if wc is None or wa is None or wb is None:
-                return None
-            if wc != 1:
-                self.error(e.cond.tok,
-                           f"condition must be 1 bit wide, got {wc}")
-                return None
-            if wa != wb:
-                self.error(e.tok,
-                           f"arm width mismatch: {wa} vs {wb}")
-                return None
-            e.width = wa
-            return wa
-        raise AssertionError(f"unhandled expression {e!r}")
+    def walk(self, root: Expr) -> _Code | None:
+        """Check the widths of ``root`` in one iterative post-order
+        walk, operands left to right, and record its nets and nodes.
+
+        Every operand is walked even after an error, and an operator
+        whose operand failed adds no error of its own, so the
+        diagnostics come in source order.  Returns None after an error.
+        """
+        nets = self.nets
+        nodes: list[tuple] = []
+        deps: list[tuple[str, int]] = []
+        widths: list[int | None] = []  # of the finished operands
+        todo: list = [root]
+        while todo:
+            e = todo.pop()
+            cls = type(e)
+            if cls is ESelect or cls is ERef:
+                deps.append((e.name, e.tok))
+                net = nets.get(e.name)
+                if net is None:
+                    self.error(e.tok, f"unknown identifier '{e.name}'")
+                    widths.append(None)
+                elif cls is ERef:
+                    widths.append(net.width)
+                    nodes.append(("net", e.name))
+                elif e.high >= net.width:
+                    self.error(e.tok,
+                               f"bit {e.high} out of range for '{e.name}'"
+                               f" of width {net.width}")
+                    widths.append(None)
+                else:
+                    w = e.high - e.low + 1
+                    widths.append(w)
+                    nodes.append(("extract", e.name, e.low, w))
+            elif cls is tuple:  # (operator,): its operands are done
+                e = e[0]
+                cls = type(e)
+                if cls is EBinary:
+                    wb = widths.pop()
+                    wa = widths[-1]
+                    if wa is None or wb is None:
+                        widths[-1] = None
+                    elif wa != wb:
+                        self.error(e.tok,
+                                   f"operand width mismatch: {wa} vs {wb}")
+                        widths[-1] = None
+                    elif wa > MAX_WIDTH and self.too_wide(e.tok, wa):
+                        widths[-1] = None
+                    else:
+                        nodes.append(_BINARY_NODE[e.op])
+                elif cls is EUnary:
+                    w = widths[-1]
+                    if w is None:
+                        pass
+                    elif self.too_wide(e.tok, w):
+                        widths[-1] = None
+                    elif e.op == "~":
+                        nodes.append(("not",))
+                    else:
+                        nodes.append((_REDUCE_KIND[e.op],))
+                        widths[-1] = 1
+                elif cls is ETernary:
+                    wb = widths.pop()
+                    wa = widths.pop()
+                    wc = widths[-1]
+                    widths[-1] = None
+                    if wc is None or wa is None or wb is None:
+                        pass
+                    elif wc != 1:
+                        self.error(e.cond.tok,
+                                   f"condition must be 1 bit wide, got {wc}")
+                    elif wa != wb:
+                        self.error(e.tok,
+                                   f"arm width mismatch: {wa} vs {wb}")
+                    elif not self.too_wide(e.tok, wa):
+                        widths[-1] = wa
+                        nodes.append(("mux",))
+                elif cls is EConcat:
+                    n = len(e.items)
+                    items = widths[-n:]
+                    del widths[-n:]
+                    w = None if None in items else sum(items)
+                    if w is not None and self.too_wide(e.tok, w):
+                        w = None
+                    widths.append(w)
+                    if w is not None:
+                        nodes.append(("concat", n))
+                else:  # ERepl
+                    w = widths[-1]
+                    if w is not None:
+                        w *= e.count
+                        if self.too_wide(e.tok, w):
+                            w = None
+                        else:
+                            nodes.append(("replicate", e.count))
+                        widths[-1] = w
+            elif cls is ENum:
+                if e.sized:
+                    widths.append(e.width)
+                    nodes.append(("const", e.value, e.width))
+                else:
+                    self.error(e.tok,
+                               "unsized literal in expression position"
+                               " (only valid as an index or replication"
+                               " count)")
+                    widths.append(None)
+            else:
+                todo.append((e,))
+                if cls is EBinary:
+                    # down the left spine at once: a chain parses
+                    # left-deep
+                    todo.append(e.b)
+                    e = e.a
+                    while type(e) is EBinary:
+                        todo.append((e,))
+                        todo.append(e.b)
+                        e = e.a
+                    todo.append(e)
+                elif cls is EUnary:
+                    todo.append(e.arg)
+                elif cls is ETernary:
+                    todo += (e.other, e.then, e.cond)
+                elif cls is EConcat:
+                    todo += reversed(e.items)
+                else:
+                    todo.append(e.item)
+        width = widths.pop()
+        return None if width is None else _Code(width, deps, nodes)
+
+    def too_wide(self, tok: int, width: int) -> bool:
+        """Report an operator whose operands or result exceed
+        :data:`MAX_WIDTH`.  A literal wider than that reaches no value
+        without one, or fails as a width mismatch."""
+        if width <= MAX_WIDTH:
+            return False
+        self.error(tok, f"expression width {width} exceeds the limit of"
+                        f" {MAX_WIDTH} bits")
+        return True
+
+    def build(self, code: _Code) -> ValueRef:
+        """Replay ``code``'s nodes on a value stack.  Every net it reads
+        has been built."""
+        b = self.builder
+        values, extracts = self.net_values, self._extracts
+        stack: list[ValueRef] = []
+        push, pop = stack.append, stack.pop
+        for node in code.nodes:
+            kind = node[0]
+            if kind == "extract":
+                value = extracts.get(node)
+                if value is None:
+                    value = extracts[node] = b.extract(
+                        values[node[1]], node[2], node[3])
+                push(value)
+            elif kind in BINARY_KINDS:
+                y = pop()
+                stack[-1] = b.binary(kind, stack[-1], y)
+            elif kind == "net":
+                push(values[node[1]])
+            elif kind == "const":
+                push(b.const(node[1], node[2]))
+            elif kind == "not":
+                stack[-1] = b.not_(stack[-1])
+            elif kind == "mux":
+                other, then = pop(), pop()
+                stack[-1] = b.mux(stack[-1], then, other)
+            elif kind == "concat":
+                parts = stack[-node[1]:]
+                del stack[-node[1]:]
+                push(b.concat(parts))
+            elif kind == "replicate":
+                stack[-1] = b.replicate(stack[-1], node[1])
+            else:
+                stack[-1] = b.reduce(kind, stack[-1])
+        return stack[0]
 
     # -- driver collection ---------------------------------------------------
 
@@ -314,8 +929,8 @@ class _Elaborator:
 
     def collect_drivers(self) -> None:
         for a in self.ast.assigns:
-            w = self.infer_width(a.rhs)
-            if w is None:
+            code = self.walk(a.rhs)
+            if code is None:
                 continue
             net = self.nets.get(a.lhs.name)
             if net is None:
@@ -324,13 +939,13 @@ class _Elaborator:
                 continue
             lw = net.width if a.lhs.high is None \
                 else a.lhs.high - a.lhs.low + 1
-            if w != lw:
+            if code.width != lw:
                 self.error(a.tok,
                            f"assignment width mismatch: '{a.lhs.name}'"
-                           f" expects {lw}, got {w}")
+                           f" expects {lw}, got {code.width}")
                 continue
             self.add_driver(a.lhs.name, a.lhs.high, a.lhs.low,
-                            "assign", a.rhs, a.lhs.tok)
+                            "assign", code, a.lhs.tok)
 
         for idx, inst in enumerate(self.ast.instances):
             sig = self.signatures.get(inst.module)
@@ -341,7 +956,7 @@ class _Elaborator:
             conns = self.resolve_conns(inst, sig)
             if conns is None:
                 continue
-            self._conn_cache[idx] = conns
+            inputs = self._inputs[idx] = {}
             for port in sig:
                 conn = conns.get(port.name)
                 if conn is None or conn.expr is None:
@@ -351,12 +966,12 @@ class _Elaborator:
                                    f" '{inst.module}' is not connected")
                     continue
                 if port.direction == "input":
-                    w = self.infer_width(conn.expr)
-                    if w is not None and w != port.width:
+                    code = inputs[port.name] = self.walk(conn.expr)
+                    if code is not None and code.width != port.width:
                         self.error(conn.tok,
                                    f"connection width mismatch on"
                                    f" '{port.name}': port is {port.width},"
-                                   f" expression is {w}")
+                                   f" expression is {code.width}")
                 else:
                     lv = self.conn_lvalue(conn)
                     if lv is None:
@@ -427,43 +1042,30 @@ class _Elaborator:
 
     # -- demand-driven net elaboration ---------------------------------------
 
-    def expr_net_deps(self, e: Expr, out: list[tuple[str, int]]) -> None:
-        if isinstance(e, (ERef, ESelect)):
-            out.append((e.name, e.tok))
-        elif isinstance(e, EConcat):
-            for item in e.items:
-                self.expr_net_deps(item, out)
-        elif isinstance(e, ERepl):
-            self.expr_net_deps(e.item, out)
-        elif isinstance(e, EUnary):
-            self.expr_net_deps(e.arg, out)
-        elif isinstance(e, EBinary):
-            self.expr_net_deps(e.a, out)
-            self.expr_net_deps(e.b, out)
-        elif isinstance(e, ETernary):
-            self.expr_net_deps(e.cond, out)
-            self.expr_net_deps(e.then, out)
-            self.expr_net_deps(e.other, out)
-
-    def net_deps(self, net: _Net) -> list[tuple[str, int]]:
+    def net_deps(self, net: _Net) -> tuple[dict[str, int], list[str]]:
         """Nets whose values are needed before this one can be built.
         For an instance driver that means the nets feeding its input
-        ports; nets wired to its outputs are produced, not consumed."""
-        deps: list[tuple[str, int]] = []
-        for _, _, tag, payload in net.drivers:
-            if tag == "assign":
-                self.expr_net_deps(payload, deps)
-            else:
-                idx, _ = payload
-                inst = self.ast.instances[idx]
-                conns = self._conn_cache[idx]
-                for port in self.signatures[inst.module]:
-                    if port.direction != "input":
-                        continue
-                    conn = conns.get(port.name)
-                    if conn is not None and conn.expr is not None:
-                        self.expr_net_deps(conn.expr, deps)
-        return deps
+        ports; nets wired to its outputs are produced, not consumed.
+
+        Each net comes once, in two orders: with the token of its first
+        read, in the order of first reads (a cycle is reported at the
+        first read of a net in progress), and in the order of last
+        reads, which is the order in which a stack holding every read
+        would have them built."""
+        if net.deps is None:
+            reads: list[tuple[str, int]] = []
+            for _, _, tag, payload in net.drivers:
+                if tag == "assign":
+                    reads += payload.deps
+                else:
+                    for code in self._inputs[payload[0]].values():
+                        reads += code.deps
+            first: dict[str, int] = {}
+            for name, tok in reads:
+                first.setdefault(name, tok)
+            last = list(dict.fromkeys(name for name, _ in reversed(reads)))
+            net.deps = first, last[::-1]
+        return net.deps
 
     class _Abort(Exception):
         pass
@@ -487,16 +1089,14 @@ class _Elaborator:
                 self.net_state[n] = 2
                 stack.pop()
                 continue
-            pending = []
-            for dep, dtok in self.net_deps(net):
-                dstate = self.net_state.get(dep)
-                if dstate == 2:
-                    continue
-                if dstate == 1:
+            first, last = self.net_deps(net)
+            for dep, dtok in first.items():
+                if self.net_state.get(dep) == 1:
                     self.error(dtok,
                                f"combinational cycle through net '{dep}'")
                     raise self._Abort()
-                pending.append((dep, dtok))
+            pending = [(dep, first[dep]) for dep in last
+                       if self.net_state.get(dep) != 2]
             if state != 1:
                 self.net_state[n] = 1
             if pending:
@@ -518,7 +1118,7 @@ class _Elaborator:
         parts: list[ValueRef] = []
         for high, low, tag, payload in segments:
             if tag == "assign":
-                parts.append(self.elab_expr(payload))
+                parts.append(self.build(payload))
             else:
                 idx, portname = payload
                 value = self.materialize_instance(idx)
@@ -537,57 +1137,17 @@ class _Elaborator:
         if idx in self.inst_values:
             return self.inst_values[idx]
         inst = self.ast.instances[idx]
-        sig = self.signatures[inst.module]
-        conns = self._conn_cache[idx]
-        operands = []
-        in_ports = []
-        for port in sig:
-            if port.direction != "input":
-                continue
-            conn = conns[port.name]
-            operands.append(self.elab_expr(conn.expr))
-            in_ports.append(port.name)
+        inputs = self._inputs[idx]
+        operands = [self.build(code) for code in inputs.values()]
         out_ports = tuple(
-            (p.name, p.width) for p in sig if p.direction == "output"
+            (p.name, p.width) for p in self.signatures[inst.module]
+            if p.direction == "output"
         )
         value = self.builder.instance(
-            inst.module, inst.name, operands, tuple(in_ports), out_ports
+            inst.module, inst.name, operands, tuple(inputs), out_ports
         )
         self.inst_values[idx] = value
         return value
-
-    def elab_expr(self, e: Expr) -> ValueRef:
-        b = self.builder
-        if isinstance(e, ENum):
-            return b.const(e.value, e.width)
-        if isinstance(e, ERef):
-            return self.net_value(e.name)
-        if isinstance(e, ESelect):
-            base = self.net_value(e.name)
-            return b.extract(base, e.low, e.high - e.low + 1)
-        if isinstance(e, EConcat):
-            return b.concat([self.elab_expr(item) for item in e.items])
-        if isinstance(e, ERepl):
-            return b.replicate(self.elab_expr(e.item), e.count)
-        if isinstance(e, EUnary):
-            arg = self.elab_expr(e.arg)
-            if e.op == "~":
-                return b.not_(arg)
-            return b.reduce(_REDUCE_KIND[e.op], arg)
-        if isinstance(e, EBinary):
-            return b.binary(_BINARY_KIND[e.op], self.elab_expr(e.a),
-                            self.elab_expr(e.b))
-        if isinstance(e, ETernary):
-            return b.mux(self.elab_expr(e.cond), self.elab_expr(e.then),
-                         self.elab_expr(e.other))
-        raise AssertionError(f"unhandled expression {e!r}")
-
-    def net_value(self, name: str) -> ValueRef:
-        # demand_net has already elaborated every dependency
-        net = self.nets[name]
-        if net.direction == "input":
-            return self.builder.input_ref(name, net.width)
-        return self.net_values[name]
 
     # -- top level -----------------------------------------------------------
 
@@ -604,17 +1164,19 @@ class _Elaborator:
                     outputs[p.name] = self.demand_net(
                         p.name, self.nets[p.name].tok
                     )
-            for idx in range(len(self.ast.instances)):
+            for idx, inst in enumerate(self.ast.instances):
                 if idx in self.inst_values:
                     continue
-                inst = self.ast.instances[idx]
-                if inst.module not in self.signatures:
-                    continue
-                for conn in inst.conns:
-                    if conn.expr is None:
+                sig = self.signatures[inst.module]
+                inputs = self._inputs[idx]
+                for k, conn in enumerate(inst.conns):
+                    e = conn.expr
+                    if e is None:
                         continue
-                    deps: list[tuple[str, int]] = []
-                    self.expr_net_deps(conn.expr, deps)
+                    port = sig[k].name if conn.port is None else conn.port
+                    code = inputs.get(port)
+                    # an output connection is a net or a slice of one
+                    deps = [(e.name, e.tok)] if code is None else code.deps
                     for dep, dtok in deps:
                         self.demand_net(dep, dtok)
                 self.materialize_instance(idx)
@@ -628,11 +1190,20 @@ class _Elaborator:
             if self.net_state.get(w.name) == 2
         }
         module = self.builder.finish(outputs, wires)
-        # a slice of a wire folds into a slice of its driver, which can
-        # leave the wire's own extract or constant unread
-        if len(live_order(module)) < len(module.operations):
-            module = compact_module(module)
+        # A slice of a wire folds into a slice of its driver, which can
+        # leave the wire's own extract or constant unread; nothing else
+        # leaves an operation dead.  Some operation is dead exactly when
+        # one that is not an instance is read by nothing: the last dead
+        # one has no reader.
+        ops = module.operations
+        if wires:
+            read = {ref.op for op in ops for ref in op.operands}
+            read.update(ref.op for ref in outputs.values())
+            if any(k not in read and op.kind != "instance"
+                   for k, op in enumerate(ops)):
+                module = compact_module(module)
         return module
+
 
 
 @dataclass

@@ -1,9 +1,10 @@
-"""The one-walk elaborator against the recursive reference elaborator,
-expression chains far past the recursion limit, and the width limits.
+"""The frontend against the reference front half, expressions far past
+the recursion limit, and the width limits.
 
-The reference (``reference._Elaborator``) walks each expression
+The reference (``reference._Parser``) parses each expression
 recursively, so the differential corpus stays well below the recursion
-limit; the chains here are what only the iterative walk can elaborate.
+limit; the chains and nestings here are what only the shunting-yard
+parser and the one-pass elaborator can take.
 """
 
 import os
@@ -17,8 +18,9 @@ import pytest
 import reference
 from busweaver import emit_design, frontend, generators, run_pipeline
 from busweaver.frontend import MAX_WIDTH, ParseError, parse_design
-from busweaver.ir import count_instructions
+from busweaver.ir import count_instructions, simulate
 from busweaver.oracle import check_design_equivalence
+from busweaver.reporting import BatchOptions, process_design
 
 
 def _outcome(src):
@@ -30,9 +32,12 @@ def _outcome(src):
 
 def _assert_same(src, monkeypatch):
     """The same design, operations and bindings included, or the same
-    diagnostics, from both elaborators; returns the outcome."""
+    diagnostics, from the frontend and from the reference front half;
+    returns the outcome."""
     got = _outcome(src)
     with monkeypatch.context() as patch:
+        patch.setattr(frontend, "_Lexer", reference._FindallLexer)
+        patch.setattr(frontend, "_Parser", reference._Parser)
         patch.setattr(frontend, "_Elaborator", reference._Elaborator)
         want = _outcome(src)
     assert got == want, src
@@ -229,6 +234,159 @@ def test_a_xor_chain_of_a_hundred_thousand_terms():
     design, report = _round_trip(_chain("^", 100_000, 16, rng))
     assert report.instructions_before == 16 + 99_999
     assert report.instructions_after <= 3
+
+
+# -- nesting past the recursion limit ----------------------------------------
+
+
+def _reduce(op, v, w):
+    """``op`` applied to the ``w``-bit value ``v``: the result and its
+    width."""
+    mask = (1 << w) - 1
+    if op == "~":
+        return ~v & mask, w
+    return {"&": v == mask, "|": v != 0,
+            "^": bin(v).count("1") & 1}[op] * 1, 1
+
+
+# Each level of a shape: its text before and after what it wraps, and
+# what it makes of the value and width it wraps, given inputs a and s.
+_LEVELS = {
+    "(": lambda k: ("(", ")", lambda v, w, a, s: (v, w)),
+    "{": lambda k: ("{", "}", lambda v, w, a, s: (v, w)),
+    "~": lambda k: ("~", "", lambda v, w, a, s: (~v & 15, w)),
+    "reductions": lambda k: ("&|^~"[k % 4] + " ", "",
+                             lambda v, w, a, s: _reduce("&|^~"[k % 4], v, w)),
+    "?: chain": lambda k: (
+        f"s[{k % 4}] ? a ^ 4'd{k % 16} : ", "",
+        lambda v, w, a, s: ((a ^ k % 16) if s >> k % 4 & 1 else v, w)),
+    "?: nest": lambda k: (
+        f"s[{k % 4}] ? ", " : ~a",
+        lambda v, w, a, s: (v if s >> k % 4 & 1 else ~a & 15, w)),
+    "mix": lambda k: [
+        ("(", ")", lambda v, w, a, s: (v, w)),
+        ("~", "", lambda v, w, a, s: (~v & 15, w)),
+        ("{", "}", lambda v, w, a, s: (v, w)),
+        (f"s[{k % 4}] ? ", " : a",
+         lambda v, w, a, s: (v if s >> k % 4 & 1 else a, w)),
+        ("a ^ (", ")", lambda v, w, a, s: (a ^ v, w)),
+    ][k % 5],
+}
+
+
+def _nested(shape, depth, tmp_path):
+    """A module whose one expression nests ``depth`` levels of
+    ``shape`` around ``a``, run the CLI's way with the check on; returns
+    the result, the source and the expected ``y`` as a function."""
+    levels = [_LEVELS[shape](k) for k in range(depth)]
+    expr = "".join(before for before, _, _ in levels) + "a" + "".join(
+        after for _, after, _ in reversed(levels))
+    width = 1 if shape == "reductions" else 4
+    src = (f"module nest(input [3:0] a, input [3:0] s,"
+           f" output [{width - 1}:0] y);\n  assign y = {expr};\nendmodule\n")
+    path = tmp_path / "nest.v"
+    path.write_text(src)
+    result = process_design(str(path), BatchOptions(
+        check=True, write_output=True, out_dir=str(tmp_path / "out")))
+
+    def expect(a, s):
+        v, w = a, 4
+        for _, _, apply in reversed(levels):
+            v, w = apply(v, w, a, s)
+        return v
+
+    return result, src, expect
+
+
+def _assert_nesting(shape, depth, tmp_path):
+    result, src, expect = _nested(shape, depth, tmp_path)
+    assert result.ok, result.error
+    assert result.equivalence == "equivalent-exhaustive"
+    assert (tmp_path / "out" / "nest.vec.v").exists()
+    top = parse_design(src).top_module
+    rng = random.Random(shape)
+    for _ in range(8):
+        a, s = rng.randrange(16), rng.randrange(16)
+        assert simulate(top, {"a": a, "s": s}) == {"y": expect(a, s)}
+
+
+@pytest.mark.parametrize("shape", list(_LEVELS))
+def test_ten_thousand_nested_levels(shape, tmp_path):
+    _assert_nesting(shape, 10_000, tmp_path)
+
+
+def test_a_hundred_thousand_nested_levels(tmp_path):
+    _assert_nesting("mix", 100_000, tmp_path)
+
+
+# -- selects -----------------------------------------------------------------
+
+_SELECT_HEAD = ("module m(input [11:0] a, input [3:0] x, output y,"
+                " output [1:0] z);\n")
+
+
+@pytest.mark.parametrize("body, outcome", [
+    # spelled with blanks, comments, underscores, leading zeros or more
+    # than 9 digits: each reads as it did before select tokens
+    ("  assign y = a [3];\n  assign z = a[ 5 : 4 ];\n", None),
+    ("  assign y = a[1_0];\n  assign z = a[/*c*/3:2];\n", None),
+    ("  assign y = a[0000000003];\n  assign z = a[00000000001:0];\n", None),
+    ("  assign y = a[1234567890];\n  assign z = a[1:0];\n",
+     ["<input>:2:14: error: bit 1234567890 out of range for 'a' of width"
+      " 12"]),
+    # a keyword before "[" stays a keyword
+    ("  wire[3:0] w;\n  assign w = x;\n  assign y = w[3];\n"
+     "  assign z = w[1:0];\n", None),
+    ("  reg[3:0] r;\n",
+     ["<input>:2:3: error: unsupported construct 'reg' (only flat"
+      " combinational modules are supported)"]),
+    ("  assign y = a[x];\n",
+     ["<input>:2:16: error: expected 'bit index', found 'x'"]),
+    ("  assign y = a[3];\n  assign z = a[0:1];\n",
+     ["<input>:3:16: error: descending part select [0:1]"]),
+    ("  assign y = a[3];\n  assign z[0:1] = a[1:0];\n",
+     ["<input>:3:12: error: descending range [0:1] on assignment target"]),
+    ("  assign y = a[3] a[4];\n",
+     ["<input>:2:19: error: expected ';', found 'a'"]),
+    ("  assign y = a[3];\n  assign z = a[1:0];\n  wire w[3];\n",
+     ["<input>:4:9: error: expected ';', found '['"]),
+    ("  a[3] u(.x(y));\n",
+     ["<input>:2:4: error: expected 'instance name', found '['"]),
+    ("  assign y = a[12];\n  assign z = a[13:12];\n",
+     ["<input>:2:14: error: bit 12 out of range for 'a' of width 12",
+      "<input>:3:14: error: bit 13 out of range for 'a' of width 12"]),
+])
+def test_select_spellings(body, outcome, monkeypatch):
+    """Today's designs, or today's diagnostics at today's ``line:col``."""
+    got = _assert_same(_SELECT_HEAD + body + "endmodule\n", monkeypatch)
+    if outcome is None:
+        assert not isinstance(got, list)
+    else:
+        assert got == outcome
+
+
+@pytest.mark.parametrize("src, outcome", [
+    ("module m(input[3:0] a, output[1:0] y);\n  assign y = a[2:1];\n"
+     "endmodule", None),
+    ("module m[3](input a, output y);\nendmodule",
+     ["<input>:1:9: error: expected ';', found '['"]),
+    ("module m(a[2], y);\nendmodule",
+     ["<input>:1:11: error: expected ')', found '['"]),
+    ("a[3]", ["<input>:1:1: error: expected 'module', found 'a'"]),
+    ("module n(input a, output y);\n  assign y = a;\nendmodule\n"
+     "module m(input [1:0] a, output [1:0] y);\n"
+     "  n u(.a(a[0]), .y(y[1]));\n  n v(a[1], y[0:0]);\nendmodule", None),
+    ("module n(input a, output y);\n  assign y = a;\nendmodule\n"
+     "module m(input [1:0] a, output [1:0] y);\n"
+     "  n u(.a[0](a[0]), .y(y[1]));\nendmodule",
+     ["<input>:5:9: error: expected '(', found '['"]),
+])
+def test_select_tokens_where_a_name_stands(src, outcome, monkeypatch):
+    got = _assert_same(src, monkeypatch)
+    if outcome is None:
+        assert not isinstance(got, list)
+    else:
+        assert got == outcome
 
 
 # -- widths ------------------------------------------------------------------

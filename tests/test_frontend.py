@@ -3,10 +3,6 @@ import random
 import pytest
 
 from busweaver.frontend import (
-    EBinary,
-    ERef,
-    ETernary,
-    EUnary,
     ParseError,
     _Lexer,
     _Parser,
@@ -468,6 +464,23 @@ def test_comments_are_ignored():
          "endmodule",
          ["<input>:1:19: error: declaration ranges must end at 0, found"
           " [3:1]"]),
+        # what may follow an operand depends on the innermost bracket
+        ("module m(input [1:0] a, input [3:0] b, output [3:0] y);\n"
+         "  assign y = {2{a} ^ b};\n"
+         "endmodule",
+         ["<input>:2:20: error: expected '}', found '^'"]),
+        ("module m(input a, input b, output y);\n"
+         "  assign y = (a : b);\n"
+         "endmodule",
+         ["<input>:2:17: error: expected ')', found ':'"]),
+        ("module m(input a, input b, output y);\n"
+         "  assign y = a ? b , a;\n"
+         "endmodule",
+         ["<input>:2:20: error: expected ':', found ','"]),
+        ("module m(input a, input b, output [1:0] y);\n"
+         "  assign y = {2{a, b}};\n"
+         "endmodule",
+         ["<input>:2:18: error: expected '}', found ','"]),
     ],
 )
 def test_exact_diagnostic_positions(src, expected):
@@ -478,24 +491,32 @@ def _expr_ast(text):
     diags = []
     lexer = _Lexer(text, "<input>", diags)
     parser = _Parser(lexer.tokens(), lexer)
-    tree = parser.expr()
+    code = parser.expr()
     assert diags == [] and parser.peek() == ""
-    return tree, lexer
+    return code, lexer
 
 
-def _shape(e, lexer):
-    """An s-expression with each operator's column."""
-    if isinstance(e, ERef):
-        return e.name
-    col = lexer.position(e.tok)[1]
-    if isinstance(e, EUnary):
-        return f"({e.op}@{col} {_shape(e.arg, lexer)})"
-    if isinstance(e, EBinary):
-        return f"({e.op}@{col} {_shape(e.a, lexer)} {_shape(e.b, lexer)})"
-    if isinstance(e, ETernary):
-        return (f"(?@{col} {_shape(e.cond, lexer)} {_shape(e.then, lexer)}"
-                f" {_shape(e.other, lexer)})")
-    raise AssertionError(e)
+def _shape(code, lexer):
+    """An s-expression with each operator's column, rebuilt from the
+    post-order items of an expression over names."""
+    toks = lexer.toks
+    stack = []
+    for item in code:
+        tok = item if isinstance(item, int) else item[1]
+        text = toks[tok]
+        col = lexer.position(tok)[1]
+        if isinstance(item, int) and text not in ("&", "|", "^", "+", "-"):
+            stack.append(text)
+        elif isinstance(item, int):
+            b = stack.pop()
+            stack.append(f"({text}@{col} {stack.pop()} {b})")
+        elif item[0] == "mux":
+            other, then = stack.pop(), stack.pop()
+            stack.append(f"(?@{col} {stack.pop()} {then} {other})")
+        else:
+            stack.append(f"({text}@{col} {stack.pop()})")
+    assert len(stack) == 1
+    return stack[0]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from busweaver.ir import (
     simulate_packed,
     verify,
     verify_module,
+    with_operands,
 )
 from busweaver.pipeline import run_pipeline
 
@@ -429,3 +431,29 @@ def test_xor_trees_fold_by_parity():
     assert program.outputs["w"] == [0]
     assert program.outputs["y"] == [2 + 2]  # t ^ a[1] cancels: a[2]
     _assert_packed_matches_reference(design, seed=4)
+
+
+def test_a_wide_constant_compiles_to_its_bits():
+    """A constant is expanded from one string of its bits, not with one
+    shift per bit, into the same slots."""
+    width = 65_536
+    value = random.Random(12).getrandbits(width) | 1 << width - 1
+    b = ModuleBuilder("k", _ports(("y", "output", width)))
+    program = compile_module(b.finish({"y": b.const(value, width)}, {}), {})
+    assert program.gates == []
+    assert program.outputs["y"] == [(value >> i) & 1 for i in range(width)]
+
+
+def test_with_operands_copies_every_other_field():
+    # a field added to Operation must be added to with_operands too
+    assert [f.name for f in dataclasses.fields(Operation)] == [
+        "kind", "width", "operands", "value", "low", "count", "port",
+        "module", "name", "in_ports", "out_ports"]
+    op = Operation("instance", 3, [ValueRef(0, 1)], value=5, low=2, count=4,
+                   port="p", module="cell", name="u0", in_ports=("x",),
+                   out_ports=(("z", 3),))
+    operands = [ValueRef(1, 1)]
+    copy = with_operands(op, operands)
+    assert copy is not op and copy.operands is operands
+    assert op.operands == [ValueRef(0, 1)]
+    assert dataclasses.replace(op, operands=operands) == copy

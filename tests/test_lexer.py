@@ -1,12 +1,14 @@
 """The ``findall`` lexer against the token-at-a-time reference lexer.
 
-Both must give the same token texts in order, the same ``line:col`` for
+Once each select token is read as the tokens it is spelled with, both
+must give the same token texts in order, the same ``line:col`` for
 every token, the same sized-literal values and widths, and the same
 lexical diagnostics.
 """
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,11 +37,24 @@ def _reference_lex(src):
 
 
 def _lex(src):
+    """The token texts, each select token read as the 4 or 6 tokens it
+    is spelled with, their positions, the literals and the messages."""
     diags = []
     lexer = _Lexer(src, "f.v", diags)
-    texts = lexer.tokens()
+    texts, positions = [], []
+    for i, text in enumerate(lexer.tokens()):
+        line, col = lexer.position(i)
+        pieces = [text]
+        if text in lexer.selects:
+            pieces = re.split(r"([\[:\]])", text)[:-1]
+            name, high, low = lexer.selects[text]
+            assert pieces[:3] == [name, "[", pieces[2]]
+            assert (int(pieces[2]), int(pieces[-2])) == (high, low)
+        for piece in pieces:
+            texts.append(piece)
+            positions.append((line, col))
+            col += len(piece)
     messages = [str(d) for d in diags]
-    positions = [lexer.position(i) for i in range(len(texts))]
     literals = {t: lexer.literals[t] for t in texts if t in lexer.literals}
     return texts, positions, literals, messages
 
@@ -55,16 +70,38 @@ def test_golden_sources(golden_dir):
         _assert_same(path.read_text())
 
 
-@pytest.mark.parametrize("src", [
+_FAMILIES = [
     generators.permutation_design(24, 3),
     generators.replicated_cone_design(8, 3, 5),
     generators.replicated_cone_design(6, 4, 9, invariant_slots=False),
     generators.ripple_carry_design(12),
     generators.nested_instance_design(6, 3),
     generators.scaling_design(300),
-])
+]
+
+
+@pytest.mark.parametrize("src", _FAMILIES)
 def test_generator_families(src):
     _assert_same(src)
+
+
+@pytest.mark.parametrize("src", _FAMILIES)
+def test_generator_families_lex_to_no_more_tokens(src):
+    tokens = _Lexer(src, "f.v", []).tokens()
+    assert len(tokens) <= len(reference._Lexer(src, "f.v", []).tokens())
+
+
+def test_a_chain_lexes_to_two_tokens_per_term():
+    """Each ``a[k]`` of a chain is one token: T terms lex to 2T tokens
+    and a fixed few for the rest of the module."""
+    rest = set()
+    for terms in (10, 1000):
+        chain = " ^ ".join(f"a[{k % 16}]" for k in range(terms))
+        tokens = _Lexer(f"module red(input [15:0] a, output y);\n"
+                        f"  assign y = {chain};\nendmodule\n", "f.v",
+                        []).tokens()
+        rest.add(len(tokens) - 2 * terms)
+    assert len(rest) == 1 and rest.pop() < 25
 
 
 _PUNCT = list("()[]{},;:.?=~&|^+-")
@@ -120,6 +157,32 @@ def _piece(rng):
     return rng.choice(_BLANKS)
 
 
+def _select(rng):
+    """A select, now and then spelled with blanks, a comment, an
+    underscore, ten digits, a keyword name or a descending range."""
+    def index():
+        return rng.choice(["0", "3", "12", "007", "123456789", "1234567890",
+                           "1_0", "x", ""])
+
+    name = rng.choice(["a", "b_2", "net$1", "wire", "input", "reg", "Zz_$"])
+    inner = index() if rng.random() < 0.5 else f"{index()}:{index()}"
+    parts = [name, "[", inner, "]"]
+    if rng.random() < 0.3:
+        k = rng.randrange(1, 4)
+        parts.insert(k, rng.choice([" ", "/*c*/", "\n", "// x\n"]))
+    return "".join(parts)
+
+
+def test_random_select_soup():
+    rng = random.Random(12)
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(0, 20)):
+            parts.append(_select(rng) if rng.random() < 0.6 else _piece(rng))
+            parts.append(rng.choice(_BLANKS + ["", "", ""]))
+        _assert_same("".join(parts))
+
+
 def test_random_token_soup():
     rng = random.Random(10)
     for _ in range(400):
@@ -138,6 +201,7 @@ def test_random_token_soup():
     "/*",
     "4\n'b1 0'b1 2'd9 1'bx 8'hFF 8'h1FF 3'o7 16'd65536 4'b1_0_1_0 2'b__",
     "a\r\n\tb\r\n\t\tc",
+    "input[7:0] a[7:0] a[3] a[0:1] reg[3:0] wire[3] endmodule[0]\n\ta[12]",
     "@ $ é\n\u00a0λ",
 ])
 def test_edge_cases(src):

@@ -245,14 +245,23 @@ def test_process_design_turns_an_unexpected_exception_into_a_result(
 
 
 def test_cli_finishes_the_batch_after_an_internal_error(
-        tmp_path, golden_dir, capsys):
+        tmp_path, golden_dir, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    # 1,200 chained "~" still overflow the recursive unary parser
+    # The frontend parses any nesting depth, so the parse of this one
+    # file is made to raise an exception nothing else anticipates.
     (corpus / "chain.v").write_text(
         "module chain(input a, output y);\n"
         f"  assign y = {'~' * 1200}a;\nendmodule\n"
     )
+    parse_design = reporting.parse_design
+
+    def parse_or_overflow(src, filename="<input>"):
+        if filename.endswith("chain.v"):
+            raise RecursionError("maximum recursion depth exceeded")
+        return parse_design(src, filename)
+
+    monkeypatch.setattr(reporting, "parse_design", parse_or_overflow)
     (corpus / "partial_mix.v").write_text(
         (golden_dir / "partial_mix.v").read_text())
     report_file = tmp_path / "r.json"

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from busweaver import emit_design, parse_design, run_pipeline
+from busweaver import emit_design, parse_design, pipeline, run_pipeline
 from busweaver.emitter import emit_module
 from busweaver.inliner import InlinePolicy, selective_inline
 from busweaver.ir import HwDesign, HwModule, ValueRef
@@ -200,6 +200,42 @@ def test_liveness_of_wire_sinks_walks_no_whole_module(monkeypatch):
     assert len(report.rewrites) == 60
     # the session's finish only, not one walk per edited wire sink
     assert calls == ["w"]
+
+
+def test_liveness_of_wire_sinks_walks_linearly(monkeypatch):
+    """Operations found live are remembered, so the reader walks of
+    all the wire sinks together grow with the chain above them, not
+    with its square."""
+    sessions = []
+
+    class Counting(ModuleRewriter):
+        def __init__(self, module):
+            super().__init__(module)
+            sessions.append(self)
+
+    monkeypatch.setattr(pipeline, "ModuleRewriter", Counting)
+    steps = []
+    for count in (60, 240):
+        sessions.clear()
+        run_pipeline(parse_design(_rotated_wires(count)))
+        steps.append(sum(rw.reader_steps for rw in sessions))
+    assert 0 < steps[1] <= 4 * steps[0] + 8
+
+
+def test_a_dropped_instance_is_forgotten_as_live():
+    design = parse_design(_CELL + (
+        "module top(input a, input b, output y);\n"
+        "  wire unread;\n"
+        "  cell u(.x(a ^ b), .y(b), .z(unread));\n"
+        "  assign y = a;\nendmodule\n"))
+    module = design.modules["top"]
+    rw = ModuleRewriter(module)
+    site = next(k for k, op in enumerate(module.operations)
+                if op.kind == "instance")
+    feed = module.operations[site].operands[0]
+    assert rw.is_live(feed)
+    rw.drop_instance(site)
+    assert not rw.is_live(feed)
 
 
 @pytest.mark.parametrize("seed", range(6))
