@@ -25,8 +25,7 @@ by shunting-yard into a flat post-order list (``|`` < ``^`` < ``&`` <
 ``+ -``, all left-associative, then the right-associative ``?:``).
 Elaboration checks that list in one pass and builds it by replaying
 the pass, so no expression of any length or nesting depth reaches the
-recursion limit.  Nets and operator widths are bounded by
-:data:`MAX_WIDTH`.
+recursion limit.  :data:`MAX_WIDTH` bounds nets and operator widths.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
 """
@@ -105,14 +104,15 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _PUNCT = frozenset("()[]{},;:.?=~&|^+-")
 
 #: One match per token: blanks and comments, then the token as group 1.
-#: Group 1 is a sized literal, a number, an identifier (with a select
-#: right after it, if it has one), an unsupported operator, punctuation,
-#: a stray character, or "" at the end of input.
+#: Group 1 is a sized literal, a number, a ranged keyword right before
+#: its "[", an identifier (with a select right after it, if any), an
+#: unsupported operator, punctuation, a stray character, or "" at the end.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
     r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
     r"|[0-9][0-9_]*"
-    r"|[A-Za-z_][A-Za-z0-9_$]*+(?:\[[0-9]{1,9}(?::[0-9]{1,9})?\])?"
+    r"|(?:input|output|wire)(?=\[)"
+    r"|[A-Za-z_][A-Za-z0-9_$]*(?:\[[0-9]{1,9}(?::[0-9]{1,9})?\])?"
     r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
     r"|[()\[\]{},;:.?=~&|^+\-]"
     r"|."
@@ -149,7 +149,7 @@ class _Lexer:
         self.diags = diags
         #: sized literal text -> (value, width)
         self.literals: dict[str, tuple[int, int]] = {}
-        #: select token text -> (name, high, low)
+        #: select token, or a select's tokens joined -> (name, high, low)
         self.selects: dict[str, tuple[str, int, int]] = {}
         self.toks: list[str] = []
         self._positions: list[tuple[int, int]] | None = None
@@ -220,8 +220,8 @@ class _Lexer:
             high, _, low = index.partition(":")
             high, low = int(high), int(low or high)
             if high < low or name in KEYWORDS or name in UNSUPPORTED_KEYWORDS:
-                # "input[7:0]" and "reg[3:0]" lex as they are spelled,
-                # and so does a descending range, for the parser to report
+                # "reg[3:0]" and a descending range lex as they are
+                # spelled, for the parser to report
                 return ""
             self.selects[text] = (name, high, low)
             return None
@@ -357,14 +357,10 @@ def _is_number(text: str) -> bool:
 
 class _Parser:
     def __init__(self, tokens: list[str], lexer: _Lexer):
-        # The list ends in "" and nothing steps past it; the only look
-        # ahead is past a number, never past "".
+        # The list ends in "", and no index reaches past it.
         self.toks = tokens
         self.pos = 0
         self.lexer = lexer
-
-    def peek(self) -> str:
-        return self.toks[self.pos]
 
     def error(self, index: int, message: str) -> _SyntaxAbort:
         self.lexer.error(index, message)
@@ -444,7 +440,7 @@ class _Parser:
         mod = AstModule(self.ident("module name"), [], [], [], [], head)
         if self.accept("("):
             last: list[tuple[str, int] | None] = [None]
-            if self.peek() != ")":
+            if self.toks[self.pos] != ")":
                 while True:
                     self.port_decl(mod, last)
                     if not self.accept(","):
@@ -454,7 +450,7 @@ class _Parser:
         # Body declarations look ports up here; the first name wins.
         decls = {p.name: p for p in reversed(mod.ports)}
         while True:
-            text = self.peek()
+            text = self.toks[self.pos]
             if text == "endmodule":
                 self.pos += 1
                 break
@@ -564,7 +560,7 @@ class _Parser:
         name = self.ident("instance name")
         self.expect("(")
         conns: list[AstConn] = []
-        if self.peek() != ")":
+        if self.toks[self.pos] != ")":
             while True:
                 at = self.pos
                 if self.accept("."):
@@ -572,7 +568,7 @@ class _Parser:
                     port = self.ident("port name")
                     self.expect("(")
                     expr = None
-                    if self.peek() != ")":
+                    if self.toks[self.pos] != ")":
                         expr = self.expr()
                     self.expect(")")
                     conns.append(AstConn(port, expr, at))
@@ -697,26 +693,30 @@ class _Parser:
 
     def select(self, i: int, what: str) -> tuple[str, int, int]:
         """The select from the name at ``i`` on, and :attr:`pos` past
-        it.  One spelled with blanks, comments or long indices is
-        rewritten, at ``i``, to its one-token spelling.  A descending
-        range is an error, ``what`` with the range filled in."""
+        it.  One spelled over several tokens is rewritten, at ``i``, to
+        their texts joined, which is decoded once.  A descending range
+        is an error, ``what`` with the range filled in."""
         toks, selects = self.toks, self.lexer.selects
         select = selects.get(toks[i])
         if select is not None:
             self.pos = i + 1
             return select
-        self.pos = i + 2
-        high = low = self.bit_index()
-        if self.accept(":"):
-            low = self.bit_index()
-            if high < low:
-                raise self.error(i + 2,
-                                 "descending " + what.format(high, low))
-        self.expect("]")
-        name = toks[i]
-        toks[i] = f"{name}[{high}:{low}]"
-        selects[toks[i]] = (name, high, low)
-        return name, high, low
+        end = i + 6 if toks[i + 3:i + 4] == [":"] else i + 4
+        text = "".join(toks[i:end])
+        select = selects.get(text)
+        if select is None:
+            self.pos = i + 2
+            high = low = self.bit_index()
+            if self.accept(":"):
+                low = self.bit_index()
+                if high < low:
+                    raise self.error(i + 2,
+                                     "descending " + what.format(high, low))
+            self.expect("]")
+            select = selects[text] = (toks[i], high, low)
+        toks[i] = text
+        self.pos = end
+        return select
 
 
 # ---------------------------------------------------------------------------

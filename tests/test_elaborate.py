@@ -331,6 +331,13 @@ _SELECT_HEAD = ("module m(input [11:0] a, input [3:0] x, output y,"
     ("  assign y = a [3];\n  assign z = a[ 5 : 4 ];\n", None),
     ("  assign y = a[1_0];\n  assign z = a[/*c*/3:2];\n", None),
     ("  assign y = a[0000000003];\n  assign z = a[00000000001:0];\n", None),
+    # one select in several spellings, each more than once, on both
+    # sides of an assignment
+    ("  assign y = a [3] ^ a[3] ^ a [ 3 ] ^ a[1_0] ^ a [ 1_0 ] ^ a[10]"
+     " ^ a [3];\n  assign z [1:0] = a [5:4] ^ a[5:4] ^ a[ 5 : 4 ];\n",
+     None),
+    ("  assign y = a [1];\n  assign z = a [1 0];\n",
+     ["<input>:3:19: error: expected ']', found '0'"]),
     ("  assign y = a[1234567890];\n  assign z = a[1:0];\n",
      ["<input>:2:14: error: bit 1234567890 out of range for 'a' of width"
       " 12"]),

@@ -492,7 +492,7 @@ def _expr_ast(text):
     lexer = _Lexer(text, "<input>", diags)
     parser = _Parser(lexer.tokens(), lexer)
     code = parser.expr()
-    assert diags == [] and parser.peek() == ""
+    assert diags == [] and parser.toks[parser.pos] == ""
     return code, lexer
 
 

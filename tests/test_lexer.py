@@ -215,6 +215,9 @@ def test_a_clean_parse_never_looks_up_a_position(golden_dir, monkeypatch):
     monkeypatch.setattr(_Lexer, "position", fail)
     parse_design((golden_dir / "partial_mix.v").read_text())
     parse_design(generators.nested_instance_design(4, 2))
+    parse_design("module m(input[3:0] a, output[1:0] y);\n"
+                 "  wire[1:0] w;\n  assign w = a[3:2];\n"
+                 "  assign y = w;\nendmodule\n")
 
 
 def test_huge_literal_width_is_a_width_mismatch():
