@@ -24,6 +24,7 @@ from busweaver.reporting import (
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    defaults = BatchOptions()
     parser = argparse.ArgumentParser(
         prog="busweaver",
         description="Vectorize replicated bit-level logic in "
@@ -38,9 +39,10 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help="directory for rewritten designs (default: next to input)",
     )
     parser.add_argument(
-        "--inline-threshold", type=int, default=150, metavar="N",
+        "--inline-threshold", type=int, default=defaults.inline_threshold,
+        metavar="N",
         help="max callee instruction count eligible for inlining "
-             "(default 150)",
+             "(default %(default)s)",
     )
     parser.add_argument(
         "--no-inline", action="store_true",
@@ -51,17 +53,19 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help="verify each rewrite against the original by simulation",
     )
     parser.add_argument(
-        "--max-exhaustive-bits", type=int, default=16, metavar="N",
+        "--max-exhaustive-bits", type=int,
+        default=defaults.max_exhaustive_bits, metavar="N",
         help="exhaustive equivalence check up to this many input bits "
-             "(default 16)",
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--samples", type=int, default=10000, metavar="N",
-        help="random vectors for sampled equivalence (default 10000)",
+        "--samples", type=int, default=defaults.samples, metavar="N",
+        help="random vectors for sampled equivalence "
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="seed for sampled equivalence vectors (default 0)",
+        "--seed", type=int, default=defaults.seed, metavar="N",
+        help="seed for sampled equivalence vectors (default %(default)s)",
     )
     parser.add_argument(
         "--report", metavar="FILE",
@@ -78,7 +82,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                  str(t) for t in DEFAULT_SWEEP_THRESHOLDS),
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=int, default=defaults.jobs, metavar="N",
         help="process designs in N parallel workers",
     )
     return parser.parse_args(argv)

@@ -8,6 +8,15 @@ shared computing operations; shared leaves are fine), and (c) share one
 canonical skeleton whose leaf slots are each either invariant (same bit
 in every cone) or strided (advancing by exactly +1 or -1 per lane).
 
+The skeleton is recorded by the worklist walk that collects the cone:
+one tuple per operation popped, naming its kind and, per operand, the
+index at which that operation was first pushed (-1 for a leaf, which
+takes the next slot).  Push and pop order depend only on the cone's
+shape and operand order, so equal skeletons mean isomorphic DAGs,
+sharing included, and slot k of two such cones are corresponding
+leaves.  A family is then described by its lowest lane, how far each
+slot moves per lane (:func:`lane_steps`) and its lane count.
+
 The vector form rebuilds the representative cone once at full width:
 strided slots become part selects (for -1 strides, a concatenation of
 one-bit selects, as Verilog writes a reversed run), invariant slots are
@@ -40,21 +49,21 @@ _OP = "op"
 class LogicCone:
     """Backward cone of one bit of a sink value.
 
-    ``ops`` are the computing operations in the cone; ``leaves`` the
-    (source op, bit) pairs feeding it.  ``skeleton`` is a canonical
-    preorder serialization with sharing backreferences, identical
-    skeletons being the definition of isomorphism.  ``slots`` lists the
-    leaves in serialization order; ``scalar_slots`` are the slot indices
-    that sit in mux-select position and must stay scalar.  ``visits``
-    counts the routing operations stepped through plus the computing
-    operations collected while building the cone.
+    ``ops`` are the computing operations in the cone.  ``skeleton`` is
+    its canonical form in walk order: per operation popped, a tuple of
+    its canonical kind and, per operand, the push index of the operand's
+    operation or -1 for a leaf; identical skeletons are the definition
+    of isomorphism.  ``slots`` lists the leaves, as (source op, bit)
+    pairs, in the order the walk meets them; ``scalar_slots`` are the
+    slot indices that sit in mux-select position and must stay scalar.
+    ``visits`` counts the routing operations stepped through plus the
+    computing operations collected while building the cone.
     """
 
     analyzable: bool
     reason: str = ""
     ops: frozenset[int] = frozenset()
-    leaves: frozenset[tuple[int, int]] = frozenset()
-    skeleton: str = ""
+    skeleton: list[tuple] = field(default_factory=list)
     slots: list[tuple[int, int]] = field(default_factory=list)
     scalar_slots: frozenset[int] = frozenset()
     visits: int = 0
@@ -62,6 +71,11 @@ class LogicCone:
     root_term: tuple = ()
     children: dict[int, list[tuple]] = field(default_factory=dict)
     slot_at: dict[tuple, int] = field(default_factory=dict)
+
+    @property
+    def leaves(self) -> frozenset[tuple[int, int]]:
+        """The (source op, bit) pairs feeding the cone."""
+        return frozenset(self.slots)
 
 
 def backward_cone(
@@ -71,7 +85,8 @@ def backward_cone(
     routes: dict | None = None,
 ) -> LogicCone:
     """Collect the cone of ``target[bit]`` with a worklist that visits
-    each computing operation once.
+    each computing operation once, recording its skeleton and slots on
+    the way.
 
     Cones through anything that is not 1-bit combinational logic
     (instances, reductions, operations already at vector width) come
@@ -92,16 +107,17 @@ def backward_cone(
 
     root = route(target, bit)
     cone.root_term = root
-    ops_set: set[int] = set()
-    leaves: set[tuple[int, int]] = set()
-    children: dict[int, list[tuple]] = {}
+    pushed: dict[int, int] = {}  # op id -> index at which it was pushed
+    skeleton, slots, slot_at = cone.skeleton, cone.slots, cone.slot_at
+    children = cone.children
 
     worklist: list[int] = []
     if root[0] == _LEAF:
-        leaves.add((root[1], root[2]))
+        slot_at[("root",)] = 0
+        slots.append((root[1], root[2]))
     else:
         worklist.append(root[1])
-        ops_set.add(root[1])
+        pushed[root[1]] = 0
 
     while worklist:
         op_id = worklist.pop()
@@ -116,118 +132,53 @@ def backward_cone(
             return cone
         cone.visits += 1
         terms: list[tuple] = []
-        for ref in op.operands:
+        entry: list = [_CANON_KIND.get(op.kind, op.kind)]
+        for pos, ref in enumerate(op.operands):
             term = route(ref, 0)
             terms.append(term)
             if term[0] == _LEAF:
-                leaves.add((term[1], term[2]))
-            elif term[1] not in ops_set:
-                ops_set.add(term[1])
-                worklist.append(term[1])
+                slot_at[(_OP, op_id, pos)] = len(slots)
+                slots.append((term[1], term[2]))
+                entry.append(-1)
+            else:
+                k = pushed.get(term[1])
+                if k is None:
+                    k = pushed[term[1]] = len(pushed)
+                    worklist.append(term[1])
+                entry.append(k)
+        skeleton.append(tuple(entry))
         children[op_id] = terms
 
-    cone.ops = frozenset(ops_set)
-    cone.leaves = frozenset(leaves)
-    cone.children = children
-    _serialize(module, cone)
+    cone.ops = frozenset(pushed)
+    if root[0] == _OP:
+        cone.scalar_slots = _select_slots(module, cone)
     return cone
 
 
-def _serialize(module: HwModule | ModuleRewriter, cone: LogicCone) -> None:
-    """Fill skeleton/slots/slot_at/scalar_slots from the resolved DAG.
-
-    The skeleton is a preorder walk; shared operations are emitted once
-    and appear as ``@k`` backreferences afterwards, so equal strings
-    mean isomorphic DAGs, sharing included.  Leaf positions appear as
-    ``s`` and are listed in ``slots`` in walk order.
-    """
-    tokens: list[str] = []
-    slots: list[tuple[int, int]] = []
-    slot_at: dict[tuple, int] = {}
-    local: dict[int, int] = {}
+def _select_slots(
+    module: HwModule | ModuleRewriter, cone: LogicCone
+) -> frozenset[int]:
+    """Slots reachable through a mux select, which must stay scalar.
+    Walks the DAG once per (op, context) pair; context flips to scalar
+    at the select operand and is inherited below it."""
     ops = module.operations
-
-    def leaf_token(pos_key: tuple, op_id: int, bit: int) -> None:
-        slot_at[pos_key] = len(slots)
-        slots.append((op_id, bit))
-        tokens.append("s")
-
-    if cone.root_term[0] == _LEAF:
-        leaf_token(("root",), cone.root_term[1], cone.root_term[2])
-    else:
-        stack: list[tuple] = [(_OP, cone.root_term[1])]
-        while stack:
-            item = stack.pop()
-            if item is None:
-                tokens.append(")")
-                continue
-            tag = item[0]
-            if tag == _LEAF:
-                _, op_id, bit, pos_key = item
-                leaf_token(pos_key, op_id, bit)
-                continue
-            op_id = item[1]
-            if op_id in local:
-                tokens.append(f"@{local[op_id]}")
-                continue
-            local[op_id] = len(local)
-            kind = ops[op_id].kind
-            tokens.append(_CANON_KIND.get(kind, kind) + "(")
-            stack.append(None)
-            terms = cone.children[op_id]
-            for pos in range(len(terms) - 1, -1, -1):
-                term = terms[pos]
-                if term[0] == _LEAF:
-                    stack.append(
-                        (_LEAF, term[1], term[2], (_OP, op_id, pos))
-                    )
-                else:
-                    stack.append(term)
-
-    cone.skeleton = " ".join(tokens)
-    cone.slots = slots
-    cone.slot_at = slot_at
-
-    # Slots reachable through a mux select must stay scalar.  Walk the
-    # DAG once per (op, context) pair; context flips to scalar at the
-    # select operand and is inherited below it.
     scalar: set[int] = set()
     seen: set[tuple[int, bool]] = set()
-    if cone.root_term[0] == _OP:
-        work = [(cone.root_term[1], False)]
-        while work:
-            op_id, ctx = work.pop()
-            if (op_id, ctx) in seen:
-                continue
-            seen.add((op_id, ctx))
-            is_mux = ops[op_id].kind == "mux"
-            for pos, term in enumerate(cone.children[op_id]):
-                child_ctx = ctx or (is_mux and pos == 0)
-                if term[0] == _LEAF:
-                    if child_ctx:
-                        scalar.add(cone.slot_at[(_OP, op_id, pos)])
-                else:
-                    work.append((term[1], child_ctx))
-    cone.scalar_slots = frozenset(scalar)
-
-
-@dataclass(frozen=True)
-class Slot:
-    """Cross-cone classification of one leaf slot."""
-
-    kind: str  # "invariant" or "strided"
-    source: int  # defining op id of the leaf value
-    base: int  # bit in the first (LSB) cone
-    step: int  # 0 for invariant, +1 or -1 for strided
-
-
-@dataclass
-class ConeShape:
-    """Common shape of an isomorphic cone family."""
-
-    skeleton: str
-    slots: list[Slot]
-    lanes: int
+    work = [(cone.root_term[1], False)]
+    while work:
+        op_id, ctx = work.pop()
+        if (op_id, ctx) in seen:
+            continue
+        seen.add((op_id, ctx))
+        is_mux = ops[op_id].kind == "mux"
+        for pos, term in enumerate(cone.children[op_id]):
+            child_ctx = ctx or (is_mux and pos == 0)
+            if term[0] == _LEAF:
+                if child_ctx:
+                    scalar.add(cone.slot_at[(_OP, op_id, pos)])
+            else:
+                work.append((term[1], child_ctx))
+    return frozenset(scalar)
 
 
 def lane_steps(lower: LogicCone, upper: LogicCone) -> list[int] | None:
@@ -246,79 +197,67 @@ def lane_steps(lower: LogicCone, upper: LogicCone) -> list[int] | None:
     return steps
 
 
-def family_shape(rep: LogicCone, steps: list[int], lanes: int) -> ConeShape:
-    """The shape of a ``lanes``-lane family whose lane ``rep`` names
-    each slot's base bit and whose slots move by ``steps`` per lane: a
-    slot that does not move is invariant."""
-    slots = [
-        Slot("strided" if step else "invariant", source, base, step)
-        for (source, base), step in zip(rep.slots, steps)
-    ]
-    return ConeShape(rep.skeleton, slots, lanes)
-
-
 def plan_vector_expr(
-    rw: ModuleRewriter, rep: LogicCone, shape: ConeShape
+    rw: ModuleRewriter, rep: LogicCone, steps: list[int], lanes: int
 ) -> ValueRef:
-    """Rebuild the representative cone at vector width inside ``rw``.
+    """Rebuild the ``lanes``-lane family whose lowest lane is ``rep``
+    and whose slots move by ``steps`` per lane at vector width inside
+    ``rw``: a slot that does not move is replicated, one that moves is
+    a run of its source's bits from the one it takes in ``rep``.
 
     Shared operations are built once per (op, context); the scalar
     context covers mux selects, which are built 1-bit wide.
     """
-    n = shape.lanes
+    n = lanes
     ops = rw.operations
 
     def slot_value(idx: int, scalar: bool) -> ValueRef:
-        slot = shape.slots[idx]
-        source = ValueRef(slot.source, ops[slot.source].width)
-        if slot.kind == "invariant":
-            bitval = rw.extract(source, slot.base, 1)
+        source, base = rep.slots[idx]
+        value = ValueRef(source, ops[source].width)
+        if not steps[idx]:
+            bitval = rw.extract(value, base, 1)
             return bitval if scalar or n == 1 else rw.replicate(bitval, n)
         assert not scalar
-        if slot.step == 1:
-            return rw.extract(source, slot.base, n)
-        low = slot.base - n + 1  # a descending run, one select per bit
-        return rw.concat([rw.extract(source, low + k, 1) for k in range(n)])
+        if steps[idx] == 1:
+            return rw.extract(value, base, n)
+        low = base - n + 1  # a descending run, one select per bit
+        return rw.concat([rw.extract(value, low + k, 1) for k in range(n)])
 
     if rep.root_term[0] == _LEAF:
         return slot_value(rep.slot_at[("root",)], scalar=False)
 
+    root = rep.root_term[1]
     memo: dict[tuple[int, bool], ValueRef] = {}
-
-    def build(op_id: int, scalar: bool) -> ValueRef:
-        stack: list[tuple[int, bool, bool]] = [(op_id, scalar, False)]
-        while stack:
-            oid, ctx, expanded = stack.pop()
-            if (oid, ctx) in memo:
-                continue
-            op = ops[oid]
-            is_mux = op.kind == "mux"
-            if not expanded:
-                stack.append((oid, ctx, True))
-                for pos, term in enumerate(rep.children[oid]):
-                    if term[0] == _OP:
-                        child_ctx = ctx or (is_mux and pos == 0)
-                        if (term[1], child_ctx) not in memo:
-                            stack.append((term[1], child_ctx, False))
-                continue
-            args: list[ValueRef] = []
+    stack: list[tuple[int, bool, bool]] = [(root, False, False)]
+    while stack:
+        oid, ctx, expanded = stack.pop()
+        if (oid, ctx) in memo:
+            continue
+        op = ops[oid]
+        is_mux = op.kind == "mux"
+        if not expanded:
+            stack.append((oid, ctx, True))
             for pos, term in enumerate(rep.children[oid]):
-                child_ctx = ctx or (is_mux and pos == 0)
-                if term[0] == _LEAF:
-                    args.append(
-                        slot_value(rep.slot_at[(_OP, oid, pos)], child_ctx)
-                    )
-                else:
-                    args.append(memo[(term[1], child_ctx)])
-            kind = _CANON_KIND.get(op.kind, op.kind)
-            if kind == "mux":
-                value = rw.mux(args[0], args[1], args[2])
-            elif kind == "not":
-                value = rw.not_(args[0])
+                if term[0] == _OP:
+                    child_ctx = ctx or (is_mux and pos == 0)
+                    if (term[1], child_ctx) not in memo:
+                        stack.append((term[1], child_ctx, False))
+            continue
+        args: list[ValueRef] = []
+        for pos, term in enumerate(rep.children[oid]):
+            child_ctx = ctx or (is_mux and pos == 0)
+            if term[0] == _LEAF:
+                args.append(
+                    slot_value(rep.slot_at[(_OP, oid, pos)], child_ctx)
+                )
             else:
-                value = rw.binary(kind, args[0], args[1])
-            memo[(oid, ctx)] = value
-        return memo[(op_id, scalar)]
-
-    return build(rep.root_term[1], False)
-
+                args.append(memo[(term[1], child_ctx)])
+        kind = _CANON_KIND.get(op.kind, op.kind)
+        if kind == "mux":
+            value = rw.mux(args[0], args[1], args[2])
+        elif kind == "not":
+            value = rw.not_(args[0])
+        else:
+            value = rw.binary(kind, args[0], args[1])
+        memo[(oid, ctx)] = value
+    return memo[(root, False)]

@@ -150,7 +150,7 @@ def selective_inline(
             op_id for op_id, op in enumerate(module.operations)
             if op.kind == "instance"
         ]
-        rw = ModuleRewriter(module) if instances else None
+        rw = None  # made at the first site inlined
         taken = {module.operations[op_id].name for op_id in instances}
         spliced: dict[ValueRef, ValueRef] = {}
         for op_id in instances:
@@ -171,6 +171,8 @@ def selective_inline(
                     f"size {size} >= threshold {policy.threshold}",
                 ))
                 continue
+            if rw is None:
+                rw = ModuleRewriter(module)
             _splice(rw, op_id, callee, taken, spliced)
             log.append(InlineDecision(
                 name, op.name, op.module, True, size,

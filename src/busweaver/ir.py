@@ -27,7 +27,8 @@ live outside the module body, so instruction counts and depth/size
 metrics skip them.
 
 Two evaluators run a module.  ``simulate`` is the scalar reference: one
-input vector, word-level operations, a recursive descent into callees.
+input vector, word-level operations, each callee run in a frame of its
+own on an explicit stack.
 The equivalence oracle instead compiles each module once, callees
 first, into a ``PackedProgram`` of one-bit ``and``/``or``/``xor``/
 ``not``/``mux`` gates (``compile_packed``) and evaluates that with

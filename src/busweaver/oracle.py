@@ -19,7 +19,7 @@ the 16-bit default is a handful of big-integer operations per gate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from busweaver.ir import (
     HwDesign,
@@ -28,7 +28,6 @@ from busweaver.ir import (
     compile_module,
     compile_packed,
     simulate_packed,
-    with_operands,
 )
 
 DEFAULT_MAX_EXHAUSTIVE_BITS = 16
@@ -202,102 +201,3 @@ def check_design_equivalence(
             compiled=(programs_a[name], programs_b[name]),
         )
     return verdicts
-
-
-@dataclass
-class MutationAuditResult:
-    total: int
-    caught: int
-    seed: int
-    details: list[str] = field(default_factory=list)
-
-    @property
-    def rate(self) -> float | None:
-        if self.total == 0:
-            return None
-        return self.caught / self.total
-
-
-def _mutation_candidates(module: HwModule) -> list[tuple[str, int, int]]:
-    """(kind, op id, payload) edits that keep the module well-formed."""
-    out: list[tuple[str, int, int]] = []
-    extracts: dict[tuple[int, int], list[int]] = {}
-    for op_id, op in enumerate(module.operations):
-        if op.kind == "extract":
-            extracts.setdefault(
-                (op.operands[0].op, op.width), []
-            ).append(op_id)
-        elif op.kind in ("and", "or", "xor", "add", "sub"):
-            out.append(("flip", op_id, 0))
-        elif op.kind == "concat":
-            n = len(op.operands)
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    a, b = op.operands[i], op.operands[j]
-                    if a.width == b.width and a != b:
-                        out.append(("swapcat", op_id, i * n + j))
-    for peers in extracts.values():
-        for i, a in enumerate(peers):
-            for b in peers[i + 1:]:
-                if module.operations[a].low != module.operations[b].low:
-                    out.append(("swapext", a, b))
-    return out
-
-
-_FLIP = {"and": "or", "or": "xor", "xor": "and", "add": "sub", "sub": "add"}
-
-
-def mutation_audit(
-    design: HwDesign,
-    mutations: int = 20,
-    seed: int = 0,
-    *,
-    max_exhaustive_bits: int = DEFAULT_MAX_EXHAUSTIVE_BITS,
-    samples: int = DEFAULT_SAMPLES,
-) -> MutationAuditResult:
-    """Sanity-check the oracle by injecting single faults into the top
-    module and counting how many it reports as non-equivalent.
-
-    Each mutation swaps two extract offsets, flips a binary operator, or
-    swaps two same-width concat operands.  Raises ``ValueError`` if the
-    top module offers nothing to mutate.
-    """
-    top = design.top_module
-    candidates = _mutation_candidates(top)
-    if not candidates:
-        raise ValueError(
-            f"module {top.name!r} has no mutation candidates"
-        )
-    programs = compile_packed(design)
-    rng = random.Random(seed)
-    result = MutationAuditResult(0, 0, seed)
-    for _ in range(mutations):
-        kind, a, b = candidates[rng.randrange(len(candidates))]
-        ops = [with_operands(op, list(op.operands)) for op in top.operations]
-        if kind == "flip":
-            ops[a].kind = _FLIP[ops[a].kind]
-            label = f"flip %{a}"
-        elif kind == "swapext":
-            ops[a].low, ops[b].low = ops[b].low, ops[a].low
-            label = f"swap extract offsets %{a} %{b}"
-        else:
-            n = len(ops[a].operands)
-            i, j = b // n, b % n
-            opnds = ops[a].operands
-            opnds[i], opnds[j] = opnds[j], opnds[i]
-            label = f"swap concat operands {i},{j} of %{a}"
-        mutant = HwModule(top.name, list(top.ports), ops,
-                          dict(top.outputs), dict(top.wires))
-        verdict = check_equivalence(
-            top, mutant,
-            max_exhaustive_bits=max_exhaustive_bits,
-            samples=samples, seed=seed,
-            compiled=(programs[top.name], compile_module(mutant, programs)),
-        )
-        result.total += 1
-        if verdict.status == "counterexample":
-            result.caught += 1
-            result.details.append(f"{label}: caught")
-        else:
-            result.details.append(f"{label}: missed ({verdict.status})")
-    return result

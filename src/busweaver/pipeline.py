@@ -40,10 +40,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from busweaver.cones import (
-    ConeShape,
     LogicCone,
     backward_cone,
-    family_shape,
     lane_steps,
     plan_vector_expr,
 )
@@ -204,9 +202,9 @@ class _SinkAnalysis:
                 self.counters.cone_visits += cone.visits
         return self.cones[bit]
 
-    def structural_low(self, i: int) -> tuple[int, ConeShape] | None:
+    def structural_low(self, i: int) -> tuple[int, list[int]] | None:
         """Smallest ``j < i`` whose bits ``[i:j]`` form a vectorizable
-        cone family, with the family's shape, or ``None``.
+        cone family, with the family's per-lane slot steps, or ``None``.
 
         Every sub-window of such a family is one too, so one downward
         scan adds a lane at a time and stops at the first that fails:
@@ -227,11 +225,11 @@ class _SinkAnalysis:
             if lane is None or (steps is not None and lane != steps):
                 break
             steps = lane
-            ops |= cone.ops
+            ops.update(cone.ops)
             best = j
         if best is None:
             return None
-        return best, family_shape(self.cone(best), steps, i - best + 1)
+        return best, steps
 
     def runs(self, hi: int, lo: int) -> list[ValueRef]:
         """Bits ``[hi:lo]`` of the sink, MSB first, as values: a run of
@@ -251,25 +249,25 @@ class _SinkAnalysis:
 
 def _plan_chunks(
     sink: _SinkAnalysis,
-) -> list[tuple[int, int, str, ConeShape | None]]:
+) -> list[tuple[int, int, str, list[int] | None]]:
     """Greedy MSB-to-LSB tiling of a sink, as ``(high, low, method,
-    shape)`` tuples; ``shape`` is a structural chunk's cone shape."""
-    plans: list[tuple[int, int, str, ConeShape | None]] = []
+    steps)`` tuples; ``steps`` are a structural chunk's slot steps."""
+    plans: list[tuple[int, int, str, list[int] | None]] = []
     i = sink.target.width - 1
     while i >= 0:
         # Widest window first, the permutation test first: a
         # permutation window makes bit i an input leaf, and leaf cones
         # stepping by +-1 through one input are a permutation too, so
         # no structural window from i is wider.
-        shape = None
+        steps = None
         j = permutation_low(sink.rw.operations, sink.roots, i)
         if j is not None:
             method = "bit-permutation"
         elif (found := sink.structural_low(i)) is not None:
-            (j, shape), method = found, "structural"
+            (j, steps), method = found, "structural"
         else:
             j, method = i, "scalar"
-        plans.append((i, j, method, shape))
+        plans.append((i, j, method, steps))
         i = j - 1
     if sink.counters is not None and len(plans) > 1:
         # a chunk [i:j] rules on j + 1 windows, a scalar bit i on i
@@ -303,9 +301,9 @@ def vectorize_output(
             parts += sink.runs(group[0][0], group[-1][1])
             continue
         parts += [
-            rw.concat(sink.runs(hi, lo)) if shape is None
-            else plan_vector_expr(rw, sink.cone(lo), shape)
-            for hi, lo, _, shape in group
+            rw.concat(sink.runs(hi, lo)) if steps is None
+            else plan_vector_expr(rw, sink.cone(lo), steps, hi - lo + 1)
+            for hi, lo, _, steps in group
         ]
     value = rw.concat(parts)
     if value == target:

@@ -1,4 +1,4 @@
-"""Batch runs, threshold sweeps, scaling probes, and report formats.
+"""Batch runs, threshold sweeps, and report formats.
 
 A batch run processes each input file independently (optionally in
 parallel worker processes): parse, vectorize, emit, and optionally
@@ -11,33 +11,34 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from busweaver.emitter import emit_design
 from busweaver.frontend import ParseError, parse_design
-from busweaver.generators import scaling_design
 from busweaver.inliner import InlinePolicy
-from busweaver.oracle import check_design_equivalence
+from busweaver.oracle import (
+    DEFAULT_MAX_EXHAUSTIVE_BITS,
+    DEFAULT_SAMPLES,
+    check_design_equivalence,
+)
 from busweaver.pipeline import PassCounters, VectorizationError, run_pipeline
 
 SCHEMA_VERSION = 1
 
 DEFAULT_SWEEP_THRESHOLDS = (30, 75, 150, 200, 300, 400)
-DEFAULT_SCALING_TARGETS = (100, 1000, 10000, 100000)
 
 
 @dataclass
 class BatchOptions:
-    inline_threshold: int = 150
+    inline_threshold: int = InlinePolicy.threshold
     no_inline: bool = False
     check: bool = False
-    max_exhaustive_bits: int = 16
-    samples: int = 10000
+    max_exhaustive_bits: int = DEFAULT_MAX_EXHAUSTIVE_BITS
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     jobs: int = 1
     out_dir: str | None = None
@@ -254,10 +255,6 @@ class SweepResult:
     thresholds: list[int]
     rows: list[SweepRow]
 
-    @property
-    def rewrite_counts(self) -> list[int]:
-        return [row.rewrites for row in self.rows]
-
 
 def threshold_sweep(
     paths: list[str],
@@ -270,15 +267,8 @@ def threshold_sweep(
     base = options or BatchOptions()
     rows = []
     for threshold in thresholds:
-        opts = BatchOptions(
-            inline_threshold=threshold,
-            no_inline=False,
-            check=base.check,
-            max_exhaustive_bits=base.max_exhaustive_bits,
-            samples=base.samples,
-            seed=base.seed,
-            jobs=base.jobs,
-        )
+        opts = replace(base, inline_threshold=threshold, no_inline=False,
+                       out_dir=None, write_output=False)
         report = run_batch(paths, opts)
         rows.append(SweepRow(
             threshold,
@@ -288,58 +278,6 @@ def threshold_sweep(
             report.summary["mean_reduction_percent"],
         ))
     return SweepResult(list(thresholds), rows)
-
-
-@dataclass
-class ScalingPoint:
-    op_target: int
-    instructions: int
-    seconds: float
-
-
-@dataclass
-class ScalingResult:
-    points: list[ScalingPoint]
-    slope: float
-    r_squared: float
-    total_seconds: float
-
-
-def scaling_probe(
-    op_targets: tuple[int, ...] = DEFAULT_SCALING_TARGETS,
-    min_seconds: float = 0.05,
-) -> ScalingResult:
-    """Measure pipeline runtime against design size and fit a log-log
-    line.  Parsing and one warm-up run per size are excluded.  Each
-    size is then run until the runs add up to ``min_seconds`` (at most
-    1000 runs), each run timed on its own, and the fastest is kept: a
-    slow run is the host's noise, not the program's cost."""
-    points: list[ScalingPoint] = []
-    total_started = time.perf_counter()
-    for target in op_targets:
-        design = parse_design(scaling_design(target))
-        _, report = run_pipeline(design)
-        best = math.inf
-        spent = 0.0
-        for _ in range(1000):
-            started = time.perf_counter()
-            run_pipeline(design)
-            elapsed = time.perf_counter() - started
-            best = min(best, elapsed)
-            spent += elapsed
-            if spent >= min_seconds:
-                break
-        points.append(ScalingPoint(
-            target, report.instructions_before, best
-        ))
-    xs = [math.log10(p.instructions) for p in points]
-    ys = [math.log10(max(p.seconds, 1e-9)) for p in points]
-    slope, _ = statistics.linear_regression(xs, ys)
-    r = statistics.correlation(xs, ys)
-    # an exact fit (two points) can round r * r to just above 1
-    return ScalingResult(
-        points, slope, min(r * r, 1.0), time.perf_counter() - total_started
-    )
 
 
 def report_to_dict(

@@ -21,7 +21,12 @@ These functions decide a single window on their own, the permutation
 test from the bits' routes and the structural test from the window's
 cones, and are what the permutation-recovery criterion and the
 planner's specification (``test_pipeline._reference_plan``) test
-against.
+against.  ``is_isomorphic`` classifies a family's slots as ``Slot``
+and ``ConeShape`` values.
+
+``serialize`` is the preorder string encoding of a cone that the
+walk-order skeleton of ``cones.backward_cone`` replaced: the two must
+agree on which cones are isomorphic and on which leaves correspond.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from busweaver.cones import ConeShape, LogicCone, family_shape, lane_steps
+from busweaver.cones import _CANON_KIND, _LEAF, _OP, LogicCone, lane_steps
 from busweaver.frontend import (
     _DIGITS,
     _IDENT_START,
@@ -1279,6 +1284,95 @@ def is_independent(cones: list[LogicCone]) -> bool:
         total += len(cone.ops)
         union |= cone.ops
     return len(union) == total
+
+
+def serialize(
+    module: HwModule, cone: LogicCone
+) -> tuple[str, list[tuple[int, int]], dict[tuple, int]]:
+    """The reference skeleton of an analyzable cone, with its slots and
+    their positions: a preorder walk of the resolved DAG, from its
+    ``root_term`` and ``children``.
+
+    Shared operations are emitted once and appear as ``@k``
+    backreferences afterwards, so equal strings mean isomorphic DAGs,
+    sharing included.  Leaf positions appear as ``s`` and are listed in
+    the slots in walk order; ``slot_at`` keys them as
+    ``backward_cone`` does.
+    """
+    tokens: list[str] = []
+    slots: list[tuple[int, int]] = []
+    slot_at: dict[tuple, int] = {}
+    local: dict[int, int] = {}
+    ops = module.operations
+
+    def leaf_token(pos_key: tuple, op_id: int, bit: int) -> None:
+        slot_at[pos_key] = len(slots)
+        slots.append((op_id, bit))
+        tokens.append("s")
+
+    if cone.root_term[0] == _LEAF:
+        leaf_token(("root",), cone.root_term[1], cone.root_term[2])
+    else:
+        stack: list[tuple] = [(_OP, cone.root_term[1])]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                tokens.append(")")
+                continue
+            tag = item[0]
+            if tag == _LEAF:
+                _, op_id, bit, pos_key = item
+                leaf_token(pos_key, op_id, bit)
+                continue
+            op_id = item[1]
+            if op_id in local:
+                tokens.append(f"@{local[op_id]}")
+                continue
+            local[op_id] = len(local)
+            kind = ops[op_id].kind
+            tokens.append(_CANON_KIND.get(kind, kind) + "(")
+            stack.append(None)
+            terms = cone.children[op_id]
+            for pos in range(len(terms) - 1, -1, -1):
+                term = terms[pos]
+                if term[0] == _LEAF:
+                    stack.append(
+                        (_LEAF, term[1], term[2], (_OP, op_id, pos))
+                    )
+                else:
+                    stack.append(term)
+
+    return " ".join(tokens), slots, slot_at
+
+
+@dataclass(frozen=True)
+class Slot:
+    """Cross-cone classification of one leaf slot."""
+
+    kind: str  # "invariant" or "strided"
+    source: int  # defining op id of the leaf value
+    base: int  # bit in the first (LSB) cone
+    step: int  # 0 for invariant, +1 or -1 for strided
+
+
+@dataclass
+class ConeShape:
+    """Common shape of an isomorphic cone family."""
+
+    skeleton: list[tuple]
+    slots: list[Slot]
+    lanes: int
+
+
+def family_shape(rep: LogicCone, steps: list[int], lanes: int) -> ConeShape:
+    """The shape of a ``lanes``-lane family whose lane ``rep`` names
+    each slot's base bit and whose slots move by ``steps`` per lane: a
+    slot that does not move is invariant."""
+    slots = [
+        Slot("strided" if step else "invariant", source, base, step)
+        for (source, base), step in zip(rep.slots, steps)
+    ]
+    return ConeShape(rep.skeleton, slots, lanes)
 
 
 def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:

@@ -21,7 +21,8 @@ from busweaver.generators import (
 from busweaver.ir import metrics, simulate
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import PassCounters
-from busweaver.reporting import scaling_probe, threshold_sweep
+from busweaver.reporting import threshold_sweep
+from probes import rewrite_counts, scaling_probe
 from reference import detect_permutation, greedy_group, is_independent
 
 GOLDEN = [
@@ -232,7 +233,7 @@ def test_criterion_8_sweep_monotone(tmp_path):
         path.write_text(nested_instance_design(4, length, name=f"n{length}"))
         paths.append(str(path))
     sweep = threshold_sweep(paths)
-    counts = sweep.rewrite_counts
+    counts = rewrite_counts(sweep)
     if counts != sorted(counts):
         failures.append(f"rewrites not monotone: {counts}")
     if counts[-1] <= counts[0]:

@@ -1,11 +1,17 @@
+import random
+
+import pytest
+
 from busweaver.cones import backward_cone
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
+from busweaver.inliner import selective_inline
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
 from busweaver.rewrite import ModuleRewriter
-from reference import is_independent, is_isomorphic
+from reference import is_independent, is_isomorphic, serialize
+from test_pipeline import _generator_corpus, _random_sink
 
 
 def _module(src):
@@ -220,4 +226,101 @@ def test_reversed_family_maps_descending():
     assert (slot.kind, slot.base, slot.step) == ("strided", 2, -1)
     out, chunks = _vectorize(m)
     assert [c.method for c in chunks] == ["structural"]
+    assert check_equivalence(m, out).status == "equivalent-exhaustive"
+
+
+def _slot_steps(slot_at, lower, upper):
+    """Per slot position (op, operand), whether the corresponding leaf
+    of ``upper`` reads the source of the one of ``lower``, and how far
+    its bit moved."""
+    return {
+        key: (upper[k][0] == lower[k][0], upper[k][1] - lower[k][1])
+        for key, k in slot_at.items()
+    }
+
+
+def _random_dag_sink(rng, width, gates):
+    """A module whose ``out[k]`` is the last of ``gates`` and gates,
+    each reading two of the three latest of lane k's input bits and
+    gates, so that lanes of one shape often differ in what they
+    share."""
+    lines = []
+    for k in range(width):
+        names = [f"a[{k}]", f"b[{k}]"]
+        for g in range(gates):
+            name = f"g{k}_{g}"
+            x, y = rng.choice(names[-3:]), rng.choice(names[-3:])
+            lines.append(f"  wire {name};")
+            lines.append(f"  assign {name} = {x} & {y};")
+            names.append(name)
+        lines.append(f"  assign out[{k}] = {names[-1]};")
+    return "\n".join([
+        f"module d(input [{width - 1}:0] a, input [{width - 1}:0] b,",
+        f"         output [{width - 1}:0] out);",
+        *lines,
+        "endmodule",
+    ])
+
+
+def test_walk_skeleton_agrees_with_the_preorder_reference(golden_dir):
+    # every pair of bits of every multi-bit sink, before and after
+    # inlining: the walk-order skeletons are equal exactly when the
+    # preorder strings are, and slot k of two cones of one skeleton
+    # are the leaves the preorder encoding pairs up
+    rng = random.Random(1307)
+    sources = [src for _, src in _generator_corpus(golden_dir)]
+    sources += [_random_sink(rng, rng.randint(2, 12)) for _ in range(100)]
+    sources += [_random_dag_sink(rng, 12, 4) for _ in range(50)]
+    equal = unequal = 0
+    for src in sources:
+        design = parse_design(src)
+        inlined, _ = selective_inline(design)
+        for module in [*design.modules.values(), *inlined.modules.values()]:
+            for ref in [*module.outputs.values(), *module.wires.values()]:
+                if ref.width < 2:
+                    continue
+                cones = [
+                    (cone, serialize(module, cone))
+                    for cone in (
+                        backward_cone(module, ref, b) for b in range(ref.width)
+                    )
+                    if cone.analyzable
+                ]
+                for a, (cone_a, ref_a) in enumerate(cones):
+                    assert {
+                        key: cone_a.slots[k]
+                        for key, k in cone_a.slot_at.items()
+                    } == {key: ref_a[1][k] for key, k in ref_a[2].items()}
+                    for cone_b, ref_b in cones[a + 1:]:
+                        same = cone_a.skeleton == cone_b.skeleton
+                        assert same == (ref_a[0] == ref_b[0])
+                        if not same:
+                            unequal += 1
+                            continue
+                        equal += 1
+                        assert _slot_steps(
+                            cone_a.slot_at, cone_a.slots, cone_b.slots
+                        ) == _slot_steps(ref_a[2], ref_a[1], ref_b[1])
+    assert equal and unequal
+
+
+@pytest.mark.parametrize("wired, plan", [
+    (False, [(1, 1, "scalar"), (0, 0, "scalar")]),
+    (True, [(1, 0, "structural")]),
+])
+def test_lanes_differing_only_in_sharing_are_no_family(wired, plan):
+    # lane 0 reads one and twice; lane 1 reads two equal ands unless
+    # it too reads its and through a wire
+    lane1 = "t1 ^ t1" if wired else "(a[1] & b[1]) ^ (a[1] & b[1])"
+    m = _module(
+        "module m(input [1:0] a, input [1:0] b, output [1:0] out);\n"
+        "  wire t0, t1;\n"
+        "  assign t0 = a[0] & b[0];\n"
+        "  assign t1 = a[1] & b[1];\n"
+        "  assign out[0] = t0 ^ t0;\n"
+        f"  assign out[1] = {lane1};\n"
+        "endmodule"
+    )
+    out, chunks = _vectorize(m)
+    assert [(c.high, c.low, c.method) for c in chunks] == plan
     assert check_equivalence(m, out).status == "equivalent-exhaustive"

@@ -7,9 +7,9 @@ from busweaver.oracle import (
     _sampled_lanes,
     check_design_equivalence,
     check_equivalence,
-    mutation_audit,
 )
 from busweaver.ir import simulate
+from probes import mutation_audit
 
 
 PERM = (

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import probes
 from busweaver import reporting
 from busweaver.cli import main
 from busweaver.generators import (
@@ -18,11 +19,11 @@ from busweaver.reporting import (
     process_design,
     report_to_dict,
     run_batch,
-    scaling_probe,
     threshold_sweep,
     write_csv_report,
     write_json_report,
 )
+from probes import rewrite_counts, scaling_probe
 
 BROKEN = "module bad(input a, output [1:0] y);\n  assign y[0] = a;\nendmodule\n"
 
@@ -114,8 +115,8 @@ def test_threshold_sweep_monotone(tmp_path):
     ]
     sweep = threshold_sweep(paths, thresholds=(30, 75, 150))
     assert sweep.thresholds == [30, 75, 150]
-    assert sweep.rewrite_counts == [1, 2, 3]
-    assert sweep.rewrite_counts == sorted(sweep.rewrite_counts)
+    assert rewrite_counts(sweep) == [1, 2, 3]
+    assert rewrite_counts(sweep) == sorted(rewrite_counts(sweep))
 
 
 def test_scaling_probe_smoke():
@@ -131,7 +132,7 @@ def test_scaling_probe_r_squared_never_exceeds_one(monkeypatch):
     # an exact two-point fit can give a correlation a rounding step
     # above 1
     monkeypatch.setattr(
-        reporting.statistics, "correlation", lambda xs, ys: 1 + 2**-52
+        probes.statistics, "correlation", lambda xs, ys: 1 + 2**-52
     )
     result = scaling_probe(op_targets=(100, 200), min_seconds=0.0)
     assert result.r_squared == 1.0
