@@ -44,6 +44,7 @@ from busweaver.cones import (
     backward_cone,
     lane_steps,
     plan_vector_expr,
+    select_slots,
 )
 from busweaver.inliner import InlineDecision, InlinePolicy, selective_inline
 from busweaver.ir import (
@@ -176,7 +177,7 @@ class _SinkAnalysis:
 
     rw: ModuleRewriter
     target: ValueRef
-    counters: PassCounters | None
+    counters: PassCounters
     routes: dict = field(default_factory=dict)
     roots: list[tuple[ValueRef, int]] = field(init=False)
     cones: dict[int, LogicCone] = field(default_factory=dict)
@@ -190,16 +191,14 @@ class _SinkAnalysis:
             )
             self.roots.append((value, low))
             hops += n
-        if self.counters is not None:
-            self.counters.trace_visits += hops
+        self.counters.trace_visits += hops
 
     def cone(self, bit: int) -> LogicCone:
         if bit not in self.cones:
             cone = self.cones[bit] = backward_cone(
                 self.rw, *self.roots[bit], routes=self.routes
             )
-            if self.counters is not None:
-                self.counters.cone_visits += cone.visits
+            self.counters.cone_visits += cone.visits
         return self.cones[bit]
 
     def structural_low(self, i: int) -> tuple[int, list[int]] | None:
@@ -209,11 +208,14 @@ class _SinkAnalysis:
         Every sub-window of such a family is one too, so one downward
         scan adds a lane at a time and stops at the first that fails:
         it must be analyzable, share no operation with the lanes above,
-        have their skeleton, and move every slot by the same step.
+        have their skeleton, and move every slot by the same step.  The
+        lanes share the top lane's skeleton, so its mux-select slots
+        are found once.
         """
         top = self.cone(i)
         if not top.analyzable:
             return None
+        scalar = select_slots(top.skeleton)
         ops = set(top.ops)
         steps = best = None
         for j in range(i - 1, -1, -1):
@@ -221,7 +223,7 @@ class _SinkAnalysis:
             if not cone.analyzable or cone.skeleton != top.skeleton \
                     or not ops.isdisjoint(cone.ops):
                 break
-            lane = lane_steps(cone, self.cone(j + 1))
+            lane = lane_steps(cone, self.cone(j + 1), scalar)
             if lane is None or (steps is not None and lane != steps):
                 break
             steps = lane
@@ -269,7 +271,7 @@ def _plan_chunks(
             j, method = i, "scalar"
         plans.append((i, j, method, steps))
         i = j - 1
-    if sink.counters is not None and len(plans) > 1:
+    if len(plans) > 1:
         # a chunk [i:j] rules on j + 1 windows, a scalar bit i on i
         sink.counters.partial_candidates += sum(
             hi if method == "scalar" else lo + 1
@@ -288,7 +290,7 @@ def vectorize_output(
     planned value is ``target`` itself."""
     assert target.width >= 2, "vectorization needs a multi-bit sink"
 
-    sink = _SinkAnalysis(rw, target, counters)
+    sink = _SinkAnalysis(rw, target, counters or PassCounters())
     plans = _plan_chunks(sink)
     chunks = [Chunk(hi, lo, method) for hi, lo, method, _ in plans]
     if all(method == "scalar" for _, _, method, _ in plans):

@@ -25,8 +25,14 @@ against.  ``is_isomorphic`` classifies a family's slots as ``Slot``
 and ``ConeShape`` values.
 
 ``serialize`` is the preorder string encoding of a cone that the
-walk-order skeleton of ``cones.backward_cone`` replaced: the two must
+push-index skeleton of ``cones.backward_cone`` replaced: the two must
 agree on which cones are isomorphic and on which leaves correspond.
+It routes the root and every operand from the module itself with
+``ir.route_bit``, so it reads nothing of the cone it checks.
+``slot_positions`` names each slot of a cone by the leaf position it
+fills, and ``select_positions`` is the module walk that finds the leaf
+positions below a mux select, the rule ``cones.select_slots`` reads off
+a skeleton.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from busweaver.cones import _CANON_KIND, _LEAF, _OP, LogicCone, lane_steps
+from busweaver.cones import _CANON_KIND, LogicCone, lane_steps, select_slots
 from busweaver.frontend import (
     _DIGITS,
     _IDENT_START,
@@ -61,6 +67,7 @@ from busweaver.ir import (
     BINARY_KINDS,
     HwModule,
     ModuleBuilder,
+    Operation,
     Port,
     ValueRef,
     route_bit,
@@ -1282,22 +1289,35 @@ def is_independent(cones: list[LogicCone]) -> bool:
     union: set[int] = set()
     for cone in cones:
         total += len(cone.ops)
-        union |= cone.ops
+        union.update(cone.ops)
     return len(union) == total
 
 
+# Leaf terms: ("leaf", op_id, bit) for an input/const bit, ("op", op_id)
+# for a computing operation; a leaf position is ("op", op_id, operand
+# position), or ("root",) for a cone whose bit routes to a leaf.
+_LEAF = "leaf"
+_OP = "op"
+
+
+def _term(ops: list[Operation], value: ValueRef, bit: int) -> tuple:
+    value, bit, _ = route_bit(ops, value, bit)
+    if ops[value.op].kind in ("input", "const"):
+        return (_LEAF, value.op, bit)
+    return (_OP, value.op)
+
+
 def serialize(
-    module: HwModule, cone: LogicCone
+    module: HwModule, target: ValueRef, bit: int
 ) -> tuple[str, list[tuple[int, int]], dict[tuple, int]]:
-    """The reference skeleton of an analyzable cone, with its slots and
-    their positions: a preorder walk of the resolved DAG, from its
-    ``root_term`` and ``children``.
+    """The reference skeleton of the analyzable cone of ``target[bit]``,
+    with its slots and their leaf positions: a preorder walk of the
+    DAG, each operand routed from ``module``.
 
     Shared operations are emitted once and appear as ``@k``
     backreferences afterwards, so equal strings mean isomorphic DAGs,
     sharing included.  Leaf positions appear as ``s`` and are listed in
-    the slots in walk order; ``slot_at`` keys them as
-    ``backward_cone`` does.
+    the slots in walk order; ``slot_at`` maps each position to its slot.
     """
     tokens: list[str] = []
     slots: list[tuple[int, int]] = []
@@ -1310,10 +1330,11 @@ def serialize(
         slots.append((op_id, bit))
         tokens.append("s")
 
-    if cone.root_term[0] == _LEAF:
-        leaf_token(("root",), cone.root_term[1], cone.root_term[2])
+    root = _term(ops, target, bit)
+    if root[0] == _LEAF:
+        leaf_token(("root",), root[1], root[2])
     else:
-        stack: list[tuple] = [(_OP, cone.root_term[1])]
+        stack: list[tuple] = [root]
         while stack:
             item = stack.pop()
             if item is None:
@@ -1329,20 +1350,60 @@ def serialize(
                 tokens.append(f"@{local[op_id]}")
                 continue
             local[op_id] = len(local)
-            kind = ops[op_id].kind
-            tokens.append(_CANON_KIND.get(kind, kind) + "(")
+            op = ops[op_id]
+            tokens.append(_CANON_KIND.get(op.kind, op.kind) + "(")
             stack.append(None)
-            terms = cone.children[op_id]
-            for pos in range(len(terms) - 1, -1, -1):
-                term = terms[pos]
+            for pos in range(len(op.operands) - 1, -1, -1):
+                term = _term(ops, op.operands[pos], 0)
                 if term[0] == _LEAF:
-                    stack.append(
-                        (_LEAF, term[1], term[2], (_OP, op_id, pos))
-                    )
+                    stack.append((*term, (_OP, op_id, pos)))
                 else:
                     stack.append(term)
 
     return " ".join(tokens), slots, slot_at
+
+
+def slot_positions(cone: LogicCone) -> dict[tuple, int]:
+    """Each slot of an analyzable cone keyed by the leaf position it
+    fills, read from the cone's skeleton and ops."""
+    if not cone.skeleton:
+        return {("root",): 0}
+    return {
+        (_OP, cone.ops[k], pos): ~c
+        for k, (_, *codes) in enumerate(cone.skeleton)
+        for pos, c in enumerate(codes)
+        if c < 0
+    }
+
+
+def select_positions(
+    module: HwModule, target: ValueRef, bit: int
+) -> set[tuple]:
+    """The leaf positions of the analyzable cone of ``target[bit]``
+    reachable through a mux select: a walk once per (op, context) pair
+    over operands routed from ``module``, where context flips to scalar
+    at a mux's select operand and is inherited below it."""
+    ops = module.operations
+    root = _term(ops, target, bit)
+    if root[0] == _LEAF:
+        return set()
+    scalar: set[tuple] = set()
+    seen: set[tuple[int, bool]] = set()
+    work = [(root[1], False)]
+    while work:
+        op_id, ctx = work.pop()
+        if (op_id, ctx) in seen:
+            continue
+        seen.add((op_id, ctx))
+        op = ops[op_id]
+        for pos, ref in enumerate(op.operands):
+            child_ctx = ctx or (op.kind == "mux" and pos == 0)
+            term = _term(ops, ref, 0)
+            if term[0] == _OP:
+                work.append((term[1], child_ctx))
+            elif child_ctx:
+                scalar.add((_OP, op_id, pos))
+    return scalar
 
 
 @dataclass(frozen=True)
@@ -1387,8 +1448,9 @@ def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
     if any(not c.analyzable or c.skeleton != rep.skeleton for c in cones):
         return None
     steps = [0] * len(rep.slots)
+    scalar = select_slots(rep.skeleton)
     for k in range(1, len(cones)):
-        lane = lane_steps(cones[k - 1], cones[k])
+        lane = lane_steps(cones[k - 1], cones[k], scalar)
         if lane is None or (k > 1 and lane != steps):
             return None
         steps = lane

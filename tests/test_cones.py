@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from busweaver.cones import backward_cone
+from busweaver.cones import backward_cone, select_slots
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
@@ -10,7 +10,13 @@ from busweaver.inliner import selective_inline
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
 from busweaver.rewrite import ModuleRewriter
-from reference import is_independent, is_isomorphic, serialize
+from reference import (
+    is_independent,
+    is_isomorphic,
+    select_positions,
+    serialize,
+    slot_positions,
+)
 from test_pipeline import _generator_corpus, _random_sink
 
 
@@ -34,7 +40,7 @@ def test_cone_collects_ops_and_leaves():
     assert cone.analyzable
     assert len(cone.ops) == 3  # not, and, or
     leaf_ports = {
-        m.operations[op_id].port for op_id, _ in cone.leaves
+        m.operations[op_id].port for op_id, _ in cone.slots
     }
     assert leaf_ports == {"a", "b", "c"}
 
@@ -262,16 +268,57 @@ def _random_dag_sink(rng, width, gates):
     ])
 
 
-def test_walk_skeleton_agrees_with_the_preorder_reference(golden_dir):
-    # every pair of bits of every multi-bit sink, before and after
-    # inlining: the walk-order skeletons are equal exactly when the
-    # preorder strings are, and slot k of two cones of one skeleton
-    # are the leaves the preorder encoding pairs up
+def _random_mux_sink(rng, width, depth):
+    """A module whose lanes instantiate one random expression over
+    and/or/xor/not and muxes whose selects are themselves expressions,
+    with muxes nested inside selects and arms.  A leaf reads lane k's
+    bit of ``a``, the mirrored bit of ``b`` or a bit of ``s`` shared by
+    every lane, and a lane may also read its wire ``t``, which repeats
+    a subexpression; some lanes get an expression of their own."""
+
+    def expr(d, leaves):
+        r = rng.random()
+        if d == 0 or r < 0.15:
+            return rng.choice(leaves)
+        args = [expr(d - 1, leaves) for _ in range(3)]
+        if r < 0.55:
+            return "({} ? {} : {})".format(*args)
+        if r < 0.65:
+            return f"~{args[0]}"
+        return f"({args[0]} {rng.choice('&|^')} {args[1]})"
+
+    leaves = ["a[{k}]", "b[{r}]", "s[0]", "s[1]"]
+    shared = expr(depth - 1, leaves), expr(depth, [*leaves, "t{k}"])
+    lines = []
+    for k in range(width):
+        wire, out = (
+            shared if rng.random() < 0.8
+            else (expr(depth - 1, leaves), expr(depth, [*leaves, "t{k}"]))
+        )
+        bits = {"k": k, "r": width - 1 - k}
+        lines.append(f"  wire t{k};")
+        lines.append(f"  assign t{k} = {wire.format(**bits)};")
+        lines.append(f"  assign out[{k}] = {out.format(**bits)};")
+    return "\n".join([
+        f"module x(input [{width - 1}:0] a, input [{width - 1}:0] b,",
+        f"         input [1:0] s, output [{width - 1}:0] out);",
+        *lines,
+        "endmodule",
+    ])
+
+
+def _differential_cones(golden_dir):
+    """Every analyzable cone of every multi-bit sink of a corpus of
+    generator designs, goldens and seeded random sinks, before and after
+    inlining, as ``(module, sink value, [(bit, cone), ...])`` per
+    sink."""
     rng = random.Random(1307)
     sources = [src for _, src in _generator_corpus(golden_dir)]
     sources += [_random_sink(rng, rng.randint(2, 12)) for _ in range(100)]
     sources += [_random_dag_sink(rng, 12, 4) for _ in range(50)]
-    equal = unequal = 0
+    sources += [
+        _random_mux_sink(rng, rng.randint(2, 8), 3) for _ in range(100)
+    ]
     for src in sources:
         design = parse_design(src)
         inlined, _ = selective_inline(design)
@@ -280,28 +327,53 @@ def test_walk_skeleton_agrees_with_the_preorder_reference(golden_dir):
                 if ref.width < 2:
                     continue
                 cones = [
-                    (cone, serialize(module, cone))
-                    for cone in (
-                        backward_cone(module, ref, b) for b in range(ref.width)
-                    )
-                    if cone.analyzable
+                    (b, cone) for b in range(ref.width)
+                    if (cone := backward_cone(module, ref, b)).analyzable
                 ]
-                for a, (cone_a, ref_a) in enumerate(cones):
-                    assert {
-                        key: cone_a.slots[k]
-                        for key, k in cone_a.slot_at.items()
-                    } == {key: ref_a[1][k] for key, k in ref_a[2].items()}
-                    for cone_b, ref_b in cones[a + 1:]:
-                        same = cone_a.skeleton == cone_b.skeleton
-                        assert same == (ref_a[0] == ref_b[0])
-                        if not same:
-                            unequal += 1
-                            continue
-                        equal += 1
-                        assert _slot_steps(
-                            cone_a.slot_at, cone_a.slots, cone_b.slots
-                        ) == _slot_steps(ref_a[2], ref_a[1], ref_b[1])
+                yield module, ref, cones
+
+
+def test_walk_skeleton_agrees_with_the_preorder_reference(golden_dir):
+    # every pair of bits of every multi-bit sink, before and after
+    # inlining: the push-index skeletons are equal exactly when the
+    # preorder strings are, and slot k of two cones of one skeleton
+    # are the leaves the preorder encoding pairs up
+    equal = unequal = 0
+    for module, ref, bit_cones in _differential_cones(golden_dir):
+        cones = [
+            (cone, slot_positions(cone), serialize(module, ref, b))
+            for b, cone in bit_cones
+        ]
+        for a, (cone_a, at_a, ref_a) in enumerate(cones):
+            assert {key: cone_a.slots[k] for key, k in at_a.items()} \
+                == {key: ref_a[1][k] for key, k in ref_a[2].items()}
+            for cone_b, _, ref_b in cones[a + 1:]:
+                same = cone_a.skeleton == cone_b.skeleton
+                assert same == (ref_a[0] == ref_b[0])
+                if not same:
+                    unequal += 1
+                    continue
+                equal += 1
+                assert _slot_steps(at_a, cone_a.slots, cone_b.slots) \
+                    == _slot_steps(ref_a[2], ref_a[1], ref_b[1])
     assert equal and unequal
+
+
+def test_select_slots_agree_with_the_module_walk_reference(golden_dir):
+    # the select slots read off a skeleton sit at the leaf positions
+    # that the (op, context) walk over the module finds below a select
+    checked = with_selects = 0
+    for module, ref, bit_cones in _differential_cones(golden_dir):
+        for b, cone in bit_cones:
+            scalar = select_slots(cone.skeleton)
+            named = {
+                key for key, k in slot_positions(cone).items()
+                if k in scalar
+            }
+            assert named == select_positions(module, ref, b)
+            checked += 1
+            with_selects += bool(scalar)
+    assert checked > 4000 and with_selects > 1000
 
 
 @pytest.mark.parametrize("wired, plan", [

@@ -120,7 +120,7 @@ def test_threshold_sweep_monotone(tmp_path):
 
 
 def test_scaling_probe_smoke():
-    result = scaling_probe(op_targets=(100, 400), min_seconds=0.005)
+    result = scaling_probe(op_targets=(100, 400))
     assert [p.op_target for p in result.points] == [100, 400]
     assert result.points[0].instructions < result.points[1].instructions
     assert all(p.seconds > 0 for p in result.points)
