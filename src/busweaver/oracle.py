@@ -13,6 +13,8 @@ Each side is compiled once into a folded one-bit gate program
 instead of re-simulated at every site) and the programs are evaluated
 bit-parallel by ``ir.simulate_packed``, so even the exhaustive check at
 the 16-bit default is a handful of big-integer operations per gate.
+The truth tables up to that default are built once per input width and
+kept for later checks.
 ``ir.simulate`` stays the independent scalar reference.
 """
 
@@ -68,20 +70,30 @@ def _per_port(lanes: list[int], widths: list[int]) -> list[list[int]]:
     return out
 
 
+#: Truth tables by total input width, kept up to the default
+#: exhaustive limit: at most 17 tables, about 256 KiB in all.
+_TRUTH_TABLES: dict[int, tuple[int, ...]] = {}
+
+
 def _exhaustive_lanes(widths: list[int]) -> tuple[list[list[int]], int]:
     """Truth-table lane masks for every input bit, all 2**W vectors."""
     total = sum(widths)
     n_vectors = 1 << total
-    lanes: list[int] = []
-    for g in range(total):
-        span = 1 << g
-        mask = ((1 << span) - 1) << span
-        stride = span * 2
-        while stride < n_vectors:
-            mask |= mask << stride
-            stride *= 2
-        lanes.append(mask)
-    return _per_port(lanes, widths), n_vectors
+    lanes = _TRUTH_TABLES.get(total)
+    if lanes is None:
+        built = []
+        for g in range(total):
+            span = 1 << g
+            mask = ((1 << span) - 1) << span
+            stride = span * 2
+            while stride < n_vectors:
+                mask |= mask << stride
+                stride *= 2
+            built.append(mask)
+        lanes = tuple(built)
+        if total <= DEFAULT_MAX_EXHAUSTIVE_BITS:
+            _TRUTH_TABLES[total] = lanes
+    return _per_port(list(lanes), widths), n_vectors
 
 
 def _sampled_lanes(widths: list[int], samples: int,
@@ -104,11 +116,12 @@ def _first_mismatch(
     best: tuple[int, str] | None = None
     for name in order:
         for la, lb in zip(a[name], b[name]):
+            if la == lb:
+                continue
             diff = la ^ lb
-            if diff:
-                k = (diff & -diff).bit_length() - 1
-                if best is None or k < best[0]:
-                    best = (k, name)
+            k = (diff & -diff).bit_length() - 1
+            if best is None or k < best[0]:
+                best = (k, name)
     if best is None:
         return None
     return best[1], best[0]

@@ -4,16 +4,20 @@ A batch run processes each input file independently (optionally in
 parallel worker processes): parse, vectorize, emit, and optionally
 check equivalence.  Results aggregate into a JSON-friendly report with
 stable field names (``schema_version`` 1) and an optional CSV table.
+
+Start-up dominates a run on one design, so four imports wait for the
+branch that needs them: ``concurrent.futures`` (with ``multiprocessing``
+behind it) for ``jobs > 1``, ``logging`` for an internal error, ``json``
+for ``--report`` and ``csv`` for ``--csv``.  Everything a default or a
+``--check`` run executes stays at module level, ``statistics`` and the
+oracle included: deferring those would only move their cost into the
+first design.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import logging
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -90,6 +94,8 @@ def process_design(path: str, options: BatchOptions) -> DesignResult:
     try:
         result = _process(path, options)
     except Exception as exc:  # the last resort: the batch goes on
+        import logging
+
         logging.getLogger(__name__).debug("internal error in %s", path,
                                           exc_info=True)
         result = DesignResult(path=path, ok=False,
@@ -232,6 +238,8 @@ def run_batch(paths: list[str], options: BatchOptions | None = None) \
     """Process every path (in input order) and aggregate a summary."""
     options = options or BatchOptions()
     if options.jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
             results = list(
                 pool.map(_process_star, [(p, options) for p in paths])
@@ -305,11 +313,15 @@ def write_json_report(
     options: BatchOptions,
     sweep: SweepResult | None = None,
 ) -> None:
+    import json
+
     doc = report_to_dict(report, options, sweep)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def write_csv_report(path: str, report: BatchReport) -> None:
+    import csv
+
     columns = [
         "path", "ok", "instructions_before", "instructions_after",
         "reduction_percent", "rewrites", "category", "equivalence",

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from busweaver import oracle
 from busweaver.frontend import parse_design
 from busweaver.oracle import (
+    _exhaustive_lanes,
     _sampled_lanes,
     check_design_equivalence,
     check_equivalence,
@@ -254,3 +256,40 @@ def test_sampled_lanes_put_corner_vectors_first():
         # vector 0 all-zeros, vector 1 all-ones, vector 2+g one-hot on g
         assert lane & 0b11 == 0b10
         assert (lane >> 2) & 0b11111 == 1 << g
+
+
+def _truth_table_from_scratch(widths):
+    """Lane g holds bit ``(k >> g) & 1`` at bit k, for every vector k."""
+    total = sum(widths)
+    n_vectors = 1 << total
+    lanes = [
+        int("0" + "".join("1" if (k >> g) & 1 else "0"
+                          for k in reversed(range(n_vectors))), 2)
+        for g in range(total)
+    ]
+    return oracle._per_port(lanes, widths), n_vectors
+
+
+# Total widths 0 to 17: the last split is wider than the default limit.
+SPLITS = [[], [1], [3, 2], [2, 3], [4, 4, 4], [1, 15], [16], [8, 1, 7],
+          [10, 7]]
+
+
+def test_exhaustive_lanes_repeat_a_table_built_from_scratch():
+    expected = [_truth_table_from_scratch(w) for w in SPLITS]
+    for _ in range(2):
+        for widths, want in zip(SPLITS, expected):
+            assert _exhaustive_lanes(widths) == want
+    assert 17 not in oracle._TRUTH_TABLES
+    assert set(oracle._TRUTH_TABLES) <= set(
+        range(oracle.DEFAULT_MAX_EXHAUSTIVE_BITS + 1))
+
+
+def test_mutating_exhaustive_lanes_leaves_later_calls_alone():
+    want = _truth_table_from_scratch([3, 2])
+    lanes, _ = _exhaustive_lanes([3, 2])
+    lanes[0][0] ^= 1
+    lanes[1].append(7)
+    lanes.append([0])
+    assert _exhaustive_lanes([3, 2]) == want
+    assert _exhaustive_lanes([2, 3]) == _truth_table_from_scratch([2, 3])

@@ -2,6 +2,11 @@
 command line front end."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +281,46 @@ def test_cli_finishes_the_batch_after_an_internal_error(
     assert "chain.v: error\n  internal error: RecursionError\n" \
         in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_process_design_logs_the_internal_error_traceback(
+        golden_dir, monkeypatch, caplog):
+    def boom(*args, **kwargs):
+        raise ValueError("the message stays in the log")
+
+    monkeypatch.setattr(reporting, "run_pipeline", boom)
+    caplog.set_level(logging.DEBUG, logger="busweaver.reporting")
+    path = str(golden_dir / "partial_mix.v")
+    result = process_design(path, BatchOptions())
+    assert result.error == "internal error: ValueError"
+    [record] = [r for r in caplog.records
+                if r.name == "busweaver.reporting"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == f"internal error in {path}"
+    assert record.exc_info[0] is ValueError
+    assert "the message stays in the log" in caplog.text
+    assert "Traceback" in caplog.text
+
+
+DEFERRED = ("concurrent.futures", "multiprocessing", "logging", "json",
+            "csv")
+
+
+def _loaded_modules(code):
+    src = Path(reporting.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return set(out.split())
+
+
+def test_importing_the_cli_defers_pool_logging_json_and_csv():
+    bare = _loaded_modules("")
+    loaded = _loaded_modules("import busweaver.cli, busweaver.reporting")
+    assert "busweaver.reporting" in loaded
+    assert [m for m in DEFERRED if m in loaded and m not in bare] == []
