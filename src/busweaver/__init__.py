@@ -22,7 +22,7 @@ from busweaver.ir import (
 )
 from busweaver.oracle import EquivalenceVerdict, check_equivalence
 from busweaver.pipeline import VectorizationError, run_pipeline
-from busweaver.emitter import emit_design, emit_ir_dump
+from busweaver.emitter import emit_design
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "check_equivalence",
     "count_instructions",
     "emit_design",
-    "emit_ir_dump",
     "metrics",
     "parse_design",
     "run_pipeline",

@@ -23,6 +23,30 @@ from busweaver.reporting import (
 )
 
 
+def _thresholds(text: str) -> tuple[int, ...]:
+    """``--sweep``'s value: integers separated by commas, at least one;
+    empty entries are skipped."""
+    try:
+        thresholds = tuple(int(t) for t in text.split(",") if t)
+    except ValueError:
+        thresholds = ()
+    if not thresholds:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by commas, found {text!r}")
+    return thresholds
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, found {text!r}")
+    return value
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     defaults = BatchOptions()
     parser = argparse.ArgumentParser(
@@ -59,7 +83,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
              "(default %(default)s)",
     )
     parser.add_argument(
-        "--samples", type=int, default=defaults.samples, metavar="N",
+        "--samples", type=_non_negative, default=defaults.samples,
+        metavar="N",
         help="random vectors for sampled equivalence "
              "(default %(default)s)",
     )
@@ -76,7 +101,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help="write a per-design CSV table to FILE",
     )
     parser.add_argument(
-        "--sweep", nargs="?", const="", metavar="T1,T2,...",
+        "--sweep", nargs="?", type=_thresholds,
+        const=DEFAULT_SWEEP_THRESHOLDS, metavar="T1,T2,...",
         help="rerun at several inline thresholds and print a table "
              "(default %s)" % ",".join(
                  str(t) for t in DEFAULT_SWEEP_THRESHOLDS),
@@ -167,13 +193,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep = None
     if args.sweep is not None:
-        if args.sweep:
-            thresholds = tuple(
-                int(t) for t in args.sweep.split(",") if t
-            )
-        else:
-            thresholds = DEFAULT_SWEEP_THRESHOLDS
-        sweep = threshold_sweep(paths, thresholds, options)
+        sweep = threshold_sweep(paths, args.sweep, options)
         _print_sweep(sweep)
 
     if args.report:

@@ -30,8 +30,6 @@ rebuilt vector alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from busweaver.ir import HwModule, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
@@ -43,7 +41,6 @@ _CONE_KINDS = frozenset({"and", "or", "xor", "not", "add", "sub", "mux"})
 _CANON_KIND = {"add": "xor", "sub": "xor"}
 
 
-@dataclass
 class LogicCone:
     """Backward cone of one bit of a sink value.
 
@@ -58,12 +55,24 @@ class LogicCone:
     building the cone.
     """
 
-    analyzable: bool
-    reason: str = ""
-    ops: tuple[int, ...] = ()
-    skeleton: list[tuple] = field(default_factory=list)
-    slots: list[tuple[int, int]] = field(default_factory=list)
-    visits: int = 0
+    __slots__ = ("analyzable", "reason", "ops", "skeleton", "slots",
+                 "visits")
+
+    def __init__(
+        self,
+        analyzable: bool,
+        reason: str = "",
+        ops: tuple[int, ...] = (),
+        skeleton: list[tuple] | None = None,
+        slots: list[tuple[int, int]] | None = None,
+        visits: int = 0,
+    ) -> None:
+        self.analyzable = analyzable
+        self.reason = reason
+        self.ops = ops
+        self.skeleton = [] if skeleton is None else skeleton
+        self.slots = [] if slots is None else slots
+        self.visits = visits
 
 
 def backward_cone(

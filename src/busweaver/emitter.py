@@ -391,6 +391,8 @@ def _dump_op(op_id: int, op: Operation) -> str:
 
 
 def dump_module(module: HwModule) -> str:
+    """Stable text form of the IR, one line per operation:
+    ``%id = kind(operands) : iN``."""
     ports = ", ".join(
         f"{p.direction} {p.name}:{p.width}" for p in module.ports
     )
@@ -405,9 +407,3 @@ def dump_module(module: HwModule) -> str:
             lines.append(f"  output {p.name} = %{ref.op}")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def emit_ir_dump(design: HwDesign) -> str:
-    """Stable text form of the IR, one line per operation:
-    ``%id = kind(operands) : iN``."""
-    return "\n".join(dump_module(m) for m in design.modules.values())

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -52,8 +51,7 @@ from busweaver.rewrite import compact_module
 from busweaver.ir import verify as ir_verify  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     file: str
     line: int
     col: int
@@ -274,53 +272,53 @@ def _decimal(digits: str) -> int:
 # expression is no tree but its post-order items; see :meth:`_Parser.expr`.
 
 
-@dataclass
-class AstLval:
+class AstLval(NamedTuple):
     name: str
     high: int | None  # None means the whole net
     low: int | None
     tok: int
 
 
-@dataclass
-class AstAssign:
+class AstAssign(NamedTuple):
     lhs: AstLval
     rhs: list  # post-order items
     tok: int
 
 
-@dataclass
-class AstConn:
+class AstConn(NamedTuple):
     port: str | None  # None for positional
     expr: list | None  # post-order items; None for an unconnected port
     tok: int
 
 
-@dataclass
-class AstInstance:
+class AstInstance(NamedTuple):
     module: str
     name: str
     conns: list[AstConn]
     tok: int
 
 
-@dataclass
 class AstPortDecl:
-    name: str
-    direction: str | None  # None until a body declaration fills it in
-    width: int | None
-    tok: int
+    """A port of the header; a body declaration fills in ``direction``
+    and ``width`` when the header names the port only."""
+
+    __slots__ = ("name", "direction", "width", "tok")
+
+    def __init__(self, name: str, direction: str | None, width: int | None,
+                 tok: int) -> None:
+        self.name = name
+        self.direction = direction
+        self.width = width
+        self.tok = tok
 
 
-@dataclass
-class AstWire:
+class AstWire(NamedTuple):
     name: str
     width: int
     tok: int
 
 
-@dataclass
-class AstModule:
+class AstModule(NamedTuple):
     name: str
     ports: list[AstPortDecl]
     wires: list[AstWire]
@@ -742,21 +740,26 @@ class _Code(NamedTuple):
     nodes: list[tuple]
 
 
-@dataclass
 class _Net:
-    name: str
-    width: int
-    is_wire: bool
-    direction: str | None  # port direction, None for wires
-    tok: int
-    # (high, low, tag, payload); tag is "assign" (payload: its _Code)
-    # or "inst" (payload: (instance index, port name))
-    drivers: list[tuple[int, int, str, object]] = field(default_factory=list)
-    driven_by: list[object | None] = None  # per-bit driver site
-    deps: tuple[dict[str, int], list[str]] | None = None  # see net_deps
+    """A port or wire being elaborated.  ``direction`` is None for a
+    wire.  A driver is ``(high, low, tag, payload)``; tag is "assign"
+    (payload: its _Code) or "inst" (payload: (instance index, port
+    name)).  ``driven_by`` holds each bit's driver site, and ``deps``
+    caches :meth:`_Elaborator.net_deps`."""
 
-    def __post_init__(self):
-        self.driven_by = [None] * self.width
+    __slots__ = ("name", "width", "is_wire", "direction", "tok", "drivers",
+                 "driven_by", "deps")
+
+    def __init__(self, name: str, width: int, is_wire: bool,
+                 direction: str | None, tok: int) -> None:
+        self.name = name
+        self.width = width
+        self.is_wire = is_wire
+        self.direction = direction
+        self.tok = tok
+        self.drivers = []
+        self.driven_by = [None] * width
+        self.deps = None
 
 
 class _Elaborator:

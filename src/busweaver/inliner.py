@@ -16,7 +16,7 @@ module's size and regularity are computed once, from its callees'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from busweaver.ir import (
     REDUCE_KINDS,
@@ -29,14 +29,20 @@ from busweaver.ir import (
 from busweaver.rewrite import ModuleRewriter
 
 
-@dataclass
+#: Callees at or above this recursive instruction count stay instances.
+DEFAULT_INLINE_THRESHOLD = 150
+
+
 class InlinePolicy:
-    enabled: bool = True
-    threshold: int = 150
+    __slots__ = ("enabled", "threshold")
+
+    def __init__(self, enabled: bool = True,
+                 threshold: int = DEFAULT_INLINE_THRESHOLD) -> None:
+        self.enabled = enabled
+        self.threshold = threshold
 
 
-@dataclass(frozen=True)
-class InlineDecision:
+class InlineDecision(NamedTuple):
     caller: str
     instance: str
     callee: str

@@ -38,46 +38,84 @@ first, into a ``PackedProgram`` of one-bit ``and``/``or``/``xor``/
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
 class ValueRef:
     """Reference to the value defined by operation ``op`` of a module.
-    Every operation builds one; slots make that about 40% cheaper."""
+    Every operation builds one, so it is a slotted class with a
+    positional ``__init__``: slot reads take the interpreter's fast
+    path.  Compared and hashed on ``(op, width)``; never mutated."""
 
-    op: int
-    width: int
+    __slots__ = ("op", "width")
+
+    def __init__(self, op: int, width: int) -> None:
+        self.op = op
+        self.width = width
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ValueRef:
+            return NotImplemented
+        return self.op == other.op and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.width))
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     name: str
     direction: str  # "input" or "output"
     width: int
 
 
-@dataclass
 class Operation:
-    kind: str
-    width: int
-    operands: list[ValueRef] = field(default_factory=list)
-    # Payload attributes; which ones are meaningful depends on the kind.
-    value: int = 0  # const
-    low: int = 0  # extract
-    count: int = 0  # replicate
-    port: str = ""  # input
-    module: str = ""  # instance: callee module name
-    name: str = ""  # instance: instance name
-    in_ports: tuple[str, ...] = ()  # instance: callee input port names
-    out_ports: tuple[tuple[str, int], ...] = ()  # instance: (name, width)
+    """One SSA operation.  The payload attributes after ``operands``
+    matter only to some kinds: ``value`` to a const, ``low`` to an
+    extract, ``count`` to a replicate, ``port`` to an input, and the
+    rest to an instance: its callee ``module``, its own ``name``, the
+    callee's input port names ``in_ports`` and its ``(name, width)``
+    output ports ``out_ports``."""
+
+    __slots__ = ("kind", "width", "operands", "value", "low", "count",
+                 "port", "module", "name", "in_ports", "out_ports")
+
+    def __init__(
+        self,
+        kind: str,
+        width: int,
+        operands: list[ValueRef] | None = None,
+        value: int = 0,
+        low: int = 0,
+        count: int = 0,
+        port: str = "",
+        module: str = "",
+        name: str = "",
+        in_ports: tuple[str, ...] = (),
+        out_ports: tuple[tuple[str, int], ...] = (),
+    ) -> None:
+        self.kind = kind
+        self.width = width
+        self.operands = [] if operands is None else operands
+        self.value = value
+        self.low = low
+        self.count = count
+        self.port = port
+        self.module = module
+        self.name = name
+        self.in_ports = in_ports
+        self.out_ports = out_ports
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Operation:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in Operation.__slots__)
 
 
 def with_operands(op: Operation, operands: list[ValueRef]) -> Operation:
     """A copy of ``op`` that reads ``operands``; operations are never
-    mutated in place.  Built positionally, which costs about a fifth of
-    :func:`dataclasses.replace`."""
+    mutated in place."""
     return Operation(op.kind, op.width, operands, op.value, op.low, op.count,
                      op.port, op.module, op.name, op.in_ports, op.out_ports)
 
@@ -112,7 +150,6 @@ REDUCE_KINDS = frozenset({"redand", "redor", "redxor"})
 ALL_KINDS = COUNTED_KINDS | {"input", "instance"}
 
 
-@dataclass
 class HwModule:
     """One module: ports, an SSA operation list, and value bindings.
 
@@ -121,11 +158,27 @@ class HwModule:
     kept purely so emitted Verilog can preserve the names.
     """
 
-    name: str
-    ports: list[Port] = field(default_factory=list)
-    operations: list[Operation] = field(default_factory=list)
-    outputs: dict[str, ValueRef] = field(default_factory=dict)
-    wires: dict[str, ValueRef] = field(default_factory=dict)
+    __slots__ = ("name", "ports", "operations", "outputs", "wires")
+
+    def __init__(
+        self,
+        name: str,
+        ports: list[Port] | None = None,
+        operations: list[Operation] | None = None,
+        outputs: dict[str, ValueRef] | None = None,
+        wires: dict[str, ValueRef] | None = None,
+    ) -> None:
+        self.name = name
+        self.ports = [] if ports is None else ports
+        self.operations = [] if operations is None else operations
+        self.outputs = {} if outputs is None else outputs
+        self.wires = {} if wires is None else wires
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HwModule:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in HwModule.__slots__)
 
     @property
     def input_ports(self) -> list[Port]:
@@ -139,13 +192,21 @@ class HwModule:
         return ValueRef(op_id, self.operations[op_id].width)
 
 
-@dataclass
 class HwDesign:
     """A set of modules plus a designated top.  ``modules`` preserves
     source order, which the emitter relies on."""
 
-    modules: dict[str, HwModule] = field(default_factory=dict)
-    top: str = ""
+    __slots__ = ("modules", "top")
+
+    def __init__(self, modules: dict[str, HwModule] | None = None,
+                 top: str = "") -> None:
+        self.modules = {} if modules is None else modules
+        self.top = top
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HwDesign:
+            return NotImplemented
+        return self.modules == other.modules and self.top == other.top
 
     @property
     def top_module(self) -> HwModule:
@@ -349,8 +410,7 @@ def count_instructions(module: HwModule) -> int:
     return sum(1 for op in module.operations if op.kind in COUNTED_KINDS)
 
 
-@dataclass(frozen=True)
-class IrMetrics:
+class IrMetrics(NamedTuple):
     op_count: int
     edge_count: int
     max_depth: int
@@ -688,7 +748,6 @@ _BITWISE = frozenset({"and", "or", "xor"})
 _REDUCE = {"redand": ("and", 1), "redor": ("or", 0), "redxor": ("xor", 0)}
 
 
-@dataclass
 class PackedProgram:
     """A module compiled to a flat list of one-bit gates over slots.
 
@@ -701,9 +760,17 @@ class PackedProgram:
     port to its slots, LSB first.
     """
 
-    inputs: list[tuple[str, int]]
-    gates: list[tuple[str, int, int, int]]
-    outputs: dict[str, list[int]]
+    __slots__ = ("inputs", "gates", "outputs")
+
+    def __init__(
+        self,
+        inputs: list[tuple[str, int]],
+        gates: list[tuple[str, int, int, int]],
+        outputs: dict[str, list[int]],
+    ) -> None:
+        self.inputs = inputs
+        self.gates = gates
+        self.outputs = outputs
 
 
 def compile_module(

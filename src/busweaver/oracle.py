@@ -21,7 +21,6 @@ kept for later checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from busweaver.ir import (
     HwDesign,
@@ -36,7 +35,6 @@ DEFAULT_MAX_EXHAUSTIVE_BITS = 16
 DEFAULT_SAMPLES = 10000
 
 
-@dataclass
 class EquivalenceVerdict:
     """Outcome of one module-pair check.
 
@@ -46,11 +44,28 @@ class EquivalenceVerdict:
     ``mismatch_output`` names the first differing output port.
     """
 
-    status: str
-    vectors_tested: int
-    seed: int | None = None
-    counterexample: dict[str, int] | None = None
-    mismatch_output: str | None = None
+    __slots__ = ("status", "vectors_tested", "seed", "counterexample",
+                 "mismatch_output")
+
+    def __init__(
+        self,
+        status: str,
+        vectors_tested: int,
+        seed: int | None = None,
+        counterexample: dict[str, int] | None = None,
+        mismatch_output: str | None = None,
+    ) -> None:
+        self.status = status
+        self.vectors_tested = vectors_tested
+        self.seed = seed
+        self.counterexample = counterexample
+        self.mismatch_output = mismatch_output
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EquivalenceVerdict:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in EquivalenceVerdict.__slots__)
 
     @property
     def equivalent(self) -> bool:

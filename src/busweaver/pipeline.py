@@ -36,8 +36,8 @@ pipeline on its own output reports zero rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 from busweaver.cones import (
     LogicCone,
@@ -68,7 +68,6 @@ class VectorizationError(Exception):
         super().__init__("; ".join(violations))
 
 
-@dataclass
 class PassCounters:
     """Work counters shared by the analysis passes, for complexity
     assertions and reporting.
@@ -86,13 +85,16 @@ class PassCounters:
     for an N-bit sink; a one-chunk plan counts none.
     """
 
-    trace_visits: int = 0
-    cone_visits: int = 0
-    partial_candidates: int = 0
+    __slots__ = ("trace_visits", "cone_visits", "partial_candidates")
+
+    def __init__(self, trace_visits: int = 0, cone_visits: int = 0,
+                 partial_candidates: int = 0) -> None:
+        self.trace_visits = trace_visits
+        self.cone_visits = cone_visits
+        self.partial_candidates = partial_candidates
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """One tile of a sink: bits ``[high:low]`` handled by ``method``
     (``bit-permutation``, ``structural``, or ``scalar``; a folded
     reduction tree is one ``reduction`` chunk ``[0:0]``)."""
@@ -106,27 +108,46 @@ class Chunk:
         return self.high - self.low + 1
 
 
-@dataclass
 class SinkResult:
-    module: str
-    sink: str
-    width: int
-    chunks: list[Chunk]
-    changed: bool
-    #: "bit-level", "structural", "mixed" or "reduction" for a changed
-    #: sink
-    category: str | None
+    """How one sink was tiled.  ``category`` is "bit-level",
+    "structural", "mixed" or "reduction" for a changed sink."""
+
+    __slots__ = ("module", "sink", "width", "chunks", "changed", "category")
+
+    def __init__(self, module: str, sink: str, width: int,
+                 chunks: list[Chunk], changed: bool,
+                 category: str | None) -> None:
+        self.module = module
+        self.sink = sink
+        self.width = width
+        self.chunks = chunks
+        self.changed = changed
+        self.category = category
 
 
-@dataclass
 class PipelineReport:
-    sinks: list[SinkResult] = field(default_factory=list)
-    inline_log: list[InlineDecision] = field(default_factory=list)
-    counters: PassCounters = field(default_factory=PassCounters)
-    instructions_before: int = 0
-    instructions_after: int = 0
-    #: Rewrites in modules that received at least one inlined body.
-    inlining_assisted: list[SinkResult] = field(default_factory=list)
+    """What one pipeline run did.  ``inlining_assisted`` lists the
+    rewrites in modules that received at least one inlined body."""
+
+    __slots__ = ("sinks", "inline_log", "counters", "instructions_before",
+                 "instructions_after", "inlining_assisted")
+
+    def __init__(
+        self,
+        sinks: list[SinkResult] | None = None,
+        inline_log: list[InlineDecision] | None = None,
+        counters: PassCounters | None = None,
+        instructions_before: int = 0,
+        instructions_after: int = 0,
+        inlining_assisted: list[SinkResult] | None = None,
+    ) -> None:
+        self.sinks = [] if sinks is None else sinks
+        self.inline_log = [] if inline_log is None else inline_log
+        self.counters = PassCounters() if counters is None else counters
+        self.instructions_before = instructions_before
+        self.instructions_after = instructions_after
+        self.inlining_assisted = [] if inlining_assisted is None \
+            else inlining_assisted
 
     @property
     def rewrites(self) -> list[SinkResult]:
@@ -168,22 +189,22 @@ def permutation_low(
     return best
 
 
-@dataclass
 class _SinkAnalysis:
     """Analysis state of one sink: every bit routed once, through one
     concat-offset index, to its root ``(value, low)``, the first value
     that is not routing and the bit of it; each bit's cone built at
     most once, from its root."""
 
-    rw: ModuleRewriter
-    target: ValueRef
-    counters: PassCounters
-    routes: dict = field(default_factory=dict)
-    roots: list[tuple[ValueRef, int]] = field(init=False)
-    cones: dict[int, LogicCone] = field(default_factory=dict)
+    __slots__ = ("rw", "target", "counters", "routes", "roots", "cones")
 
-    def __post_init__(self) -> None:
-        self.roots = []
+    def __init__(self, rw: ModuleRewriter, target: ValueRef,
+                 counters: PassCounters) -> None:
+        self.rw = rw
+        self.target = target
+        self.counters = counters
+        self.routes: dict = {}
+        self.roots: list[tuple[ValueRef, int]] = []
+        self.cones: dict[int, LogicCone] = {}
         hops = 0
         for bit in range(self.target.width):
             value, low, n = route_bit(
@@ -345,9 +366,7 @@ def run_pipeline(
     if violations:
         raise VectorizationError(violations)
 
-    report = PipelineReport(
-        counters=counters if counters is not None else PassCounters()
-    )
+    report = PipelineReport(counters=counters)
     report.instructions_before = sum(
         count_instructions(m) for m in design.modules.values()
     )

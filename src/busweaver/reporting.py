@@ -11,19 +11,22 @@ behind it) for ``jobs > 1``, ``logging`` for an internal error, ``json``
 for ``--report`` and ``csv`` for ``--csv``.  Everything a default or a
 ``--check`` run executes stays at module level, ``statistics`` and the
 oracle included: deferring those would only move their cost into the
-first design.
+first design.  No module on the CLI path uses the standard library's
+data-class decorator: importing its module costs 11-15 ms (it pulls in
+``inspect``) and each decorated class about 1 ms more, on every start.
+Records are slotted classes, or NamedTuples where immutable, and the
+report reads their fields from ``__slots__`` in declaration order.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from busweaver.emitter import emit_design
 from busweaver.frontend import ParseError, parse_design
-from busweaver.inliner import InlinePolicy
+from busweaver.inliner import DEFAULT_INLINE_THRESHOLD, InlinePolicy
 from busweaver.oracle import (
     DEFAULT_MAX_EXHAUSTIVE_BITS,
     DEFAULT_SAMPLES,
@@ -36,35 +39,77 @@ SCHEMA_VERSION = 1
 DEFAULT_SWEEP_THRESHOLDS = (30, 75, 150, 200, 300, 400)
 
 
-@dataclass
+def _fields(record) -> dict:
+    """A record's fields by name, in declaration order: the shape each
+    record takes in the JSON report."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 class BatchOptions:
-    inline_threshold: int = InlinePolicy.threshold
-    no_inline: bool = False
-    check: bool = False
-    max_exhaustive_bits: int = DEFAULT_MAX_EXHAUSTIVE_BITS
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
-    jobs: int = 1
-    out_dir: str | None = None
-    write_output: bool = False
+    __slots__ = ("inline_threshold", "no_inline", "check",
+                 "max_exhaustive_bits", "samples", "seed", "jobs", "out_dir",
+                 "write_output")
+
+    def __init__(
+        self,
+        inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
+        no_inline: bool = False,
+        check: bool = False,
+        max_exhaustive_bits: int = DEFAULT_MAX_EXHAUSTIVE_BITS,
+        samples: int = DEFAULT_SAMPLES,
+        seed: int = 0,
+        jobs: int = 1,
+        out_dir: str | None = None,
+        write_output: bool = False,
+    ) -> None:
+        self.inline_threshold = inline_threshold
+        self.no_inline = no_inline
+        self.check = check
+        self.max_exhaustive_bits = max_exhaustive_bits
+        self.samples = samples
+        self.seed = seed
+        self.jobs = jobs
+        self.out_dir = out_dir
+        self.write_output = write_output
 
 
-@dataclass
 class DesignResult:
-    path: str
-    ok: bool
-    error: str | None = None
-    instructions_before: int = 0
-    instructions_after: int = 0
-    reduction_percent: float = 0.0
-    rewrites: int = 0
-    category: str | None = None
-    sinks: list[dict] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    inlined_sites: int = 0
-    equivalence: str | None = None
-    output_path: str | None = None
-    seconds: float = 0.0
+    __slots__ = ("path", "ok", "error", "instructions_before",
+                 "instructions_after", "reduction_percent", "rewrites",
+                 "category", "sinks", "counters", "inlined_sites",
+                 "equivalence", "output_path", "seconds")
+
+    def __init__(
+        self,
+        path: str,
+        ok: bool,
+        error: str | None = None,
+        instructions_before: int = 0,
+        instructions_after: int = 0,
+        reduction_percent: float = 0.0,
+        rewrites: int = 0,
+        category: str | None = None,
+        sinks: list[dict] | None = None,
+        counters: dict | None = None,
+        inlined_sites: int = 0,
+        equivalence: str | None = None,
+        output_path: str | None = None,
+        seconds: float = 0.0,
+    ) -> None:
+        self.path = path
+        self.ok = ok
+        self.error = error
+        self.instructions_before = instructions_before
+        self.instructions_after = instructions_after
+        self.reduction_percent = reduction_percent
+        self.rewrites = rewrites
+        self.category = category
+        self.sinks = [] if sinks is None else sinks
+        self.counters = {} if counters is None else counters
+        self.inlined_sites = inlined_sites
+        self.equivalence = equivalence
+        self.output_path = output_path
+        self.seconds = seconds
 
 
 def _design_category(sink_categories: list[str]) -> str | None:
@@ -148,7 +193,7 @@ def _process(path: str, options: BatchOptions) -> DesignResult:
         }
         for s in report.sinks
     ]
-    result.counters = asdict(report.counters)
+    result.counters = _fields(report.counters)
     result.inlined_sites = sum(1 for d in report.inline_log if d.inlined)
 
     if options.check:
@@ -179,10 +224,12 @@ def _process_star(args: tuple[str, BatchOptions]) -> DesignResult:
     return process_design(*args)
 
 
-@dataclass
 class BatchReport:
-    results: list[DesignResult]
-    summary: dict
+    __slots__ = ("results", "summary")
+
+    def __init__(self, results: list[DesignResult], summary: dict) -> None:
+        self.results = results
+        self.summary = summary
 
     @property
     def ok(self) -> bool:
@@ -249,19 +296,26 @@ def run_batch(paths: list[str], options: BatchOptions | None = None) \
     return BatchReport(results, summarize(results))
 
 
-@dataclass
 class SweepRow:
-    threshold: int
-    rewrites: int
-    designs_reduced: int
-    total_instructions_after: int
-    mean_reduction_percent: float
+    __slots__ = ("threshold", "rewrites", "designs_reduced",
+                 "total_instructions_after", "mean_reduction_percent")
+
+    def __init__(self, threshold: int, rewrites: int, designs_reduced: int,
+                 total_instructions_after: int,
+                 mean_reduction_percent: float) -> None:
+        self.threshold = threshold
+        self.rewrites = rewrites
+        self.designs_reduced = designs_reduced
+        self.total_instructions_after = total_instructions_after
+        self.mean_reduction_percent = mean_reduction_percent
 
 
-@dataclass
 class SweepResult:
-    thresholds: list[int]
-    rows: list[SweepRow]
+    __slots__ = ("thresholds", "rows")
+
+    def __init__(self, thresholds: list[int], rows: list[SweepRow]) -> None:
+        self.thresholds = thresholds
+        self.rows = rows
 
 
 def threshold_sweep(
@@ -275,8 +329,9 @@ def threshold_sweep(
     base = options or BatchOptions()
     rows = []
     for threshold in thresholds:
-        opts = replace(base, inline_threshold=threshold, no_inline=False,
-                       out_dir=None, write_output=False)
+        opts = BatchOptions(**{
+            **_fields(base), "inline_threshold": threshold,
+            "no_inline": False, "out_dir": None, "write_output": False})
         report = run_batch(paths, opts)
         rows.append(SweepRow(
             threshold,
@@ -295,14 +350,14 @@ def report_to_dict(
 ) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "options": asdict(options),
+        "options": _fields(options),
         "summary": report.summary,
-        "designs": [asdict(r) for r in report.results],
+        "designs": [_fields(r) for r in report.results],
     }
     if sweep is not None:
         doc["sweep"] = {
             "thresholds": sweep.thresholds,
-            "rows": [asdict(row) for row in sweep.rows],
+            "rows": [_fields(row) for row in sweep.rows],
         }
     return doc
 

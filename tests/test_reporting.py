@@ -19,6 +19,7 @@ from busweaver.generators import (
     ripple_carry_design,
 )
 from busweaver.reporting import (
+    DEFAULT_SWEEP_THRESHOLDS,
     SCHEMA_VERSION,
     BatchOptions,
     process_design,
@@ -236,6 +237,40 @@ def test_cli_sweep_and_reports(tmp_path, capsys):
     assert csv_file.read_text().startswith("path,ok,")
 
 
+@pytest.mark.parametrize("value, thresholds", [
+    (["30,,150,"], [30, 150]),
+    ([], list(DEFAULT_SWEEP_THRESHOLDS)),
+])
+def test_cli_sweep_thresholds(tmp_path, golden_dir, capsys, value,
+                              thresholds):
+    report_file = tmp_path / "r.json"
+    code = main([str(golden_dir / "permute_slice.v"),
+                 "--out", str(tmp_path / "vec"),
+                 "--report", str(report_file), "--sweep", *value])
+    assert code == 0
+    doc = json.loads(report_file.read_text())
+    assert doc["sweep"]["thresholds"] == thresholds
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--sweep", "30,x"], "--sweep"),
+    (["--sweep", ","], "--sweep"),
+    (["--samples", "-1", "--max-exhaustive-bits", "0", "--check"],
+     "--samples"),
+])
+def test_cli_rejects_a_malformed_number_with_a_usage_message(
+        tmp_path, golden_dir, capsys, args, option):
+    with pytest.raises(SystemExit) as exc:
+        main([str(golden_dir / "partial_mix.v"), "--out", str(tmp_path),
+              *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: busweaver")
+    assert f"error: argument {option}: expected" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_process_design_turns_an_unexpected_exception_into_a_result(
         tmp_path, golden_dir, monkeypatch):
     def boom(*args, **kwargs):
@@ -324,3 +359,25 @@ def test_importing_the_cli_defers_pool_logging_json_and_csv():
     loaded = _loaded_modules("import busweaver.cli, busweaver.reporting")
     assert "busweaver.reporting" in loaded
     assert [m for m in DEFERRED if m in loaded and m not in bare] == []
+
+
+#: Each costs start-up on every run: ``dataclasses`` 11-15 ms to import
+#: (it pulls in ``inspect``), plus about 1 ms per decorated class.
+NEVER_LOADED = ("dataclasses", "inspect")
+
+
+def test_the_cli_path_never_loads_dataclasses_or_inspect(tmp_path,
+                                                         golden_dir):
+    bare = _loaded_modules("")
+    run = (
+        "import busweaver.cli\n"
+        f"argv = [{str(golden_dir / 'partial_mix.v')!r}, '--check',"
+        f" '--out', {str(tmp_path)!r}]\n"
+        "assert busweaver.cli.main(argv) == 0"
+    )
+    for code in ("import busweaver.cli, busweaver.reporting", run):
+        loaded = _loaded_modules(code)
+        assert "busweaver.reporting" in loaded
+        assert [m for m in NEVER_LOADED
+                if m in loaded and m not in bare] == [], code
+    assert (tmp_path / "partial_mix.vec.v").exists()
