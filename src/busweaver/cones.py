@@ -2,11 +2,16 @@
 
 A logic cone is everything a single output bit depends on: the 1-bit
 computing operations reached by walking backwards through routing, down
-to input/constant bit leaves.  A sink vectorizes structurally when its
-per-bit cones (a) are analyzable, (b) are pairwise independent (no
-shared computing operations; shared leaves are fine), and (c) share one
-canonical skeleton whose leaf slots are each either invariant (same bit
-in every cone) or strided (advancing by exactly +1 or -1 per lane).
+to leaf bits.  A leaf is a bit of any value that is not 1-bit logic:
+an input, a constant, a reduction, an instance output, or an operation
+already at vector width, which the vector form reads as it is.  So
+every bit has a cone, and per-bit logic around a word-level value
+vectorizes like per-bit logic around an input.  A sink vectorizes
+structurally when its per-bit cones (a) are pairwise independent (no
+shared computing operations; shared leaves are fine), and (b) share
+one canonical skeleton whose leaf slots are each either invariant
+(same bit in every cone) or strided (advancing by exactly +1 or -1 per
+lane).
 
 The skeleton is the cone's one structural record, filled in by the
 worklist walk that collects the cone.  Entry k belongs to the operation
@@ -33,7 +38,8 @@ from __future__ import annotations
 from busweaver.ir import HwModule, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
-#: Computing kinds a cone may contain (only at width 1).
+#: Computing kinds a cone may contain (only at width 1); a bit of any
+#: other value is a leaf.
 _CONE_KINDS = frozenset({"and", "or", "xor", "not", "add", "sub", "mux"})
 
 #: 1-bit add and sub are xor in disguise; fold them in the canonical
@@ -42,7 +48,9 @@ _CANON_KIND = {"add": "xor", "sub": "xor"}
 
 
 class LogicCone:
-    """Backward cone of one bit of a sink value.
+    """Backward cone of one bit of a sink value.  Every bit has one:
+    the walk ends at any value that is not 1-bit logic, so
+    ``analyzable`` is always true.
 
     ``ops`` are the computing operations in the cone in push order, and
     ``skeleton[k]`` is the entry of ``ops[k]``: its canonical kind and,
@@ -55,24 +63,15 @@ class LogicCone:
     building the cone.
     """
 
-    __slots__ = ("analyzable", "reason", "ops", "skeleton", "slots",
-                 "visits")
+    __slots__ = ("ops", "skeleton", "slots", "visits")
 
-    def __init__(
-        self,
-        analyzable: bool,
-        reason: str = "",
-        ops: tuple[int, ...] = (),
-        skeleton: list[tuple] | None = None,
-        slots: list[tuple[int, int]] | None = None,
-        visits: int = 0,
-    ) -> None:
-        self.analyzable = analyzable
-        self.reason = reason
-        self.ops = ops
-        self.skeleton = [] if skeleton is None else skeleton
-        self.slots = [] if slots is None else slots
-        self.visits = visits
+    analyzable = True
+
+    def __init__(self) -> None:
+        self.ops: tuple[int, ...] = ()
+        self.skeleton: list[tuple] = []
+        self.slots: list[tuple[int, int]] = []
+        self.visits = 0
 
 
 def backward_cone(
@@ -85,15 +84,16 @@ def backward_cone(
     each computing operation once, recording its skeleton and slots on
     the way.
 
-    Cones through anything that is not 1-bit combinational logic
-    (instances, reductions, operations already at vector width) come
-    back with ``analyzable`` False and a reason.  ``routes`` is the
-    concat-offset index of :func:`busweaver.ir.route_bit`; share one
-    across the bits of a sink.
+    The walk never fails: a bit of anything that is not 1-bit
+    combinational logic (an input, a constant, a reduction, an
+    instance, an operation already at vector width) is a leaf that
+    takes a slot.  ``routes`` is the concat-offset index of
+    :func:`busweaver.ir.route_bit`; share one across the bits of a
+    sink.
     """
     ops = module.operations
     routes = {} if routes is None else routes
-    cone = LogicCone(analyzable=True)
+    cone = LogicCone()
     skeleton, slots = cone.skeleton, cone.slots
     pushed: dict[int, int] = {}  # op id -> index at which it was pushed
     worklist: list[int] = []
@@ -102,7 +102,8 @@ def backward_cone(
         """The skeleton code of ``value[bit]``, pushing a new op."""
         value, bit, hops = route_bit(ops, value, bit, routes)
         cone.visits += hops
-        if ops[value.op].kind in ("input", "const"):
+        op = ops[value.op]
+        if op.kind not in _CONE_KINDS or op.width != 1:
             slots.append((value.op, bit))
             return ~(len(slots) - 1)
         k = pushed.get(value.op)
@@ -116,14 +117,6 @@ def backward_cone(
     while worklist:
         op_id = worklist.pop()
         op = ops[op_id]
-        if op.kind not in _CONE_KINDS:
-            cone.analyzable = False
-            cone.reason = f"%{op_id} is {op.kind}, not 1-bit logic"
-            return cone
-        if op.width != 1:
-            cone.analyzable = False
-            cone.reason = f"%{op_id} computes {op.width} bits at once"
-            return cone
         cone.visits += 1
         skeleton[pushed[op_id]] = (
             _CANON_KIND.get(op.kind, op.kind),

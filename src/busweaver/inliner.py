@@ -3,10 +3,11 @@
 Per-bit structure is routinely hidden behind module boundaries (a
 one-bit cell instantiated N times).  Inlining exposes it to the
 vectorizer, but inlining everything defeats the point of a hierarchy,
-so a site is inlined only when the callee is *regular* (vectorization
-could conceivably profit: nothing but bitwise/arithmetic/mux/routing
-ops and instances of regular modules) and *small* (recursive
-instruction count strictly below the policy threshold).
+so a site is inlined only when the callee is *regular* (nothing but
+bitwise/arithmetic/mux/routing ops and instances of regular modules)
+and *small* (recursive instruction count strictly below the policy
+threshold).  Regularity is a policy, not a limit of the vectorizer;
+:func:`regularity_analysis` says why reductions break it.
 
 Decisions are made bottom-up, in the callee-first order of
 :func:`busweaver.ir.instantiation_order`: a callee is itself inlined
@@ -54,11 +55,13 @@ class InlineDecision(NamedTuple):
 def regularity_analysis(
     module: HwModule, regular: dict[str, bool] | None = None
 ) -> bool:
-    """A module is regular when every operation is something the
-    vectorizer can analyze: routing, bitwise logic, add/sub, mux, or an
-    instance of a module that ``regular`` marks regular (callees are
-    judged first; an unknown callee is not regular).  Reductions make
-    it irregular."""
+    """A module is regular when every operation is routing, bitwise
+    logic, add/sub, mux, or an instance of a module that ``regular``
+    marks regular (callees are judged first; an unknown callee is not
+    regular).  Reductions make it irregular: after inlining, each
+    site's reduction is an operation of its own, so per-site lanes
+    read different leaf sources and stay scalar, and inlining would
+    only copy the body."""
     regular = regular or {}
     return all(
         op.kind not in REDUCE_KINDS

@@ -228,21 +228,21 @@ class _SinkAnalysis:
 
         Every sub-window of such a family is one too, so one downward
         scan adds a lane at a time and stops at the first that fails:
-        it must be analyzable, share no operation with the lanes above,
-        have their skeleton, and move every slot by the same step.  The
-        lanes share the top lane's skeleton, so its mux-select slots
-        are found once.
+        it must share no operation with the lanes above, have their
+        skeleton, and move every slot by the same step.  Every bit has
+        a cone, since a cone ends at any value that is not 1-bit logic;
+        a bit that routes straight to such a value is a one-slot leaf
+        cone, so a run of bits of one word-level value or instance
+        output is a family too.  The lanes share the top lane's
+        skeleton, so its mux-select slots are found once.
         """
         top = self.cone(i)
-        if not top.analyzable:
-            return None
         scalar = select_slots(top.skeleton)
         ops = set(top.ops)
         steps = best = None
         for j in range(i - 1, -1, -1):
             cone = self.cone(j)
-            if not cone.analyzable or cone.skeleton != top.skeleton \
-                    or not ops.isdisjoint(cone.ops):
+            if cone.skeleton != top.skeleton or not ops.isdisjoint(cone.ops):
                 break
             lane = lane_steps(cone, self.cone(j + 1), scalar)
             if lane is None or (steps is not None and lane != steps):
@@ -359,8 +359,8 @@ def run_pipeline(
     multi-bit sink of every module and fold its reduction trees.
 
     Raises :class:`VectorizationError` when the input design does not
-    verify; all other failures are per-sink analysis failures, which
-    simply leave the sink scalar.
+    verify.  Every bit has a cone, and a bit that forms no chunk simply
+    stays scalar.
     """
     violations = verify(design)
     if violations:

@@ -1293,26 +1293,29 @@ def is_independent(cones: list[LogicCone]) -> bool:
     return len(union) == total
 
 
-# Leaf terms: ("leaf", op_id, bit) for an input/const bit, ("op", op_id)
-# for a computing operation; a leaf position is ("op", op_id, operand
-# position), or ("root",) for a cone whose bit routes to a leaf.
+# Leaf terms: ("leaf", op_id, bit) for a bit of any value that is not
+# 1-bit logic, ("op", op_id) for a 1-bit logic operation; a leaf
+# position is ("op", op_id, operand position), or ("root",) for a cone
+# whose bit routes to a leaf.
 _LEAF = "leaf"
 _OP = "op"
+_LOGIC_KINDS = ("and", "or", "xor", "not", "add", "sub", "mux")
 
 
 def _term(ops: list[Operation], value: ValueRef, bit: int) -> tuple:
     value, bit, _ = route_bit(ops, value, bit)
-    if ops[value.op].kind in ("input", "const"):
-        return (_LEAF, value.op, bit)
-    return (_OP, value.op)
+    op = ops[value.op]
+    if op.width == 1 and op.kind in _LOGIC_KINDS:
+        return (_OP, value.op)
+    return (_LEAF, value.op, bit)
 
 
 def serialize(
     module: HwModule, target: ValueRef, bit: int
 ) -> tuple[str, list[tuple[int, int]], dict[tuple, int]]:
-    """The reference skeleton of the analyzable cone of ``target[bit]``,
-    with its slots and their leaf positions: a preorder walk of the
-    DAG, each operand routed from ``module``.
+    """The reference skeleton of the cone of ``target[bit]``, with its
+    slots and their leaf positions: a preorder walk of the DAG, each
+    operand routed from ``module``.
 
     Shared operations are emitted once and appear as ``@k``
     backreferences afterwards, so equal strings mean isomorphic DAGs,
@@ -1364,8 +1367,8 @@ def serialize(
 
 
 def slot_positions(cone: LogicCone) -> dict[tuple, int]:
-    """Each slot of an analyzable cone keyed by the leaf position it
-    fills, read from the cone's skeleton and ops."""
+    """Each slot of a cone keyed by the leaf position it fills, read
+    from the cone's skeleton and ops."""
     if not cone.skeleton:
         return {("root",): 0}
     return {
@@ -1379,10 +1382,10 @@ def slot_positions(cone: LogicCone) -> dict[tuple, int]:
 def select_positions(
     module: HwModule, target: ValueRef, bit: int
 ) -> set[tuple]:
-    """The leaf positions of the analyzable cone of ``target[bit]``
-    reachable through a mux select: a walk once per (op, context) pair
-    over operands routed from ``module``, where context flips to scalar
-    at a mux's select operand and is inherited below it."""
+    """The leaf positions of the cone of ``target[bit]`` reachable
+    through a mux select: a walk once per (op, context) pair over
+    operands routed from ``module``, where context flips to scalar at a
+    mux's select operand and is inherited below it."""
     ops = module.operations
     root = _term(ops, target, bit)
     if root[0] == _LEAF:
@@ -1445,7 +1448,7 @@ def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
     """
     assert cones
     rep = cones[0]
-    if any(not c.analyzable or c.skeleton != rep.skeleton for c in cones):
+    if any(c.skeleton != rep.skeleton for c in cones):
         return None
     steps = [0] * len(rep.slots)
     scalar = select_slots(rep.skeleton)

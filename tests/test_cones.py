@@ -17,7 +17,7 @@ from reference import (
     serialize,
     slot_positions,
 )
-from test_pipeline import _generator_corpus, _random_sink
+from test_pipeline import _LEAF_VALUE_CASES, _generator_corpus, _random_sink
 
 
 def _module(src):
@@ -37,7 +37,6 @@ def test_cone_collects_ops_and_leaves():
         "endmodule"
     )
     cone = backward_cone(m, m.outputs["out"], 0)
-    assert cone.analyzable
     assert len(cone.ops) == 3  # not, and, or
     leaf_ports = {
         m.operations[op_id].port for op_id, _ in cone.slots
@@ -45,29 +44,37 @@ def test_cone_collects_ops_and_leaves():
     assert leaf_ports == {"a", "b", "c"}
 
 
-def test_cone_stops_at_reductions():
+def _leaf_cone(m, bit=0):
+    """The cone of ``out[bit]``, asserted to be one leaf slot."""
+    cone = backward_cone(m, m.outputs["out"], bit)
+    assert cone.skeleton == [] and cone.ops == ()
+    return cone.slots
+
+
+def _op_id(m, kind):
+    (op_id,) = [k for k, op in enumerate(m.operations) if op.kind == kind]
+    return op_id
+
+
+def test_cone_ends_at_reductions():
     m = _module(
         "module m(input [3:0] a, output out);\n"
         "  assign out = &a;\n"
         "endmodule"
     )
-    cone = backward_cone(m, m.outputs["out"], 0)
-    assert not cone.analyzable
-    assert "not 1-bit logic" in cone.reason
+    assert _leaf_cone(m) == [(_op_id(m, "redand"), 0)]
 
 
-def test_cone_stops_at_vector_ops():
+def test_cone_ends_at_vector_ops():
     m = _module(
         "module m(input [3:0] a, input [3:0] b, output [3:0] out);\n"
         "  assign out = a + b;\n"
         "endmodule"
     )
-    cone = backward_cone(m, m.outputs["out"], 0)
-    assert not cone.analyzable
-    assert "4 bits at once" in cone.reason
+    assert _leaf_cone(m, 2) == [(_op_id(m, "add"), 2)]
 
 
-def test_cone_stops_at_instances():
+def test_cone_ends_at_instances():
     m = parse_design(
         "module inv(input x, output z);\n"
         "  assign z = ~x;\n"
@@ -76,14 +83,12 @@ def test_cone_stops_at_instances():
         "  inv u(.x(a), .z(out));\n"
         "endmodule"
     ).modules["m"]
-    cone = backward_cone(m, m.outputs["out"], 0)
-    assert not cone.analyzable
+    assert _leaf_cone(m) == [(_op_id(m, "instance"), 0)]
 
 
 def test_shared_ops_are_not_independent():
     m = _module(ripple_carry_design(4))
     cones = [backward_cone(m, m.outputs["sum"], b) for b in range(4)]
-    assert all(c.analyzable for c in cones)
     assert not is_independent(cones)
 
 
@@ -308,12 +313,13 @@ def _random_mux_sink(rng, width, depth):
 
 
 def _differential_cones(golden_dir):
-    """Every analyzable cone of every multi-bit sink of a corpus of
-    generator designs, goldens and seeded random sinks, before and after
-    inlining, as ``(module, sink value, [(bit, cone), ...])`` per
-    sink."""
+    """Every cone of every multi-bit sink of a corpus of generator
+    designs, goldens, designs of logic around reductions, instances and
+    word-level ops, and seeded random sinks, before and after inlining,
+    as ``(module, sink value, [(bit, cone), ...])`` per sink."""
     rng = random.Random(1307)
     sources = [src for _, src in _generator_corpus(golden_dir)]
+    sources += [case[0] for case in _LEAF_VALUE_CASES.values()]
     sources += [_random_sink(rng, rng.randint(2, 12)) for _ in range(100)]
     sources += [_random_dag_sink(rng, 12, 4) for _ in range(50)]
     sources += [
@@ -326,11 +332,10 @@ def _differential_cones(golden_dir):
             for ref in [*module.outputs.values(), *module.wires.values()]:
                 if ref.width < 2:
                     continue
-                cones = [
-                    (b, cone) for b in range(ref.width)
-                    if (cone := backward_cone(module, ref, b)).analyzable
+                yield module, ref, [
+                    (b, backward_cone(module, ref, b))
+                    for b in range(ref.width)
                 ]
-                yield module, ref, cones
 
 
 def test_walk_skeleton_agrees_with_the_preorder_reference(golden_dir):
