@@ -1,4 +1,4 @@
-"""Deterministic Verilog emission and a stable IR dump format.
+"""Deterministic Verilog emission.
 
 Every choice here (port layout, naming, operator parenthesisation,
 statement order) is a function of the IR alone, and statements follow
@@ -11,12 +11,15 @@ the text does: named wires and instance lines can come back reordered.
 Naming: user wire names win, instance outputs get ``<inst>_<port>``,
 values that must be materialised but have no user name get ``t<k>``.
 All generated names are uniquified against the module's namespace by
-appending underscores.
+appending underscores.  A user wire that the output would assign but
+never read (one on a literal, an input, a slice, a whole instance, or a
+second name for a value) is left out, because the frontend drops a wire
+that nothing reads and a re-run would lose it.
 """
 
 from __future__ import annotations
 
-from busweaver.ir import HwDesign, HwModule, Operation, ValueRef
+from busweaver.ir import HwDesign, HwModule, ValueRef
 
 # Verilog precedence levels, high binds tight.
 _PREC_TERNARY = 1
@@ -54,7 +57,6 @@ class _ModuleEmitter:
         self.m = module
         self.ops = module.operations
         self.names: dict[int, str] = {}  # op id -> canonical name
-        self.aliases: list[tuple[str, int]] = []  # (name, op id)
         self.taken: set[str] = set()
         self.inst_wires: dict[int, dict[str, str]] = {}  # op -> port -> wire
         # (instance op, port) -> user wire that is exactly that port.
@@ -111,16 +113,17 @@ class _ModuleEmitter:
     def _plan(self) -> None:
         m = self.m
         self.taken.update(p.name for p in m.ports)
-        self.taken.update(m.wires)
         instances: set[int] = set()
         for op_id, op in enumerate(self.ops):
             if op.kind == "instance":
                 self.taken.add(op.name)
                 instances.add(op_id)
 
-        # Reads of instance results: whole (a binding or a reader that
-        # is not an extract) or the (low, width) spans of extracts.
-        for ref in list(m.outputs.values()) + list(m.wires.values()):
+        # Reads of instance results: whole (an output binding or a
+        # reader that is not an extract) or the (low, width) spans of
+        # extracts.  A wire binding reads nothing: the text reads a
+        # wire only where an operation or an output reads its value.
+        for ref in m.outputs.values():
             self.uses[ref.op] += 1
             if ref.op in instances:
                 self.read_whole.add(ref.op)
@@ -135,19 +138,20 @@ class _ModuleEmitter:
                 else:
                     self.read_whole.add(ref.op)
 
-        # User wire names: first one on a nameable op is canonical.  A
-        # wire that is exactly one instance output port becomes that
-        # port's connection wire rather than an alias of it.
+        # User wire names: the first one on a nameable op names it, and
+        # the first one that is exactly an instance output port becomes
+        # that port's connection wire.  The others are left out.
         for wname, ref in m.wires.items():
-            op = self.ops[ref.op]
+            kind = self.ops[ref.op].kind
             port = self._instance_port_of(ref)
             if port is not None and port not in self.preferred:
                 self.preferred[port] = wname
-            elif op.kind in _INLINE_KINDS or op.kind == "instance" \
-                    or ref.op in self.names:
-                self.aliases.append((wname, ref.op))
-            else:
+            elif kind not in _INLINE_KINDS and kind != "instance" \
+                    and ref.op not in self.names:
                 self.names[ref.op] = wname
+            else:
+                continue
+            self.taken.add(wname)
 
         # Instance output wires.
         for op_id, op in enumerate(self.ops):
@@ -308,8 +312,6 @@ class _ModuleEmitter:
             if name in port_names:
                 continue  # output-bound values are declared by the port
             decls.append((op_id, 0, name, self.ops[op_id].width))
-        for rank, (name, op_id) in enumerate(self.aliases):
-            decls.append((op_id, 1 + rank, name, self.ops[op_id].width))
         for op_id in sorted(self.inst_wires):
             op = self.ops[op_id]
             widths = dict(op.out_ports)
@@ -340,8 +342,6 @@ class _ModuleEmitter:
         for op_id in sorted(self.names):
             text = self._expr_for_named(op_id)
             lines.append(f"  assign {self.names[op_id]} = {text};")
-        for name, op_id in self.aliases:
-            lines.append(f"  assign {name} = {self._render(self.m.value_of(op_id), 0)};")
 
         for p in m.ports:
             if p.direction != "output":
@@ -373,37 +373,3 @@ def emit_design(design: HwDesign) -> str:
     """Emit every module in definition order."""
     return "\n".join(emit_module(m) for m in design.modules.values())
 
-
-def _dump_op(op_id: int, op: Operation) -> str:
-    args = [f"%{r.op}" for r in op.operands]
-    kind = op.kind
-    if kind == "const":
-        args = [str(op.value)]
-    elif kind == "input":
-        args = [op.port]
-    elif kind == "extract":
-        args.append(str(op.low))
-    elif kind == "replicate":
-        args.append(str(op.count))
-    elif kind == "instance":
-        args = [op.module, op.name] + args
-    return f"  %{op_id} = {kind}({', '.join(args)}) : i{op.width}"
-
-
-def dump_module(module: HwModule) -> str:
-    """Stable text form of the IR, one line per operation:
-    ``%id = kind(operands) : iN``."""
-    ports = ", ".join(
-        f"{p.direction} {p.name}:{p.width}" for p in module.ports
-    )
-    lines = [f"module {module.name}({ports})"]
-    for op_id, op in enumerate(module.operations):
-        lines.append(_dump_op(op_id, op))
-    for name, ref in module.wires.items():
-        lines.append(f"  wire {name} = %{ref.op}")
-    for p in module.ports:
-        if p.direction == "output":
-            ref = module.outputs[p.name]
-            lines.append(f"  output {p.name} = %{ref.op}")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"

@@ -978,10 +978,7 @@ class _Elaborator:
 
     def add_driver(self, name: str, high: int | None, low: int | None,
                    tag: str, payload: object, tok: int) -> None:
-        net = self.nets.get(name)
-        if net is None:
-            self.error(tok, f"unknown identifier '{name}'")
-            return
+        net = self.nets[name]
         if net.direction == "input":
             self.error(tok, f"assignment to input port '{name}'")
             return
@@ -1134,20 +1131,19 @@ class _Elaborator:
     class _Abort(Exception):
         pass
 
-    def demand_net(self, name: str, tok: int) -> ValueRef:
+    def demand_net(self, name: str) -> ValueRef:
         """Iterative dependency-first elaboration, so arbitrarily long
-        net chains do not recurse."""
-        stack: list[tuple[str, int]] = [(name, tok)]
+        net chains do not recurse.  Every name demanded is known: an
+        output port, a dep of an expression that walked without error,
+        or an output connection that :meth:`operand` resolved."""
+        stack = [name]
         while stack:
-            n, ntok = stack[-1]
+            n = stack[-1]
             state = self.net_state.get(n)
             if state == 2:
                 stack.pop()
                 continue
-            net = self.nets.get(n)
-            if net is None:
-                self.error(ntok, f"unknown identifier '{n}'")
-                raise self._Abort()
+            net = self.nets[n]
             if net.direction == "input":
                 self.net_values[n] = self.builder.input_ref(n, net.width)
                 self.net_state[n] = 2
@@ -1159,7 +1155,7 @@ class _Elaborator:
                     self.error(dtok,
                                f"combinational cycle through net '{dep}'")
                     raise self._Abort()
-            pending = [(dep, first[dep]) for dep in last
+            pending = [dep for dep in last
                        if self.net_state.get(dep) != 2]
             if state != 1:
                 self.net_state[n] = 1
@@ -1225,8 +1221,7 @@ class _Elaborator:
         try:
             for p in ports:
                 if p.direction == "output":
-                    outputs[p.name] = self.demand_net(p.name,
-                                                      self.nets[p.name].tok)
+                    outputs[p.name] = self.demand_net(p.name)
             for idx, inst in enumerate(self.ast.instances):
                 if idx in self.inst_values:
                     continue
@@ -1242,12 +1237,10 @@ class _Elaborator:
                     # known since conn_lvalue
                     deps = code.deps if code is not None else \
                         [(self._known[self.lexer.toks[e[0]]][0], e[0])]
-                    for dep, dtok in deps:
-                        self.demand_net(dep, dtok)
+                    for dep, _ in deps:
+                        self.demand_net(dep)
                 self.materialize_instance(idx)
         except self._Abort:
-            return None
-        if self.failed:
             return None
         wires = {
             w.name: self.net_values[w.name]

@@ -84,53 +84,37 @@ def size_analysis(
 
 
 def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
-            taken_names: set[str], spliced: dict[ValueRef, ValueRef]) -> None:
+            spliced: dict[ValueRef, ValueRef]) -> None:
     """Copy the callee body into the caller for instance ``op_id`` and
     record the value packing its outputs in ``spliced``, from which a
-    site connected to an instance spliced before reads that value."""
+    site connected to an instance spliced before reads that value.
+
+    A callee that passes the inline test holds only routing and logic:
+    :func:`regularity_analysis` rejects reductions, and an instance
+    left in a finished callee is of a module that is unresolved or
+    irregular, which makes the callee irregular, or at or above the
+    threshold, which puts the callee there too, because sizes add up.
+    Routing goes through the folding builder calls, so constants and
+    slices stay shared across sites; logic is copied with new
+    operands."""
     inst = rw.operations[op_id]
     mapping: dict[int, ValueRef] = {}
     for cid, cop in enumerate(callee.operations):
         kind = cop.kind
+        args = [mapping[r.op] for r in cop.operands]
         if kind == "input":
             ref = inst.operands[inst.in_ports.index(cop.port)]
             mapping[cid] = spliced.get(ref, ref)
         elif kind == "const":
             mapping[cid] = rw.const(cop.value, cop.width)
         elif kind == "extract":
-            mapping[cid] = rw.extract(
-                mapping[cop.operands[0].op], cop.low, cop.width
-            )
+            mapping[cid] = rw.extract(args[0], cop.low, cop.width)
         elif kind == "concat":
-            mapping[cid] = rw.concat(
-                [mapping[r.op] for r in cop.operands]
-            )
+            mapping[cid] = rw.concat(args)
         elif kind == "replicate":
-            mapping[cid] = rw.replicate(
-                mapping[cop.operands[0].op], cop.count
-            )
-        elif kind == "not":
-            mapping[cid] = rw.not_(mapping[cop.operands[0].op])
-        elif kind == "mux":
-            c, a, b = (mapping[r.op] for r in cop.operands)
-            mapping[cid] = rw.mux(c, a, b)
-        elif kind in REDUCE_KINDS:
-            mapping[cid] = rw.reduce(kind, mapping[cop.operands[0].op])
-        elif kind == "instance":
-            name = f"{inst.name}_{cop.name}"
-            while name in taken_names:
-                name += "_"
-            taken_names.add(name)
-            mapping[cid] = rw.instance(
-                cop.module, name,
-                [mapping[r.op] for r in cop.operands],
-                cop.in_ports, cop.out_ports,
-            )
+            mapping[cid] = rw.replicate(args[0], cop.count)
         else:
-            mapping[cid] = rw.binary(
-                kind, mapping[cop.operands[0].op],
-                mapping[cop.operands[1].op],
-            )
+            mapping[cid] = rw.copy(cop, args)
     outs = [
         mapping[callee.outputs[pname].op] for pname, _ in inst.out_ports
     ]
@@ -160,7 +144,6 @@ def selective_inline(
             if op.kind == "instance"
         ]
         rw = None  # made at the first site inlined
-        taken = {module.operations[op_id].name for op_id in instances}
         spliced: dict[ValueRef, ValueRef] = {}
         for op_id in instances:
             op = module.operations[op_id]
@@ -182,7 +165,7 @@ def selective_inline(
                 continue
             if rw is None:
                 rw = ModuleRewriter(module)
-            _splice(rw, op_id, callee, taken, spliced)
+            _splice(rw, op_id, callee, spliced)
             log.append(InlineDecision(
                 name, op.name, op.module, True, size,
                 f"size {size} < threshold {policy.threshold}",

@@ -324,6 +324,11 @@ class ModuleBuilder:
         return self._add(
             Operation("mux", then.width, [cond, then, other]), None)
 
+    def copy(self, op: Operation, operands: list[ValueRef]) -> ValueRef:
+        """A new, unshared copy of the computing operation ``op`` that
+        reads ``operands``."""
+        return self._add(with_operands(op, operands), None)
+
     def reduce(self, kind: str, v: ValueRef) -> ValueRef:
         assert kind in REDUCE_KINDS
         if v.width == 1:

@@ -1,8 +1,11 @@
-from busweaver.emitter import dump_module, emit_design, emit_module
+import pytest
+
+from busweaver.emitter import emit_design, emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import nested_instance_design
 from busweaver.inliner import InlinePolicy
 from busweaver.ir import ModuleBuilder, Port
+from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
 
 
@@ -167,21 +170,6 @@ def test_mux_and_slice_rendering():
     assert "assign y = s ? a[7:4] : a[3:0];" in text
 
 
-def test_dump_format():
-    b = ModuleBuilder(
-        "m", [Port("a", "input", 4), Port("y", "output", 4)]
-    )
-    v = b.input_ref("a", 4)
-    m = b.finish({"y": b.not_(v)}, {})
-    assert dump_module(m) == (
-        "module m(input a:4, output y:4)\n"
-        "  %0 = input(a) : i4\n"
-        "  %1 = not(%0) : i4\n"
-        "  output y = %1\n"
-        "endmodule\n"
-    )
-
-
 def test_many_uninlined_instance_sites_round_trip():
     # 2,000 sites left as instances: the emitter finds each site's read
     # ports from one pass over the operands
@@ -195,3 +183,118 @@ def test_many_uninlined_instance_sites_round_trip():
     assert text.count("  wire u") == text.count("  chain u") == 2000
     again, _ = run_pipeline(parse_design(text), policy)
     assert emit_design(again) == text
+
+
+_CELL2 = (
+    "module cell(input [3:0] p, output [1:0] o1, output [1:0] o2);\n"
+    "  assign o1 = p[1:0] ^ p[3:2];\n"
+    "  assign o2 = {^p, &p};\n"
+    "endmodule\n"
+)
+
+# Naming cases: the source, a line the output holds, and the user names
+# it must not declare.  A user wire that the output would assign but
+# never read is left out, since a re-run would drop it.
+_NAMING_CASES = {
+    "wire-on-an-input": (
+        "module m(input [3:0] a, input [3:0] c, output [3:0] y);\n"
+        "  wire [3:0] w;\n  assign w = a;\n  assign y = w ^ c;\n"
+        "endmodule\n",
+        "  assign y = a ^ c;", ["w"],
+    ),
+    "wire-on-a-slice": (
+        "module m(input [7:0] a, input [3:0] c, output [3:0] y);\n"
+        "  wire [3:0] w;\n  assign w = a[7:4];\n  assign y = w ^ c;\n"
+        "endmodule\n",
+        "  assign y = a[7:4] ^ c;", ["w"],
+    ),
+    "wire-on-a-constant": (
+        "module m(input [3:0] a, output [3:0] y);\n"
+        "  wire [3:0] k;\n  assign k = 4'd9;\n  assign y = a ^ k;\n"
+        "endmodule\n",
+        "  assign y = a ^ 4'd9;", ["k"],
+    ),
+    "second-name-of-a-value": (
+        "module m(input [3:0] a, input [3:0] b, input [3:0] c,\n"
+        "         output [3:0] y);\n"
+        "  wire [3:0] v;\n  wire [3:0] w;\n"
+        "  assign v = a ^ c;\n  assign w = v;\n  assign y = w & b;\n"
+        "endmodule\n",
+        "  assign y = v & b;", ["w"],
+    ),
+    # the instance's port wire u_o would take the output port's name
+    "generated-name-collides": (
+        "module cell(input [1:0] p, output [1:0] o, output z);\n"
+        "  assign o = ~p;\n  assign z = ^p;\n"
+        "endmodule\n"
+        "module m(input [1:0] a, input [1:0] c, output [1:0] u_o,\n"
+        "         output z);\n"
+        "  wire [1:0] x;\n  cell u(.p(a), .o(x), .z(z));\n"
+        "  assign u_o[0] = x[0] ^ c[0];\n  assign u_o[1] = x[1] ^ c[1];\n"
+        "endmodule\n",
+        "  cell u(.p(a), .o(u_o_), .z(u_z));", [],
+    ),
+    "wire-on-part-of-a-port": (
+        "module cell(input [3:0] p, output [3:0] o, output z);\n"
+        "  assign o = ~p;\n  assign z = ^p;\n"
+        "endmodule\n"
+        "module m(input [3:0] a, input [1:0] c, output [1:0] y,\n"
+        "         output z);\n"
+        "  wire [3:0] o;\n  wire [1:0] w;\n"
+        "  cell u(.p(a), .o(o), .z(z));\n"
+        "  assign w = o[2:1];\n  assign y = w ^ c;\n"
+        "endmodule\n",
+        "  assign y = u_o[2:1] ^ c;", ["w"],
+    ),
+    "second-wire-on-a-port": (
+        "module cell(input [1:0] p, output [1:0] o, output z);\n"
+        "  assign o = ~p;\n  assign z = ^p;\n"
+        "endmodule\n"
+        "module m(input [1:0] a, input [1:0] c, output [1:0] y,\n"
+        "         output z);\n"
+        "  wire [1:0] x;\n  wire [1:0] x2;\n"
+        "  cell u(.p(a), .o(x), .z(z));\n"
+        "  assign x2 = x;\n  assign y = x2 ^ c;\n"
+        "endmodule\n",
+        "  cell u(.p(a), .o(x), .z(u_z));", ["x2"],
+    ),
+    "wire-on-a-whole-instance": (
+        _CELL2 + "module m(input [3:0] a, input [3:0] c, output [3:0] y);\n"
+        "  wire [3:0] w;\n  cell u(.p(a), .o1(w[1:0]), .o2(w[3:2]));\n"
+        "  assign y = w ^ c;\n"
+        "endmodule\n",
+        "  assign y = {u_o2, u_o1} ^ c;", ["w"],
+    ),
+    # the dropped wire reads no port: o2, which nothing else reads, is
+    # left unconnected
+    "wire-on-a-whole-instance-read-in-part": (
+        _CELL2 + "module m(input [3:0] a, input [1:0] c, output [1:0] y);\n"
+        "  wire [3:0] w;\n  cell u(.p(a), .o1(w[1:0]), .o2(w[3:2]));\n"
+        "  assign y = w[1:0] ^ c;\n"
+        "endmodule\n",
+        "  cell u(.p(a), .o1(u_o1));", ["w", "u_o2"],
+    ),
+    "read-spans-two-ports": (
+        _CELL2 + "module m(input [3:0] a, input [1:0] c, output [1:0] y);\n"
+        "  wire [3:0] w;\n  cell u(.p(a), .o1(w[1:0]), .o2(w[3:2]));\n"
+        "  assign y[0] = w[1] ^ c[0];\n  assign y[1] = w[2] ^ c[1];\n"
+        "endmodule\n",
+        "  assign y = {u_o2[0], u_o1[1]} ^ c;", ["w"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAMING_CASES))
+def test_naming_cases_are_fixpoints(name):
+    src, line, absent = _NAMING_CASES[name]
+    design = parse_design(src)
+    out, _ = run_pipeline(design)
+    text = emit_design(out)
+    assert line in text.splitlines()
+    for wire in absent:
+        assert f" {wire};" not in text and f" {wire} =" not in text
+    for verdict in check_design_equivalence(design, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+    again, report = run_pipeline(parse_design(text))
+    assert emit_design(again) == text
+    assert report.rewrites == []

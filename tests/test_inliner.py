@@ -1,3 +1,6 @@
+import pytest
+
+from busweaver import inliner
 from busweaver.emitter import emit_design
 from busweaver.frontend import parse_design
 from busweaver.inliner import (
@@ -6,7 +9,9 @@ from busweaver.inliner import (
     selective_inline,
     size_analysis,
 )
+from busweaver.ir import REDUCE_KINDS
 from busweaver.oracle import check_design_equivalence
+from busweaver.pipeline import run_pipeline
 
 BUF_TOP = (
     "module my_buf(input a, output b);\n"
@@ -197,3 +202,99 @@ def test_site_fed_by_an_inlined_site_reads_its_body():
     )
     result = check_design_equivalence(d, out)["top"]
     assert result.status == "equivalent-exhaustive"
+
+
+# A callee body per routing kind the splice rebuilds, each around logic
+# that every site copies.
+_SPLICED_BODIES = {
+    "concat": "{x[0] & s, 1'b1, x[2]}",
+    "replicate": "{3{x[1] & s}} ^ 3'd5",
+    "mux": "s ? ~x : {x[0], 2'd2}",
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLICED_BODIES))
+def test_spliced_sites_copy_logic_and_share_routing(name):
+    d = parse_design(
+        "module cell(input [2:0] x, input s, output [2:0] y);\n"
+        f"  assign y = {_SPLICED_BODIES[name]};\n"
+        "endmodule\n"
+        "module top(input [2:0] a, input [3:0] b, output [11:0] y);\n"
+        + "".join(f"  cell u{k}(.x(a), .s(b[{k}]),"
+                  f" .y(y[{3 * k + 2}:{3 * k}]));\n" for k in range(4))
+        + "endmodule\n"
+    )
+    out, log = selective_inline(d)
+    assert [e.inlined for e in log] == [True] * 4
+    cell, top = d.modules["cell"].operations, out.modules["top"].operations
+    # each site has logic of its own; constants and the slices of a,
+    # which every site reads, are built once
+    for kind in ("and", "xor", "not", "mux", "const"):
+        per_site = 1 if kind == "const" else 4
+        assert sum(op.kind == kind for op in top) \
+            == per_site * sum(op.kind == kind for op in cell), kind
+    (a,) = [k for k, op in enumerate(top) if op.port == "a"]
+    assert sum(op.kind == "extract" and op.operands[0].op == a
+               for op in top) == sum(op.kind == "extract" for op in cell)
+    assert all(op.kind != "instance" for op in top)
+    # equivalent through the pipeline, and a fixpoint
+    vec, _ = run_pipeline(d)
+    for verdict in check_design_equivalence(d, vec).values():
+        assert verdict.status == "equivalent-exhaustive"
+    text = emit_design(vec)
+    again, report = run_pipeline(parse_design(text))
+    assert emit_design(again) == text
+    assert report.rewrites == []
+
+
+def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
+    # a callee keeps an instance only of an irregular callee or of one
+    # at the threshold, and inherits the refusal: the splice meets only
+    # routing and logic
+    spliced = []
+    splice = inliner._splice
+
+    def checked(rw, op_id, callee, done):
+        assert all(op.kind != "instance" and op.kind not in REDUCE_KINDS
+                   for op in callee.operations)
+        spliced.append(callee.name)
+        splice(rw, op_id, callee, done)
+
+    monkeypatch.setattr(inliner, "_splice", checked)
+    wrap = (
+        "module wrap(input a, output y);\n"
+        "  wire t;\n"
+        "  inner u(.a(a), .y(t));\n"
+        "  assign y = ~t;\n"
+        "endmodule\n"
+        "module top(input [1:0] in, output [1:0] out);\n"
+        "  wrap w0(.a(in[0]), .y(out[0]));\n"
+        "  wrap w1(.a(in[1]), .y(out[1]));\n"
+        "endmodule\n"
+    )
+    irregular = parse_design(
+        "module inner(input a, output y);\n"
+        "  assign y = ^{a, a};\n"
+        "endmodule\n" + wrap
+    )
+    _, log = selective_inline(irregular)
+    assert [(e.callee, e.inlined, e.reason) for e in log] == [
+        ("inner", False, "not regular"),
+        ("wrap", False, "not regular"),
+        ("wrap", False, "not regular"),
+    ]
+    at_threshold = parse_design(
+        "module inner(input a, output y);\n"
+        "  assign y = ~~~~a;\n"
+        "endmodule\n" + wrap
+    )
+    _, log = selective_inline(at_threshold, InlinePolicy(threshold=4))
+    assert [(e.callee, e.inlined, e.reason) for e in log] == [
+        ("inner", False, "size 4 >= threshold 4"),
+        ("wrap", False, "size 5 >= threshold 4"),
+        ("wrap", False, "size 5 >= threshold 4"),
+    ]
+    # one size up, both levels splice
+    _, log = selective_inline(at_threshold, InlinePolicy(threshold=6))
+    assert all(e.inlined for e in log)
+    assert spliced == ["inner", "wrap", "wrap"]

@@ -28,6 +28,7 @@ from busweaver.ir import (
     verify_module,
     with_operands,
 )
+from busweaver.oracle import check_equivalence
 from busweaver.pipeline import run_pipeline
 
 
@@ -280,6 +281,149 @@ def test_verify_duplicate_port_name_checks_against_the_first():
     ]
 
 
+_R = ValueRef
+
+
+def _verify_parts():
+    """The parts of a well-formed design for the violation table below:
+    module ``m`` holds one operation of each kind, ids 0 to 11, so an
+    appended operation is ``%12``; its callee ``c`` inverts."""
+    ops = [
+        Operation("input", 4, port="a"),
+        Operation("input", 1, port="s"),
+        Operation("const", 4, value=5),
+        Operation("extract", 2, [_R(0, 4)], low=0),
+        Operation("concat", 4, [_R(3, 2), _R(3, 2)]),
+        Operation("replicate", 4, [_R(3, 2)], count=2),
+        Operation("not", 4, [_R(5, 4)]),
+        Operation("and", 4, [_R(4, 4), _R(6, 4)]),
+        Operation("mux", 4, [_R(1, 1), _R(7, 4), _R(2, 4)]),
+        Operation("redxor", 1, [_R(8, 4)]),
+        Operation("instance", 2, [_R(3, 2)], module="c", name="u",
+                  in_ports=("p",), out_ports=(("q", 2),)),
+        Operation("concat", 4, [_R(10, 2), _R(10, 2)]),
+    ]
+    callee = HwModule("c", _ports(("p", "input", 2), ("q", "output", 2)),
+                      [Operation("input", 2, port="p"),
+                       Operation("not", 2, [_R(0, 2)])],
+                      {"q": _R(1, 2)}, {})
+    return {
+        "ports": _ports(("a", "input", 4), ("s", "input", 1),
+                        ("y", "output", 4), ("b", "output", 1)),
+        "ops": ops,
+        "outputs": {"y": _R(8, 4), "b": _R(9, 1)},
+        "wires": {"t": _R(11, 4)},
+        "modules": {"c": callee},
+        "top": "m",
+    }
+
+
+def _verify_design(parts):
+    m = HwModule("m", parts["ports"], parts["ops"], parts["outputs"],
+                 parts["wires"])
+    return HwDesign({**parts["modules"], "m": m}, parts["top"])
+
+
+def _append(op):
+    return lambda parts: parts["ops"].append(op)
+
+
+def _inst(width, operands):
+    return Operation("instance", width, operands, module="c", name="v",
+                     in_ports=("p",), out_ports=(("q", 2),))
+
+
+# one corruption of _verify_parts per message of verify
+_VIOLATIONS = {
+    "duplicate-port": (lambda p: p["ports"].append(Port("a", "input", 4)),
+                       "m: duplicate port a"),
+    "port-direction": (lambda p: p["ports"].append(Port("z", "inout", 1)),
+                       "m: port z: bad direction inout"),
+    "port-width": (lambda p: p["ports"].append(Port("z", "input", 0)),
+                   "m: port z: width 0 < 1"),
+    "unknown-kind": (_append(Operation("redfoo", 1, [_R(8, 4)])),
+                     "m: %12: unknown kind redfoo"),
+    "op-width": (_append(Operation("const", 0)), "m: %12: width 0 < 1"),
+    "operand-range": (_append(Operation("not", 4, [_R(40, 4)])),
+                      "m: %12: operand %40 out of range"),
+    "forward-reference": (
+        _append(Operation("not", 4, [_R(12, 4)])),
+        "m: %12: operand %12 not defined before use"
+        " (cycle or forward reference)"),
+    "annotation": (_append(Operation("not", 4, [_R(9, 4)])),
+                   "m: %12: operand %9 width annotation 4"
+                   " != defined width 1"),
+    "binary": (_append(Operation("and", 4, [_R(0, 4), _R(3, 2)])),
+               "m: %12: and operand width mismatch"),
+    "const-operands": (_append(Operation("const", 4, [_R(0, 4)], value=1)),
+                       "m: %12: const takes no operands"),
+    "const-value": (_append(Operation("const", 2, value=4)),
+                    "m: %12: const value 4 out of range"),
+    "input-port": (_append(Operation("input", 1, port="zz")),
+                   "m: %12: no input port named 'zz'"),
+    "input-width": (_append(Operation("input", 2, port="a")),
+                    "m: %12: input a width 2 != 4"),
+    "extract-operands": (
+        _append(Operation("extract", 1, [_R(0, 4), _R(0, 4)])),
+        "m: %12: extract takes one operand"),
+    "extract-range": (_append(Operation("extract", 2, [_R(0, 4)], low=3)),
+                      "m: %12: extract [4:3] out of range for width 4"),
+    "concat-empty": (_append(Operation("concat", 1)),
+                     "m: %12: concat needs operands"),
+    "concat-width": (_append(Operation("concat", 5, [_R(0, 4)])),
+                     "m: %12: concat width 5 != sum 4"),
+    "replicate-count": (
+        _append(Operation("replicate", 4, [_R(3, 2)], count=0)),
+        "m: %12: bad replicate"),
+    "replicate-width": (
+        _append(Operation("replicate", 4, [_R(3, 2)], count=3)),
+        "m: %12: replicate width 4 != 3 * 2"),
+    "not": (_append(Operation("not", 2, [_R(0, 4)])),
+            "m: %12: not operand width mismatch"),
+    "mux": (_append(Operation("mux", 4, [_R(0, 4), _R(2, 4), _R(2, 4)])),
+            "m: %12: mux operand width mismatch"),
+    "reduction": (_append(Operation("redand", 2, [_R(0, 4)])),
+                  "m: %12: redand must produce one bit"),
+    "unresolved": (
+        _append(Operation("instance", 2, [_R(3, 2)], module="nope",
+                          name="v", in_ports=("p",),
+                          out_ports=(("q", 2),))),
+        "m: %12: unresolved module 'nope'"),
+    "instance-operands": (_append(_inst(2, [])),
+                          "m: %12: instance v: 0 operands for 1 input"
+                          " ports"),
+    "instance-port": (_append(_inst(2, [_R(0, 4)])),
+                      "m: %12: instance v: port p width 2 gets 4"),
+    "instance-width": (_append(_inst(3, [_R(3, 2)])),
+                       "m: %12: instance v: result width 3 != callee"
+                       " output width"),
+    "output-unknown": (lambda p: p["outputs"].update(zz=_R(9, 1)),
+                       "m: binding for unknown output 'zz'"),
+    "output-value": (lambda p: p["outputs"].update(y=_R(40, 4)),
+                     "m: output y: value %40 undefined"),
+    "output-width": (lambda p: p["outputs"].update(b=_R(8, 4)),
+                     "m: output b: width mismatch"),
+    "output-undriven": (lambda p: p["outputs"].pop("b"),
+                        "m: output b is not driven"),
+    "wire-value": (lambda p: p["wires"].update(t=_R(40, 4)),
+                   "m: wire t: value %40 undefined"),
+    "wire-width": (lambda p: p["wires"].update(t=_R(9, 4)),
+                   "m: wire t: width mismatch"),
+    "top": (lambda p: p.update(top="zz"), "top module 'zz' not defined"),
+    "module-key": (lambda p: p["modules"].update(k=p["modules"]["c"]),
+                   "module key 'k' != module name 'c'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_VIOLATIONS))
+def test_verify_reports_each_violation(name):
+    corrupt, message = _VIOLATIONS[name]
+    parts = _verify_parts()
+    assert verify(_verify_design(parts)) == []
+    corrupt(parts)
+    assert verify(_verify_design(parts)) == [message]
+
+
 def _assert_packed_matches_reference(design, n_vectors=48, seed=0):
     """Every module's compiled program, evaluated on seeded random
     vectors in one batch, equals ``simulate`` vector by vector."""
@@ -430,6 +574,32 @@ def test_xor_trees_fold_by_parity():
     assert program.outputs["w"] == [0]
     assert program.outputs["y"] == [2 + 2]  # t ^ a[1] cancels: a[2]
     _assert_packed_matches_reference(design, seed=4)
+
+
+def test_xor_of_two_inner_xors_folds_by_parity():
+    # each output's root xor reads two inner xors, whose odd sets merge:
+    # x is a[1] ^ a[2], y is a[4] ^ ... ^ a[7] and z cancels to 0
+    design = parse_design(
+        "module m(input [7:0] a, output x, output y, output z);\n"
+        "  assign x = (a[0] ^ a[1]) ^ (a[2] ^ a[0]);\n"
+        "  assign y = ((a[3] ^ a[4]) ^ (a[5] ^ a[6]))"
+        " ^ ((a[7] ^ a[3]) ^ (a[1] ^ a[1]));\n"
+        "  assign z = (a[0] ^ (a[1] ^ a[2])) ^ ((a[0] ^ a[2]) ^ a[1]);\n"
+        "endmodule\n")
+    program = compile_packed(design)["m"]
+    assert [g[0] for g in program.gates] == ["xor"] * 4
+    assert program.outputs["z"] == [0]
+    lanes = {"a": [sum(((v >> i) & 1) << v for v in range(256))
+                   for i in range(8)]}
+    packed = simulate_packed(program, lanes, 256)
+    for v in range(256):
+        got = {port: sum(((lane >> v) & 1) << i
+                         for i, lane in enumerate(bits))
+               for port, bits in packed.items()}
+        assert got == simulate(design.top_module, {"a": v}), v
+    out, _ = run_pipeline(design)
+    verdict = check_equivalence(design.top_module, out.top_module)
+    assert verdict.status == "equivalent-exhaustive"
 
 
 def test_a_wide_constant_compiles_to_its_bits():

@@ -13,11 +13,13 @@ import pytest
 import probes
 from busweaver import reporting
 from busweaver.cli import main
+from busweaver.frontend import parse_design
 from busweaver.generators import (
     nested_instance_design,
     permutation_design,
     ripple_carry_design,
 )
+from busweaver.ir import HwDesign
 from busweaver.reporting import (
     DEFAULT_SWEEP_THRESHOLDS,
     SCHEMA_VERSION,
@@ -54,6 +56,34 @@ def test_process_design_success(golden_dir):
     assert result.output_path is None
     assert result.counters["partial_candidates"] >= 1
     assert result.sinks[0]["chunks"][0]["method"] == "bit-permutation"
+
+
+def test_process_design_reports_the_worst_equivalence(tmp_path,
+                                                      monkeypatch):
+    # inv's 4 input bits are checked exhaustively, top's 24 by sampling,
+    # and the sampled verdict outranks the exhaustive one
+    src = (
+        "module inv(input [3:0] a, output [3:0] y);\n"
+        "  assign y = ~a;\n"
+        "endmodule\n"
+        "module top(input [23:0] a, output [23:0] y);\n"
+        "  assign y = a ^ {a[0], a[23:1]};\n"
+        "endmodule\n"
+    )
+    path = _write(tmp_path, "mixed.v", src)
+    result = process_design(path, BatchOptions(check=True))
+    assert (result.ok, result.equivalence) == (True, "equivalent-sampled")
+    # a counterexample in one module outranks both
+    wrong = parse_design(src.replace("~a", "a")).modules["inv"]
+    run = reporting.run_pipeline
+
+    def breaks_inv(*args):
+        out, report = run(*args)
+        return HwDesign({**out.modules, "inv": wrong}, out.top), report
+
+    monkeypatch.setattr(reporting, "run_pipeline", breaks_inv)
+    result = process_design(path, BatchOptions(check=True))
+    assert (result.ok, result.equivalence) == (False, "counterexample")
 
 
 def test_process_design_parse_error(tmp_path):
