@@ -27,6 +27,12 @@ _PREC_BINARY = {"or": 2, "xor": 3, "and": 4, "add": 5, "sub": 5}
 _PREC_UNARY = 6
 _PREC_PRIMARY = 7
 
+_PREFIX = {"not": "~", "redand": "&", "redor": "|", "redxor": "^"}
+#: The two-character operators a prefix sigil would form with the first
+#: character of its operand: ``~(^x)`` is not ``~^x``, and ``^(~x)`` is
+#: not the reduction XNOR ``^~x``.
+_FUSED = frozenset({"~&", "~|", "~^", "^~", "&&", "||"})
+
 #: Kinds that are always rendered inline, never given a generated name.
 _INLINE_KINDS = frozenset({"const", "input", "extract"})
 
@@ -266,13 +272,12 @@ class _ModuleEmitter:
                 "{%d{%s}}" % (op.count, self._render(op.operands[0], 0)),
                 _PREC_PRIMARY,
             )
-        if kind == "not":
-            return "~" + self._render(op.operands[0], _PREC_UNARY), \
-                _PREC_UNARY
-        if kind in ("redand", "redor", "redxor"):
-            sigil = {"redand": "&", "redor": "|", "redxor": "^"}[kind]
-            return sigil + self._render(op.operands[0], _PREC_UNARY), \
-                _PREC_UNARY
+        if kind in _PREFIX:
+            sigil = _PREFIX[kind]
+            text = self._render(op.operands[0], _PREC_UNARY)
+            if sigil + text[0] in _FUSED:
+                text = f"({text})"
+            return sigil + text, _PREC_UNARY
         if kind in _PREC_BINARY:
             prec = _PREC_BINARY[kind]
             sigil = {"and": "&", "or": "|", "xor": "^", "add": "+",

@@ -24,9 +24,10 @@ root and its cone built once from that root, and one downward scan per
 ``i`` finds the chunk.
 
 Every sink of a module is planned and rewritten in one
-:class:`~busweaver.rewrite.ModuleRewriter` session, so a later sink
-sees the earlier sinks' redirections.  The session then folds the
-module's hand-written reduction chains
+:class:`~busweaver.rewrite.ModuleRewriter` session, the one the inliner
+spliced the module's inlined sites in, so a later sink sees the
+inlined bodies and the earlier sinks' redirections.  The session then
+folds the module's hand-written reduction chains
 (:func:`~busweaver.reductions.fold_reductions`), and its finish is the
 module's one compaction.  The rewriter value-numbers routing
 operations, so a plan that reconstructs exactly the existing operations
@@ -335,10 +336,10 @@ def vectorize_output(
     return chunks, True
 
 
-def _sink_refs(module: HwModule) -> list[str]:
+def _sink_refs(rw: ModuleRewriter) -> list[str]:
     """Sinks in deterministic order: output ports first, then wires."""
-    names = [p.name for p in module.ports if p.direction == "output"]
-    names.extend(module.wires)
+    names = [p.name for p in rw.ports if p.direction == "output"]
+    names.extend(rw.wires)
     return names
 
 
@@ -355,8 +356,9 @@ def run_pipeline(
     policy: InlinePolicy | None = None,
     counters: PassCounters | None = None,
 ) -> tuple[HwDesign, PipelineReport]:
-    """Verify, normalise, selectively inline, then vectorize every
-    multi-bit sink of every module and fold its reduction trees.
+    """Verify, selectively inline, then vectorize every multi-bit sink
+    of every module and fold its reduction trees, each module in the
+    session the inliner opened for it, finished once.
 
     Raises :class:`VectorizationError` when the input design does not
     verify.  Every bit has a cone, and a bit that forms no chunk simply
@@ -371,16 +373,15 @@ def run_pipeline(
         count_instructions(m) for m in design.modules.values()
     )
 
-    policy = policy or InlinePolicy()
-    inlined, report.inline_log = selective_inline(design, policy)
+    sessions, report.inline_log = selective_inline(design, policy)
     inlined_modules = {
         d.caller for d in report.inline_log if d.inlined
     }
 
     result: dict[str, HwModule] = {}
-    for name, module in inlined.modules.items():
-        rw = ModuleRewriter(module)
-        for sink in _sink_refs(module):
+    for rw in sessions:
+        name = rw.name
+        for sink in _sink_refs(rw):
             ref = rw.outputs.get(sink)
             if ref is None and rw.is_live(rw.wires[sink]):
                 ref = rw.wires[sink]  # else orphaned by an earlier sink

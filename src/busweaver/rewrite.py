@@ -1,17 +1,18 @@
 """Rewrite sessions: a builder over an existing module, use replacement
 through a use index, and dead-code compaction.
 
-A pass opens one :class:`ModuleRewriter` per module and makes all of
-its edits there: it builds replacement expressions (new operations are
-appended and value-numbered against the existing ones), redirects old
-values to new ones with :meth:`ModuleRewriter.replace_uses`, and calls
-:meth:`ModuleRewriter.finish` once to drop whatever became
-unreachable.  The session never mutates an input operation: an
-operation whose operands are redirected is replaced, in its slot, by a
-new one.  Because the builder value-numbers routing operations, a
-rewrite that reconstructs exactly what is already there returns the old
-value itself, which is how the pipeline tells a real rewrite from a
-no-op.
+The inliner opens one :class:`ModuleRewriter` per module and the
+pipeline makes every later edit of that module in the same session:
+both build replacement expressions (new operations are appended and
+value-numbered against the existing ones) and redirect old values to
+new ones with :meth:`ModuleRewriter.replace_uses`; the pipeline then
+calls :meth:`ModuleRewriter.finish` once to drop whatever became
+unreachable, inlined instances included.  The session never mutates an
+input operation: an operation whose operands are redirected is
+replaced, in its slot, by a new one.  Because the builder
+value-numbers routing operations, a rewrite that reconstructs exactly
+what is already there returns the old value itself, which is how the
+pipeline tells a real rewrite from a no-op.
 """
 
 from __future__ import annotations
@@ -188,29 +189,47 @@ class ModuleRewriter(ModuleBuilder):
         Only the readers of the old values are touched, found through
         the use index.  Each is replaced by a new operation in its
         slot and re-keyed in the value-numbering table, so emission
-        afterwards shares it like any other operation.
+        afterwards shares it like any other operation.  A reader that
+        becomes equal to a value-numbered operation already there is
+        merged into it, its own uses redirected in turn: the module
+        never holds two equal routing operations, which its text would
+        write alike and a re-parse would count once.
         """
         self._index()
         ops, users, cse = self.operations, self._users, self._cse
-        self._forget(old.op for old in subst)
-        readers = set()
-        for old in subst:
-            readers |= users.pop(old.op, set())
-            for binding, name in self._bound.pop(old.op, ()):
-                ref = binding[name] = subst[old]
-                self._bound.setdefault(ref.op, []).append((binding, name))
-        for uid in sorted(readers):
-            op = ops[uid]
-            key = cse_key(op)
-            if key is not None and cse.get(key) == ValueRef(uid, op.width):
-                del cse[key]
-            op = ops[uid] = with_operands(
-                op, [subst.get(r, r) for r in op.operands])
-            key = cse_key(op)
-            if key is not None:
-                cse[key] = ValueRef(uid, op.width)
-            for ref in op.operands:
-                users.setdefault(ref.op, set()).add(uid)
+        while subst:
+            self._forget(old.op for old in subst)
+            readers = set()
+            for old in subst:
+                readers |= users.pop(old.op, set())
+                for binding, name in self._bound.pop(old.op, ()):
+                    ref = binding[name] = subst[old]
+                    self._bound.setdefault(ref.op, []).append(
+                        (binding, name))
+            readers = sorted(readers)
+            for uid in readers:
+                op = ops[uid]
+                key = cse_key(op)
+                if key is not None and cse.get(key) == ValueRef(uid, op.width):
+                    del cse[key]
+                op = ops[uid] = with_operands(
+                    op, [subst.get(r, r) for r in op.operands])
+                for ref in op.operands:
+                    users.setdefault(ref.op, set()).add(uid)
+            # A reader that became equal to another routing operation,
+            # its twin, has its own uses redirected to the twin next.
+            twins = {}
+            for uid in readers:
+                op = ops[uid]
+                key = cse_key(op)
+                if key is None:
+                    continue
+                twin = cse.get(key)
+                if twin is None or twin in subst:
+                    cse[key] = ValueRef(uid, op.width)
+                else:
+                    twins[ValueRef(uid, op.width)] = twin
+            subst = twins
 
     def _forget(self, roots) -> None:
         """Forget that ``roots`` and the live operations below them are

@@ -6,7 +6,6 @@ from busweaver.cones import backward_cone, select_slots
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
-from busweaver.inliner import selective_inline
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
 from busweaver.rewrite import ModuleRewriter
@@ -17,6 +16,7 @@ from reference import (
     serialize,
     slot_positions,
 )
+from hierarchies import inline
 from test_pipeline import _LEAF_VALUE_CASES, _generator_corpus, _random_sink
 
 
@@ -327,7 +327,7 @@ def _differential_cones(golden_dir):
     ]
     for src in sources:
         design = parse_design(src)
-        inlined, _ = selective_inline(design)
+        inlined, _ = inline(design)
         for module in [*design.modules.values(), *inlined.modules.values()]:
             for ref in [*module.outputs.values(), *module.wires.values()]:
                 if ref.width < 2:

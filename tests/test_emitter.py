@@ -4,7 +4,7 @@ from busweaver.emitter import emit_design, emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import nested_instance_design
 from busweaver.inliner import InlinePolicy
-from busweaver.ir import ModuleBuilder, Port
+from busweaver.ir import HwDesign, ModuleBuilder, Operation, Port
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
 
@@ -117,6 +117,51 @@ def test_constant_literals():
            f"  assign y = 20000'h{'F' * 5000} ^ {{20000{{a}}}};\nendmodule\n")
     text = _roundtrip_stable(src)
     assert f"20000'h{'f' * 5000} ^ {{20000{{a}}}}" in text
+
+
+_PREFIX_KINDS = ("not", "redand", "redor", "redxor")
+
+
+@pytest.mark.parametrize("inner", _PREFIX_KINDS)
+@pytest.mark.parametrize("outer", _PREFIX_KINDS)
+def test_adjacent_prefix_operators_stay_apart(outer, inner):
+    # ~^x, ~&x, ~|x and ^~x are each one operator in Verilog (and
+    # &&, || are binary), so a prefix op over another is parenthesised
+    # where the two sigils would fuse; the text parses and computes
+    # the same
+    b = ModuleBuilder("m", [Port("x", "input", 2)])
+
+    def prefix(kind, v):
+        return b.copy(Operation(kind, v.width if kind == "not" else 1), [v])
+
+    y = prefix(outer, prefix(inner, b.input_ref("x", 2)))
+    b.ports.append(Port("y", "output", y.width))
+    design = HwDesign({"m": b.finish({"y": y}, {})}, "m")
+    text = emit_design(design)
+    verdict = check_design_equivalence(design, parse_design(text))["m"]
+    assert verdict.status == "equivalent-exhaustive", text
+
+
+def test_a_folded_reduction_under_a_not_keeps_its_parentheses():
+    # the fold puts a reduction under the user's ~
+    src = (
+        "module leaf(input a0, input a1, output y0);\n"
+        "  assign y0 = ~~(a0 ^ a1);\n"
+        "endmodule\n"
+        "module top(input [3:0] p, output [1:0] y);\n"
+        "  leaf u0(.a0(p[0]), .a1(p[1]), .y0(y[0]));\n"
+        "  leaf u1(.a0(p[2]), .a1(p[3]), .y0(y[1]));\n"
+        "endmodule\n"
+    )
+    design = parse_design(src)
+    out, _ = run_pipeline(design)
+    text = emit_design(out)
+    assert "  assign y = {~~(^p[3:2]), ~~(^p[1:0])};\n" in text
+    verdict = check_design_equivalence(design, parse_design(text))["top"]
+    assert verdict.status == "equivalent-exhaustive"
+    assert _roundtrip_stable("module m(input [1:0] x, output y);\n"
+                             "  assign y = ^(~x);\nendmodule\n") \
+        .endswith("  assign y = ^(~x);\nendmodule\n")
 
 
 def test_instance_wires_and_output_packing():

@@ -22,6 +22,31 @@ def test_diagnostic_format_is_file_line_col():
     assert msgs[0].startswith("<input>:2:14: error: ")
 
 
+def test_a_source_without_modules_is_a_diagnostic():
+    assert _errors("") == ["<input>:1:1: error: no modules found"]
+
+
+@pytest.mark.parametrize("read", [True, False])
+def test_an_unconnected_output_port_is_left_out(read):
+    # an instance whose outputs nothing reads is built after the
+    # module's outputs, and skips its unconnected port there too
+    d = parse_design(
+        "module pair(input a, output y, output z);\n"
+        "  assign y = a;\n"
+        "  assign z = ~a;\n"
+        "endmodule\n"
+        "module top(input a, output o);\n"
+        "  wire w;\n"
+        "  pair u(.a(a), .y(), .z(w));\n"
+        f"  assign o = {'w' if read else 'a'};\n"
+        "endmodule\n"
+    )
+    (inst,) = [op for op in d.top_module.operations
+               if op.kind == "instance"]
+    assert inst.in_ports == ("a",)
+    assert simulate(d.top_module, {"a": 1}, d) == {"o": 0 if read else 1}
+
+
 def test_ansi_ports_inherit_direction():
     d = parse_design(
         "module m(input [2:0] a, b, output y);"

@@ -4,14 +4,16 @@ from busweaver import inliner
 from busweaver.emitter import emit_design
 from busweaver.frontend import parse_design
 from busweaver.inliner import (
+    InlineDecision,
     InlinePolicy,
     regularity_analysis,
     selective_inline,
     size_analysis,
 )
-from busweaver.ir import REDUCE_KINDS
+from busweaver.ir import REDUCE_KINDS, HwDesign, HwModule, ModuleBuilder, Port
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
+from hierarchies import inline
 
 BUF_TOP = (
     "module my_buf(input a, output b);\n"
@@ -32,7 +34,7 @@ def test_regularity_accepts_logic_and_arithmetic():
         "  assign y = (a + b) - (a & b);\n"
         "endmodule"
     )
-    assert regularity_analysis(d.top_module)
+    assert regularity_analysis(d.top_module.operations)
 
 
 def test_regularity_rejects_reductions():
@@ -41,7 +43,7 @@ def test_regularity_rejects_reductions():
         "  assign y = ^a;\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.top_module)
+    assert not regularity_analysis(d.top_module.operations)
 
 
 def test_regularity_descends_into_callees():
@@ -53,9 +55,9 @@ def test_regularity_descends_into_callees():
         "  bad u(.x(a), .z(y));\n"
         "endmodule"
     )
-    regular = {"bad": regularity_analysis(d.modules["bad"])}
+    regular = {"bad": regularity_analysis(d.modules["bad"].operations)}
     assert regular == {"bad": False}
-    assert not regularity_analysis(d.modules["m"], regular)
+    assert not regularity_analysis(d.modules["m"].operations, regular)
     _, log = selective_inline(d)
     assert [(dec.callee, dec.reason) for dec in log] == [
         ("bad", "not regular")
@@ -64,9 +66,9 @@ def test_regularity_descends_into_callees():
 
 def test_size_includes_instantiated_bodies():
     d = parse_design(BUF_TOP)
-    assert size_analysis(d.modules["my_buf"]) == 0
+    assert size_analysis(d.modules["my_buf"].operations) == 0
     # top4 itself: four selects and one repack
-    assert size_analysis(d.modules["top4"], {"my_buf": 0}) == 5
+    assert size_analysis(d.modules["top4"].operations, {"my_buf": 0}) == 5
     _, log = selective_inline(d)
     assert [dec.callee_size for dec in log] == [0, 0, 0, 0]
 
@@ -81,9 +83,9 @@ def test_size_counts_nested_chains():
         "  chain u1(.a(in[1]), .y(out[1]));\n"
         "endmodule"
     )
-    assert size_analysis(d.modules["chain"]) == 3
+    assert size_analysis(d.modules["chain"].operations) == 3
     # two chain bodies plus m's own two selects and repack
-    assert size_analysis(d.modules["m"], {"chain": 3}) == 2 * 3 + 3
+    assert size_analysis(d.modules["m"].operations, {"chain": 3}) == 2 * 3 + 3
     _, log = selective_inline(d)
     assert [dec.callee_size for dec in log] == [3, 3]
 
@@ -103,7 +105,7 @@ def test_inlining_is_applied_bottom_up():
         "  mid m1(.a(in[1]), .y(out[1]));\n"
         "endmodule"
     )
-    out, log = selective_inline(d)
+    out, log = inline(d)
     assert all(dec.inlined for dec in log)
     # mid is measured after leaf's body replaced its instance
     assert [(dec.callee, dec.callee_size) for dec in log] == [
@@ -128,7 +130,7 @@ def test_threshold_is_strict():
         "endmodule"
     )
     d = parse_design(src)
-    assert size_analysis(d.modules["chain"]) == 4
+    assert size_analysis(d.modules["chain"].operations) == 4
 
     _, log = selective_inline(d, InlinePolicy(threshold=4))
     assert all(not dec.inlined for dec in log)
@@ -149,7 +151,7 @@ def test_irregular_callee_is_kept():
         "  red u1(.x(in[3:2]), .z(out[1]));\n"
         "endmodule"
     )
-    out, log = selective_inline(d)
+    out, log = inline(d)
     assert all(not dec.inlined for dec in log)
     assert all(dec.reason == "not regular" for dec in log)
     assert any(
@@ -159,14 +161,18 @@ def test_irregular_callee_is_kept():
 
 def test_disabled_policy_changes_nothing():
     d = parse_design(BUF_TOP)
-    out, log = selective_inline(d, InlinePolicy(enabled=False))
+    sessions, log = selective_inline(d, InlinePolicy(enabled=False))
     assert log == []
-    assert emit_design(out) == emit_design(d)
+    # one session per module, in design order, holding it as given
+    assert [
+        HwModule(rw.name, rw.ports, rw.operations, rw.outputs, rw.wires)
+        for rw in sessions
+    ] == list(d.modules.values())
 
 
 def test_inlined_buffers_preserve_behavior():
     d = parse_design(BUF_TOP)
-    out, log = selective_inline(d)
+    out, log = inline(d)
     assert sum(dec.inlined for dec in log) == 4
     assert all(
         op.kind != "instance"
@@ -193,7 +199,7 @@ def test_site_fed_by_an_inlined_site_reads_its_body():
         "  j u1(.x(n), .z(z));\n"
         "endmodule"
     )
-    out, log = selective_inline(d)
+    out, log = inline(d)
     assert [e.inlined for e in log] == [True, True]
     assert emit_design(out).endswith(
         "module top(input [1:0] a, output z);\n"
@@ -224,7 +230,7 @@ def test_spliced_sites_copy_logic_and_share_routing(name):
                   f" .y(y[{3 * k + 2}:{3 * k}]));\n" for k in range(4))
         + "endmodule\n"
     )
-    out, log = selective_inline(d)
+    out, log = inline(d)
     assert [e.inlined for e in log] == [True] * 4
     cell, top = d.modules["cell"].operations, out.modules["top"].operations
     # each site has logic of its own; constants and the slices of a,
@@ -254,11 +260,12 @@ def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
     spliced = []
     splice = inliner._splice
 
-    def checked(rw, op_id, callee, done):
-        assert all(op.kind != "instance" and op.kind not in REDUCE_KINDS
-                   for op in callee.operations)
+    def checked(rw, op_id, callee, body, done):
+        assert all(callee.operations[i].kind != "instance"
+                   and callee.operations[i].kind not in REDUCE_KINDS
+                   for i in body)
         spliced.append(callee.name)
-        splice(rw, op_id, callee, done)
+        splice(rw, op_id, callee, body, done)
 
     monkeypatch.setattr(inliner, "_splice", checked)
     wrap = (
@@ -298,3 +305,14 @@ def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
     _, log = selective_inline(at_threshold, InlinePolicy(threshold=6))
     assert all(e.inlined for e in log)
     assert spliced == ["inner", "wrap", "wrap"]
+
+
+def test_an_unresolved_callee_stays_an_instance():
+    # only a design built through the API can name a module it lacks
+    b = ModuleBuilder("top", [Port("a", "input", 1), Port("y", "output", 1)])
+    y = b.instance("ghost", "u", [b.input_ref("a", 1)], ("x",), (("z", 1),))
+    design = HwDesign({"top": b.finish({"y": y}, {})}, "top")
+    (rw,), log = selective_inline(design)
+    assert log == [InlineDecision("top", "u", "ghost", False, -1,
+                                  "unresolved callee")]
+    assert rw.finish() == design.top_module

@@ -10,7 +10,8 @@ from busweaver.oracle import (
     check_design_equivalence,
     check_equivalence,
 )
-from busweaver.ir import simulate
+from busweaver.ir import HwDesign, simulate
+from busweaver.pipeline import run_pipeline
 from probes import mutation_audit
 
 
@@ -125,6 +126,13 @@ def test_design_level_check_covers_common_modules():
     verdicts = check_design_equivalence(d1, d2)
     assert set(verdicts) == {"inv", "top"}
     assert all(v.status == "equivalent-exhaustive" for v in verdicts.values())
+    # a module the second design lacks is not checked: here the
+    # inlined top alone
+    vec, _ = run_pipeline(d1)
+    alone = HwDesign({"top": vec.modules["top"]}, "top")
+    verdicts = check_design_equivalence(d1, alone)
+    assert list(verdicts) == ["top"]
+    assert verdicts["top"].status == "equivalent-exhaustive"
 
 
 def test_mutation_audit_catches_everything_on_permutation():

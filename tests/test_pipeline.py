@@ -39,6 +39,7 @@ from busweaver.pipeline import (
 )
 from busweaver.reporting import BatchOptions, process_design
 from busweaver.rewrite import ModuleRewriter, live_order
+import hierarchies
 from reference import detect_permutation, is_independent, is_isomorphic
 
 
@@ -193,6 +194,42 @@ def test_dead_operations_count_as_written():
     assert emit_design(out).split("endmodule")[1].strip() == (
         "module top(input [1:0] a, output [1:0] y);\n  assign y = ~a;"
     )
+
+
+def test_a_callee_that_received_sites_is_copied_as_it_compacts():
+    # mid's own dead operation and the cell site it inlined are gone
+    # from the body that top's sites size and copy; cell, which
+    # received no site, is sized as given
+    cell = ModuleBuilder("cell", [Port("x", "input", 1),
+                                  Port("z", "output", 1)])
+    x = cell.input_ref("x", 1)
+    cell.binary("and", x, x)  # read by nothing
+    mid = ModuleBuilder("mid", cell.ports)
+    x = mid.input_ref("x", 1)
+    mid.binary("or", x, x)  # read by nothing
+    inst = mid.instance("cell", "u", [x], ("x",), (("z", 1),))
+    top = ModuleBuilder("top", [Port("a", "input", 2),
+                                Port("y", "output", 2)])
+    a = top.input_ref("a", 2)
+    bits = [
+        top.instance("mid", f"m{k}", [top.extract(a, k, 1)], ("x",),
+                     (("z", 1),))
+        for k in range(2)
+    ]
+    design = HwDesign({
+        "cell": cell.finish({"z": cell.not_(cell.input_ref("x", 1))}, {}),
+        "mid": mid.finish({"z": mid.not_(inst)}, {}),
+        "top": top.finish({"y": top.concat(bits[::-1])}, {}),
+    }, "top")
+    out, report = run_pipeline(design)
+    assert [(d.callee, d.inlined, d.callee_size)
+            for d in report.inline_log] == [
+        ("cell", True, 2), ("mid", True, 2), ("mid", True, 2)
+    ]
+    assert sum(op.kind in ("and", "or") for op in
+               out.modules["top"].operations) == 0
+    for verdict in check_design_equivalence(design, out).values():
+        assert verdict.status == "equivalent-exhaustive"
 
 
 _SLICED_WIRES = {
@@ -717,25 +754,64 @@ def test_counts_match_the_emitted_text(golden_dir):
         assert report2.rewrites == [], name
 
 
+_TWO_LEVEL = (
+    "module leaf(input a, output y);\n"
+    "  assign y = ~a;\n"
+    "endmodule\n"
+    "module mid(input a, input b, output y);\n"
+    "  wire t;\n"
+    "  leaf u(.a(a), .y(t));\n"
+    "  assign y = t ^ b;\n"
+    "endmodule\n"
+    "module top(input [3:0] p, input [3:0] q, output [3:0] y);\n"
+    + "".join(f"  mid m{k}(.a(p[{k}]), .b(q[{k}]), .y(y[{k}]));\n"
+              for k in range(4))
+    + "endmodule\n"
+)
+
+
 @pytest.mark.parametrize("no_inline", [False, True])
 def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
-    # one compaction per module's session, plus the inliner's own for
-    # each caller that received inlined sites
-    calls = []
-    compact = rewrite.compact_module
+    # one session per module, opened by the inliner and finished once by
+    # the pipeline: a caller that received inlined sites, even one that
+    # is itself inlined (mid in _TWO_LEVEL), is copied and compacted once
+    opened, compacted = [], []
+    init, compact = ModuleRewriter.__init__, rewrite.compact_module
+
+    def counting_init(self, module):
+        opened.append(module.name)
+        init(self, module)
 
     def counting(module, *args):
-        calls.append(module.name)
+        compacted.append(module.name)
         return compact(module, *args)
 
+    monkeypatch.setattr(ModuleRewriter, "__init__", counting_init)
     monkeypatch.setattr(rewrite, "compact_module", counting)
     policy = InlinePolicy(enabled=not no_inline)
-    for name, src in _generator_corpus(golden_dir):
+    corpus = [*_generator_corpus(golden_dir),
+              ("nested8-2", nested_instance_design(8, 2)),
+              ("two-level", _TWO_LEVEL)]
+    for name, src in corpus:
         design = parse_design(src)
-        calls.clear()
+        opened.clear()
+        compacted.clear()
         _, report = run_pipeline(design, policy)
-        callers = {d.caller for d in report.inline_log if d.inlined}
-        assert sorted(calls) == sorted([*design.modules, *callers]), name
+        assert sorted(opened) == sorted(compacted) \
+            == sorted(design.modules), name
+    inlined = {(d.caller, d.callee) for d in report.inline_log if d.inlined}
+    assert inlined == (set() if no_inline
+                       else {("mid", "leaf"), ("top", "mid")})
+
+
+@pytest.mark.parametrize("policy", list(hierarchies.POLICIES))
+def test_random_hierarchies_match_the_two_step_flow(policy):
+    # equivalent, counted as the text parses, and the bytes of
+    # inlining, finishing every module, then vectorizing with inlining
+    # off (the fixpoint is left to `python tests/hierarchies.py`)
+    failures = [message for seed in range(100)
+                for message in hierarchies.check(seed, policy)]
+    assert failures == []
 
 
 def _instance_chain(depth):

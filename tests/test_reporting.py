@@ -287,6 +287,7 @@ def test_cli_sweep_thresholds(tmp_path, golden_dir, capsys, value,
     (["--sweep", ","], "--sweep"),
     (["--samples", "-1", "--max-exhaustive-bits", "0", "--check"],
      "--samples"),
+    (["--samples", "x", "--check"], "--samples"),
 ])
 def test_cli_rejects_a_malformed_number_with_a_usage_message(
         tmp_path, golden_dir, capsys, args, option):
@@ -299,6 +300,17 @@ def test_cli_rejects_a_malformed_number_with_a_usage_message(
     assert f"error: argument {option}: expected" in captured.err
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_accepts_a_sample_count(tmp_path, golden_dir, capsys):
+    report_file = tmp_path / "r.json"
+    code = main([str(golden_dir / "partial_mix.v"), "--out", str(tmp_path),
+                 "--check", "--samples", "1000", "--max-exhaustive-bits",
+                 "0", "--report", str(report_file)])
+    assert code == 0
+    doc = json.loads(report_file.read_text())
+    assert doc["options"]["samples"] == 1000
+    assert doc["designs"][0]["equivalence"] == "equivalent-sampled"
 
 
 def test_process_design_turns_an_unexpected_exception_into_a_result(

@@ -7,14 +7,15 @@ import random
 
 import pytest
 
-from busweaver import emit_design, parse_design, pipeline, run_pipeline
+from busweaver import emit_design, inliner, parse_design, run_pipeline
 from busweaver.emitter import emit_module
 from busweaver.inliner import InlinePolicy, selective_inline
-from busweaver.ir import HwDesign, HwModule, ValueRef
+from busweaver.ir import HwDesign, HwModule, ValueRef, count_instructions
 from busweaver.pipeline import Chunk, vectorize_output
 from busweaver.reductions import fold_reductions
 from busweaver import rewrite
 from busweaver.rewrite import ModuleRewriter
+from hierarchies import inline
 
 _CELL = (
     "module cell(input x, input y, output z);\n"
@@ -28,7 +29,7 @@ def _per_sink_pipeline(design):
     sink, finished at once, and the next sink read from the compacted
     result (a wire orphaned by an earlier sink is gone from it); then
     the reduction fold, in a session of its own."""
-    inlined, _ = selective_inline(design, InlinePolicy())
+    inlined, _ = inline(design, InlinePolicy())
     modules, sinks = {}, []
     for name, module in inlined.modules.items():
         current = module
@@ -213,7 +214,7 @@ def test_liveness_of_wire_sinks_walks_linearly(monkeypatch):
             super().__init__(module)
             sessions.append(self)
 
-    monkeypatch.setattr(pipeline, "ModuleRewriter", Counting)
+    monkeypatch.setattr(inliner, "ModuleRewriter", Counting)
     steps = []
     for count in (60, 240):
         sessions.clear()
@@ -314,6 +315,32 @@ def test_replace_uses_reaches_operations_emitted_after_an_earlier_call():
     assert "assign y = a ^ a;" in text
     assert "assign z = a;" in text
     assert emit_module(m).count("b;") == 2  # the input is untouched
+
+
+def test_a_reader_made_equal_to_a_routing_op_is_merged_into_it():
+    # t[0] becomes a[0] when t is replaced by a: its readers then read
+    # the existing a[0], so the text counts as the module does
+    m = parse_design(
+        "module m(input [1:0] a, input [1:0] b, output [1:0] y,"
+        " output z);\n"
+        "  wire [1:0] t;\n"
+        "  assign t = a ^ b;\n"
+        "  assign y = {t[0], a[0]};\n"
+        "  assign z = a[0];\n"
+        "endmodule\n"
+    ).top_module
+    rw = ModuleRewriter(m)
+    a0 = rw.extract(rw.input_ref("a", 2), 0, 1)
+    (t,) = rw.wires.values()
+    rw.replace_uses({t: rw.input_ref("a", 2)})
+    assert rw.operations[rw.outputs["y"].op].operands == [a0, a0]
+    assert rw.outputs["z"] == a0
+    out = rw.finish()
+    assert sum(op.kind == "extract" for op in out.operations) == 1
+    text = emit_module(out)
+    assert "assign y = {a[0], a[0]};" in text
+    assert count_instructions(parse_design(text).top_module) \
+        == count_instructions(out)
 
 
 @pytest.mark.parametrize("seed", range(4))
