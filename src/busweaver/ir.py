@@ -445,7 +445,17 @@ def metrics(module: HwModule) -> IrMetrics:
 def verify_module(
     module: HwModule, design: HwDesign | None = None
 ) -> list[str]:
-    """Structural well-formedness check; returns violations, not raises."""
+    """Structural well-formedness check; returns violations, not raises.
+
+    Each operation first meets an accept test: one kind test and a few
+    comparisons against tables taken once per module (the operation
+    widths, the input port widths, each callee's signature).  The test
+    is sound: it may refuse a well-formed operation, never accept one
+    that breaks a rule.  A refused operation is explained by
+    :func:`_op_violations`, the rule-by-rule checks that write every
+    message, so the violations and their order are those of the rules
+    alone.
+    """
     errs: list[str] = []
     mod = module.name
     ports: dict[str, Port] = {}
@@ -458,113 +468,69 @@ def verify_module(
         if p.width < 1:
             errs.append(f"{mod}: port {p.name}: width {p.width} < 1")
 
+    in_widths = {name: p.width for name, p in ports.items()
+                 if p.direction == "input"}
     ops = module.operations
-    n_ops = len(ops)
+    widths = [op.width for op in ops]
+    # callee name -> (input names, input widths, out_ports, result width)
+    sigs: dict[str, tuple] = {}
+    binary = BINARY_KINDS
     for i, op in enumerate(ops):
-        kind = op.kind
-        if kind not in ALL_KINDS:
-            errs.append(f"{mod}: %{i}: unknown kind {kind}")
-            continue
-        if op.width < 1:
-            errs.append(f"{mod}: %{i}: width {op.width} < 1")
-        refs = op.operands
-        defined = True
-        for ref in refs:
-            if not 0 <= ref.op < n_ops:
-                errs.append(f"{mod}: %{i}: operand %{ref.op} out of range")
-                defined = False
-            elif ref.op >= i:
-                errs.append(
-                    f"{mod}: %{i}: operand %{ref.op} not defined before use"
-                    " (cycle or forward reference)"
-                )
-                defined = False
-        if not defined:
-            continue
-        widths = [ref.width for ref in refs]
-        for ref in refs:
-            if ops[ref.op].width != ref.width:
-                errs.append(
-                    f"{mod}: %{i}: operand %{ref.op} width annotation "
-                    f"{ref.width} != defined width {ops[ref.op].width}"
-                )
-        if kind in BINARY_KINDS:
-            if len(widths) != 2 or widths != [op.width, op.width]:
-                errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
-        elif kind == "const":
-            if op.operands:
-                errs.append(f"{mod}: %{i}: const takes no operands")
-            if not 0 <= op.value < (1 << op.width):
-                errs.append(
-                    f"{mod}: %{i}: const value {op.value} out of range")
-        elif kind == "input":
-            p = ports.get(op.port)
-            if p is None or p.direction != "input":
-                errs.append(f"{mod}: %{i}: no input port named {op.port!r}")
-            elif p.width != op.width:
-                errs.append(
-                    f"{mod}: %{i}: input {op.port} width {op.width}"
-                    f" != {p.width}"
-                )
-        elif kind == "extract":
-            if len(widths) != 1:
-                errs.append(f"{mod}: %{i}: extract takes one operand")
-            elif op.low < 0 or op.low + op.width > widths[0]:
-                errs.append(
-                    f"{mod}: %{i}: extract [{op.low + op.width - 1}:{op.low}]"
-                    f" out of range for width {widths[0]}"
-                )
-        elif kind == "concat":
-            if not widths:
-                errs.append(f"{mod}: %{i}: concat needs operands")
-            elif sum(widths) != op.width:
-                errs.append(
-                    f"{mod}: %{i}: concat width {op.width}"
-                    f" != sum {sum(widths)}"
-                )
-        elif kind == "replicate":
-            if len(widths) != 1 or op.count < 1:
-                errs.append(f"{mod}: %{i}: bad replicate")
-            elif widths[0] * op.count != op.width:
-                errs.append(
-                    f"{mod}: %{i}: replicate width {op.width} !="
-                    f" {op.count} * {widths[0]}"
-                )
-        elif kind == "not":
-            if len(widths) != 1 or widths[0] != op.width:
-                errs.append(f"{mod}: %{i}: not operand width mismatch")
-        elif kind == "mux":
-            if len(widths) != 3 or widths[0] != 1 or widths[1] != widths[2] \
-                    or widths[1] != op.width:
-                errs.append(f"{mod}: %{i}: mux operand width mismatch")
-        elif kind in REDUCE_KINDS:
-            if len(widths) != 1 or op.width != 1:
-                errs.append(f"{mod}: %{i}: {kind} must produce one bit")
-        elif kind == "instance":
-            if design is None or op.module not in design.modules:
-                errs.append(f"{mod}: %{i}: unresolved module {op.module!r}")
+        kind, w, refs = op.kind, op.width, op.operands
+        ok = False
+        if kind in binary:  # the commonest kinds: no operand loop
+            if len(refs) == 2:
+                x, y = refs
+                jx, jy = x.op, y.op
+                if i > jx >= 0 and i > jy >= 0 and 0 < w == x.width \
+                        == y.width == widths[jx] == widths[jy]:
+                    continue
+        elif w >= 1:
+            for ref in refs:
+                j = ref.op
+                if not 0 <= j < i or widths[j] != ref.width:
+                    break
             else:
-                callee = design.modules[op.module]
-                cins = callee.input_ports
-                couts = callee.output_ports
-                if len(op.operands) != len(cins):
-                    errs.append(
-                        f"{mod}: %{i}: instance {op.name}: {len(op.operands)}"
-                        f" operands for {len(cins)} input ports"
-                    )
+                if kind == "not":
+                    ok = len(refs) == 1 and refs[0].width == w
+                elif kind == "extract":
+                    ok = len(refs) == 1 and 0 <= op.low \
+                        and op.low + w <= refs[0].width
+                elif kind == "instance":
+                    sig = sigs.get(op.module)
+                    if sig is None and design is not None \
+                            and op.module in design.modules:
+                        cports = design.modules[op.module].ports
+                        ins = [p for p in cports if p.direction == "input"]
+                        outs = tuple((p.name, p.width) for p in cports
+                                     if p.direction == "output")
+                        sig = sigs[op.module] = (
+                            tuple(p.name for p in ins),
+                            [p.width for p in ins],
+                            outs, sum(pw for _, pw in outs))
+                    ok = sig is not None and op.in_ports == sig[0] \
+                        and [ref.width for ref in refs] == sig[1] \
+                        and op.out_ports == sig[2] and w == sig[3]
+                elif kind == "mux":
+                    ok = len(refs) == 3 and refs[0].width == 1 \
+                        and refs[1].width == w and refs[2].width == w
+                elif kind == "concat":
+                    total = 0
+                    for ref in refs:
+                        total += ref.width
+                    ok = total == w  # so there are operands, as w >= 1
+                elif kind == "input":
+                    ok = in_widths.get(op.port) == w
+                elif kind == "const":
+                    # a negative value shifts to -1, never to 0
+                    ok = not refs and not op.value >> w
+                elif kind == "replicate":
+                    ok = len(refs) == 1 and op.count >= 1 \
+                        and refs[0].width * op.count == w
                 else:
-                    for ref, p in zip(op.operands, cins):
-                        if ref.width != p.width:
-                            errs.append(
-                                f"{mod}: %{i}: instance {op.name}:"
-                                f" port {p.name}"
-                                f" width {p.width} gets {ref.width}"
-                            )
-                if op.width != sum(p.width for p in couts):
-                    errs.append(
-                        f"{mod}: %{i}: instance {op.name}: result width"
-                        f" {op.width} != callee output width"
-                    )
+                    ok = kind in REDUCE_KINDS and len(refs) == 1 and w == 1
+        if not ok:
+            errs += _op_violations(mod, i, op, ops, ports, design)
 
     for name, ref in module.outputs.items():
         p = ports.get(name)
@@ -583,6 +549,127 @@ def verify_module(
             errs.append(f"{mod}: wire {name}: value %{ref.op} undefined")
         elif ops[ref.op].width != ref.width:
             errs.append(f"{mod}: wire {name}: width mismatch")
+    return errs
+
+
+def _op_violations(
+    mod: str, i: int, op: Operation, ops: list[Operation],
+    ports: dict[str, Port], design: HwDesign | None,
+) -> list[str]:
+    """Every rule operation ``i`` of module ``mod`` breaks, one message
+    each, in rule order; ``ports`` maps each port name to its first
+    declaration."""
+    errs: list[str] = []
+    kind = op.kind
+    if kind not in ALL_KINDS:
+        return [f"{mod}: %{i}: unknown kind {kind}"]
+    if op.width < 1:
+        errs.append(f"{mod}: %{i}: width {op.width} < 1")
+    refs = op.operands
+    defined = True
+    for ref in refs:
+        if not 0 <= ref.op < len(ops):
+            errs.append(f"{mod}: %{i}: operand %{ref.op} out of range")
+            defined = False
+        elif ref.op >= i:
+            errs.append(
+                f"{mod}: %{i}: operand %{ref.op} not defined before use"
+                " (cycle or forward reference)"
+            )
+            defined = False
+    if not defined:
+        return errs
+    widths = [ref.width for ref in refs]
+    for ref in refs:
+        if ops[ref.op].width != ref.width:
+            errs.append(
+                f"{mod}: %{i}: operand %{ref.op} width annotation "
+                f"{ref.width} != defined width {ops[ref.op].width}"
+            )
+    if kind in BINARY_KINDS:
+        if len(widths) != 2 or widths != [op.width, op.width]:
+            errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
+    elif kind == "const":
+        if op.operands:
+            errs.append(f"{mod}: %{i}: const takes no operands")
+        if not 0 <= op.value < (1 << op.width):
+            errs.append(f"{mod}: %{i}: const value {op.value} out of range")
+    elif kind == "input":
+        p = ports.get(op.port)
+        if p is None or p.direction != "input":
+            errs.append(f"{mod}: %{i}: no input port named {op.port!r}")
+        elif p.width != op.width:
+            errs.append(
+                f"{mod}: %{i}: input {op.port} width {op.width} != {p.width}"
+            )
+    elif kind == "extract":
+        if len(widths) != 1:
+            errs.append(f"{mod}: %{i}: extract takes one operand")
+        elif op.low < 0 or op.low + op.width > widths[0]:
+            errs.append(
+                f"{mod}: %{i}: extract [{op.low + op.width - 1}:{op.low}]"
+                f" out of range for width {widths[0]}"
+            )
+    elif kind == "concat":
+        if not widths:
+            errs.append(f"{mod}: %{i}: concat needs operands")
+        elif sum(widths) != op.width:
+            errs.append(
+                f"{mod}: %{i}: concat width {op.width} != sum {sum(widths)}"
+            )
+    elif kind == "replicate":
+        if len(widths) != 1 or op.count < 1:
+            errs.append(f"{mod}: %{i}: bad replicate")
+        elif widths[0] * op.count != op.width:
+            errs.append(
+                f"{mod}: %{i}: replicate width {op.width} !="
+                f" {op.count} * {widths[0]}"
+            )
+    elif kind == "not":
+        if len(widths) != 1 or widths[0] != op.width:
+            errs.append(f"{mod}: %{i}: not operand width mismatch")
+    elif kind == "mux":
+        if len(widths) != 3 or widths[0] != 1 or widths[1] != widths[2] \
+                or widths[1] != op.width:
+            errs.append(f"{mod}: %{i}: mux operand width mismatch")
+    elif kind in REDUCE_KINDS:
+        if len(widths) != 1 or op.width != 1:
+            errs.append(f"{mod}: %{i}: {kind} must produce one bit")
+    elif design is None or op.module not in design.modules:
+        errs.append(f"{mod}: %{i}: unresolved module {op.module!r}")
+    else:
+        callee = design.modules[op.module]
+        cins = callee.input_ports
+        couts = callee.output_ports
+        if len(op.operands) != len(cins):
+            errs.append(
+                f"{mod}: %{i}: instance {op.name}: {len(op.operands)}"
+                f" operands for {len(cins)} input ports"
+            )
+        else:
+            for ref, p in zip(op.operands, cins):
+                if ref.width != p.width:
+                    errs.append(
+                        f"{mod}: %{i}: instance {op.name}: port {p.name}"
+                        f" width {p.width} gets {ref.width}"
+                    )
+        names = tuple(p.name for p in cins)
+        if op.in_ports != names:
+            errs.append(
+                f"{mod}: %{i}: instance {op.name}: in_ports {op.in_ports!r}"
+                f" are not the callee's inputs {names!r}"
+            )
+        if op.width != sum(p.width for p in couts):
+            errs.append(
+                f"{mod}: %{i}: instance {op.name}: result width"
+                f" {op.width} != callee output width"
+            )
+        outs = tuple((p.name, p.width) for p in couts)
+        if op.out_ports != outs:
+            errs.append(
+                f"{mod}: %{i}: instance {op.name}: out_ports"
+                f" {op.out_ports!r} are not the callee's outputs {outs!r}"
+            )
     return errs
 
 

@@ -36,30 +36,25 @@ def live_order(
     no one reads their outputs) unless listed in ``drop_ops``.
     """
     ops = module.operations
+    roots = [module.outputs[port.name].op for port in module.ports
+             if port.direction == "output" and port.name in module.outputs]
+    roots += [oid for oid, op in enumerate(ops)
+              if op.kind == "instance" and oid not in drop_ops]
+    # One depth-first walk from all roots, the first on top: an id is
+    # to expand, its complement (negative) to emit once its operands are.
+    stack = roots[::-1]
     seen = [False] * len(ops)
     order: list[int] = []
-
-    def visit(root: int) -> None:
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            oid, expanded = stack.pop()
-            if expanded:
-                order.append(oid)
-                continue
-            if seen[oid]:
-                continue
+    while stack:
+        oid = stack.pop()
+        if oid < 0:
+            order.append(~oid)
+        elif not seen[oid]:
             seen[oid] = True
-            stack.append((oid, True))
+            stack.append(~oid)
             for ref in reversed(ops[oid].operands):
                 if not seen[ref.op]:
-                    stack.append((ref.op, False))
-
-    for port in module.ports:
-        if port.direction == "output" and port.name in module.outputs:
-            visit(module.outputs[port.name].op)
-    for oid, op in enumerate(ops):
-        if op.kind == "instance" and oid not in drop_ops:
-            visit(oid)
+                    stack.append(ref.op)
     return order
 
 
@@ -75,15 +70,19 @@ def compact_module(
     """
     ops = module.operations
     order = live_order(module, drop_ops)
-    remap = {old: new for new, old in enumerate(order)}
+    remap = [-1] * len(ops)  # old id -> new id, -1 for a dropped one
+    for new, old in enumerate(order):
+        remap[old] = new
     new_ops = []
     for old in order:
         op = ops[old]
         # Operations are never mutated in place, so one whose operands
         # keep their ids is shared with the input module.
-        if any(remap[r.op] != r.op for r in op.operands):
-            op = with_operands(op, [ValueRef(remap[r.op], r.width)
-                                    for r in op.operands])
+        for r in op.operands:
+            if remap[r.op] != r.op:
+                op = with_operands(op, [ValueRef(remap[r.op], r.width)
+                                        for r in op.operands])
+                break
         new_ops.append(op)
     outputs = {
         name: ValueRef(remap[ref.op], ref.width)
@@ -92,7 +91,7 @@ def compact_module(
     wires = {
         name: ValueRef(remap[ref.op], ref.width)
         for name, ref in module.wires.items()
-        if ref.op in remap
+        if remap[ref.op] >= 0
     }
     return HwModule(module.name, list(module.ports), new_ops, outputs, wires)
 

@@ -5,13 +5,13 @@ Usage, from the repository root::
     python tests/hierarchies.py [N]
 
 checks the seeds ``0 .. N-1`` (100 by default) under every policy of
-:data:`POLICIES` and prints each failure: the result must be
-oracle-equivalent to the input, its text must parse again to
+:data:`POLICIES` and prints each failure: the result must verify clean
+and be oracle-equivalent to the input, its text must parse again to
 ``instructions_after`` instructions, its bytes must equal the two-step
 flow (inline, finish every module, then the pipeline with inlining
 off), and a re-run on the text must reproduce the bytes (the fixpoint).
 The exit status is 1 when some check failed.  ``test_pipeline.py``
-runs the first three checks; the fixpoint is left to this run, since
+runs the other checks; the fixpoint is left to this run, since
 it has known breaks (``CHANGES.md``).
 """
 
@@ -27,7 +27,7 @@ if __name__ == "__main__":
 from busweaver.emitter import emit_design
 from busweaver.frontend import parse_design
 from busweaver.inliner import InlinePolicy, selective_inline
-from busweaver.ir import HwDesign, count_instructions
+from busweaver.ir import HwDesign, count_instructions, verify
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
 
@@ -148,7 +148,8 @@ def check(seed: int, name: str, fixpoint: bool = False) -> list[str]:
     out, report = run_pipeline(design, policy)
     text = emit_design(out)
     where = f"seed {seed}, {name}"
-    failures = [
+    failures = [f"{where}: {message}" for message in verify(out)]
+    failures += [
         f"{where}: module {module} is {verdict.status}"
         for module, verdict in check_design_equivalence(design, out).items()
         if not verdict.equivalent

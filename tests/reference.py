@@ -33,6 +33,10 @@ It routes the root and every operand from the module itself with
 fills, and ``select_positions`` is the module walk that finds the leaf
 positions below a mux select, the rule ``cones.select_slots`` reads off
 a skeleton.
+
+``verify_module`` and ``verify`` check every rule of every operation,
+one after another, with no accept test in front: they are the
+specification of ``ir.verify``, the same violations in the same order.
 """
 
 from __future__ import annotations
@@ -64,12 +68,16 @@ from busweaver.frontend import (
     _SyntaxAbort,
 )
 from busweaver.ir import (
+    ALL_KINDS,
     BINARY_KINDS,
+    REDUCE_KINDS,
+    HwDesign,
     HwModule,
     ModuleBuilder,
     Operation,
     Port,
     ValueRef,
+    instantiation_order,
     route_bit,
 )
 from busweaver.rewrite import compact_module
@@ -1458,3 +1466,174 @@ def is_isomorphic(cones: list[LogicCone]) -> ConeShape | None:
             return None
         steps = lane
     return family_shape(rep, steps, len(cones))
+
+
+def verify_module(
+    module: HwModule, design: HwDesign | None = None
+) -> list[str]:
+    """Rule-by-rule well-formedness check of one module."""
+    errs: list[str] = []
+    mod = module.name
+    ports: dict[str, Port] = {}
+    for p in module.ports:
+        if p.name in ports:
+            errs.append(f"{mod}: duplicate port {p.name}")
+        ports.setdefault(p.name, p)
+        if p.direction not in ("input", "output"):
+            errs.append(f"{mod}: port {p.name}: bad direction {p.direction}")
+        if p.width < 1:
+            errs.append(f"{mod}: port {p.name}: width {p.width} < 1")
+
+    ops = module.operations
+    n_ops = len(ops)
+    for i, op in enumerate(ops):
+        kind = op.kind
+        if kind not in ALL_KINDS:
+            errs.append(f"{mod}: %{i}: unknown kind {kind}")
+            continue
+        if op.width < 1:
+            errs.append(f"{mod}: %{i}: width {op.width} < 1")
+        refs = op.operands
+        defined = True
+        for ref in refs:
+            if not 0 <= ref.op < n_ops:
+                errs.append(f"{mod}: %{i}: operand %{ref.op} out of range")
+                defined = False
+            elif ref.op >= i:
+                errs.append(
+                    f"{mod}: %{i}: operand %{ref.op} not defined before use"
+                    " (cycle or forward reference)"
+                )
+                defined = False
+        if not defined:
+            continue
+        widths = [ref.width for ref in refs]
+        for ref in refs:
+            if ops[ref.op].width != ref.width:
+                errs.append(
+                    f"{mod}: %{i}: operand %{ref.op} width annotation "
+                    f"{ref.width} != defined width {ops[ref.op].width}"
+                )
+        if kind in BINARY_KINDS:
+            if len(widths) != 2 or widths != [op.width, op.width]:
+                errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
+        elif kind == "const":
+            if op.operands:
+                errs.append(f"{mod}: %{i}: const takes no operands")
+            if not 0 <= op.value < (1 << op.width):
+                errs.append(
+                    f"{mod}: %{i}: const value {op.value} out of range")
+        elif kind == "input":
+            p = ports.get(op.port)
+            if p is None or p.direction != "input":
+                errs.append(f"{mod}: %{i}: no input port named {op.port!r}")
+            elif p.width != op.width:
+                errs.append(
+                    f"{mod}: %{i}: input {op.port} width {op.width}"
+                    f" != {p.width}"
+                )
+        elif kind == "extract":
+            if len(widths) != 1:
+                errs.append(f"{mod}: %{i}: extract takes one operand")
+            elif op.low < 0 or op.low + op.width > widths[0]:
+                errs.append(
+                    f"{mod}: %{i}: extract [{op.low + op.width - 1}:{op.low}]"
+                    f" out of range for width {widths[0]}"
+                )
+        elif kind == "concat":
+            if not widths:
+                errs.append(f"{mod}: %{i}: concat needs operands")
+            elif sum(widths) != op.width:
+                errs.append(
+                    f"{mod}: %{i}: concat width {op.width}"
+                    f" != sum {sum(widths)}"
+                )
+        elif kind == "replicate":
+            if len(widths) != 1 or op.count < 1:
+                errs.append(f"{mod}: %{i}: bad replicate")
+            elif widths[0] * op.count != op.width:
+                errs.append(
+                    f"{mod}: %{i}: replicate width {op.width} !="
+                    f" {op.count} * {widths[0]}"
+                )
+        elif kind == "not":
+            if len(widths) != 1 or widths[0] != op.width:
+                errs.append(f"{mod}: %{i}: not operand width mismatch")
+        elif kind == "mux":
+            if len(widths) != 3 or widths[0] != 1 or widths[1] != widths[2] \
+                    or widths[1] != op.width:
+                errs.append(f"{mod}: %{i}: mux operand width mismatch")
+        elif kind in REDUCE_KINDS:
+            if len(widths) != 1 or op.width != 1:
+                errs.append(f"{mod}: %{i}: {kind} must produce one bit")
+        elif kind == "instance":
+            if design is None or op.module not in design.modules:
+                errs.append(f"{mod}: %{i}: unresolved module {op.module!r}")
+            else:
+                callee = design.modules[op.module]
+                cins = callee.input_ports
+                couts = callee.output_ports
+                if len(op.operands) != len(cins):
+                    errs.append(
+                        f"{mod}: %{i}: instance {op.name}: {len(op.operands)}"
+                        f" operands for {len(cins)} input ports"
+                    )
+                else:
+                    for ref, p in zip(op.operands, cins):
+                        if ref.width != p.width:
+                            errs.append(
+                                f"{mod}: %{i}: instance {op.name}:"
+                                f" port {p.name}"
+                                f" width {p.width} gets {ref.width}"
+                            )
+                names = tuple(p.name for p in cins)
+                if op.in_ports != names:
+                    errs.append(
+                        f"{mod}: %{i}: instance {op.name}: in_ports"
+                        f" {op.in_ports!r} are not the callee's inputs"
+                        f" {names!r}"
+                    )
+                if op.width != sum(p.width for p in couts):
+                    errs.append(
+                        f"{mod}: %{i}: instance {op.name}: result width"
+                        f" {op.width} != callee output width"
+                    )
+                outs = tuple((p.name, p.width) for p in couts)
+                if op.out_ports != outs:
+                    errs.append(
+                        f"{mod}: %{i}: instance {op.name}: out_ports"
+                        f" {op.out_ports!r} are not the callee's outputs"
+                        f" {outs!r}"
+                    )
+
+    for name, ref in module.outputs.items():
+        p = ports.get(name)
+        if p is None or p.direction != "output":
+            errs.append(f"{mod}: binding for unknown output {name!r}")
+            continue
+        if not 0 <= ref.op < len(ops):
+            errs.append(f"{mod}: output {name}: value %{ref.op} undefined")
+        elif ref.width != p.width or ops[ref.op].width != p.width:
+            errs.append(f"{mod}: output {name}: width mismatch")
+    for p in module.ports:
+        if p.direction == "output" and p.name not in module.outputs:
+            errs.append(f"{mod}: output {p.name} is not driven")
+    for name, ref in module.wires.items():
+        if not 0 <= ref.op < len(ops):
+            errs.append(f"{mod}: wire {name}: value %{ref.op} undefined")
+        elif ops[ref.op].width != ref.width:
+            errs.append(f"{mod}: wire {name}: width mismatch")
+    return errs
+
+
+def verify(design: HwDesign) -> list[str]:
+    """``verify_module`` of every module plus the design-level rules."""
+    errs: list[str] = []
+    if design.top and design.top not in design.modules:
+        errs.append(f"top module {design.top!r} not defined")
+    for name, module in design.modules.items():
+        if module.name != name:
+            errs.append(f"module key {name!r} != module name {module.name!r}")
+        errs.extend(verify_module(module, design))
+    errs.extend(instantiation_order(design)[1])
+    return errs

@@ -506,6 +506,38 @@ def test_comments_are_ignored():
          "  assign y = {2{a, b}};\n"
          "endmodule",
          ["<input>:2:18: error: expected '}', found ','"]),
+        ("module m(input a, 5);\nendmodule",
+         ["<input>:1:19: error: expected port, found '5'"]),
+        ("module m(input a, output y);\n  5;\nendmodule",
+         ["<input>:2:3: error: expected statement, found '5'"]),
+        ("module m(input a, output y);\n"
+         "  assign y = a & reg;\n"
+         "endmodule",
+         ["<input>:2:18: error: unsupported construct 'reg' (only flat"
+          " combinational modules are supported)"]),
+        # the operands fit the width limit, so the `&` reports it
+        ("module m(output y);\n"
+         "  assign y = ^(2000000'd0 & 2000000'd1);\n"
+         "endmodule",
+         ["<input>:2:27: error: expression width 2000000 exceeds the limit"
+          " of 1048576 bits"]),
+        ("module m(input s, input a, output y);\n"
+         "  assign y = s ? zz : a;\n"
+         "endmodule",
+         ["<input>:2:18: error: unknown identifier 'zz'"]),
+        ("module m(input [1048575:0] w, output y);\n"
+         "  assign y = ^{w, w};\n"
+         "endmodule",
+         ["<input>:2:15: error: expression width 2097152 exceeds the limit"
+          " of 1048576 bits"]),
+        ("module n(input a, output y);\n"
+         "  assign y = a;\n"
+         "endmodule\n"
+         "module m(input a, output y);\n"
+         "  n u(.a(a), .y(nope));\n"
+         "  assign y = a;\n"
+         "endmodule",
+         ["<input>:5:17: error: unknown identifier 'nope'"]),
     ],
 )
 def test_exact_diagnostic_positions(src, expected):

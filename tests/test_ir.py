@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+import reference
 from busweaver.frontend import parse_design
 from busweaver.generators import (
     nested_instance_design,
     permutation_design,
     replicated_cone_design,
     ripple_carry_design,
+    scaling_design,
 )
 from busweaver.inliner import InlinePolicy
 from busweaver.ir import (
+    ALL_KINDS,
     HwDesign,
     HwModule,
     ModuleBuilder,
@@ -29,7 +32,7 @@ from busweaver.ir import (
     with_operands,
 )
 from busweaver.oracle import check_equivalence
-from busweaver.pipeline import run_pipeline
+from busweaver.pipeline import VectorizationError, run_pipeline
 
 
 def _ports(*specs):
@@ -397,6 +400,16 @@ _VIOLATIONS = {
     "instance-width": (_append(_inst(3, [_R(3, 2)])),
                        "m: %12: instance v: result width 3 != callee"
                        " output width"),
+    "instance-in-ports": (
+        _append(Operation("instance", 2, [_R(3, 2)], module="c", name="v",
+                          in_ports=("r",), out_ports=(("q", 2),))),
+        "m: %12: instance v: in_ports ('r',) are not the callee's inputs"
+        " ('p',)"),
+    "instance-out-ports": (
+        _append(Operation("instance", 2, [_R(3, 2)], module="c", name="v",
+                          in_ports=("p",), out_ports=(("r", 2),))),
+        "m: %12: instance v: out_ports (('r', 2),) are not the callee's"
+        " outputs (('q', 2),)"),
     "output-unknown": (lambda p: p["outputs"].update(zz=_R(9, 1)),
                        "m: binding for unknown output 'zz'"),
     "output-value": (lambda p: p["outputs"].update(y=_R(40, 4)),
@@ -422,6 +435,177 @@ def test_verify_reports_each_violation(name):
     assert verify(_verify_design(parts)) == []
     corrupt(parts)
     assert verify(_verify_design(parts)) == [message]
+
+
+def test_verify_matches_the_reference_on_combined_violations():
+    # two or three corruptions at once, appended operations at %12, %13
+    # and %14: the messages of different operations, ports and bindings
+    # keep the reference's order
+    for seed in range(300):
+        rng = random.Random(seed)
+        parts = _verify_parts()
+        for name in rng.sample(sorted(_VIOLATIONS), rng.choice((2, 3))):
+            _VIOLATIONS[name][0](parts)
+        design = _verify_design(parts)
+        got = verify(design)
+        assert got and got == reference.verify(design), seed
+
+
+def test_verify_reports_each_reader_of_a_value_too_narrow_to_exist():
+    # the annotations agree, so the widths alone break a rule; a
+    # negative count times a negative width is a positive width
+    parts = _verify_parts()
+    parts["ops"] += [
+        Operation("const", 0),
+        Operation("not", 0, [_R(12, 0)]),
+        Operation("and", 0, [_R(12, 0), _R(13, 0)]),
+        Operation("extract", 0, [_R(12, 0)]),
+        Operation("replicate", 0, [_R(12, 0)], count=1),
+        Operation("concat", 0),
+        Operation("input", -2, port="a"),
+        Operation("replicate", 2, [_R(18, -2)], count=-1),
+    ]
+    design = _verify_design(parts)
+    assert verify(design) == reference.verify(design) == [
+        *(f"m: %{i}: width 0 < 1" for i in range(12, 18)),
+        "m: %17: concat needs operands",
+        "m: %18: width -2 < 1",
+        "m: %18: input a width -2 != 4",
+        "m: %19: bad replicate",
+    ]
+
+
+_MUTANT_KINDS = sorted(ALL_KINDS) + ["bogus"]
+
+
+def _mutant(rng: random.Random, ops: list[Operation], oid: int) -> Operation:
+    """A copy of operation ``oid`` of ``ops`` with one field changed at
+    random, often into one that breaks a rule of ``verify``."""
+    op = ops[oid]
+    new = with_operands(op, list(op.operands))
+    refs = new.operands
+    pick = rng.randrange(9)
+    if pick == 0:
+        new.kind = rng.choice(_MUTANT_KINDS)
+    elif pick == 1:
+        new.width = max(0, op.width + rng.choice((-1, 1)))
+    elif pick == 2 and refs:
+        # another id, another annotation, or another earlier operation
+        k = rng.randrange(len(refs))
+        j = rng.randrange(max(oid, 1))
+        refs[k] = rng.choice((
+            _R(rng.randrange(-1, len(ops) + 2), refs[k].width),
+            _R(refs[k].op, refs[k].width + 1),
+            _R(j, ops[j].width)))
+    elif pick == 3:
+        if refs and rng.random() < 0.5:
+            refs.pop()
+        else:
+            refs.append(refs[0] if refs else _R(0, 1))
+    elif pick == 4:
+        new.low += rng.choice((-1, 1))
+    elif pick == 5:
+        new.count += rng.choice((-1, 1))
+    elif pick == 6:
+        new.value = rng.choice((-1, 1 << op.width, (1 << op.width) - 1))
+    elif pick == 7:
+        new.port = rng.choice(("a", "s", "in", "zz"))
+    else:
+        new.in_ports = new.in_ports[::-1] + rng.choice(((), ("a",)))
+        new.out_ports = new.out_ports + rng.choice(((), (("y", 1),)))
+    return new
+
+
+def _generator_designs():
+    """Designs of every ``busweaver.generators`` family, parsed, and
+    what the pipeline makes of them."""
+    designs = []
+    for case in range(4):
+        rng = random.Random(case)
+        for src in (
+            permutation_design(rng.randrange(2, 40), case),
+            replicated_cone_design(rng.randrange(2, 9), rng.randrange(1, 5),
+                                   case),
+            replicated_cone_design(rng.randrange(2, 9), 3, case,
+                                   invariant_slots=False),
+            ripple_carry_design(rng.randrange(1, 12)),
+            nested_instance_design(rng.randrange(1, 9), rng.randrange(1, 6)),
+            scaling_design(rng.randrange(4, 60)),
+        ):
+            design = parse_design(src)
+            designs += [design, run_pipeline(design)[0],
+                        run_pipeline(design, InlinePolicy(enabled=False))[0]]
+    return designs
+
+
+def test_verify_matches_the_reference_on_generated_designs():
+    designs = _generator_designs()
+    for design in designs:
+        assert verify(design) == reference.verify(design) == []
+    # and on each with one to three operations changed at random
+    parts = _verify_parts()
+    designs.append(_verify_design(parts))
+    broken = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        design = rng.choice(designs)
+        modules = dict(design.modules)
+        for _ in range(rng.randrange(1, 4)):
+            name = rng.choice(sorted(modules))
+            m = modules[name]
+            if not m.operations:
+                continue
+            ops = list(m.operations)
+            oid = rng.randrange(len(ops))
+            ops[oid] = _mutant(rng, ops, oid)
+            modules[name] = HwModule(m.name, m.ports, ops, m.outputs,
+                                     m.wires)
+        mutated = HwDesign(modules, design.top)
+        got = verify(mutated)
+        assert got == reference.verify(mutated), seed
+        broken += bool(got)
+    assert broken > 300
+
+
+_LEAF_SITE = """
+module leaf(input a, input b, output y, output z);
+  assign y = a & b;
+  assign z = a ^ b;
+endmodule
+module top(input p, input q, output o, output u_w);
+  leaf u(.a(p), .b(q), .y(o), .z(u_w));
+endmodule
+"""
+
+
+@pytest.mark.parametrize(
+    "in_ports, out_ports, message",
+    [
+        (("a", "c"), (("y", 1), ("z", 1)),
+         "in_ports ('a', 'c') are not the callee's inputs ('a', 'b')"),
+        (("b", "a"), (("y", 1), ("z", 1)),
+         "in_ports ('b', 'a') are not the callee's inputs ('a', 'b')"),
+        (("a", "b"), (("y", 1), ("w", 1)),
+         "out_ports (('y', 1), ('w', 1)) are not the callee's outputs"
+         " (('y', 1), ('z', 1))"),
+    ],
+)
+def test_verify_rejects_instance_ports_that_are_not_the_callee_s(
+        in_ports, out_ports, message):
+    # an API-built site whose port names disagree with its callee: the
+    # widths line up, but the text would name ports the callee lacks
+    design = parse_design(_LEAF_SITE)
+    ops = design.modules["top"].operations
+    oid = next(i for i, op in enumerate(ops) if op.kind == "instance")
+    site = ops[oid]
+    assert (site.in_ports, site.out_ports) == (("a", "b"),
+                                               (("y", 1), ("z", 1)))
+    ops[oid] = Operation("instance", site.width, site.operands,
+                         module="leaf", name="u", in_ports=in_ports,
+                         out_ports=out_ports)
+    assert verify(design) == [f"top: %{oid}: instance u: {message}"]
+    with pytest.raises(VectorizationError):
+        run_pipeline(design)
 
 
 def _assert_packed_matches_reference(design, n_vectors=48, seed=0):

@@ -31,6 +31,7 @@ from busweaver.ir import (
     count_instructions,
     metrics,
     simulate,
+    verify,
 )
 from busweaver.pipeline import (
     PassCounters,
@@ -538,6 +539,14 @@ def test_invalid_design_is_rejected():
         run_pipeline(HwDesign({"bad": module}, "bad"))
 
 
+def test_every_golden_output_verifies_clean(golden_dir):
+    for path in sorted(golden_dir.glob("*.v")):
+        design = parse_design(path.read_text())
+        for policy in (None, InlinePolicy(enabled=False)):
+            out, _ = run_pipeline(design, policy)
+            assert verify(out) == [], path.name
+
+
 def test_second_run_is_byte_identical(golden_dir):
     for path in sorted(golden_dir.glob("*.v")):
         if path.name.endswith(".vec.v"):
@@ -806,9 +815,9 @@ def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
 
 @pytest.mark.parametrize("policy", list(hierarchies.POLICIES))
 def test_random_hierarchies_match_the_two_step_flow(policy):
-    # equivalent, counted as the text parses, and the bytes of
-    # inlining, finishing every module, then vectorizing with inlining
-    # off (the fixpoint is left to `python tests/hierarchies.py`)
+    # verified clean, equivalent, counted as the text parses, and the
+    # bytes of inlining, finishing every module, then vectorizing with
+    # inlining off (the fixpoint is left to `python tests/hierarchies.py`)
     failures = [message for seed in range(100)
                 for message in hierarchies.check(seed, policy)]
     assert failures == []
