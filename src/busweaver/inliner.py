@@ -9,15 +9,17 @@ and *small* (recursive instruction count strictly below the policy
 threshold).  Regularity is a policy, not a limit of the vectorizer;
 :func:`regularity_analysis` says why reductions break it.
 
-Decisions are made bottom-up, in the callee-first order of
-:func:`busweaver.ir.instantiation_order`, in one
-:class:`~busweaver.rewrite.ModuleRewriter` session per module that the
-inliner opens and hands on, still open, to the vectorizer: a module is
-copied, indexed and compacted once.  A callee is itself inlined first,
-so its body, the operations its session's finish would keep, is read
-after its own inlining settled.  A callee is measured (size and
-regularity, from its callees') once, at the first site that asks; a
-module no one instantiates is never measured.
+The pipeline runs one bottom-up module loop, in the callee-first order
+of :func:`busweaver.ir.instantiation_order`, and finishes each module
+(inlined, vectorized, folded, compacted) before any caller looks at
+it.  :func:`selective_inline` is that loop's first step for one
+module: it opens the module's :class:`~busweaver.rewrite.ModuleRewriter`
+session and splices into it the sites whose callees pass the inline
+test, judged from each callee's :class:`FinishedModule`.  A site copies
+its callee as finished, and the size it is judged by is the finished
+size.  A reduction that the callee's own fold built out of a chain is
+the one exception: it keeps the callee regular, and a site copies it
+back as a chain of its bits, which the caller's lanes can vectorize.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from typing import Iterable, NamedTuple
 from busweaver.ir import (
     COUNTED_KINDS,
     REDUCE_KINDS,
-    HwDesign,
+    HwModule,
     Operation,
     ValueRef,
-    instantiation_order,
+    route_bit,
 )
 from busweaver.rewrite import ModuleRewriter
 
@@ -57,145 +59,188 @@ class InlineDecision(NamedTuple):
     reason: str
 
 
+class FinishedModule(NamedTuple):
+    """A module as the pipeline finished it, and the recursive size and
+    the regularity of that body, which its callers' inline tests read."""
+
+    module: HwModule
+    size: int
+    regular: bool
+
+
 def regularity_analysis(
-    operations: Iterable[Operation], regular: dict[str, bool] | None = None
+    operations: Iterable[Operation], finished: dict[str, FinishedModule],
+    folded: bool = False,
 ) -> bool:
     """A module body is regular when every operation is routing,
     bitwise logic, add/sub, mux, or an instance of a module that
-    ``regular`` marks regular (callees are judged first; an unknown
+    ``finished`` marks regular (callees are finished first; an unknown
     callee is not regular).  Reductions make it irregular: after
     inlining, each site's reduction is an operation of its own, so
     per-site lanes read different leaf sources and stay scalar, and
-    inlining would only copy the body."""
-    regular = regular or {}
+    inlining would only copy the body.  ``folded`` says that the
+    module's own fold built every reduction in it; those keep it
+    regular, because a site copies each back as a chain of its bits
+    (:func:`_chain`)."""
     return all(
-        op.kind not in REDUCE_KINDS
-        and (op.kind != "instance" or regular.get(op.module, False))
+        (folded or op.kind not in REDUCE_KINDS)
+        and (op.kind != "instance"
+             or op.module in finished and finished[op.module].regular)
         for op in operations
     )
 
 
 def size_analysis(
-    operations: Iterable[Operation], sizes: dict[str, int] | None = None
+    operations: Iterable[Operation], finished: dict[str, FinishedModule]
 ) -> int:
     """Recursive instruction count of a module body: its own computing
-    ops plus the full size of every instantiated callee, read from
-    ``sizes`` (callees are measured first; an unknown callee counts
+    ops plus the size of every instantiated callee, read from
+    ``finished`` (callees are finished first; an unknown callee counts
     0)."""
-    sizes = sizes or {}
     return sum(
-        sizes.get(op.module, 0) if op.kind == "instance"
-        else op.kind in COUNTED_KINDS
+        (finished[op.module].size if op.module in finished else 0)
+        if op.kind == "instance" else op.kind in COUNTED_KINDS
         for op in operations
     )
 
 
-def _splice(rw: ModuleRewriter, op_id: int, callee: ModuleRewriter,
-            body: Iterable[int], spliced: dict[ValueRef, ValueRef]) -> None:
-    """Copy the operations ``body`` of the callee session into the
-    caller for instance ``op_id``, dependency first, and record the
-    value packing its outputs in ``spliced``, from which a site
-    connected to an instance spliced before reads that value.
+def finished_module(
+    module: HwModule, finished: dict[str, FinishedModule],
+    folded: bool = False,
+) -> FinishedModule:
+    """``module`` with its size and regularity, callees from
+    ``finished``; ``folded`` as :func:`regularity_analysis` takes it."""
+    ops = module.operations
+    return FinishedModule(module, size_analysis(ops, finished),
+                          regularity_analysis(ops, finished, folded))
 
-    A callee that passes the inline test holds only routing and logic:
-    :func:`regularity_analysis` rejects reductions, and an instance
-    left in a callee's body is of a module that is unresolved or
-    irregular, which makes the callee irregular, or at or above the
-    threshold, which puts the callee there too, because sizes add up.
-    Routing goes through the folding builder calls, so constants and
-    slices stay shared across sites; logic is copied with new
-    operands."""
-    inst, ops = rw.operations[op_id], callee.operations
-    mapping: dict[int, ValueRef] = {}
-    for cid in body:
-        cop = ops[cid]
+
+def _chain(rw: ModuleRewriter, op: Operation, ops: list[Operation],
+           values: list[ValueRef]) -> ValueRef:
+    """The callee's reduction ``op`` as a chain, LSB first, over the
+    bits it reads, each routed back through the callee's ``ops`` to its
+    source and read from that source's copy in ``values``.  A bit of a
+    masked source (the fold's ``v & mask``, or ``v | ~mask`` under
+    ``and``) that the mask forces to the chain's identity is left out;
+    the others read ``v``."""
+    kind = op.kind[3:]  # redxor -> xor
+    masked = "or" if kind == "and" else "and"
+    routes: dict = {}
+    value = None
+    for b in range(op.operands[0].width):
+        src, bit, _ = route_bit(ops, op.operands[0], b, routes)
+        sop = ops[src.op]
+        if sop.kind == masked and ops[sop.operands[1].op].kind == "const":
+            v, mask = sop.operands
+            if (ops[mask.op].value >> bit & 1) == (kind == "and"):
+                continue  # forced to the identity: 0, or 1 under and
+            src, bit, _ = route_bit(ops, v, bit, routes)
+        term = rw.extract(values[src.op], bit, 1)
+        value = term if value is None else rw.binary(kind, value, term)
+    return rw.const(kind == "and", 1) if value is None else value
+
+
+def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
+            readers: list[int], spliced: dict[ValueRef, ValueRef]) -> None:
+    """Copy the operations of the finished ``callee``, in order, into
+    the caller for instance ``op_id``, and record in ``spliced`` what
+    the instance's readers read instead: a reader in ``readers`` (the
+    extracts of the instance) that lies inside one output port reads
+    that port's value, any other read the ports packed.  A site
+    connected to an instance spliced before reads through ``spliced``.
+
+    A callee that passes the inline test holds only routing, logic and
+    the reductions its own fold built: :func:`regularity_analysis`
+    rejects any other reduction, and an instance left in a callee's
+    body is of a module that is unresolved or irregular, which makes
+    the callee irregular, or at or above the threshold, which puts the
+    callee there too, because sizes add up.  Routing goes through the
+    folding builder calls, so constants and slices stay shared across
+    sites; logic is copied with new operands, and a reduction as the
+    chain it was folded from (:func:`_chain`), which the caller's
+    lanes can vectorize and its own fold can fold again."""
+    ops, inst = rw.operations, rw.operations[op_id]
+    values: list[ValueRef] = []
+    for cop in callee.operations:
         kind = cop.kind
-        args = [mapping[r.op] for r in cop.operands]
+        args = [values[r.op] for r in cop.operands]
         if kind == "input":
             ref = inst.operands[inst.in_ports.index(cop.port)]
-            mapping[cid] = spliced.get(ref, ref)
+            value = spliced.get(ref, ref)
         elif kind == "const":
-            mapping[cid] = rw.const(cop.value, cop.width)
+            value = rw.const(cop.value, cop.width)
         elif kind == "extract":
-            mapping[cid] = rw.extract(args[0], cop.low, cop.width)
+            value = rw.extract(args[0], cop.low, cop.width)
         elif kind == "concat":
-            mapping[cid] = rw.concat(args)
+            value = rw.concat(args)
         elif kind == "replicate":
-            mapping[cid] = rw.replicate(args[0], cop.count)
+            value = rw.replicate(args[0], cop.count)
+        elif kind in REDUCE_KINDS:
+            value = _chain(rw, cop, callee.operations, values)
         else:
-            mapping[cid] = rw.copy(cop, args)
-    outs = [
-        mapping[callee.outputs[pname].op] for pname, _ in inst.out_ports
-    ]
-    spliced[ValueRef(op_id, inst.width)] = rw.concat(list(reversed(outs)))
+            value = rw.copy(cop, args)
+        values.append(value)
+    outs = [values[callee.outputs[pname].op] for pname, _ in inst.out_ports]
+    for uid in readers:
+        use = ops[uid]
+        low = use.low
+        for out in outs:  # the ports, LSB first
+            if low < out.width:
+                if low + use.width <= out.width:
+                    spliced[ValueRef(uid, use.width)] = rw.extract(
+                        out, low, use.width)
+                break
+            low -= out.width
+    spliced[ValueRef(op_id, inst.width)] = rw.concat(outs[::-1])
     rw.drop_instance(op_id)
 
 
 def selective_inline(
-    design: HwDesign, policy: InlinePolicy | None = None
-) -> tuple[list[ModuleRewriter], list[InlineDecision]]:
-    """Inline every site whose callee is regular and strictly below the
-    size threshold, in one :class:`ModuleRewriter` session per module.
+    module: HwModule, finished: dict[str, FinishedModule],
+    policy: InlinePolicy | None = None,
+) -> tuple[ModuleRewriter, list[InlineDecision]]:
+    """Open ``module``'s rewrite session and inline every site whose
+    callee is finished, regular and strictly below the size threshold.
 
-    Returns the sessions, still open and in design order, and one
-    decision per site, in processing order.  The caller finishes each
-    session once: a module that received sites is compacted only then.
+    Returns the session, still open for the vectorizer, and one
+    decision per site, in the module's operation order.  ``finished``
+    holds the callees; a site whose callee it lacks is unresolved.
     """
     policy = policy or InlinePolicy()
+    rw = ModuleRewriter(module)
     log: list[InlineDecision] = []
     if not policy.enabled:
-        return [ModuleRewriter(m) for m in design.modules.values()], log
+        return rw, log
 
-    sessions: dict[str, ModuleRewriter] = {}
-    received: set[str] = set()  # the modules that received a site
-    # Per callee, measured at the first site that asks: its body (the
-    # ids its session's finish would keep, in that order), size and
-    # regularity.
-    bodies: dict[str, Iterable[int]] = {}
-    sizes: dict[str, int] = {}
-    regular: dict[str, bool] = {}
+    limit = policy.threshold
+    # the sites to splice -> (callee, the extracts reading the site)
+    sites: dict[int, tuple[HwModule, list[int]]] = {}
+    for op_id, op in enumerate(module.operations):
+        kind = op.kind
+        if kind == "extract":
+            site = sites.get(op.operands[0].op)
+            if site is not None:
+                site[1].append(op_id)
+            continue
+        if kind != "instance":
+            continue
+        callee = finished.get(op.module)
+        if callee is None:
+            size, inlined, reason = -1, False, "unresolved callee"
+        elif not callee.regular:
+            size, inlined, reason = callee.size, False, "not regular"
+        else:
+            size, inlined = callee.size, callee.size < limit
+            relation = "<" if inlined else ">="
+            reason = f"size {size} {relation} threshold {limit}"
+        log.append(InlineDecision(module.name, op.name, op.module,
+                                  inlined, size, reason))
+        if inlined:
+            sites[op_id] = (callee.module, [])
 
-    def measure(name: str) -> tuple[Iterable[int], int, bool]:
-        if name not in bodies:
-            rw = sessions[name]
-            # a callee that received no site is read as given
-            body = bodies[name] = rw.live() if name in received \
-                else range(len(rw.operations))
-            ops = [rw.operations[i] for i in body]
-            sizes[name] = size_analysis(ops, sizes)
-            regular[name] = regularity_analysis(ops, regular)
-        return bodies[name], sizes[name], regular[name]
-
-    for name in instantiation_order(design)[0]:
-        module = design.modules[name]
-        rw = ModuleRewriter(module)
-        spliced: dict[ValueRef, ValueRef] = {}
-        for op_id, op in enumerate(module.operations):
-            if op.kind != "instance":
-                continue
-            if op.module not in sessions:
-                log.append(InlineDecision(name, op.name, op.module,
-                                          False, -1, "unresolved callee"))
-                continue
-            body, size, is_regular = measure(op.module)
-            if not is_regular:
-                log.append(InlineDecision(name, op.name, op.module,
-                                          False, size, "not regular"))
-                continue
-            if size >= policy.threshold:
-                log.append(InlineDecision(
-                    name, op.name, op.module, False, size,
-                    f"size {size} >= threshold {policy.threshold}",
-                ))
-                continue
-            _splice(rw, op_id, sessions[op.module], body, spliced)
-            log.append(InlineDecision(
-                name, op.name, op.module, True, size,
-                f"size {size} < threshold {policy.threshold}",
-            ))
-        if spliced:
-            rw.replace_uses(spliced)
-            received.add(name)
-        sessions[name] = rw
-
-    return [sessions[name] for name in design.modules], log
+    spliced: dict[ValueRef, ValueRef] = {}
+    for op_id, (callee, readers) in sites.items():
+        _splice(rw, op_id, callee, readers, spliced)
+    if spliced:
+        rw.replace_uses(spliced)
+    return rw, log

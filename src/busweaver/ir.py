@@ -520,7 +520,7 @@ def verify_module(
                         total += ref.width
                     ok = total == w  # so there are operands, as w >= 1
                 elif kind == "input":
-                    ok = in_widths.get(op.port) == w
+                    ok = not refs and in_widths.get(op.port) == w
                 elif kind == "const":
                     # a negative value shifts to -1, never to 0
                     ok = not refs and not op.value >> w
@@ -595,6 +595,8 @@ def _op_violations(
         if not 0 <= op.value < (1 << op.width):
             errs.append(f"{mod}: %{i}: const value {op.value} out of range")
     elif kind == "input":
+        if op.operands:
+            errs.append(f"{mod}: %{i}: input takes no operands")
         p = ports.get(op.port)
         if p is None or p.direction != "input":
             errs.append(f"{mod}: %{i}: no input port named {op.port!r}")
@@ -673,9 +675,11 @@ def _op_violations(
     return errs
 
 
-def verify(design: HwDesign) -> list[str]:
+def verify(design: HwDesign, order: list[str] | None = None) -> list[str]:
     """Verify every module plus design-level invariants.  Returns the
-    full violation list; an empty list means the design is well formed."""
+    full violation list; an empty list means the design is well formed.
+    A given ``order`` receives the module names callees first, the
+    first result of :func:`instantiation_order`, from the same walk."""
     errs: list[str] = []
     if design.top and design.top not in design.modules:
         errs.append(f"top module {design.top!r} not defined")
@@ -683,8 +687,10 @@ def verify(design: HwDesign) -> list[str]:
         if module.name != name:
             errs.append(f"module key {name!r} != module name {module.name!r}")
         errs.extend(verify_module(module, design))
-    errs.extend(instantiation_order(design)[1])
-    return errs
+    names, cycles = instantiation_order(design)
+    if order is not None:
+        order += names
+    return errs + cycles
 
 
 def instantiation_order(design: HwDesign) -> tuple[list[str], list[str]]:

@@ -23,16 +23,17 @@ Analysis is per sink, not per window: each bit is routed once to its
 root and its cone built once from that root, and one downward scan per
 ``i`` finds the chunk.
 
-Every sink of a module is planned and rewritten in one
-:class:`~busweaver.rewrite.ModuleRewriter` session, the one the inliner
-spliced the module's inlined sites in, so a later sink sees the
-inlined bodies and the earlier sinks' redirections.  The session then
-folds the module's hand-written reduction chains
-(:func:`~busweaver.reductions.fold_reductions`), and its finish is the
-module's one compaction.  The rewriter value-numbers routing
-operations, so a plan that reconstructs exactly the existing operations
-returns the sink's own value: the sink is unchanged, and re-running the
-pipeline on its own output reports zero rewrites.
+:func:`run_pipeline` is one module loop, callees first, with one
+:class:`~busweaver.rewrite.ModuleRewriter` session per module: the
+inliner splices in the sites of finished callees, every sink is planned
+and rewritten (a later sink sees the inlined bodies and the earlier
+sinks' redirections), the reduction chains are folded
+(:func:`~busweaver.reductions.fold_reductions`), and the session's
+finish compacts the module once, before any caller sizes or copies it.
+The rewriter value-numbers routing operations, so a plan that
+reconstructs exactly the existing operations returns the sink's own
+value: the sink is unchanged, and re-running the pipeline on its own
+output reports zero rewrites.
 """
 
 from __future__ import annotations
@@ -47,10 +48,15 @@ from busweaver.cones import (
     plan_vector_expr,
     select_slots,
 )
-from busweaver.inliner import InlineDecision, InlinePolicy, selective_inline
+from busweaver.inliner import (
+    InlineDecision,
+    InlinePolicy,
+    finished_module,
+    selective_inline,
+)
 from busweaver.ir import (
+    REDUCE_KINDS,
     HwDesign,
-    HwModule,
     Operation,
     ValueRef,
     count_instructions,
@@ -356,15 +362,17 @@ def run_pipeline(
     policy: InlinePolicy | None = None,
     counters: PassCounters | None = None,
 ) -> tuple[HwDesign, PipelineReport]:
-    """Verify, selectively inline, then vectorize every multi-bit sink
-    of every module and fold its reduction trees, each module in the
-    session the inliner opened for it, finished once.
+    """Verify, then finish every module bottom-up, callees first: inline
+    the sites of its finished callees, vectorize every multi-bit sink,
+    fold its reduction trees and compact it, all in one session.
 
     Raises :class:`VectorizationError` when the input design does not
     verify.  Every bit has a cone, and a bit that forms no chunk simply
-    stays scalar.
+    stays scalar.  The report lists the sinks in design order and the
+    inline decisions callees first.
     """
-    violations = verify(design)
+    order: list[str] = []  # callees first, from verify's walk
+    violations = verify(design, order)
     if violations:
         raise VectorizationError(violations)
 
@@ -373,14 +381,12 @@ def run_pipeline(
         count_instructions(m) for m in design.modules.values()
     )
 
-    sessions, report.inline_log = selective_inline(design, policy)
-    inlined_modules = {
-        d.caller for d in report.inline_log if d.inlined
-    }
-
-    result: dict[str, HwModule] = {}
-    for rw in sessions:
-        name = rw.name
+    finished, sinks = {}, {}  # per module: its FinishedModule, its sinks
+    for name in order:
+        rw, decisions = selective_inline(design.modules[name], finished,
+                                         policy)
+        report.inline_log += decisions
+        results = sinks[name] = []
         for sink in _sink_refs(rw):
             ref = rw.outputs.get(sink)
             if ref is None and rw.is_live(rw.wires[sink]):
@@ -389,20 +395,29 @@ def run_pipeline(
                 continue
             chunks, changed = vectorize_output(rw, ref, report.counters)
             category = _categorize(chunks) if changed else None
-            report.sinks.append(
+            results.append(
                 SinkResult(name, sink, ref.width, chunks, changed, category)
             )
-        report.sinks += [
+        mark = len(rw.operations)  # the fold appends what it builds
+        folds = fold_reductions(rw)
+        results += [
             SinkResult(name, sink, 1, [Chunk(0, 0, "reduction")], True,
                        "reduction")
-            for sink in fold_reductions(rw)
+            for sink in folds
         ]
-        result[name] = rw.finish()
+        # the reductions the fold built keep a module regular, the ones
+        # the session held before it do not (the fold keeps their kind)
+        folded = bool(folds) and not any(
+            op.kind in REDUCE_KINDS for op in rw.operations[:mark])
+        finished[name] = finished_module(rw.finish(), finished, folded)
 
-    out = HwDesign(result, design.top)
+    report.sinks = [s for name in design.modules for s in sinks[name]]
+    out = HwDesign({name: finished[name].module for name in design.modules},
+                   design.top)
     report.instructions_after = sum(
         count_instructions(m) for m in out.modules.values()
     )
+    inlined_modules = {d.caller for d in report.inline_log if d.inlined}
     report.inlining_assisted = [
         s for s in report.rewrites if s.module in inlined_modules
     ]

@@ -1,18 +1,18 @@
 """Rewrite sessions: a builder over an existing module, use replacement
 through a use index, and dead-code compaction.
 
-The inliner opens one :class:`ModuleRewriter` per module and the
-pipeline makes every later edit of that module in the same session:
-both build replacement expressions (new operations are appended and
-value-numbered against the existing ones) and redirect old values to
-new ones with :meth:`ModuleRewriter.replace_uses`; the pipeline then
-calls :meth:`ModuleRewriter.finish` once to drop whatever became
-unreachable, inlined instances included.  The session never mutates an
-input operation: an operation whose operands are redirected is
-replaced, in its slot, by a new one.  Because the builder
-value-numbers routing operations, a rewrite that reconstructs exactly
-what is already there returns the old value itself, which is how the
-pipeline tells a real rewrite from a no-op.
+The pipeline edits each module in one :class:`ModuleRewriter` session,
+which the inliner opens and the sink planner and reduction fold carry
+on: each builds replacement expressions (new operations are appended
+and value-numbered against the existing ones) and redirects old values
+with :meth:`ModuleRewriter.replace_uses`; one call of
+:meth:`ModuleRewriter.finish` then drops whatever became unreachable,
+inlined instances included, before any caller copies the module.  The
+session never mutates an input operation: an operation whose operands
+are redirected is replaced, in its slot, by a new one.  Because the
+builder value-numbers routing operations, a rewrite that reconstructs
+exactly what is already there returns the old value itself, which is
+how the pipeline tells a real rewrite from a no-op.
 """
 
 from __future__ import annotations

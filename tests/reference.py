@@ -1524,6 +1524,8 @@ def verify_module(
                 errs.append(
                     f"{mod}: %{i}: const value {op.value} out of range")
         elif kind == "input":
+            if op.operands:
+                errs.append(f"{mod}: %{i}: input takes no operands")
             p = ports.get(op.port)
             if p is None or p.direction != "input":
                 errs.append(f"{mod}: %{i}: no input port named {op.port!r}")

@@ -6,6 +6,8 @@ from busweaver.cones import backward_cone, select_slots
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import ripple_carry_design
+from busweaver.inliner import finished_module, selective_inline
+from busweaver.ir import instantiation_order
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
 from busweaver.rewrite import ModuleRewriter
@@ -16,7 +18,6 @@ from reference import (
     serialize,
     slot_positions,
 )
-from hierarchies import inline
 from test_pipeline import _LEAF_VALUE_CASES, _generator_corpus, _random_sink
 
 
@@ -312,6 +313,16 @@ def _random_mux_sink(rng, width, depth):
     ])
 
 
+def _inlined(design):
+    """The modules of ``design`` with every site inlined bottom-up, each
+    callee copied as inlined, not vectorized."""
+    finished = {}
+    for name in instantiation_order(design)[0]:
+        rw, _ = selective_inline(design.modules[name], finished)
+        finished[name] = finished_module(rw.finish(), finished)
+    return [finished[name].module for name in design.modules]
+
+
 def _differential_cones(golden_dir):
     """Every cone of every multi-bit sink of a corpus of generator
     designs, goldens, designs of logic around reductions, instances and
@@ -327,8 +338,7 @@ def _differential_cones(golden_dir):
     ]
     for src in sources:
         design = parse_design(src)
-        inlined, _ = inline(design)
-        for module in [*design.modules.values(), *inlined.modules.values()]:
+        for module in [*design.modules.values(), *_inlined(design)]:
             for ref in [*module.outputs.values(), *module.wires.values()]:
                 if ref.width < 2:
                     continue

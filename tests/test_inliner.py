@@ -6,6 +6,7 @@ from busweaver.frontend import parse_design
 from busweaver.inliner import (
     InlineDecision,
     InlinePolicy,
+    finished_module,
     regularity_analysis,
     selective_inline,
     size_analysis,
@@ -13,7 +14,11 @@ from busweaver.inliner import (
 from busweaver.ir import REDUCE_KINDS, HwDesign, HwModule, ModuleBuilder, Port
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
-from hierarchies import inline
+
+
+def _log(design, policy=None):
+    return run_pipeline(design, policy)[1].inline_log
+
 
 BUF_TOP = (
     "module my_buf(input a, output b);\n"
@@ -34,7 +39,7 @@ def test_regularity_accepts_logic_and_arithmetic():
         "  assign y = (a + b) - (a & b);\n"
         "endmodule"
     )
-    assert regularity_analysis(d.top_module.operations)
+    assert regularity_analysis(d.top_module.operations, {})
 
 
 def test_regularity_rejects_reductions():
@@ -43,7 +48,7 @@ def test_regularity_rejects_reductions():
         "  assign y = ^a;\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.top_module.operations)
+    assert not regularity_analysis(d.top_module.operations, {})
 
 
 def test_regularity_descends_into_callees():
@@ -55,22 +60,23 @@ def test_regularity_descends_into_callees():
         "  bad u(.x(a), .z(y));\n"
         "endmodule"
     )
-    regular = {"bad": regularity_analysis(d.modules["bad"].operations)}
-    assert regular == {"bad": False}
-    assert not regularity_analysis(d.modules["m"].operations, regular)
-    _, log = selective_inline(d)
-    assert [(dec.callee, dec.reason) for dec in log] == [
+    assert not regularity_analysis(d.modules["bad"].operations, {})
+    finished = {"bad": finished_module(d.modules["bad"], {})}
+    assert not finished["bad"].regular
+    assert not regularity_analysis(d.modules["m"].operations, finished)
+    assert [(dec.callee, dec.reason) for dec in _log(d)] == [
         ("bad", "not regular")
     ]
 
 
 def test_size_includes_instantiated_bodies():
     d = parse_design(BUF_TOP)
-    assert size_analysis(d.modules["my_buf"].operations) == 0
+    assert size_analysis(d.modules["my_buf"].operations, {}) == 0
+    finished = {"my_buf": finished_module(d.modules["my_buf"], {})}
+    assert finished["my_buf"].size == 0
     # top4 itself: four selects and one repack
-    assert size_analysis(d.modules["top4"].operations, {"my_buf": 0}) == 5
-    _, log = selective_inline(d)
-    assert [dec.callee_size for dec in log] == [0, 0, 0, 0]
+    assert size_analysis(d.modules["top4"].operations, finished) == 5
+    assert [dec.callee_size for dec in _log(d)] == [0, 0, 0, 0]
 
 
 def test_size_counts_nested_chains():
@@ -83,11 +89,12 @@ def test_size_counts_nested_chains():
         "  chain u1(.a(in[1]), .y(out[1]));\n"
         "endmodule"
     )
-    assert size_analysis(d.modules["chain"].operations) == 3
+    assert size_analysis(d.modules["chain"].operations, {}) == 3
+    finished = {"chain": finished_module(d.modules["chain"], {})}
+    assert finished["chain"].size == 3
     # two chain bodies plus m's own two selects and repack
-    assert size_analysis(d.modules["m"].operations, {"chain": 3}) == 2 * 3 + 3
-    _, log = selective_inline(d)
-    assert [dec.callee_size for dec in log] == [3, 3]
+    assert size_analysis(d.modules["m"].operations, finished) == 2 * 3 + 3
+    assert [dec.callee_size for dec in _log(d)] == [3, 3]
 
 
 def test_inlining_is_applied_bottom_up():
@@ -105,7 +112,8 @@ def test_inlining_is_applied_bottom_up():
         "  mid m1(.a(in[1]), .y(out[1]));\n"
         "endmodule"
     )
-    out, log = inline(d)
+    out, report = run_pipeline(d)
+    log = report.inline_log
     assert all(dec.inlined for dec in log)
     # mid is measured after leaf's body replaced its instance
     assert [(dec.callee, dec.callee_size) for dec in log] == [
@@ -130,13 +138,13 @@ def test_threshold_is_strict():
         "endmodule"
     )
     d = parse_design(src)
-    assert size_analysis(d.modules["chain"].operations) == 4
+    assert size_analysis(d.modules["chain"].operations, {}) == 4
 
-    _, log = selective_inline(d, InlinePolicy(threshold=4))
+    log = _log(d, InlinePolicy(threshold=4))
     assert all(not dec.inlined for dec in log)
     assert all("4 >= threshold 4" in dec.reason for dec in log)
 
-    _, log = selective_inline(d, InlinePolicy(threshold=5))
+    log = _log(d, InlinePolicy(threshold=5))
     assert all(dec.inlined for dec in log)
     assert all("4 < threshold 5" in dec.reason for dec in log)
 
@@ -151,7 +159,8 @@ def test_irregular_callee_is_kept():
         "  red u1(.x(in[3:2]), .z(out[1]));\n"
         "endmodule"
     )
-    out, log = inline(d)
+    out, report = run_pipeline(d)
+    log = report.inline_log
     assert all(not dec.inlined for dec in log)
     assert all(dec.reason == "not regular" for dec in log)
     assert any(
@@ -161,19 +170,19 @@ def test_irregular_callee_is_kept():
 
 def test_disabled_policy_changes_nothing():
     d = parse_design(BUF_TOP)
-    sessions, log = selective_inline(d, InlinePolicy(enabled=False))
-    assert log == []
-    # one session per module, in design order, holding it as given
-    assert [
-        HwModule(rw.name, rw.ports, rw.operations, rw.outputs, rw.wires)
-        for rw in sessions
-    ] == list(d.modules.values())
+    # each module's session holds it as given
+    for module in d.modules.values():
+        rw, log = selective_inline(module, {}, InlinePolicy(enabled=False))
+        assert log == []
+        assert HwModule(rw.name, rw.ports, rw.operations, rw.outputs,
+                        rw.wires) == module
+    assert _log(d, InlinePolicy(enabled=False)) == []
 
 
 def test_inlined_buffers_preserve_behavior():
     d = parse_design(BUF_TOP)
-    out, log = inline(d)
-    assert sum(dec.inlined for dec in log) == 4
+    out, report = run_pipeline(d)
+    assert sum(dec.inlined for dec in report.inline_log) == 4
     assert all(
         op.kind != "instance"
         for op in out.modules["top4"].operations
@@ -182,16 +191,13 @@ def test_inlined_buffers_preserve_behavior():
     assert v.status == "equivalent-exhaustive"
 
 
-def test_site_fed_by_an_inlined_site_reads_its_body():
-    # u1 reads u0's output; every site is spliced before any use is
-    # redirected, so u1's body must already see u0's constant and fold
-    # its selects of it
-    d = parse_design(
+def _fed_site(j_body):
+    return parse_design(
         "module k(input [1:0] x, output [1:0] y);\n"
         "  assign y = 2'b10;\n"
         "endmodule\n"
         "module j(input [1:0] x, output z);\n"
-        "  assign z = x[0] ^ x[1];\n"
+        f"  assign z = {j_body};\n"
         "endmodule\n"
         "module top(input [1:0] a, output z);\n"
         "  wire [1:0] n;\n"
@@ -199,8 +205,15 @@ def test_site_fed_by_an_inlined_site_reads_its_body():
         "  j u1(.x(n), .z(z));\n"
         "endmodule"
     )
-    out, log = inline(d)
-    assert [e.inlined for e in log] == [True, True]
+
+
+def test_site_fed_by_an_inlined_site_reads_its_body():
+    # u1 reads u0's output; every site is spliced before any use is
+    # redirected, so u1's body must already see u0's constant and fold
+    # its selects of it
+    d = _fed_site("x[0] ^ x[1]")
+    out, report = run_pipeline(d)
+    assert [e.inlined for e in report.inline_log] == [True, True]
     assert emit_design(out).endswith(
         "module top(input [1:0] a, output z);\n"
         "  assign z = 1'b0 ^ 1'b1;\n"
@@ -208,6 +221,116 @@ def test_site_fed_by_an_inlined_site_reads_its_body():
     )
     result = check_design_equivalence(d, out)["top"]
     assert result.status == "equivalent-exhaustive"
+
+
+def _lanes(j_body, width=2, lanes=4):
+    # one site of j per lane; site k reads bit k of b as x[0] and bits
+    # k, k + lanes, ... of a above it
+    sites = "".join(
+        f"  j u{k}(.x({{"
+        + "".join(f"a[{lanes * w + k}], "
+                  for w in reversed(range(width - 1)))
+        + f"b[{k}]}}), .z(y[{k}]));\n"
+        for k in range(lanes)
+    )
+    return parse_design(
+        f"module j(input [{width - 1}:0] x, output z);\n"
+        f"  assign z = {j_body};\n"
+        "endmodule\n"
+        f"module top(input [{lanes * (width - 1) - 1}:0] a,"
+        f" input [{lanes - 1}:0] b, output [{lanes - 1}:0] y);\n"
+        + sites + "endmodule\n"
+    )
+
+
+def test_a_callee_folded_to_a_reduction_is_inlined_as_its_chain():
+    # j's chain folds to ^x when j is finished; that reduction keeps j
+    # regular, and each site copies it back as x[0] ^ x[1], so the four
+    # lanes vectorize as they do when j is copied as written
+    d = _lanes("x[0] ^ x[1]")
+    out, report = run_pipeline(d)
+    assert [(e.inlined, e.callee_size) for e in report.inline_log] \
+        == [(True, 1)] * 4
+    text = emit_design(out)
+    assert "  assign z = ^x;\n" in text
+    assert "  assign y = b ^ a;\n" in text
+    assert (report.instructions_before, report.instructions_after) == (16, 2)
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+
+
+# Chains that j's fold turns into a reduction of a slice (^x[2:1]) or
+# of a masked x (|(x & 4'd13), ^(x & 5'd21), &(x | 5'd8)).
+_FOLDED_CHAINS = {
+    "slice": ("x[1] ^ x[2]", 3),
+    "or mask": ("x[0] | x[2] | x[3]", 4),
+    "xor mask": ("x[0] ^ x[2] ^ x[4]", 5),
+    "and mask": ("x[0] & x[2] & x[4] & x[1]", 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_FOLDED_CHAINS))
+def test_each_folded_reduction_is_spliced_as_its_chain(name, monkeypatch):
+    body, width = _FOLDED_CHAINS[name]
+    d = _lanes(body, width, lanes=2)
+    copied = []
+    chain = inliner._chain
+
+    def spy(rw, op, ops, values):
+        copied.append(op.kind)
+        return chain(rw, op, ops, values)
+
+    monkeypatch.setattr(inliner, "_chain", spy)
+    out, report = run_pipeline(d)
+    assert all(e.inlined for e in report.inline_log)
+    assert copied and all(kind in REDUCE_KINDS for kind in copied)
+    # the lanes vectorize: no instance, and one op per term of the chain
+    top = out.modules["top"].operations
+    assert not any(op.kind == "instance" for op in top)
+    assert sum(op.kind in ("and", "or", "xor") for op in top) \
+        == body.count("x[") - 1
+    text = emit_design(out)
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+
+
+def test_a_written_reduction_keeps_a_callee_irregular():
+    # j folds its chain, but it also holds a reduction written as one,
+    # so j stays irregular and its sites stay instances
+    d = _lanes("(x[0] ^ x[1]) & (|x)")
+    out, report = run_pipeline(d)
+    assert [(e.inlined, e.reason) for e in report.inline_log] \
+        == [(False, "not regular")] * 4
+    text = emit_design(out)
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+
+
+def test_a_reduction_left_dead_by_inlining_keeps_a_callee_regular():
+    # m's ^a feeds a port that ign never reads, so once ign is inlined
+    # the finished m holds no reduction and its sites are inlined too
+    d = parse_design(
+        "module ign(input x, input c, output z);\n"
+        "  assign z = ~c;\n"
+        "endmodule\n"
+        "module m(input [1:0] a, input c, output z);\n"
+        "  ign u(.x(^a), .c(c), .z(z));\n"
+        "endmodule\n"
+        "module top(input [1:0] a, input [1:0] c, output [1:0] y);\n"
+        "  m u0(.a(a), .c(c[0]), .z(y[0]));\n"
+        "  m u1(.a(a), .c(c[1]), .z(y[1]));\n"
+        "endmodule\n"
+    )
+    out, report = run_pipeline(d)
+    assert [(e.callee, e.inlined) for e in report.inline_log] == [
+        ("ign", True), ("m", True), ("m", True)
+    ]
+    text = emit_design(out)
+    assert "  assign y = ~c;\n" in text
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
 
 
 # A callee body per routing kind the splice rebuilds, each around logic
@@ -230,9 +353,11 @@ def test_spliced_sites_copy_logic_and_share_routing(name):
                   f" .y(y[{3 * k + 2}:{3 * k}]));\n" for k in range(4))
         + "endmodule\n"
     )
-    out, log = inline(d)
+    # the per-module step alone, with cell finished as parsed
+    finished = {"cell": finished_module(d.modules["cell"], {})}
+    rw, log = selective_inline(d.modules["top"], finished)
     assert [e.inlined for e in log] == [True] * 4
-    cell, top = d.modules["cell"].operations, out.modules["top"].operations
+    cell, top = d.modules["cell"].operations, rw.finish().operations
     # each site has logic of its own; constants and the slices of a,
     # which every site reads, are built once
     for kind in ("and", "xor", "not", "mux", "const"):
@@ -260,12 +385,11 @@ def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
     spliced = []
     splice = inliner._splice
 
-    def checked(rw, op_id, callee, body, done):
-        assert all(callee.operations[i].kind != "instance"
-                   and callee.operations[i].kind not in REDUCE_KINDS
-                   for i in body)
+    def checked(rw, op_id, callee, readers, done):
+        assert all(op.kind != "instance" and op.kind not in REDUCE_KINDS
+                   for op in callee.operations)
         spliced.append(callee.name)
-        splice(rw, op_id, callee, body, done)
+        splice(rw, op_id, callee, readers, done)
 
     monkeypatch.setattr(inliner, "_splice", checked)
     wrap = (
@@ -284,7 +408,7 @@ def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
         "  assign y = ^{a, a};\n"
         "endmodule\n" + wrap
     )
-    _, log = selective_inline(irregular)
+    log = _log(irregular)
     assert [(e.callee, e.inlined, e.reason) for e in log] == [
         ("inner", False, "not regular"),
         ("wrap", False, "not regular"),
@@ -295,14 +419,14 @@ def test_a_callee_keeping_an_instance_is_never_spliced(monkeypatch):
         "  assign y = ~~~~a;\n"
         "endmodule\n" + wrap
     )
-    _, log = selective_inline(at_threshold, InlinePolicy(threshold=4))
+    log = _log(at_threshold, InlinePolicy(threshold=4))
     assert [(e.callee, e.inlined, e.reason) for e in log] == [
         ("inner", False, "size 4 >= threshold 4"),
         ("wrap", False, "size 5 >= threshold 4"),
         ("wrap", False, "size 5 >= threshold 4"),
     ]
     # one size up, both levels splice
-    _, log = selective_inline(at_threshold, InlinePolicy(threshold=6))
+    log = _log(at_threshold, InlinePolicy(threshold=6))
     assert all(e.inlined for e in log)
     assert spliced == ["inner", "wrap", "wrap"]
 
@@ -312,7 +436,61 @@ def test_an_unresolved_callee_stays_an_instance():
     b = ModuleBuilder("top", [Port("a", "input", 1), Port("y", "output", 1)])
     y = b.instance("ghost", "u", [b.input_ref("a", 1)], ("x",), (("z", 1),))
     design = HwDesign({"top": b.finish({"y": y}, {})}, "top")
-    (rw,), log = selective_inline(design)
+    rw, log = selective_inline(design.top_module, {})
     assert log == [InlineDecision("top", "u", "ghost", False, -1,
                                   "unresolved callee")]
     assert rw.finish() == design.top_module
+
+
+def test_a_read_of_one_output_port_reads_the_port_value():
+    # dup's two outputs are both a; u0's y is read alone, so the read
+    # is of the spliced value of y, not of a slice of the two outputs
+    # packed, which a re-run would rewrite into {2{p[0]}}
+    d = parse_design(
+        "module dup(input a, output y, output z);\n"
+        "  assign y = a & a;\n"
+        "  assign z = a;\n"
+        "endmodule\n"
+        "module top(input [1:0] p, input q, output o);\n"
+        "  wire t, unread;\n"
+        "  dup u0(.a(p[0]), .y(t), .z(unread));\n"
+        "  assign o = t ^ q;\n"
+        "endmodule\n"
+    )
+    out, report = run_pipeline(d)
+    assert [e.inlined for e in report.inline_log] == [True]
+    text = emit_design(out)
+    assert text.split("endmodule")[1].strip().endswith(
+        ");\n  assign o = p[0] ^ q;")
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+
+
+def test_a_read_across_output_ports_reads_them_packed():
+    # only a design built through the API reads bits of two ports in
+    # one slice: o keeps reading y and z packed, q reads v itself
+    cell = parse_design(
+        "module cell(input a, input b, output y, output z, output v);\n"
+        "  assign y = a & b;\n"
+        "  assign z = a | b;\n"
+        "  assign v = ~a;\n"
+        "endmodule\n"
+    ).top_module
+    top = ModuleBuilder("top", [Port("p", "input", 2), Port("o", "output", 2),
+                                Port("q", "output", 1)])
+    p = top.input_ref("p", 2)
+    site = top.instance("cell", "u", [top.extract(p, 0, 1),
+                                      top.extract(p, 1, 1)],
+                        ("a", "b"), (("y", 1), ("z", 1), ("v", 1)))
+    design = HwDesign({"cell": cell, "top": top.finish(
+        {"o": top.extract(site, 0, 2), "q": top.extract(site, 2, 1)}, {})},
+        "top")
+    out, report = run_pipeline(design)
+    assert [e.inlined for e in report.inline_log] == [True]
+    ops = out.modules["top"].operations
+    assert all(op.kind != "instance" for op in ops)
+    q = out.modules["top"].outputs["q"]
+    assert ops[q.op].kind == "not"
+    for verdict in check_design_equivalence(design, out).values():
+        assert verdict.status == "equivalent-exhaustive"

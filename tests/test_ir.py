@@ -152,9 +152,14 @@ def test_instantiation_cycles_are_the_cycle_messages_of_verify():
     _, cycles = instantiation_order(d)
     assert cycles == ["instantiation cycle: p -> q -> p"]
     assert [p for p in verify(d) if "cycle" in p] == cycles
+    order = []
+    assert verify(d, order) == verify(d)
+    assert order == instantiation_order(d)[0]
     leaf = ModuleBuilder("q", _ports(("a", "input", 1), ("y", "output", 1)))
     d.modules["q"] = leaf.finish({"y": leaf.input_ref("a", 1)}, {})
     assert instantiation_order(d) == (["q", "p", "r"], [])
+    order = []
+    assert verify(d, order) == [] and order == ["q", "p", "r"]
 
 
 def test_simulate_routing_and_logic():
@@ -362,6 +367,8 @@ _VIOLATIONS = {
                        "m: %12: const takes no operands"),
     "const-value": (_append(Operation("const", 2, value=4)),
                     "m: %12: const value 4 out of range"),
+    "input-operands": (_append(Operation("input", 4, [_R(0, 4)], port="a")),
+                       "m: %12: input takes no operands"),
     "input-port": (_append(Operation("input", 1, port="zz")),
                    "m: %12: no input port named 'zz'"),
     "input-width": (_append(Operation("input", 2, port="a")),
@@ -605,6 +612,24 @@ def test_verify_rejects_instance_ports_that_are_not_the_callee_s(
                          out_ports=out_ports)
     assert verify(design) == [f"top: %{oid}: instance u: {message}"]
     with pytest.raises(VectorizationError):
+        run_pipeline(design)
+
+
+def test_verify_rejects_an_input_with_operands():
+    # the pipeline would keep the operand alive and count an
+    # instruction that the emitted text, which writes z = b, drops
+    m = HwModule(
+        "m",
+        _ports(("a", "input", 2), ("b", "input", 1), ("z", "output", 1)),
+        [Operation("input", 2, port="a"),
+         Operation("not", 2, [_R(0, 2)]),
+         Operation("input", 1, [_R(1, 2)], port="b")],
+        {"z": _R(2, 1)}, {},
+    )
+    design = HwDesign({"m": m}, "m")
+    assert verify(design) == ["m: %2: input takes no operands"]
+    assert reference.verify(design) == verify(design)
+    with pytest.raises(VectorizationError, match="input takes no operands"):
         run_pipeline(design)
 
 

@@ -169,8 +169,8 @@ def test_off_zero_window_is_one_permutation_chunk(case):
 
 def test_dead_operations_count_as_written():
     # parse_design leaves no dead operations, but a design built through
-    # the API may: they count before, the inliner sizes the callee as
-    # given, and the module's one compaction drops them
+    # the API may: they count before, and the callee's one compaction
+    # drops them before any site sizes or copies it
     cell = ModuleBuilder("cell", [Port("x", "input", 1),
                                   Port("z", "output", 1)])
     x = cell.input_ref("x", 1)
@@ -190,7 +190,7 @@ def test_dead_operations_count_as_written():
     assert count_instructions(cell_module) == 2
     assert report.instructions_before == sum(
         count_instructions(m) for m in design.modules.values())
-    assert [d.callee_size for d in report.inline_log] == [2, 2]
+    assert [d.callee_size for d in report.inline_log] == [1, 1]
     assert count_instructions(out.modules["cell"]) == 1
     assert emit_design(out).split("endmodule")[1].strip() == (
         "module top(input [1:0] a, output [1:0] y);\n  assign y = ~a;"
@@ -198,9 +198,10 @@ def test_dead_operations_count_as_written():
 
 
 def test_a_callee_that_received_sites_is_copied_as_it_compacts():
-    # mid's own dead operation and the cell site it inlined are gone
-    # from the body that top's sites size and copy; cell, which
-    # received no site, is sized as given
+    # every callee is sized and copied as it compacts: cell's dead
+    # operation is gone from the body that mid's site sizes and copies,
+    # and mid's own and the cell site it inlined from the body that
+    # top's sites do
     cell = ModuleBuilder("cell", [Port("x", "input", 1),
                                   Port("z", "output", 1)])
     x = cell.input_ref("x", 1)
@@ -225,10 +226,11 @@ def test_a_callee_that_received_sites_is_copied_as_it_compacts():
     out, report = run_pipeline(design)
     assert [(d.callee, d.inlined, d.callee_size)
             for d in report.inline_log] == [
-        ("cell", True, 2), ("mid", True, 2), ("mid", True, 2)
+        ("cell", True, 1), ("mid", True, 2), ("mid", True, 2)
     ]
-    assert sum(op.kind in ("and", "or") for op in
-               out.modules["top"].operations) == 0
+    for name in ("mid", "top"):
+        assert sum(op.kind in ("and", "or") for op in
+                   out.modules[name].operations) == 0
     for verdict in check_design_equivalence(design, out).values():
         assert verdict.status == "equivalent-exhaustive"
 
@@ -814,10 +816,9 @@ def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
 
 
 @pytest.mark.parametrize("policy", list(hierarchies.POLICIES))
-def test_random_hierarchies_match_the_two_step_flow(policy):
-    # verified clean, equivalent, counted as the text parses, and the
-    # bytes of inlining, finishing every module, then vectorizing with
-    # inlining off (the fixpoint is left to `python tests/hierarchies.py`)
+def test_random_hierarchies_are_fixpoints(policy):
+    # verified clean, equivalent, counted as the text parses, and a
+    # re-run on the text gives the same bytes
     failures = [message for seed in range(100)
                 for message in hierarchies.check(seed, policy)]
     assert failures == []

@@ -9,13 +9,18 @@ import pytest
 
 from busweaver import emit_design, inliner, parse_design, run_pipeline
 from busweaver.emitter import emit_module
-from busweaver.inliner import InlinePolicy, selective_inline
-from busweaver.ir import HwDesign, HwModule, ValueRef, count_instructions
+from busweaver.inliner import finished_module, selective_inline
+from busweaver.ir import (
+    HwDesign,
+    HwModule,
+    ValueRef,
+    count_instructions,
+    instantiation_order,
+)
 from busweaver.pipeline import Chunk, vectorize_output
 from busweaver.reductions import fold_reductions
 from busweaver import rewrite
 from busweaver.rewrite import ModuleRewriter
-from hierarchies import inline
 
 _CELL = (
     "module cell(input x, input y, output z);\n"
@@ -25,14 +30,17 @@ _CELL = (
 
 
 def _per_sink_pipeline(design):
-    """The flow before sessions spanned a module: a fresh session per
-    sink, finished at once, and the next sink read from the compacted
-    result (a wire orphaned by an earlier sink is gone from it); then
-    the reduction fold, in a session of its own."""
-    inlined, _ = inline(design, InlinePolicy())
-    modules, sinks = {}, []
-    for name, module in inlined.modules.items():
-        current = module
+    """The flow before sessions spanned a module, in the pipeline's
+    callee-first module order: the module's sites inlined and the result
+    finished, then a fresh session per sink, finished at once, and the
+    next sink read from the compacted result (a wire orphaned by an
+    earlier sink is gone from it); then the reduction fold, in a session
+    of its own, before any caller copies the module."""
+    finished, sinks = {}, {}
+    for name in instantiation_order(design)[0]:
+        rw, _ = selective_inline(design.modules[name], finished)
+        current = module = rw.finish()
+        found = sinks[name] = []
         names = [p.name for p in module.ports if p.direction == "output"]
         for sink in names + list(module.wires):
             ref = current.outputs.get(sink, current.wires.get(sink))
@@ -41,12 +49,16 @@ def _per_sink_pipeline(design):
             rw = ModuleRewriter(current)
             chunks, changed = vectorize_output(rw, ref)
             current = rw.finish()
-            sinks.append((name, sink, ref.width, chunks, changed))
+            found.append((name, sink, ref.width, chunks, changed))
         rw = ModuleRewriter(current)
-        sinks += [(name, sink, 1, [Chunk(0, 0, "reduction")], True)
+        found += [(name, sink, 1, [Chunk(0, 0, "reduction")], True)
                   for sink in fold_reductions(rw)]
-        modules[name] = rw.finish()
-    return HwDesign(modules, design.top), sinks
+        finished[name] = finished_module(rw.finish(), finished)
+    return (
+        HwDesign({name: finished[name].module for name in design.modules},
+                 design.top),
+        [sink for name in design.modules for sink in sinks[name]],
+    )
 
 
 def _random_design(rng):
@@ -272,8 +284,6 @@ def test_is_live_agrees_with_live_order_after_every_edit(seed):
 def test_inputs_are_never_mutated(seed):
     design = parse_design(_random_design(random.Random(seed)))
     before = copy.deepcopy(design)
-    selective_inline(design)
-    assert design == before
     run_pipeline(design)
     assert design == before
 
