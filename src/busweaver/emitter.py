@@ -19,7 +19,7 @@ that nothing reads and a re-run would lose it.
 
 from __future__ import annotations
 
-from busweaver.ir import HwDesign, HwModule, ValueRef
+from busweaver.ir import HwDesign, HwModule, ValueRef, port_slices
 
 # Verilog precedence levels, high binds tight.
 _PREC_TERNARY = 1
@@ -64,12 +64,11 @@ class _ModuleEmitter:
         self.ops = module.operations
         self.names: dict[int, str] = {}  # op id -> canonical name
         self.taken: set[str] = set()
-        self.inst_wires: dict[int, dict[str, str]] = {}  # op -> port -> wire
+        # instance op -> each port read, in port order -> its wire
+        self.inst_wires: dict[int, dict[str, str]] = {}
         # (instance op, port) -> user wire that is exactly that port.
         self.preferred: dict[tuple[int, str], str] = {}
         self.uses = [0] * len(self.ops)
-        self.read_whole: set[int] = set()  # instance ops read whole
-        self.read_spans: dict[int, list[tuple[int, int]]] = {}
         self._plan()
 
     # -- planning ----------------------------------------------------------
@@ -86,63 +85,45 @@ class _ModuleEmitter:
         port of an instance, else None."""
         op = self.ops[ref.op]
         if op.kind == "instance":
-            if len(op.out_ports) == 1:
-                return ref.op, op.out_ports[0][0]
+            inst, low = ref.op, 0
+        elif op.kind == "extract" \
+                and self.ops[op.operands[0].op].kind == "instance":
+            inst, low = op.operands[0].op, op.low
+        else:
             return None
-        if op.kind != "extract":
-            return None
-        base = self.ops[op.operands[0].op]
-        if base.kind != "instance":
-            return None
-        offset = 0
-        for pname, pwidth in base.out_ports:
-            if (op.low, op.width) == (offset, pwidth):
-                return op.operands[0].op, pname
-            offset += pwidth
+        pieces = port_slices(self.ops[inst].out_ports, low, op.width)
+        if len(pieces) == 1 and pieces[0][2] == pieces[0][3]:  # port, whole
+            return inst, pieces[0][0]
         return None
-
-    def _used_out_ports(self, op_id: int) -> list[str]:
-        """Output ports of an instance whose bits are read somewhere."""
-        op = self.ops[op_id]
-        if op_id in self.read_whole:
-            return [p for p, _ in op.out_ports]
-        spans = self.read_spans.get(op_id, ())
-        used: set[str] = set()
-        offset = 0
-        for pname, pwidth in op.out_ports:
-            for low, width in spans:
-                if low < offset + pwidth and offset < low + width:
-                    used.add(pname)
-            offset += pwidth
-        return [p for p, _ in op.out_ports if p in used]
 
     def _plan(self) -> None:
         m = self.m
         self.taken.update(p.name for p in m.ports)
-        instances: set[int] = set()
+        # The output ports each instance's readers read: every port for
+        # an output binding or a reader that is not an extract (a dict
+        # of the out_ports holds their names), the ports its slice
+        # covers for an extract.  A wire binding reads nothing: the text
+        # reads a wire only where an operation or an output reads it.
+        read: dict[int, set[str]] = {}
         for op_id, op in enumerate(self.ops):
             if op.kind == "instance":
                 self.taken.add(op.name)
-                instances.add(op_id)
-
-        # Reads of instance results: whole (an output binding or a
-        # reader that is not an extract) or the (low, width) spans of
-        # extracts.  A wire binding reads nothing: the text reads a
-        # wire only where an operation or an output reads its value.
+                read[op_id] = set()
         for ref in m.outputs.values():
             self.uses[ref.op] += 1
-            if ref.op in instances:
-                self.read_whole.add(ref.op)
+            if ref.op in read:
+                read[ref.op].update(dict(self.ops[ref.op].out_ports))
         for op in self.ops:
             for ref in op.operands:
                 self.uses[ref.op] += 1
-                if ref.op not in instances:
+                if ref.op not in read:
                     continue
+                out_ports = self.ops[ref.op].out_ports
                 if op.kind == "extract":
-                    self.read_spans.setdefault(ref.op, []).append(
-                        (op.low, op.width))
+                    read[ref.op].update([piece[0] for piece in port_slices(
+                        out_ports, op.low, op.width)])
                 else:
-                    self.read_whole.add(ref.op)
+                    read[ref.op].update(dict(out_ports))
 
         # User wire names: the first one on a nameable op names it, and
         # the first one that is exactly an instance output port becomes
@@ -159,16 +140,14 @@ class _ModuleEmitter:
                 continue
             self.taken.add(wname)
 
-        # Instance output wires.
-        for op_id, op in enumerate(self.ops):
-            if op.kind != "instance":
-                continue
-            wires = {}
-            for pname in self._used_out_ports(op_id):
-                wires[pname] = self.preferred.get(
-                    (op_id, pname)
-                ) or self._unique(f"{op.name}_{pname}")
-            self.inst_wires[op_id] = wires
+        # Instance output wires, for the ports that are read.
+        for op_id, ports in read.items():
+            op = self.ops[op_id]
+            self.inst_wires[op_id] = {
+                pname: self.preferred.get((op_id, pname))
+                or self._unique(f"{op.name}_{pname}")
+                for pname, _ in op.out_ports if pname in ports
+            }
 
         # Output port names double as names for their bound values.
         for p in m.ports:
@@ -210,19 +189,12 @@ class _ModuleEmitter:
 
     def _inst_slice_texts(self, op_id: int, low: int, width: int) -> list[str]:
         """Pieces (MSB first) of a slice of an instance result."""
-        op = self.ops[op_id]
         wires = self.inst_wires[op_id]
-        parts: list[str] = []
-        offset = 0
-        for pname, pwidth in op.out_ports:
-            lo = max(low, offset)
-            hi = min(low + width, offset + pwidth)
-            if lo < hi:
-                parts.append(
-                    _slice(wires[pname], lo - offset, hi - lo, pwidth)
-                )
-            offset += pwidth
-        return list(reversed(parts))
+        return [
+            _slice(wires[pname], first, w, pwidth)
+            for pname, first, w, pwidth, _ in reversed(
+                port_slices(self.ops[op_id].out_ports, low, width))
+        ]
 
     def _slice_text(self, ref: ValueRef, low: int, width: int) -> str:
         """Slice of a named/input/instance value as Verilog text."""
@@ -317,15 +289,10 @@ class _ModuleEmitter:
             if name in port_names:
                 continue  # output-bound values are declared by the port
             decls.append((op_id, 0, name, self.ops[op_id].width))
-        for op_id in sorted(self.inst_wires):
-            op = self.ops[op_id]
-            widths = dict(op.out_ports)
-            for pidx, (pname, _) in enumerate(op.out_ports):
-                if pname in self.inst_wires[op_id]:
-                    decls.append(
-                        (op_id, -len(op.out_ports) + pidx,
-                         self.inst_wires[op_id][pname], widths[pname])
-                    )
+        for op_id, wires in self.inst_wires.items():
+            widths = dict(self.ops[op_id].out_ports)
+            decls += [(op_id, k, name, widths[pname])
+                      for k, (pname, name) in enumerate(wires.items())]
         for _, _, name, width in sorted(decls):
             rng = "" if width == 1 else f"[{width - 1}:0] "
             lines.append(f"  wire {rng}{name};")
@@ -337,11 +304,8 @@ class _ModuleEmitter:
                 f".{pname}({self._render(ref, 0)})"
                 for pname, ref in zip(op.in_ports, op.operands)
             ]
-            conns += [
-                f".{pname}({self.inst_wires[op_id][pname]})"
-                for pname, _ in op.out_ports
-                if pname in self.inst_wires[op_id]
-            ]
+            conns += [f".{pname}({wire})"
+                      for pname, wire in self.inst_wires[op_id].items()]
             lines.append(f"  {op.module} {op.name}({', '.join(conns)});")
 
         for op_id in sorted(self.names):

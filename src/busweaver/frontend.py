@@ -44,7 +44,9 @@ from busweaver.ir import (
     ModuleBuilder,
     Port,
     ValueRef,
+    instance_ports,
     instantiation_order,
+    port_slices,
 )
 from busweaver.rewrite import compact_module
 # Unused here; kept importable because perfbench/layers.py wraps it.
@@ -1182,12 +1184,11 @@ class _Elaborator:
             else:
                 idx, portname = payload
                 value = self.materialize_instance(idx)
-                inst_op = self.builder.operations[value.op]
-                offset = 0
-                for pname, pwidth in inst_op.out_ports:
-                    if pname == portname:
-                        break
-                    offset += pwidth
+                out_ports = self.builder.operations[value.op].out_ports
+                offset = next(
+                    start for pname, _, _, _, start
+                    in port_slices(out_ports, 0, value.width)
+                    if pname == portname)
                 parts.append(
                     self.builder.extract(value, offset, high - low + 1)
                 )
@@ -1197,14 +1198,10 @@ class _Elaborator:
         if idx in self.inst_values:
             return self.inst_values[idx]
         inst = self.ast.instances[idx]
-        inputs = self._inputs[idx]
-        operands = [self.build(code) for code in inputs.values()]
-        out_ports = tuple(
-            (p.name, p.width) for p in self.signatures[inst.module]
-            if p.direction == "output"
-        )
+        operands = [self.build(code) for code in self._inputs[idx].values()]
         value = self.builder.instance(
-            inst.module, inst.name, operands, tuple(inputs), out_ports
+            inst.module, inst.name, operands,
+            *instance_ports(self.signatures[inst.module])
         )
         self.inst_values[idx] = value
         return value

@@ -7,7 +7,7 @@ so a site is inlined only when the callee is *regular* (nothing but
 bitwise/arithmetic/mux/routing ops and instances of regular modules)
 and *small* (recursive instruction count strictly below the policy
 threshold).  Regularity is a policy, not a limit of the vectorizer;
-:func:`regularity_analysis` says why reductions break it.
+:func:`finished_module` says why reductions break it.
 
 The pipeline runs one bottom-up module loop, in the callee-first order
 of :func:`busweaver.ir.instantiation_order`, and finishes each module
@@ -24,7 +24,7 @@ back as a chain of its bits, which the caller's lanes can vectorize.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from busweaver.ir import (
     COUNTED_KINDS,
@@ -32,6 +32,7 @@ from busweaver.ir import (
     HwModule,
     Operation,
     ValueRef,
+    port_slices,
     route_bit,
 )
 from busweaver.rewrite import ModuleRewriter
@@ -68,51 +69,40 @@ class FinishedModule(NamedTuple):
     regular: bool
 
 
-def regularity_analysis(
-    operations: Iterable[Operation], finished: dict[str, FinishedModule],
-    folded: bool = False,
-) -> bool:
-    """A module body is regular when every operation is routing,
-    bitwise logic, add/sub, mux, or an instance of a module that
-    ``finished`` marks regular (callees are finished first; an unknown
-    callee is not regular).  Reductions make it irregular: after
-    inlining, each site's reduction is an operation of its own, so
-    per-site lanes read different leaf sources and stay scalar, and
-    inlining would only copy the body.  ``folded`` says that the
-    module's own fold built every reduction in it; those keep it
-    regular, because a site copies each back as a chain of its bits
-    (:func:`_chain`)."""
-    return all(
-        (folded or op.kind not in REDUCE_KINDS)
-        and (op.kind != "instance"
-             or op.module in finished and finished[op.module].regular)
-        for op in operations
-    )
-
-
-def size_analysis(
-    operations: Iterable[Operation], finished: dict[str, FinishedModule]
-) -> int:
-    """Recursive instruction count of a module body: its own computing
-    ops plus the size of every instantiated callee, read from
-    ``finished`` (callees are finished first; an unknown callee counts
-    0)."""
-    return sum(
-        (finished[op.module].size if op.module in finished else 0)
-        if op.kind == "instance" else op.kind in COUNTED_KINDS
-        for op in operations
-    )
-
-
 def finished_module(
     module: HwModule, finished: dict[str, FinishedModule],
     folded: bool = False,
 ) -> FinishedModule:
-    """``module`` with its size and regularity, callees from
-    ``finished``; ``folded`` as :func:`regularity_analysis` takes it."""
-    ops = module.operations
-    return FinishedModule(module, size_analysis(ops, finished),
-                          regularity_analysis(ops, finished, folded))
+    """``module`` with its recursive size and its regularity, from one
+    walk over its operations; each callee's record is read from
+    ``finished`` (callees are finished first).
+
+    The size is the module's own computing ops plus the size of every
+    instantiated callee (an unknown callee counts 0).  The module is
+    regular when every operation is routing, bitwise logic, add/sub,
+    mux, or an instance of a module that ``finished`` marks regular (an
+    unknown callee is not regular).  Reductions make it irregular:
+    after inlining, each site's reduction is an operation of its own,
+    so per-site lanes read different leaf sources and stay scalar, and
+    inlining would only copy the body.  ``folded`` says that the
+    module's own fold built every reduction in it; those keep it
+    regular, because a site copies each back as a chain of its bits
+    (:func:`_chain`)."""
+    size, regular = 0, True
+    for op in module.operations:
+        kind = op.kind
+        if kind == "instance":
+            callee = finished.get(op.module)
+            if callee is None:
+                regular = False
+            else:
+                size += callee.size
+                regular = regular and callee.regular
+        elif kind in COUNTED_KINDS:
+            size += 1
+            if kind in REDUCE_KINDS and not folded:
+                regular = False
+    return FinishedModule(module, size, regular)
 
 
 def _chain(rw: ModuleRewriter, op: Operation, ops: list[Operation],
@@ -150,7 +140,7 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
     connected to an instance spliced before reads through ``spliced``.
 
     A callee that passes the inline test holds only routing, logic and
-    the reductions its own fold built: :func:`regularity_analysis`
+    the reductions its own fold built: :func:`finished_module`
     rejects any other reduction, and an instance left in a callee's
     body is of a module that is unresolved or irregular, which makes
     the callee irregular, or at or above the threshold, which puts the
@@ -180,18 +170,16 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
         else:
             value = rw.copy(cop, args)
         values.append(value)
-    outs = [values[callee.outputs[pname].op] for pname, _ in inst.out_ports]
+    outs = {pname: values[callee.outputs[pname].op]
+            for pname, _ in inst.out_ports}
     for uid in readers:
         use = ops[uid]
-        low = use.low
-        for out in outs:  # the ports, LSB first
-            if low < out.width:
-                if low + use.width <= out.width:
-                    spliced[ValueRef(uid, use.width)] = rw.extract(
-                        out, low, use.width)
-                break
-            low -= out.width
-    spliced[ValueRef(op_id, inst.width)] = rw.concat(outs[::-1])
+        pieces = port_slices(inst.out_ports, use.low, use.width)
+        if len(pieces) == 1:
+            pname, first, width, _, _ = pieces[0]
+            spliced[ValueRef(uid, width)] = rw.extract(outs[pname], first,
+                                                       width)
+    spliced[ValueRef(op_id, inst.width)] = rw.concat(list(outs.values())[::-1])
     rw.drop_instance(op_id)
 
 

@@ -120,6 +120,37 @@ def with_operands(op: Operation, operands: list[ValueRef]) -> Operation:
                      op.port, op.module, op.name, op.in_ports, op.out_ports)
 
 
+def instance_ports(
+    ports: list[Port],
+) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
+    """The ``in_ports`` and ``out_ports`` of an instance of a module
+    whose ports are ``ports``."""
+    return (tuple(p.name for p in ports if p.direction == "input"),
+            tuple((p.name, p.width) for p in ports if p.direction == "output"))
+
+
+def port_slices(
+    out_ports: tuple[tuple[str, int], ...], low: int, width: int
+) -> list[tuple[str, int, int, int, int]]:
+    """Bits ``[low, low + width)`` of an instance result, which packs
+    ``out_ports`` with the first port at the LSB end, as one piece per
+    port they cover, LSB first: ``(port name, first bit inside the port,
+    width, port width, first bit in the result)``.  This is the only
+    code that knows the layout; ``port_slices(out_ports, 0, w)`` over a
+    result of width ``w`` lists every port whole."""
+    pieces = []
+    start = 0
+    high = low + width
+    for name, pwidth in out_ports:
+        end = start + pwidth
+        if low < end and start < high:
+            first = low if low > start else start
+            last = high if high < end else end
+            pieces.append((name, first - start, last - first, pwidth, first))
+        start = end
+    return pieces
+
+
 #: Kinds that compute a value from their operands.  ``input`` and
 #: ``instance`` are deliberately absent: they stand for values produced
 #: outside the module body.
@@ -501,12 +532,11 @@ def verify_module(
                     if sig is None and design is not None \
                             and op.module in design.modules:
                         cports = design.modules[op.module].ports
-                        ins = [p for p in cports if p.direction == "input"]
-                        outs = tuple((p.name, p.width) for p in cports
-                                     if p.direction == "output")
+                        names, outs = instance_ports(cports)
                         sig = sigs[op.module] = (
-                            tuple(p.name for p in ins),
-                            [p.width for p in ins],
+                            names,
+                            [p.width for p in cports
+                             if p.direction == "input"],
                             outs, sum(pw for _, pw in outs))
                     ok = sig is not None and op.in_ports == sig[0] \
                         and [ref.width for ref in refs] == sig[1] \
@@ -642,7 +672,7 @@ def _op_violations(
     else:
         callee = design.modules[op.module]
         cins = callee.input_ports
-        couts = callee.output_ports
+        names, outs = instance_ports(callee.ports)
         if len(op.operands) != len(cins):
             errs.append(
                 f"{mod}: %{i}: instance {op.name}: {len(op.operands)}"
@@ -655,18 +685,16 @@ def _op_violations(
                         f"{mod}: %{i}: instance {op.name}: port {p.name}"
                         f" width {p.width} gets {ref.width}"
                     )
-        names = tuple(p.name for p in cins)
         if op.in_ports != names:
             errs.append(
                 f"{mod}: %{i}: instance {op.name}: in_ports {op.in_ports!r}"
                 f" are not the callee's inputs {names!r}"
             )
-        if op.width != sum(p.width for p in couts):
+        if op.width != sum(pw for _, pw in outs):
             errs.append(
                 f"{mod}: %{i}: instance {op.name}: result width"
                 f" {op.width} != callee output width"
             )
-        outs = tuple((p.name, p.width) for p in couts)
         if op.out_ports != outs:
             errs.append(
                 f"{mod}: %{i}: instance {op.name}: out_ports"
@@ -773,9 +801,9 @@ def simulate(
             if op.kind != "instance":
                 vals.append(_evaluate(op, inputs, vals))
             elif returned is not None:
-                shifts = accumulate((w for _, w in op.out_ports), initial=0)
-                vals.append(sum(returned[name] << shift for (name, _), shift
-                                in zip(op.out_ports, shifts)))
+                vals.append(sum(
+                    returned[name] << start for name, _, _, _, start
+                    in port_slices(op.out_ports, 0, op.width)))
                 returned = None
             elif design is None:
                 raise ValueError(
@@ -966,18 +994,12 @@ def compile_module(
             if kind == "xor" and inner and (
                     k in inner or refs[0].op in inner
                     or refs[1].op in inner):
-                # an inner xor hands its set up to its one reader
-                if refs[0].op in inner:
-                    odd = a
-                    if refs[1].op in inner:
-                        odd ^= b
-                    else:
-                        odd ^= {b[0]}
-                elif refs[1].op in inner:
-                    odd = b
-                    odd ^= {a[0]}
-                else:
-                    odd = {a[0]} ^ {b[0]}
+                # an inner xor hands its set up to its one reader, which
+                # updates it in place, so a T-term chain stays linear
+                if a.__class__ is not set:
+                    a, b = b, a
+                odd = a if a.__class__ is set else {a[0]}
+                odd ^= b if b.__class__ is set else {b[0]}
                 if k in inner:
                     r = odd
                 else:

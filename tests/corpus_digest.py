@@ -1,0 +1,109 @@
+"""Digest everything the pipeline decides over the benchmark corpora.
+
+Usage, from the repository root::
+
+    python tests/corpus_digest.py [--src DIR]
+
+runs the 915 designs of ``perfbench/corpus.py`` at seeds 5, 21 and 70
+under each policy of :data:`POLICIES` and prints one sha256 per
+workload, then one over all of them.  A run's hash covers the emitted
+text, the chunk tiling, category and change flag of every sink, the
+pass counters, the instruction counts, the inline log, and the
+``compile_packed`` programs of the input and the output; a design that
+raises hashes its exception instead.  Two source trees that print the
+same digest made the same decisions on every design, so a refactor
+shows that it kept the behaviour by running this on both: ``--src``
+names the ``src`` directory to import ``busweaver`` from (this
+checkout's by default).  Of the checkout, the script reads only
+``perfbench/``.  Pytest does not collect this file; a full run takes a
+few minutes on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory to import busweaver from")
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":
+    ARGS = _parse_args(sys.argv[1:])
+    sys.path.insert(0, str(ARGS.src.resolve()))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus  # noqa: E402
+from busweaver.emitter import emit_design  # noqa: E402
+from busweaver.frontend import parse_design  # noqa: E402
+from busweaver.inliner import InlinePolicy  # noqa: E402
+from busweaver.ir import compile_packed  # noqa: E402
+from busweaver.pipeline import PassCounters, run_pipeline  # noqa: E402
+
+SEEDS = (5, 21, 70)
+POLICIES = {
+    "default": InlinePolicy(),
+    "off": InlinePolicy(enabled=False),
+    "threshold 3": InlinePolicy(threshold=3),
+    "threshold 400": InlinePolicy(threshold=400),
+}
+
+
+def _programs(design) -> list:
+    return [(name, p.inputs, p.gates, sorted(p.outputs.items()))
+            for name, p in sorted(compile_packed(design).items())]
+
+
+def run_record(source: str, policy: InlinePolicy) -> str:
+    """What the pipeline decides for ``source`` under ``policy``, as
+    text to hash."""
+    try:
+        design = parse_design(source)
+        counters = PassCounters()
+        out, report = run_pipeline(design, policy, counters)
+        record = (
+            emit_design(out),
+            [(s.module, s.sink, s.width, s.chunks, s.changed, s.category)
+             for s in report.sinks],
+            (counters.trace_visits, counters.cone_visits,
+             counters.partial_candidates),
+            report.instructions_before, report.instructions_after,
+            report.inline_log, _programs(design), _programs(out),
+        )
+    except Exception as exc:  # a failure is an outcome to compare too
+        record = (type(exc).__name__, str(exc))
+    return repr(record)
+
+
+def digest(cases: list) -> str:
+    """One sha256 over every case of ``cases`` under every policy."""
+    h = hashlib.sha256()
+    for case in cases:
+        for name, policy in POLICIES.items():
+            h.update(f"{case.name}|{name}|".encode())
+            h.update(run_record(case.source, policy).encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    for workload in corpus.WORKLOADS:
+        cases = [c for seed in SEEDS for c in corpus.build(workload, seed)]
+        value = digest(cases)
+        total.update(value.encode())
+        print(f"{workload}: {len(cases)} designs x {len(POLICIES)}"
+              f" policies: {value}")
+    print(f"total: {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

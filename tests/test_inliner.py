@@ -7,9 +7,7 @@ from busweaver.inliner import (
     InlineDecision,
     InlinePolicy,
     finished_module,
-    regularity_analysis,
     selective_inline,
-    size_analysis,
 )
 from busweaver.ir import REDUCE_KINDS, HwDesign, HwModule, ModuleBuilder, Port
 from busweaver.oracle import check_design_equivalence
@@ -39,7 +37,7 @@ def test_regularity_accepts_logic_and_arithmetic():
         "  assign y = (a + b) - (a & b);\n"
         "endmodule"
     )
-    assert regularity_analysis(d.top_module.operations, {})
+    assert finished_module(d.top_module, {}).regular
 
 
 def test_regularity_rejects_reductions():
@@ -48,7 +46,7 @@ def test_regularity_rejects_reductions():
         "  assign y = ^a;\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.top_module.operations, {})
+    assert not finished_module(d.top_module, {}).regular
 
 
 def test_regularity_descends_into_callees():
@@ -60,10 +58,10 @@ def test_regularity_descends_into_callees():
         "  bad u(.x(a), .z(y));\n"
         "endmodule"
     )
-    assert not regularity_analysis(d.modules["bad"].operations, {})
+    assert not finished_module(d.modules["bad"], {}).regular
     finished = {"bad": finished_module(d.modules["bad"], {})}
     assert not finished["bad"].regular
-    assert not regularity_analysis(d.modules["m"].operations, finished)
+    assert not finished_module(d.modules["m"], finished).regular
     assert [(dec.callee, dec.reason) for dec in _log(d)] == [
         ("bad", "not regular")
     ]
@@ -71,11 +69,11 @@ def test_regularity_descends_into_callees():
 
 def test_size_includes_instantiated_bodies():
     d = parse_design(BUF_TOP)
-    assert size_analysis(d.modules["my_buf"].operations, {}) == 0
+    assert finished_module(d.modules["my_buf"], {}).size == 0
     finished = {"my_buf": finished_module(d.modules["my_buf"], {})}
     assert finished["my_buf"].size == 0
     # top4 itself: four selects and one repack
-    assert size_analysis(d.modules["top4"].operations, finished) == 5
+    assert finished_module(d.modules["top4"], finished).size == 5
     assert [dec.callee_size for dec in _log(d)] == [0, 0, 0, 0]
 
 
@@ -89,11 +87,11 @@ def test_size_counts_nested_chains():
         "  chain u1(.a(in[1]), .y(out[1]));\n"
         "endmodule"
     )
-    assert size_analysis(d.modules["chain"].operations, {}) == 3
+    assert finished_module(d.modules["chain"], {}).size == 3
     finished = {"chain": finished_module(d.modules["chain"], {})}
     assert finished["chain"].size == 3
     # two chain bodies plus m's own two selects and repack
-    assert size_analysis(d.modules["m"].operations, finished) == 2 * 3 + 3
+    assert finished_module(d.modules["m"], finished).size == 2 * 3 + 3
     assert [dec.callee_size for dec in _log(d)] == [3, 3]
 
 
@@ -138,7 +136,7 @@ def test_threshold_is_strict():
         "endmodule"
     )
     d = parse_design(src)
-    assert size_analysis(d.modules["chain"].operations, {}) == 4
+    assert finished_module(d.modules["chain"], {}).size == 4
 
     log = _log(d, InlinePolicy(threshold=4))
     assert all(not dec.inlined for dec in log)
@@ -440,6 +438,8 @@ def test_an_unresolved_callee_stays_an_instance():
     assert log == [InlineDecision("top", "u", "ghost", False, -1,
                                   "unresolved callee")]
     assert rw.finish() == design.top_module
+    # an unknown callee counts 0 and is not regular
+    assert finished_module(design.top_module, {})[1:] == (0, False)
 
 
 def test_a_read_of_one_output_port_reads_the_port_value():

@@ -1,8 +1,10 @@
 import random
+from itertools import accumulate
 
 import pytest
 
 import reference
+from busweaver.emitter import emit_design
 from busweaver.frontend import parse_design
 from busweaver.generators import (
     nested_instance_design,
@@ -837,3 +839,80 @@ def test_with_operands_copies_every_other_field():
     assert op.operands == [ValueRef(0, 1)]
     assert [getattr(copy, f) for f in fields] == [
         operands if f == "operands" else getattr(op, f) for f in fields]
+
+
+def _layout_design(seed: int) -> tuple[str, list[tuple[int, int]], int]:
+    """A callee ``cell`` with 1-4 output ports of widths 1-5, port ``k``
+    being its bits of ``a ^ K`` for a seeded constant ``K``, and a top
+    that reads the packed result ``w`` of one site: every port whole,
+    one bit of each port, and a slice from each port into a later one.
+    Output ``r<m>`` reads read ``m`` inline, and ``q<m>`` is the
+    complement of a named wire on it.  Returns the text, the reads as
+    ``(low, width)`` and ``K``."""
+    rng = random.Random(seed)
+    widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+    starts = list(accumulate(widths, initial=0))
+    total = starts[-1]
+    key = rng.getrandbits(total)
+    reads = [(lo, hi - lo) for lo, hi in zip(starts, starts[1:])]
+    reads += [(rng.randrange(lo, hi), 1) for lo, hi in zip(starts, starts[1:])]
+    for k in range(len(widths) - 1):
+        lo = rng.randrange(starts[k], starts[k + 1])
+        reads.append((lo, rng.randrange(starts[k + 1], total) - lo + 1))
+    ports = [f"output [{w - 1}:0] o{k}" for k, w in enumerate(widths)]
+    cell = [f"module cell(input [{total - 1}:0] a, {', '.join(ports)});"]
+    cell += [f"  assign o{k} = a[{hi - 1}:{lo}]"
+             f" ^ {hi - lo}'d{key >> lo & (1 << hi - lo) - 1};"
+             for k, (lo, hi) in enumerate(zip(starts, starts[1:]))]
+    conns = ", ".join(f".o{k}(w[{hi - 1}:{lo}])"
+                      for k, (lo, hi) in enumerate(zip(starts, starts[1:])))
+    outs = [f"output [{w - 1}:0] {n}{m}" for m, (_, w) in enumerate(reads)
+            for n in "rq"]
+    top = [f"module top(input [{total - 1}:0] a, {', '.join(outs)});",
+           f"  wire [{total - 1}:0] w;", f"  cell u(.a(a), {conns});"]
+    for m, (lo, w) in enumerate(reads):
+        top += [f"  wire [{w - 1}:0] s{m};",
+                f"  assign s{m} = w[{lo + w - 1}:{lo}];",
+                f"  assign r{m} = w[{lo + w - 1}:{lo}];",
+                f"  assign q{m} = ~s{m};"]
+    text = "\n".join(cell + ["endmodule"] + top + ["endmodule", ""])
+    return text, reads, key
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_every_reader_of_a_packed_result_agrees_on_the_port_layout(seed):
+    # the reference layout is the test's own: port k at bits
+    # [starts[k], starts[k + 1]) of a ^ K
+    text, reads, key = _layout_design(seed)
+    design = parse_design(text)
+    total = design.modules["cell"].ports[0].width
+    rng = random.Random(seed)
+    vectors = [rng.getrandbits(total) for _ in range(12)]
+
+    def expect(a):
+        packed = a ^ key
+        out = {}
+        for m, (lo, w) in enumerate(reads):
+            out[f"r{m}"] = packed >> lo & (1 << w) - 1
+            out[f"q{m}"] = out[f"r{m}"] ^ (1 << w) - 1
+        return out
+
+    inline, _ = run_pipeline(design)
+    kept, _ = run_pipeline(design, InlinePolicy(enabled=False))
+    assert all(op.kind != "instance"
+               for op in inline.modules["top"].operations)
+    assert any(op.kind == "instance" for op in kept.modules["top"].operations)
+    for d in (design, inline, kept):
+        again = parse_design(emit_design(d))
+        for a in vectors:
+            assert simulate(d.top_module, {"a": a}, d) == expect(a)
+            assert simulate(again.top_module, {"a": a}, again) == expect(a)
+        program = compile_packed(d)["top"]
+        lanes = [sum((a >> b & 1) << n for n, a in enumerate(vectors))
+                 for b in range(total)]
+        got = simulate_packed(program, {"a": lanes}, len(vectors))
+        for n, a in enumerate(vectors):
+            values = {name: sum((lane >> n & 1) << b
+                                for b, lane in enumerate(bits))
+                      for name, bits in got.items()}
+            assert values == expect(a)

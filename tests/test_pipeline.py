@@ -40,6 +40,7 @@ from busweaver.pipeline import (
 )
 from busweaver.reporting import BatchOptions, process_design
 from busweaver.rewrite import ModuleRewriter, live_order
+import corpus_digest
 import hierarchies
 from reference import detect_permutation, is_independent, is_isomorphic
 
@@ -822,6 +823,14 @@ def test_random_hierarchies_are_fixpoints(policy):
     failures = [message for seed in range(100)
                 for message in hierarchies.check(seed, policy)]
     assert failures == []
+
+
+@pytest.mark.parametrize("workload", list(corpus_digest.corpus.WORKLOADS))
+def test_the_corpus_digest_is_stable(workload):
+    # tests/corpus_digest.py compares two source trees by this digest,
+    # so two runs of one tree must agree
+    cases = corpus_digest.corpus.build(workload, 5, smoke=True)
+    assert corpus_digest.digest(cases) == corpus_digest.digest(cases)
 
 
 def _instance_chain(depth):
