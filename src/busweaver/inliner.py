@@ -146,9 +146,10 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
     the callee irregular, or at or above the threshold, which puts the
     callee there too, because sizes add up.  Routing goes through the
     folding builder calls, so constants and slices stay shared across
-    sites; logic is copied with new operands, and a reduction as the
-    chain it was folded from (:func:`_chain`), which the caller's
-    lanes can vectorize and its own fold can fold again."""
+    sites; logic is copied with new operands, or folded by the
+    session's one-level rules (:meth:`ModuleRewriter.copy`), and a
+    reduction as the chain it was folded from (:func:`_chain`), which
+    the caller's lanes can vectorize and its own fold can fold again."""
     ops, inst = rw.operations, rw.operations[op_id]
     values: list[ValueRef] = []
     for cop in callee.operations:
@@ -168,7 +169,10 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
         elif kind in REDUCE_KINDS:
             value = _chain(rw, cop, callee.operations, values)
         else:
+            # a fold can return a caller value that a site spliced
+            # before replaces: ~~ does where the caller's ~ reads one
             value = rw.copy(cop, args)
+            value = spliced.get(value, value)
         values.append(value)
     outs = {pname: values[callee.outputs[pname].op]
             for pname, _ in inst.out_ports}

@@ -90,15 +90,21 @@ class PassCounters:
     several chunks rules on, widest first: ``j + 1`` for a chunk
     ``[i:j]`` and ``i`` for a scalar bit ``i``, so at most N*(N-1)/2
     for an N-bit sink; a one-chunk plan counts none.
+    ``copies_folded`` counts the callee operations that splicing did
+    not copy, because :meth:`~busweaver.rewrite.ModuleRewriter.copy`
+    gave an existing value for them (the outer ``~`` of ``~~x``).
     """
 
-    __slots__ = ("trace_visits", "cone_visits", "partial_candidates")
+    __slots__ = ("trace_visits", "cone_visits", "partial_candidates",
+                 "copies_folded")
 
     def __init__(self, trace_visits: int = 0, cone_visits: int = 0,
-                 partial_candidates: int = 0) -> None:
+                 partial_candidates: int = 0,
+                 copies_folded: int = 0) -> None:
         self.trace_visits = trace_visits
         self.cone_visits = cone_visits
         self.partial_candidates = partial_candidates
+        self.copies_folded = copies_folded
 
 
 class Chunk(NamedTuple):
@@ -386,6 +392,7 @@ def run_pipeline(
         rw, decisions = selective_inline(design.modules[name], finished,
                                          policy)
         report.inline_log += decisions
+        report.counters.copies_folded += rw.copies_folded
         results = sinks[name] = []
         for sink in _sink_refs(rw):
             ref = rw.outputs.get(sink)

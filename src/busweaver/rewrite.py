@@ -20,6 +20,7 @@ from __future__ import annotations
 from busweaver.ir import (
     HwModule,
     ModuleBuilder,
+    Operation,
     ValueRef,
     cse_key,
     with_operands,
@@ -102,7 +103,8 @@ class ModuleRewriter(ModuleBuilder):
     It starts from a shallow copy of the module's operation list, so new
     operations share the value numbering of the existing ones:
     re-emitting a slice or concatenation that already exists returns
-    the existing value instead of growing the module.
+    the existing value instead of growing the module.  Its :meth:`copy`
+    folds ``~~x`` as it builds.
     """
 
     def __init__(self, module: HwModule):
@@ -126,6 +128,30 @@ class ModuleRewriter(ModuleBuilder):
         # visited, a counter that tests bound.
         self._live: set[int] = set()
         self.reader_steps = 0
+        # Operations :meth:`copy` returned an existing value for
+        # instead of building them.
+        self.copies_folded = 0
+
+    def copy(self, op: Operation, operands: list[ValueRef]) -> ValueRef:
+        """``op`` over ``operands``, except that ``~~x`` is ``x``.
+
+        That is the one rule that fires on the benchmark corpus, where
+        a per-bit ``~~a`` cell spliced as two inversions per lane would
+        be rebuilt as two vector inversions.  Rules that compare two
+        operands (``x & x``, a mux with equal arms) are left out: a
+        splice copies operands that :meth:`replace_uses` may make equal
+        only later, so lanes of one family would fold unevenly and a
+        re-run would change the bytes.  Only this session simplifies;
+        :class:`~busweaver.ir.ModuleBuilder` and the frontend build what
+        they are given, so that an instruction count before the
+        pipeline is what the user wrote.
+        """
+        if op.kind == "not":
+            inner = self.operations[operands[0].op]
+            if inner.kind == "not":
+                self.copies_folded += 1
+                return inner.operands[0]
+        return super().copy(op, operands)
 
     def live(self) -> list[int]:
         """The ids :meth:`finish` would keep, in :func:`live_order`."""

@@ -6,13 +6,15 @@ Usage, from the repository root::
 
 runs the 915 designs of ``perfbench/corpus.py`` at seeds 5, 21 and 70
 under each policy of :data:`POLICIES` and prints one sha256 per
-workload, then one over all of them.  A run's hash covers the emitted
-text, the chunk tiling, category and change flag of every sink, the
-pass counters, the instruction counts, the inline log, and the
+workload, one per workload and policy under it, then one over all the
+workloads.  A run's hash covers the emitted text, the chunk tiling,
+category and change flag of every sink, the trace, cone and candidate
+counters, the instruction counts, the inline log, and the
 ``compile_packed`` programs of the input and the output; a design that
 raises hashes its exception instead.  Two source trees that print the
 same digest made the same decisions on every design, so a refactor
-shows that it kept the behaviour by running this on both: ``--src``
+shows that it kept the behaviour by running this on both, and a change
+of behaviour shows which workloads and policies it reached: ``--src``
 names the ``src`` directory to import ``busweaver`` from (this
 checkout's by default).  Of the checkout, the script reads only
 ``perfbench/``.  Pytest does not collect this file; a full run takes a
@@ -83,24 +85,39 @@ def run_record(source: str, policy: InlinePolicy) -> str:
     return repr(record)
 
 
-def digest(cases: list) -> str:
-    """One sha256 over every case of ``cases`` under every policy."""
+def digest(cases: list) -> tuple[str, dict[str, str]]:
+    """One sha256 over every case of ``cases`` under every policy, and
+    one per policy over the same records."""
     h = hashlib.sha256()
+    per_policy = {name: hashlib.sha256() for name in POLICIES}
     for case in cases:
         for name, policy in POLICIES.items():
-            h.update(f"{case.name}|{name}|".encode())
-            h.update(run_record(case.source, policy).encode())
-    return h.hexdigest()
+            record = (f"{case.name}|{name}|"
+                      + run_record(case.source, policy)).encode()
+            h.update(record)
+            per_policy[name].update(record)
+    return h.hexdigest(), {name: p.hexdigest()
+                           for name, p in per_policy.items()}
+
+
+def workload_lines(workload: str, cases: list) -> tuple[str, list[str]]:
+    """The digest of ``cases``, and the lines that report it: one for
+    the workload, then one per policy."""
+    value, per_policy = digest(cases)
+    lines = [f"{workload}: {len(cases)} designs x {len(POLICIES)}"
+             f" policies: {value}"]
+    lines += [f"  {workload} | {name}: {hexdigest}"
+              for name, hexdigest in per_policy.items()]
+    return value, lines
 
 
 def main() -> int:
     total = hashlib.sha256()
     for workload in corpus.WORKLOADS:
         cases = [c for seed in SEEDS for c in corpus.build(workload, seed)]
-        value = digest(cases)
+        value, lines = workload_lines(workload, cases)
         total.update(value.encode())
-        print(f"{workload}: {len(cases)} designs x {len(POLICIES)}"
-              f" policies: {value}")
+        print("\n".join(lines))
     print(f"total: {total.hexdigest()}")
     return 0
 

@@ -827,10 +827,66 @@ def test_random_hierarchies_are_fixpoints(policy):
 
 @pytest.mark.parametrize("workload", list(corpus_digest.corpus.WORKLOADS))
 def test_the_corpus_digest_is_stable(workload):
-    # tests/corpus_digest.py compares two source trees by this digest,
-    # so two runs of one tree must agree
+    # tests/corpus_digest.py compares two source trees by these lines,
+    # the workload's and one per policy, so two runs of one tree agree
     cases = corpus_digest.corpus.build(workload, 5, smoke=True)
-    assert corpus_digest.digest(cases) == corpus_digest.digest(cases)
+    value, lines = corpus_digest.workload_lines(workload, cases)
+    assert (value, lines) == corpus_digest.workload_lines(workload, cases)
+    assert [line.split(": ")[0] for line in lines[1:]] == [
+        f"  {workload} | {name}" for name in corpus_digest.POLICIES]
+    assert lines[0].endswith(value)
+
+
+def _bus_chains(widths):
+    """The bus-chains shape: one bus per width, every bit driven by its
+    own site of a 1-bit ``chain`` cell, ``~~a``, reading that bit of
+    ``i``."""
+    ports = ["input [7:0] i"] + [f"output [{w - 1}:0] o{k}"
+                                 for k, w in enumerate(widths)]
+    sites = [f"  chain u{k}_{j}(.a(i[{j}]), .y(o{k}[{j}]));"
+             for k, w in enumerate(widths) for j in range(w)]
+    return ("module chain(input a, output y);\n  assign y = ~~a;\n"
+            f"endmodule\nmodule top({', '.join(ports)});\n"
+            + "\n".join(sites) + "\nendmodule\n")
+
+
+def test_inlining_a_double_negation_costs_no_instructions():
+    # spliced, ~~a is a, so every bus is a slice of i; kept as
+    # instances, the sites cost a concat per bus and an extract per bit
+    # of i.  Copied as two nots per bit, the buses vectorized to two
+    # vector nots each: 17 instructions against 14.
+    src = _bus_chains((6, 5, 4, 4, 5, 6))
+    d, out, on = _pipeline(src)
+    _, _, off = _pipeline(src, policy=InlinePolicy(enabled=False))
+    assert on.instructions_after <= off.instructions_after
+    assert (on.instructions_after, off.instructions_after) == (5, 14)
+    assert on.counters.copies_folded == 30  # one per site
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+
+
+@pytest.mark.parametrize("length", [150, 151])
+def test_a_spliced_not_chain_leaves_at_most_one_not_per_lane(length):
+    d, out, report = _pipeline(nested_instance_design(8, length),
+                               policy=InlinePolicy(threshold=400))
+    assert all(e.inlined for e in report.inline_log)
+    nots = sum(op.kind == "not" for op in out.modules["wrapped"].operations)
+    assert nots == length % 2  # one vector not, or none
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
+
+
+@pytest.mark.parametrize("policy", list(hierarchies.POLICIES))
+def test_instructions_before_count_what_was_written(policy):
+    # the rules apply only where splicing builds: the frontend keeps
+    # every ~ of a chain, so the count before is the written one
+    for src, nots in ((_bus_chains((4, 4)), 2),
+                      (nested_instance_design(4, 150), 150)):
+        design = parse_design(src)
+        assert count_instructions(design.modules["chain"]) == nots
+        written = sum(count_instructions(m) for m in design.modules.values())
+        _, report = run_pipeline(design, hierarchies.POLICIES[policy])
+        assert report.instructions_before == written
 
 
 def _instance_chain(depth):

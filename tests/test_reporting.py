@@ -220,6 +220,23 @@ def test_cli_single_design(tmp_path, golden_dir, capsys):
     assert (out_dir / "partial_mix.vec.v").exists()
 
 
+def test_cli_prints_the_rewrites_of_a_design_that_grows(tmp_path, capsys):
+    # the four sites cost eight selects and a concat; spliced, they
+    # vectorize to one copy of the cell's eleven ops, none of which a
+    # splice rule folds, and the cell's definition stays in the output
+    body = "~(a ^ b) & (a | ~b) ^ (a & b) | ~(a & ~b)"
+    path = _write(tmp_path, "g.v", (
+        "module cell(input a, input b, output y);\n"
+        f"  assign y = {body};\n"
+        "endmodule\n"
+        "module g(input [3:0] x, input [3:0] z, output [3:0] y);\n"
+        + "".join(f"  cell u{k}(.a(x[{k}]), .b(z[{k}]), .y(y[{k}]));\n"
+                  for k in range(4))
+        + "endmodule\n"))
+    assert main([path, "--out", str(tmp_path / "vec")]) == 0
+    assert "g.v: 20 -> 22 ops (1 rewrites)" in capsys.readouterr().out
+
+
 def test_cli_directory_expansion_and_summary(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -264,6 +281,8 @@ def test_cli_sweep_and_reports(tmp_path, capsys):
     assert " 30" in out and "150" in out
     doc = json.loads(report_file.read_text())
     assert doc["sweep"]["thresholds"] == [30, 150]
+    # every second ~ of the chain folds where a site is spliced
+    assert doc["designs"][0]["counters"]["copies_folded"] == 4 * 10
     assert csv_file.read_text().startswith("path,ok,")
 
 
