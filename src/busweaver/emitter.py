@@ -262,7 +262,7 @@ class _ModuleEmitter:
             then = self._render(op.operands[1], 0)
             other = self._render(op.operands[2], 0)
             return f"{cond} ? {then} : {other}", _PREC_TERNARY
-        raise AssertionError(f"unhandled kind {kind!r}")  # pragma: no cover
+        raise AssertionError(f"unhandled kind {kind!r}")
 
     # -- statements ------------------------------------------------------------
 

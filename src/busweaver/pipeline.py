@@ -25,11 +25,12 @@ root and its cone built once from that root, and one downward scan per
 
 :func:`run_pipeline` is one module loop, callees first, with one
 :class:`~busweaver.rewrite.ModuleRewriter` session per module: the
-inliner splices in the sites of finished callees, every sink is planned
-and rewritten (a later sink sees the inlined bodies and the earlier
-sinks' redirections), the reduction chains are folded
-(:func:`~busweaver.reductions.fold_reductions`), and the session's
-finish compacts the module once, before any caller sizes or copies it.
+inliner splices in the sites of finished callees; then every sink is
+planned and rewritten (a later sink sees the inlined bodies and the
+earlier sinks' redirections) and the reduction fold sweeps the module
+once (:func:`~busweaver.reductions.fold_reductions`), in rounds until a
+sweep folds nothing; and the session's finish compacts the module once,
+before any caller sizes or copies it.
 The rewriter value-numbers routing operations, so a plan that
 reconstructs exactly the existing operations returns the sink's own
 value: the sink is unchanged, and re-running the pipeline on its own
@@ -81,11 +82,12 @@ class PassCounters:
 
     ``trace_visits`` counts routing operations stepped through while
     routing each bit of a sink to its root.  A sink routes each bit
-    once, so this is bounded by its bits times the graph depth.
+    once a round, so this is bounded by its bits times the graph depth
+    times the rounds of its module (:func:`run_pipeline`).
     ``cone_visits`` counts, for each cone built, the computing
     operations collected plus the routing operations stepped through
     below its root (the root's own route counts in ``trace_visits``
-    only); a sink builds each bit's cone at most once.
+    only); a sink builds each bit's cone at most once a round.
     ``partial_candidates`` counts the chunk windows that a plan of
     several chunks rules on, widest first: ``j + 1`` for a chunk
     ``[i:j]`` and ``i`` for a scalar bit ``i``, so at most N*(N-1)/2
@@ -368,9 +370,18 @@ def run_pipeline(
     policy: InlinePolicy | None = None,
     counters: PassCounters | None = None,
 ) -> tuple[HwDesign, PipelineReport]:
-    """Verify, then finish every module bottom-up, callees first: inline
-    the sites of its finished callees, vectorize every multi-bit sink,
-    fold its reduction trees and compact it, all in one session.
+    """Verify, then finish every module bottom-up, callees first, in
+    one session: inline the sites of its finished callees, vectorize
+    every multi-bit sink and sweep the reduction fold once, in rounds
+    until a sweep folds nothing, and compact it.
+
+    A fold changes what its leaves share, and so what the trees swept
+    before it would gain, and one that cancels a repeated term
+    (``^ w[k] ^ w[k]``) can leave lanes that plan as a family.  The
+    rounds end: a vectorized sink re-plans to itself, so a later round
+    can only turn scalar sink bits into chunks, and a round that turns
+    none and still folds lowers the instruction count.  Each sink keeps
+    the result of the last round that changed it, or of its first.
 
     Raises :class:`VectorizationError` when the input design does not
     verify.  Every bit has a cone, and a bit that forms no chunk simply
@@ -393,21 +404,26 @@ def run_pipeline(
                                          policy)
         report.inline_log += decisions
         report.counters.copies_folded += rw.copies_folded
-        results = sinks[name] = []
-        for sink in _sink_refs(rw):
-            ref = rw.outputs.get(sink)
-            if ref is None and rw.is_live(rw.wires[sink]):
-                ref = rw.wires[sink]  # else orphaned by an earlier sink
-            if ref is None or ref.width < 2:
-                continue
-            chunks, changed = vectorize_output(rw, ref, report.counters)
-            category = _categorize(chunks) if changed else None
-            results.append(
-                SinkResult(name, sink, ref.width, chunks, changed, category)
-            )
         mark = len(rw.operations)  # the fold appends what it builds
-        folds = fold_reductions(rw)
-        results += [
+        results: dict[str, SinkResult] = {}  # the last change per sink
+        folds: list[str] = []
+        while True:  # one round: plan every sink, sweep the fold once
+            for sink in _sink_refs(rw):
+                ref = rw.outputs.get(sink)
+                if ref is None and rw.is_live(rw.wires[sink]):
+                    ref = rw.wires[sink]  # else orphaned by an earlier sink
+                if ref is None or ref.width < 2:
+                    continue
+                chunks, changed = vectorize_output(rw, ref, report.counters)
+                if changed or sink not in results:
+                    results[sink] = SinkResult(
+                        name, sink, ref.width, chunks, changed,
+                        _categorize(chunks) if changed else None)
+            swept = fold_reductions(rw)
+            if not swept:
+                break
+            folds += swept
+        sinks[name] = [*results.values()] + [
             SinkResult(name, sink, 1, [Chunk(0, 0, "reduction")], True,
                        "reduction")
             for sink in folds

@@ -18,7 +18,9 @@ concatenation of ascending runs, or the source masked (``v & mask``, or
 operator in the order their sources first appear.
 
 A tree is rewritten only where the module then counts strictly fewer
-instructions.  The pass keeps every operation's number of live readers
+instructions.  One call makes one sweep, readers before operands; the
+pipeline sweeps again, after planning its sinks again, until a sweep
+folds nothing.  A sweep keeps every operation's number of live readers
 (outputs count as readers), so it knows which operations a rewrite
 kills and which of those it builds exist already and stay live anyway.
 """
@@ -36,14 +38,14 @@ _ROUTING = frozenset({"const", "extract", "concat", "replicate"})
 
 
 def fold_reductions(rw: ModuleRewriter) -> list[str]:
-    """Fold every tree among ``rw``'s live operations whose rewrite
-    shrinks the module, readers before operands.  Returns one name per
-    fold: the output or wire its root drives, else the output port or
-    instance whose logic holds it."""
+    """Sweep ``rw``'s live operations once, readers before operands, and
+    fold every tree whose rewrite shrinks the module.  Returns one name
+    per fold: the output or wire its root drives, else the output port
+    or instance whose logic holds it."""
     if not any(op.width == 1 and op.kind in _REDUCE
                for op in rw.operations):
         return []
-    return _Folder(rw).run()
+    return _Folder(rw).sweep()
 
 
 def _runs(bits: list[int]) -> list[tuple[int, int]]:
@@ -58,36 +60,26 @@ def _runs(bits: list[int]) -> list[tuple[int, int]]:
 
 
 class _Folder:
-    """Sweeps over the live operations, readers before operands, until
-    one sweep folds nothing: a fold changes what its leaves share, and
-    so what the trees seen before it would gain."""
+    """One sweep over the live operations, readers before operands."""
 
     def __init__(self, rw: ModuleRewriter):
         self.rw = rw
         self.ops = rw.operations
 
-    def run(self) -> list[str]:
-        folded: list[str] = []
-        while True:
-            done = len(folded)
-            self.sweep(folded, first=not done)
-            if len(folded) == done:
-                return folded
-
-    def sweep(self, folded: list[str], first: bool) -> None:
+    def sweep(self) -> list[str]:
         rw, ops = self.rw, self.ops
-        # The first sweep tries every operation as live: some operation
-        # is dead exactly when one is read by nothing (the last dead one
-        # has no reader).  Later sweeps follow a fold, which kills some.
-        order = uses = None
-        if first:
-            order = range(len(ops))
-            uses = self.reads(order)
-            if not all(uses):
-                order = None
-        if order is None:
-            order = rw.live()
-            uses = self.reads(order)
+        # Count reads from the highest id down, every operation taken as
+        # live, until one is reached unread: the highest dead one is, and
+        # so is one read only from below (after a rewrite).
+        order = range(len(ops))
+        uses = self.reads(())
+        for oid in reversed(order):
+            if not uses[oid]:
+                order = rw.live()
+                uses = self.reads(order)
+                break
+            for ref in ops[oid].operands:
+                uses[ref.op] += 1
         self.uses = uses
         self.order = order
         self.names: dict[int, str] = {}
@@ -96,6 +88,7 @@ class _Folder:
                 self.names.setdefault(ref.op, name)
         self.wired = {ref.op for ref in rw.wires.values()}
         self.owners: dict[int, str] | None = None
+        folded: list[str] = []
         seen: set[int] = set()  # the nodes of the trees seen so far
         for root in reversed(order):
             op = ops[root]
@@ -109,10 +102,10 @@ class _Folder:
             if value is not None:
                 folded.append(self.name(root))
                 self.commit(nodes, leaves, value, mark)
+        return folded
 
     def reads(self, order) -> list[int]:
-        """How often the operations of ``order`` and the outputs read
-        each operation."""
+        """Reads of each operation by ``order`` and the outputs."""
         ops, rw = self.ops, self.rw
         uses = [0] * len(ops)
         for oid in order:
@@ -255,16 +248,12 @@ class _Folder:
         # the tree dies, and what only it kept alive with it
         for oid in nodes:
             uses[oid] = 0
-        stack = []
-        for oid, reads in leaves.items():
-            uses[oid] -= reads
-            if not uses[oid] and ops[oid].kind != "instance":
-                stack.append(oid)
+        stack = list(leaves.items())
         while stack:
-            for ref in ops[stack.pop()].operands:
-                uses[ref.op] -= 1
-                if not uses[ref.op] and ops[ref.op].kind != "instance":
-                    stack.append(ref.op)
+            oid, n = stack.pop()
+            uses[oid] -= n
+            if not uses[oid] and ops[oid].kind != "instance":
+                stack += [(ref.op, 1) for ref in ops[oid].operands]
 
     def name(self, root: int) -> str:
         if root in self.names:

@@ -20,6 +20,7 @@ report reads their fields from ``__slots__`` in declaration order.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import time
 from pathlib import Path
@@ -119,9 +120,7 @@ def _design_category(sink_categories: list[str]) -> str | None:
     return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
-def _worst_equivalence(statuses: list[str]) -> str | None:
-    if not statuses:
-        return None
+def _worst_equivalence(statuses: list[str]) -> str:
     for bad in ("counterexample", "equivalent-sampled"):
         if bad in statuses:
             return bad
@@ -220,10 +219,6 @@ def _process(path: str, options: BatchOptions) -> DesignResult:
     return result
 
 
-def _process_star(args: tuple[str, BatchOptions]) -> DesignResult:
-    return process_design(*args)
-
-
 class BatchReport:
     __slots__ = ("results", "summary")
 
@@ -288,9 +283,8 @@ def run_batch(paths: list[str], options: BatchOptions | None = None) \
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            results = list(
-                pool.map(_process_star, [(p, options) for p in paths])
-            )
+            results = list(pool.map(process_design, paths,
+                                    itertools.repeat(options)))
     else:
         results = [process_design(p, options) for p in paths]
     return BatchReport(results, summarize(results))

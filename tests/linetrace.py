@@ -8,6 +8,9 @@ It runs pytest in this process (with no arguments, the configured
 ``testpaths``) under :func:`sys.settrace`, recording line events only in
 frames whose code lives in ``src/busweaver``, and prints, per module,
 the statement lines that never ran and their count, then the total.
+The exit status is pytest's, or 1 when a run with no pytest arguments
+passes but some statement never ran: the whole suite should run every
+statement, and a subset of it has no such target.
 Statements are those of the module's syntax tree.  Docstrings and other
 bare string expressions do not count, and neither do ``def``, ``class``
 and ``import`` statements, which run when the module is imported.  A
@@ -123,6 +126,8 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}: {len(missed)} of {count}"
                   f" never ran: {', '.join(map(str, missed))}")
     print(f"total: {missed_total} of {total} statements never ran")
+    if status == 0 and not argv and missed_total:
+        return 1
     return int(status)
 
 

@@ -1,10 +1,11 @@
+import copy
 import random
 from itertools import accumulate
 
 import pytest
 
 import reference
-from busweaver.emitter import emit_design
+from busweaver.emitter import emit_design, emit_module
 from busweaver.frontend import parse_design
 from busweaver.generators import (
     nested_instance_design,
@@ -916,3 +917,37 @@ def test_every_reader_of_a_packed_result_agrees_on_the_port_layout(seed):
                                 for b, lane in enumerate(bits))
                       for name, bits in got.items()}
             assert values == expect(a)
+
+
+def _unknown_kind():
+    """``y`` driven by an operation of no known kind."""
+    ops = [Operation("input", 4, port="a"),
+           Operation("redfoo", 1, [ValueRef(0, 4)])]
+    return HwModule("m", [Port("a", "input", 4), Port("y", "output", 1)],
+                    ops, {"y": ValueRef(1, 1)})
+
+
+def test_an_unknown_kind_is_refused_by_the_evaluators_and_the_emitter():
+    module = _unknown_kind()
+    with pytest.raises(ValueError, match="unknown op kind 'redfoo'"):
+        simulate(module, {"a": 3})
+    with pytest.raises(ValueError, match="unknown op kind 'redfoo'"):
+        compile_module(module, {})
+    with pytest.raises(AssertionError, match="unhandled kind 'redfoo'"):
+        emit_module(module)
+
+
+def test_simulating_an_instance_needs_the_design():
+    design = parse_design(nested_instance_design(2, 1))
+    top = design.modules[design.top]
+    inputs = {p.name: 0 for p in top.input_ports}
+    with pytest.raises(ValueError, match="needs a design"):
+        simulate(top, inputs)
+    assert simulate(top, inputs, design)
+
+
+def test_ir_values_are_unequal_to_other_types():
+    module = _unknown_kind()
+    for value in (module.operations[0], module, HwDesign({"m": module}, "m")):
+        assert value != "m"
+        assert value == copy.deepcopy(value)

@@ -34,6 +34,8 @@ def test_exhaustive_equivalence_on_identical_logic():
     assert v.vectors_tested == 16
     assert v.seed is None
     assert v.counterexample is None
+    assert v == check_equivalence(a, b)
+    assert v != v.status
 
 
 def test_equivalent_but_different_structure():

@@ -816,13 +816,42 @@ def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
                        else {("mid", "leaf"), ("top", "mid")})
 
 
+#: Seeds past the first 100 whose output a re-run changed while the
+#: reduction fold ran once after the planner, per policy.
+_FOLD_THEN_PLAN = {
+    "default": [266, 572, 756],
+    "threshold 3": [340, 756, 935, 1938],
+    "threshold 400": [266, 572, 756],
+    "off": [],
+}
+
+
 @pytest.mark.parametrize("policy", list(hierarchies.POLICIES))
 def test_random_hierarchies_are_fixpoints(policy):
     # verified clean, equivalent, counted as the text parses, and a
     # re-run on the text gives the same bytes
-    failures = [message for seed in range(100)
+    failures = [message for seed in [*range(100), *_FOLD_THEN_PLAN[policy]]
                 for message in hierarchies.check(seed, policy)]
     assert failures == []
+
+
+def test_lanes_that_a_fold_makes_regular_vectorize_in_one_run():
+    # each w[k] is a per-lane mux select, so the lanes of y stay scalar
+    # until the fold cancels ^ w[k] ^ w[k]; the next round plans them
+    src = "module m(input [3:0] a, input [3:0] b, input [3:0] c,"
+    src += " output [3:0] y);\n  wire [3:0] w;\n" + "".join(
+        f"  assign w[{k}] = a[{k}] ? b[{k}] : c[{k}];\n"
+        f"  assign y[{k}] = b[{k}] & (c[{k}] ^ w[{k}] ^ w[{k}]);\n"
+        for k in range(4)) + "endmodule\n"
+    d, out, report = _pipeline(src)
+    text = emit_design(out)
+    assert "  assign y = b & c;\n" in text
+    assert report.instructions_after == 1
+    assert [(s.sink, s.category) for s in report.rewrites] == [
+        ("y", "structural"), *[("y", "reduction")] * 4]
+    assert emit_design(run_pipeline(parse_design(text))[0]) == text
+    for verdict in check_design_equivalence(d, out).values():
+        assert verdict.status == "equivalent-exhaustive"
 
 
 @pytest.mark.parametrize("workload", list(corpus_digest.corpus.WORKLOADS))

@@ -4,6 +4,7 @@ command line front end."""
 import json
 import logging
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from busweaver.generators import (
     ripple_carry_design,
 )
 from busweaver.ir import HwDesign
+from busweaver.pipeline import VectorizationError
 from busweaver.reporting import (
     DEFAULT_SWEEP_THRESHOLDS,
     SCHEMA_VERSION,
@@ -91,6 +93,20 @@ def test_process_design_parse_error(tmp_path):
     result = process_design(path, BatchOptions())
     assert not result.ok
     assert "never driven" in result.error
+    assert result.instructions_before == 0
+
+
+def test_process_design_reports_a_design_that_does_not_verify(
+        golden_dir, monkeypatch):
+    def refuses(*args):
+        raise VectorizationError(["m: %3: width 2, expected 1",
+                                  "m: output 'y' unbound"])
+
+    monkeypatch.setattr(reporting, "run_pipeline", refuses)
+    result = process_design(str(golden_dir / "partial_mix.v"),
+                            BatchOptions())
+    assert not result.ok
+    assert result.error == "m: %3: width 2, expected 1\nm: output 'y' unbound"
     assert result.instructions_before == 0
 
 
@@ -256,6 +272,18 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "bad.v: error" in captured.err
     assert "never driven" in captured.err
+
+
+def test_cli_runs_as_a_module(tmp_path, golden_dir, monkeypatch, capsys):
+    # python -m busweaver.cli, in this process: the module runs afresh
+    monkeypatch.delitem(sys.modules, "busweaver.cli")
+    monkeypatch.setattr(sys, "argv", [
+        "busweaver", str(golden_dir / "partial_mix.v"),
+        "--out", str(tmp_path / "vec")])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("busweaver.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert "5 -> 3 ops" in capsys.readouterr().out
 
 
 def test_cli_no_inputs(tmp_path, capsys):

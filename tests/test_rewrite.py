@@ -32,28 +32,38 @@ _CELL = (
 def _per_sink_pipeline(design):
     """The flow before sessions spanned a module, in the pipeline's
     callee-first module order: the module's sites inlined and the result
-    finished, then a fresh session per sink, finished at once, and the
-    next sink read from the compacted result (a wire orphaned by an
-    earlier sink is gone from it); then the reduction fold, in a session
-    of its own, before any caller copies the module."""
+    finished; then rounds of a fresh session per sink, finished at once,
+    the next sink read from the compacted result (a wire orphaned by an
+    earlier sink is gone from it), and one sweep of the reduction fold
+    in a session of its own, until a sweep folds nothing, before any
+    caller copies the module.  Each sink keeps its result of the last
+    round that changed it, or of its first."""
     finished, sinks = {}, {}
     for name in instantiation_order(design)[0]:
         rw, _ = selective_inline(design.modules[name], finished)
         current = module = rw.finish()
-        found = sinks[name] = []
         names = [p.name for p in module.ports if p.direction == "output"]
-        for sink in names + list(module.wires):
-            ref = current.outputs.get(sink, current.wires.get(sink))
-            if ref is None or ref.width < 2:
-                continue
+        found, folds = {}, []
+        while True:
+            for sink in names + list(module.wires):
+                ref = current.outputs.get(sink, current.wires.get(sink))
+                if ref is None or ref.width < 2:
+                    continue
+                rw = ModuleRewriter(current)
+                chunks, changed = vectorize_output(rw, ref)
+                current = rw.finish()
+                if changed or sink not in found:
+                    found[sink] = (name, sink, ref.width, chunks, changed)
             rw = ModuleRewriter(current)
-            chunks, changed = vectorize_output(rw, ref)
+            swept = fold_reductions(rw)
             current = rw.finish()
-            found.append((name, sink, ref.width, chunks, changed))
-        rw = ModuleRewriter(current)
-        found += [(name, sink, 1, [Chunk(0, 0, "reduction")], True)
-                  for sink in fold_reductions(rw)]
-        finished[name] = finished_module(rw.finish(), finished)
+            if not swept:
+                break
+            folds += swept
+        sinks[name] = [*found.values()] + [
+            (name, sink, 1, [Chunk(0, 0, "reduction")], True)
+            for sink in folds]
+        finished[name] = finished_module(current, finished)
     return (
         HwDesign({name: finished[name].module for name in design.modules},
                  design.top),
