@@ -24,6 +24,7 @@ back as a chain of its bits, which the caller's lanes can vectorize.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from busweaver.ir import (
@@ -112,11 +113,12 @@ def _chain(rw: ModuleRewriter, op: Operation, ops: list[Operation],
     source and read from that source's copy in ``values``.  A bit of a
     masked source (the fold's ``v & mask``, or ``v | ~mask`` under
     ``and``) that the mask forces to the chain's identity is left out;
-    the others read ``v``."""
+    the others read ``v``.  A chain whose every bit is a constant is
+    the one constant it computes."""
     kind = op.kind[3:]  # redxor -> xor
     masked = "or" if kind == "and" else "and"
     routes: dict = {}
-    value = None
+    terms = []
     for b in range(op.operands[0].width):
         src, bit, _ = route_bit(ops, op.operands[0], b, routes)
         sop = ops[src.op]
@@ -125,9 +127,13 @@ def _chain(rw: ModuleRewriter, op: Operation, ops: list[Operation],
             if (ops[mask.op].value >> bit & 1) == (kind == "and"):
                 continue  # forced to the identity: 0, or 1 under and
             src, bit, _ = route_bit(ops, v, bit, routes)
-        term = rw.extract(values[src.op], bit, 1)
-        value = term if value is None else rw.binary(kind, value, term)
-    return rw.const(kind == "and", 1) if value is None else value
+        terms.append(rw.extract(values[src.op], bit, 1))
+    bits = [rw.operations[t.op] for t in terms]
+    if all(b.kind == "const" for b in bits):  # the identity if none
+        ones = sum(b.value for b in bits)
+        return rw.const(ones % 2 if kind == "xor" else
+                        ones == len(bits) if kind == "and" else ones > 0, 1)
+    return reduce(lambda value, term: rw.binary(kind, value, term), terms)
 
 
 def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,

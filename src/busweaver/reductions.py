@@ -20,9 +20,11 @@ operator in the order their sources first appear.
 A tree is rewritten only where the module then counts strictly fewer
 instructions.  One call makes one sweep, readers before operands; the
 pipeline sweeps again, after planning its sinks again, until a sweep
-folds nothing.  A sweep keeps every operation's number of live readers
-(outputs count as readers), so it knows which operations a rewrite
-kills and which of those it builds exist already and stay live anyway.
+folds nothing.  The sweep reads the session's live-read counts
+(:meth:`~busweaver.rewrite.ModuleRewriter.live_reads`), which the
+session keeps current through every rewrite, so it knows which
+operations a rewrite kills and which of those it builds exist already
+and stay live anyway.
 """
 
 from __future__ import annotations
@@ -68,20 +70,8 @@ class _Folder:
 
     def sweep(self) -> list[str]:
         rw, ops = self.rw, self.ops
-        # Count reads from the highest id down, every operation taken as
-        # live, until one is reached unread: the highest dead one is, and
-        # so is one read only from below (after a rewrite).
-        order = range(len(ops))
-        uses = self.reads(())
-        for oid in reversed(order):
-            if not uses[oid]:
-                order = rw.live()
-                uses = self.reads(order)
-                break
-            for ref in ops[oid].operands:
-                uses[ref.op] += 1
-        self.uses = uses
-        self.order = order
+        self.uses = uses = rw.live_reads()
+        self.order = rw.live()
         self.names: dict[int, str] = {}
         for binding in (rw.outputs, rw.wires):
             for name, ref in binding.items():
@@ -90,30 +80,20 @@ class _Folder:
         self.owners: dict[int, str] | None = None
         folded: list[str] = []
         seen: set[int] = set()  # the nodes of the trees seen so far
-        for root in reversed(order):
+        for root in reversed(self.order):
             op = ops[root]
             if op.kind not in _REDUCE or op.width != 1 or root in seen \
                     or not uses[root]:
                 continue
             nodes, leaves = self.tree(root, op.kind)
             seen.update(nodes)
-            mark = len(ops)
             value = self.fold(op.kind, nodes, leaves)
             if value is not None:
                 folded.append(self.name(root))
-                self.commit(nodes, leaves, value, mark)
+                rw.replace_uses({ValueRef(root, 1): value})
+                if root in self.wired:
+                    self.wired.add(value.op)
         return folded
-
-    def reads(self, order) -> list[int]:
-        """Reads of each operation by ``order`` and the outputs."""
-        ops, rw = self.ops, self.rw
-        uses = [0] * len(ops)
-        for oid in order:
-            for ref in ops[oid].operands:
-                uses[ref.op] += 1
-        for ref in rw.outputs.values():
-            uses[ref.op] += 1
-        return uses
 
     def tree(self, root: int, kind: str) -> tuple[list[int], dict[int, int]]:
         """The nodes of the tree under ``root``, and how often it reads
@@ -225,35 +205,6 @@ class _Folder:
                     lost[ref.op] = lost.get(ref.op, 0) + 1
                     stack.append(ref.op)
         return dying
-
-    def commit(self, nodes: list[int], leaves: dict[int, int],
-               value: ValueRef, mark: int) -> None:
-        """Redirect the readers of the tree's root, ``nodes[0]``, to
-        ``value`` and bring the reader counts up to date: operations
-        ``mark`` and later are new."""
-        ops, uses = self.ops, self.uses
-        root = nodes[0]
-        uses.extend([0] * (len(ops) - mark))
-        self.rw.replace_uses({ValueRef(root, 1): value})
-        if root in self.wired:
-            self.wired.add(value.op)
-        # value gains the root's readers; whatever was dead below it
-        # (new operations among them) comes alive with it
-        stack = [(value.op, uses[root])]
-        while stack:
-            oid, n = stack.pop()
-            uses[oid] += n
-            if uses[oid] == n and ops[oid].kind != "instance":
-                stack += [(ref.op, 1) for ref in ops[oid].operands]
-        # the tree dies, and what only it kept alive with it
-        for oid in nodes:
-            uses[oid] = 0
-        stack = list(leaves.items())
-        while stack:
-            oid, n = stack.pop()
-            uses[oid] -= n
-            if not uses[oid] and ops[oid].kind != "instance":
-                stack += [(ref.op, 1) for ref in ops[oid].operands]
 
     def name(self, root: int) -> str:
         if root in self.names:

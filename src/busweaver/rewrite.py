@@ -1,5 +1,5 @@
 """Rewrite sessions: a builder over an existing module, use replacement
-through a use index, and dead-code compaction.
+through a use index, live-read counts, and dead-code compaction.
 
 The pipeline edits each module in one :class:`ModuleRewriter` session,
 which the inliner opens and the sink planner and reduction fold carry
@@ -12,10 +12,15 @@ session never mutates an input operation: an operation whose operands
 are redirected is replaced, in its slot, by a new one.  Because the
 builder value-numbers routing operations, a rewrite that reconstructs
 exactly what is already there returns the old value itself, which is
-how the pipeline tells a real rewrite from a no-op.
+how the pipeline tells a real rewrite from a no-op.  The session, not
+its callers, keeps the liveness record
+(:meth:`ModuleRewriter.live_reads`) that the planner's test for
+orphaned wire sinks and the reduction fold read.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from busweaver.ir import (
     HwModule,
@@ -123,10 +128,13 @@ class ModuleRewriter(ModuleBuilder):
         self._users: dict[int, set[int]] = {}
         self._indexed = 0
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
-        # Operations is_live has found live, until an edit could make
-        # them dead (see _forget), and the operations its walks have
-        # visited, a counter that tests bound.
-        self._live: set[int] = set()
+        # The live-read counts (see live_reads), set up with the use
+        # index; whether replace_uses has run; and the work of keeping
+        # the counts, a counter that tests bound: one step per read
+        # counted at set-up, per count shifted directly, and per
+        # operation whose operands a shift reached.
+        self._uses: list[int] = []
+        self._redirected = False
         self.reader_steps = 0
         # Operations :meth:`copy` returned an existing value for
         # instead of building them.
@@ -154,18 +162,45 @@ class ModuleRewriter(ModuleBuilder):
         return super().copy(op, operands)
 
     def live(self) -> list[int]:
-        """The ids :meth:`finish` would keep, in :func:`live_order`."""
+        """The ids :meth:`finish` would keep, operands first: in id order
+        until the session's first redirection (until then every
+        operation reads lower ids only), in :func:`live_order` after."""
+        if not self._redirected:
+            return list(compress(range(len(self.operations)),
+                                 self.live_reads()))
         module = ModuleBuilder.finish(self, self.outputs, self.wires)
         return live_order(module, self._dropped)
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
-        self._live.clear()
+        if self._bound is not None:
+            self._shift(-1, [op_id], [])
 
     def _index(self) -> None:
         """Index the readers of the operations appended since the last
-        call, and the bindings on the first call."""
-        ops, users = self.operations, self._users
+        call, and count those operations as unread.  The first call also
+        indexes the bindings and sets the live-read counts up."""
+        ops, users, uses = self.operations, self._users, self._uses
+        uses.extend([0] * (len(ops) - len(uses)))
+        if self._bound is None:
+            self._bound = {}
+            for binding in (self.outputs, self.wires):
+                for name, ref in binding.items():
+                    self._bound.setdefault(ref.op, []).append((binding, name))
+            for ref in self.outputs.values():
+                uses[ref.op] += 1
+            # From the top down: nothing is redirected yet, so every
+            # operation reads lower ids only, and its count is whole
+            # when the pass reaches it.
+            dropped = self._dropped
+            for oid in range(len(ops) - 1, -1, -1):
+                op = ops[oid]
+                if op.kind == "instance" and oid not in dropped:
+                    uses[oid] += 1
+                if uses[oid]:
+                    for ref in op.operands:
+                        uses[ref.op] += 1
+            self.reader_steps += sum(uses)
         for oid in range(self._indexed, len(ops)):
             for ref in ops[oid].operands:
                 readers = users.get(ref.op)
@@ -174,38 +209,20 @@ class ModuleRewriter(ModuleBuilder):
                 else:
                     readers.add(oid)
         self._indexed = len(ops)
-        if self._bound is None:
-            self._bound = {}
-            for binding in (self.outputs, self.wires):
-                for name, ref in binding.items():
-                    self._bound.setdefault(ref.op, []).append((binding, name))
+
+    def live_reads(self) -> list[int]:
+        """The session's own list of live-read counts, one per operation:
+        its reads by live operations, plus one per output bound to it
+        and one for a kept instance; :meth:`finish` keeps the operations
+        whose count is not 0.  Every redirection keeps the list current,
+        and covers the operations appended since."""
+        self._index()
+        return self._uses
 
     def is_live(self, ref: ValueRef) -> bool:
-        """Whether :meth:`finish` would keep ``ref``'s operation: some
-        chain of readers, walked upward through the use index, reaches
-        an operation bound to an output, a kept instance, or one found
-        live before.  Every operation on the chain found is live, and
-        is remembered as such until an edit could make it dead."""
-        self._index()
-        ops, users, bound, live = (self.operations, self._users,
-                                   self._bound, self._live)
-        below = {ref.op: None}  # a walked op -> the op it reads, if any
-        stack = [ref.op]
-        while stack:
-            oid = stack.pop()
-            self.reader_steps += 1
-            if oid in live or (ops[oid].kind == "instance"
-                               and oid not in self._dropped) \
-                    or any(b is self.outputs for b, _ in bound.get(oid, ())):
-                while oid is not None:
-                    live.add(oid)
-                    oid = below[oid]
-                return True
-            for uid in users.get(oid, ()):
-                if uid not in below:
-                    below[uid] = oid
-                    stack.append(uid)
-        return False
+        """Whether :meth:`finish` would keep ``ref``'s operation: its
+        live-read count is not 0."""
+        return self.live_reads()[ref.op] > 0
 
     def replace_uses(self, subst: dict[ValueRef, ValueRef]) -> None:
         """Redirect every use (operands, outputs, wires) of each key of
@@ -221,9 +238,13 @@ class ModuleRewriter(ModuleBuilder):
         write alike and a re-parse would count once.
         """
         self._index()
-        ops, users, cse = self.operations, self._users, self._cse
+        self._redirected = True
+        ops, users, cse, uses = (self.operations, self._users, self._cse,
+                                 self._uses)
         while subst:
-            self._forget(old.op for old in subst)
+            # the values outputs move to and from, and the operations of
+            # the live readers after the edit and before it
+            gained_ids, lost_ids, gained, lost = [], [], [], []
             readers = set()
             for old in subst:
                 readers |= users.pop(old.op, set())
@@ -231,16 +252,24 @@ class ModuleRewriter(ModuleBuilder):
                     ref = binding[name] = subst[old]
                     self._bound.setdefault(ref.op, []).append(
                         (binding, name))
+                    if binding is self.outputs:
+                        lost_ids.append(old.op)
+                        gained_ids.append(ref.op)
             readers = sorted(readers)
             for uid in readers:
                 op = ops[uid]
                 key = cse_key(op)
                 if key is not None and cse.get(key) == ValueRef(uid, op.width):
                     del cse[key]
-                op = ops[uid] = with_operands(
+                new = ops[uid] = with_operands(
                     op, [subst.get(r, r) for r in op.operands])
-                for ref in op.operands:
+                for ref in new.operands:
                     users.setdefault(ref.op, set()).add(uid)
+                if uses[uid]:
+                    lost.append(op)
+                    gained.append(new)
+            self._shift(1, gained_ids, gained)
+            self._shift(-1, lost_ids, lost)
             # A reader that became equal to another routing operation,
             # its twin, has its own uses redirected to the twin next.
             twins = {}
@@ -256,20 +285,28 @@ class ModuleRewriter(ModuleBuilder):
                     twins[ValueRef(uid, op.width)] = twin
             subst = twins
 
-    def _forget(self, roots) -> None:
-        """Forget that ``roots`` and the live operations below them are
-        live: an edit that takes the uses of ``roots`` away can make only
-        those dead.  Each remembered operation keeps a chain of
-        remembered readers up to a root, so walking down through
-        remembered operations reaches every one whose chain passed
-        through ``roots``."""
-        live, ops = self._live, self.operations
-        stack = [oid for oid in roots if oid in live]
-        while stack:
-            oid = stack.pop()
-            if oid in live:
-                live.discard(oid)
-                stack += [r.op for r in ops[oid].operands if r.op in live]
+    def _shift(self, step: int, oids: list[int],
+               readers: list[Operation]) -> None:
+        """Add ``step`` (1 or -1) to the count of each of ``oids`` and of
+        each operand of ``readers``; a count that comes up from 0, or
+        falls to it, passes the step on to its operation's operands."""
+        uses, ops = self._uses, self.operations
+        edge = 0 if step > 0 else 1  # the count before a change of state
+        passed = readers  # grows: the operations whose operands take it
+        push = passed.append
+        for oid in oids:
+            n = uses[oid]
+            uses[oid] = n + step
+            if n == edge:
+                push(ops[oid])
+        for op in passed:
+            for ref in op.operands:
+                oid = ref.op
+                n = uses[oid]
+                uses[oid] = n + step
+                if n == edge:
+                    push(ops[oid])
+        self.reader_steps += len(oids) + len(passed)
 
     def finish(self) -> HwModule:
         module = super().finish(self.outputs, self.wires)

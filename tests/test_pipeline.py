@@ -854,13 +854,21 @@ def test_lanes_that_a_fold_makes_regular_vectorize_in_one_run():
         assert verdict.status == "equivalent-exhaustive"
 
 
-@pytest.mark.parametrize("workload", list(corpus_digest.corpus.WORKLOADS))
+@pytest.mark.parametrize(
+    "workload", [*corpus_digest.corpus.WORKLOADS, "hierarchies"])
 def test_the_corpus_digest_is_stable(workload):
     # tests/corpus_digest.py compares two source trees by these lines,
     # the workload's and one per policy, so two runs of one tree agree
-    cases = corpus_digest.corpus.build(workload, 5, smoke=True)
-    value, lines = corpus_digest.workload_lines(workload, cases)
-    assert (value, lines) == corpus_digest.workload_lines(workload, cases)
+    if workload == "hierarchies":
+        cases = corpus_digest.hierarchy_cases(range(6))
+        record = corpus_digest.hierarchy_record
+    else:
+        cases = [(c.name, c.source) for c in
+                 corpus_digest.corpus.build(workload, 5, smoke=True)]
+        record = corpus_digest.run_record
+    value, lines = corpus_digest.workload_lines(workload, cases, record)
+    assert (value, lines) == corpus_digest.workload_lines(workload, cases,
+                                                          record)
     assert [line.split(": ")[0] for line in lines[1:]] == [
         f"  {workload} | {name}" for name in corpus_digest.POLICIES]
     assert lines[0].endswith(value)

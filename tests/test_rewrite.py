@@ -226,9 +226,10 @@ def test_liveness_of_wire_sinks_walks_no_whole_module(monkeypatch):
 
 
 def test_liveness_of_wire_sinks_walks_linearly(monkeypatch):
-    """Operations found live are remembered, so the reader walks of
-    all the wire sinks together grow with the chain above them, not
-    with its square."""
+    """The live-read counts are set up once and change only where a
+    redirection changes them, so the count updates of all the wire
+    sinks together grow with the chain above them, not with its
+    square."""
     sessions = []
 
     class Counting(ModuleRewriter):
@@ -271,11 +272,22 @@ def test_is_live_agrees_with_live_order_after_every_edit(seed):
         def check():
             current = HwModule(rw.name, rw.ports, rw.operations,
                                rw.outputs, rw.wires)
-            live = set(rewrite.live_order(current, dropped))
+            order = rewrite.live_order(current, dropped)
             assert {
                 oid for oid, op in enumerate(rw.operations)
                 if rw.is_live(ValueRef(oid, op.width))
-            } == live
+            } == set(order)
+            # the session's counts are a recount over the live operations
+            uses = [0] * len(rw.operations)
+            for oid in order:
+                for ref in rw.operations[oid].operands:
+                    uses[ref.op] += 1
+                if rw.operations[oid].kind == "instance" \
+                        and oid not in dropped:
+                    uses[oid] += 1  # a kept instance is a root
+            for ref in rw.outputs.values():
+                uses[ref.op] += 1
+            assert rw.live_reads() == uses
 
         check()
         for sink in [*rw.outputs, *rw.wires]:
@@ -283,6 +295,8 @@ def test_is_live_agrees_with_live_order_after_every_edit(seed):
             if ref.width >= 2:
                 vectorize_output(rw, ref)
                 check()
+        fold_reductions(rw)
+        check()
         for oid, op in enumerate(rw.operations):
             if op.kind == "instance":
                 rw.drop_instance(oid)
