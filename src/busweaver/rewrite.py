@@ -33,19 +33,25 @@ from busweaver.ir import (
 
 
 def live_order(
-    module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset()
+    module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset(),
+    instances: list[int] | None = None,
 ) -> list[int]:
     """Ids of the operations reachable from output bindings and
     instance statements, dependency first, in a deterministic order.
 
     Instance operations are roots (they are visible structure even when
-    no one reads their outputs) unless listed in ``drop_ops``.
+    no one reads their outputs) unless listed in ``drop_ops``.  A caller
+    that knows the ids of the module's instance operations passes them,
+    in ascending order, as ``instances``; otherwise every operation is
+    scanned for them.
     """
     ops = module.operations
     roots = [module.outputs[port.name].op for port in module.ports
              if port.direction == "output" and port.name in module.outputs]
-    roots += [oid for oid, op in enumerate(ops)
-              if op.kind == "instance" and oid not in drop_ops]
+    if instances is None:
+        instances = [oid for oid, op in enumerate(ops)
+                     if op.kind == "instance"]
+    roots += [oid for oid in instances if oid not in drop_ops]
     # One depth-first walk from all roots, the first on top: an id is
     # to expand, its complement (negative) to emit once its operands are.
     stack = roots[::-1]
@@ -65,17 +71,19 @@ def live_order(
 
 
 def compact_module(
-    module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset()
+    module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset(),
+    instances: list[int] | None = None,
 ) -> HwModule:
     """Rebuild the module keeping only the operations of
-    :func:`live_order`, renumbered in that order.  An operation whose
-    operands are not renumbered is kept as the same object.
+    :func:`live_order` (which takes ``drop_ops`` and ``instances``),
+    renumbered in that order.  An operation whose operands are not
+    renumbered is kept as the same object.
 
     Named wires are kept only while their value stays reachable; a wire
     orphaned by a rewrite disappears together with its cone.
     """
     ops = module.operations
-    order = live_order(module, drop_ops)
+    order = live_order(module, drop_ops, instances)
     remap = [-1] * len(ops)  # old id -> new id, -1 for a dropped one
     for new, old in enumerate(order):
         remap[old] = new
@@ -115,9 +123,16 @@ class ModuleRewriter(ModuleBuilder):
     def __init__(self, module: HwModule):
         super().__init__(module.name, module.ports)
         self.operations = list(module.operations)
+        # The ids of the instance operations, ascending.  Only the
+        # frontend builds instances, and a redirected reader keeps its
+        # slot, so they hold for the whole session.
+        self._instances: list[int] = []
         for oid, op in enumerate(self.operations):
             key = cse_key(op)
-            if key is not None and key not in self._cse:
+            if key is None:
+                if op.kind == "instance":
+                    self._instances.append(oid)
+            elif key not in self._cse:
                 self._cse[key] = ValueRef(oid, op.width)
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
@@ -169,7 +184,7 @@ class ModuleRewriter(ModuleBuilder):
             return list(compress(range(len(self.operations)),
                                  self.live_reads()))
         module = ModuleBuilder.finish(self, self.outputs, self.wires)
-        return live_order(module, self._dropped)
+        return live_order(module, self._dropped, self._instances)
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
@@ -189,16 +204,15 @@ class ModuleRewriter(ModuleBuilder):
                     self._bound.setdefault(ref.op, []).append((binding, name))
             for ref in self.outputs.values():
                 uses[ref.op] += 1
+            for oid in self._instances:
+                if oid not in self._dropped:
+                    uses[oid] += 1
             # From the top down: nothing is redirected yet, so every
             # operation reads lower ids only, and its count is whole
             # when the pass reaches it.
-            dropped = self._dropped
             for oid in range(len(ops) - 1, -1, -1):
-                op = ops[oid]
-                if op.kind == "instance" and oid not in dropped:
-                    uses[oid] += 1
                 if uses[oid]:
-                    for ref in op.operands:
+                    for ref in ops[oid].operands:
                         uses[ref.op] += 1
             self.reader_steps += sum(uses)
         for oid in range(self._indexed, len(ops)):
@@ -310,4 +324,4 @@ class ModuleRewriter(ModuleBuilder):
 
     def finish(self) -> HwModule:
         module = super().finish(self.outputs, self.wires)
-        return compact_module(module, self._dropped)
+        return compact_module(module, self._dropped, self._instances)

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 from busweaver.frontend import parse_design
-from busweaver.generators import scaling_design
 from busweaver.ir import (
     HwDesign,
     HwModule,
@@ -30,6 +29,7 @@ from busweaver.oracle import (
 )
 from busweaver.pipeline import run_pipeline
 from busweaver.reporting import SweepResult
+from generators import scaling_design
 
 DEFAULT_SCALING_TARGETS = (100, 1000, 10000, 100000)
 

@@ -11,17 +11,17 @@ from busweaver import (
     run_pipeline,
 )
 from busweaver.cones import backward_cone
-from busweaver.generators import (
+from busweaver.ir import metrics, simulate
+from busweaver.oracle import check_design_equivalence
+from busweaver.pipeline import PassCounters
+from busweaver.reporting import threshold_sweep
+from generators import (
     nested_instance_design,
     permutation_design,
     replicated_cone_design,
     ripple_carry_design,
     scaling_design,
 )
-from busweaver.ir import metrics, simulate
-from busweaver.oracle import check_design_equivalence
-from busweaver.pipeline import PassCounters
-from busweaver.reporting import threshold_sweep
 from probes import rewrite_counts, scaling_probe
 from reference import detect_permutation, greedy_group, is_independent
 

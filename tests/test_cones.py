@@ -5,12 +5,12 @@ import pytest
 from busweaver.cones import backward_cone, select_slots
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
-from busweaver.generators import ripple_carry_design
 from busweaver.inliner import finished_module, selective_inline
 from busweaver.ir import instantiation_order
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import vectorize_output
 from busweaver.rewrite import ModuleRewriter
+from generators import ripple_carry_design
 from reference import (
     is_independent,
     is_isomorphic,

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import generators
 import reference
-from busweaver import emit_design, frontend, generators, run_pipeline
+from busweaver import emit_design, frontend, run_pipeline
 from busweaver.frontend import MAX_WIDTH, ParseError, parse_design
 from busweaver.ir import count_instructions, simulate
 from busweaver.oracle import check_design_equivalence

@@ -2,11 +2,11 @@ import pytest
 
 from busweaver.emitter import emit_design, emit_module
 from busweaver.frontend import parse_design
-from busweaver.generators import nested_instance_design
 from busweaver.inliner import InlinePolicy
 from busweaver.ir import HwDesign, ModuleBuilder, Operation, Port
 from busweaver.oracle import check_design_equivalence
 from busweaver.pipeline import run_pipeline
+from generators import nested_instance_design
 
 
 def _roundtrip_stable(src: str) -> str:

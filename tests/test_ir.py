@@ -7,13 +7,6 @@ import pytest
 import reference
 from busweaver.emitter import emit_design, emit_module
 from busweaver.frontend import parse_design
-from busweaver.generators import (
-    nested_instance_design,
-    permutation_design,
-    replicated_cone_design,
-    ripple_carry_design,
-    scaling_design,
-)
 from busweaver.inliner import InlinePolicy
 from busweaver.ir import (
     ALL_KINDS,
@@ -36,6 +29,13 @@ from busweaver.ir import (
 )
 from busweaver.oracle import check_equivalence
 from busweaver.pipeline import VectorizationError, run_pipeline
+from generators import (
+    nested_instance_design,
+    permutation_design,
+    replicated_cone_design,
+    ripple_carry_design,
+    scaling_design,
+)
 
 
 def _ports(*specs):
@@ -527,7 +527,7 @@ def _mutant(rng: random.Random, ops: list[Operation], oid: int) -> Operation:
 
 
 def _generator_designs():
-    """Designs of every ``busweaver.generators`` family, parsed, and
+    """Designs of every ``generators`` family, parsed, and
     what the pipeline makes of them."""
     designs = []
     for case in range(4):

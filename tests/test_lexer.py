@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import generators
 import reference
-from busweaver import generators
 from busweaver.frontend import (
     KEYWORDS,
     UNSUPPORTED_KEYWORDS,

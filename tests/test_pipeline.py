@@ -13,12 +13,6 @@ from busweaver import (
     run_pipeline,
 )
 from busweaver.cones import backward_cone
-from busweaver.generators import (
-    nested_instance_design,
-    permutation_design,
-    replicated_cone_design,
-    ripple_carry_design,
-)
 from busweaver.inliner import InlinePolicy
 from busweaver.oracle import check_design_equivalence
 from busweaver.ir import (
@@ -40,6 +34,12 @@ from busweaver.pipeline import (
 )
 from busweaver.reporting import BatchOptions, process_design
 from busweaver.rewrite import ModuleRewriter, live_order
+from generators import (
+    nested_instance_design,
+    permutation_design,
+    replicated_cone_design,
+    ripple_carry_design,
+)
 import corpus_digest
 import hierarchies
 from reference import detect_permutation, is_independent, is_isomorphic

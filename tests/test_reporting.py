@@ -1,6 +1,7 @@
 """Batch processing, sweeps, scaling probes, report files, and the
 command line front end."""
 
+import gc
 import json
 import logging
 import os
@@ -11,15 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import hierarchies
 import probes
 from busweaver import reporting
 from busweaver.cli import main
 from busweaver.frontend import parse_design
-from busweaver.generators import (
-    nested_instance_design,
-    permutation_design,
-    ripple_carry_design,
-)
 from busweaver.ir import HwDesign
 from busweaver.pipeline import VectorizationError
 from busweaver.reporting import (
@@ -32,6 +29,13 @@ from busweaver.reporting import (
     threshold_sweep,
     write_csv_report,
     write_json_report,
+)
+from generators import (
+    nested_instance_design,
+    permutation_design,
+    replicated_cone_design,
+    ripple_carry_design,
+    scaling_design,
 )
 from probes import rewrite_counts, scaling_probe
 
@@ -424,6 +428,126 @@ def test_process_design_logs_the_internal_error_traceback(
     assert record.exc_info[0] is ValueError
     assert "the message stays in the log" in caplog.text
     assert "Traceback" in caplog.text
+
+
+#: The ways out of ``process_design``: a result, and each error.
+EXIT_PATHS = ("success", "parse error", "verification error",
+              "missing file", "internal error")
+
+
+def _exit_path(kind, tmp_path, monkeypatch):
+    """The input file of one exit path of ``process_design``, with the
+    fault that path needs patched in.  The design is large enough that
+    parsing it alone triggers collections while the collector runs."""
+    if kind == "missing file":
+        return str(tmp_path / "nope.v")
+    text = scaling_design(3000)
+    if kind == "parse error":  # out[0] is never driven
+        text = text.replace("  assign out[0] = sel ? a[0] : b[0];\n", "")
+    elif kind == "verification error":
+        # Each exception is made in the frame that raises it: one kept
+        # in a closure would make a cycle through its traceback.
+        def refuses(*args):
+            raise VectorizationError(["mesh: output 'out' unbound"])
+
+        monkeypatch.setattr(reporting, "run_pipeline", refuses)
+    elif kind == "internal error":
+        def boom(*args):
+            raise ValueError("nothing anticipates this")
+
+        monkeypatch.setattr(reporting, "run_pipeline", boom)
+    return _write(tmp_path, "mesh.v", text)
+
+
+@pytest.fixture
+def caller_collector():
+    """Puts the collector back as the test found it, whatever the test
+    set it to."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("kind", EXIT_PATHS)
+def test_process_design_leaves_the_collector_as_the_caller_had_it(
+        kind, enabled, tmp_path, monkeypatch, caller_collector):
+    path = _exit_path(kind, tmp_path, monkeypatch)
+    starts = []
+
+    def hook(phase, info):
+        # A collection starting while the design's work is on the
+        # stack; one that a tracer's allocations start after the
+        # collector is back on does not count.
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is reporting._process.__code__:
+                starts.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    def collections(run, *args):
+        gc.collect()  # so that nothing made before the run is due
+        gc.callbacks.append(hook)
+        try:
+            return run(*args)
+        finally:
+            gc.callbacks.remove(hook)
+
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    result = collections(process_design, path, BatchOptions(check=True))
+    assert gc.isenabled() is enabled
+    assert (result.error is None) == (kind == "success")
+    assert starts == []
+    if kind == "success" and enabled:
+        # the hook sees the collections of the same work unpaused
+        collections(reporting._process, path, BatchOptions(check=True))
+        assert starts
+
+
+def test_process_design_leaves_nothing_for_the_collector(
+        tmp_path, golden_dir, monkeypatch, caller_collector):
+    """``process_design`` pauses the cyclic collector, which is free
+    only while the IR makes no reference cycles: then reference
+    counting frees all a design allocates.  So after every design, the
+    goldens, each generator family, random hierarchies under two
+    policies and each error path, a collection finds nothing.  A
+    back-pointer in the IR, or an exception kept in a local of the
+    frame that raised it, fails here."""
+    options = BatchOptions(check=True, write_output=True,
+                           out_dir=str(tmp_path / "out"))
+    no_inline = BatchOptions(no_inline=True, check=True)
+    runs = [(path.name, str(path), options)
+            for path in sorted(golden_dir.glob("*.v"))]
+    for name, text in [("perm", permutation_design(24, 3)),
+                       ("cones", replicated_cone_design(8, 3, 5)),
+                       ("rca", ripple_carry_design(12)),
+                       ("nested", nested_instance_design(6, 3)),
+                       ("mesh", scaling_design(300))]:
+        runs.append((name, _write(tmp_path, f"{name}.v", text), options))
+    for seed in range(6):
+        path = _write(tmp_path, f"h{seed}.v",
+                      hierarchies.random_hierarchy(seed))
+        runs += [(f"h{seed}", path, options),
+                 (f"h{seed} no inlining", path, no_inline)]
+    gc.disable()
+    for name, path, opts in runs:
+        gc.collect()
+        assert process_design(path, opts).ok, name
+        assert gc.collect() == 0, name
+    for kind in EXIT_PATHS[1:]:
+        with monkeypatch.context() as patch:
+            path = _exit_path(kind, tmp_path, patch)
+            gc.collect()
+            assert process_design(path, options).error, kind
+            assert gc.collect() == 0, kind
 
 
 DEFERRED = ("concurrent.futures", "multiprocessing", "logging", "json",
