@@ -104,17 +104,23 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 _PUNCT = frozenset("()[]{},;:.?=~&|^+-")
 
 #: One match per token: blanks and comments, then the token as group 1.
-#: Group 1 is a sized literal, a number, a ranged keyword right before
-#: its "[", an identifier (with a select right after it, if any), an
-#: unsupported operator, punctuation, a stray character, or "" at the end.
+#: Group 1 is a ranged keyword right before its "[", an identifier (with
+#: a select right after it, if any), punctuation that starts no
+#: unsupported operator, a sized literal, a number, an unsupported
+#: operator, the rest of the punctuation, a stray character, or "" at the
+#: end.  The first alternative that matches wins, and the common ones
+#: come first; two orders must hold: a ranged keyword ahead of the
+#: identifiers, and each unsupported operator ahead of the one-character
+#: punctuation it starts with (``= ~ & | ^``).
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
-    r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
-    r"|[0-9][0-9_]*"
-    r"|(?:input|output|wire)(?=\[)"
+    r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
+    r"((?:input|output|wire)(?=\[)"
     r"|[A-Za-z_][A-Za-z0-9_$]*(?:\[[0-9]{1,9}(?::[0-9]{1,9})?\])?"
+    r"|[()\[\]{},;:.?+\-]"
+    r"|[0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
+    r"|[0-9][0-9_]*"
     r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
-    r"|[()\[\]{},;:.?=~&|^+\-]"
+    r"|[=~&|^]"
     r"|."
     r"|\Z)",
     re.DOTALL,
@@ -340,6 +346,11 @@ _BINARY_PREC = {"|": 1, "^": 2, "&": 3, "+": 4, "-": 4}
 _PREFIX_KIND = {"~": "not", "&": "redand", "|": "redor", "^": "redxor"}
 #: What may close each kind of open bracket or conditional.
 _CLOSER = {"(": ")", "{": "}", "{{": "}", "?": ":"}
+#: The first characters of a name or number, the words that are neither,
+#: and the tokens that end an expression that is one leaf.
+_LEAF_START = _IDENT_START | _DIGITS
+_RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
+_LEAF_END = frozenset(";),")
 
 
 class _SyntaxAbort(Exception):
@@ -592,6 +603,14 @@ class _Parser:
         syntax error is the first one recursive descent would report.
         """
         toks, selects = self.toks, self.lexer.selects
+        i = self.pos
+        text = toks[i]
+        # A lone leaf, the usual expression of a per-bit design.  The
+        # leaf is tested first: only then is there a token after it.
+        if (text in selects or text[:1] in _LEAF_START
+                and text not in _RESERVED) and toks[i + 1] in _LEAF_END:
+            self.pos = i + 1
+            return [i]
         out: list = []
         emit = out.append
         # Waiting: a binary operator's token index, a prefix operator's
@@ -599,7 +618,6 @@ class _Parser:
         # open "(", "{", "{{" (replication), "?" or ":" (an else arm).
         stack: list = []
         push, pop = stack.append, stack.pop
-        i = self.pos
         while True:
             # An operand: prefix operators and open brackets, then a leaf.
             while True:
@@ -742,6 +760,17 @@ class _Code(NamedTuple):
     nodes: list[tuple]
 
 
+class _Callee(NamedTuple):
+    """What each instance of one module needs of it: its port names,
+    the ``in_ports`` and ``out_ports`` of an instance operation, and
+    the first bit of each output port in the instance's result."""
+
+    names: frozenset[str]
+    in_ports: tuple[str, ...]
+    out_ports: tuple[tuple[str, int], ...]
+    offsets: dict[str, int]
+
+
 class _Net:
     """A port or wire being elaborated.  ``direction`` is None for a
     wire.  A driver is ``(high, low, tag, payload)``; tag is "assign"
@@ -791,11 +820,28 @@ class _Elaborator:
         # token text -> (net name, width, node) of a checked leaf, or
         # (None, None, node) of a binary operator; see walk
         self._known: dict[str, tuple] = dict(_BINARY_KNOWN)
+        # module name -> its _Callee, once one of its instances needs it
+        self._callees: dict[str, _Callee] = {}
         self.failed = False
 
     def error(self, tok: int, message: str) -> None:
         self.lexer.error(tok, message)
         self.failed = True
+
+    def callee(self, module: str) -> _Callee:
+        """The facts of ``module`` that its instances need, computed on
+        first use."""
+        facts = self._callees.get(module)
+        if facts is None:
+            sig = self.signatures[module]
+            in_ports, out_ports = instance_ports(sig)
+            offsets: dict[str, int] = {}
+            width = sum(w for _, w in out_ports)
+            for name, _, _, _, start in port_slices(out_ports, 0, width):
+                offsets.setdefault(name, start)
+            facts = self._callees[module] = _Callee(
+                frozenset(p.name for p in sig), in_ports, out_ports, offsets)
+        return facts
 
     # -- symbol table ------------------------------------------------------
 
@@ -1069,7 +1115,7 @@ class _Elaborator:
             return None
         out: dict[str, AstConn] = {}
         if named:
-            portnames = {p.name for p in sig}
+            portnames = self.callee(inst.module).names
             for c in inst.conns:
                 if c.port not in portnames:
                     self.error(c.tok,
@@ -1183,15 +1229,10 @@ class _Elaborator:
                 parts.append(self.build(payload))
             else:
                 idx, portname = payload
-                value = self.materialize_instance(idx)
-                out_ports = self.builder.operations[value.op].out_ports
-                offset = next(
-                    start for pname, _, _, _, start
-                    in port_slices(out_ports, 0, value.width)
-                    if pname == portname)
-                parts.append(
-                    self.builder.extract(value, offset, high - low + 1)
-                )
+                offset = self.callee(
+                    self.ast.instances[idx].module).offsets[portname]
+                parts.append(self.builder.extract(
+                    self.materialize_instance(idx), offset, high - low + 1))
         return self.builder.concat(list(reversed(parts)))
 
     def materialize_instance(self, idx: int) -> ValueRef:
@@ -1199,10 +1240,9 @@ class _Elaborator:
             return self.inst_values[idx]
         inst = self.ast.instances[idx]
         operands = [self.build(code) for code in self._inputs[idx].values()]
-        value = self.builder.instance(
-            inst.module, inst.name, operands,
-            *instance_ports(self.signatures[inst.module])
-        )
+        facts = self.callee(inst.module)
+        value = self.builder.instance(inst.module, inst.name, operands,
+                                      facts.in_ports, facts.out_ports)
         self.inst_values[idx] = value
         return value
 

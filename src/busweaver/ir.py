@@ -38,7 +38,7 @@ first, into a ``PackedProgram`` of one-bit ``and``/``or``/``xor``/
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 
@@ -999,7 +999,7 @@ def compile_module(
                 if a.__class__ is not set:
                     a, b = b, a
                 odd = a if a.__class__ is set else {a[0]}
-                odd ^= b if b.__class__ is set else {b[0]}
+                odd.symmetric_difference_update(b)  # a set, or one slot
                 if k in inner:
                     r = odd
                 else:
@@ -1080,21 +1080,24 @@ def _xor_inner(module: HwModule) -> set[int]:
     """The inner operations of the 1-bit ``xor`` trees of ``module``:
     1-bit xors read once, by a 1-bit xor, and by no output."""
     ops = module.operations
-    xors = [op for op in ops if op.kind == "xor" and op.width == 1]
-    if len(xors) < 2:
+    if len([op for op in ops if op.kind == "xor" and op.width == 1]) < 2:
         return set()
-    once: set[int] = set()
-    twice: set[int] = set()
-    for op in xors:
-        for ref in op.operands:
-            (twice if ref.op in once else once).add(ref.op)
-    # read by anything else
-    twice.update(ref.op for op in ops
-                 if op.kind != "xor" or op.width != 1
-                 for ref in op.operands)
-    twice.update(ref.op for ref in module.outputs.values())
-    return {k for k in once - twice
-            if ops[k].kind == "xor" and ops[k].width == 1}
+    # One pass, readers after their operands.  A 1-bit xor starts at -2
+    # when the pass reaches it, each read by a 1-bit xor adds 1, and any
+    # other read sets 0, so that -1 is "read once, by a 1-bit xor".
+    state = [0] * len(ops)
+    for k, op in enumerate(ops):
+        if op.kind == "xor" and op.width == 1:
+            a, b = op.operands
+            state[k] = -2
+            state[a.op] += 1
+            state[b.op] += 1
+        else:
+            for ref in op.operands:
+                state[ref.op] = 0
+    for ref in module.outputs.values():
+        state[ref.op] = 0
+    return set(compress(range(len(ops)), map((-1).__eq__, state)))
 
 
 def _live(program: PackedProgram, first: int) -> PackedProgram:

@@ -138,17 +138,17 @@ class ModuleRewriter(ModuleBuilder):
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
         # The use index, brought up to date by _index: op id -> the
-        # operations reading it (the first ``_indexed`` ones) and -> the
-        # output and wire bindings naming it.
-        self._users: dict[int, set[int]] = {}
+        # operations reading it (the first ``_indexed`` ones; an entry
+        # may repeat) and -> the output and wire bindings naming it.
+        self._users: list[list[int]] = []
         self._indexed = 0
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
-        # The live-read counts (see live_reads), set up with the use
-        # index; whether replace_uses has run; and the work of keeping
-        # the counts, a counter that tests bound: one step per read
-        # counted at set-up, per count shifted directly, and per
+        # The live-read counts (see live_reads), None until something
+        # reads them; whether replace_uses has run; and the work of
+        # keeping the counts, a counter that tests bound: one step per
+        # read counted at set-up, per count shifted directly, and per
         # operation whose operands a shift reached.
-        self._uses: list[int] = []
+        self._uses: list[int] | None = None
         self._redirected = False
         self.reader_steps = 0
         # Operations :meth:`copy` returned an existing value for
@@ -188,25 +188,47 @@ class ModuleRewriter(ModuleBuilder):
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
-        if self._bound is not None:
+        if self._uses is not None:
             self._shift(-1, [op_id], [])
 
     def _index(self) -> None:
         """Index the readers of the operations appended since the last
-        call, and count those operations as unread.  The first call also
-        indexes the bindings and sets the live-read counts up."""
-        ops, users, uses = self.operations, self._users, self._uses
-        uses.extend([0] * (len(ops) - len(uses)))
+        call.  The first call also indexes the bindings."""
+        ops, users = self.operations, self._users
         if self._bound is None:
             self._bound = {}
             for binding in (self.outputs, self.wires):
                 for name, ref in binding.items():
                     self._bound.setdefault(ref.op, []).append((binding, name))
-            for ref in self.outputs.values():
-                uses[ref.op] += 1
-            for oid in self._instances:
-                if oid not in self._dropped:
-                    uses[oid] += 1
+        users.extend([] for _ in range(len(ops) - len(users)))
+        for oid in range(self._indexed, len(ops)):
+            for ref in ops[oid].operands:
+                users[ref.op].append(oid)
+        self._indexed = len(ops)
+
+    def live_reads(self) -> list[int]:
+        """The session's own list of live-read counts, one per operation:
+        its reads by live operations, plus one per output bound to it
+        and one for a kept instance; :meth:`finish` keeps the operations
+        whose count is not 0.  The first call counts them; from then on
+        every redirection keeps the list current, and each call covers
+        the operations appended since."""
+        uses = self._uses
+        if uses is not None:
+            uses.extend([0] * (len(self.operations) - len(uses)))
+            return uses
+        ops = self.operations
+        uses = [0] * len(ops)
+        for ref in self.outputs.values():
+            uses[ref.op] += 1
+        for oid in self._instances:
+            if oid not in self._dropped:
+                uses[oid] += 1
+        if self._redirected:
+            for oid in self.live():
+                for ref in ops[oid].operands:
+                    uses[ref.op] += 1
+        else:
             # From the top down: nothing is redirected yet, so every
             # operation reads lower ids only, and its count is whole
             # when the pass reaches it.
@@ -214,24 +236,9 @@ class ModuleRewriter(ModuleBuilder):
                 if uses[oid]:
                     for ref in ops[oid].operands:
                         uses[ref.op] += 1
-            self.reader_steps += sum(uses)
-        for oid in range(self._indexed, len(ops)):
-            for ref in ops[oid].operands:
-                readers = users.get(ref.op)
-                if readers is None:
-                    users[ref.op] = {oid}
-                else:
-                    readers.add(oid)
-        self._indexed = len(ops)
-
-    def live_reads(self) -> list[int]:
-        """The session's own list of live-read counts, one per operation:
-        its reads by live operations, plus one per output bound to it
-        and one for a kept instance; :meth:`finish` keeps the operations
-        whose count is not 0.  Every redirection keeps the list current,
-        and covers the operations appended since."""
-        self._index()
-        return self._uses
+        self.reader_steps += sum(uses)
+        self._uses = uses
+        return uses
 
     def is_live(self, ref: ValueRef) -> bool:
         """Whether :meth:`finish` would keep ``ref``'s operation: its
@@ -253,15 +260,17 @@ class ModuleRewriter(ModuleBuilder):
         """
         self._index()
         self._redirected = True
-        ops, users, cse, uses = (self.operations, self._users, self._cse,
-                                 self._uses)
+        counting = self._uses is not None
+        uses = self.live_reads() if counting else None
+        ops, users, cse = self.operations, self._users, self._cse
         while subst:
             # the values outputs move to and from, and the operations of
             # the live readers after the edit and before it
             gained_ids, lost_ids, gained, lost = [], [], [], []
             readers = set()
             for old in subst:
-                readers |= users.pop(old.op, set())
+                readers.update(users[old.op])
+                users[old.op] = []
                 for binding, name in self._bound.pop(old.op, ()):
                     ref = binding[name] = subst[old]
                     self._bound.setdefault(ref.op, []).append(
@@ -278,12 +287,13 @@ class ModuleRewriter(ModuleBuilder):
                 new = ops[uid] = with_operands(
                     op, [subst.get(r, r) for r in op.operands])
                 for ref in new.operands:
-                    users.setdefault(ref.op, set()).add(uid)
-                if uses[uid]:
+                    users[ref.op].append(uid)
+                if counting and uses[uid]:
                     lost.append(op)
                     gained.append(new)
-            self._shift(1, gained_ids, gained)
-            self._shift(-1, lost_ids, lost)
+            if counting:
+                self._shift(1, gained_ids, gained)
+                self._shift(-1, lost_ids, lost)
             # A reader that became equal to another routing operation,
             # its twin, has its own uses redirected to the twin next.
             twins = {}

@@ -5,6 +5,10 @@ of ``frontend._Lexer``: the same token texts, in order, and the same
 lexical diagnostics, each with its ``line:col``, once each select token
 of ``frontend._Lexer`` is read as the tokens it is spelled with.
 
+``_SELECT_FINDALL_RE`` is the frontend's token pattern with its
+alternatives in their first order: the two must match the same texts
+at the same places.
+
 The reference front half is the frontend before expressions were parsed
 without recursion: the findall lexer without select tokens
 (``_FindallLexer``), the recursive-descent parser (``_Parser``) that
@@ -91,6 +95,23 @@ _FINDALL_RE = re.compile(
     r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
     r"|[0-9][0-9_]*"
     r"|[A-Za-z_][A-Za-z0-9_$]*"
+    r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
+    r"|[()\[\]{},;:.?=~&|^+\-]"
+    r"|."
+    r"|\Z)",
+    re.DOTALL,
+)
+
+
+#: ``frontend._TOKEN_RE`` in its first order: the findall pattern with
+#: select tokens, its alternatives in the order of the lexer's
+#: specification.  The frontend orders them by how often they match.
+_SELECT_FINDALL_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"([0-9][0-9_]*\s*'\s*[bodhBODH][0-9a-fA-F_xXzZ?]+"
+    r"|[0-9][0-9_]*"
+    r"|(?:input|output|wire)(?=\[)"
+    r"|[A-Za-z_][A-Za-z0-9_$]*(?:\[[0-9]{1,9}(?::[0-9]{1,9})?\])?"
     r"|" + "|".join(map(re.escape, _UNSUPPORTED_OPS)) +
     r"|[()\[\]{},;:.?=~&|^+\-]"
     r"|."

@@ -397,6 +397,51 @@ def test_select_tokens_where_a_name_stands(src, outcome, monkeypatch):
         assert got == outcome
 
 
+_LEAF_CELL = ("module cell(input x, input y, output z);\n"
+              "  assign z = x ^ y;\nendmodule\n"
+              "module m(input [1:0] a, output y);\n")
+
+
+@pytest.mark.parametrize("src, outcome", [
+    # a select, a name, a sized and an unsized literal before ";"
+    ("module m(input [1:0] a, output y);\n  assign y = a[1];\nendmodule",
+     None),
+    ("module m(input a, output y);\n  assign y = a;\nendmodule", None),
+    ("module m(output [3:0] y);\n  assign y = 4'b1010;\nendmodule", None),
+    ("module m(output y);\n  assign y = 1;\nendmodule",
+     ["<input>:2:14: error: unsized literal in expression position (only"
+      " valid as an index or replication count)"]),
+    # ... and before ")" and ","
+    (_LEAF_CELL + "  cell u(.x(a[0]), .y(a[1]), .z(y));\nendmodule", None),
+    (_LEAF_CELL + "  cell u(a[0], 1'b1, y);\nendmodule", None),
+    # words that are no leaf
+    ("module m(input a, output y);\n  assign y = wire;\nendmodule",
+     ["<input>:2:14: error: expected expression, found 'wire'"]),
+    ("module m(input a, output y);\n  assign y = reg;\nendmodule",
+     ["<input>:2:14: error: unsupported construct 'reg' (only flat"
+      " combinational modules are supported)"]),
+    # a leaf with no token after it, and no leaf at the end of input
+    ("module m(input a, output y);\n  assign y = a",
+     ["<input>:2:15: error: expected ';', found 'end of input'"]),
+    ("module m(output y);\n  assign y =",
+     ["<input>:2:13: error: expected expression, found 'end of input'"]),
+    ("module m(output y);\n  assign y = (",
+     ["<input>:2:15: error: expected expression, found 'end of input'"]),
+    (_LEAF_CELL + "  cell u(",
+     ["<input>:5:10: error: expected expression, found 'end of input'"]),
+    (_LEAF_CELL + "  cell u(.x(",
+     ["<input>:5:13: error: expected expression, found 'end of input'"]),
+])
+def test_lone_leaves(src, outcome, monkeypatch):
+    """An expression that is one leaf parses as any other: the same
+    design, or the same diagnostics at the same ``line:col``."""
+    got = _assert_same(src, monkeypatch)
+    if outcome is None:
+        assert not isinstance(got, list)
+    else:
+        assert got == outcome
+
+
 # -- widths ------------------------------------------------------------------
 
 

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
+import corpus_digest
 import generators
 import reference
 from busweaver.frontend import (
     KEYWORDS,
     UNSUPPORTED_KEYWORDS,
+    _TOKEN_RE,
     _UNSUPPORTED_OPS,
     _Lexer,
     parse_design,
@@ -191,6 +193,38 @@ def test_random_token_soup():
             parts.append(_piece(rng))
             parts.append(rng.choice(_BLANKS + ["", "", ""]))
         _assert_same("".join(parts))
+
+
+#: Where the alternatives of the token pattern can compete or run on.
+_CONTESTED = [" ", "\t", "\n", "\r\n", "//", "/*", "*/", "*", "/", "'",
+              " '", "' ", " ' ", "$", "_", "input[", "output[", "wire[", "[",
+              "]", ":", "8", "1_0", *_UNSUPPORTED_OPS, *_PUNCT, *_STRAY[:8]]
+
+
+def _matches(pattern, src):
+    return [(m.span(), m.group(1)) for m in pattern.finditer(src)]
+
+
+def test_the_token_pattern_matches_its_first_order(golden_dir):
+    """The frontend's pattern puts the common alternatives first; it
+    must match what its first order matches, text and place, on the
+    goldens, the benchmark's smoke corpora and random soups."""
+    sources = [path.read_text() for path in sorted(golden_dir.glob("*.v"))]
+    sources += [case.source for workload in corpus_digest.corpus.WORKLOADS
+                for case in corpus_digest.corpus.build(workload, 5,
+                                                        smoke=True)]
+    rng = random.Random(27)
+    for _ in range(20_000):
+        parts = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            parts.append(rng.choice(_CONTESTED) if roll < 0.4
+                         else _sized(rng) if roll < 0.55
+                         else _select(rng) if roll < 0.7 else _piece(rng))
+        sources.append("".join(parts))
+    for src in sources:
+        assert _matches(_TOKEN_RE, src) == \
+            _matches(reference._SELECT_FINDALL_RE, src), repr(src)
 
 
 @pytest.mark.parametrize("src", [

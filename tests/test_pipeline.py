@@ -42,6 +42,7 @@ from generators import (
 )
 import corpus_digest
 import hierarchies
+import opcount
 from reference import detect_permutation, is_independent, is_isomorphic
 
 
@@ -872,6 +873,17 @@ def test_the_corpus_digest_is_stable(workload):
     assert [line.split(": ")[0] for line in lines[1:]] == [
         f"  {workload} | {name}" for name in corpus_digest.POLICIES]
     assert lines[0].endswith(value)
+
+
+def test_the_bytecode_meter_counts_alike_twice(golden_dir):
+    # tests/opcount.py compares two source trees by these counts, each
+    # taken in a child process of its own
+    cases = {"goldens": [(golden_dir / name).read_text()
+                         for name in ("intermodule_buf.v", "partial_mix.v")]}
+    counts = opcount.measure(cases)
+    assert counts == opcount.measure(cases)
+    assert list(counts["goldens"]) == list(opcount.STAGES)
+    assert all(count > 0 for count in counts["goldens"].values())
 
 
 def _bus_chains(widths):

@@ -264,44 +264,62 @@ def test_a_dropped_instance_is_forgotten_as_live():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_is_live_agrees_with_live_order_after_every_edit(seed):
+    """Checked after every edit, and in a session that splices its sites
+    and plans its sinks before anything reads a count: until then it
+    counts nothing, and the first read is the recount all the same."""
     design = parse_design(_random_design(random.Random(seed)))
-    for module in design.modules.values():
-        rw = ModuleRewriter(module)
-        dropped = set()
+    finished = {}
+    for name in instantiation_order(design)[0]:
+        module = design.modules[name]
+        sites = [oid for oid, op in enumerate(module.operations)
+                 if op.kind == "instance"]
+        for eager in (True, False):
+            if eager:
+                rw, dropped = ModuleRewriter(module), set()
+            else:
+                rw, log = selective_inline(module, finished)
+                dropped = {oid for oid, d in zip(sites, log) if d.inlined}
 
-        def check():
-            current = HwModule(rw.name, rw.ports, rw.operations,
-                               rw.outputs, rw.wires)
-            order = rewrite.live_order(current, dropped)
-            assert {
-                oid for oid, op in enumerate(rw.operations)
-                if rw.is_live(ValueRef(oid, op.width))
-            } == set(order)
-            # the session's counts are a recount over the live operations
-            uses = [0] * len(rw.operations)
-            for oid in order:
-                for ref in rw.operations[oid].operands:
+            def check():
+                current = HwModule(rw.name, rw.ports, rw.operations,
+                                   rw.outputs, rw.wires)
+                order = rewrite.live_order(current, dropped)
+                assert {
+                    oid for oid, op in enumerate(rw.operations)
+                    if rw.is_live(ValueRef(oid, op.width))
+                } == set(order)
+                # the session's counts are a recount over the live
+                # operations
+                uses = [0] * len(rw.operations)
+                for oid in order:
+                    for ref in rw.operations[oid].operands:
+                        uses[ref.op] += 1
+                    if rw.operations[oid].kind == "instance" \
+                            and oid not in dropped:
+                        uses[oid] += 1  # a kept instance is a root
+                for ref in rw.outputs.values():
                     uses[ref.op] += 1
-                if rw.operations[oid].kind == "instance" \
-                        and oid not in dropped:
-                    uses[oid] += 1  # a kept instance is a root
-            for ref in rw.outputs.values():
-                uses[ref.op] += 1
-            assert rw.live_reads() == uses
+                assert rw.live_reads() == uses
 
-        check()
-        for sink in [*rw.outputs, *rw.wires]:
-            ref = rw.outputs.get(sink, rw.wires.get(sink))
-            if ref.width >= 2:
-                vectorize_output(rw, ref)
+            if eager:
                 check()
-        fold_reductions(rw)
-        check()
-        for oid, op in enumerate(rw.operations):
-            if op.kind == "instance":
-                rw.drop_instance(oid)
-                dropped.add(oid)
-        check()
+            for sink in [*rw.outputs, *rw.wires]:
+                ref = rw.outputs.get(sink, rw.wires.get(sink))
+                if ref.width >= 2:
+                    vectorize_output(rw, ref)
+                    if eager:
+                        check()
+            if not eager:
+                assert rw.reader_steps == 0
+            check()
+            fold_reductions(rw)
+            check()
+            for oid in sites:
+                if oid not in dropped:
+                    rw.drop_instance(oid)
+                    dropped.add(oid)
+            check()
+        finished[name] = finished_module(rw.finish(), finished)
 
 
 @pytest.mark.parametrize("seed", range(8))
