@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 import string
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from busweaver.ir import (
@@ -594,8 +594,9 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self) -> list:
-        """Parse one expression by shunting-yard (Dijkstra, 1961) into
-        its items in post-order, operands left to right.  An item is a
+        """Parse one expression into its items in post-order, operands
+        left to right: a chain of one precedence level at once, any
+        other by shunting-yard (Dijkstra, 1961).  An item is a
         token index for a leaf (a name, select or number) or a binary
         operator, or a tuple with the token index second: ``(kind,
         tok)`` for a prefix operator, ``("mux", tok, cond_tok)``,
@@ -605,12 +606,36 @@ class _Parser:
         toks, selects = self.toks, self.lexer.selects
         i = self.pos
         text = toks[i]
-        # A lone leaf, the usual expression of a per-bit design.  The
-        # leaf is tested first: only then is there a token after it.
-        if (text in selects or text[:1] in _LEAF_START
-                and text not in _RESERVED) and toks[i + 1] in _LEAF_END:
-            self.pos = i + 1
-            return [i]
+        # A chain ``leaf (op leaf)*`` of one precedence level up to ";",
+        # ")" or ",": a lone leaf, the usual expression of a per-bit
+        # design, or a hand-written reduction.  Its post-order is the
+        # leaves in order, each operator after its right operand.  Any
+        # other token hands the expression to the loop below, from its
+        # start.  Each leaf is tested first: only then is there a token
+        # after it.
+        if text in selects or text[:1] in _LEAF_START \
+                and text not in _RESERVED:
+            j = i + 1  # the token after the last leaf
+            op = toks[j]
+            if op in _LEAF_END:
+                self.pos = j
+                return [i]
+            level = _BINARY_PREC.get(op)
+            while level is not None:
+                text = toks[j + 1]
+                if not (text in selects or text[:1] in _LEAF_START
+                        and text not in _RESERVED):
+                    break
+                j += 2
+                text = toks[j]
+                if text != op:  # "+" after "-" is one level
+                    if _BINARY_PREC.get(text) != level:
+                        break
+                    op = text
+            if toks[j] in _LEAF_END:
+                self.pos = j
+                return [i, *chain.from_iterable(
+                    zip(range(i + 2, j, 2), range(i + 1, j, 2)))]
         out: list = []
         emit = out.append
         # Waiting: a binary operator's token index, a prefix operator's
@@ -747,8 +772,10 @@ _BINARY_KNOWN = {op: (None, None, (kind,)) for op, kind in (
 
 
 class _Code(NamedTuple):
-    """An expression after its one walk: its width, the nets it reads
-    as ``(name, token)`` in source order, and its nodes in post-order
+    """An expression after its one walk: its width, each net it reads
+    once, with the token of its first read, in the order of the last
+    reads (the tokens of one expression ascend, so sorting by token
+    gives the order of the first reads), and its nodes in post-order
     for :meth:`_Elaborator.build`.  A node is ``("net", name)``,
     ``("extract", name, low, width)``, ``("const", value, width)``,
     ``("concat", n)``, ``("replicate", count)``, or an operation kind
@@ -756,7 +783,7 @@ class _Code(NamedTuple):
     operands off the value stack."""
 
     width: int
-    deps: list[tuple[str, int]]
+    deps: dict[str, int]
     nodes: list[tuple]
 
 
@@ -879,14 +906,14 @@ class _Elaborator:
         """
         toks, known = self.lexer.toks, self._known
         nodes: list[tuple] = []
-        deps: list[tuple[str, int]] = []
+        deps: dict[str, int] = {}
         widths: list[int | None] = []  # of the finished operands
         for item in code:
             if item.__class__ is int:
                 name, w, node = known.get(toks[item]) or self.operand(item)
                 if w is not None or node is None:  # a leaf
-                    if name is not None:
-                        deps.append((name, item))
+                    if name is not None:  # to the end, first token kept
+                        deps[name] = deps.pop(name, item)
                     widths.append(w)
                     if node is not None:
                         nodes.append(node)
@@ -1151,29 +1178,27 @@ class _Elaborator:
 
     # -- demand-driven net elaboration ---------------------------------------
 
-    def net_deps(self, net: _Net) -> tuple[dict[str, int], list[str]]:
-        """Nets whose values are needed before this one can be built.
-        For an instance driver that means the nets feeding its input
-        ports; nets wired to its outputs are produced, not consumed.
+    def codes(self, net: _Net) -> list[_Code]:
+        """The expressions built into ``net``: its assigns, and the input
+        connections of the instances driving it.  Nets wired to an
+        instance's outputs are produced, not consumed."""
+        codes: list[_Code] = []
+        for _, _, tag, payload in net.drivers:
+            if tag == "assign":
+                codes.append(payload)
+            else:
+                codes += self._inputs[payload[0]].values()
+        return codes
 
-        Each net comes once, in two orders: with the token of its first
-        read, in the order of first reads (a cycle is reported at the
-        first read of a net in progress), and in the order of last
-        reads, which is the order in which a stack holding every read
-        would have them built."""
+    def net_deps(self, net: _Net) -> list[str]:
+        """Nets whose values are needed before this one can be built,
+        each once, in the order of their last reads: the order in which
+        a stack holding every read would have them built."""
         if net.deps is None:
-            reads: list[tuple[str, int]] = []
-            for _, _, tag, payload in net.drivers:
-                if tag == "assign":
-                    reads += payload.deps
-                else:
-                    for code in self._inputs[payload[0]].values():
-                        reads += code.deps
-            first: dict[str, int] = {}
-            for name, tok in reads:
-                first.setdefault(name, tok)
-            last = list(dict.fromkeys(name for name, _ in reversed(reads)))
-            net.deps = first, last[::-1]
+            names: list[str] = []
+            for code in self.codes(net):
+                names += code.deps
+            net.deps = list(dict.fromkeys(reversed(names)))[::-1]
         return net.deps
 
     class _Abort(Exception):
@@ -1197,14 +1222,18 @@ class _Elaborator:
                 self.net_state[n] = 2
                 stack.pop()
                 continue
-            first, last = self.net_deps(net)
-            for dep, dtok in first.items():
-                if self.net_state.get(dep) == 1:
-                    self.error(dtok,
-                               f"combinational cycle through net '{dep}'")
-                    raise self._Abort()
-            pending = [dep for dep in last
-                       if self.net_state.get(dep) != 2]
+            state_of = self.net_state.get
+            pending = [dep for dep in self.net_deps(net)
+                       if state_of(dep) != 2]
+            if 1 in map(state_of, pending):
+                # a cycle, reported at the first read of a net in progress
+                for code in self.codes(net):
+                    deps = code.deps
+                    for dep in sorted(deps, key=deps.__getitem__):
+                        if state_of(dep) == 1:
+                            self.error(deps[dep], "combinational cycle"
+                                                  f" through net '{dep}'")
+                            raise self._Abort()
             if state != 1:
                 self.net_state[n] = 1
             if pending:
@@ -1272,9 +1301,10 @@ class _Elaborator:
                     code = inputs.get(port)
                     # an output connection is a net or a slice of one,
                     # known since conn_lvalue
-                    deps = code.deps if code is not None else \
-                        [(self._known[self.lexer.toks[e[0]]][0], e[0])]
-                    for dep, _ in deps:
+                    deps = sorted(code.deps, key=code.deps.__getitem__) \
+                        if code is not None else \
+                        [self._known[self.lexer.toks[e[0]]][0]]
+                    for dep in deps:
                         self.demand_net(dep)
                 self.materialize_instance(idx)
         except self._Abort:

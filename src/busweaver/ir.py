@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain, compress
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -870,6 +871,7 @@ def _evaluate(op: Operation, inputs: dict[str, int], vals: list[int]) -> int:
 
 
 _BITWISE = frozenset({"and", "or", "xor"})
+_KIND = attrgetter("kind")
 #: Reduction kind -> (gate, the value of an empty reduction).
 _REDUCE = {"redand": ("and", 1), "redor": ("or", 0), "redxor": ("xor", 0)}
 
@@ -992,19 +994,20 @@ def compile_module(
         elif kind in _BITWISE:
             a, b = vals[refs[0].op], vals[refs[1].op]
             if kind == "xor" and inner and (
-                    k in inner or refs[0].op in inner
-                    or refs[1].op in inner):
-                # an inner xor hands its set up to its one reader, which
-                # updates it in place, so a T-term chain stays linear
+                    k in inner or a.__class__ is set or b.__class__ is set):
+                # an inner xor's value is its set of odd slots, which its
+                # one reader updates in place, so a T-term chain stays
+                # linear
                 if a.__class__ is not set:
                     a, b = b, a
-                odd = a if a.__class__ is set else {a[0]}
-                odd.symmetric_difference_update(b)  # a set, or one slot
+                if a.__class__ is not set:
+                    a = {a[0]}
+                a.symmetric_difference_update(b)  # a set, or one slot
                 if k in inner:
-                    r = odd
+                    r = a
                 else:
                     r = 0
-                    for x in sorted(odd):
+                    for x in sorted(a):
                         r = binary("xor", r, x)
                     r = [r]
             elif op.width == 1:
@@ -1080,7 +1083,7 @@ def _xor_inner(module: HwModule) -> set[int]:
     """The inner operations of the 1-bit ``xor`` trees of ``module``:
     1-bit xors read once, by a 1-bit xor, and by no output."""
     ops = module.operations
-    if len([op for op in ops if op.kind == "xor" and op.width == 1]) < 2:
+    if list(map(_KIND, ops)).count("xor") < 2:  # in C
         return set()
     # One pass, readers after their operands.  A 1-bit xor starts at -2
     # when the pass reaches it, each read by a 1-bit xor adds 1, and any

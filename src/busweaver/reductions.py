@@ -90,7 +90,7 @@ class _Folder:
             value = self.fold(op.kind, nodes, leaves)
             if value is not None:
                 folded.append(self.name(root))
-                rw.replace_uses({ValueRef(root, 1): value})
+                rw.replace_tree(nodes, leaves, value)
                 if root in self.wired:
                     self.wired.add(value.op)
         return folded

@@ -20,7 +20,9 @@ orphaned wire sinks and the reduction fold read.
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import defaultdict
+from itertools import chain, compress
+from operator import attrgetter
 
 from busweaver.ir import (
     HwModule,
@@ -30,6 +32,9 @@ from busweaver.ir import (
     cse_key,
     with_operands,
 )
+
+
+_OP = attrgetter("op")
 
 
 def live_order(
@@ -138,10 +143,14 @@ class ModuleRewriter(ModuleBuilder):
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
         # The use index, brought up to date by _index: op id -> the
-        # operations reading it (the first ``_indexed`` ones; an entry
-        # may repeat) and -> the output and wire bindings naming it.
-        self._users: list[list[int]] = []
-        self._indexed = 0
+        # operations reading it and -> the output and wire bindings
+        # naming it.  It holds the readers with ids in ``[_low,
+        # _indexed)`` and every redirected reader; an entry may repeat.
+        # Until a redirection every operation reads lower ids only, so
+        # the readers of a value are above it, and the index grows down
+        # only as far as the lowest value replaced so far.
+        self._users: defaultdict[int, list[int]] = defaultdict(list)
+        self._low = self._indexed = len(self.operations)
         self._bound: dict[int, list[tuple[dict, str]]] | None = None
         # The live-read counts (see live_reads), None until something
         # reads them; whether replace_uses has run; and the work of
@@ -191,20 +200,23 @@ class ModuleRewriter(ModuleBuilder):
         if self._uses is not None:
             self._shift(-1, [op_id], [])
 
-    def _index(self) -> None:
+    def _index(self, low: int) -> None:
         """Index the readers of the operations appended since the last
-        call.  The first call also indexes the bindings."""
+        call and of those from ``low`` up, so that the index holds every
+        reader of every value from ``low - 1`` up.  The first call also
+        indexes the bindings."""
         ops, users = self.operations, self._users
         if self._bound is None:
             self._bound = {}
             for binding in (self.outputs, self.wires):
                 for name, ref in binding.items():
                     self._bound.setdefault(ref.op, []).append((binding, name))
-        users.extend([] for _ in range(len(ops) - len(users)))
-        for oid in range(self._indexed, len(ops)):
+        for oid in chain(range(self._indexed, len(ops)),
+                         range(low, self._low)):
             for ref in ops[oid].operands:
                 users[ref.op].append(oid)
         self._indexed = len(ops)
+        self._low = min(low, self._low)
 
     def live_reads(self) -> list[int]:
         """The session's own list of live-read counts, one per operation:
@@ -258,7 +270,8 @@ class ModuleRewriter(ModuleBuilder):
         never holds two equal routing operations, which its text would
         write alike and a re-parse would count once.
         """
-        self._index()
+        # Later rounds replace redirected readers, which are indexed.
+        self._index(min(map(_OP, subst)) + 1)
         self._redirected = True
         counting = self._uses is not None
         uses = self.live_reads() if counting else None
@@ -308,6 +321,28 @@ class ModuleRewriter(ModuleBuilder):
                 else:
                     twins[ValueRef(uid, op.width)] = twin
             subst = twins
+
+    def replace_tree(self, nodes: list[int], leaves: dict[int, int],
+                     value: ValueRef) -> None:
+        """:meth:`replace_uses` of the 1-bit value of ``nodes[0]`` by
+        ``value``, where ``nodes`` form a tree that then dies: every node
+        after the first has one live read, by a node, and ``leaves``
+        maps each other operand of a node to its reads by nodes.  The
+        counts are set without walking the tree again: the nodes' to 0,
+        and only the leaves' shift."""
+        uses = self.live_reads()
+        root = nodes[0]
+        uses[root] += 1  # stops the redirection's shift at the root
+        self.replace_uses({ValueRef(root, 1): value})
+        for oid in nodes:
+            uses[oid] = 0
+        ops, dead = self.operations, []
+        for oid, reads in leaves.items():
+            n = uses[oid] = uses[oid] - reads
+            if n == 0:
+                dead.append(ops[oid])
+        self.reader_steps += len(nodes) + len(leaves)
+        self._shift(-1, [], dead)
 
     def _shift(self, step: int, oids: list[int],
                readers: list[Operation]) -> None:

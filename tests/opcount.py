@@ -8,6 +8,9 @@ Usage, from the repository root::
 builds the seed-5 corpus of each workload of ``perfbench/corpus.py``
 and prints one line per workload and stage: the instructions the
 interpreter executed inside :data:`STAGES`, summed over the designs.
+Under a stage, a line per function of :data:`NESTED` counts the part
+of the stage's instructions executed inside that function (the
+reduction fold in the pipeline, the gate compiler in the check).
 Each design is parsed, run through the pipeline under the default
 policy, checked against its output with the check's defaults and
 emitted, the path of ``busweaver.reporting.process_design`` without
@@ -41,21 +44,35 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 5
 STAGES = ("parse_design", "run_pipeline", "check_design_equivalence",
           "emit_design")
+#: Stage -> the functions counted apart inside it, as ``module.name``
+#: in ``busweaver``.
+NESTED = {"run_pipeline": ("reductions.fold_reductions",),
+          "check_design_equivalence": ("ir.compile_packed",)}
 
 
-def _counted(fn, *args):
-    """``fn(*args)`` and the instructions it executed."""
+def _counted(nested: dict, fn, *args):
+    """``fn(*args)`` and the instructions it executed; ``nested`` maps
+    code objects of functions that ``fn`` calls to counters, and each
+    counter gains the instructions executed inside its function."""
     count = 0
+    inside: list[list[int]] = []  # the counters of the open nested calls
 
     def local(frame, event, arg):
         nonlocal count
         if event == "opcode":
             count += 1
+            for counter in inside:
+                counter[0] += 1
+        elif event == "return" and frame.f_code in nested:
+            inside.pop()
         return local
 
     def call(frame, event, arg):
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
+        counter = nested.get(frame.f_code)
+        if counter is not None:
+            inside.append(counter)
         return local
 
     sys.settrace(call)
@@ -68,22 +85,39 @@ def _counted(fn, *args):
 
 def count_stages(sources: list[str]) -> dict[str, int]:
     """The instructions each stage executed over ``sources``, counted in
-    this process."""
+    this process, keyed by stage and, for :data:`NESTED`, by ``stage >
+    function`` right after the stage."""
+    import importlib
+
     from busweaver.emitter import emit_design
     from busweaver.frontend import parse_design
     from busweaver.oracle import check_design_equivalence
     from busweaver.pipeline import run_pipeline
 
-    totals = dict.fromkeys(STAGES, 0)
+    counters: dict[str, dict] = {}  # stage -> code object -> [count]
+    totals: dict[str, int] = {}
+    for stage in STAGES:
+        totals[stage] = 0
+        counters[stage] = {}
+        for path in NESTED.get(stage, ()):
+            module, name = path.rsplit(".", 1)
+            fn = getattr(importlib.import_module(f"busweaver.{module}"), name)
+            counters[stage][fn.__code__] = [0]
+            totals[f"{stage} > {name}"] = 0
     for source in sources:
-        design, n = _counted(parse_design, source)
+        design, n = _counted(counters["parse_design"], parse_design, source)
         totals["parse_design"] += n
-        (out, _), n = _counted(run_pipeline, design)
+        (out, _), n = _counted(counters["run_pipeline"], run_pipeline,
+                               design)
         totals["run_pipeline"] += n
-        _, n = _counted(check_design_equivalence, design, out)
+        _, n = _counted(counters["check_design_equivalence"],
+                        check_design_equivalence, design, out)
         totals["check_design_equivalence"] += n
-        _, n = _counted(emit_design, out)
+        _, n = _counted(counters["emit_design"], emit_design, out)
         totals["emit_design"] += n
+    for stage, codes in counters.items():
+        for code, (n,) in codes.items():
+            totals[f"{stage} > {code.co_name}"] = n
     return totals
 
 

@@ -442,6 +442,56 @@ def test_lone_leaves(src, outcome, monkeypatch):
         assert got == outcome
 
 
+_CHAIN_HEAD = ("module m(input [3:0] a, input [3:0] b, input c,"
+               " output y);\n")
+
+
+@pytest.mark.parametrize("src, outcome", [
+    # one precedence level, with a repeated leaf and a literal
+    (_CHAIN_HEAD + "  assign y = a[0] ^ a[3] ^ a[0] ^ c;\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = c ^ 1'b1 ^ 1;\nendmodule",
+     ["<input>:2:25: error: unsized literal in expression position (only"
+      " valid as an index or replication count)"]),
+    # "+" and "-" are one level
+    ("module m(input [3:0] a, input [3:0] b, output [3:0] y);\n"
+     "  assign y = a + b - a - b + a;\nendmodule", None),
+    # mixed precedence, a spaced select, "?" and "(" leave the chain
+    (_CHAIN_HEAD + "  assign y = a[0] ^ a[1] & a[2] | a[3] ^ c;\nendmodule",
+     None),
+    (_CHAIN_HEAD + "  assign y = a[0] | a[1] ^ a[2];\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = a [3] ^ a[1];\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = a[1] ^ a [3] ^ c;\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = c ^ a[0] ? a[1] : a[2];\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = c ^ (a[0]);\nendmodule", None),
+    # reserved words, a prefix operator, the end of input
+    (_CHAIN_HEAD + "  assign y = a[0] ^ wire;\nendmodule",
+     ["<input>:2:21: error: expected expression, found 'wire'"]),
+    (_CHAIN_HEAD + "  assign y = a[0] ^ reg ^ c;\nendmodule",
+     ["<input>:2:21: error: unsupported construct 'reg' (only flat"
+      " combinational modules are supported)"]),
+    (_CHAIN_HEAD + "  assign y = c ^ ^ a;\nendmodule", None),
+    (_CHAIN_HEAD + "  assign y = a[0] ^",
+     ["<input>:2:20: error: expected expression, found 'end of input'"]),
+    (_CHAIN_HEAD + "  assign y = a[0] ^ c",
+     ["<input>:2:22: error: expected ';', found 'end of input'"]),
+    # chains before ")" and ","
+    (_LEAF_CELL + "  cell u(.x(a[0] ^ a[1] ^ a[0]), .y(a[1] & a[0]),"
+     " .z(y));\nendmodule", None),
+    (_LEAF_CELL + "  cell u(a[0] | a[1], a[1] ^ a[0] ^ a[1], y);\nendmodule",
+     None),
+    (_LEAF_CELL + "  cell u(a[0] ^ a[1] a[0], a[1], y);\nendmodule",
+     ["<input>:5:22: error: expected ')', found 'a'"]),
+])
+def test_chains_of_one_level(src, outcome, monkeypatch):
+    """A chain ``leaf (op leaf)*`` parses as any other expression: the
+    same design, or the same diagnostics at the same ``line:col``."""
+    got = _assert_same(src, monkeypatch)
+    if outcome is None:
+        assert not isinstance(got, list)
+    else:
+        assert got == outcome
+
+
 # -- widths ------------------------------------------------------------------
 
 

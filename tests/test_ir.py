@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from itertools import accumulate
 
@@ -19,6 +20,7 @@ from busweaver.ir import (
     compile_module,
     compile_packed,
     count_instructions,
+    instance_ports,
     instantiation_order,
     metrics,
     simulate,
@@ -951,3 +953,58 @@ def test_ir_values_are_unequal_to_other_types():
     for value in (module.operations[0], module, HwDesign({"m": module}, "m")):
         assert value != "m"
         assert value == copy.deepcopy(value)
+
+
+FOREST_SHA256 = (
+    "336a3957cd3b1628b4b8f46d18bab34998258f1023b6478fc7b9dfc0d011d13c")
+
+
+def _forest_module(rng, name, width, callee=None):
+    """A random forest of 1-bit ``xor``, ``and`` and ``not`` over the
+    bits of input ``a``: operands are drawn from every node so far, the
+    latest most often, so nodes are shared and xor chains form; 1-bit
+    outputs read random nodes, inner xors among them, and output ``w``
+    is a 4-bit xor.  With ``callee``, one instance of it reads four
+    nodes and its result bits join the nodes."""
+    ports = [Port("a", "input", width), Port("w", "output", 4)]
+    ports += [Port(f"y{k}", "output", 1) for k in range(3)]
+    b = ModuleBuilder(name, ports)
+    a = b.input_ref("a", width)
+    nodes = [b.extract(a, k, 1) for k in range(width)]
+
+    def pick():
+        return rng.choice(nodes[-6:] if rng.random() < 0.7 else nodes)
+
+    for step in range(rng.randint(8, 40)):
+        if callee is not None and step == 4:
+            in_ports, out_ports = instance_ports(callee.ports)
+            result = b.instance(callee.name, "u", [b.concat(
+                [pick() for _ in range(4)])], in_ports, out_ports)
+            nodes += [b.extract(result, k, 1) for k in range(result.width)]
+        kind = rng.choice(("xor", "xor", "xor", "and", "not"))
+        nodes.append(b.not_(pick()) if kind == "not"
+                     else b.binary(kind, pick(), pick()))
+    wide = b.binary("xor", b.concat([pick() for _ in range(4)]),
+                    b.concat([pick() for _ in range(4)]))
+    outputs = {"w": wide}
+    outputs.update((f"y{k}", pick()) for k in range(3))
+    return b.finish(outputs, {})
+
+
+def test_compiled_forests_keep_their_gates():
+    """The gate programs of seeded random 1-bit xor/and/not forests,
+    hierarchies included, hash as they did when the parity fold's
+    inner xors were found by a per-operation state pass."""
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        callee = _forest_module(rng, "cell", 4)
+        top = _forest_module(rng, "top", rng.randint(2, 9),
+                             callee if seed % 3 else None)
+        modules = {"cell": callee, "top": top} if seed % 3 else {"top": top}
+        design = HwDesign(modules, "top")
+        assert verify(design) == []
+        for name, program in compile_packed(design).items():
+            digest.update(repr((name, program.inputs, program.gates,
+                                program.outputs)).encode())
+    assert digest.hexdigest() == FOREST_SHA256

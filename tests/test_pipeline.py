@@ -882,8 +882,17 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
                          for name in ("intermodule_buf.v", "partial_mix.v")]}
     counts = opcount.measure(cases)
     assert counts == opcount.measure(cases)
-    assert list(counts["goldens"]) == list(opcount.STAGES)
+    stages = [stage for stage in counts["goldens"] if " > " not in stage]
+    assert stages == list(opcount.STAGES)
     assert all(count > 0 for count in counts["goldens"].values())
+    # each nested line follows its stage and counts a part of it
+    order = [name for stage in opcount.STAGES
+             for name in [stage] + [f"{stage} > {path.rsplit('.', 1)[1]}"
+                                    for path in opcount.NESTED.get(stage, ())]]
+    assert list(counts["goldens"]) == order
+    assert len(order) == len(opcount.STAGES) + 2
+    for name, count in counts["goldens"].items():
+        assert count <= counts["goldens"][name.split(" > ")[0]]
 
 
 def _bus_chains(widths):

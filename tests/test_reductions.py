@@ -160,3 +160,41 @@ def test_folding_is_idempotent_on_its_own_output(op):
                                "input [7:0] a, output y"))
     _, report, again = _fold(text)
     assert again == text and not report.rewrites
+
+
+def test_folding_a_chain_grows_linearly_and_indexes_no_reader():
+    """The fold of a T-term chain sets its counts up once, zeroes the
+    tree it walked and shifts only its leaves; its one replacement, at
+    the top of the module, indexes no operation below it."""
+    from busweaver.reductions import fold_reductions
+    from busweaver.rewrite import ModuleRewriter
+
+    steps = {}
+    for terms in (1000, 2000):
+        rng = random.Random(terms)
+        bits = [k % 16 for k in range(terms)]
+        rng.shuffle(bits)
+        design = parse_design(
+            "module red(input [15:0] a, output y);\n  assign y = "
+            + " ^ ".join(f"a[{k}]" for k in bits) + ";\nendmodule\n")
+        rw = ModuleRewriter(design.top_module)
+        set_up = sum(rw.live_reads())
+        assert fold_reductions(rw) == ["y"]
+        steps[terms] = rw.reader_steps
+        # the set-up, then one step per node, leaf and dead operation
+        assert rw.reader_steps - set_up <= terms + 40
+        assert sum(map(len, rw._users.values())) <= 2
+        assert rw.live_reads() == _recount(rw)
+    assert steps[2000] <= 2.1 * steps[1000]
+
+
+def _recount(rw):
+    """The live-read counts of ``rw``, counted afresh over what
+    ``finish`` would keep."""
+    uses = [0] * len(rw.operations)
+    for ref in rw.outputs.values():
+        uses[ref.op] += 1
+    for oid in rw.live():
+        for ref in rw.operations[oid].operands:
+            uses[ref.op] += 1
+    return uses
