@@ -196,12 +196,18 @@ def main(argv: list[str] | None = None) -> int:
         sweep = threshold_sweep(paths, args.sweep, options)
         _print_sweep(sweep)
 
-    if args.report:
-        write_json_report(args.report, report, options, sweep)
-    if args.csv:
-        write_csv_report(args.csv, report)
+    written = True
+    for path, write, *rest in ((args.report, write_json_report, options,
+                                sweep), (args.csv, write_csv_report)):
+        try:
+            if path:
+                write(path, report, *rest)
+        except OSError as exc:
+            print(f"busweaver: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            written = False
 
-    return 0 if report.ok else 1
+    return 0 if report.ok and written else 1
 
 
 if __name__ == "__main__":

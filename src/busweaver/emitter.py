@@ -19,15 +19,19 @@ that nothing reads and a re-run would lose it.
 
 from __future__ import annotations
 
+from busweaver.frontend import _BINARY_KNOWN, _BINARY_PREC, _PREFIX_KIND
 from busweaver.ir import HwDesign, HwModule, ValueRef, port_slices
 
-# Verilog precedence levels, high binds tight.
+# Verilog precedence levels, high binds tight: the conditional, the
+# parser's binary levels and sigils above it, then prefix and primary.
 _PREC_TERNARY = 1
-_PREC_BINARY = {"or": 2, "xor": 3, "and": 4, "add": 5, "sub": 5}
-_PREC_UNARY = 6
-_PREC_PRIMARY = 7
+_SIGIL = {kind: sigil for sigil, (_, _, (kind,)) in _BINARY_KNOWN.items()}
+_PREC_BINARY = {kind: _PREC_TERNARY + _BINARY_PREC[sigil]
+                for kind, sigil in _SIGIL.items()}
+_PREC_UNARY = max(_PREC_BINARY.values()) + 1
+_PREC_PRIMARY = _PREC_UNARY + 1
 
-_PREFIX = {"not": "~", "redand": "&", "redor": "|", "redxor": "^"}
+_PREFIX = {kind: sigil for sigil, kind in _PREFIX_KIND.items()}
 #: The two-character operators a prefix sigil would form with the first
 #: character of its operand: ``~(^x)`` is not ``~^x``, and ``^(~x)`` is
 #: not the reduction XNOR ``^~x``.
@@ -104,16 +108,9 @@ class _ModuleEmitter:
         # of the out_ports holds their names), the ports its slice
         # covers for an extract.  A wire binding reads nothing: the text
         # reads a wire only where an operation or an output reads it.
+        # One pass in id order: an instance precedes its readers.
         read: dict[int, set[str]] = {}
         for op_id, op in enumerate(self.ops):
-            if op.kind == "instance":
-                self.taken.add(op.name)
-                read[op_id] = set()
-        for ref in m.outputs.values():
-            self.uses[ref.op] += 1
-            if ref.op in read:
-                read[ref.op].update(dict(self.ops[ref.op].out_ports))
-        for op in self.ops:
             for ref in op.operands:
                 self.uses[ref.op] += 1
                 if ref.op not in read:
@@ -124,6 +121,13 @@ class _ModuleEmitter:
                         out_ports, op.low, op.width)])
                 else:
                     read[ref.op].update(dict(out_ports))
+            if op.kind == "instance":
+                self.taken.add(op.name)
+                read[op_id] = set()
+        for ref in m.outputs.values():
+            self.uses[ref.op] += 1
+            if ref.op in read:
+                read[ref.op].update(dict(self.ops[ref.op].out_ports))
 
         # User wire names: the first one on a nameable op names it, and
         # the first one that is exactly an instance output port becomes
@@ -252,11 +256,9 @@ class _ModuleEmitter:
             return sigil + text, _PREC_UNARY
         if kind in _PREC_BINARY:
             prec = _PREC_BINARY[kind]
-            sigil = {"and": "&", "or": "|", "xor": "^", "add": "+",
-                     "sub": "-"}[kind]
             a = self._render(op.operands[0], prec)
             b = self._render(op.operands[1], prec + 1)
-            return f"{a} {sigil} {b}", prec
+            return f"{a} {_SIGIL[kind]} {b}", prec
         if kind == "mux":
             cond = self._render(op.operands[0], _PREC_TERNARY + 1)
             then = self._render(op.operands[1], 0)

@@ -21,8 +21,9 @@ where sized literals and selects are decoded.  Items keep their token's
 index; only a diagnostic turns it into ``line:col``, through a table
 built by one more pass over the source on first use.  Statements are
 parsed by recursive descent, one level per construct, and expressions
-by shunting-yard into a flat post-order list (``|`` < ``^`` < ``&`` <
-``+ -``, all left-associative, then the right-associative ``?:``).
+into a flat post-order list: a chain of one precedence level at once,
+any other by shunting-yard (``|`` < ``^`` < ``&`` < ``+ -``, all
+left-associative, then the right-associative ``?:``).
 Elaboration checks that list in one pass and builds it by replaying
 the pass, so no expression of any length or nesting depth reaches the
 recursion limit.  :data:`MAX_WIDTH` bounds nets and operator widths.
@@ -1375,8 +1376,7 @@ def parse_design(src: str, filename: str = "<input>") -> HwDesign:
             ParseDiagnostic(filename, 1, 1, "error", "no modules found")
         ])
 
-    instantiated = {op.module for m in modules.values()
-                    for op in m.operations if op.kind == "instance"}
+    instantiated = {inst.module for mod in order for inst in mod.instances}
     roots = [name for name in modules if name not in instantiated]
     top = roots[0] if len(roots) == 1 else list(modules)[-1]
     design = HwDesign(modules, top)

@@ -24,18 +24,16 @@ back as a chain of its bits, which the caller's lanes can vectorize.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple
 
 from busweaver.ir import (
     COUNTED_KINDS,
     REDUCE_KINDS,
     HwModule,
-    Operation,
     ValueRef,
     port_slices,
-    route_bit,
 )
+from busweaver.reductions import unfold
 from busweaver.rewrite import ModuleRewriter
 
 
@@ -43,13 +41,9 @@ from busweaver.rewrite import ModuleRewriter
 DEFAULT_INLINE_THRESHOLD = 150
 
 
-class InlinePolicy:
-    __slots__ = ("enabled", "threshold")
-
-    def __init__(self, enabled: bool = True,
-                 threshold: int = DEFAULT_INLINE_THRESHOLD) -> None:
-        self.enabled = enabled
-        self.threshold = threshold
+class InlinePolicy(NamedTuple):
+    enabled: bool = True
+    threshold: int = DEFAULT_INLINE_THRESHOLD
 
 
 class InlineDecision(NamedTuple):
@@ -88,7 +82,7 @@ def finished_module(
     inlining would only copy the body.  ``folded`` says that the
     module's own fold built every reduction in it; those keep it
     regular, because a site copies each back as a chain of its bits
-    (:func:`_chain`)."""
+    (:func:`~busweaver.reductions.unfold`)."""
     size, regular = 0, True
     for op in module.operations:
         kind = op.kind
@@ -106,44 +100,14 @@ def finished_module(
     return FinishedModule(module, size, regular)
 
 
-def _chain(rw: ModuleRewriter, op: Operation, ops: list[Operation],
-           values: list[ValueRef]) -> ValueRef:
-    """The callee's reduction ``op`` as a chain, LSB first, over the
-    bits it reads, each routed back through the callee's ``ops`` to its
-    source and read from that source's copy in ``values``.  A bit of a
-    masked source (the fold's ``v & mask``, or ``v | ~mask`` under
-    ``and``) that the mask forces to the chain's identity is left out;
-    the others read ``v``.  A chain whose every bit is a constant is
-    the one constant it computes."""
-    kind = op.kind[3:]  # redxor -> xor
-    masked = "or" if kind == "and" else "and"
-    routes: dict = {}
-    terms = []
-    for b in range(op.operands[0].width):
-        src, bit, _ = route_bit(ops, op.operands[0], b, routes)
-        sop = ops[src.op]
-        if sop.kind == masked and ops[sop.operands[1].op].kind == "const":
-            v, mask = sop.operands
-            if (ops[mask.op].value >> bit & 1) == (kind == "and"):
-                continue  # forced to the identity: 0, or 1 under and
-            src, bit, _ = route_bit(ops, v, bit, routes)
-        terms.append(rw.extract(values[src.op], bit, 1))
-    bits = [rw.operations[t.op] for t in terms]
-    if all(b.kind == "const" for b in bits):  # the identity if none
-        ones = sum(b.value for b in bits)
-        return rw.const(ones % 2 if kind == "xor" else
-                        ones == len(bits) if kind == "and" else ones > 0, 1)
-    return reduce(lambda value, term: rw.binary(kind, value, term), terms)
-
-
 def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
             readers: list[int], spliced: dict[ValueRef, ValueRef]) -> None:
     """Copy the operations of the finished ``callee``, in order, into
     the caller for instance ``op_id``, and record in ``spliced`` what
-    the instance's readers read instead: a reader in ``readers`` (the
-    extracts of the instance) that lies inside one output port reads
-    that port's value, any other read the ports packed.  A site
-    connected to an instance spliced before reads through ``spliced``.
+    the instance's ``readers`` read instead: an extract that lies
+    inside one output port reads that port's value, any other read the
+    ports packed.  A site connected to an instance spliced before reads
+    through ``spliced``.
 
     A callee that passes the inline test holds only routing, logic and
     the reductions its own fold built: :func:`finished_module`
@@ -154,8 +118,9 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
     folding builder calls, so constants and slices stay shared across
     sites; logic is copied with new operands, or folded by the
     session's one-level rules (:meth:`ModuleRewriter.copy`), and a
-    reduction as the chain it was folded from (:func:`_chain`), which
-    the caller's lanes can vectorize and its own fold can fold again."""
+    reduction as the chain it was folded from
+    (:func:`~busweaver.reductions.unfold`), which the caller's lanes can
+    vectorize and its own fold can fold again."""
     ops, inst = rw.operations, rw.operations[op_id]
     values: list[ValueRef] = []
     for cop in callee.operations:
@@ -173,7 +138,7 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
         elif kind == "replicate":
             value = rw.replicate(args[0], cop.count)
         elif kind in REDUCE_KINDS:
-            value = _chain(rw, cop, callee.operations, values)
+            value = unfold(rw, cop, callee.operations, values)
         else:
             # a fold can return a caller value that a site spliced
             # before replaces: ~~ does where the caller's ~ reads one
@@ -184,6 +149,8 @@ def _splice(rw: ModuleRewriter, op_id: int, callee: HwModule,
             for pname, _ in inst.out_ports}
     for uid in readers:
         use = ops[uid]
+        if use.kind != "extract":
+            continue
         pieces = port_slices(inst.out_ports, use.low, use.width)
         if len(pieces) == 1:
             pname, first, width, _, _ = pieces[0]
@@ -210,18 +177,11 @@ def selective_inline(
     if not policy.enabled:
         return rw, log
 
-    limit = policy.threshold
-    # the sites to splice -> (callee, the extracts reading the site)
-    sites: dict[int, tuple[HwModule, list[int]]] = {}
-    for op_id, op in enumerate(module.operations):
-        kind = op.kind
-        if kind == "extract":
-            site = sites.get(op.operands[0].op)
-            if site is not None:
-                site[1].append(op_id)
-            continue
-        if kind != "instance":
-            continue
+    limit, ops = policy.threshold, module.operations
+    # the sites to splice: (op id, callee, the operations reading it)
+    sites = []
+    for op_id in rw.instances:
+        op = ops[op_id]
         callee = finished.get(op.module)
         if callee is None:
             size, inlined, reason = -1, False, "unresolved callee"
@@ -234,10 +194,10 @@ def selective_inline(
         log.append(InlineDecision(module.name, op.name, op.module,
                                   inlined, size, reason))
         if inlined:
-            sites[op_id] = (callee.module, [])
+            sites.append((op_id, callee.module, rw.readers(op_id)))
 
     spliced: dict[ValueRef, ValueRef] = {}
-    for op_id, (callee, readers) in sites.items():
+    for op_id, callee, readers in sites:
         _splice(rw, op_id, callee, readers, spliced)
     if spliced:
         rw.replace_uses(spliced)

@@ -152,32 +152,16 @@ def port_slices(
     return pieces
 
 
-#: Kinds that compute a value from their operands.  ``input`` and
-#: ``instance`` are deliberately absent: they stand for values produced
-#: outside the module body.
-COUNTED_KINDS = frozenset(
-    {
-        "const",
-        "extract",
-        "concat",
-        "replicate",
-        "and",
-        "or",
-        "xor",
-        "not",
-        "add",
-        "sub",
-        "mux",
-        "redand",
-        "redor",
-        "redxor",
-    }
-)
-
 #: Two-operand bitwise/arithmetic kinds.
 BINARY_KINDS = frozenset({"and", "or", "xor", "add", "sub"})
 
 REDUCE_KINDS = frozenset({"redand", "redor", "redxor"})
+
+#: Kinds that compute a value from their operands.  ``input`` and
+#: ``instance`` are deliberately absent: they stand for values produced
+#: outside the module body.
+COUNTED_KINDS = frozenset({"const", "extract", "concat", "replicate", "not",
+                           "mux"}) | BINARY_KINDS | REDUCE_KINDS
 
 ALL_KINDS = COUNTED_KINDS | {"input", "instance"}
 

@@ -350,13 +350,6 @@ def vectorize_output(
     return chunks, True
 
 
-def _sink_refs(rw: ModuleRewriter) -> list[str]:
-    """Sinks in deterministic order: output ports first, then wires."""
-    names = [p.name for p in rw.ports if p.direction == "output"]
-    names.extend(rw.wires)
-    return names
-
-
 def _categorize(chunks: list[Chunk]) -> str:
     if len(chunks) == 1 and chunks[0].method == "bit-permutation":
         return "bit-level"
@@ -404,11 +397,14 @@ def run_pipeline(
                                          policy)
         report.inline_log += decisions
         report.counters.copies_folded += rw.copies_folded
+        # the sinks: output ports first, then wires
+        names = [p.name for p in rw.ports if p.direction == "output"]
+        names += rw.wires
         mark = len(rw.operations)  # the fold appends what it builds
         results: dict[str, SinkResult] = {}  # the last change per sink
         folds: list[str] = []
         while True:  # one round: plan every sink, sweep the fold once
-            for sink in _sink_refs(rw):
+            for sink in names:
                 ref = rw.outputs.get(sink)
                 if ref is None and rw.is_live(rw.wires[sink]):
                     ref = rw.wires[sink]  # else orphaned by an earlier sink

@@ -24,15 +24,19 @@ folds nothing.  The sweep reads the session's live-read counts
 (:meth:`~busweaver.rewrite.ModuleRewriter.live_reads`), which the
 session keeps current through every rewrite, so it knows which
 operations a rewrite kills and which of those it builds exist already
-and stay live anyway.
+and stay live anyway.  :func:`unfold`, the inverse, turns a reduction
+the fold built back into its chain, where the inliner splices a callee.
 """
 
 from __future__ import annotations
 
-from busweaver.ir import ValueRef, route_bit
+from functools import reduce
+
+from busweaver.ir import Operation, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
 _REDUCE = {"xor": "redxor", "and": "redand", "or": "redor"}
+_MASKED = {"xor": "and", "and": "or", "or": "and"}  # v & mask, v | ~mask
 
 #: Operations that die with their last reader as far as the cost
 #: estimate looks; below any other leaf it assumes nothing dies.
@@ -185,8 +189,7 @@ class _Folder:
         elif form == "concat":
             vector = rw.concat([rw.extract(src, *r) for r in reversed(arg)])
         else:
-            vector = rw.binary("or" if kind == "and" else "and", src,
-                               rw.const(arg, src.width))
+            vector = rw.binary(_MASKED[kind], src, rw.const(arg, src.width))
         return rw.reduce(_REDUCE[kind], vector)
 
     def dying(self, nodes: list[int], leaves: dict[int, int]) -> set[int]:
@@ -224,3 +227,32 @@ class _Folder:
                         stack += [ref.op for ref in ops[oid].operands]
             self.owners = owners
         return self.owners[root]
+
+
+def unfold(rw: ModuleRewriter, op: Operation, ops: list[Operation],
+           values: list[ValueRef]) -> ValueRef:
+    """The inverse of :meth:`_Folder.term`, built in ``rw``: reduction
+    ``op`` of the module of ``ops`` as a chain, LSB first, over the bits
+    it reads, each routed back through ``ops`` to its source and read
+    from that source's copy in ``values``.  A bit that a mask forces to
+    the chain's identity is left out.  A chain whose every bit is a
+    constant is the one constant it computes."""
+    kind = op.kind[3:]  # redxor -> xor
+    masked = _MASKED[kind]
+    routes: dict = {}
+    terms = []
+    for b in range(op.operands[0].width):
+        src, bit, _ = route_bit(ops, op.operands[0], b, routes)
+        sop = ops[src.op]
+        if sop.kind == masked and ops[sop.operands[1].op].kind == "const":
+            v, mask = sop.operands
+            if (ops[mask.op].value >> bit & 1) == (kind == "and"):
+                continue  # forced to the identity: 0, or 1 under and
+            src, bit, _ = route_bit(ops, v, bit, routes)
+        terms.append(rw.extract(values[src.op], bit, 1))
+    bits = [rw.operations[t.op] for t in terms]
+    if all(b.kind == "const" for b in bits):  # the identity if none
+        ones = sum(b.value for b in bits)
+        return rw.const(ones % 2 if kind == "xor" else
+                        ones == len(bits) if kind == "and" else ones > 0, 1)
+    return reduce(lambda value, term: rw.binary(kind, value, term), terms)

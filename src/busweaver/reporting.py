@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from busweaver.emitter import emit_design
-from busweaver.frontend import ParseError, parse_design
+from busweaver.frontend import ParseDiagnostic, ParseError, parse_design
 from busweaver.inliner import DEFAULT_INLINE_THRESHOLD, InlinePolicy
 from busweaver.oracle import (
     DEFAULT_MAX_EXHAUSTIVE_BITS,
@@ -162,15 +162,30 @@ def process_design(path: str, options: BatchOptions) -> DesignResult:
     return result
 
 
+def _read_source(path: str) -> str:
+    """The file at ``path`` decoded as UTF-8, whatever the locale, with
+    its line ends read as text mode reads them (``\r\n`` and ``\r`` are
+    ``\n``; no byte of a multi-byte character is below 0x80).  Raises
+    :class:`ParseError` at the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise ParseError([ParseDiagnostic(
+            path, head.count("\n") + 1, len(head) - head.rfind("\n"),
+            "error", f"byte 0x{data[exc.start]:02x} is not UTF-8")]) from None
+
+
 def _process(path: str, options: BatchOptions) -> DesignResult:
     result = DesignResult(path=path, ok=False)
     try:
-        src = Path(path).read_text()
+        design = parse_design(_read_source(path), filename=path)
     except OSError as exc:
         result.error = str(exc)
         return result
-    try:
-        design = parse_design(src, filename=path)
     except ParseError as exc:
         result.error = "\n".join(str(d) for d in exc.diagnostics)
         return result
@@ -224,9 +239,13 @@ def _process(path: str, options: BatchOptions) -> DesignResult:
         out_name = in_path.stem + ".vec.v"
         out_dir = Path(options.out_dir) if options.out_dir \
             else in_path.parent
-        out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / out_name
-        out_path.write_text(emit_design(out))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            out_path.write_text(emit_design(out))
+        except OSError as exc:
+            result.error = str(exc)
+            return result
         result.output_path = str(out_path)
 
     result.ok = result.equivalence != "counterexample"
@@ -268,19 +287,10 @@ def _median(xs: list[float]) -> float:
 
 def summarize(results: list[DesignResult]) -> dict:
     parsed = [r for r in results if r.error is None]
-    reduced = [
-        r for r in parsed
-        if r.instructions_after < r.instructions_before
-    ]
-    increased = [
-        r for r in parsed
-        if r.instructions_after > r.instructions_before
-    ]
-    unchanged = [
-        r for r in parsed
-        if r.instructions_after == r.instructions_before
-    ]
-    cuts = [r.reduction_percent for r in reduced]
+    cuts = [r.reduction_percent for r in parsed
+            if r.instructions_after < r.instructions_before]
+    increased = sum(r.instructions_after > r.instructions_before
+                    for r in parsed)
     categories: dict[str, int] = {}
     for r in parsed:
         if r.category:
@@ -289,9 +299,9 @@ def summarize(results: list[DesignResult]) -> dict:
         "designs": len(results),
         "parsed": len(parsed),
         "failed": len(results) - len(parsed),
-        "reduced": len(reduced),
-        "increased": len(increased),
-        "unchanged": len(unchanged),
+        "reduced": len(cuts),
+        "increased": increased,
+        "unchanged": len(parsed) - len(cuts) - increased,
         "mean_reduction_percent": round(_mean(cuts), 4) if cuts else 0.0,
         "median_reduction_percent": round(_median(cuts), 4)
         if cuts else 0.0,

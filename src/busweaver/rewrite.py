@@ -15,7 +15,9 @@ exactly what is already there returns the old value itself, which is
 how the pipeline tells a real rewrite from a no-op.  The session, not
 its callers, keeps the liveness record
 (:meth:`ModuleRewriter.live_reads`) that the planner's test for
-orphaned wire sinks and the reduction fold read.
+orphaned wire sinks and the reduction fold read, and the module facts
+the inliner reads: the instance sites (:attr:`~ModuleRewriter.instances`)
+and each site's readers (:meth:`~ModuleRewriter.readers`).
 """
 
 from __future__ import annotations
@@ -128,17 +130,18 @@ class ModuleRewriter(ModuleBuilder):
     def __init__(self, module: HwModule):
         super().__init__(module.name, module.ports)
         self.operations = list(module.operations)
-        # The ids of the instance operations, ascending.  Only the
-        # frontend builds instances, and a redirected reader keeps its
-        # slot, so they hold for the whole session.
-        self._instances: list[int] = []
+        # The ids of the instance operations, ascending, dropped ones
+        # included.  Only the frontend builds instances, and a redirected
+        # reader keeps its slot, so they hold for the whole session.
+        instances = []
         for oid, op in enumerate(self.operations):
             key = cse_key(op)
             if key is None:
                 if op.kind == "instance":
-                    self._instances.append(oid)
+                    instances.append(oid)
             elif key not in self._cse:
                 self._cse[key] = ValueRef(oid, op.width)
+        self.instances = tuple(instances)
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()
@@ -185,6 +188,13 @@ class ModuleRewriter(ModuleBuilder):
                 return inner.operands[0]
         return super().copy(op, operands)
 
+    def readers(self, op_id: int) -> list[int]:
+        """The ids, ascending, of the operations, live or not, that read
+        ``op_id``'s value, from the use index."""
+        if op_id + 1 < self._low or self._indexed != len(self.operations):
+            self._index(op_id + 1)
+        return sorted(set(self._users[op_id]))
+
     def live(self) -> list[int]:
         """The ids :meth:`finish` would keep, operands first: in id order
         until the session's first redirection (until then every
@@ -193,7 +203,7 @@ class ModuleRewriter(ModuleBuilder):
             return list(compress(range(len(self.operations)),
                                  self.live_reads()))
         module = ModuleBuilder.finish(self, self.outputs, self.wires)
-        return live_order(module, self._dropped, self._instances)
+        return live_order(module, self._dropped, self.instances)
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
@@ -233,7 +243,7 @@ class ModuleRewriter(ModuleBuilder):
         uses = [0] * len(ops)
         for ref in self.outputs.values():
             uses[ref.op] += 1
-        for oid in self._instances:
+        for oid in self.instances:
             if oid not in self._dropped:
                 uses[oid] += 1
         if self._redirected:
@@ -369,4 +379,4 @@ class ModuleRewriter(ModuleBuilder):
 
     def finish(self) -> HwModule:
         module = super().finish(self.outputs, self.wires)
-        return compact_module(module, self._dropped, self._instances)
+        return compact_module(module, self._dropped, self.instances)

@@ -273,13 +273,13 @@ def test_each_folded_reduction_is_spliced_as_its_chain(name, monkeypatch):
     body, width = _FOLDED_CHAINS[name]
     d = _lanes(body, width, lanes=2)
     copied = []
-    chain = inliner._chain
+    unfold = inliner.unfold
 
     def spy(rw, op, ops, values):
         copied.append(op.kind)
-        return chain(rw, op, ops, values)
+        return unfold(rw, op, ops, values)
 
-    monkeypatch.setattr(inliner, "_chain", spy)
+    monkeypatch.setattr(inliner, "unfold", spy)
     out, report = run_pipeline(d)
     assert all(e.inlined for e in report.inline_log)
     assert copied and all(kind in REDUCE_KINDS for kind in copied)

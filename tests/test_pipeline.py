@@ -890,7 +890,7 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
              for name in [stage] + [f"{stage} > {path.rsplit('.', 1)[1]}"
                                     for path in opcount.NESTED.get(stage, ())]]
     assert list(counts["goldens"]) == order
-    assert len(order) == len(opcount.STAGES) + 2
+    assert len(order) == len(opcount.STAGES) + 3
     for name, count in counts["goldens"].items():
         assert count <= counts["goldens"][name.split(" > ")[0]]
 

@@ -1,6 +1,7 @@
 """Batch processing, sweeps, scaling probes, report files, and the
 command line front end."""
 
+import errno
 import gc
 import json
 import logging
@@ -120,6 +121,74 @@ def test_process_design_missing_file(tmp_path):
     result = process_design(str(tmp_path / "nope.v"), BatchOptions())
     assert not result.ok
     assert result.error
+
+
+_UTF8 = ("module m(input a, output y);\n  // caf\u00e9 \u2713\n"
+         "  assign y = ~a;\nendmodule\n")
+
+
+def test_process_design_reads_utf8_whatever_the_locale(tmp_path):
+    # under the C locale a locale-encoded read fails on the comment
+    path = tmp_path / "utf8.v"
+    path.write_bytes(_UTF8.encode("utf-8"))
+    code = (
+        "import sys\n"
+        "from busweaver.reporting import BatchOptions, process_design\n"
+        "result = process_design(sys.argv[1], BatchOptions())\n"
+        "print(result.ok, result.error)\n"
+    )
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out == "True None\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_process_design_points_at_the_first_byte_that_is_not_utf8(
+        tmp_path, newline):
+    # the byte after "  // caf\u00e9 " on line 2: the tenth character,
+    # whichever line ends the file uses
+    path = tmp_path / "latin1.v"
+    text = _UTF8.replace("\u2713", "\udcff").replace("\n", newline)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    result = process_design(str(path), BatchOptions())
+    assert not result.ok
+    assert result.error == f"{path}:2:11: error: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_process_design_reads_every_line_end_as_a_newline(tmp_path,
+                                                          newline):
+    lf = process_design(_write(tmp_path, "lf.v", BROKEN), BatchOptions())
+    path = tmp_path / "other.v"
+    path.write_bytes(BROKEN.replace("\n", newline).encode())
+    result = process_design(str(path), BatchOptions())
+    assert result.error == lf.error.replace("lf.v", "other.v")
+
+
+def test_process_design_reports_an_output_it_cannot_write(tmp_path,
+                                                          golden_dir):
+    # an --out below a regular file, and an output path that is a
+    # directory: the design ends with the OS error's text
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "permute_slice.vec.v").mkdir(parents=True)
+    for out_dir, attempt in (
+            (blocker / "sub",
+             lambda: (blocker / "sub").mkdir(parents=True, exist_ok=True)),
+            (taken, lambda: (taken / "permute_slice.vec.v").write_text(""))):
+        with pytest.raises(OSError) as refused:
+            attempt()
+        options = BatchOptions(out_dir=str(out_dir), write_output=True)
+        result = reporting.process_design(
+            str(golden_dir / "permute_slice.v"), options)
+        assert not result.ok
+        assert result.output_path is None
+        assert result.error == str(refused.value)
 
 
 def test_process_design_writes_output(tmp_path, golden_dir):
@@ -318,6 +387,19 @@ def test_cli_sweep_and_reports(tmp_path, capsys):
     # every second ~ of the chain folds where a site is spliced
     assert doc["designs"][0]["counters"]["copies_folded"] == 4 * 10
     assert csv_file.read_text().startswith("path,ok,")
+
+
+@pytest.mark.parametrize("flag", ["--report", "--csv"])
+def test_cli_reports_a_report_file_it_cannot_write(tmp_path, golden_dir,
+                                                  capsys, flag):
+    target = tmp_path / "missing" / "r.out"
+    code = main([str(golden_dir / "permute_slice.v"),
+                 "--out", str(tmp_path / "vec"), flag, str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"busweaver: cannot write {target}:"
+        f" {os.strerror(errno.ENOENT)}\n")
+    assert (tmp_path / "vec" / "permute_slice.vec.v").exists()
 
 
 @pytest.mark.parametrize("value, thresholds", [

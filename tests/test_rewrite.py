@@ -262,12 +262,46 @@ def test_a_dropped_instance_is_forgotten_as_live():
     assert not rw.is_live(feed)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_is_live_agrees_with_live_order_after_every_edit(seed):
+_REDUCE_CELL = ("module r(input [3:0] x, output z);\n"
+                "  assign z = ^x;\nendmodule\n")
+_TOP = "module top(input [7:0] a, input [3:0] b, output y, output [1:0] q);\n"
+
+#: Modules whose fold rewrites a 1-bit tree that reads one leaf twice,
+#: beside a named wire and an instance that stays (``r`` is irregular):
+#: the wire is the tree's root, feeds the instance, or is the leaf.
+_FOLDED_TREES = {
+    "xor": _REDUCE_CELL + _TOP + (
+        "  wire w, k;\n  r u(.x(b), .z(k));\n"
+        "  assign w = a[0] ^ a[3] ^ k ^ a[0] ^ a[5];\n"
+        "  assign y = w | b[1];\n  assign q = {a[1], a[2]};\nendmodule\n"),
+    "and": _REDUCE_CELL + _TOP + (
+        "  wire w, k;\n  r u(.x({w, a[7:5]}), .z(k));\n"
+        "  assign w = b[1] & a[2] & b[1] & a[3] & a[4];\n"
+        "  assign y = k;\n  assign q = {b[2], b[3]};\nendmodule\n"),
+    "or": _REDUCE_CELL + _TOP + (
+        "  wire w, k;\n  r u(.x(a[3:0]), .z(k));\n  assign w = k ^ b[0];\n"
+        "  assign y = a[1] | w | a[2] | w | a[3] | a[4];\n"
+        "  assign q = {w, a[0]};\nendmodule\n"),
+}
+
+
+@pytest.mark.parametrize("case", [*range(6), *_FOLDED_TREES])
+def test_is_live_agrees_with_live_order_after_every_edit(case, monkeypatch):
     """Checked after every edit, and in a session that splices its sites
     and plans its sinks before anything reads a count: until then it
-    counts nothing, and the first read is the recount all the same."""
-    design = parse_design(_random_design(random.Random(seed)))
+    counts nothing, and the first read is the recount all the same.
+    A seed's design folds no tree; each of :data:`_FOLDED_TREES` folds
+    one in both sessions of ``top``."""
+    trees = []
+    replace_tree = ModuleRewriter.replace_tree
+
+    def counted(rw, *args):
+        trees.append(rw.name)
+        replace_tree(rw, *args)
+
+    monkeypatch.setattr(ModuleRewriter, "replace_tree", counted)
+    design = parse_design(_random_design(random.Random(case))
+                          if isinstance(case, int) else _FOLDED_TREES[case])
     finished = {}
     for name in instantiation_order(design)[0]:
         module = design.modules[name]
@@ -320,6 +354,8 @@ def test_is_live_agrees_with_live_order_after_every_edit(seed):
                     dropped.add(oid)
             check()
         finished[name] = finished_module(rw.finish(), finished)
+    if isinstance(case, str):
+        assert trees == ["top", "top"]
 
 
 @pytest.mark.parametrize("seed", range(8))
