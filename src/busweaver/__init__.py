@@ -16,7 +16,6 @@ from busweaver.ir import (
     Port,
     ValueRef,
     count_instructions,
-    metrics,
     simulate,
     verify,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "check_equivalence",
     "count_instructions",
     "emit_design",
-    "metrics",
     "parse_design",
     "run_pipeline",
     "simulate",

@@ -119,7 +119,10 @@ def _expand_paths(raw: list[str]) -> list[str]:
     for entry in raw:
         p = Path(entry)
         if p.is_dir():
-            paths.extend(str(f) for f in sorted(p.glob("*.v")))
+            files = sorted(p.glob("*.v"))
+            # an X.vec.v beside an X.v is an earlier run's output of it
+            outputs = {f.with_suffix(".vec.v") for f in files}
+            paths.extend(str(f) for f in files if f not in outputs)
         else:
             paths.append(entry)
     return paths
@@ -133,9 +136,10 @@ def _print_result(result, check: bool) -> None:
         return
     before, after = result.instructions_before, result.instructions_after
     if after < before:
+        category = f"{result.category}, " if result.category else ""
         detail = (
             f"{before} -> {after} ops "
-            f"(-{result.reduction_percent:.1f}%, {result.category}, "
+            f"(-{result.reduction_percent:.1f}%, {category}"
             f"{result.rewrites} rewrites)"
         )
     elif result.rewrites:

@@ -191,14 +191,18 @@ class _ModuleEmitter:
 
     # -- rendering -----------------------------------------------------------
 
-    def _inst_slice_texts(self, op_id: int, low: int, width: int) -> list[str]:
-        """Pieces (MSB first) of a slice of an instance result."""
+    def _inst_text(self, op_id: int, low: int, width: int) -> str:
+        """A slice of an instance result as Verilog text: its one port
+        piece, or a concatenation of its pieces, MSB first."""
         wires = self.inst_wires[op_id]
-        return [
+        parts = [
             _slice(wires[pname], first, w, pwidth)
             for pname, first, w, pwidth, _ in reversed(
                 port_slices(self.ops[op_id].out_ports, low, width))
         ]
+        if len(parts) == 1:
+            return parts[0]
+        return "{" + ", ".join(parts) + "}"
 
     def _slice_text(self, ref: ValueRef, low: int, width: int) -> str:
         """Slice of a named/input/instance value as Verilog text."""
@@ -206,21 +210,17 @@ class _ModuleEmitter:
         if op.kind == "input":
             return _slice(op.port, low, width, op.width)
         if op.kind == "instance":
-            parts = self._inst_slice_texts(ref.op, low, width)
-            if len(parts) == 1:
-                return parts[0]
-            return "{" + ", ".join(parts) + "}"
+            return self._inst_text(ref.op, low, width)
         name = self.names[ref.op]
         return _slice(name, low, width, op.width)
 
     def _render(self, ref: ValueRef, need: int) -> str:
-        text, prec = self._expr(ref)
+        text, prec = self._expr(ref.op)
         if prec < need:
             return f"({text})"
         return text
 
-    def _expr(self, ref: ValueRef) -> tuple[str, int]:
-        op_id = ref.op
+    def _expr(self, op_id: int) -> tuple[str, int]:
         op = self.ops[op_id]
         name = self.names.get(op_id)
         if name is not None:
@@ -231,10 +231,7 @@ class _ModuleEmitter:
         if kind == "input":
             return op.port, _PREC_PRIMARY
         if kind == "instance":
-            parts = self._inst_slice_texts(op_id, 0, op.width)
-            if len(parts) == 1:
-                return parts[0], _PREC_PRIMARY
-            return "{" + ", ".join(parts) + "}", _PREC_PRIMARY
+            return self._inst_text(op_id, 0, op.width), _PREC_PRIMARY
         if kind == "extract":
             return (
                 self._slice_text(op.operands[0], op.low, op.width),
@@ -330,7 +327,7 @@ class _ModuleEmitter:
         name (which _expr would return)."""
         name = self.names.pop(op_id)
         try:
-            text, _ = self._expr(self.m.value_of(op_id))
+            text, _ = self._expr(op_id)
         finally:
             self.names[op_id] = name
         return text

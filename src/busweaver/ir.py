@@ -23,8 +23,7 @@ Operation kinds:
                 callee's output ports with the first port at the LSB end
 
 ``input`` and ``instance`` operations are pure references to values that
-live outside the module body, so instruction counts and depth/size
-metrics skip them.
+live outside the module body, so instruction counts skip them.
 
 Two evaluators run a module.  ``simulate`` is the scalar reference: one
 input vector, word-level operations, each callee run in a frame of its
@@ -203,9 +202,6 @@ class HwModule:
     @property
     def output_ports(self) -> list[Port]:
         return [p for p in self.ports if p.direction == "output"]
-
-    def value_of(self, op_id: int) -> ValueRef:
-        return ValueRef(op_id, self.operations[op_id].width)
 
 
 class HwDesign:
@@ -429,33 +425,6 @@ def count_instructions(module: HwModule) -> int:
     former are free, the latter are accounted to the callee.
     """
     return sum(1 for op in module.operations if op.kind in COUNTED_KINDS)
-
-
-class IrMetrics(NamedTuple):
-    op_count: int
-    edge_count: int
-    max_depth: int
-
-
-def metrics(module: HwModule) -> IrMetrics:
-    """Dataflow graph size: counted ops, operand edges from counted ops,
-    and the longest dependence chain through counted ops."""
-    ops = module.operations
-    op_count = 0
-    edge_count = 0
-    depth = [0] * len(ops)
-    max_depth = 0
-    for i, op in enumerate(ops):
-        if op.kind not in COUNTED_KINDS:
-            continue
-        op_count += 1
-        edge_count += len(op.operands)
-        d = 1
-        for ref in op.operands:
-            d = max(d, 1 + depth[ref.op])
-        depth[i] = d
-        max_depth = max(max_depth, d)
-    return IrMetrics(op_count, edge_count, max_depth)
 
 
 def verify_module(

@@ -100,13 +100,11 @@ class PassCounters:
     __slots__ = ("trace_visits", "cone_visits", "partial_candidates",
                  "copies_folded")
 
-    def __init__(self, trace_visits: int = 0, cone_visits: int = 0,
-                 partial_candidates: int = 0,
-                 copies_folded: int = 0) -> None:
-        self.trace_visits = trace_visits
-        self.cone_visits = cone_visits
-        self.partial_candidates = partial_candidates
-        self.copies_folded = copies_folded
+    def __init__(self) -> None:
+        self.trace_visits = 0
+        self.cone_visits = 0
+        self.partial_candidates = 0
+        self.copies_folded = 0
 
 
 class Chunk(NamedTuple):
@@ -141,28 +139,18 @@ class SinkResult:
 
 
 class PipelineReport:
-    """What one pipeline run did.  ``inlining_assisted`` lists the
-    rewrites in modules that received at least one inlined body."""
+    """What one pipeline run did, and the work counters of its passes:
+    a :class:`PassCounters` of its own, which every caller reads."""
 
     __slots__ = ("sinks", "inline_log", "counters", "instructions_before",
-                 "instructions_after", "inlining_assisted")
+                 "instructions_after")
 
-    def __init__(
-        self,
-        sinks: list[SinkResult] | None = None,
-        inline_log: list[InlineDecision] | None = None,
-        counters: PassCounters | None = None,
-        instructions_before: int = 0,
-        instructions_after: int = 0,
-        inlining_assisted: list[SinkResult] | None = None,
-    ) -> None:
-        self.sinks = [] if sinks is None else sinks
-        self.inline_log = [] if inline_log is None else inline_log
-        self.counters = PassCounters() if counters is None else counters
-        self.instructions_before = instructions_before
-        self.instructions_after = instructions_after
-        self.inlining_assisted = [] if inlining_assisted is None \
-            else inlining_assisted
+    def __init__(self) -> None:
+        self.sinks: list[SinkResult] = []
+        self.inline_log: list[InlineDecision] = []
+        self.counters = PassCounters()
+        self.instructions_before = 0
+        self.instructions_after = 0
 
     @property
     def rewrites(self) -> list[SinkResult]:
@@ -361,7 +349,6 @@ def _categorize(chunks: list[Chunk]) -> str:
 def run_pipeline(
     design: HwDesign,
     policy: InlinePolicy | None = None,
-    counters: PassCounters | None = None,
 ) -> tuple[HwDesign, PipelineReport]:
     """Verify, then finish every module bottom-up, callees first, in
     one session: inline the sites of its finished callees, vectorize
@@ -386,7 +373,7 @@ def run_pipeline(
     if violations:
         raise VectorizationError(violations)
 
-    report = PipelineReport(counters=counters)
+    report = PipelineReport()
     report.instructions_before = sum(
         count_instructions(m) for m in design.modules.values()
     )
@@ -436,8 +423,4 @@ def run_pipeline(
     report.instructions_after = sum(
         count_instructions(m) for m in out.modules.values()
     )
-    inlined_modules = {d.caller for d in report.inline_log if d.inlined}
-    report.inlining_assisted = [
-        s for s in report.rewrites if s.module in inlined_modules
-    ]
     return out, report

@@ -35,7 +35,7 @@ from busweaver.oracle import (
     DEFAULT_SAMPLES,
     check_design_equivalence,
 )
-from busweaver.pipeline import PassCounters, VectorizationError, run_pipeline
+from busweaver.pipeline import VectorizationError, run_pipeline
 
 SCHEMA_VERSION = 1
 
@@ -82,37 +82,22 @@ class DesignResult:
                  "category", "sinks", "counters", "inlined_sites",
                  "equivalence", "output_path", "seconds")
 
-    def __init__(
-        self,
-        path: str,
-        ok: bool,
-        error: str | None = None,
-        instructions_before: int = 0,
-        instructions_after: int = 0,
-        reduction_percent: float = 0.0,
-        rewrites: int = 0,
-        category: str | None = None,
-        sinks: list[dict] | None = None,
-        counters: dict | None = None,
-        inlined_sites: int = 0,
-        equivalence: str | None = None,
-        output_path: str | None = None,
-        seconds: float = 0.0,
-    ) -> None:
+    def __init__(self, path: str, ok: bool,
+                 error: str | None = None) -> None:
         self.path = path
         self.ok = ok
         self.error = error
-        self.instructions_before = instructions_before
-        self.instructions_after = instructions_after
-        self.reduction_percent = reduction_percent
-        self.rewrites = rewrites
-        self.category = category
-        self.sinks = [] if sinks is None else sinks
-        self.counters = {} if counters is None else counters
-        self.inlined_sites = inlined_sites
-        self.equivalence = equivalence
-        self.output_path = output_path
-        self.seconds = seconds
+        self.instructions_before = 0
+        self.instructions_after = 0
+        self.reduction_percent = 0.0
+        self.rewrites = 0
+        self.category: str | None = None
+        self.sinks: list[dict] = []
+        self.counters: dict = {}
+        self.inlined_sites = 0
+        self.equivalence: str | None = None
+        self.output_path: str | None = None
+        self.seconds = 0.0
 
 
 def _design_category(sink_categories: list[str]) -> str | None:
@@ -190,12 +175,11 @@ def _process(path: str, options: BatchOptions) -> DesignResult:
         result.error = "\n".join(str(d) for d in exc.diagnostics)
         return result
 
-    counters = PassCounters()
     policy = InlinePolicy(
         enabled=not options.no_inline, threshold=options.inline_threshold
     )
     try:
-        out, report = run_pipeline(design, policy, counters)
+        out, report = run_pipeline(design, policy)
     except VectorizationError as exc:
         result.error = "\n".join(exc.violations)
         return result

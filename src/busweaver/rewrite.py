@@ -46,10 +46,11 @@ def live_order(
     """Ids of the operations reachable from output bindings and
     instance statements, dependency first, in a deterministic order.
 
-    Instance operations are roots (they are visible structure even when
-    no one reads their outputs) unless listed in ``drop_ops``.  A caller
-    that knows the ids of the module's instance operations passes them,
-    in ascending order, as ``instances``; otherwise every operation is
+    ``module`` may be a :class:`ModuleRewriter` session.  Instance
+    operations are roots (they are visible structure even when no one
+    reads their outputs) unless listed in ``drop_ops``.  A caller that
+    knows the ids of the module's instance operations passes them, in
+    ascending order, as ``instances``; otherwise every operation is
     scanned for them.
     """
     ops = module.operations
@@ -81,8 +82,8 @@ def compact_module(
     module: HwModule, drop_ops: frozenset[int] | set[int] = frozenset(),
     instances: list[int] | None = None,
 ) -> HwModule:
-    """Rebuild the module keeping only the operations of
-    :func:`live_order` (which takes ``drop_ops`` and ``instances``),
+    """Rebuild the module (or a session's) keeping only the operations
+    of :func:`live_order` (which takes ``drop_ops`` and ``instances``),
     renumbered in that order.  An operation whose operands are not
     renumbered is kept as the same object.
 
@@ -124,7 +125,9 @@ class ModuleRewriter(ModuleBuilder):
     operations share the value numbering of the existing ones:
     re-emitting a slice or concatenation that already exists returns
     the existing value instead of growing the module.  Its :meth:`copy`
-    folds ``~~x`` as it builds.
+    folds ``~~x`` as it builds.  The session holds the module's fields,
+    so :meth:`live` and :meth:`finish` hand itself to
+    :func:`live_order` and :func:`compact_module`.
     """
 
     def __init__(self, module: HwModule):
@@ -202,8 +205,7 @@ class ModuleRewriter(ModuleBuilder):
         if not self._redirected:
             return list(compress(range(len(self.operations)),
                                  self.live_reads()))
-        module = ModuleBuilder.finish(self, self.outputs, self.wires)
-        return live_order(module, self._dropped, self.instances)
+        return live_order(self, self._dropped, self.instances)
 
     def drop_instance(self, op_id: int) -> None:
         self._dropped.add(op_id)
@@ -378,5 +380,4 @@ class ModuleRewriter(ModuleBuilder):
         self.reader_steps += len(oids) + len(passed)
 
     def finish(self) -> HwModule:
-        module = super().finish(self.outputs, self.wires)
-        return compact_module(module, self._dropped, self.instances)
+        return compact_module(self, self._dropped, self.instances)

@@ -13,8 +13,8 @@ hash covers the emitted text, the chunk tiling, category and change
 flag of every sink, the trace, cone and candidate counters, the
 instruction counts, the inline log, and the ``compile_packed``
 programs of the input and the output; a hierarchy run's covers the
-emitted text, the sinks as above and the four
-:class:`~busweaver.pipeline.PassCounters`.  A design that raises hashes
+emitted text, the sinks as above and the four counters of the
+report's :class:`~busweaver.pipeline.PassCounters`.  A design that raises hashes
 its exception instead.  Two source trees that print the same digest
 made the same decisions on every design, so a refactor shows that it
 kept the behaviour by running this on both, and a change of behaviour
@@ -53,7 +53,7 @@ from busweaver.emitter import emit_design  # noqa: E402
 from busweaver.frontend import parse_design  # noqa: E402
 from busweaver.inliner import InlinePolicy  # noqa: E402
 from busweaver.ir import compile_packed  # noqa: E402
-from busweaver.pipeline import PassCounters, run_pipeline  # noqa: E402
+from busweaver.pipeline import run_pipeline  # noqa: E402
 
 SEEDS = (5, 21, 70)
 HIERARCHY_SEEDS = range(2000)
@@ -80,8 +80,8 @@ def run_record(source: str, policy: InlinePolicy) -> str:
     ``policy``, as text to hash."""
     try:
         design = parse_design(source)
-        counters = PassCounters()
-        out, report = run_pipeline(design, policy, counters)
+        out, report = run_pipeline(design, policy)
+        counters = report.counters
         record = (
             emit_design(out), _sinks(report),
             (counters.trace_visits, counters.cone_visits,
@@ -98,8 +98,8 @@ def hierarchy_record(source: str, policy: InlinePolicy) -> str:
     """What the pipeline decides for the hierarchy ``source`` under
     ``policy``, as text to hash."""
     try:
-        counters = PassCounters()
-        out, report = run_pipeline(parse_design(source), policy, counters)
+        out, report = run_pipeline(parse_design(source), policy)
+        counters = report.counters
         record = (
             emit_design(out), _sinks(report),
             (counters.trace_visits, counters.cone_visits,

@@ -10,8 +10,8 @@ and prints one line per workload and stage: the instructions the
 interpreter executed inside :data:`STAGES`, summed over the designs.
 Under a stage, a line per function of :data:`NESTED` counts the part
 of the stage's instructions executed inside that function (the
-inliner and the reduction fold in the pipeline, the gate compiler in
-the check).
+verifier, the inliner and the reduction fold in the pipeline, the gate
+compiler and the packed evaluation in the check).
 Each design is parsed, run through the pipeline under the default
 policy, checked against its output with the check's defaults and
 emitted, the path of ``busweaver.reporting.process_design`` without
@@ -47,9 +47,10 @@ STAGES = ("parse_design", "run_pipeline", "check_design_equivalence",
           "emit_design")
 #: Stage -> the functions counted apart inside it, as ``module.name``
 #: in ``busweaver``.
-NESTED = {"run_pipeline": ("inliner.selective_inline",
+NESTED = {"run_pipeline": ("ir.verify", "inliner.selective_inline",
                           "reductions.fold_reductions"),
-          "check_design_equivalence": ("ir.compile_packed",)}
+          "check_design_equivalence": ("ir.compile_packed",
+                                       "ir.simulate_packed")}
 
 
 def _counted(nested: dict, fn, *args):

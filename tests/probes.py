@@ -3,7 +3,9 @@
 ``mutation_audit`` checks the oracle by injecting single faults and
 counting how many it catches; ``scaling_probe`` times the pipeline
 against design size for the near-linear scaling criterion; and
-``rewrite_counts`` reads a threshold sweep's rewrites per threshold.
+``rewrite_counts`` reads a threshold sweep's rewrites per threshold;
+and ``metrics`` sizes a module's dataflow graph for the tests that
+bound work by its depth.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from busweaver.frontend import parse_design
 from busweaver.ir import (
+    COUNTED_KINDS,
     HwDesign,
     HwModule,
     compile_module,
@@ -187,3 +191,30 @@ def scaling_probe(
 
 def rewrite_counts(sweep: SweepResult) -> list[int]:
     return [row.rewrites for row in sweep.rows]
+
+
+class IrMetrics(NamedTuple):
+    op_count: int
+    edge_count: int
+    max_depth: int
+
+
+def metrics(module: HwModule) -> IrMetrics:
+    """Dataflow graph size: counted ops, operand edges from counted ops,
+    and the longest dependence chain through counted ops."""
+    ops = module.operations
+    op_count = 0
+    edge_count = 0
+    depth = [0] * len(ops)
+    max_depth = 0
+    for i, op in enumerate(ops):
+        if op.kind not in COUNTED_KINDS:
+            continue
+        op_count += 1
+        edge_count += len(op.operands)
+        d = 1
+        for ref in op.operands:
+            d = max(d, 1 + depth[ref.op])
+        depth[i] = d
+        max_depth = max(max_depth, d)
+    return IrMetrics(op_count, edge_count, max_depth)

@@ -11,9 +11,8 @@ from busweaver import (
     run_pipeline,
 )
 from busweaver.cones import backward_cone
-from busweaver.ir import metrics, simulate
+from busweaver.ir import simulate
 from busweaver.oracle import check_design_equivalence
-from busweaver.pipeline import PassCounters
 from busweaver.reporting import threshold_sweep
 from generators import (
     nested_instance_design,
@@ -22,7 +21,7 @@ from generators import (
     ripple_carry_design,
     scaling_design,
 )
-from probes import rewrite_counts, scaling_probe
+from probes import metrics, rewrite_counts, scaling_probe
 from reference import detect_permutation, greedy_group, is_independent
 
 GOLDEN = [
@@ -123,8 +122,8 @@ def test_criterion_3_random_permutation_recovery():
         segments = greedy_group(pi)
         if sum(s.width for s in segments) != width:
             failures.append(f"case {case}: segments do not tile")
-        counters = PassCounters()
-        out, _ = run_pipeline(design, counters=counters)
+        out, report = run_pipeline(design)
+        counters = report.counters
         depth = max(metrics(module).max_depth, 2)
         if counters.trace_visits > width * depth:
             failures.append(f"case {case}: trace visits over budget")
@@ -247,8 +246,7 @@ def test_criterion_9_complexity_counters():
         width = 2 + case % 15
         design = parse_design(permutation_design(width, seed=case, name="p"))
         depth = max(metrics(design.top_module).max_depth, 2)
-        counters = PassCounters()
-        run_pipeline(design, counters=counters)
+        counters = run_pipeline(design)[1].counters
         if counters.trace_visits > width * depth:
             failures.append(
                 f"perm {case}: {counters.trace_visits} visits "
@@ -256,8 +254,7 @@ def test_criterion_9_complexity_counters():
             )
     for width in range(3, 23):
         design = parse_design(ripple_carry_design(width))
-        counters = PassCounters()
-        run_pipeline(design, counters=counters)
+        counters = run_pipeline(design)[1].counters
         bound = width * (width - 1) // 2
         if counters.partial_candidates > bound:
             failures.append(

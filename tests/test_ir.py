@@ -22,7 +22,6 @@ from busweaver.ir import (
     count_instructions,
     instance_ports,
     instantiation_order,
-    metrics,
     simulate,
     simulate_packed,
     verify,
@@ -38,6 +37,7 @@ from generators import (
     ripple_carry_design,
     scaling_design,
 )
+from probes import metrics
 
 
 def _ports(*specs):

@@ -1,8 +1,9 @@
 from busweaver.emitter import emit_module
 from busweaver.frontend import parse_design
-from busweaver.ir import metrics, route_bit
+from busweaver.ir import route_bit
 from busweaver.pipeline import PassCounters, run_pipeline, vectorize_output
 from busweaver.rewrite import ModuleRewriter
+from probes import metrics
 from reference import Segment, detect_permutation, greedy_group
 
 

@@ -23,7 +23,6 @@ from busweaver.ir import (
     Port,
     ValueRef,
     count_instructions,
-    metrics,
     simulate,
     verify,
 )
@@ -43,6 +42,7 @@ from generators import (
 import corpus_digest
 import hierarchies
 import opcount
+from probes import metrics
 from reference import detect_permutation, is_independent, is_isomorphic
 
 
@@ -153,8 +153,8 @@ def test_off_zero_window_is_one_permutation_chunk(case):
     expr, want = _OFF_ZERO_WINDOWS[case]
     src = (f"module m(input [7:0] a, output [3:0] out);\n"
            f"  assign out = {expr};\nendmodule\n")
-    counters = PassCounters()
-    _, out, report = _pipeline(src, counters=counters)
+    _, out, report = _pipeline(src)
+    counters = report.counters
     (sink,) = report.sinks
     assert [(c.high, c.low, c.method) for c in sink.chunks] == [
         (3, 0, "bit-permutation")
@@ -330,15 +330,18 @@ def test_report_reduction_fields(golden_dir):
 def test_inlining_assisted_rewrites(golden_dir):
     _, out, report = _pipeline((golden_dir / "intermodule_buf.v").read_text())
     assert [d.callee for d in report.inline_log if d.inlined] == ["my_buf"] * 4
-    assert [s.module for s in report.inlining_assisted] == ["top4"]
+    # the rewrites in modules that received an inlined body
+    inlined = {d.caller for d in report.inline_log if d.inlined}
+    assert [s.module for s in report.rewrites
+            if s.module in inlined] == ["top4"]
     assert "assign out = in;" in emit_design(out)
 
 
 def test_partial_candidates_hit_quadratic_bound_exactly():
     # the all-scalar 4-bit sum sink explores every window once:
     # 3 + 2 + 1 = n*(n-1)/2 candidates
-    counters = PassCounters()
-    run_pipeline(parse_design(ripple_carry_design(4)), counters=counters)
+    _, report = run_pipeline(parse_design(ripple_carry_design(4)))
+    counters = report.counters
     assert counters.partial_candidates == 6
 
 
@@ -498,8 +501,8 @@ def test_partial_cone_visits_grow_quadratically():
     # planner grows ~16x from 32 to 64 bits
     visits = {}
     for n in (32, 64):
-        counters = PassCounters()
-        run_pipeline(parse_design(ripple_carry_design(n)), counters=counters)
+        _, report = run_pipeline(parse_design(ripple_carry_design(n)))
+        counters = report.counters
         assert counters.partial_candidates == n * (n - 1) // 2
         visits[n] = counters.cone_visits
     assert visits[64] <= 5 * visits[32]
@@ -508,8 +511,7 @@ def test_partial_cone_visits_grow_quadratically():
 def test_trace_visits_bounded_by_bits_times_depth(golden_dir):
     design = parse_design((golden_dir / "permute_general.v").read_text())
     depth = max(metrics(design.top_module).max_depth, 2)
-    counters = PassCounters()
-    run_pipeline(design, counters=counters)
+    counters = run_pipeline(design)[1].counters
     assert counters.trace_visits <= 4 * depth
 
 
@@ -517,13 +519,13 @@ def test_cone_visits_start_below_the_routed_root():
     # each bit routes through out's concat once, to its and (a trace
     # visit); its cone collects the and and routes the and's two
     # operand selects (three cone visits), not the concat again
-    counters = PassCounters()
-    run_pipeline(parse_design(
+    _, report = run_pipeline(parse_design(
         "module m(input [1:0] a, input [1:0] b, output [1:0] out);\n"
         "  assign out[0] = a[0] & b[0];\n"
         "  assign out[1] = a[1] & b[1];\n"
         "endmodule\n"
-    ), counters=counters)
+    ))
+    counters = report.counters
     assert (counters.trace_visits, counters.cone_visits) == (2, 6)
 
 
@@ -875,6 +877,19 @@ def test_the_corpus_digest_is_stable(workload):
     assert lines[0].endswith(value)
 
 
+def test_the_corpus_digest_of_two_goldens_repeats(golden_dir):
+    # digest() hashes every decision under the four policies; two runs
+    # of one tree give the same 64-hex digests
+    cases = [(name, (golden_dir / name).read_text())
+             for name in ("intermodule_buf.v", "partial_mix.v")]
+    value, per_policy = corpus_digest.digest(cases)
+    assert (value, per_policy) == corpus_digest.digest(cases)
+    assert list(per_policy) == list(corpus_digest.POLICIES)
+    for hexdigest in (value, *per_policy.values()):
+        assert len(hexdigest) == 64
+        assert set(hexdigest) <= set("0123456789abcdef")
+
+
 def test_the_bytecode_meter_counts_alike_twice(golden_dir):
     # tests/opcount.py compares two source trees by these counts, each
     # taken in a child process of its own
@@ -890,7 +905,7 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
              for name in [stage] + [f"{stage} > {path.rsplit('.', 1)[1]}"
                                     for path in opcount.NESTED.get(stage, ())]]
     assert list(counts["goldens"]) == order
-    assert len(order) == len(opcount.STAGES) + 3
+    assert len(order) == len(opcount.STAGES) + 5
     for name, count in counts["goldens"].items():
         assert count <= counts["goldens"][name.split(" > ")[0]]
 

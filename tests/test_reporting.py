@@ -340,6 +340,50 @@ def test_cli_directory_expansion_and_summary(tmp_path, capsys):
     assert "unchanged" in out.splitlines()[1]
 
 
+def test_cli_a_second_directory_run_skips_the_first_runs_outputs(
+        tmp_path, capsys):
+    # without --out each design's output lands beside it as X.vec.v;
+    # the second run reads the two sources only, and a directory of
+    # outputs alone still runs
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.v").write_text(permutation_design(4, seed=2, name="a"))
+    (corpus / "b.v").write_text(ripple_carry_design(3, name="b"))
+    summaries = []
+    for _ in range(2):
+        assert main([str(corpus)]) == 0
+        summaries.append(capsys.readouterr().out.splitlines()[-1])
+    assert summaries[0].startswith("2 designs: ")
+    assert summaries[1] == summaries[0]
+    assert sorted(f.name for f in corpus.iterdir()) == [
+        "a.v", "a.vec.v", "b.v", "b.vec.v"]
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    (corpus / "a.vec.v").rename(outputs / "a.vec.v")
+    assert main([str(outputs), "--out", str(tmp_path / "vec")]) == 0
+    assert "a.vec.v: " in capsys.readouterr().out
+
+
+def test_cli_leaves_out_a_missing_category(tmp_path, capsys):
+    # the count falls through inlining alone: no sink is rewritten, so
+    # the design has no category
+    path = _write(tmp_path, "m.v", (
+        "module c(input [1:0] a, output [1:0] p, output [1:0] q);\n"
+        "  assign p = a;\n"
+        "  assign q = ~a;\n"
+        "endmodule\n"
+        "module m(input [1:0] a, output [3:0] y, output [1:0] z);\n"
+        "  wire [3:0] s;\n"
+        "  c u(.a(a), .p(s[1:0]), .q(s[3:2]));\n"
+        "  assign y = s;\n"
+        "  assign z = s[2:1];\n"
+        "endmodule\n"))
+    assert main([path, "--out", str(tmp_path / "vec")]) == 0
+    out = capsys.readouterr().out
+    assert "m.v: 5 -> 4 ops (-20.0%, 0 rewrites)" in out
+    assert "None" not in out
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.v", BROKEN)
     code = main([path])
