@@ -2,11 +2,10 @@
 
 Every choice here (port layout, naming, operator parenthesisation,
 statement order) is a function of the IR alone, and statements follow
-the operation order that the pipeline's compaction sets, so re-running
-the pipeline on emitted text reproduces the bytes: the fixpoint the
-idempotence guarantee is measured against.  Parsing and emitting again
-without the pipeline need not, since the frontend orders operations as
-the text does: named wires and instance lines can come back reordered.
+the operation order, which the frontend builds back as
+:func:`~busweaver.rewrite.live_order` sets it: parsing emitted text and
+emitting it again gives the same bytes, and so does a re-run of the
+pipeline (the idempotence guarantee).
 
 Naming: user wire names win, instance outputs get ``<inst>_<port>``,
 values that must be materialised but have no user name get ``t<k>``.

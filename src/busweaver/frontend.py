@@ -774,9 +774,7 @@ _BINARY_KNOWN = {op: (None, None, (kind,)) for op, kind in (
 
 class _Code(NamedTuple):
     """An expression after its one walk: its width, each net it reads
-    once, with the token of its first read, in the order of the last
-    reads (the tokens of one expression ascend, so sorting by token
-    gives the order of the first reads), and its nodes in post-order
+    once, with the token of its first read, and its nodes in post-order
     for :meth:`_Elaborator.build`.  A node is ``("net", name)``,
     ``("extract", name, low, width)``, ``("const", value, width)``,
     ``("concat", n)``, ``("replicate", count)``, or an operation kind
@@ -803,8 +801,8 @@ class _Net:
     """A port or wire being elaborated.  ``direction`` is None for a
     wire.  A driver is ``(high, low, tag, payload)``; tag is "assign"
     (payload: its _Code) or "inst" (payload: (instance index, port
-    name)).  ``driven_by`` holds each bit's driver site, and ``deps``
-    caches :meth:`_Elaborator.net_deps`."""
+    name)).  ``driven_by`` holds each bit's driver site.  ``deps`` is
+    left None, for the reference elaborator of the tests."""
 
     __slots__ = ("name", "width", "is_wire", "direction", "tok", "drivers",
                  "driven_by", "deps")
@@ -827,7 +825,8 @@ class _Elaborator:
     Each expression is checked in one pass over its post-order items
     when drivers are collected (:meth:`walk`); building a net replays
     the pass's nodes (:meth:`build`), so no expression depth reaches
-    the stack.
+    the stack.  Operations are built in
+    :func:`~busweaver.rewrite.live_order`'s order (see :meth:`run`).
     """
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
@@ -838,10 +837,15 @@ class _Elaborator:
         self.nets: dict[str, _Net] = {}
         self.builder: ModuleBuilder | None = None
         self.net_values: dict[str, ValueRef] = {}
-        self.net_state: dict[str, int] = {}  # 1 = in progress, 2 = done
+        self._begun: set[str] = set()  # the nets whose build has begun
         self.inst_values: dict[int, ValueRef] = {}
-        # instance index -> input port name -> the connection's _Code
+        # whether operations may be out of live_order's order (see run),
+        # and where the build of the current unread instance began
+        self._reorder, self._root = False, None
+        # instance index -> input port name -> the connection's _Code,
+        # and -> the nets its outputs drive
         self._inputs: dict[int, dict[str, _Code | None]] = {}
+        self._drives: dict[int, list[str]] = {}
         # an extract node -> its value, once built; a net's value never
         # changes, and a chain reads the same bits over and over
         self._extracts: dict[tuple, ValueRef] = {}
@@ -913,8 +917,8 @@ class _Elaborator:
             if item.__class__ is int:
                 name, w, node = known.get(toks[item]) or self.operand(item)
                 if w is not None or node is None:  # a leaf
-                    if name is not None:  # to the end, first token kept
-                        deps[name] = deps.pop(name, item)
+                    if name is not None:
+                        deps.setdefault(name, item)
                     widths.append(w)
                     if node is not None:
                         nodes.append(node)
@@ -1013,9 +1017,11 @@ class _Elaborator:
                         f" {MAX_WIDTH} bits")
         return True
 
-    def build(self, code: _Code) -> ValueRef:
-        """Replay ``code``'s nodes on a value stack.  Every net it reads
-        has been built."""
+    def build(self, code: _Code):
+        """Replay ``code``'s nodes on a value stack, a generator: for
+        each net read that is not built yet it yields ``(code, name)``
+        and is sent the net's value (see :meth:`demand`); it returns the
+        expression's value."""
         b = self.builder
         values, extracts = self.net_values, self._extracts
         stack: list[ValueRef] = []
@@ -1026,13 +1032,14 @@ class _Elaborator:
                 value = extracts.get(node)
                 if value is None:
                     value = extracts[node] = b.extract(
-                        values[node[1]], node[2], node[3])
+                        values.get(node[1]) or (yield code, node[1]),
+                        node[2], node[3])
                 push(value)
             elif kind in BINARY_KINDS:
                 y = pop()
                 stack[-1] = b.binary(kind, stack[-1], y)
             elif kind == "net":
-                push(values[node[1]])
+                push(values.get(node[1]) or (yield code, node[1]))
             elif kind == "const":
                 push(b.const(node[1], node[2]))
             elif kind == "not":
@@ -1104,6 +1111,7 @@ class _Elaborator:
             if conns is None:
                 continue
             inputs = self._inputs[idx] = {}
+            drives = self._drives[idx] = []
             for port in sig:
                 conn = conns.get(port.name)
                 if conn is None or conn.expr is None:
@@ -1133,6 +1141,7 @@ class _Elaborator:
                         continue
                     self.add_driver(lv.name, lv.high, lv.low, "inst",
                                     (idx, port.name), conn.tok)
+                    drives.append(lv.name)
 
     def resolve_conns(self, inst: AstInstance,
                       sig: list[Port]) -> dict[str, AstConn] | None:
@@ -1177,157 +1186,126 @@ class _Elaborator:
         _, high, low = self.lexer.selects.get(text, (name, None, None))
         return AstLval(name, high, low, tok)
 
-    # -- demand-driven net elaboration ---------------------------------------
-
-    def codes(self, net: _Net) -> list[_Code]:
-        """The expressions built into ``net``: its assigns, and the input
-        connections of the instances driving it.  Nets wired to an
-        instance's outputs are produced, not consumed."""
-        codes: list[_Code] = []
-        for _, _, tag, payload in net.drivers:
-            if tag == "assign":
-                codes.append(payload)
-            else:
-                codes += self._inputs[payload[0]].values()
-        return codes
-
-    def net_deps(self, net: _Net) -> list[str]:
-        """Nets whose values are needed before this one can be built,
-        each once, in the order of their last reads: the order in which
-        a stack holding every read would have them built."""
-        if net.deps is None:
-            names: list[str] = []
-            for code in self.codes(net):
-                names += code.deps
-            net.deps = list(dict.fromkeys(reversed(names)))[::-1]
-        return net.deps
+    # -- building in live_order's order -------------------------------------
 
     class _Abort(Exception):
         pass
 
-    def demand_net(self, name: str) -> ValueRef:
-        """Iterative dependency-first elaboration, so arbitrarily long
-        net chains do not recurse.  Every name demanded is known: an
-        output port, a dep of an expression that walked without error,
-        or an output connection that :meth:`operand` resolved."""
-        stack = [name]
+    def demand(self, gen) -> ValueRef:
+        """Run the build generator ``gen``, and the build of each net it
+        asks for where it first reads it, on a stack, so that no chain of
+        nets recurses; returns ``gen``'s value.  A read of a net whose
+        build has begun closes a cycle."""
+        stack, value = [gen], None
         while stack:
-            n = stack[-1]
-            state = self.net_state.get(n)
-            if state == 2:
+            try:
+                code, name = stack[-1].send(value)
+            except StopIteration as done:
                 stack.pop()
+                value = done.value
                 continue
-            net = self.nets[n]
-            if net.direction == "input":
-                self.net_values[n] = self.builder.input_ref(n, net.width)
-                self.net_state[n] = 2
-                stack.pop()
-                continue
-            state_of = self.net_state.get
-            pending = [dep for dep in self.net_deps(net)
-                       if state_of(dep) != 2]
-            if 1 in map(state_of, pending):
-                # a cycle, reported at the first read of a net in progress
-                for code in self.codes(net):
-                    deps = code.deps
-                    for dep in sorted(deps, key=deps.__getitem__):
-                        if state_of(dep) == 1:
-                            self.error(deps[dep], "combinational cycle"
-                                                  f" through net '{dep}'")
-                            raise self._Abort()
-            if state != 1:
-                self.net_state[n] = 1
-            if pending:
-                stack.extend(pending)
-                continue
-            self.net_values[n] = self.build_net(net)
-            self.net_state[n] = 2
-            stack.pop()
-        return self.net_values[name]
-
-    def build_net(self, net: _Net) -> ValueRef:
-        for bit, site in enumerate(net.driven_by):
-            if site is None:
-                what = "output port" if not net.is_wire else "wire"
-                self.error(net.tok,
-                           f"{what} '{net.name}' bit {bit} is never driven")
+            net = self.nets[name]
+            if name in self._begun:
+                self.error(code.deps[name],
+                           f"combinational cycle through net '{name}'")
                 raise self._Abort()
-        segments = sorted(net.drivers, key=lambda d: d[1])
+            if net.direction == "input":
+                value = self.net_values[name] = self.builder.input_ref(
+                    name, net.width)
+            else:
+                stack.append(self.build_net(net))
+                value = None
+        return value
+
+    def build_net(self, net: _Net):
+        """Build ``net`` from its driver segments, the most significant
+        first (a generator, see :meth:`build`)."""
+        self._begun.add(net.name)
+        b = self.builder
         parts: list[ValueRef] = []
-        for high, low, tag, payload in segments:
+        for high, low, tag, payload in sorted(net.drivers, reverse=True):
             if tag == "assign":
-                parts.append(self.build(payload))
+                parts.append((yield from self.build(payload)))
             else:
                 idx, portname = payload
                 offset = self.callee(
                     self.ast.instances[idx].module).offsets[portname]
-                parts.append(self.builder.extract(
-                    self.materialize_instance(idx), offset, high - low + 1))
-        return self.builder.concat(list(reversed(parts)))
+                value = self.inst_values.get(idx)
+                if value is None:
+                    value = yield from self.instance(idx)
+                parts.append(b.extract(value, offset, high - low + 1))
+        if None in net.driven_by:
+            what = "wire" if net.is_wire else "output port"
+            bit = net.driven_by.index(None)
+            self.error(net.tok, f"{what} '{net.name}' bit {bit} is never"
+                                " driven")
+            raise self._Abort()
+        value = self.net_values[net.name] = b.concat(parts)
+        return value
 
-    def materialize_instance(self, idx: int) -> ValueRef:
-        if idx in self.inst_values:
-            return self.inst_values[idx]
+    def instance(self, idx: int):
+        """Build instance ``idx``: its inputs in port order, then its
+        operation (a generator, see :meth:`build`).  An input that reads
+        the instance's own output enters it again, and the replay stops
+        at that read, whose net is being built."""
+        # one built after operations of the unread instance that reads
+        # it precedes them in id but follows them in live_order
+        self._reorder |= self._root not in (None, len(self.builder.operations))
+        operands = []
+        for code in self._inputs[idx].values():
+            operands.append((yield from self.build(code)))
         inst = self.ast.instances[idx]
-        operands = [self.build(code) for code in self._inputs[idx].values()]
         facts = self.callee(inst.module)
-        value = self.builder.instance(inst.module, inst.name, operands,
-                                      facts.in_ports, facts.out_ports)
-        self.inst_values[idx] = value
+        value = self.inst_values[idx] = self.builder.instance(
+            inst.module, inst.name, operands, facts.in_ports,
+            facts.out_ports)
         return value
 
     # -- top level -----------------------------------------------------------
 
     def run(self) -> HwModule | None:
+        """Build the output ports in port order, then each instance that
+        nothing reads, in source order, and last the nets these drive,
+        checked as a reader would build them.  A compaction puts in
+        :func:`~busweaver.rewrite.live_order`'s order what those nets
+        leave dead, an instance that an unread one reads after other
+        operations, and a net's slice or constant that a slice of the
+        net folds into a slice of its driver."""
         ports = self.build_symbols()
-        self.builder = ModuleBuilder(self.ast.name, ports)
+        b = self.builder = ModuleBuilder(self.ast.name, ports)
         self.collect_drivers()
         if self.failed:
             return None
         outputs: dict[str, ValueRef] = {}
+        values = self.net_values
         try:
             for p in ports:
                 if p.direction == "output":
-                    outputs[p.name] = self.demand_net(p.name)
-            for idx, inst in enumerate(self.ast.instances):
-                if idx in self.inst_values:
-                    continue
-                sig = self.signatures[inst.module]
-                inputs = self._inputs[idx]
-                for k, conn in enumerate(inst.conns):
-                    e = conn.expr
-                    if e is None:
-                        continue
-                    port = sig[k].name if conn.port is None else conn.port
-                    code = inputs.get(port)
-                    # an output connection is a net or a slice of one,
-                    # known since conn_lvalue
-                    deps = sorted(code.deps, key=code.deps.__getitem__) \
-                        if code is not None else \
-                        [self._known[self.lexer.toks[e[0]]][0]]
-                    for dep in deps:
-                        self.demand_net(dep)
-                self.materialize_instance(idx)
+                    outputs[p.name] = values.get(p.name) or self.demand(
+                        self.build_net(self.nets[p.name]))
+            drives = []  # the nets the unread instances drive
+            for idx in range(len(self.ast.instances)):
+                if idx not in self.inst_values:
+                    drives += self._drives[idx]
+                    self._root = len(b.operations)
+                    self.demand(self.instance(idx))
+            self._root, size = None, len(b.operations)
+            for name in drives:
+                if name not in values:
+                    self.demand(self.build_net(self.nets[name]))
+            self._reorder |= len(b.operations) != size
         except self._Abort:
             return None
-        wires = {
-            w.name: self.net_values[w.name]
-            for w in self.ast.wires
-            if self.net_state.get(w.name) == 2
-        }
-        module = self.builder.finish(outputs, wires)
-        # A slice of a wire folds into a slice of its driver, which can
-        # leave the wire's own extract or constant unread; nothing else
-        # leaves an operation dead.  Some operation is dead exactly when
-        # one that is not an instance is read by nothing: the last dead
-        # one has no reader.
+        wires = {w.name: values[w.name] for w in self.ast.wires
+                 if w.name in values}
+        module = b.finish(outputs, wires)
         ops = module.operations
-        if wires:
-            read = {ref.op for op in ops for ref in op.operands}
-            read.update(ref.op for ref in outputs.values())
-            if any(k not in read and op.kind != "instance"
-                   for k, op in enumerate(ops)):
-                module = compact_module(module)
+        folds = {name for name, v in values.items()
+                 if ops[v.op].kind in ("extract", "const")}
+        if self._reorder or folds and any(
+                node[1] in folds and node[3] != values[node[1]].width
+                for node in self._extracts):
+            module = compact_module(module)
         return module
 
 

@@ -8,13 +8,13 @@ is that input bit's value in vector k (a sampled lane takes one
 ``getrandbits`` call), and a counterexample is read back from bit k of
 the lanes.
 
-Each side is compiled once into a folded one-bit gate program
-(``ir.compile_packed``: wiring costs nothing, a callee is substituted
-instead of re-simulated at every site) and the programs are evaluated
-bit-parallel by ``ir.simulate_packed``, so even the exhaustive check at
-the 16-bit default is a handful of big-integer operations per gate.
-The truth tables up to that default are built once per input width and
-kept for later checks.
+Each module is compiled once into a folded one-bit gate program
+(``ir.compile_module``: wiring costs nothing, a callee is substituted
+instead of re-simulated at every site; a module both sides share, once
+in all) and the programs are evaluated bit-parallel by
+``ir.simulate_packed``, so even the exhaustive check at the 16-bit
+default is a handful of big-integer operations per gate.  The truth
+tables up to that default are built once per input width and kept.
 ``ir.simulate`` stays the independent scalar reference.
 """
 
@@ -28,6 +28,7 @@ from busweaver.ir import (
     PackedProgram,
     compile_module,
     compile_packed,
+    instantiation_order,
     simulate_packed,
 )
 
@@ -157,7 +158,7 @@ def check_equivalence(
     ``compiled`` holds both modules' programs; without it each module
     is compiled on its own, so a module with instances raises
     ``ValueError`` (:func:`check_design_equivalence` compiles whole
-    designs).
+    designs).  One program given twice is simulated once.
 
     Raises ``ValueError`` on a port signature mismatch; that is an
     ill-posed comparison, not a counterexample.
@@ -188,7 +189,8 @@ def check_equivalence(
                     compile_module(transformed, {}))
     inputs = dict(zip(names, lanes))
     out_a = simulate_packed(compiled[0], inputs, n_vectors)
-    out_b = simulate_packed(compiled[1], inputs, n_vectors)
+    out_b = out_a if compiled[1] is compiled[0] else simulate_packed(
+        compiled[1], inputs, n_vectors)
     hit = _first_mismatch(out_a, out_b, out_order)
     if hit is None:
         return EquivalenceVerdict(status, n_vectors, used_seed)
@@ -214,9 +216,18 @@ def check_design_equivalence(
 ) -> dict[str, EquivalenceVerdict]:
     """Check every module the two designs have in common (after a
     rewrite that is all of them), keyed by module name.  Each design is
-    compiled once."""
+    compiled once, but a module that both share (as ``run_pipeline``
+    passes through what it left untouched), with shared callees, takes
+    ``original``'s program and is simulated once."""
     programs_a = compile_packed(original)
-    programs_b = compile_packed(transformed)
+    programs_b: dict[str, PackedProgram] = {}
+    for name in instantiation_order(transformed)[0]:
+        module = transformed.modules[name]
+        shared = module is original.modules.get(name) and all(
+            programs_b[op.module] is programs_a[op.module]
+            for op in module.operations if op.kind == "instance")
+        programs_b[name] = programs_a[name] if shared \
+            else compile_module(module, programs_b)
     verdicts = {}
     for name, mod_a in original.modules.items():
         mod_b = transformed.modules.get(name)

@@ -353,7 +353,8 @@ def run_pipeline(
     """Verify, then finish every module bottom-up, callees first, in
     one session: inline the sites of its finished callees, vectorize
     every multi-bit sink and sweep the reduction fold once, in rounds
-    until a sweep folds nothing, and compact it.
+    until a sweep folds nothing, and compact it; a module whose session
+    changed nothing passes through as the same object.
 
     A fold changes what its leaves share, and so what the trees swept
     before it would gain, and one that cancels a repeated term

@@ -31,12 +31,14 @@ the fold built back into its chain, where the inliner splices a callee.
 from __future__ import annotations
 
 from functools import reduce
+from operator import attrgetter
 
 from busweaver.ir import Operation, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
 _REDUCE = {"xor": "redxor", "and": "redand", "or": "redor"}
 _MASKED = {"xor": "and", "and": "or", "or": "and"}  # v & mask, v | ~mask
+_FOLDABLE = frozenset((1, kind) for kind in _REDUCE)  # (width, kind)
 
 #: Operations that die with their last reader as far as the cost
 #: estimate looks; below any other leaf it assumes nothing dies.
@@ -48,8 +50,7 @@ def fold_reductions(rw: ModuleRewriter) -> list[str]:
     fold every tree whose rewrite shrinks the module.  Returns one name
     per fold: the output or wire its root drives, else the output port
     or instance whose logic holds it."""
-    if not any(op.width == 1 and op.kind in _REDUCE
-               for op in rw.operations):
+    if _FOLDABLE.isdisjoint(map(attrgetter("width", "kind"), rw.operations)):
         return []
     return _Folder(rw).sweep()
 

@@ -3,21 +3,21 @@ through a use index, live-read counts, and dead-code compaction.
 
 The pipeline edits each module in one :class:`ModuleRewriter` session,
 which the inliner opens and the sink planner and reduction fold carry
-on: each builds replacement expressions (new operations are appended
-and value-numbered against the existing ones) and redirects old values
-with :meth:`ModuleRewriter.replace_uses`; one call of
+on: each builds replacement expressions (new operations are appended and
+value-numbered against the existing ones) and redirects old values with
+:meth:`ModuleRewriter.replace_uses`; one call of
 :meth:`ModuleRewriter.finish` then drops whatever became unreachable,
-inlined instances included, before any caller copies the module.  The
-session never mutates an input operation: an operation whose operands
-are redirected is replaced, in its slot, by a new one.  Because the
-builder value-numbers routing operations, a rewrite that reconstructs
-exactly what is already there returns the old value itself, which is
-how the pipeline tells a real rewrite from a no-op.  The session, not
-its callers, keeps the liveness record
-(:meth:`ModuleRewriter.live_reads`) that the planner's test for
+inlined instances included (or returns an untouched module as it is),
+before any caller copies the module.  The session never mutates an input
+operation: an operation whose operands are redirected is replaced, in
+its slot, by a new one.  Because the builder value-numbers routing
+operations, a rewrite that reconstructs exactly what is already there
+returns the old value itself, which is how the pipeline tells a real
+rewrite from a no-op.  The session, not its callers, keeps the liveness
+record (:meth:`ModuleRewriter.live_reads`) that the planner's test for
 orphaned wire sinks and the reduction fold read, and the module facts
-the inliner reads: the instance sites (:attr:`~ModuleRewriter.instances`)
-and each site's readers (:meth:`~ModuleRewriter.readers`).
+the inliner reads: the sites (:attr:`~ModuleRewriter.instances`) and
+each site's readers (:meth:`~ModuleRewriter.readers`).
 """
 
 from __future__ import annotations
@@ -132,18 +132,19 @@ class ModuleRewriter(ModuleBuilder):
 
     def __init__(self, module: HwModule):
         super().__init__(module.name, module.ports)
+        self._module = module
         self.operations = list(module.operations)
         # The ids of the instance operations, ascending, dropped ones
         # included.  Only the frontend builds instances, and a redirected
         # reader keeps its slot, so they hold for the whole session.
-        instances = []
+        instances, cse = [], self._cse
         for oid, op in enumerate(self.operations):
             key = cse_key(op)
             if key is None:
                 if op.kind == "instance":
                     instances.append(oid)
-            elif key not in self._cse:
-                self._cse[key] = ValueRef(oid, op.width)
+            elif key not in cse:
+                cse[key] = ValueRef(oid, op.width)
         self.instances = tuple(instances)
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
@@ -380,4 +381,13 @@ class ModuleRewriter(ModuleBuilder):
         self.reader_steps += len(oids) + len(passed)
 
     def finish(self) -> HwModule:
+        """:func:`compact_module` of the session, or the input module
+        itself when the session redirected and dropped nothing and the
+        input is in :func:`live_order`'s order, as the frontend and a
+        finish leave it: compacting would rebuild it equal (an appended
+        operation is dead without a redirection)."""
+        n = len(self._module.operations)
+        if not (self._redirected or self._dropped) and live_order(
+                self, (), self.instances) == list(range(n)):
+            return self._module
         return compact_module(self, self._dropped, self.instances)

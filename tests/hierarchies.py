@@ -7,10 +7,10 @@ Usage, from the repository root::
 checks the seeds ``0 .. N-1`` (100 by default) under every policy of
 :data:`POLICIES` and prints each failure: the result must verify clean
 and be oracle-equivalent to the input, its text must parse again to
-``instructions_after`` instructions, and a re-run on the text must
-reproduce the bytes (the fixpoint).  The exit status is 1 when some
-check failed.  ``test_pipeline.py`` runs the same checks over 100
-seeds.
+``instructions_after`` instructions and emit again as the same bytes
+(the round trip), and a re-run on the text must reproduce the bytes
+(the fixpoint).  The exit status is 1 when some check failed.
+``test_pipeline.py`` runs the same checks over 100 seeds.
 """
 
 from __future__ import annotations
@@ -133,11 +133,18 @@ def random_hierarchy(seed: int) -> str:
 def check(seed: int, name: str) -> list[str]:
     """The failures of ``random_hierarchy(seed)`` under the policy
     ``POLICIES[name]``, as messages; empty when it passes."""
+    return check_source(random_hierarchy(seed), name, f"seed {seed}")
+
+
+def check_source(source: str, name: str, where: str) -> list[str]:
+    """The failures of the design ``source`` under the policy
+    ``POLICIES[name]``, as messages that begin with ``where``; empty
+    when it passes."""
     policy = POLICIES[name]
-    design = parse_design(random_hierarchy(seed))
+    design = parse_design(source)
     out, report = run_pipeline(design, policy)
     text = emit_design(out)
-    where = f"seed {seed}, {name}"
+    where = f"{where}, {name}"
     failures = [f"{where}: {message}" for message in verify(out)]
     failures += [
         f"{where}: module {module} is {verdict.status}"
@@ -149,6 +156,9 @@ def check(seed: int, name: str) -> list[str]:
     if count != report.instructions_after:
         failures.append(f"{where}: the text parses to {count} instructions,"
                         f" the report says {report.instructions_after}")
+    if emit_design(again) != text:
+        failures.append(f"{where}: parsing and emitting the text"
+                        " changes the bytes")
     if emit_design(run_pipeline(again, policy)[0]) != text:
         failures.append(f"{where}: a re-run changes the bytes")
     return failures

@@ -10,8 +10,9 @@ and prints one line per workload and stage: the instructions the
 interpreter executed inside :data:`STAGES`, summed over the designs.
 Under a stage, a line per function of :data:`NESTED` counts the part
 of the stage's instructions executed inside that function (the
-verifier, the inliner and the reduction fold in the pipeline, the gate
-compiler and the packed evaluation in the check).
+elaborator in the frontend, the verifier, the inliner, the reduction
+fold and the compaction in the pipeline, the gate compiler of one
+module and the packed evaluation in the check).
 Each design is parsed, run through the pipeline under the default
 policy, checked against its output with the check's defaults and
 emitted, the path of ``busweaver.reporting.process_design`` without
@@ -46,10 +47,13 @@ SEED = 5
 STAGES = ("parse_design", "run_pipeline", "check_design_equivalence",
           "emit_design")
 #: Stage -> the functions counted apart inside it, as ``module.name``
-#: in ``busweaver``.
-NESTED = {"run_pipeline": ("ir.verify", "inliner.selective_inline",
-                          "reductions.fold_reductions"),
-          "check_design_equivalence": ("ir.compile_packed",
+#: or ``module.Class.method`` in ``busweaver``; a line is named
+#: ``stage > name`` after the path's last part.
+NESTED = {"parse_design": ("frontend._Elaborator.run",),
+          "run_pipeline": ("ir.verify", "inliner.selective_inline",
+                           "reductions.fold_reductions",
+                           "rewrite.compact_module"),
+          "check_design_equivalence": ("ir.compile_module",
                                        "ir.simulate_packed")}
 
 
@@ -99,14 +103,18 @@ def count_stages(sources: list[str]) -> dict[str, int]:
 
     counters: dict[str, dict] = {}  # stage -> code object -> [count]
     totals: dict[str, int] = {}
+    lines: dict[object, str] = {}  # code object -> its line
     for stage in STAGES:
         totals[stage] = 0
         counters[stage] = {}
         for path in NESTED.get(stage, ()):
-            module, name = path.rsplit(".", 1)
-            fn = getattr(importlib.import_module(f"busweaver.{module}"), name)
+            module, *names = path.split(".")
+            fn = importlib.import_module(f"busweaver.{module}")
+            for name in names:
+                fn = getattr(fn, name)
             counters[stage][fn.__code__] = [0]
-            totals[f"{stage} > {name}"] = 0
+            line = lines[fn.__code__] = f"{stage} > {names[-1]}"
+            totals[line] = 0
     for source in sources:
         design, n = _counted(counters["parse_design"], parse_design, source)
         totals["parse_design"] += n
@@ -118,9 +126,9 @@ def count_stages(sources: list[str]) -> dict[str, int]:
         totals["check_design_equivalence"] += n
         _, n = _counted(counters["emit_design"], emit_design, out)
         totals["emit_design"] += n
-    for stage, codes in counters.items():
+    for codes in counters.values():
         for code, (n,) in codes.items():
-            totals[f"{stage} > {code.co_name}"] = n
+            totals[lines[code]] = n
     return totals
 
 

@@ -686,3 +686,27 @@ def test_random_expressions_follow_the_precedence_table():
                    "c": rng.randrange(8), "s": rng.randrange(2)}
             want = {"y": _evaluate(tree, env)}
             assert simulate(d.top_module, env) == want, text
+
+
+@pytest.mark.parametrize("body, message", [
+    # two cycles: the one through the net that y reads first
+    ("  wire p, q, r, s;\n  assign y = p ^ q;\n  assign p = r;\n"
+     "  assign r = p;\n  assign q = s;\n  assign s = q;\n",
+     "<input>:9:14: error: combinational cycle through net 'p'"),
+    # a bit that nothing drives, read before a cycle
+    ("  wire [1:0] u;\n  wire c;\n  assign u[0] = a;\n  assign c = ~c;\n"
+     "  assign y = u[1] ^ c;\n",
+     "<input>:6:14: error: wire 'u' bit 1 is never driven"),
+    # an instance input that reads the instance's own other output
+    ("  wire w, p;\n  n u(.a(p), .y(w), .z(p));\n  assign y = w;\n",
+     "<input>:7:10: error: combinational cycle through net 'p'"),
+])
+def test_the_build_reports_the_first_fault_it_reads(body, message):
+    # nets are built where an expression first reads them, so of several
+    # faults that only the build finds, the first one read is reported
+    src = ("module n(input a, output y, output z);\n"
+           "  assign y = a;\n  assign z = ~a;\nendmodule\n"
+           "module m(input a, output y);\n" + body + "endmodule\n")
+    with pytest.raises(ParseError) as info:
+        parse_design(src)
+    assert [str(d) for d in info.value.diagnostics] == [message]

@@ -1,11 +1,14 @@
 """End-to-end pipeline behaviour: chunk tiling, categories, report
 fields, counter bounds, and byte-level idempotence."""
 
+import copy
 import random
 
 import pytest
 
 from busweaver import (
+    ir,
+    oracle,
     check_equivalence,
     emit_design,
     parse_design,
@@ -38,6 +41,7 @@ from generators import (
     permutation_design,
     replicated_cone_design,
     ripple_carry_design,
+    scaling_design,
 )
 import corpus_digest
 import hierarchies
@@ -789,7 +793,9 @@ _TWO_LEVEL = (
 def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
     # one session per module, opened by the inliner and finished once by
     # the pipeline: a caller that received inlined sites, even one that
-    # is itself inlined (mid in _TWO_LEVEL), is copied and compacted once
+    # is itself inlined (mid in _TWO_LEVEL), is copied and compacted
+    # once, and a module whose session changed nothing is not compacted
+    # but passed through as the same object
     opened, compacted = [], []
     init, compact = ModuleRewriter.__init__, rewrite.compact_module
 
@@ -807,13 +813,19 @@ def test_each_module_is_compacted_once(golden_dir, monkeypatch, no_inline):
     corpus = [*_generator_corpus(golden_dir),
               ("nested8-2", nested_instance_design(8, 2)),
               ("two-level", _TWO_LEVEL)]
+    passed = total = 0
     for name, src in corpus:
         design = parse_design(src)
         opened.clear()
         compacted.clear()
-        _, report = run_pipeline(design, policy)
-        assert sorted(opened) == sorted(compacted) \
-            == sorted(design.modules), name
+        out, report = run_pipeline(design, policy)
+        assert sorted(opened) == sorted(design.modules), name
+        changed = [m for m in design.modules
+                   if out.modules[m] is not design.modules[m]]
+        assert sorted(compacted) == sorted(changed), name
+        total += len(changed)
+        passed += len(design.modules) - len(changed)
+    assert total and passed
     inlined = {(d.caller, d.callee) for d in report.inline_log if d.inlined}
     assert inlined == (set() if no_inline
                        else {("mid", "leaf"), ("top", "mid")})
@@ -836,6 +848,103 @@ def test_random_hierarchies_are_fixpoints(policy):
     failures = [message for seed in [*range(100), *_FOLD_THEN_PLAN[policy]]
                 for message in hierarchies.check(seed, policy)]
     assert failures == []
+
+
+def _seed5_sources():
+    """``(name, source)`` of the seed-5 corpus of every workload."""
+    return [(f"{workload}/{c.name}", c.source)
+            for workload in corpus_digest.corpus.WORKLOADS
+            for c in corpus_digest.corpus.build(workload, 5)]
+
+
+def test_the_frontend_builds_in_live_order(golden_dir):
+    # every parsed module is in the order a session's finish leaves it,
+    # so a session that changes nothing passes the module through
+    sources = [(path.name, path.read_text())
+               for path in sorted(golden_dir.glob("*.v"))]
+    sources += _seed5_sources()
+    sources += [(f"hierarchy {seed}", hierarchies.random_hierarchy(seed))
+                for seed in range(100)]
+    assert len(sources) == 10 + 305 + 100
+    for name, src in sources:
+        for module in parse_design(src).modules.values():
+            assert live_order(module) == list(
+                range(len(module.operations))), (name, module.name)
+
+
+def test_parsing_and_emitting_an_output_gives_its_bytes(golden_dir):
+    # the emitter writes statements in operation order, and the frontend
+    # builds them back in that order
+    texts = [path.read_text()
+             for path in sorted(golden_dir.glob("*.vec.v"))]
+    texts += [emit_design(run_pipeline(parse_design(src))[0])
+              for _, src in _seed5_sources()]
+    assert len(texts) == 5 + 305
+    for text in texts:
+        assert emit_design(parse_design(text)) == text
+
+
+def test_untouched_modules_are_shared_safely(golden_dir):
+    # an output module that is its input module is what compacting it
+    # would build; the input design is left as parsed; and the check
+    # against the shared modules reads as against copies
+    sources = [path.read_text() for path in sorted(golden_dir.glob("*.v"))
+               if not path.name.endswith(".vec.v")]
+    sources += [permutation_design(12, seed=3),
+                replicated_cone_design(6, 3, seed=2),
+                ripple_carry_design(6), nested_instance_design(4, 3),
+                scaling_design(200)]
+    shared = 0
+    for src in sources:
+        for policy in (InlinePolicy(), InlinePolicy(enabled=False)):
+            design = parse_design(src)
+            out, _ = run_pipeline(design, policy)
+            again = parse_design(src)
+            assert design == again
+            assert emit_design(design) == emit_design(again)
+            for name, module in out.modules.items():
+                if module is design.modules[name]:
+                    shared += 1
+                    assert module == rewrite.compact_module(module)
+            assert check_design_equivalence(design, out) == \
+                check_design_equivalence(design, copy.deepcopy(out))
+    assert shared
+
+
+def test_an_untouched_module_is_compiled_and_simulated_once(monkeypatch):
+    # leaf is left as parsed, top vectorizes: the check compiles leaf
+    # once and simulates it once, and top on each side
+    src = ("module leaf(input [1:0] x, output y);\n"
+           "  assign y = x[0] & ~x[1];\nendmodule\n"
+           "module top(input [3:0] a, input [3:0] b, output [3:0] z,"
+           " output q);\n"
+           + "".join(f"  assign z[{k}] = a[{k}] ^ b[{k}];\n"
+                     for k in range(4))
+           + "  leaf u(.x(a[1:0]), .y(q));\nendmodule\n")
+    design = parse_design(src)
+    out, report = run_pipeline(design, InlinePolicy(enabled=False))
+    assert out.modules["leaf"] is design.modules["leaf"]
+    assert out.modules["top"] is not design.modules["top"]
+    compiled, simulated = [], []
+    compile_module = ir.compile_module
+    simulate_packed = oracle.simulate_packed
+
+    def counting_compile(module, programs):
+        compiled.append(module.name)
+        return compile_module(module, programs)
+
+    def counting_simulate(program, inputs, n):
+        simulated.append(sorted(inputs))
+        return simulate_packed(program, inputs, n)
+
+    monkeypatch.setattr(ir, "compile_module", counting_compile)
+    monkeypatch.setattr(oracle, "compile_module", counting_compile)
+    monkeypatch.setattr(oracle, "simulate_packed", counting_simulate)
+    verdicts = check_design_equivalence(design, out)
+    assert sorted(compiled) == ["leaf", "top", "top"]
+    assert sorted(simulated) == [["a", "b"], ["a", "b"], ["x"]]
+    assert [v.status for v in verdicts.values()] == [
+        "equivalent-exhaustive"] * 2
 
 
 def test_lanes_that_a_fold_makes_regular_vectorize_in_one_run():
@@ -905,7 +1014,7 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
              for name in [stage] + [f"{stage} > {path.rsplit('.', 1)[1]}"
                                     for path in opcount.NESTED.get(stage, ())]]
     assert list(counts["goldens"]) == order
-    assert len(order) == len(opcount.STAGES) + 5
+    assert len(order) == len(opcount.STAGES) + 7
     for name, count in counts["goldens"].items():
         assert count <= counts["goldens"][name.split(" > ")[0]]
 

@@ -13,9 +13,11 @@ from busweaver.inliner import finished_module, selective_inline
 from busweaver.ir import (
     HwDesign,
     HwModule,
+    Operation,
     ValueRef,
     count_instructions,
     instantiation_order,
+    with_operands,
 )
 from busweaver.pipeline import Chunk, vectorize_output
 from busweaver.reductions import fold_reductions
@@ -441,3 +443,34 @@ def test_compacting_a_compact_module_keeps_its_operations(seed):
         assert again == compact
         assert all(a is b for a, b in
                    zip(again.operations, compact.operations, strict=True))
+
+
+def test_finish_passes_an_untouched_module_through():
+    # a session that redirected and dropped nothing returns the module
+    # it opened, when the module is in live_order's order; in any other
+    # order, or with a dead operation, it is compacted
+    module = parse_design(
+        "module m(input [1:0] a, output y, output z);\n"
+        "  assign y = a[0] & a[1];\n  assign z = ~a[0];\nendmodule\n"
+    ).top_module
+    assert ModuleRewriter(module).finish() is module
+    kept = module.operations
+    y, z = module.outputs["y"], module.outputs["z"]
+    # z's inversion before y's second bit: live_order walks y's cone first
+    order = [0, 1, 4, 2, 3]
+    shuffled = HwModule(
+        module.name, module.ports,
+        [with_operands(kept[old], [
+            ValueRef(order.index(r.op), r.width)
+            for r in kept[old].operands]) for old in order],
+        {"y": ValueRef(order.index(y.op), 1),
+         "z": ValueRef(order.index(z.op), 1)})
+    dead = HwModule(module.name, module.ports,
+                    [*kept, Operation("not", 1, [y])],
+                    dict(module.outputs))
+    for other in (shuffled, dead):
+        out = ModuleRewriter(other).finish()
+        assert out is not other and out == module
+    rw = ModuleRewriter(module)
+    rw.not_(y)  # appended, and read by nothing
+    assert rw.finish() is module
