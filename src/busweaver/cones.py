@@ -20,7 +20,9 @@ operand's operation, or ``~s`` for a leaf that takes slot s.  Slots are
 numbered in pop order, then operand order.  Push and pop order depend
 only on the cone's shape and operand order, so equal skeletons mean
 isomorphic DAGs, sharing included, and slot s of two such cones are
-corresponding leaves.  A family is then described by its lowest lane,
+corresponding leaves.  An entry lists one code per operand, so its
+length carries the arity of an ``and``, ``or``, ``xor`` or ``add`` of n
+operands: lanes ``a ^ b`` and ``a ^ b ^ c`` never form one family.  A family is then described by its lowest lane,
 how far each slot moves per lane (:func:`lane_steps`) and its lane
 count.  Its mux-select slots (:func:`select_slots`) come from the
 skeleton alone, so they are found once per family.
@@ -30,7 +32,7 @@ from its skeleton: strided slots become part selects (for -1 strides,
 a concatenation of one-bit selects, as Verilog writes a reversed run),
 invariant slots are replicated across lanes, and a mux select stays
 scalar.  1-bit add/sub canonicalise to xor, in the skeleton and in the
-rebuilt vector alike.
+rebuilt vector alike; a 1-bit add of n operands is an xor of n.
 """
 
 from __future__ import annotations
@@ -228,6 +230,6 @@ def plan_vector_expr(
         elif kind == "not":
             value = rw.not_(args[0])
         else:
-            value = rw.binary(kind, args[0], args[1])
+            value = rw.nary(kind, args)
         memo[(k, ctx)] = value
     return memo[(0, False)]

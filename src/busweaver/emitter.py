@@ -9,6 +9,11 @@ pipeline (the idempotence guarantee).
 
 Naming: user wire names win, instance outputs get ``<inst>_<port>``,
 values that must be materialised but have no user name get ``t<k>``.
+An ``and``/``or``/``xor``/``add`` of n operands is written as the chain
+``x0 op x1 op ... op x(n-1)`` it stands for; a module where such a
+chain would need a temporary, or a cut at the depth limit, is written
+as its :func:`~busweaver.rewrite.binary_form`, so that ``k`` and the
+cuts are what its binary chains give.
 All generated names are uniquified against the module's namespace by
 appending underscores.  A user wire that the output would assign but
 never read (one on a literal, an input, a slice, a whole instance, or a
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from busweaver.frontend import _BINARY_KNOWN, _BINARY_PREC, _PREFIX_KIND
 from busweaver.ir import HwDesign, HwModule, ValueRef, port_slices
+from busweaver.rewrite import binary_form
 
 # Verilog precedence levels, high binds tight: the conditional, the
 # parser's binary levels and sigils above it, then prefix and primary.
@@ -61,6 +67,11 @@ def _slice(name: str, low: int, width: int, base_width: int) -> str:
     return f"{name}[{low + width - 1}:{low}]"
 
 
+class _Binary(Exception):
+    """A module with chains needs a temporary or a cut, which its binary
+    form numbers."""
+
+
 class _ModuleEmitter:
     def __init__(self, module: HwModule):
         self.m = module
@@ -72,6 +83,7 @@ class _ModuleEmitter:
         # (instance op, port) -> user wire that is exactly that port.
         self.preferred: dict[tuple[int, str], str] = {}
         self.uses = [0] * len(self.ops)
+        self.chained = False  # whether some chain has three operands
         self._plan()
 
     # -- planning ----------------------------------------------------------
@@ -82,6 +94,11 @@ class _ModuleEmitter:
             name += "_"
         self.taken.add(name)
         return name
+
+    def _temp(self, op_id: int) -> str:
+        if self.chained:
+            raise _Binary
+        return self._unique(f"t{op_id}")
 
     def _instance_port_of(self, ref: ValueRef) -> tuple[int, str] | None:
         """(instance op, port name) when ``ref`` is exactly one output
@@ -109,12 +126,14 @@ class _ModuleEmitter:
         # reads a wire only where an operation or an output reads it.
         # One pass in id order: an instance precedes its readers.
         read: dict[int, set[str]] = {}
-        for op_id, op in enumerate(self.ops):
-            for ref in op.operands:
-                self.uses[ref.op] += 1
+        ops, uses, names = self.ops, self.uses, self.names
+        for op_id, op in enumerate(ops):
+            refs = op.operands
+            for ref in refs:
+                uses[ref.op] += 1
                 if ref.op not in read:
                     continue
-                out_ports = self.ops[ref.op].out_ports
+                out_ports = ops[ref.op].out_ports
                 if op.kind == "extract":
                     read[ref.op].update([piece[0] for piece in port_slices(
                         out_ports, op.low, op.width)])
@@ -123,10 +142,12 @@ class _ModuleEmitter:
             if op.kind == "instance":
                 self.taken.add(op.name)
                 read[op_id] = set()
+            elif len(refs) > 2 and op.kind in _SIGIL:
+                self.chained = True
         for ref in m.outputs.values():
-            self.uses[ref.op] += 1
+            uses[ref.op] += 1
             if ref.op in read:
-                read[ref.op].update(dict(self.ops[ref.op].out_ports))
+                read[ref.op].update(dict(ops[ref.op].out_ports))
 
         # User wire names: the first one on a nameable op names it, and
         # the first one that is exactly an instance output port becomes
@@ -164,29 +185,49 @@ class _ModuleEmitter:
 
         # Forced temporaries: select bases must be identifiers, anything
         # non-trivial used twice is shared, and very deep inline chains
-        # are cut.
-        depth = [0] * len(self.ops)
-        for op_id, op in enumerate(self.ops):
+        # are cut.  A chain is as deep as its binary form.
+        depth = [0] * len(ops)
+        chained = self.chained
+        for op_id, op in enumerate(ops):
             kind = op.kind
-            for ref in op.operands:
-                base = self.ops[ref.op]
-                if kind == "extract" \
-                        and base.kind not in ("input", "instance") \
-                        and ref.op not in self.names:
-                    self.names[ref.op] = self._unique(f"t{ref.op}")
-            if kind in _INLINE_KINDS or kind == "instance" \
-                    or op_id in self.names:
+            if kind == "extract":
+                base = op.operands[0].op
+                if ops[base].kind not in ("input", "instance") \
+                        and base not in names:
+                    names[base] = self._temp(base)
                 continue
-            if self.uses[op_id] >= 2:
-                self.names[op_id] = self._unique(f"t{op_id}")
+            if chained and kind in _SIGIL and len(op.operands) > 2:
+                self._chain_depth(op_id, depth)
+                continue
+            if kind in _INLINE_KINDS or kind == "instance" \
+                    or op_id in names:
+                continue
+            if uses[op_id] >= 2:
+                names[op_id] = self._temp(op_id)
                 continue
             d = 1 + max(
                 (depth[r.op] for r in op.operands), default=0
             )
             if d > _MAX_INLINE_DEPTH:
-                self.names[op_id] = self._unique(f"t{op_id}")
+                names[op_id] = self._temp(op_id)
             else:
                 depth[op_id] = d
+
+    def _chain_depth(self, op_id: int, depth: list[int]) -> None:
+        """The depth of chain ``op_id``, that of its binary form's last
+        node; raises :class:`_Binary` where that form names a node."""
+        refs = self.ops[op_id].operands
+        last = len(refs) - 1
+        d = depth[refs[0].op]
+        for k in range(1, last + 1):
+            d = 1 + max(d, depth[refs[k].op])
+            if d > _MAX_INLINE_DEPTH and (k < last
+                                          or op_id not in self.names):
+                raise _Binary
+        if op_id not in self.names:
+            if self.uses[op_id] >= 2:
+                raise _Binary
+            depth[op_id] = d
 
     # -- rendering -----------------------------------------------------------
 
@@ -252,8 +293,13 @@ class _ModuleEmitter:
             return sigil + text, _PREC_UNARY
         if kind in _PREC_BINARY:
             prec = _PREC_BINARY[kind]
-            a = self._render(op.operands[0], prec)
-            b = self._render(op.operands[1], prec + 1)
+            refs = op.operands
+            a = self._render(refs[0], prec)
+            if len(refs) > 2:
+                return f" {_SIGIL[kind]} ".join(
+                    [a] + [self._render(r, prec + 1) for r in refs[1:]]
+                ), prec
+            b = self._render(refs[1], prec + 1)
             return f"{a} {_SIGIL[kind]} {b}", prec
         if kind == "mux":
             cond = self._render(op.operands[0], _PREC_TERNARY + 1)
@@ -333,7 +379,10 @@ class _ModuleEmitter:
 
 
 def emit_module(module: HwModule) -> str:
-    return _ModuleEmitter(module).emit()
+    try:
+        return _ModuleEmitter(module).emit()
+    except _Binary:
+        return _ModuleEmitter(binary_form(module)).emit()
 
 
 def emit_design(design: HwDesign) -> str:

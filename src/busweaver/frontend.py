@@ -26,7 +26,12 @@ any other by shunting-yard (``|`` < ``^`` < ``&`` < ``+ -``, all
 left-associative, then the right-associative ``?:``).
 Elaboration checks that list in one pass and builds it by replaying
 the pass, so no expression of any length or nesting depth reaches the
-recursion limit.  :data:`MAX_WIDTH` bounds nets and operator widths.
+recursion limit.  A run of one of ``& | ^ +`` builds one operation of
+all its operands, and so does a run whose first operand is a
+parenthesized run of the same operator (``(a ^ b) ^ c`` is ``a ^ b ^
+c``, which is how the emitter writes it); a later operand, such as the
+``(b ^ c)`` of ``a ^ (b ^ c)``, and a named net stay operands of their
+own.  :data:`MAX_WIDTH` bounds nets and operator widths.
 Diagnostics carry ``file:line:col: severity: message`` positions;
 :func:`parse_design` raises :class:`ParseError` with the collected list.
 """
@@ -601,8 +606,12 @@ class _Parser:
         token index for a leaf (a name, select or number) or a binary
         operator, or a tuple with the token index second: ``(kind,
         tok)`` for a prefix operator, ``("mux", tok, cond_tok)``,
-        ``("concat", tok, n)`` or ``("replicate", tok, count)``.  Each
-        syntax error is the first one recursive descent would report.
+        ``("concat", tok, n)`` or ``("replicate", tok, count)``.  A
+        binary operator whose result is the first operand of the next
+        operator of its text (``&``, ``|``, ``^`` or ``+``), so that the
+        two are one operation, has that text and a blank for its token
+        text.  Each syntax error is the first one recursive descent
+        would report.
         """
         toks, selects = self.toks, self.lexer.selects
         i = self.pos
@@ -635,6 +644,13 @@ class _Parser:
                     op = text
             if toks[j] in _LEAF_END:
                 self.pos = j
+                if j - i > 3:  # the operators that the next one extends
+                    if level == _BINARY_PREC["+"]:  # "+" and "-" mixed
+                        for k in range(i + 1, j - 2, 2):
+                            if toks[k + 2] == toks[k] == "+":
+                                toks[k] = "+ "
+                    else:
+                        toks[i + 1:j - 2:2] = [op + " "] * ((j - i - 3) // 2)
                 return [i, *chain.from_iterable(
                     zip(range(i + 2, j, 2), range(i + 1, j, 2)))]
         out: list = []
@@ -692,6 +708,11 @@ class _Parser:
                                 or _BINARY_PREC[toks[top]] < prec:
                             break
                         emit(pop())
+                    # the root of the left operand, which may be an
+                    # operator of this text that the new one extends
+                    top = out[-1]
+                    if top.__class__ is int and toks[top] == text != "-":
+                        toks[top] = text + " "
                     push(i)
                     break
                 while stack and stack[-1].__class__ is int:
@@ -770,19 +791,26 @@ class _Parser:
 #: A binary operator's entry in :attr:`_Elaborator._known`.
 _BINARY_KNOWN = {op: (None, None, (kind,)) for op, kind in (
     ("&", "and"), ("|", "or"), ("^", "xor"), ("+", "add"), ("-", "sub"))}
+#: The entries of the binary operators, and of those that the next one
+#: of their text extends (see :meth:`_Parser.expr`), which carry their
+#: kind where a leaf's entry has its net.
+_OPERATOR_KNOWN = {**_BINARY_KNOWN, **{
+    op + " ": (node[0], None, node) for op, (_, _, node) in
+    _BINARY_KNOWN.items() if op != "-"}}
 
 
 class _Code(NamedTuple):
-    """An expression after its one walk: its width, each net it reads
-    once, with the token of its first read, and its nodes in post-order
-    for :meth:`_Elaborator.build`.  A node is ``("net", name)``,
+    """An expression after its one walk: its width, its post-order
+    items (see :meth:`_Parser.expr`), and its nodes in post-order for
+    :meth:`_Elaborator.build`.  A node is ``("net", name)``,
     ``("extract", name, low, width)``, ``("const", value, width)``,
-    ``("concat", n)``, ``("replicate", count)``, or an operation kind
-    (``not``, a binary, reduction or ``mux`` kind) that takes its
-    operands off the value stack."""
+    ``("concat", n)``, ``("replicate", count)``, ``("nary", kind, n)``
+    for one operation of ``n`` operands, or an operation kind (``not``,
+    a binary, reduction or ``mux`` kind) that takes its operands off
+    the value stack."""
 
     width: int
-    deps: dict[str, int]
+    items: list
     nodes: list[tuple]
 
 
@@ -801,11 +829,10 @@ class _Net:
     """A port or wire being elaborated.  ``direction`` is None for a
     wire.  A driver is ``(high, low, tag, payload)``; tag is "assign"
     (payload: its _Code) or "inst" (payload: (instance index, port
-    name)).  ``driven_by`` holds each bit's driver site.  ``deps`` is
-    left None, for the reference elaborator of the tests."""
+    name)).  ``driven_by`` holds each bit's driver site."""
 
     __slots__ = ("name", "width", "is_wire", "direction", "tok", "drivers",
-                 "driven_by", "deps")
+                 "driven_by")
 
     def __init__(self, name: str, width: int, is_wire: bool,
                  direction: str | None, tok: int) -> None:
@@ -816,7 +843,6 @@ class _Net:
         self.tok = tok
         self.drivers = []
         self.driven_by = [None] * width
-        self.deps = None
 
 
 class _Elaborator:
@@ -849,9 +875,10 @@ class _Elaborator:
         # an extract node -> its value, once built; a net's value never
         # changes, and a chain reads the same bits over and over
         self._extracts: dict[tuple, ValueRef] = {}
-        # token text -> (net name, width, node) of a checked leaf, or
-        # (None, None, node) of a binary operator; see walk
-        self._known: dict[str, tuple] = dict(_BINARY_KNOWN)
+        # token text -> (net name, width, node) of a checked leaf,
+        # (None, None, node) of a binary operator, or (kind, None, node)
+        # of one that the next one of its text extends; see walk
+        self._known: dict[str, tuple] = dict(_OPERATOR_KNOWN)
         # module name -> its _Callee, once one of its instances needs it
         self._callees: dict[str, _Callee] = {}
         self.failed = False
@@ -907,18 +934,20 @@ class _Elaborator:
 
         Every operand is checked even after an error, and an operator
         whose operand failed adds no error of its own, so the
-        diagnostics come in source order.  Returns None after an error.
+        diagnostics come in source order.  An operator that the next one
+        of its text extends is checked where it stands, and its chain
+        becomes one node at the chain's last operator.  Returns None
+        after an error.
         """
         toks, known = self.lexer.toks, self._known
         nodes: list[tuple] = []
-        deps: dict[str, int] = {}
         widths: list[int | None] = []  # of the finished operands
+        # the stack depth of each open chain -> its operands so far
+        chains: dict[int, int] = {}
         for item in code:
             if item.__class__ is int:
                 name, w, node = known.get(toks[item]) or self.operand(item)
                 if w is not None or node is None:  # a leaf
-                    if name is not None:
-                        deps.setdefault(name, item)
                     widths.append(w)
                     if node is not None:
                         nodes.append(node)
@@ -933,8 +962,15 @@ class _Elaborator:
                         widths[-1] = None
                     elif wa > MAX_WIDTH and self.too_wide(item, wa):
                         widths[-1] = None
-                    else:
+                    elif name is None and not chains:
                         nodes.append(node)
+                    else:  # in a chain
+                        n = chains.pop(len(widths), 1) + 1
+                        if name is not None:  # the next one extends it
+                            chains[len(widths)] = n
+                        else:
+                            nodes.append(node if n == 2
+                                         else ("nary", node[0], n))
                 continue
             kind, tok = item[0], item[1]
             if kind == "mux":
@@ -975,7 +1011,7 @@ class _Elaborator:
                 if kind != "not":
                     widths[-1] = 1
         width = widths.pop()
-        return None if width is None else _Code(width, deps, nodes)
+        return None if width is None else _Code(width, code, nodes)
 
     def operand(self, tok: int) -> tuple:
         """``(net name, width, node)`` of the leaf at ``tok``: the name
@@ -1053,6 +1089,10 @@ class _Elaborator:
                 push(b.concat(parts))
             elif kind == "replicate":
                 stack[-1] = b.replicate(stack[-1], node[1])
+            elif kind == "nary":
+                args = stack[-node[2]:]
+                del stack[-node[2]:]
+                push(b.nary(node[1], args))
             else:
                 stack[-1] = b.reduce(kind, stack[-1])
         return stack[0]
@@ -1206,8 +1246,12 @@ class _Elaborator:
                 continue
             net = self.nets[name]
             if name in self._begun:
-                self.error(code.deps[name],
-                           f"combinational cycle through net '{name}'")
+                toks, known = self.lexer.toks, self._known
+                first = next(  # the first read of the net in the code
+                    item for item in code.items if item.__class__ is int
+                    and known[toks[item]][1] is not None
+                    and known[toks[item]][0] == name)
+                self.error(first, f"combinational cycle through net '{name}'")
                 raise self._Abort()
             if net.direction == "input":
                 value = self.net_values[name] = self.builder.input_ref(
@@ -1306,6 +1350,8 @@ class _Elaborator:
                 node[1] in folds and node[3] != values[node[1]].width
                 for node in self._extracts):
             module = compact_module(module)
+        else:
+            module.numbering = b.numbering(self.inst_values.values())
         return module
 
 

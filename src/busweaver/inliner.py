@@ -29,6 +29,7 @@ from typing import NamedTuple
 from busweaver.ir import (
     COUNTED_KINDS,
     REDUCE_KINDS,
+    VARIADIC_KINDS,
     HwModule,
     ValueRef,
     port_slices,
@@ -72,7 +73,8 @@ def finished_module(
     walk over its operations; each callee's record is read from
     ``finished`` (callees are finished first).
 
-    The size is the module's own computing ops plus the size of every
+    The size is the module's own instruction count
+    (:func:`~busweaver.ir.count_instructions`) plus the size of every
     instantiated callee (an unknown callee counts 0).  The module is
     regular when every operation is routing, bitwise logic, add/sub,
     mux, or an instance of a module that ``finished`` marks regular (an
@@ -94,7 +96,7 @@ def finished_module(
                 size += callee.size
                 regular = regular and callee.regular
         elif kind in COUNTED_KINDS:
-            size += 1
+            size += len(op.operands) - 1 if kind in VARIADIC_KINDS else 1
             if kind in REDUCE_KINDS and not folded:
                 regular = False
     return FinishedModule(module, size, regular)

@@ -12,9 +12,10 @@ Operation kinds:
     extract     contiguous slice ``[low + width - 1 : low]`` of one operand
     concat      operands most-significant first, width is the sum
     replicate   operand repeated ``count`` times
-    and or xor  bitwise, two operands of equal width
+    and or xor  bitwise, two or more operands of equal width
     not         bitwise complement
-    add sub     modular arithmetic, two operands of equal width
+    add         modular sum of two or more operands of equal width
+    sub         modular difference of two operands of equal width
     mux         operands (cond, then, else); cond has width 1
     redand redor redxor
                 reduction of one operand to a single bit
@@ -23,7 +24,10 @@ Operation kinds:
                 callee's output ports with the first port at the LSB end
 
 ``input`` and ``instance`` operations are pure references to values that
-live outside the module body, so instruction counts skip them.
+live outside the module body, so instruction counts skip them.  An
+``and``, ``or``, ``xor`` or ``add`` of n operands stands for the chain
+``x0 op x1 op ... op x(n-1)`` as the user wrote it, and counts n - 1:
+what the binary operations of that chain would count.
 
 Two evaluators run a module.  ``simulate`` is the scalar reference: one
 input vector, word-level operations, each callee run in a frame of its
@@ -36,7 +40,9 @@ first, into a ``PackedProgram`` of one-bit ``and``/``or``/``xor``/
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import attrgetter
 from typing import NamedTuple
@@ -151,8 +157,11 @@ def port_slices(
     return pieces
 
 
-#: Two-operand bitwise/arithmetic kinds.
+#: Bitwise/arithmetic kinds over operands of the result's width.
 BINARY_KINDS = frozenset({"and", "or", "xor", "add", "sub"})
+
+#: The binary kinds that take two or more operands (``sub`` takes two).
+VARIADIC_KINDS = frozenset({"and", "or", "xor", "add"})
 
 REDUCE_KINDS = frozenset({"redand", "redor", "redxor"})
 
@@ -171,9 +180,15 @@ class HwModule:
     ``outputs`` maps every output port name to the value driving it.
     ``wires`` maps user-visible internal net names to values; wires are
     kept purely so emitted Verilog can preserve the names.
+    ``numbering``, which only the frontend sets, is what its builder
+    knew of the operations it built (see :meth:`ModuleBuilder.numbering`),
+    which a rewrite session takes instead of indexing them again; it is
+    no part of the module's value, so equality ignores it.
     """
 
-    __slots__ = ("name", "ports", "operations", "outputs", "wires")
+    __slots__ = ("name", "ports", "operations", "outputs", "wires",
+                 "numbering")
+    _FIELDS = __slots__[:-1]
 
     def __init__(
         self,
@@ -193,7 +208,7 @@ class HwModule:
         if other.__class__ is not HwModule:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f)
-                   for f in HwModule.__slots__)
+                   for f in HwModule._FIELDS)
 
     @property
     def input_ports(self) -> list[Port]:
@@ -252,7 +267,9 @@ class ModuleBuilder:
     operations canonical this way is what lets a re-run of the
     vectorizer recognise its own output and leave it untouched: a bit
     reversal, say, is a concat of one-bit extracts, which is also what
-    the frontend builds when it reads the emitted text back.
+    the frontend builds when it reads the emitted text back.  A chain
+    is one operation, :meth:`nary`; :meth:`binary` builds one of two
+    operands.
     """
 
     def __init__(self, name: str, ports: list[Port]):
@@ -328,6 +345,17 @@ class ModuleBuilder:
         assert kind in BINARY_KINDS and a.width == b.width
         return self._add(Operation(kind, a.width, [a, b]), None)
 
+    def nary(self, kind: str, operands: list[ValueRef]) -> ValueRef:
+        """One ``kind`` operation over ``operands``, all of one width:
+        two or more for a :data:`VARIADIC_KINDS` kind, two for ``sub``.
+        It stands for the left-deep chain of binary operations over
+        them and counts as many instructions."""
+        width = operands[0].width
+        assert kind in VARIADIC_KINDS and len(operands) > 2 \
+            or kind in BINARY_KINDS and len(operands) == 2
+        assert all(map(width.__eq__, map(_WIDTH, operands)))
+        return self._add(Operation(kind, width, list(operands)), None)
+
     def not_(self, v: ValueRef) -> ValueRef:
         return self._add(Operation("not", v.width, [v]), None)
 
@@ -376,6 +404,16 @@ class ModuleBuilder:
             self.name, self.ports, self.operations, dict(outputs), dict(wires)
         )
 
+    def numbering(
+        self, instances: list[ValueRef],
+    ) -> tuple[dict[tuple, ValueRef], tuple[int, ...]]:
+        """The value-numbering table of what the builder built, and the
+        ids, ascending, of its instance operations, whose values are
+        ``instances``: what a rewrite session over the finished module
+        would index again, as long as the module keeps the builder's
+        operations and ids."""
+        return self._cse, tuple(sorted(map(_OP, instances)))
+
 
 def route_bit(
     ops: list[Operation],
@@ -419,16 +457,21 @@ def route_bit(
 
 
 def count_instructions(module: HwModule) -> int:
-    """Number of computing operations in ``module``.
+    """Number of instructions ``module`` computes: one per computing
+    operation, except that an ``and``, ``or``, ``xor`` or ``add`` of n
+    operands counts n - 1, what the chain of binary operations it
+    stands for counts.
 
     ``input`` references and ``instance`` operations are excluded: the
     former are free, the latter are accounted to the callee.
     """
-    return sum(1 for op in module.operations if op.kind in COUNTED_KINDS)
+    return sum(len(op.operands) - 1 if op.kind in VARIADIC_KINDS else 1
+               for op in module.operations if op.kind in COUNTED_KINDS)
 
 
 def verify_module(
-    module: HwModule, design: HwDesign | None = None
+    module: HwModule, design: HwDesign | None = None,
+    sites: list[Operation] | None = None,
 ) -> list[str]:
     """Structural well-formedness check; returns violations, not raises.
 
@@ -439,7 +482,8 @@ def verify_module(
     that breaks a rule.  A refused operation is explained by
     :func:`_op_violations`, the rule-by-rule checks that write every
     message, so the violations and their order are those of the rules
-    alone.
+    alone.  A given ``sites`` list receives the module's instance
+    operations, in operation order, from the same pass.
     """
     errs: list[str] = []
     mod = module.name
@@ -460,15 +504,24 @@ def verify_module(
     # callee name -> (input names, input widths, out_ports, result width)
     sigs: dict[str, tuple] = {}
     binary = BINARY_KINDS
+    if sites is None:
+        sites = []
     for i, op in enumerate(ops):
         kind, w, refs = op.kind, op.width, op.operands
         ok = False
-        if kind in binary:  # the commonest kinds: no operand loop
-            if len(refs) == 2:
+        if kind in binary:  # the commonest kinds
+            if len(refs) == 2:  # no operand loop
                 x, y = refs
                 jx, jy = x.op, y.op
                 if i > jx >= 0 and i > jy >= 0 and 0 < w == x.width \
                         == y.width == widths[jx] == widths[jy]:
+                    continue
+            elif len(refs) > 2 and kind != "sub" and w >= 1:
+                for ref in refs:
+                    j = ref.op
+                    if not i > j >= 0 or not ref.width == w == widths[j]:
+                        break
+                else:
                     continue
         elif w >= 1:
             for ref in refs:
@@ -482,6 +535,7 @@ def verify_module(
                     ok = len(refs) == 1 and 0 <= op.low \
                         and op.low + w <= refs[0].width
                 elif kind == "instance":
+                    sites.append(op)
                     sig = sigs.get(op.module)
                     if sig is None and design is not None \
                             and op.module in design.modules:
@@ -514,6 +568,8 @@ def verify_module(
                 else:
                     ok = kind in REDUCE_KINDS and len(refs) == 1 and w == 1
         if not ok:
+            if kind == "instance" and (not sites or sites[-1] is not op):
+                sites.append(op)  # one the accept test did not reach
             errs += _op_violations(mod, i, op, ops, ports, design)
 
     for name, ref in module.outputs.items():
@@ -571,7 +627,9 @@ def _op_violations(
                 f"{ref.width} != defined width {ops[ref.op].width}"
             )
     if kind in BINARY_KINDS:
-        if len(widths) != 2 or widths != [op.width, op.width]:
+        arity = len(widths) >= 2 if kind in VARIADIC_KINDS \
+            else len(widths) == 2
+        if not arity or widths.count(op.width) != len(widths):
             errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
     elif kind == "const":
         if op.operands:
@@ -661,24 +719,30 @@ def verify(design: HwDesign, order: list[str] | None = None) -> list[str]:
     """Verify every module plus design-level invariants.  Returns the
     full violation list; an empty list means the design is well formed.
     A given ``order`` receives the module names callees first, the
-    first result of :func:`instantiation_order`, from the same walk."""
+    first result of :func:`instantiation_order`, from the same walk,
+    which takes each module's instance sites from its verification."""
     errs: list[str] = []
     if design.top and design.top not in design.modules:
         errs.append(f"top module {design.top!r} not defined")
+    sites: dict[str, list[Operation]] = {}
     for name, module in design.modules.items():
         if module.name != name:
             errs.append(f"module key {name!r} != module name {module.name!r}")
-        errs.extend(verify_module(module, design))
-    names, cycles = instantiation_order(design)
+        errs.extend(verify_module(module, design, sites.setdefault(name, [])))
+    names, cycles = instantiation_order(design, sites)
     if order is not None:
         order += names
     return errs + cycles
 
 
-def instantiation_order(design: HwDesign) -> tuple[list[str], list[str]]:
+def instantiation_order(
+    design: HwDesign, sites: dict[str, list[Operation]] | None = None,
+) -> tuple[list[str], list[str]]:
     """Walk the instantiation graph depth first, callees before
     callers, with an explicit stack (a hierarchy may be deeper than
-    Python's recursion limit).
+    Python's recursion limit).  ``sites`` maps each module name to its
+    instance operations in operation order, when the caller has them;
+    otherwise each module's operations are scanned for them.
 
     Returns every module name in post-order, callees first, and one
     ``instantiation cycle: a -> b -> a`` message per cycle the walk
@@ -687,10 +751,9 @@ def instantiation_order(design: HwDesign) -> tuple[list[str], list[str]]:
     modules = design.modules
 
     def callees(name: str):
-        return (
-            op.module for op in modules[name].operations
-            if op.kind == "instance" and op.module in modules
-        )
+        ops = modules[name].operations if sites is None else sites[name]
+        return (op.module for op in ops
+                if op.kind == "instance" and op.module in modules)
 
     order: list[str] = []
     errs: list[str] = []
@@ -797,17 +860,11 @@ def _evaluate(op: Operation, inputs: dict[str, int], vals: list[int]) -> int:
         for _ in range(op.count):
             r = (r << w) | a
         return r
-    if kind == "and":
-        return vals[op.operands[0].op] & vals[op.operands[1].op]
-    if kind == "or":
-        return vals[op.operands[0].op] | vals[op.operands[1].op]
-    if kind == "xor":
-        return vals[op.operands[0].op] ^ vals[op.operands[1].op]
+    if kind in _FOLD:
+        return reduce(_FOLD[kind], [vals[ref.op] for ref in op.operands]) \
+            & _mask(op.width)
     if kind == "not":
         return vals[op.operands[0].op] ^ _mask(op.width)
-    if kind == "add":
-        return (vals[op.operands[0].op] + vals[op.operands[1].op]) \
-            & _mask(op.width)
     if kind == "sub":
         return (vals[op.operands[0].op] - vals[op.operands[1].op]) \
             & _mask(op.width)
@@ -823,8 +880,13 @@ def _evaluate(op: Operation, inputs: dict[str, int], vals: list[int]) -> int:
     raise ValueError(f"unknown op kind {kind!r}")
 
 
+#: Variadic kind -> the function of two values it folds its operands by.
+_FOLD = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
+         "add": operator.add}
 _BITWISE = frozenset({"and", "or", "xor"})
 _KIND = attrgetter("kind")
+_OP = attrgetter("op")
+_WIDTH = attrgetter("width")
 #: Reduction kind -> (gate, the value of an empty reduction).
 _REDUCE = {"redand": ("and", 1), "redor": ("or", 0), "redxor": ("xor", 0)}
 
@@ -861,7 +923,12 @@ def compile_module(
 
     Routing operations (``const``, ``input``, ``extract``, ``concat``,
     ``replicate``) only rearrange slot lists, ``add``/``sub`` become
-    ripple-carry gates and reductions gate chains.  ``programs`` holds
+    ripple-carry gates and reductions gate chains.  An operation of n
+    operands is the left-deep chain of binary operations it stands for:
+    a 1-bit ``xor`` folds by parity (below), and a module with any other
+    compiles as its :func:`~busweaver.rewrite.binary_form`, where each
+    node's gates come where the chain's binary form put them.
+    ``programs`` holds
     the finished program of every callee: an instance re-emits its
     callee's gates with the slots remapped and never walks the callee's
     operations.
@@ -872,10 +939,12 @@ def compile_module(
     constant, whose arms are equal or both constant, or whose else arm
     is 0 or then arm 1.
 
-    A tree of 1-bit ``xor`` operations (see :func:`_xor_inner`) folds
-    by parity: it becomes one chain of gates, in slot order, over the
-    slots it reads an odd number of times, so a T-term chain over L
-    distinct bits costs at most L - 1 gates instead of T - 1.
+    A 1-bit ``xor`` folds by parity: a T-term chain, one operation of T
+    operands, becomes one chain of gates, in slot order, over the slots
+    it reads an odd number of times, so over L distinct bits it costs
+    at most L - 1 gates instead of T - 1.  A tree of such operations
+    (a parenthesized chain inside a chain; see :func:`_xor_inner`)
+    folds by parity as a whole.
     """
     inputs = [(p.name, p.width) for p in module.input_ports]
     ports: dict[str, list[int]] = {}
@@ -946,23 +1015,14 @@ def compile_module(
             r = vals[refs[0].op][op.low:op.low + op.width]
         elif kind in _BITWISE:
             a, b = vals[refs[0].op], vals[refs[1].op]
-            if kind == "xor" and inner and (
-                    k in inner or a.__class__ is set or b.__class__ is set):
-                # an inner xor's value is its set of odd slots, which its
-                # one reader updates in place, so a T-term chain stays
-                # linear
-                if a.__class__ is not set:
-                    a, b = b, a
-                if a.__class__ is not set:
-                    a = {a[0]}
-                a.symmetric_difference_update(b)  # a set, or one slot
-                if k in inner:
-                    r = a
-                else:
-                    r = 0
-                    for x in sorted(a):
-                        r = binary("xor", r, x)
-                    r = [r]
+            if len(refs) > 2:
+                if kind != "xor" or op.width != 1:
+                    return _compile_binary_form(module, programs)
+                r = _parity(binary, vals, refs, k in inner)
+            elif kind == "xor" and inner and (
+                    k in inner or a.__class__ is set
+                    or b.__class__ is set):
+                r = _parity(binary, vals, refs, k in inner)
             elif op.width == 1:
                 r = [binary(kind, a[0], b[0])]
             else:
@@ -977,33 +1037,6 @@ def compile_module(
             c = vals[refs[0].op][0]
             r = [mux(c, x, y)
                  for x, y in zip(vals[refs[1].op], vals[refs[2].op])]
-        elif kind == "const":  # one string, not a shift per bit
-            r = list(map(int, format(op.value, f"0{op.width}b")[::-1]))
-        elif kind == "input":
-            r = ports[op.port]
-        elif kind == "replicate":
-            r = vals[refs[0].op] * op.count
-        elif kind in _REDUCE:
-            gate, acc = _REDUCE[kind]
-            for x in vals[refs[0].op]:
-                acc = binary(gate, acc, x)
-            r = [acc]
-        elif kind in ("add", "sub"):
-            a, b = vals[refs[0].op], vals[refs[1].op]
-            carry = 0
-            if kind == "sub":  # a - b == a + ~b + 1
-                b = [not_(y) for y in b]
-                carry = 1
-            r = []
-            for x, y in zip(a, b):
-                r.append(binary("xor", binary("xor", x, y), carry))
-                if len(r) < op.width:
-                    carry = binary(
-                        "or",
-                        binary("or", binary("and", x, y),
-                               binary("and", x, carry)),
-                        binary("and", y, carry),
-                    )
         elif kind == "instance":
             callee = programs.get(op.module)
             if callee is None:
@@ -1025,11 +1058,70 @@ def compile_module(
             r = []
             for name, _ in op.out_ports:
                 r.extend([slots[s] for s in callee.outputs[name]])
+        elif kind == "const":  # one string, not a shift per bit
+            r = list(map(int, format(op.value, f"0{op.width}b")[::-1]))
+        elif kind == "input":
+            r = ports[op.port]
+        elif kind == "replicate":
+            r = vals[refs[0].op] * op.count
+        elif kind in _REDUCE:
+            gate, acc = _REDUCE[kind]
+            for x in vals[refs[0].op]:
+                acc = binary(gate, acc, x)
+            r = [acc]
+        elif kind in ("add", "sub"):
+            if len(refs) > 2:
+                return _compile_binary_form(module, programs)
+            a, b = vals[refs[0].op], vals[refs[1].op]
+            carry = 0
+            if kind == "sub":  # a - b == a + ~b + 1
+                b = [not_(y) for y in b]
+                carry = 1
+            r = []
+            for x, y in zip(a, b):
+                r.append(binary("xor", binary("xor", x, y), carry))
+                if len(r) < op.width:
+                    carry = binary(
+                        "or",
+                        binary("or", binary("and", x, y),
+                               binary("and", x, carry)),
+                        binary("and", y, carry),
+                    )
         else:  # verify refuses it first
             raise ValueError(f"unknown op kind {kind!r}")
         vals.append(r)
     outputs = {name: vals[ref.op] for name, ref in module.outputs.items()}
     return _live(PackedProgram(inputs, gates, outputs), first)
+
+
+def _compile_binary_form(
+    module: HwModule, programs: dict[str, PackedProgram],
+) -> PackedProgram:
+    """:func:`compile_module` of ``module`` as binary operations, which
+    puts the gates of each node of a chain where its binary form puts
+    the node."""
+    from busweaver.rewrite import binary_form  # rewrite imports this
+
+    return compile_module(binary_form(module), programs)
+
+
+def _parity(binary, vals: list, refs: list[ValueRef], inner: bool):
+    """The 1-bit xor of ``refs``, whose values are in ``vals``: the set
+    of slots read an odd number of times, if ``inner``, else one chain
+    of gates over them in slot order.  The value of an inner xor below
+    is such a set, the first of them is updated in place and handed on,
+    so that a T-term tree stays linear."""
+    values = list(map(vals.__getitem__, map(_OP, refs)))
+    odd = set()
+    if set in map(type, values):
+        odd = values.pop([v.__class__ for v in values].index(set))
+    any(map(odd.symmetric_difference_update, values))  # in C: each None
+    if inner:
+        return odd
+    r = 0
+    for x in sorted(odd):
+        r = binary("xor", r, x)
+    return [r]
 
 
 def _xor_inner(module: HwModule) -> set[int]:
@@ -1044,10 +1136,9 @@ def _xor_inner(module: HwModule) -> set[int]:
     state = [0] * len(ops)
     for k, op in enumerate(ops):
         if op.kind == "xor" and op.width == 1:
-            a, b = op.operands
             state[k] = -2
-            state[a.op] += 1
-            state[b.op] += 1
+            for ref in op.operands:
+                state[ref.op] += 1
         else:
             for ref in op.operands:
                 state[ref.op] = 0

@@ -6,7 +6,10 @@ This is the horizontal reduction of SLP vectorizers (LLVM's
 ``HorizontalReduction``) applied to Verilog.  A *tree* is a maximal set
 of 1-bit ``xor``, ``and`` or ``or`` operations of one kind in which
 every node but the root has exactly one reader, the node above it, and
-no wire name.  Its *leaves* are the operands that are not nodes.  Each
+no wire name.  A hand-written chain is one node of all its operands, so
+most trees are one node; a parenthesized chain inside another, as in
+``a ^ (b ^ c)``, is a node below it.  Its *leaves* are the operands
+that are not nodes.  Each
 leaf is routed (:func:`busweaver.ir.route_bit`) to a bit of its
 *source*, the first value that is not routing.  Under ``xor`` a bit
 read twice cancels, and a tree whose bits all cancel is the constant 0;
@@ -14,8 +17,8 @@ under ``and`` and ``or`` a bit counts once.  Constants are sources like
 any other.  The bits left of one source form one term: the bit itself,
 or a reduction over the cheapest of a part select (contiguous bits), a
 concatenation of ascending runs, or the source masked (``v & mask``, or
-``v | ~mask`` under ``and``).  The terms are joined by the tree's
-operator in the order their sources first appear.
+``v | ~mask`` under ``and``).  The terms are joined by one operation of
+the tree's kind, in the order their sources first appear.
 
 A tree is rewritten only where the module then counts strictly fewer
 instructions.  One call makes one sweep, readers before operands; the
@@ -30,12 +33,13 @@ the fold built back into its chain, where the inliner splices a callee.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import attrgetter
 
 from busweaver.ir import Operation, ValueRef, route_bit
 from busweaver.rewrite import ModuleRewriter
 
+_OP = attrgetter("op")
+_OPERANDS = attrgetter("operands")
 _REDUCE = {"xor": "redxor", "and": "redand", "or": "redor"}
 _MASKED = {"xor": "and", "and": "or", "or": "and"}  # v & mask, v | ~mask
 _FOLDABLE = frozenset((1, kind) for kind in _REDUCE)  # (width, kind)
@@ -106,16 +110,13 @@ class _Folder:
         the left."""
         ops, uses, wired = self.ops, self.uses, self.wired
         nodes, leaves = [root], {}
-        a, b = ops[root].operands
-        stack = [b.op, a.op]
+        stack = list(map(_OP, reversed(ops[root].operands)))
         while stack:
             oid = stack.pop()
             op = ops[oid]
             if op.kind == kind and uses[oid] == 1 and oid not in wired:
                 nodes.append(oid)
-                a, b = op.operands
-                stack.append(b.op)
-                stack.append(a.op)
+                stack += map(_OP, reversed(op.operands))
             else:
                 leaves[oid] = leaves.get(oid, 0) + 1
         return nodes, leaves
@@ -140,6 +141,9 @@ class _Folder:
 
         dying = self.dying(nodes, leaves)
         uses = self.uses
+        # what dies counts one instruction an operation, and n - 1 a node
+        killed = len(dying) - 2 * len(nodes) + sum(map(len, map(
+            _OPERANDS, map(ops.__getitem__, nodes))))
 
         def free(key: tuple) -> bool:
             hit = rw.lookup(key)
@@ -171,14 +175,14 @@ class _Folder:
         # every pair cancelled: the tree is constant 0
         cost = sum(t[0] for t in terms) + len(terms) - 1 if terms \
             else 1 - free(("const", 0, 1))
-        if cost >= len(dying):  # every operation in dying counts
+        if cost >= killed:
             return None
 
-        value = rw.const(0, 1) if not terms else None
-        for (src, _), (_, form, arg) in zip(groups, terms):
-            term = self.term(kind, src, form, arg)
-            value = term if value is None else rw.binary(kind, value, term)
-        return value
+        if not terms:
+            return rw.const(0, 1)
+        values = [self.term(kind, src, form, arg)
+                  for (src, _), (_, form, arg) in zip(groups, terms)]
+        return values[0] if len(values) == 1 else rw.nary(kind, values)
 
     def term(self, kind: str, src: ValueRef, form: str,
              arg) -> ValueRef:
@@ -256,4 +260,4 @@ def unfold(rw: ModuleRewriter, op: Operation, ops: list[Operation],
         ones = sum(b.value for b in bits)
         return rw.const(ones % 2 if kind == "xor" else
                         ones == len(bits) if kind == "and" else ones > 0, 1)
-    return reduce(lambda value, term: rw.binary(kind, value, term), terms)
+    return terms[0] if len(terms) == 1 else rw.nary(kind, terms)

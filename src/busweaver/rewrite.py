@@ -27,6 +27,7 @@ from itertools import chain, compress
 from operator import attrgetter
 
 from busweaver.ir import (
+    VARIADIC_KINDS,
     HwModule,
     ModuleBuilder,
     Operation,
@@ -118,6 +119,32 @@ def compact_module(
     return HwModule(module.name, list(module.ports), new_ops, outputs, wires)
 
 
+def binary_form(module: HwModule) -> HwModule:
+    """``module`` with each ``and``, ``or``, ``xor`` or ``add`` of n > 2
+    operands written as the left-deep chain of n - 1 binary operations
+    it stands for, compacted into :func:`live_order`'s order.  Where the
+    nodes of a chain matter, the emitter's temporaries and the check's
+    gate order, this is the module they read: what the frontend built
+    before a chain was one operation."""
+    ops: list[Operation] = []
+    values: list[ValueRef] = []  # old id -> its value among ops
+    for op in module.operations:
+        refs = [values[ref.op] for ref in op.operands]
+        if len(refs) > 2 and op.kind in VARIADIC_KINDS:
+            value = refs[0]
+            for ref in refs[1:]:
+                ops.append(Operation(op.kind, op.width, [value, ref]))
+                value = ValueRef(len(ops) - 1, op.width)
+        else:
+            ops.append(with_operands(op, refs))
+            value = ValueRef(len(ops) - 1, op.width)
+        values.append(value)
+    return compact_module(HwModule(
+        module.name, list(module.ports), ops,
+        {name: values[ref.op] for name, ref in module.outputs.items()},
+        {name: values[ref.op] for name, ref in module.wires.items()}))
+
+
 class ModuleRewriter(ModuleBuilder):
     """One editing session over a module.
 
@@ -136,16 +163,23 @@ class ModuleRewriter(ModuleBuilder):
         self.operations = list(module.operations)
         # The ids of the instance operations, ascending, dropped ones
         # included.  Only the frontend builds instances, and a redirected
-        # reader keeps its slot, so they hold for the whole session.
-        instances, cse = [], self._cse
-        for oid, op in enumerate(self.operations):
-            key = cse_key(op)
-            if key is None:
-                if op.kind == "instance":
-                    instances.append(oid)
-            elif key not in cse:
-                cse[key] = ValueRef(oid, op.width)
-        self.instances = tuple(instances)
+        # reader keeps its slot, so they hold for the whole session.  A
+        # module the frontend built hands them over with its builder's
+        # value-numbering table; the session keeps a copy of that.
+        numbering = getattr(module, "numbering", None)
+        if numbering is not None:
+            cse, self.instances = numbering
+            self._cse = dict(cse)
+        else:
+            instances, cse = [], self._cse
+            for oid, op in enumerate(self.operations):
+                key = cse_key(op)
+                if key is None:
+                    if op.kind == "instance":
+                        instances.append(oid)
+                elif key not in cse:
+                    cse[key] = ValueRef(oid, op.width)
+            self.instances = tuple(instances)
         self.outputs = dict(module.outputs)
         self.wires = dict(module.wires)
         self._dropped: set[int] = set()

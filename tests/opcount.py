@@ -10,9 +10,10 @@ and prints one line per workload and stage: the instructions the
 interpreter executed inside :data:`STAGES`, summed over the designs.
 Under a stage, a line per function of :data:`NESTED` counts the part
 of the stage's instructions executed inside that function (the
-elaborator in the frontend, the verifier, the inliner, the reduction
-fold and the compaction in the pipeline, the gate compiler of one
-module and the packed evaluation in the check).
+elaborator in the frontend, the verifier, the rewrite session's set-up
+and live-read counts, the inliner, the reduction fold and the
+compaction in the pipeline, the gate compiler of one module and the
+packed evaluation in the check).
 Each design is parsed, run through the pipeline under the default
 policy, checked against its output with the check's defaults and
 emitted, the path of ``busweaver.reporting.process_design`` without
@@ -48,9 +49,11 @@ STAGES = ("parse_design", "run_pipeline", "check_design_equivalence",
           "emit_design")
 #: Stage -> the functions counted apart inside it, as ``module.name``
 #: or ``module.Class.method`` in ``busweaver``; a line is named
-#: ``stage > name`` after the path's last part.
+#: ``stage > name`` after the path without its module.
 NESTED = {"parse_design": ("frontend._Elaborator.run",),
-          "run_pipeline": ("ir.verify", "inliner.selective_inline",
+          "run_pipeline": ("ir.verify", "rewrite.ModuleRewriter.__init__",
+                           "rewrite.ModuleRewriter.live_reads",
+                           "inliner.selective_inline",
                            "reductions.fold_reductions",
                            "rewrite.compact_module"),
           "check_design_equivalence": ("ir.compile_module",
@@ -113,7 +116,7 @@ def count_stages(sources: list[str]) -> dict[str, int]:
             for name in names:
                 fn = getattr(fn, name)
             counters[stage][fn.__code__] = [0]
-            line = lines[fn.__code__] = f"{stage} > {names[-1]}"
+            line = lines[fn.__code__] = f"{stage} > {'.'.join(names)}"
             totals[line] = 0
     for source in sources:
         design, n = _counted(counters["parse_design"], parse_design, source)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from busweaver.cones import _CANON_KIND, LogicCone, lane_steps, select_slots
 from busweaver.frontend import (
@@ -66,9 +67,7 @@ from busweaver.frontend import (
     AstPortDecl,
     AstWire,
     ParseDiagnostic,
-    _Code,
     _decimal,
-    _Net,
     _SyntaxAbort,
 )
 from busweaver.ir import (
@@ -711,12 +710,48 @@ _REDUCE_KIND = {"&": "redand", "|": "redor", "^": "redxor"}
 _BINARY_NODE = {op: (kind,) for op, kind in _BINARY_KIND.items()}
 
 
+class _Code(NamedTuple):
+    """An expression after its one walk: its width, each net read with
+    the token of the read, in order, and its nodes in post-order, which
+    are the frontend's."""
+
+    width: int
+    deps: list[tuple[str, int]]
+    nodes: list[tuple]
+
+
+class _Net:
+    """A port or wire being elaborated.  ``direction`` is None for a
+    wire.  A driver is ``(high, low, tag, payload)``; tag is "assign"
+    (payload: its _Code) or "inst" (payload: (instance index, port
+    name)).  ``driven_by`` holds each bit's driver site, and ``deps``
+    the net's dependency lists once :meth:`_Elaborator.net_deps` has
+    computed them."""
+
+    __slots__ = ("name", "width", "is_wire", "direction", "tok", "drivers",
+                 "driven_by", "deps")
+
+    def __init__(self, name: str, width: int, is_wire: bool,
+                 direction: str | None, tok: int) -> None:
+        self.name = name
+        self.width = width
+        self.is_wire = is_wire
+        self.direction = direction
+        self.tok = tok
+        self.drivers = []
+        self.driven_by = [None] * width
+        self.deps = None
+
+
 class _Elaborator:
     """Builds one HwModule from an AstModule, given all module signatures.
 
     Each expression is walked once, iteratively, when drivers are
     collected (:meth:`walk`); building a net replays the walk's nodes
-    (:meth:`build`), so no expression depth reaches the stack.
+    (:meth:`build`), so no expression depth reaches the stack.  A run
+    of one binary operator other than ``-`` down a left spine, whether
+    the source wrote it with parentheses or not, is one node of all its
+    operands, as in the frontend.
     """
 
     def __init__(self, ast: AstModule, signatures: dict[str, list[Port]],
@@ -799,23 +834,26 @@ class _Elaborator:
                     w = e.high - e.low + 1
                     widths.append(w)
                     nodes.append(("extract", e.name, e.low, w))
+            elif cls is list:  # [binary operator, n]: operands done
+                e, n = e
+                wb = widths.pop()
+                wa = widths[-1]
+                if wa is None or wb is None:
+                    widths[-1] = None
+                elif wa != wb:
+                    self.error(e.tok,
+                               f"operand width mismatch: {wa} vs {wb}")
+                    widths[-1] = None
+                elif wa > MAX_WIDTH and self.too_wide(e.tok, wa):
+                    widths[-1] = None
+                elif n == 2:
+                    nodes.append(_BINARY_NODE[e.op])
+                elif n:  # 0 for one that the operator above extends
+                    nodes.append(("nary", _BINARY_KIND[e.op], n))
             elif cls is tuple:  # (operator,): its operands are done
                 e = e[0]
                 cls = type(e)
-                if cls is EBinary:
-                    wb = widths.pop()
-                    wa = widths[-1]
-                    if wa is None or wb is None:
-                        widths[-1] = None
-                    elif wa != wb:
-                        self.error(e.tok,
-                                   f"operand width mismatch: {wa} vs {wb}")
-                        widths[-1] = None
-                    elif wa > MAX_WIDTH and self.too_wide(e.tok, wa):
-                        widths[-1] = None
-                    else:
-                        nodes.append(_BINARY_NODE[e.op])
-                elif cls is EUnary:
+                if cls is EUnary:
                     w = widths[-1]
                     if w is None:
                         pass
@@ -871,19 +909,25 @@ class _Elaborator:
                                " (only valid as an index or replication"
                                " count)")
                     widths.append(None)
+            elif cls is EBinary:
+                # down the left spine at once: a chain parses left-deep;
+                # each operator's mark holds the operands of its run, 0
+                # when the one above extends it
+                head = above = None
+                while type(e) is EBinary:
+                    mark = [e, 2]
+                    if above is not None and e.op == above.op != "-":
+                        mark[1] = 0
+                        head[1] += 1
+                    else:
+                        head = mark
+                    todo.append(mark)
+                    todo.append(e.b)
+                    above, e = e, e.a
+                todo.append(e)
             else:
                 todo.append((e,))
-                if cls is EBinary:
-                    # down the left spine at once: a chain parses
-                    # left-deep
-                    todo.append(e.b)
-                    e = e.a
-                    while type(e) is EBinary:
-                        todo.append((e,))
-                        todo.append(e.b)
-                        e = e.a
-                    todo.append(e)
-                elif cls is EUnary:
+                if cls is EUnary:
                     todo.append(e.arg)
                 elif cls is ETernary:
                     todo += (e.other, e.then, e.cond)
@@ -922,6 +966,10 @@ class _Elaborator:
             elif kind in BINARY_KINDS:
                 y = pop()
                 stack[-1] = b.binary(kind, stack[-1], y)
+            elif kind == "nary":
+                args = stack[-node[2]:]
+                del stack[-node[2]:]
+                push(b.nary(node[1], args))
             elif kind == "net":
                 push(values[node[1]])
             elif kind == "const":
@@ -1536,7 +1584,9 @@ def verify_module(
                     f"{ref.width} != defined width {ops[ref.op].width}"
                 )
         if kind in BINARY_KINDS:
-            if len(widths) != 2 or widths != [op.width, op.width]:
+            # and, or, xor and add take two or more operands, sub two
+            arity = len(widths) == 2 or kind != "sub" and len(widths) > 2
+            if not arity or any(w != op.width for w in widths):
                 errs.append(f"{mod}: %{i}: {kind} operand width mismatch")
         elif kind == "const":
             if op.operands:

@@ -283,11 +283,13 @@ def test_each_folded_reduction_is_spliced_as_its_chain(name, monkeypatch):
     out, report = run_pipeline(d)
     assert all(e.inlined for e in report.inline_log)
     assert copied and all(kind in REDUCE_KINDS for kind in copied)
-    # the lanes vectorize: no instance, and one op per term of the chain
+    # the lanes vectorize: no instance, and one chain of the terms, one
+    # operation that counts an instruction per term but the first
     top = out.modules["top"].operations
     assert not any(op.kind == "instance" for op in top)
-    assert sum(op.kind in ("and", "or", "xor") for op in top) \
-        == body.count("x[") - 1
+    chains = [op for op in top if op.kind in ("and", "or", "xor")]
+    assert len(chains) == 1
+    assert len(chains[0].operands) == body.count("x[")
     text = emit_design(out)
     assert emit_design(run_pipeline(parse_design(text))[0]) == text
     for verdict in check_design_equivalence(d, out).values():

@@ -167,6 +167,36 @@ def test_instantiation_cycles_are_the_cycle_messages_of_verify():
     assert verify(d, order) == [] and order == ["q", "p", "r"]
 
 
+def test_verify_walks_the_sites_it_collected():
+    # two sites of p in q and of q in p: one cycle message per site the
+    # walk closes, as a walk over every operation finds them
+    p, q = _calls("p", "q"), _calls("q", "p")
+    for module, callee in ((p, "q"), (q, "p")):
+        module.operations.append(
+            Operation("instance", 1, [_R(0, 1)], module=callee, name="u1",
+                      in_ports=("a",), out_ports=(("y", 1),)))
+    d = HwDesign({"p": p, "q": q}, top="p")
+    _, cycles = instantiation_order(d)
+    assert cycles == ["instantiation cycle: p -> q -> p"] * 2
+    order = []
+    assert [e for e in verify(d, order) if "cycle" in e] == cycles
+    assert order == instantiation_order(d)[0]
+
+
+def test_variadic_operations_evaluate_as_their_chains():
+    b = ModuleBuilder("m", _ports(("a", "input", 4), ("b", "input", 4),
+                                  ("c", "input", 4), ("y", "output", 4),
+                                  ("z", "output", 4)))
+    a, v, c = (b.input_ref(n, 4) for n in "abc")
+    y = b.nary("add", [a, v, c, c])
+    z = b.nary("xor", [b.nary("and", [a, v, c]), b.nary("or", [a, v, c])])
+    m = b.finish({"y": y, "z": z}, {})
+    assert verify_module(m) == [] and count_instructions(m) == 3 + 2 + 2 + 1
+    for x, w, u in [(3, 5, 9), (15, 15, 15), (0, 7, 1)]:
+        assert simulate(m, {"a": x, "b": w, "c": u}) == {
+            "y": (x + w + 2 * u) % 16, "z": (x & w & u) ^ (x | w | u)}
+
+
 def test_simulate_routing_and_logic():
     b = ModuleBuilder(
         "m",
@@ -368,6 +398,13 @@ _VIOLATIONS = {
                    " != defined width 1"),
     "binary": (_append(Operation("and", 4, [_R(0, 4), _R(3, 2)])),
                "m: %12: and operand width mismatch"),
+    "one-operand": (_append(Operation("xor", 4, [_R(0, 4)])),
+                    "m: %12: xor operand width mismatch"),
+    "variadic": (
+        _append(Operation("xor", 4, [_R(0, 4), _R(0, 4), _R(3, 2)])),
+        "m: %12: xor operand width mismatch"),
+    "sub-operands": (_append(Operation("sub", 4, [_R(0, 4)] * 3)),
+                     "m: %12: sub operand width mismatch"),
     "const-operands": (_append(Operation("const", 4, [_R(0, 4)], value=1)),
                        "m: %12: const takes no operands"),
     "const-value": (_append(Operation("const", 2, value=4)),

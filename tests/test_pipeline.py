@@ -1004,6 +1004,10 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
     # taken in a child process of its own
     cases = {"goldens": [(golden_dir / name).read_text()
                          for name in ("intermodule_buf.v", "partial_mix.v")]}
+    # a chain the fold reads live-read counts for
+    cases["goldens"].append("module red(input [3:0] a, output y);\n"
+                            "  assign y = a[0] ^ a[1] ^ a[0] ^ a[3];\n"
+                            "endmodule\n")
     counts = opcount.measure(cases)
     assert counts == opcount.measure(cases)
     stages = [stage for stage in counts["goldens"] if " > " not in stage]
@@ -1011,10 +1015,10 @@ def test_the_bytecode_meter_counts_alike_twice(golden_dir):
     assert all(count > 0 for count in counts["goldens"].values())
     # each nested line follows its stage and counts a part of it
     order = [name for stage in opcount.STAGES
-             for name in [stage] + [f"{stage} > {path.rsplit('.', 1)[1]}"
+             for name in [stage] + [f"{stage} > {path.split('.', 1)[1]}"
                                     for path in opcount.NESTED.get(stage, ())]]
     assert list(counts["goldens"]) == order
-    assert len(order) == len(opcount.STAGES) + 7
+    assert len(order) == len(opcount.STAGES) + 9
     for name, count in counts["goldens"].items():
         assert count <= counts["goldens"][name.split(" > ")[0]]
 

@@ -474,3 +474,33 @@ def test_finish_passes_an_untouched_module_through():
     rw = ModuleRewriter(module)
     rw.not_(y)  # appended, and read by nothing
     assert rw.finish() is module
+
+
+def test_a_session_takes_the_value_numbering_the_frontend_built():
+    # the frontend hands its builder's table and instance ids to the
+    # session, which keeps a copy; a module it did not build, or one a
+    # compaction rebuilt, is indexed in full, to the same table
+    import wordlevel
+    from generators import nested_instance_design
+
+    sources = [nested_instance_design(6, 3), _buses(4), _rotated_wires(4)]
+    sources += [source for _, source in wordlevel.cases(range(40))]
+    handed = 0
+    for source in sources:
+        for module in parse_design(source).modules.values():
+            plain = HwModule(module.name, module.ports, module.operations,
+                             module.outputs, module.wires)
+            assert plain == module
+            rebuilt = ModuleRewriter(plain)
+            if getattr(module, "numbering", None) is None:
+                continue
+            handed += 1
+            rw = ModuleRewriter(module)
+            assert rw._cse == rebuilt._cse
+            assert rw._cse is not module.numbering[0]
+            assert rw.instances == rebuilt.instances
+            rw.const(5, 7)
+            assert ("const", 5, 7) not in module.numbering[0]
+            assert getattr(rewrite.compact_module(module), "numbering",
+                           None) is None
+    assert handed > 40

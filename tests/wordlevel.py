@@ -13,8 +13,12 @@ The generator writes word-level shapes: a top over two W-bit inputs
 and a select, callees with W-bit or 1-bit ports (these instantiated
 once per lane), temporary wires and outputs assigned whole or one bit
 per ``assign``, over ``& | ^ ~ + - ?:``, selects, concatenations,
-replications, reductions and sized constants.  Tier-1 does not run it
-while it still finds failures.
+replications, reductions and sized constants.  Besides two-operand
+operators it writes flat chains of 3-6 terms of one of ``& | ^ +``
+over leaves and sub-expressions, and such operators nested in one of
+their kind on the left (``(x ^ y) ^ z``, one chain) or on the right
+(``x ^ (y ^ z)``, two).  Tier-1 does not run it while it still finds
+failures.
 """
 
 from __future__ import annotations
@@ -66,6 +70,16 @@ def _expr(rng: random.Random, nets: dict[str, int], width: int,
     if roll < 0.72 and width == 1 and max(nets.values()) > 1:
         inner = rng.randint(2, max(nets.values()))
         return f"({rng.choice('&|^')}{_leaf(rng, nets, inner)})"
+    if roll < 0.8:  # a flat chain over leaves and sub-expressions
+        terms = [_leaf(rng, nets, width) if rng.random() < 0.5
+                 else _expr(rng, nets, width, depth - 1)
+                 for _ in range(rng.randint(3, 6))]
+        return "(" + f" {rng.choice('&|^+')} ".join(terms) + ")"
+    if roll < 0.86:  # a chain nested in one of its kind, left or right
+        op = rng.choice("&|^+")
+        x, y, z = (_expr(rng, nets, width, depth - 1) for _ in range(3))
+        return f"(({x} {op} {y}) {op} {z})" if rng.random() < 0.5 \
+            else f"({x} {op} ({y} {op} {z}))"
     return f"({_expr(rng, nets, width, depth - 1)}" \
            f" {rng.choice('&|^+-')} {_expr(rng, nets, width, depth - 1)})"
 
